@@ -18,7 +18,8 @@ import numpy as np
 from .bounds import kl_decomposition_check, random_discrete_system
 from .env import sample_tasks, true_risk_mc
 from .gauss import DiagonalGaussian
-from .metalearn import TrainConfig, adapt
+from .metalearn import TrainConfig, adapt_many
+from .metalearn import adapt  # noqa: F401 - bench/tracer.py wraps it on this module
 from .pipelines import fit_two_prior_system, trained_bound_breakdown
 from .rng import spawn_seed, stream
 
@@ -95,14 +96,12 @@ def _audit_trial(env_spec, n: int, m: int, cfg: TrainConfig, index: int,
 
     eval_rng = stream(seed, "audit-eval")
     fresh = sample_tasks(env_spec, eval_tasks, m, eval_rng)
-    risks = []
-    for i, task in enumerate(fresh):
-        model, _ = adapt(system.rho, task, trial_cfg,
-                         adapt_epochs=cfg.epochs_stage2,
-                         rng=stream(seed, "audit-adapt", i))
-        risk, _ = true_risk_mc(task, model, cfg.loss, eval_points, eval_rng,
-                               mc_samples=mc_eval)
-        risks.append(risk)
+    adapted = adapt_many(system.rho, fresh, trial_cfg, adapt_epochs=cfg.epochs_stage2,
+                         rngs=[stream(seed, "audit-adapt", i) for i in range(len(fresh))])
+    risks = [
+        true_risk_mc(task, model, cfg.loss, eval_points, eval_rng, mc_samples=mc_eval)[0]
+        for task, (model, _) in zip(fresh, adapted)
+    ]
     est = float(np.mean(risks))
     se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
 

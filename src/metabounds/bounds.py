@@ -25,6 +25,8 @@ __all__ = [
     "DiscreteMetaSystem",
     "maurer_bound",
     "adaptation_bound",
+    "task_level_slack",
+    "multitask_slack",
     "task_level_term",
     "multitask_sqrt_term",
     "theorem1_bound",
@@ -146,6 +148,19 @@ def maurer_bound(inp: PerTaskBoundInput) -> float:
     return inp.empirical_risk + math.sqrt(slack / (2.0 * inp.m))
 
 
+def task_level_slack(n: int, delta: float) -> float:
+    """Confidence constant added to the meta-level divergence in
+    :func:`task_level_term`."""
+    return math.log(4.0 * math.sqrt(n) / delta)
+
+
+def multitask_slack(n: int, m: int, delta: float) -> float:
+    """Confidence constant added to the complexity in
+    :func:`multitask_sqrt_term`; at ``n = 1`` it is the slack of
+    :func:`adaptation_bound`."""
+    return math.log(8.0 * (float(n) * float(m)) / delta) + 1.0
+
+
 def adaptation_bound(empirical_risk: float, kl_q_p1: float, m: int, delta: float) -> float:
     """Certificate minimized when adapting to a fresh task.
 
@@ -157,8 +172,7 @@ def adaptation_bound(empirical_risk: float, kl_q_p1: float, m: int, delta: float
     _check_kl(kl_q_p1, "kl_q_p1")
     _check_count(m, "m")
     _check_delta(delta)
-    slack = kl_q_p1 + math.log(8.0 * m / delta) + 1.0
-    return empirical_risk + math.sqrt(slack / (2.0 * m))
+    return empirical_risk + math.sqrt((kl_q_p1 + multitask_slack(1, m, delta)) / (2.0 * m))
 
 
 def task_level_term(kl_rho_pi: float, n: int, delta: float) -> float:
@@ -166,7 +180,7 @@ def task_level_term(kl_rho_pi: float, n: int, delta: float) -> float:
     _check_kl(kl_rho_pi, "kl_rho_pi")
     _check_count(n, "n")
     _check_delta(delta)
-    return math.sqrt((kl_rho_pi + math.log(4.0 * math.sqrt(n) / delta)) / (2.0 * n))
+    return math.sqrt((kl_rho_pi + task_level_slack(n, delta)) / (2.0 * n))
 
 
 def multitask_sqrt_term(complexity: float, n: int, m: int, delta: float) -> float:
@@ -176,7 +190,7 @@ def multitask_sqrt_term(complexity: float, n: int, m: int, delta: float) -> floa
     _check_count(m, "m")
     _check_delta(delta)
     nm = float(n) * float(m)
-    return math.sqrt((complexity + math.log(8.0 * nm / delta) + 1.0) / (2.0 * nm))
+    return math.sqrt((complexity + multitask_slack(n, m, delta)) / (2.0 * nm))
 
 
 def theorem1_bound(inp: MetaBoundInput) -> float:

@@ -37,7 +37,7 @@ from .metalearn import (
     MetaPosterior,
     TrainConfig,
     TrainingDiverged,
-    adapt,
+    adapt_many,
     load_meta_posterior,
     save_meta_posterior,
     train_meta,
@@ -475,12 +475,11 @@ def cmd_adapt(cfg: ExperimentConfig) -> int:
     tasks = sample_tasks(spec, values["num_tasks"], values["m"],
                          stream(seed, "adapt-tasks"))
     zero_one = LossSpec("zero_one")
+    adapted = adapt_many(rho, tasks, train_cfg, adapt_epochs=values["adapt_epochs"],
+                         rngs=[stream(seed, "adapt", i) for i in range(len(tasks))],
+                         mc_eval=values["mc_eval"])
     rows = []
-    for i, task in enumerate(tasks):
-        model, bound = adapt(rho, task, train_cfg,
-                             adapt_epochs=values["adapt_epochs"],
-                             rng=stream(seed, "adapt", i),
-                             mc_eval=values["mc_eval"])
+    for i, (task, (model, bound)) in enumerate(zip(tasks, adapted)):
         train_risk = mc_empirical_risk(model, task.train_x, task.train_y,
                                        train_cfg.loss, values["mc_eval"],
                                        stream(seed, "adapt-train-risk", i))

@@ -1,8 +1,9 @@
 """Tape-based reverse-mode automatic differentiation over real tensors.
 
 Deliberately minimal: exactly the operations the bound objectives need
-(elementwise arithmetic, matmul, reductions, exp/log/sqrt/tanh/relu, and a
-stable softmax cross-entropy), recorded on an explicit tape whose node
+(broadcasting elementwise arithmetic, batched matmul, full and axis-wise
+reductions, slicing and concatenation, exp/log/sqrt/tanh/relu, and a stable
+softmax cross-entropy), recorded on an explicit tape whose node
 order is a topological order by construction. backward() is one reverse
 pass over that list. Everything is float64; a finite-difference gradcheck
 is included as the accompanying oracle.
@@ -20,6 +21,8 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        # Adjoints of the last backward pass, by node index.
+        self.grads: dict[int, np.ndarray] = {}
 
     def tensor(self, value) -> "Tensor":
         """Create a leaf node holding a copy of value."""
@@ -36,7 +39,7 @@ class Tensor:
     adjoints of those parents. Leaves have no parents and no vjp.
     """
 
-    __slots__ = ("tape", "idx", "value", "parents", "vjp", "grad")
+    __slots__ = ("tape", "idx", "value", "parents", "vjp")
 
     def __init__(self, tape: Tape, value: np.ndarray,
                  parents: tuple["Tensor", ...],
@@ -45,13 +48,19 @@ class Tensor:
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.grad: np.ndarray | None = None
         self.idx = len(tape.nodes)
         tape.nodes.append(self)
 
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Adjoint from the tape's last backward pass; zeros where that pass
+        did not reach this node."""
+        g = self.tape.grads.get(self.idx)
+        return np.zeros_like(self.value) if g is None else g
 
     def __add__(self, other):
         return add(self, other)
@@ -86,79 +95,128 @@ def _same_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum an adjoint over the axes along which an operand of ``shape`` was
+    broadcast, so it comes back in the operand's own shape."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _binary(a: Tensor, b: Tensor, value: np.ndarray, vjp_a, vjp_b) -> Tensor:
+    """Node for a broadcasting elementwise op; vjp_a/vjp_b map the adjoint to
+    each operand's full-size adjoint before it is summed back to shape."""
+    _same_tape(a, b)
+    sa, sb = a.shape, b.shape
+    return Tensor(a.tape, value, (a, b),
+                  lambda g: (_unbroadcast(vjp_a(g), sa), _unbroadcast(vjp_b(g), sb)))
+
+
 def add(a: Tensor, b):
-    """a + b. Supports equal shapes, scalar addends, and row-vector bias
-    addition (B, k) + (k,)."""
+    """a + b under numpy broadcasting; b may be a Python scalar."""
     if not isinstance(b, Tensor):
         c = float(b)
         return Tensor(a.tape, a.value + c, (a,), lambda g: (g,))
-    _same_tape(a, b)
-    if a.shape == b.shape:
-        return Tensor(a.tape, a.value + b.value, (a, b), lambda g: (g, g))
-    if a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
-        return Tensor(a.tape, a.value + b.value, (a, b),
-                      lambda g: (g, g.sum(axis=0)))
-    raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    """a - b under the same shape rules as add."""
+    """a - b under the same rules as add."""
     if isinstance(a, Tensor) and not isinstance(b, Tensor):
         c = float(b)
         return Tensor(a.tape, a.value - c, (a,), lambda g: (g,))
     if not isinstance(a, Tensor) and isinstance(b, Tensor):
         c = float(a)
         return Tensor(b.tape, c - b.value, (b,), lambda g: (-g,))
-    _same_tape(a, b)
-    if a.shape == b.shape:
-        return Tensor(a.tape, a.value - b.value, (a, b), lambda g: (g, -g))
-    if a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
-        return Tensor(a.tape, a.value - b.value, (a, b),
-                      lambda g: (g, -g.sum(axis=0)))
-    raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
+    return _binary(a, b, a.value - b.value, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b):
-    """Elementwise product; b may be a Python scalar."""
+    """Elementwise product under numpy broadcasting; b may be a Python scalar."""
     if not isinstance(b, Tensor):
         c = float(b)
         return Tensor(a.tape, a.value * c, (a,), lambda g: (g * c,))
-    _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(a.tape, a.value * b.value, (a, b),
-                  lambda g: (g * b.value, g * a.value))
+    av, bv = a.value, b.value
+    return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
 
 
 def matmul(a: Tensor, b: Tensor):
-    """Matrix product (p,q)@(q,r) -> (p,r) or matrix-vector (p,q)@(q,) -> (p,)."""
+    """Matrix product with numpy semantics.
+
+    (p,q)@(q,) -> (p,) is the matrix-vector product. Otherwise both operands
+    have at least two axes: the last two multiply as matrices and any leading
+    axes are batch axes that broadcast, so (n,k,p,q)@(n,1,q,r) -> (n,k,p,r).
+    """
     _same_tape(a, b)
-    if a.value.ndim != 2:
-        raise ValueError(f"matmul left operand must be 2-d, got {a.shape}")
-    if b.value.ndim == 2:
-        if a.shape[1] != b.shape[0]:
+    av, bv = a.value, b.value
+    if av.ndim < 2:
+        raise ValueError(f"matmul left operand must be at least 2-d, got {a.shape}")
+    if bv.ndim == 1:
+        if av.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-        return Tensor(a.tape, a.value @ b.value, (a, b),
-                      lambda g: (g @ b.value.T, a.value.T @ g))
-    if b.value.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-        return Tensor(a.tape, a.value @ b.value, (a, b),
-                      lambda g: (np.outer(g, b.value), a.value.T @ g))
-    raise ValueError(f"matmul right operand must be 1-d or 2-d, got {b.shape}")
+        return Tensor(a.tape, av @ bv, (a, b),
+                      lambda g: (np.outer(g, bv), av.T @ g))
+    try:
+        value = av @ bv
+    except ValueError as exc:
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
+    return Tensor(a.tape, value, (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(bv, -1, -2), a.shape),
+        _unbroadcast(np.swapaxes(av, -1, -2) @ g, b.shape),
+    ))
 
 
-def sum(a: Tensor):  # noqa: A001 - mirrors the op set on purpose
-    """Full reduction to a scalar."""
-    return Tensor(a.tape, np.asarray(a.value.sum()), (a,),
-                  lambda g: (np.full(a.shape, float(g)),))
+def _spread(g: np.ndarray, axis, shape: tuple) -> np.ndarray:
+    """Broadcast the adjoint of a reduction back over the reduced axes."""
+    axes = tuple(range(len(shape))) if axis is None else axis
+    return np.broadcast_to(np.expand_dims(g, axes), shape)
 
 
-def mean(a: Tensor):
-    """Arithmetic mean of all entries, as a scalar."""
-    size = a.value.size
-    return Tensor(a.tape, np.asarray(a.value.mean()), (a,),
-                  lambda g: (np.full(a.shape, float(g) / size),))
+def sum(a: Tensor, axis=None):  # noqa: A001 - mirrors the op set on purpose
+    """Sum over ``axis`` (an int or a tuple of ints), or of all entries as a
+    scalar."""
+    return Tensor(a.tape, np.asarray(a.value.sum(axis=axis)), (a,),
+                  lambda g: (_spread(g, axis, a.shape),))
+
+
+def mean(a: Tensor, axis=None):
+    """Arithmetic mean over ``axis`` (an int or a tuple of ints), or of all
+    entries as a scalar."""
+    value = np.asarray(a.value.mean(axis=axis))
+    count = a.value.size // value.size
+    return Tensor(a.tape, value, (a,), lambda g: (_spread(g / count, axis, a.shape),))
+
+
+def slice(a: Tensor, index, shape: tuple | None = None):  # noqa: A001
+    """a[index] for basic indexing (ints, slices, None, Ellipsis), optionally
+    reshaped to ``shape``. The adjoint lands back in the indexed entries."""
+    part = a.value[index]
+    src_shape = part.shape
+    value = part if shape is None else part.reshape(shape)
+
+    def vjp(g):
+        full = np.zeros(a.shape)
+        full[index] = g.reshape(src_shape)
+        return (full,)
+
+    return Tensor(a.tape, value, (a,), vjp)
+
+
+def concat(parts: Sequence[Tensor], shape: tuple) -> Tensor:
+    """The entries of ``parts``, each flattened, joined end to end and
+    reshaped to ``shape``."""
+    tape = _same_tape(*parts)
+    sizes = [p.value.size for p in parts]
+    value = np.concatenate([p.value.ravel() for p in parts]).reshape(shape)
+    cuts = np.cumsum(sizes)[:-1]
+
+    def vjp(g):
+        pieces = np.split(g.ravel(), cuts)
+        return tuple(piece.reshape(p.shape) for piece, p in zip(pieces, parts))
+
+    return Tensor(tape, value, tuple(parts), vjp)
 
 
 def exp(a: Tensor):
@@ -194,60 +252,55 @@ def relu(a: Tensor):
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray):
     """Per-sample cross-entropy of softmax(logits) against integer labels.
 
-    logits is (B, C); labels is a length-B integer array. Returns the (B,)
-    vector of losses -log softmax(logits)[label], computed with the usual
-    max-shift for stability.
+    logits is (..., B, C); labels holds integers in [0, C) and broadcasts
+    against the (..., B) leading shape. Returns the (..., B) losses
+    -log softmax(logits)[label], computed with the usual max-shift for
+    stability.
     """
-    if logits.value.ndim != 2:
-        raise ValueError(f"logits must be 2-d, got {logits.shape}")
+    if logits.value.ndim < 2:
+        raise ValueError(f"logits must be at least 2-d, got {logits.shape}")
     labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match batch {logits.shape[0]}"
-        )
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+    lead = logits.shape[:-1]
+    if labels.ndim == 0 or labels.shape[-1] != lead[-1]:
+        raise ValueError(f"labels shape {labels.shape} does not match batch {lead}")
+    labels = np.broadcast_to(labels, lead)
+    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ValueError("label out of range")
     z = logits.value
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(z.shape[0])
-    losses = lse - shifted[rows, labels]
-    softmax = np.exp(shifted - lse[:, None])
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    onehot = labels[..., None] == np.arange(z.shape[-1])
+    losses = lse - np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
+    residual = np.exp(shifted - lse[..., None]) - onehot
 
-    def vjp(g):
-        grad = softmax * g[:, None]
-        grad[rows, labels] -= g
-        return (grad,)
-
-    return Tensor(logits.tape, losses, (logits,), vjp)
+    return Tensor(logits.tape, losses, (logits,), lambda g: (residual * g[..., None],))
 
 
 def backward(out: Tensor) -> None:
     """Reverse-mode pass from a scalar output.
 
-    Fills .grad on every node at or before out on the tape (zeros where the
-    output does not depend on the node). One linear sweep suffices because
-    the tape is topologically ordered by construction.
+    Afterwards .grad of every node the output depends on holds its adjoint;
+    every other node reads zeros, including adjoints left by an earlier pass
+    over the same tape. One linear sweep suffices because the tape is
+    topologically ordered by construction. Adjoints are accumulated out of
+    place, since a vjp may hand the same array to several parents.
     """
     if out.value.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {out.shape}")
     nodes = out.tape.nodes
-    adjoint: list[np.ndarray | None] = [None] * (out.idx + 1)
-    adjoint[out.idx] = np.ones_like(out.value)
+    adjoint = {out.idx: np.ones_like(out.value)}
     for i in range(out.idx, -1, -1):
-        node = nodes[i]
-        g = adjoint[i]
+        g = adjoint.get(i)
         if g is None:
-            node.grad = np.zeros_like(node.value)
             continue
-        node.grad = g
+        node = nodes[i]
         if node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if adjoint[parent.idx] is None:
-                adjoint[parent.idx] = np.zeros_like(parent.value)
-            adjoint[parent.idx] += pg
+            j = parent.idx
+            prev = adjoint.get(j)
+            adjoint[j] = pg if prev is None else prev + pg
+    out.tape.grads = adjoint
 
 
 def gradcheck(build: Callable[[Sequence[np.ndarray]],

@@ -178,21 +178,9 @@ def true_risk_mc(task: Task, model: StochasticModel, loss: LossSpec,
     x, y = task.draw(n_eval, rng)
     post = model.posterior
     draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))
-    per_sample = np.zeros(n_eval)
-    per_draw = np.zeros(mc_samples)
-    if model.arch.kind == "linear":
-        scores = x @ draws.T  # (n_eval, mc)
-        for k in range(mc_samples):
-            vals = loss_values(loss, model.arch, scores[:, k], y)
-            per_sample += vals
-            per_draw[k] = vals.mean()
-    else:
-        for k in range(mc_samples):
-            s = scores_batch(model.arch, draws[k], x)
-            vals = loss_values(loss, model.arch, s, y)
-            per_sample += vals
-            per_draw[k] = vals.mean()
-    per_sample /= mc_samples
+    vals = loss_values(loss, model.arch, scores_batch(model.arch, draws, x), y)
+    per_sample = vals.mean(axis=0)
+    per_draw = vals.mean(axis=1)
     risk = float(per_sample.mean())
     var_x = float(per_sample.var(ddof=1)) / n_eval if n_eval > 1 else 0.0
     var_w = float(per_draw.var(ddof=1)) / mc_samples if mc_samples > 1 else 0.0

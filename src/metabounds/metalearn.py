@@ -9,8 +9,10 @@ while the regularization family and the per-task posteriors keep moving.
 
 Prior parameters live in a ``2d``-dimensional space for a ``d``-weight
 network: the first half are weight means, the second half weight
-log-variances.  On the tape that vector is handled per layer block, mirroring
-how the model builders consume weights.
+log-variances.  Task posteriors use the same layout and are stacked into one
+``(n, 2d)`` array with a row per task, so a training step puts every task on
+one tape as a single leaf and the tape's size depends on the layers, not on
+``n``.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import diff
-from .bounds import adaptation_bound
+from .bounds import adaptation_bound, multitask_slack, task_level_slack
 from .env import Task
 from .gauss import DiagonalGaussian, kl_diag_gaussian
 from .model import (
     LossSpec,
     ModelArchitecture,
     StochasticModel,
+    block_layout,
     glorot_init,
-    join_flat,
     mc_empirical_risk,
     split_flat,
     taped_mc_risk,
@@ -48,6 +50,7 @@ __all__ = [
     "adaptation_objective",
     "train_meta",
     "adapt",
+    "adapt_many",
     "independent_baseline",
     "save_meta_posterior",
     "load_meta_posterior",
@@ -156,7 +159,8 @@ class TrainConfig:
 
 @dataclass
 class TrainingTrace:
-    """Per-epoch objective values; one entry per epoch across both stages."""
+    """Per-epoch mean objective values; one entry per completed epoch, across
+    both stages of meta-training or over one task's adaptation."""
 
     objectives: list = field(default_factory=list)
     stage_boundary: int = 0
@@ -165,139 +169,131 @@ class TrainingTrace:
 class TrainingDiverged(RuntimeError):
     """The optimized objective stopped being finite.
 
-    Carries the trace accumulated up to the failing step.
+    Carries the trace of the epochs completed before the failing step and,
+    when several tasks were adapted together, the index of the task that
+    failed.
     """
 
-    def __init__(self, message: str, trace: TrainingTrace):
-        super().__init__(message)
+    def __init__(self, message: str, trace: TrainingTrace, task: int | None = None):
+        super().__init__(message if task is None else f"task {task}: {message}")
         self.trace = trace
+        self.task = task
 
 
-def meta_kl(rho: MetaPosterior, pi: MetaPrior) -> float:
-    """Divergence of the two-component meta-posterior from its reference.
+def _meta_kl_value(squares, d: int, kappa_rho: float, kappa_pi: float):
+    """Meta-KL given the summed squares of both components' centers.
 
     Closed form for equal-spread Gaussians against the zero-centered
-    reference; equals the sum of the two component KLs.
+    reference; ``squares`` may be a float or a tape node.
     """
-    d = rho.weight_dim
-    squares = float(rho.theta0 @ rho.theta0 + rho.theta1 @ rho.theta1)
-    return (
-        (4.0 * d * rho.kappa_rho**2 + squares) / (2.0 * pi.kappa_pi**2)
-        - 2.0 * d
-        + 4.0 * d * math.log(pi.kappa_pi / rho.kappa_rho)
-    )
-
-
-# Parameter plumbing. A parameter set is a flat dict keyed
-# "<group>.mean.<layer>" / "<group>.lv.<layer>" holding ndarrays; per step the
-# arrays become tape leaves under the same keys so gradients map back 1:1.
-
-
-def _halves(arch: ModelArchitecture, flat2d: np.ndarray) -> tuple[dict, dict]:
-    d = arch.param_count
-    return split_flat(arch, flat2d[:d]), split_flat(arch, flat2d[d:])
-
-
-def _store(params: dict, group: str, mean_blocks: dict, lv_blocks: dict) -> None:
-    for name, value in mean_blocks.items():
-        params[f"{group}.mean.{name}"] = np.array(value, dtype=np.float64)
-    for name, value in lv_blocks.items():
-        params[f"{group}.lv.{name}"] = np.array(value, dtype=np.float64)
-
-
-def _flatten(params: dict, group: str, arch: ModelArchitecture) -> np.ndarray:
-    means = {name: params[f"{group}.mean.{name}"] for name, _ in arch.layer_shapes()}
-    lvs = {name: params[f"{group}.lv.{name}"] for name, _ in arch.layer_shapes()}
-    return np.concatenate([join_flat(arch, means), join_flat(arch, lvs)])
-
-
-def _leaves(tape: diff.Tape, params: dict, group: str, arch: ModelArchitecture,
-            leaf_map: dict | None = None) -> tuple[dict, dict]:
-    mean_nodes, lv_nodes = {}, {}
-    for name, _ in arch.layer_shapes():
-        mk, lk = f"{group}.mean.{name}", f"{group}.lv.{name}"
-        mean_nodes[name] = tape.tensor(params[mk])
-        lv_nodes[name] = tape.tensor(params[lk])
-        if leaf_map is not None:
-            leaf_map[mk] = mean_nodes[name]
-            leaf_map[lk] = lv_nodes[name]
-    return mean_nodes, lv_nodes
-
-
-def _constant_blocks(tape: diff.Tape, mean_blocks: dict, lv_blocks: dict) -> tuple[dict, dict]:
-    return (
-        {name: tape.tensor(value) for name, value in mean_blocks.items()},
-        {name: tape.tensor(value) for name, value in lv_blocks.items()},
-    )
-
-
-def _taped_block_kl(q_mean, q_lv, p_mean, p_lv):
-    """Diagonal-Gaussian KL with all four parameter blocks as tape nodes."""
-    dlv = q_lv - p_lv
-    dm = q_mean - p_mean
-    inv_p = diff.exp(-p_lv)
-    per_weight = diff.exp(dlv) + dm * dm * inv_p - dlv + (-1.0)
-    return diff.sum(per_weight) * 0.5
-
-
-def _taped_meta_kl(theta_parts, d: int, kappa_rho: float, kappa_pi: float):
-    """Tape version of meta_kl; theta_parts covers both components' blocks."""
-    squares = None
-    for part in theta_parts:
-        term = diff.sum(part * part)
-        squares = term if squares is None else squares + term
     scale = 1.0 / (2.0 * kappa_pi**2)
-    shift = (
-        4.0 * d * kappa_rho**2 * scale
-        - 2.0 * d
-        + 4.0 * d * math.log(kappa_pi / kappa_rho)
-    )
+    shift = 4.0 * d * kappa_rho**2 * scale - 2.0 * d + 4.0 * d * math.log(kappa_pi / kappa_rho)
     return squares * scale + shift
 
 
-def _eps_blocks(arch: ModelArchitecture, rng: np.random.Generator) -> dict:
-    return {name: rng.standard_normal(shape) for name, shape in arch.layer_shapes()}
+def meta_kl(rho: MetaPosterior, pi: MetaPrior) -> float:
+    """Divergence of the two-component meta-posterior from its reference;
+    equals the sum of the two component KLs."""
+    squares = float(rho.theta0 @ rho.theta0 + rho.theta1 @ rho.theta1)
+    return _meta_kl_value(squares, rho.weight_dim, rho.kappa_rho, pi.kappa_pi)
 
 
-def _objective_node(tape, cfg: TrainConfig, n: int, m: int, theta0_nodes, theta1_nodes,
-                    q_nodes, batches, rng: np.random.Generator):
-    """Assemble the certificate on one tape.
+# Tape-side certificates. Parameter nodes are stacked: the task posteriors
+# are one (n, 2d) node, the prior centers (2d,) nodes that broadcast against
+# it. Each certificate has one builder, used by training and by the public
+# objective functions that gradcheck it.
 
-    ``m`` is each task's full sample count; ``batches`` may hold minibatches,
-    which only matters for the risk estimate, never for the slack constants.
+
+def _mean_lv(v):
+    """Weight-mean and log-variance halves of a stacked parameter node."""
+    d = v.shape[-1] // 2
+    return diff.slice(v, (Ellipsis, slice(None, d))), diff.slice(v, (Ellipsis, slice(d, None)))
+
+
+def _taped_kl(q_mean, q_lv, p_mean, p_lv):
+    """Diagonal-Gaussian KL of each task posterior from its prior: (n,)."""
+    dlv = q_lv - p_lv
+    dm = q_mean - p_mean
+    per_weight = diff.exp(dlv) + dm * dm * diff.exp(-p_lv) - dlv + (-1.0)
+    return diff.sum(per_weight, axis=-1) * 0.5
+
+
+def _taped_risk(tape, cfg: TrainConfig, q_mean, q_lv, x, y, eps: np.ndarray):
+    """Reparametrized risk of each task posterior on its minibatch: (n,).
+
+    eps is the (n, mc_train, d) weight noise; x is (n, B, in), y is (n, B).
     """
     arch = cfg.arch
-    d = arch.param_count
-    c_task = math.log(4.0 * math.sqrt(n) / cfg.delta)
-    c_multi = math.log(8.0 * m * n / cfg.delta) + 1.0
+    n = q_mean.shape[0]
 
-    th0_mean, th0_lv = theta0_nodes
-    th1_mean, th1_lv = theta1_nodes
+    def blocks(half):
+        return {name: diff.slice(half, (slice(None), span), (n, 1) + shape)
+                for name, span, shape in block_layout(arch)}
 
-    draw = rng.standard_normal(2 * d)
-    eps_mean, eps_lv = _halves(arch, cfg.kappa_rho * draw)
-    p_mean = {name: th1_mean[name] + tape.tensor(eps_mean[name]) for name in th1_mean}
-    p_lv = {name: th1_lv[name] + tape.tensor(eps_lv[name]) for name in th1_lv}
+    draws = [split_flat(arch, eps[:, k]) for k in range(eps.shape[1])]
+    return taped_mc_risk(tape, arch, blocks(q_mean), blocks(q_lv), x, y, cfg.loss, draws)
 
-    risk_sum = None
-    kl_sum = None
-    for (q_mean, q_lv), (x, y) in zip(q_nodes, batches):
-        eps_draws = [_eps_blocks(arch, rng) for _ in range(cfg.mc_train)]
-        risk = taped_mc_risk(tape, arch, q_mean, q_lv, x, y, cfg.loss, eps_draws)
-        risk_sum = risk if risk_sum is None else risk_sum + risk
-        for name in q_mean:
-            kl = _taped_block_kl(q_mean[name], q_lv[name], p_mean[name], p_lv[name])
-            kl_sum = kl if kl_sum is None else kl_sum + kl
 
-    mkl = _taped_meta_kl(
-        list(th0_mean.values()) + list(th0_lv.values())
-        + list(th1_mean.values()) + list(th1_lv.values()),
-        d, cfg.kappa_rho, cfg.kappa_pi,
-    )
-    empirical = risk_sum * (1.0 / n)
-    task_term = diff.sqrt((mkl + c_task) * (1.0 / (2.0 * n)))
-    multi_term = diff.sqrt((mkl + kl_sum + c_multi) * (1.0 / (2.0 * n * m)))
+def _meta_certificate(tape, cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
+                      rng: np.random.Generator):
+    """The two-level certificate on one tape.
+
+    theta0 and theta1 are the (2d,) prior-center nodes (one node when tied),
+    q the (n, 2d) task-posterior node, x and y one minibatch per task.  ``m``
+    is each task's full sample count, which sets the slack constants whatever
+    the minibatch size.  Draws the regularization prior's noise, then every
+    task's weight noise, from rng.
+    """
+    n, width = q.shape
+    d = width // 2
+    p = theta1 + tape.tensor(cfg.kappa_rho * rng.standard_normal(width))
+    eps = rng.standard_normal((n, cfg.mc_train, d))
+    q_mean, q_lv = _mean_lv(q)
+    risk = _taped_risk(tape, cfg, q_mean, q_lv, x, y, eps)
+    kl_sum = diff.sum(_taped_kl(q_mean, q_lv, *_mean_lv(p)))
+    squares = diff.sum(theta0 * theta0) + diff.sum(theta1 * theta1)
+    mkl = _meta_kl_value(squares, d, cfg.kappa_rho, cfg.kappa_pi)
+    empirical = diff.sum(risk) * (1.0 / n)
+    task_term = diff.sqrt((mkl + task_level_slack(n, cfg.delta)) * (1.0 / (2.0 * n)))
+    multi_term = diff.sqrt((mkl + kl_sum + multitask_slack(n, m, cfg.delta))
+                           * (1.0 / (2.0 * n * m)))
     return empirical + task_term + multi_term
+
+
+def _adaptation_certificates(tape, cfg: TrainConfig, m: int, q, prior: np.ndarray,
+                             x, y, eps: np.ndarray):
+    """Single-task certificates of stacked posteriors against fixed priors.
+
+    q is the (n, 2d) posterior node and prior the (n, 2d) array of prior
+    parameters; returns one certificate per task, (n,).
+    """
+    d = prior.shape[-1] // 2
+    q_mean, q_lv = _mean_lv(q)
+    risk = _taped_risk(tape, cfg, q_mean, q_lv, x, y, eps)
+    kl = _taped_kl(q_mean, q_lv, tape.tensor(prior[:, :d]), tape.tensor(prior[:, d:]))
+    return risk + diff.sqrt((kl + multitask_slack(1, m, cfg.delta)) * (1.0 / (2.0 * m)))
+
+
+def _flat(dist: DiagonalGaussian) -> np.ndarray:
+    return np.concatenate([dist.mean, dist.log_var])
+
+
+def _keyed_leaves(tape, arch: ModelArchitecture, rows: np.ndarray, groups, leaf_map: dict):
+    """A stacked parameter node assembled from one leaf per block.
+
+    Row i of ``rows`` gets leaves keyed ``"<groups[i]>.mean.<block>"`` and
+    ``"<groups[i]>.lv.<block>"`` in ``leaf_map``, so callers can read each
+    block's gradient after a backward pass.
+    """
+    d = arch.param_count
+    parts = []
+    for group, row in zip(groups, rows.reshape(-1, 2 * d)):
+        for half, values in (("mean", row[:d]), ("lv", row[d:])):
+            for name, block in split_flat(arch, values).items():
+                leaf = tape.tensor(block)
+                leaf_map[f"{group}.{half}.{name}"] = leaf
+                parts.append(leaf)
+    return diff.concat(parts, rows.shape)
 
 
 def _shared_sample_count(tasks) -> int:
@@ -307,6 +303,10 @@ def _shared_sample_count(tasks) -> int:
     return counts.pop()
 
 
+def _stacked_data(tasks) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([t.train_x for t in tasks]), np.stack([t.train_y for t in tasks])
+
+
 def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
                    rng: np.random.Generator | None = None,
                    leaves_out: dict | None = None):
@@ -314,8 +314,10 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
 
     Evaluates on each task's full training set with ``cfg.mc_train`` weight
     draws and a single sampled regularization prior.  Returns the scalar tape
-    node; when ``leaves_out`` is a dict it receives the parameter leaves keyed
-    by group, so callers can read gradients after a backward pass.
+    node; when ``leaves_out`` is a dict it receives one parameter leaf per
+    block, keyed ``"theta0.mean.<block>"``, ``"theta1.lv.<block>"``,
+    ``"q<i>.mean.<block>"`` and so on, so callers can read gradients after a
+    backward pass.
     """
     if len(task_posteriors) != len(tasks):
         raise ValueError("need exactly one task posterior per task")
@@ -333,38 +335,20 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
 
     tape = diff.Tape()
     leaf_map: dict = {} if leaves_out is None else leaves_out
-    th0 = _leaves_from_flat(tape, arch, rho.theta0, "theta0", leaf_map)
-    th1 = _leaves_from_flat(tape, arch, rho.theta1, "theta1", leaf_map)
-    qs = []
-    for i, model in enumerate(task_posteriors):
-        post = model.posterior
-        qs.append(_leaves_from_blocks(
-            tape, arch, split_flat(arch, post.mean), split_flat(arch, post.log_var),
-            f"q{i}", leaf_map,
-        ))
-    batches = [(task.train_x, task.train_y) for task in tasks]
-    return _objective_node(tape, cfg, len(tasks), m, th0, th1, qs, batches, rng)
-
-
-def _leaves_from_blocks(tape, arch, mean_blocks, lv_blocks, group, leaf_map):
-    mean_nodes, lv_nodes = {}, {}
-    for name, _ in arch.layer_shapes():
-        mean_nodes[name] = tape.tensor(mean_blocks[name])
-        lv_nodes[name] = tape.tensor(lv_blocks[name])
-        leaf_map[f"{group}.mean.{name}"] = mean_nodes[name]
-        leaf_map[f"{group}.lv.{name}"] = lv_nodes[name]
-    return mean_nodes, lv_nodes
-
-
-def _leaves_from_flat(tape, arch, flat2d, group, leaf_map):
-    mean_blocks, lv_blocks = _halves(arch, flat2d)
-    return _leaves_from_blocks(tape, arch, mean_blocks, lv_blocks, group, leaf_map)
+    theta0 = _keyed_leaves(tape, arch, rho.theta0, ["theta0"], leaf_map)
+    theta1 = _keyed_leaves(tape, arch, rho.theta1, ["theta1"], leaf_map)
+    q = _keyed_leaves(tape, arch, np.stack([_flat(mdl.posterior) for mdl in task_posteriors]),
+                      [f"q{i}" for i in range(len(tasks))], leaf_map)
+    return _meta_certificate(tape, cfg, m, theta0, theta1, q, *_stacked_data(tasks), rng)
 
 
 def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: Task,
                          cfg: TrainConfig, rng: np.random.Generator | None = None,
                          leaves_out: dict | None = None):
-    """Differentiable single-task certificate against a fixed prior."""
+    """Differentiable single-task certificate against a fixed prior: the
+    objective :func:`adapt` minimizes, here on the full training set.
+    ``leaves_out`` receives leaves keyed ``"q.mean.<block>"`` and
+    ``"q.lv.<block>"``."""
     arch = cfg.arch
     if model.arch != arch:
         raise ValueError("model architecture differs from the config's")
@@ -374,23 +358,11 @@ def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: 
         rng = stream(cfg.seed, "adapt-objective")
     tape = diff.Tape()
     leaf_map: dict = {} if leaves_out is None else leaves_out
-    post = model.posterior
-    q_mean, q_lv = _leaves_from_blocks(
-        tape, arch, split_flat(arch, post.mean), split_flat(arch, post.log_var),
-        "q", leaf_map,
-    )
-    p_mean, p_lv = _constant_blocks(
-        tape, split_flat(arch, prior.mean), split_flat(arch, prior.log_var)
-    )
-    eps_draws = [_eps_blocks(arch, rng) for _ in range(cfg.mc_train)]
-    risk = taped_mc_risk(tape, arch, q_mean, q_lv, task.train_x, task.train_y,
-                         cfg.loss, eps_draws)
-    kl_sum = None
-    for name in q_mean:
-        kl = _taped_block_kl(q_mean[name], q_lv[name], p_mean[name], p_lv[name])
-        kl_sum = kl if kl_sum is None else kl_sum + kl
-    c = math.log(8.0 * task.m / cfg.delta) + 1.0
-    return risk + diff.sqrt((kl_sum + c) * (1.0 / (2.0 * task.m)))
+    q = _keyed_leaves(tape, arch, _flat(model.posterior)[None], ["q"], leaf_map)
+    eps = rng.standard_normal((1, cfg.mc_train, arch.param_count))
+    values = _adaptation_certificates(tape, cfg, task.m, q, _flat(prior)[None],
+                                      task.train_x[None], task.train_y[None], eps)
+    return diff.sum(values)
 
 
 class _Adam:
@@ -429,53 +401,52 @@ def _make_optimizer(cfg: TrainConfig):
     return _Adam(cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
 
 
-def _minibatch_plan(tasks, batch_size: int, rng: np.random.Generator):
-    """Index chunks for one epoch: a list over steps of per-task index arrays.
+def _minibatches(x: np.ndarray, y: np.ndarray, perms: np.ndarray, batch_size: int):
+    """One epoch of stacked minibatches.
 
-    Every task's samples are visited once per epoch in a fresh shuffled
-    order; a task with fewer chunks than the longest one cycles through its
-    chunks so each global step still covers all tasks.
+    perms holds one shuffled order of sample indices per task; step j takes
+    chunk j of every task's order, so each task visits each sample once.
     """
-    chunk_lists = []
-    for task in tasks:
-        perm = rng.permutation(task.m)
-        count = math.ceil(task.m / batch_size)
-        chunk_lists.append([perm[j * batch_size:(j + 1) * batch_size] for j in range(count)])
-    steps = max(len(chunks) for chunks in chunk_lists)
-    return [
-        [chunks[s % len(chunks)] for chunks in chunk_lists]
-        for s in range(steps)
-    ]
+    rows = np.arange(perms.shape[0])[:, None]
+    for j in range(0, perms.shape[1], batch_size):
+        idx = perms[:, j:j + batch_size]
+        yield x[rows, idx], y[rows, idx]
 
 
-def _stage_loop(cfg: TrainConfig, tasks, params: dict, tied: bool, theta0_blocks,
-                epochs: int, opt, rng: np.random.Generator, trace: TrainingTrace,
-                m: int, n: int) -> None:
-    arch = cfg.arch
+def _check_finite(values: np.ndarray, traces: list, message: str) -> None:
+    """Raise TrainingDiverged for the first task whose row of ``values``
+    holds a non-finite entry, with that task's trace."""
+    bad = ~np.isfinite(values.reshape(len(traces), -1)).all(axis=1)
+    if bad.any():
+        task = int(np.argmax(bad))
+        raise TrainingDiverged(message, traces[task], task=task)
+
+
+def _stage_loop(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict,
+                theta0: np.ndarray | None, epochs: int, rng: np.random.Generator,
+                trace: TrainingTrace) -> None:
+    """One training stage over ``params["theta"]`` and ``params["q"]``.
+
+    With ``theta0`` None the two prior components are tied to
+    ``params["theta"]``; otherwise ``theta0`` is the frozen initialization
+    center and ``params["theta"]`` the regularization center.
+    """
+    n, m = y.shape
+    opt = _make_optimizer(cfg)
     for _ in range(epochs):
-        plan = _minibatch_plan(tasks, cfg.batch_size, rng)
+        perms = np.stack([rng.permutation(m) for _ in range(n)])
         per_step = []
-        for step_indices in plan:
+        for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
             tape = diff.Tape()
-            leaf_map: dict = {}
-            if tied:
-                th = _leaves(tape, params, "theta", arch, leaf_map)
-                th0 = th1 = th
-            else:
-                th0 = _constant_blocks(tape, *theta0_blocks)
-                th1 = _leaves(tape, params, "theta1", arch, leaf_map)
-            qs = [_leaves(tape, params, f"q{i}", arch, leaf_map) for i in range(n)]
-            batches = [
-                (task.train_x[idx], task.train_y[idx])
-                for task, idx in zip(tasks, step_indices)
-            ]
-            value = _objective_node(tape, cfg, n, m, th0, th1, qs, batches, rng)
+            theta1 = tape.tensor(params["theta"])
+            th0 = theta1 if theta0 is None else tape.tensor(theta0)
+            q = tape.tensor(params["q"])
+            value = _meta_certificate(tape, cfg, m, th0, theta1, q, xb, yb, rng)
             current = float(value.value)
             if not math.isfinite(current):
                 raise TrainingDiverged("objective became non-finite", trace)
             diff.backward(value)
-            grads = {key: leaf.grad for key, leaf in leaf_map.items()}
-            opt.step(params, grads)
+            opt.step(params, {"theta": theta1.grad, "q": q.grad})
             if not all(np.all(np.isfinite(v)) for v in params.values()):
                 raise TrainingDiverged("parameters became non-finite", trace)
             per_step.append(current)
@@ -489,44 +460,103 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
     all task posteriors.  Stage two freezes that vector as the
     initialization component, resamples every task posterior from it, and
     optimizes the regularization component and the posteriors.  Optimizer
-    state does not survive the boundary.  Returns the final meta-posterior
-    and the per-epoch objective trace.
+    state does not survive the boundary.  Every step is one stacked tape
+    over all tasks.  Returns the final meta-posterior and the per-epoch
+    objective trace.
     """
     if not env_tasks:
         raise ValueError("at least one training task is required")
     arch = cfg.arch
     d = arch.param_count
     n = len(env_tasks)
-    m = _shared_sample_count(env_tasks)
+    _shared_sample_count(env_tasks)
+    x, y = _stacked_data(env_tasks)
     trace = TrainingTrace()
 
-    init = glorot_init(arch, stream(cfg.seed, "init", "prior"))
-    theta = np.concatenate([init.mean, init.log_var])
-    params: dict = {}
-    _store(params, "theta", *_halves(arch, theta))
-    for i in range(n):
-        q = glorot_init(arch, stream(cfg.seed, "init", f"task{i}"))
-        _store(params, f"q{i}", split_flat(arch, q.mean), split_flat(arch, q.log_var))
-
-    _stage_loop(cfg, env_tasks, params, True, None, cfg.epochs_stage1,
-                _make_optimizer(cfg), stream(cfg.seed, "stage1"), trace, m, n)
+    params = {
+        "theta": _flat(glorot_init(arch, stream(cfg.seed, "init", "prior"))),
+        "q": np.stack([_flat(glorot_init(arch, stream(cfg.seed, "init", f"task{i}")))
+                       for i in range(n)]),
+    }
+    _stage_loop(cfg, x, y, params, None, cfg.epochs_stage1, stream(cfg.seed, "stage1"), trace)
     trace.stage_boundary = len(trace.objectives)
 
-    theta0 = _flatten(params, "theta", arch)
+    theta0 = params["theta"]
     theta1 = theta0
     if cfg.epochs_stage2 > 0:
-        stage2: dict = {}
-        _store(stage2, "theta1", *_halves(arch, theta0))
-        for i in range(n):
-            draw = stream(cfg.seed, "reinit", f"task{i}").standard_normal(2 * d)
-            fresh = theta0 + cfg.kappa_rho * draw
-            _store(stage2, f"q{i}", *_halves(arch, fresh))
-        _stage_loop(cfg, env_tasks, stage2, False, _halves(arch, theta0),
-                    cfg.epochs_stage2, _make_optimizer(cfg),
-                    stream(cfg.seed, "stage2"), trace, m, n)
-        theta1 = _flatten(stage2, "theta1", arch)
+        stage2 = {
+            "theta": theta0.copy(),
+            "q": np.stack([
+                theta0 + cfg.kappa_rho * stream(cfg.seed, "reinit", f"task{i}").standard_normal(2 * d)
+                for i in range(n)
+            ]),
+        }
+        _stage_loop(cfg, x, y, stage2, theta0, cfg.epochs_stage2,
+                    stream(cfg.seed, "stage2"), trace)
+        theta1 = stage2["theta"]
 
     return MetaPosterior.from_means(theta0, theta1, cfg.kappa_rho), trace
+
+
+def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int = 100,
+               rngs, mc_eval: int = 1000) -> list[tuple[StochasticModel, float]]:
+    """Adapt to several fresh tasks at once and certify each.
+
+    The tasks must share a sample count.  Their posteriors are the rows of
+    one stacked array, optimized together with one tape per step; since the
+    summed objective separates by task, each row follows exactly the path a
+    single-task run would.  Task i draws only from ``rngs[i]``, in the order
+    of a single-task run: its initialization from ``rho0``, its prior from
+    ``rho1``, then per epoch a permutation and per step its weight noise, and
+    last the ``mc_eval`` weight draws of its certificate.  Returns one
+    ``(model, certificate)`` pair per task.
+
+    Raises TrainingDiverged naming the first task whose objective or
+    parameters stop being finite, with that task's completed epochs.
+    """
+    arch = cfg.arch
+    d = arch.param_count
+    if rho.weight_dim != d:
+        raise ValueError("meta-posterior dimension does not match the architecture")
+    if not tasks:
+        raise ValueError("at least one task is required")
+    if len(rngs) != len(tasks):
+        raise ValueError("need exactly one generator per task")
+    m = _shared_sample_count(tasks)
+    starts, priors = [], []
+    for rng in rngs:
+        starts.append(rho.theta0 + rho.kappa_rho * rng.standard_normal(2 * d))
+        priors.append(rho.theta1 + rho.kappa_rho * rng.standard_normal(2 * d))
+    params = {"q": np.stack(starts)}
+    prior = np.stack(priors)
+    x, y = _stacked_data(tasks)
+    traces = [TrainingTrace() for _ in tasks]
+    opt = _make_optimizer(cfg)
+
+    for _ in range(adapt_epochs):
+        perms = np.stack([rng.permutation(m) for rng in rngs])
+        per_step = []
+        for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
+            eps = np.stack([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
+            tape = diff.Tape()
+            q = tape.tensor(params["q"])
+            values = _adaptation_certificates(tape, cfg, m, q, prior, xb, yb, eps)
+            _check_finite(values.value, traces, "adaptation objective became non-finite")
+            diff.backward(diff.sum(values))
+            opt.step(params, {"q": q.grad})
+            _check_finite(params["q"], traces, "parameters became non-finite")
+            per_step.append(values.value)
+        for trace, value in zip(traces, np.mean(per_step, axis=0)):
+            trace.objectives.append(float(value))
+
+    results = []
+    for task, rng, row, prior_row in zip(tasks, rngs, params["q"], prior):
+        posterior = DiagonalGaussian(row[:d], row[d:])
+        model = StochasticModel(arch, posterior)
+        empirical = mc_empirical_risk(model, task.train_x, task.train_y, cfg.loss, mc_eval, rng)
+        kl = kl_diag_gaussian(posterior, DiagonalGaussian(prior_row[:d], prior_row[d:]))
+        results.append((model, adaptation_bound(empirical, kl, m, cfg.delta)))
+    return results
 
 
 def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
@@ -537,57 +567,13 @@ def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
     Samples an initialization from ``rho0`` and a prior from ``rho1``, then
     minimizes the single-task certificate for ``adapt_epochs`` epochs.
     Returns the model and its certificate value, with the empirical risk in
-    the certificate estimated from ``mc_eval`` weight draws.
+    the certificate estimated from ``mc_eval`` weight draws.  This is
+    :func:`adapt_many` on one task.
     """
-    arch = cfg.arch
-    d = arch.param_count
-    if rho.weight_dim != d:
-        raise ValueError("meta-posterior dimension does not match the architecture")
     if rng is None:
         rng = stream(cfg.seed, "adapt")
-    init = rho.theta0 + rho.kappa_rho * rng.standard_normal(2 * d)
-    drawn = rho.theta1 + rho.kappa_rho * rng.standard_normal(2 * d)
-    prior = DiagonalGaussian(drawn[:d].copy(), drawn[d:].copy())
-
-    params: dict = {}
-    _store(params, "q", *_halves(arch, init))
-    prior_blocks = _halves(arch, np.concatenate([prior.mean, prior.log_var]))
-    m = new_task.m
-    c = math.log(8.0 * m / cfg.delta) + 1.0
-    opt = _make_optimizer(cfg)
-
-    for _ in range(adapt_epochs):
-        perm = rng.permutation(m)
-        for j in range(math.ceil(m / cfg.batch_size)):
-            idx = perm[j * cfg.batch_size:(j + 1) * cfg.batch_size]
-            tape = diff.Tape()
-            leaf_map: dict = {}
-            q_mean, q_lv = _leaves(tape, params, "q", arch, leaf_map)
-            p_mean, p_lv = _constant_blocks(tape, *prior_blocks)
-            eps_draws = [_eps_blocks(arch, rng) for _ in range(cfg.mc_train)]
-            risk = taped_mc_risk(tape, arch, q_mean, q_lv,
-                                 new_task.train_x[idx], new_task.train_y[idx],
-                                 cfg.loss, eps_draws)
-            kl_sum = None
-            for name in q_mean:
-                kl = _taped_block_kl(q_mean[name], q_lv[name], p_mean[name], p_lv[name])
-                kl_sum = kl if kl_sum is None else kl_sum + kl
-            value = risk + diff.sqrt((kl_sum + c) * (1.0 / (2.0 * m)))
-            if not math.isfinite(float(value.value)):
-                raise TrainingDiverged("adaptation objective became non-finite",
-                                       TrainingTrace())
-            diff.backward(value)
-            opt.step(params, {key: leaf.grad for key, leaf in leaf_map.items()})
-            if not all(np.all(np.isfinite(v)) for v in params.values()):
-                raise TrainingDiverged("parameters became non-finite", TrainingTrace())
-
-    flat = _flatten(params, "q", arch)
-    posterior = DiagonalGaussian(flat[:d], flat[d:])
-    model = StochasticModel(arch, posterior)
-    empirical = mc_empirical_risk(model, new_task.train_x, new_task.train_y,
-                                  cfg.loss, mc_eval, rng)
-    bound = adaptation_bound(empirical, kl_diag_gaussian(posterior, prior), m, cfg.delta)
-    return model, bound
+    return adapt_many(rho, [new_task], cfg, adapt_epochs=adapt_epochs, rngs=[rng],
+                      mc_eval=mc_eval)[0]
 
 
 def independent_baseline(new_task: Task, cfg: TrainConfig,

@@ -9,7 +9,9 @@ which is what the generalization bounds require of the loss they certify.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,23 +56,35 @@ class ModelArchitecture:
 
     @property
     def param_count(self) -> int:
-        return int(np.sum([np.prod(s) for _, s in self.layer_shapes()]))
+        return sum(math.prod(s) for _, s in self.layer_shapes())
+
+
+@lru_cache(maxsize=None)
+def block_layout(arch: ModelArchitecture) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+    """Each named block with its span in the flat vector and its shape."""
+    out = []
+    pos = 0
+    for name, shape in arch.layer_shapes():
+        size = math.prod(shape)
+        out.append((name, slice(pos, pos + size), shape))
+        pos += size
+    return tuple(out)
 
 
 def split_flat(arch: ModelArchitecture, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Cut a flat parameter vector into the architecture's named blocks."""
+    """Cut flat parameter vectors into the architecture's named blocks.
+
+    The last axis of ``flat`` is the flat vector; any leading axes (draws,
+    tasks) are kept in front of each block's shape.
+    """
     flat = np.asarray(flat)
-    if flat.shape != (arch.param_count,):
+    if flat.ndim < 1 or flat.shape[-1] != arch.param_count:
         raise ValueError(
             f"expected flat vector of length {arch.param_count}, got {flat.shape}"
         )
-    out = {}
-    pos = 0
-    for name, shape in arch.layer_shapes():
-        size = int(np.prod(shape))
-        out[name] = flat[pos : pos + size].reshape(shape)
-        pos += size
-    return out
+    lead = flat.shape[:-1]
+    return {name: flat[..., span].reshape(lead + shape)
+            for name, span, shape in block_layout(arch)}
 
 
 def join_flat(arch: ModelArchitecture, blocks: dict[str, np.ndarray]) -> np.ndarray:
@@ -110,18 +124,19 @@ class LossSpec:
 
 
 def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Scores for a batch of inputs under one weight vector.
+    """Scores for a batch of inputs under one weight vector or a stack of them.
 
-    Returns (B,) raw scores for linear, (B, C) logits for mlp1.
+    flat_w is (d,) or (K, d). Returns (B,) raw scores for linear and (B, C)
+    logits for mlp1, with a leading K axis when K weight vectors are given.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"inputs must be (B, {arch.input_dim}), got {x.shape}")
     blocks = split_flat(arch, flat_w)
     if arch.kind == "linear":
-        return x @ blocks["w"]
-    h = np.tanh(x @ blocks["w1"] + blocks["b1"])
-    return h @ blocks["w2"] + blocks["b2"]
+        return blocks["w"] @ x.T
+    h = np.tanh(x @ blocks["w1"] + blocks["b1"][..., None, :])
+    return h @ blocks["w2"] + blocks["b2"][..., None, :]
 
 
 def predict(model_weights: np.ndarray, arch: ModelArchitecture, x: np.ndarray):
@@ -147,7 +162,11 @@ def predicted_labels(arch: ModelArchitecture, scores: np.ndarray) -> np.ndarray:
 
 def loss_values(loss: LossSpec, arch: ModelArchitecture,
                 scores: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample losses in [0, 1] for raw scores against integer labels."""
+    """Per-sample losses in [0, 1] for raw scores against integer labels.
+
+    scores may carry leading axes in front of the sample axis (for example
+    one row per weight draw); y broadcasts against the sample axis.
+    """
     y = np.asarray(y)
     if loss.kind == "zero_one":
         return (predicted_labels(arch, scores) != y).astype(np.float64)
@@ -158,11 +177,12 @@ def loss_values(loss: LossSpec, arch: ModelArchitecture,
         t = (2.0 * y - 1.0) * scores
         raw = np.logaddexp(0.0, t)
     else:
-        if scores.ndim != 2:
+        if arch.kind != "mlp1" or scores.ndim < 2:
             raise ValueError("cross-entropy expects logit rows")
         shifted = scores - scores.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=-1))
-        raw = lse - shifted[np.arange(scores.shape[0]), y]
+        labels = np.broadcast_to(y, shifted.shape[:-1])[..., None]
+        raw = lse - np.take_along_axis(shifted, labels, axis=-1)[..., 0]
     return np.minimum(raw, loss.clip_max) / loss.clip_max
 
 
@@ -179,15 +199,7 @@ def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
     post = model.posterior
     eps = rng.standard_normal((mc_samples, post.dim))
     draws = post.mean + post.std * eps
-    if model.arch.kind == "linear":
-        s = x @ draws.T  # (B, mc)
-        per_draw = loss_values(loss, model.arch, s.T.ravel(), np.tile(y, mc_samples))
-        return float(per_draw.mean())
-    total = 0.0
-    for k in range(mc_samples):
-        s = scores_batch(model.arch, draws[k], x)
-        total += loss_values(loss, model.arch, s, y).mean()
-    return float(total / mc_samples)
+    return float(loss_values(loss, model.arch, scores_batch(model.arch, draws, x), y).mean())
 
 
 def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGaussian:
@@ -214,7 +226,9 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
 
 # Tape-side builders. These mirror the numpy paths above but leave the
 # posterior parameters as leaves so that bound objectives are differentiable
-# through them (pathwise, with the noise draws held fixed per step).
+# through them (pathwise, with the noise draws held fixed per step). Weight
+# blocks carry a draw axis in front of the block shape, and optionally a task
+# axis in front of that, so one tape serves every task and every draw.
 
 
 def taped_weights(tape: diff.Tape, mean_nodes: dict, log_var_nodes: dict,
@@ -227,21 +241,34 @@ def taped_weights(tape: diff.Tape, mean_nodes: dict, log_var_nodes: dict,
     }
 
 
+def _bias_row(b):
+    """Insert the sample axis in front of a bias block's last axis."""
+    return diff.slice(b, (Ellipsis, None, slice(None)))
+
+
 def taped_scores(tape: diff.Tape, arch: ModelArchitecture, weights: dict,
                  x: np.ndarray):
-    """Forward pass with weight-block nodes; x enters as a constant."""
-    xs = tape.tensor(np.asarray(x, dtype=np.float64))
+    """Forward pass with weight-block nodes; x enters as a constant.
+
+    Weight blocks are (..., K, *block shape) for K draws; x is (B, in), or
+    (n, B, in) when the blocks carry a leading task axis of n. Returns
+    (..., K, B) scores for linear and (..., K, B, C) logits for mlp1.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if arch.kind == "linear":
-        return diff.matmul(xs, weights["w"])
-    h = diff.tanh(diff.matmul(xs, weights["w1"]) + weights["b1"])
-    return diff.matmul(h, weights["w2"]) + weights["b2"]
+        return diff.matmul(weights["w"], tape.tensor(np.swapaxes(x, -1, -2)))
+    xs = tape.tensor(x[..., None, :, :])
+    h = diff.tanh(diff.matmul(xs, weights["w1"]) + _bias_row(weights["b1"]))
+    return diff.matmul(h, weights["w2"]) + _bias_row(weights["b2"])
 
 
 def taped_loss(tape: diff.Tape, arch: ModelArchitecture, loss: LossSpec,
                scores, y: np.ndarray):
-    """Mean clipped loss as a scalar node. zero_one has no usable gradient
-    and is rejected here."""
-    y = np.asarray(y)
+    """Mean clipped loss over the draw and sample axes of the scores from
+    taped_scores: a scalar node, or one entry per task when the scores carry
+    a task axis (then y is (n, B)). zero_one has no usable gradient and is
+    rejected here."""
+    y = np.asarray(y)[..., None, :]
     if loss.kind == "logistic_clipped":
         t = scores * tape.tensor(2.0 * y - 1.0)
         # softplus(t) = relu(t) + log(1 + exp(-|t|)), overflow-free
@@ -253,18 +280,23 @@ def taped_loss(tape: diff.Tape, arch: ModelArchitecture, loss: LossSpec,
         raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
     c = loss.clip_max
     clipped = (diff.relu((-raw) + c) * (-1.0) + c) * (1.0 / c)
-    return diff.mean(clipped)
+    return diff.mean(clipped, axis=(-2, -1))
 
 
 def taped_mc_risk(tape: diff.Tape, arch: ModelArchitecture,
                   mean_nodes: dict, log_var_nodes: dict,
                   x: np.ndarray, y: np.ndarray, loss: LossSpec,
                   eps_draws: list[dict[str, np.ndarray]]):
-    """Empirical risk averaged over fixed reparametrization draws."""
-    total = None
-    for eps in eps_draws:
-        w = taped_weights(tape, mean_nodes, log_var_nodes, eps)
-        s = taped_scores(tape, arch, w, x)
-        term = taped_loss(tape, arch, loss, s, y)
-        total = term if total is None else total + term
-    return total * (1.0 / len(eps_draws))
+    """Empirical risk averaged over fixed reparametrization draws.
+
+    Each draw maps block names to noise of the block's shape, or of (n,
+    *block shape) for n stacked tasks; then the mean and log-variance nodes
+    are (n, 1, *block shape), x is (n, B, in), y is (n, B) and the result
+    holds one risk per task. All draws share one tape pass.
+    """
+    eps = {
+        name: np.stack([draw[name] for draw in eps_draws], axis=-len(shape) - 1)
+        for name, shape in arch.layer_shapes()
+    }
+    weights = taped_weights(tape, mean_nodes, log_var_nodes, eps)
+    return taped_loss(tape, arch, loss, taped_scores(tape, arch, weights, x), y)

@@ -30,7 +30,15 @@ from .gauss import (
     isotropic,
     kl_diag_gaussian,
 )
-from .metalearn import MetaPosterior, MetaPrior, TrainConfig, adapt, meta_kl, train_meta
+from .metalearn import (
+    MetaPosterior,
+    MetaPrior,
+    TrainConfig,
+    adapt,  # noqa: F401 - bench/tracer.py wraps it on this module
+    adapt_many,
+    meta_kl,
+    train_meta,
+)
 from .model import StochasticModel, mc_empirical_risk
 from .rng import stream
 
@@ -201,12 +209,9 @@ def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig,
     rho, trace = train_meta(tasks, cfg)
     if adapt_epochs is None:
         adapt_epochs = cfg.epochs_stage2
-    models = []
-    for i, task in enumerate(tasks):
-        model, _ = adapt(rho, task, cfg, adapt_epochs=adapt_epochs,
-                         rng=stream(cfg.seed, "task-posterior", i))
-        models.append(model)
-    return TrainedSystem(rho, models, tuple(trace.objectives))
+    adapted = adapt_many(rho, tasks, cfg, adapt_epochs=adapt_epochs,
+                         rngs=[stream(cfg.seed, "task-posterior", i) for i in range(len(tasks))])
+    return TrainedSystem(rho, [model for model, _ in adapted], tuple(trace.objectives))
 
 
 @dataclass(frozen=True)
@@ -288,13 +293,12 @@ def two_prior_point(spec, tasks: list[Task], seed: int, cfg: TrainConfig, *,
     breakdown = trained_bound_breakdown(system, tasks, cfg)
     test_rng = stream(seed, "trained-test")
     fresh = sample_tasks(spec, eval_tasks, tasks[0].m, test_rng)
-    test_risks = []
-    for i, task in enumerate(fresh):
-        model, _ = adapt(system.rho, task, cfg, adapt_epochs=cfg.epochs_stage2,
-                         rng=stream(seed, "trained-test-adapt", i))
-        risk, _ = true_risk_mc(task, model, cfg.loss, eval_points, test_rng,
-                               mc_samples=mc_eval)
-        test_risks.append(risk)
+    adapted = adapt_many(system.rho, fresh, cfg, adapt_epochs=cfg.epochs_stage2,
+                         rngs=[stream(seed, "trained-test-adapt", i) for i in range(len(fresh))])
+    test_risks = [
+        true_risk_mc(task, model, cfg.loss, eval_points, test_rng, mc_samples=mc_eval)[0]
+        for task, (model, _) in zip(fresh, adapted)
+    ]
     trace = system.trace_objectives
     train_loss = trace[-1] if trace else breakdown.empirical_multitask_risk
     return PipelinePoint(

@@ -203,3 +203,133 @@ class TestGradcheck:
 
         err = gradcheck(build, means + log_vars)
         assert err <= 1e-4
+
+
+class TestLazyGradients:
+    def test_unreached_nodes_read_zeros(self):
+        tape = Tape()
+        x = tape.tensor(np.array([1.0, 2.0]))
+        unused = tape.tensor(np.ones((2, 3)))
+        side = diff.exp(unused)
+        backward(diff.sum(x * x))
+        np.testing.assert_array_equal(unused.grad, np.zeros((2, 3)))
+        np.testing.assert_array_equal(side.grad, np.zeros((2, 3)))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_second_pass_clears_stale_gradients(self):
+        tape = Tape()
+        x = tape.tensor(np.array([1.0, 2.0]))
+        y = tape.tensor(np.array([3.0, 5.0]))
+        first = diff.sum(x * y)
+        second = diff.sum(x * x)
+        backward(first)
+        np.testing.assert_array_equal(y.grad, [1.0, 2.0])
+        backward(second)
+        np.testing.assert_array_equal(y.grad, [0.0, 0.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_aliased_adjoints_accumulate_out_of_place(self):
+        """add hands one adjoint array to both operands; accumulating into
+        one of them must not leak into the other."""
+        tape = Tape()
+        x = tape.tensor(np.array([1.0, -2.0]))
+        y = tape.tensor(np.array([0.5, 3.0]))
+        u = x + y
+        backward(diff.sum(u * u) + diff.sum(x))
+        np.testing.assert_array_equal(y.grad, 2.0 * u.value)
+        np.testing.assert_array_equal(x.grad, 2.0 * u.value + 1.0)
+
+
+class TestStackedOps:
+    """Finite-difference checks of the ops that carry a task axis."""
+
+    rng = np.random.default_rng(101)
+
+    def test_broadcasting_add_sub_mul(self):
+        def build(ps):
+            tape = Tape()
+            a, b, c = (tape.tensor(p) for p in ps)
+            out = diff.sum(diff.tanh((a + b) * c - b) * (a - c))
+            return out, [a, b, c]
+
+        points = [self.rng.normal(size=(3, 1, 4)), self.rng.normal(size=(4,)),
+                  self.rng.normal(size=(1, 2, 1))]
+        assert gradcheck(build, points) <= 1e-6
+
+    def test_batched_matmul(self):
+        def build(ps):
+            tape = Tape()
+            a, b = tape.tensor(ps[0]), tape.tensor(ps[1])
+            return diff.sum(diff.tanh(diff.matmul(a, b))), [a, b]
+
+        points = [self.rng.normal(size=(3, 1, 5, 2)), self.rng.normal(size=(3, 4, 2, 6))]
+        assert gradcheck(build, points) <= 1e-6
+        tape = Tape()
+        out = diff.matmul(tape.tensor(points[0]), tape.tensor(points[1]))
+        assert out.shape == (3, 4, 5, 6)
+
+    def test_batched_matmul_rejects_mismatch(self):
+        tape = Tape()
+        with pytest.raises(ValueError):
+            diff.matmul(tape.tensor(np.ones((2, 3, 4))), tape.tensor(np.ones((2, 3, 4))))
+
+    def test_axis_sum_and_mean(self):
+        def build(ps):
+            tape = Tape()
+            a = tape.tensor(ps[0])
+            rows = diff.sum(diff.exp(a * 0.3), axis=-1)
+            cols = diff.mean(a * a, axis=(0, 2))
+            return diff.sum(diff.tanh(rows)) + diff.sum(cols * cols), [a]
+
+        assert gradcheck(build, [self.rng.normal(size=(2, 3, 4))]) <= 1e-6
+        tape = Tape()
+        a = tape.tensor(np.arange(24.0).reshape(2, 3, 4))
+        np.testing.assert_array_equal(diff.mean(a, axis=(0, 2)).value,
+                                      np.arange(24.0).reshape(2, 3, 4).mean(axis=(0, 2)))
+
+    def test_slice_with_new_axis_and_reshape(self):
+        def build(ps):
+            tape = Tape()
+            a = tape.tensor(ps[0])
+            head = diff.slice(a, (slice(None), None, slice(0, 6)), (3, 1, 2, 3))
+            tail = diff.slice(a, (Ellipsis, slice(6, None)))
+            return diff.sum(diff.tanh(head)) + diff.sum(tail * tail), [a]
+
+        assert gradcheck(build, [self.rng.normal(size=(3, 8))]) <= 1e-6
+        tape = Tape()
+        a = tape.tensor(np.arange(8.0).reshape(2, 4))
+        part = diff.slice(a, (slice(None), None, slice(1, 3)))
+        assert part.shape == (2, 1, 2)
+        np.testing.assert_array_equal(part.value[:, 0], [[1.0, 2.0], [5.0, 6.0]])
+
+    def test_concat(self):
+        def build(ps):
+            tape = Tape()
+            parts = [tape.tensor(p) for p in ps]
+            joined = diff.concat(parts, (2, 5))
+            return diff.sum(diff.tanh(joined) * joined), parts
+
+        points = [self.rng.normal(size=(2, 2)), self.rng.normal(size=3),
+                  self.rng.normal(size=(1, 3))]
+        assert gradcheck(build, points) <= 1e-6
+        tape = Tape()
+        joined = diff.concat([tape.tensor(np.array([1.0, 2.0])), tape.tensor(np.array([3.0]))],
+                             (3,))
+        np.testing.assert_array_equal(joined.value, [1.0, 2.0, 3.0])
+
+    def test_batched_softmax_cross_entropy(self):
+        labels = np.array([[0, 2, 1, 1], [2, 2, 0, 1]])[:, None, :]
+
+        def build(ps):
+            tape = Tape()
+            logits = tape.tensor(ps[0])
+            return diff.sum(diff.softmax_cross_entropy(logits, labels)), [logits]
+
+        logits = self.rng.normal(size=(2, 3, 4, 3))
+        assert gradcheck(build, [logits]) <= 1e-6
+        tape = Tape()
+        batched = diff.softmax_cross_entropy(tape.tensor(logits), labels).value
+        for t in range(2):
+            for k in range(3):
+                row = diff.softmax_cross_entropy(tape.tensor(logits[t, k]), labels[t, 0]).value
+                np.testing.assert_allclose(batched[t, k], row, rtol=1e-14)

@@ -11,7 +11,15 @@ from metabounds.env import (
     true_risk_mc,
 )
 from metabounds.gauss import DiagonalGaussian
-from metabounds.model import LossSpec, ModelArchitecture, StochasticModel
+from metabounds.model import (
+    LossSpec,
+    ModelArchitecture,
+    StochasticModel,
+    glorot_init,
+    loss_values,
+    mc_empirical_risk,
+    scores_batch,
+)
 
 LINEAR2 = ModelArchitecture("linear", 2)
 
@@ -149,3 +157,66 @@ class TestTrueRiskOracle:
         r2 = true_risk_mc(task, model, LossSpec("zero_one"), 300,
                           np.random.default_rng(6), mc_samples=16)
         assert r1 == r2
+
+
+MLP3 = ModelArchitecture("mlp1", 3, num_classes=4, hidden_dim=5)
+ORACLE_CASES = [
+    (LINEAR2, "zero_one"),
+    (LINEAR2, "logistic_clipped"),
+    (MLP3, "zero_one"),
+    (MLP3, "cross_entropy_clipped"),
+]
+
+
+def _oracle_setup(arch):
+    """A task of the architecture's environment and a spread-out posterior."""
+    if arch.kind == "linear":
+        spec = LinearEnvSpec(2)
+    else:
+        spec = PermutedEnvSpec(base=BlobsSpec(num_points=40, dim=3, num_classes=4, seed=3))
+    task = sample_tasks(spec, 1, 12, np.random.default_rng(5))[0]
+    post = glorot_init(arch, np.random.default_rng(6))
+    model = StochasticModel(arch, DiagonalGaussian(post.mean, np.full(arch.param_count, -1.0)))
+    return task, model
+
+
+class TestVectorizedOracles:
+    """The draw-batched oracles against the one-draw-at-a-time formulas."""
+
+    @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
+    def test_true_risk_matches_per_draw_loop(self, arch, kind):
+        task, model = _oracle_setup(arch)
+        loss = LossSpec(kind)
+        n_eval, mc = 50, 30
+        got = true_risk_mc(task, model, loss, n_eval, np.random.default_rng(8), mc_samples=mc)
+
+        rng = np.random.default_rng(8)
+        x, y = task.draw(n_eval, rng)
+        post = model.posterior
+        draws = post.mean + post.std * rng.standard_normal((mc, post.dim))
+        per_sample = np.zeros(n_eval)
+        per_draw = np.zeros(mc)
+        for k in range(mc):
+            vals = loss_values(loss, arch, scores_batch(arch, draws[k], x), y)
+            per_sample += vals
+            per_draw[k] = vals.mean()
+        per_sample /= mc
+        risk = per_sample.mean()
+        se = np.sqrt(per_sample.var(ddof=1) / n_eval + per_draw.var(ddof=1) / mc)
+        assert abs(got[0] - risk) <= 1e-12
+        assert abs(got[1] - se) <= 1e-12
+        assert got[1] > 0.0
+
+    @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
+    def test_empirical_risk_matches_per_draw_loop(self, arch, kind):
+        task, model = _oracle_setup(arch)
+        loss = LossSpec(kind)
+        got = mc_empirical_risk(model, task.train_x, task.train_y, loss, 40,
+                                np.random.default_rng(9))
+        post = model.posterior
+        draws = post.mean + post.std * np.random.default_rng(9).standard_normal((40, post.dim))
+        per_draw = [
+            loss_values(loss, arch, scores_batch(arch, w, task.train_x), task.train_y).mean()
+            for w in draws
+        ]
+        assert abs(got - float(np.mean(per_draw))) <= 1e-12

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from metabounds.bounds import MetaBoundInput, theorem1_bound
+from metabounds.bounds import MetaBoundInput, adaptation_bound, theorem1_bound
+from metabounds import diff
 from metabounds.diff import backward, gradcheck
-from metabounds.env import LinearEnvSpec, sample_tasks
+from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
 from metabounds.gauss import DiagonalGaussian, isotropic, kl_diag_gaussian
 from metabounds.metalearn import (
     MetaPosterior,
@@ -15,6 +16,7 @@ from metabounds.metalearn import (
     TrainConfig,
     TrainingDiverged,
     adapt,
+    adapt_many,
     adaptation_objective,
     independent_baseline,
     load_meta_posterior,
@@ -23,11 +25,59 @@ from metabounds.metalearn import (
     save_meta_posterior,
     train_meta,
 )
-from metabounds.model import LossSpec, ModelArchitecture, StochasticModel, glorot_init
+from metabounds.model import (
+    LossSpec,
+    ModelArchitecture,
+    StochasticModel,
+    glorot_init,
+    loss_values,
+)
 from metabounds.rng import stream
 
 LINEAR = ModelArchitecture("linear", input_dim=2)
 LOGISTIC = LossSpec("logistic_clipped")
+
+
+MLP = ModelArchitecture("mlp1", input_dim=3, hidden_dim=2, num_classes=3)
+CROSS_ENTROPY = LossSpec("cross_entropy_clipped")
+BLOBS = PermutedEnvSpec(base=BlobsSpec(num_points=60, dim=3, num_classes=3,
+                                       center_scale=2.5, seed=0))
+
+# Meta-posterior centers from train_meta as it was when tasks were still
+# taped one by one (see TestTrainMeta.test_matches_recorded_*). They pin the
+# random draw order of the stacked implementation.
+GOLDEN_LINEAR_THETA0 = np.array([
+    -0.13532851874453786, -0.74056676962364953, -9.7111267886190511,
+    -9.7703928625340453,
+])
+GOLDEN_LINEAR_THETA1 = np.array([
+    -0.14003405873746413, -0.73273092679742668, -9.6480328959658692,
+    -9.6994969418301249,
+])
+GOLDEN_MLP1_THETA0 = np.array([
+    0.14832195180487812, 0.054825472856313874, 0.39151750016844156,
+    -0.50654080308416161, 0.089644571803556089, 0.45297567720883858,
+    0.079515389118115981, -0.0010046471733062487, 0.048586996851209457,
+    -0.26877965689534711, -0.16449023651706024, -0.71780943455905499,
+    0.063897034103591974, -0.20518875177444845, 0.1154288156211756,
+    0.066312105139641253, -0.054753005122727121, -9.4688351841878546,
+    -9.3934120017123934, -9.4900456630561045, -9.5835436783201029, -9.6028698905766046,
+    -9.5431145230775627, -9.5151216253418713, -9.5498668215160691, -9.4986004621006064,
+    -9.5529132360064928, -9.6702591404068254, -9.4482543630590481, -9.5135559280638748,
+    -9.5828704823935666, -9.5605147800262831, -9.4943115421567317, -9.5711267712392498,
+])
+GOLDEN_MLP1_THETA1 = np.array([
+    0.13931524513447732, 0.047439781656520616, 0.31164143715562898,
+    -0.42371533237506631, 0.098180150297720536, 0.4430736413072513,
+    0.08934780816809941, -0.13228686567893611, -0.084606326168038759,
+    -0.25910348338338085, -0.24275223087664688, -0.63270681263588835,
+    -0.02179191908310369, -0.28791855226868884, 0.059176927576115132,
+    0.13511224814000503, 0.018866864067580223, -9.0021589589769491,
+    -8.9284092369418175, -8.9886150139122947, -9.0978878064255184, -9.1365404836797062,
+    -9.0773502930720884, -9.0463848666672568, -9.0806559642590567, -9.028900135123461,
+    -9.0877223722359286, -9.1681052674317005, -8.9447700091497708, -9.009110812333466,
+    -9.0803016889522503, -9.0661405208042645, -8.9960033588478296, -9.0681727483613983,
+])
 
 
 def _cfg(**overrides):
@@ -138,6 +188,40 @@ class TestMetaObjective:
             )
         )
         assert abs(objective - reference) < 0.02
+
+    def test_equals_theorem1_bound_at_the_drawn_prior(self):
+        """With the weight noise replayed, the taped certificate is the
+        closed-form one term for term, slack constants included."""
+        tasks = _toy_tasks(3, 6, seed=103)
+        cfg = _cfg(mc_train=2)
+        rng = np.random.default_rng(107)
+        models = [
+            StochasticModel(LINEAR, DiagonalGaussian(rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)))
+            for _ in range(3)
+        ]
+        theta0 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
+        theta1 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
+        rho = MetaPosterior.from_means(theta0, theta1, cfg.kappa_rho)
+        value = float(meta_objective(rho, models, tasks, cfg,
+                                     rng=np.random.default_rng(109)).value)
+
+        replay = np.random.default_rng(109)
+        drawn = theta1 + cfg.kappa_rho * replay.standard_normal(4)
+        prior = DiagonalGaussian(drawn[:2], drawn[2:])
+        eps = replay.standard_normal((3, 2, 2))
+        risks = [
+            np.mean([loss_values(LOGISTIC, LINEAR, task.train_x @ (post.mean + post.std * e),
+                                 task.train_y).mean() for e in task_eps])
+            for post, task, task_eps in zip((m.posterior for m in models), tasks, eps)
+        ]
+        sum_kl = sum(kl_diag_gaussian(m.posterior, prior) for m in models)
+        expected = theorem1_bound(MetaBoundInput(
+            empirical_multitask_risk=float(np.mean(risks)),
+            kl_rho_pi=meta_kl(rho, MetaPrior(cfg.kappa_pi)),
+            per_algorithm_complexity=((0.0, sum_kl),),
+            n=3, m=6, delta=cfg.delta,
+        ))
+        assert abs(value - expected) <= 1e-12
 
     def test_gradcheck_linear(self):
         tasks = _toy_tasks(2, 6, seed=3)
@@ -295,6 +379,39 @@ class TestTrainMeta:
         with pytest.raises(ValueError, match="at least one"):
             train_meta([], _cfg())
 
+    def test_matches_recorded_linear_run(self):
+        tasks = sample_tasks(LinearEnvSpec(d=2), 3, 12, stream(11, "tasks"))
+        cfg = _cfg(learning_rate=1e-2, batch_size=5, mc_train=2)
+        rho, _ = train_meta(tasks, cfg)
+        np.testing.assert_allclose(rho.theta0, GOLDEN_LINEAR_THETA0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rho.theta1, GOLDEN_LINEAR_THETA1, rtol=0, atol=1e-9)
+
+    def test_matches_recorded_hidden_layer_run(self):
+        tasks = sample_tasks(BLOBS, 3, 16, stream(5, "tasks"))
+        cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, epochs_stage1=3, epochs_stage2=3,
+                   learning_rate=0.1, batch_size=8, mc_train=2, seed=5)
+        rho, _ = train_meta(tasks, cfg)
+        np.testing.assert_allclose(rho.theta0, GOLDEN_MLP1_THETA0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rho.theta1, GOLDEN_MLP1_THETA1, rtol=0, atol=1e-9)
+
+    def test_meta_step_tape_size_does_not_grow_with_tasks(self, monkeypatch):
+        sizes = []
+        real_backward = diff.backward
+
+        def counting_backward(out):
+            sizes.append(out.idx + 1)
+            real_backward(out)
+
+        monkeypatch.setattr(diff, "backward", counting_backward)
+        per_count = {}
+        for n in (2, 10):
+            sizes.clear()
+            cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, epochs_stage1=1, epochs_stage2=1)
+            train_meta(sample_tasks(BLOBS, n, 8, stream(n, "tasks")), cfg)
+            per_count[n] = list(sizes)
+        assert per_count[2] == per_count[10]
+        assert len(per_count[2]) == 2
+
 
 class TestAdapt:
     def test_initialization_carrying_the_solution_needs_no_epochs(self):
@@ -328,6 +445,24 @@ class TestAdapt:
         assert np.array_equal(model_a.posterior.mean, model_b.posterior.mean)
         assert bound_a == bound_b
 
+    def test_objective_equals_adaptation_bound(self):
+        """With the weight noise replayed, the taped single-task certificate
+        is adaptation_bound, slack constant included."""
+        task = _toy_tasks(1, 7, seed=101)[0]
+        cfg = _cfg(mc_train=3)
+        post = DiagonalGaussian(np.array([0.3, -0.2]), np.array([-1.0, -2.0]))
+        prior = DiagonalGaussian(np.array([0.1, 0.4]), np.array([-1.5, -0.5]))
+        value = adaptation_objective(StochasticModel(LINEAR, post), prior, task, cfg,
+                                     rng=np.random.default_rng(5))
+        eps = np.random.default_rng(5).standard_normal((3, 2))
+        risk = np.mean([
+            loss_values(LOGISTIC, LINEAR, task.train_x @ (post.mean + post.std * e),
+                        task.train_y).mean()
+            for e in eps
+        ])
+        expected = adaptation_bound(risk, kl_diag_gaussian(post, prior), task.m, cfg.delta)
+        assert abs(float(value.value) - expected) <= 1e-12
+
     def test_gradcheck_adaptation_objective(self):
         task = _toy_tasks(1, 6, seed=43)[0]
         cfg = _cfg(mc_train=1)
@@ -345,6 +480,103 @@ class TestAdapt:
             trial_rng = np.random.default_rng(60 + trial)
             points = [trial_rng.normal(0, 0.5, 2), trial_rng.uniform(-3, -1, 2)]
             assert gradcheck(build, points) <= 1e-4
+
+
+def _adapt_setup(arch):
+    """A meta-posterior off the origin and 20 fresh tasks of equal size."""
+    d = arch.param_count
+    rng = np.random.default_rng(71)
+    theta0 = np.concatenate([rng.normal(0.0, 0.5, d), rng.uniform(-4.0, -2.0, d)])
+    theta1 = np.concatenate([rng.normal(0.0, 0.5, d), rng.uniform(-4.0, -2.0, d)])
+    rho = MetaPosterior.from_means(theta0, theta1, 1e-2)
+    if arch.kind == "linear":
+        tasks = sample_tasks(LinearEnvSpec(d=2), 20, 11, stream(73, "tasks"))
+        return rho, tasks, _cfg(batch_size=4, mc_train=2, learning_rate=1e-2)
+    tasks = sample_tasks(BLOBS, 20, 11, stream(73, "tasks"))
+    return rho, tasks, _cfg(arch=arch, loss=CROSS_ENTROPY, batch_size=4, mc_train=2,
+                            learning_rate=0.1)
+
+
+class TestAdaptMany:
+    @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_equals_adapting_each_task_alone(self, arch):
+        rho, tasks, cfg = _adapt_setup(arch)
+        together = adapt_many(rho, tasks, cfg, adapt_epochs=4, mc_eval=60,
+                              rngs=[stream(79, "adapt", i) for i in range(len(tasks))])
+        assert len(together) == len(tasks)
+        for i, (task, (model, bound)) in enumerate(zip(tasks, together)):
+            alone, alone_bound = adapt(rho, task, cfg, adapt_epochs=4, mc_eval=60,
+                                       rng=stream(79, "adapt", i))
+            np.testing.assert_allclose(model.posterior.mean, alone.posterior.mean,
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(model.posterior.log_var, alone.posterior.log_var,
+                                       rtol=0, atol=1e-10)
+            assert abs(bound - alone_bound) <= 1e-10
+
+    def test_first_step_optimizes_the_adaptation_objective(self, monkeypatch):
+        """The value adapt differentiates first is adaptation_objective at the
+        initialization, with the same prior and the same weight noise."""
+        task = _toy_tasks(1, 9, seed=83)[0]
+        cfg = _cfg(mc_train=3)
+        rng = np.random.default_rng(89)
+        theta0 = np.concatenate([rng.normal(0.0, 0.5, 2), rng.uniform(-3.0, -1.0, 2)])
+        theta1 = np.concatenate([rng.normal(0.0, 0.5, 2), rng.uniform(-3.0, -1.0, 2)])
+        rho = MetaPosterior.from_means(theta0, theta1, 0.05)
+
+        seen = []
+        real_backward = diff.backward
+
+        def recording_backward(out):
+            seen.append(float(out.value))
+            real_backward(out)
+
+        monkeypatch.setattr(diff, "backward", recording_backward)
+        adapt(rho, task, cfg, adapt_epochs=1, rng=np.random.default_rng(97), mc_eval=5)
+        monkeypatch.undo()
+
+        replay = np.random.default_rng(97)
+        init = theta0 + 0.05 * replay.standard_normal(4)
+        drawn = theta1 + 0.05 * replay.standard_normal(4)
+        replay.permutation(task.m)
+        model = StochasticModel(LINEAR, DiagonalGaussian(init[:2], init[2:]))
+        prior = DiagonalGaussian(drawn[:2], drawn[2:])
+        value = adaptation_objective(model, prior, task, cfg, rng=replay)
+        assert len(seen) == 1
+        assert abs(seen[0] - float(value.value)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_task_and_keeps_its_epochs(self):
+        tasks = _toy_tasks(3, 8, seed=0)
+        cfg = _cfg(optimizer="sgd", learning_rate=1e6, seed=1)
+        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rngs = [stream(1, "diverge", i) for i in range(3)]
+        with pytest.raises(TrainingDiverged) as excinfo:
+            adapt_many(rho, tasks, cfg, adapt_epochs=20, rngs=rngs)
+        failed = excinfo.value
+        assert failed.task in (0, 1, 2)
+        assert f"task {failed.task}" in str(failed)
+        assert len(failed.trace.objectives) >= 1
+        assert all(math.isfinite(v) for v in failed.trace.objectives)
+
+        k = failed.task
+        with pytest.raises(TrainingDiverged) as alone:
+            adapt(rho, tasks[k], cfg, adapt_epochs=20, rng=stream(1, "diverge", k))
+        assert alone.value.task == 0
+        np.testing.assert_allclose(alone.value.trace.objectives, failed.trace.objectives,
+                                   rtol=1e-12)
+
+    def test_rejects_mixed_sample_counts(self):
+        tasks = _toy_tasks(1, 6) + _toy_tasks(1, 7)
+        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        with pytest.raises(ValueError, match="share a sample count"):
+            adapt_many(rho, tasks, _cfg(), adapt_epochs=1,
+                       rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+
+    def test_rejects_generator_count_mismatch(self):
+        tasks = _toy_tasks(2, 6)
+        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        with pytest.raises(ValueError, match="one generator per task"):
+            adapt_many(rho, tasks, _cfg(), adapt_epochs=1, rngs=[np.random.default_rng(0)])
 
 
 class TestIndependentBaseline:
