@@ -9,22 +9,16 @@ exposes sweeps, training, adaptation, auditing, and a bound calculator.
 
 from .gauss import (
     DiagonalGaussian,
-    DiracDistribution,
     expected_kl_under_gaussian_mean,
     isotropic,
     kl_diag_gaussian,
-    kl_dirac,
-    sample,
 )
 
 __all__ = [
     "DiagonalGaussian",
-    "DiracDistribution",
     "expected_kl_under_gaussian_mean",
     "isotropic",
     "kl_diag_gaussian",
-    "kl_dirac",
-    "sample",
 ]
 
 __version__ = "0.1.0"

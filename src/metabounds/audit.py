@@ -23,6 +23,11 @@ from .metalearn import adapt  # noqa: F401 - bench/tracer.py wraps it on this mo
 from .pipelines import fit_two_prior_system, trained_bound_breakdown
 from .rng import spawn_seed, stream
 
+# Least trials and held-out tasks per trial that give the audit's violation
+# rate and its standard errors meaning.
+MIN_TRIALS = 50
+MIN_EVAL_TASKS = 20
+
 
 def quadrature_kl_1d(
     q: DiagonalGaussian, p: DiagonalGaussian, grid: int = 100_000
@@ -135,10 +140,10 @@ def audit_bound_validity(env_spec, n: int, m: int, cfg: TrainConfig,
     false alarms.  Trials are independent and seeded individually; the
     report is identical whatever the degree of parallelism.
     """
-    if trials < 50:
-        raise ValueError("a meaningful audit needs at least 50 trials")
-    if eval_tasks < 20:
-        raise ValueError("true-risk oracle needs at least 20 evaluation tasks")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"a meaningful audit needs at least {MIN_TRIALS} trials")
+    if eval_tasks < MIN_EVAL_TASKS:
+        raise ValueError(f"true-risk oracle needs at least {MIN_EVAL_TASKS} evaluation tasks")
     root = int(rng.integers(2**63))
     seeds = [spawn_seed(root, "trial", k) for k in range(trials)]
     args = [

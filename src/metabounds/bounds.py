@@ -19,11 +19,9 @@ from statistics import fmean
 import numpy as np
 
 __all__ = [
-    "PerTaskBoundInput",
     "AlgorithmComplexity",
     "MetaBoundInput",
     "DiscreteMetaSystem",
-    "maurer_bound",
     "adaptation_bound",
     "task_level_slack",
     "multitask_slack",
@@ -57,27 +55,6 @@ def _check_kl(value: float, name: str) -> None:
 def _check_count(value: int, name: str) -> None:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
-
-
-@dataclass(frozen=True)
-class PerTaskBoundInput:
-    """Inputs for a single-task certificate.
-
-    ``empirical_risk`` is the observed average loss of the stochastic
-    predictor on ``m`` samples, ``kl_q_p`` its divergence from the prior it
-    was trained against, and ``delta`` the allowed failure probability.
-    """
-
-    empirical_risk: float
-    kl_q_p: float
-    m: int
-    delta: float
-
-    def __post_init__(self) -> None:
-        _check_risk(self.empirical_risk, "empirical_risk")
-        _check_kl(self.kl_q_p, "kl_q_p")
-        _check_count(self.m, "m")
-        _check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -138,16 +115,6 @@ class MetaBoundInput:
         _check_delta(self.delta)
 
 
-def maurer_bound(inp: PerTaskBoundInput) -> float:
-    """Single-task certificate: empirical risk plus a square-root slack term.
-
-    Holds with probability at least ``1 - delta`` over the ``m`` training
-    samples, simultaneously for every posterior, for losses in [0, 1].
-    """
-    slack = inp.kl_q_p + math.log(2.0 * math.sqrt(inp.m) / inp.delta)
-    return inp.empirical_risk + math.sqrt(slack / (2.0 * inp.m))
-
-
 def task_level_slack(n: int, delta: float) -> float:
     """Confidence constant added to the meta-level divergence in
     :func:`task_level_term`."""
@@ -164,9 +131,9 @@ def multitask_slack(n: int, m: int, delta: float) -> float:
 def adaptation_bound(empirical_risk: float, kl_q_p1: float, m: int, delta: float) -> float:
     """Certificate minimized when adapting to a fresh task.
 
-    Same shape as :func:`maurer_bound` but with the slack constant inherited
-    from the two-level analysis, so the value certified during adaptation is
-    the one the meta-level objective controls in expectation.
+    Empirical risk plus a square-root slack term, with the slack constant
+    inherited from the two-level analysis, so the value certified during
+    adaptation is the one the meta-level objective controls in expectation.
     """
     _check_risk(empirical_risk, "empirical_risk")
     _check_kl(kl_q_p1, "kl_q_p1")

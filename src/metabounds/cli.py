@@ -7,11 +7,15 @@ calculator over explicitly supplied term values.
 
 Configuration is a plain ``key = value`` file with one section per
 subcommand.  Every key is schema-checked and unknown keys are rejected, so a
-typo fails loudly instead of silently using a default.  All outputs are
-written atomically (temp file + rename) and carry '#'-prefixed metadata
-lines with a format version, the config hash, and the seed.  Data rows are
-byte-deterministic given config and seed; only the trailing timing metadata
-varies between runs.
+typo fails loudly instead of silently using a default.  The model's input
+size, class count and loss are not keys: they follow from the env and the
+architecture.  Every check runs before any work starts, so a bad config
+exits with code 2, and a numeric failure during the work with code 3.
+
+All outputs are written atomically (temp file + rename) and carry
+'#'-prefixed metadata lines with a format version, the config hash, and the
+seed.  Data rows are byte-deterministic given config and seed; only the
+trailing timing metadata varies between runs.
 """
 
 from __future__ import annotations
@@ -25,19 +29,19 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .audit import audit_bound_validity
+from .audit import MIN_EVAL_TASKS, MIN_TRIALS, AuditRecord, audit_bound_validity
 from .bounds import MetaBoundInput, theorem1_bound, theorem2_bound
 from .env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks, true_risk_mc
 from .metalearn import (
-    MetaPosterior,
     TrainConfig,
     TrainingDiverged,
     adapt_many,
+    adaptation_certificate,
     load_meta_posterior,
     save_meta_posterior,
     train_meta,
@@ -48,17 +52,9 @@ from .rng import spawn_seed, stream
 
 CSV_VERSION = "1"
 
-RESULT_COLUMNS = [
-    "n", "m", "d", "seed",
-    "empirical_multitask_risk", "bound_thm1", "bound_thm2",
-    "meta_test_loss", "meta_train_loss",
-    "task_level_term", "multitask_term", "kl_rho_pi", "mean_task_kl",
-]
+RESULT_COLUMNS = [f.name for f in fields(PipelinePoint)]
 
-AUDIT_COLUMNS = [
-    "trial_index", "seed", "bound", "true_risk_est", "true_risk_se",
-    "margin", "violated",
-]
+AUDIT_COLUMNS = [f.name for f in fields(AuditRecord)]
 
 ADAPT_COLUMNS = ["task_index", "seed", "train_risk", "bound", "test_error"]
 
@@ -81,11 +77,17 @@ class ResultRow:
 # Config schema
 
 
-def _to_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {raw!r}") from exc
+def _int(minimum: int):
+    def convert(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"expected an integer, got {raw!r}") from exc
+        if value < minimum:
+            raise ConfigError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return convert
 
 
 def _to_float(raw: str) -> float:
@@ -98,24 +100,20 @@ def _to_float(raw: str) -> float:
     return value
 
 
-def _to_int_list(raw: str) -> tuple[int, ...]:
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
-    if not parts:
-        raise ConfigError("expected a nonempty list of integers")
-    return tuple(_to_int(p) for p in parts)
+def _int_list(minimum: int):
+    convert = _int(minimum)
+
+    def convert_list(raw: str) -> tuple[int, ...]:
+        parts = [p for chunk in raw.split(",") for p in chunk.split()]
+        if not parts:
+            raise ConfigError("expected a nonempty list of integers")
+        return tuple(convert(p) for p in parts)
+
+    return convert_list
 
 
 def _to_str(raw: str) -> str:
     return raw.strip()
-
-
-def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
 def _choice(*options: str):
@@ -146,85 +144,83 @@ def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
 
 REQUIRED = object()
 
-# Keys shared by every command that builds a TrainConfig.
+# Keys shared by every command that builds a TrainConfig. The model's input
+# size and class count follow from the env, its loss from the architecture.
 _TRAIN_KEYS = {
     "arch": (_choice("linear", "mlp1"), "linear"),
-    "input_dim": (_to_int, 2),
-    "hidden_dim": (_to_int, 16),
-    "num_classes": (_to_int, 2),
-    "loss": (_choice("logistic_clipped", "cross_entropy_clipped"), "logistic_clipped"),
+    "hidden_dim": (_int(1), 16),
     "clip_max": (_to_float, 4.0),
-    "epochs_stage1": (_to_int, 100),
-    "epochs_stage2": (_to_int, 100),
+    "epochs_stage1": (_int(0), 100),
+    "epochs_stage2": (_int(0), 100),
     "learning_rate": (_to_float, 1e-3),
-    "batch_size": (_to_int, 128),
+    "batch_size": (_int(1), 128),
     "delta": (_to_float, 0.1),
     "kappa_pi": (_to_float, 100.0),
     "kappa_rho": (_to_float, 1e-3),
-    "mc_train": (_to_int, 1),
+    "mc_train": (_int(1), 1),
     "optimizer": (_choice("adam", "sgd"), "adam"),
 }
 
 # Keys selecting and shaping the task environment.
 _ENV_KEYS = {
-    "env": (_choice("linear", "blobs", "permuted"), "linear"),
-    "d": (_to_int, 2),
-    "blob_points": (_to_int, 256),
-    "blob_dim": (_to_int, 10),
-    "blob_classes": (_to_int, 4),
+    "env": (_choice("linear", "permuted"), "linear"),
+    "d": (_int(1), 2),
+    "blob_points": (_int(1), 256),
+    "blob_dim": (_int(1), 10),
+    "blob_classes": (_int(2), 4),
     "blob_center_scale": (_to_float, 1.0),
     "blob_noise": (_to_float, 1.0),
-    "blob_seed": (_to_int, 0),
+    "blob_seed": (_int(0), 0),
     "permute_mode": (_choice("permute_labels", "shuffle_features"), "permute_labels"),
-    "num_shuffled": (_to_int, 5),
+    "num_shuffled": (_int(1), 5),
 }
 
 SCHEMAS: dict[str, dict] = {
     "sweep": {
         **_TRAIN_KEYS,
         "pipeline": (_choice("prior_mean", "two_prior"), "prior_mean"),
-        "n_list": (_to_int_list, (2, 5, 10, 20, 50)),
-        "m_list": (_to_int_list, (5,)),
-        "d_list": (_to_int_list, (2,)),
-        "seeds": (_to_int, 5),
-        "eval_tasks": (_to_int, 20),
-        "eval_points": (_to_int, 400),
-        "mc_eval": (_to_int, 200),
-        "seed": (_to_int, 0),
-        "jobs": (_to_int, 1),
+        "n_list": (_int_list(1), (2, 5, 10, 20, 50)),
+        "m_list": (_int_list(1), (5,)),
+        "d_list": (_int_list(1), (2,)),
+        "seeds": (_int(1), 5),
+        "eval_tasks": (_int(1), 20),
+        "eval_points": (_int(1), 400),
+        "mc_eval": (_int(1), 200),
+        "seed": (_int(0), 0),
+        "jobs": (_int(1), 1),
         "out": (_to_str, "sweep.csv"),
     },
     "train": {
         **_TRAIN_KEYS,
         **_ENV_KEYS,
-        "n": (_to_int, REQUIRED),
-        "m": (_to_int, REQUIRED),
-        "seed": (_to_int, 0),
+        "n": (_int(1), REQUIRED),
+        "m": (_int(1), REQUIRED),
+        "seed": (_int(0), 0),
         "out": (_to_str, "posterior.txt"),
     },
     "adapt": {
         **_TRAIN_KEYS,
         **_ENV_KEYS,
         "posterior": (_to_str, REQUIRED),
-        "num_tasks": (_to_int, 20),
-        "m": (_to_int, REQUIRED),
-        "adapt_epochs": (_to_int, 100),
-        "eval_points": (_to_int, 200),
-        "mc_eval": (_to_int, 200),
-        "seed": (_to_int, 0),
+        "num_tasks": (_int(1), 20),
+        "m": (_int(1), REQUIRED),
+        "adapt_epochs": (_int(0), 100),
+        "eval_points": (_int(1), 200),
+        "mc_eval": (_int(1), 200),
+        "seed": (_int(0), 0),
         "out": (_to_str, "adapt.csv"),
     },
     "audit": {
         **_TRAIN_KEYS,
         **_ENV_KEYS,
-        "n": (_to_int, 5),
-        "m": (_to_int, 5),
-        "trials": (_to_int, 200),
-        "eval_tasks": (_to_int, 20),
-        "eval_points": (_to_int, 200),
-        "mc_eval": (_to_int, 200),
-        "seed": (_to_int, 0),
-        "jobs": (_to_int, 1),
+        "n": (_int(1), 5),
+        "m": (_int(1), 5),
+        "trials": (_int(MIN_TRIALS), 200),
+        "eval_tasks": (_int(MIN_EVAL_TASKS), 20),
+        "eval_points": (_int(1), 200),
+        "mc_eval": (_int(1), 200),
+        "seed": (_int(0), 0),
+        "jobs": (_int(1), 1),
         "out": (_to_str, "audit.csv"),
     },
     "bound": {
@@ -233,8 +229,8 @@ SCHEMAS: dict[str, dict] = {
         "kl_hyper": (_to_float, 0.0),
         "sum_task_kl": (_to_float, 0.0),
         "pairs": (_pairs, None),
-        "n": (_to_int, REQUIRED),
-        "m": (_to_int, REQUIRED),
+        "n": (_int(1), REQUIRED),
+        "m": (_int(1), REQUIRED),
         "delta": (_to_float, 0.1),
     },
 }
@@ -262,7 +258,7 @@ def load_config(path: str | Path, command: str,
 
     overrides (from command-line flags) replace file values after parsing
     but before required-key checking, so --seed works with or without a
-    seed line in the file.
+    seed line in the file; they are checked like file values.
     """
     schema = SCHEMAS[command]
     parser = configparser.ConfigParser(interpolation=None)
@@ -275,62 +271,64 @@ def load_config(path: str | Path, command: str,
     for section in parser.sections():
         if section not in SCHEMAS:
             raise ConfigError(f"unknown section [{section}]")
+    raw_values = dict(parser.items(command)) if parser.has_section(command) else {}
+    for key in raw_values:
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in section [{command}]")
+    raw_values.update((key, str(value)) for key, value in (overrides or {}).items()
+                      if key in schema)
     values = {key: default for key, (_, default) in schema.items()}
-    if parser.has_section(command):
-        for key, raw in parser.items(command):
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r} in section [{command}]")
-            convert = schema[key][0]
-            values[key] = convert(raw)
-    for key, value in (overrides or {}).items():
-        if key in schema:
-            values[key] = value
+    for key, raw in raw_values.items():
+        try:
+            values[key] = schema[key][0](raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     missing = [k for k, v in values.items() if v is REQUIRED]
     if missing:
         raise ConfigError(
             f"missing required key(s) in [{command}]: {', '.join(sorted(missing))}"
         )
+    if "out" in values and Path(values["out"]).is_dir():
+        raise ConfigError(f"out: {values['out']} is a directory")
     return ExperimentConfig(command, values)
 
 
-def _train_config(values: dict, seed: int) -> TrainConfig:
-    arch_kind = values["arch"]
-    if arch_kind == "linear":
-        arch = ModelArchitecture("linear", input_dim=values["input_dim"])
+_TRAINING_LOSS = {"linear": "logistic_clipped", "mlp1": "cross_entropy_clipped"}
+
+
+def _train_config(values: dict, spec) -> TrainConfig:
+    """Training settings for tasks of ``spec``: the model's input size and
+    class count are the env's, its loss the one its architecture trains."""
+    if isinstance(spec, LinearEnvSpec):
+        input_dim, num_classes = spec.d, 2
     else:
-        arch = ModelArchitecture("mlp1", input_dim=values["input_dim"],
-                                 hidden_dim=values["hidden_dim"],
-                                 num_classes=values["num_classes"])
-    loss = LossSpec(values["loss"], clip_max=values["clip_max"])
-    try:
-        return TrainConfig(
-            arch=arch,
-            loss=loss,
-            epochs_stage1=values["epochs_stage1"],
-            epochs_stage2=values["epochs_stage2"],
-            learning_rate=values["learning_rate"],
-            batch_size=values["batch_size"],
-            delta=values["delta"],
-            kappa_pi=values["kappa_pi"],
-            kappa_rho=values["kappa_rho"],
-            mc_train=values["mc_train"],
-            optimizer=values["optimizer"],
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        input_dim, num_classes = spec.base.dim, spec.base.num_classes
+    kind = values["arch"]
+    arch = ModelArchitecture(kind, input_dim=input_dim, num_classes=num_classes,
+                             hidden_dim=values["hidden_dim"] if kind == "mlp1" else None)
+    return TrainConfig(
+        arch=arch,
+        loss=LossSpec(_TRAINING_LOSS[kind], clip_max=values["clip_max"]),
+        epochs_stage1=values["epochs_stage1"],
+        epochs_stage2=values["epochs_stage2"],
+        learning_rate=values["learning_rate"],
+        batch_size=values["batch_size"],
+        delta=values["delta"],
+        kappa_pi=values["kappa_pi"],
+        kappa_rho=values["kappa_rho"],
+        mc_train=values["mc_train"],
+        optimizer=values["optimizer"],
+        seed=values["seed"],
+    )
 
 
 def _env_spec(values: dict):
-    kind = values["env"]
-    if kind == "linear":
+    if values["env"] == "linear":
         return LinearEnvSpec(d=values["d"])
     base = BlobsSpec(num_points=values["blob_points"], dim=values["blob_dim"],
                      num_classes=values["blob_classes"],
                      center_scale=values["blob_center_scale"],
                      noise=values["blob_noise"], seed=values["blob_seed"])
-    if kind == "blobs":
-        return base
     return PermutedEnvSpec(base=base, mode=values["permute_mode"],
                            num_shuffled=values["num_shuffled"])
 
@@ -387,10 +385,15 @@ def write_csv(path: str | Path, columns: list[str], rows: list[tuple],
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Each command checks its config and builds every library object it needs,
+# then returns the work itself as a function of no arguments.  A ValueError
+# from the first part is a config error; the second part only raises
+# TrainingDiverged, for a numeric failure.
 
 
 def _sweep_point(args):
-    values, n, m, d, seed = args
+    values, train_cfg, n, m, d, seed = args
     start = time.perf_counter()
     spec = LinearEnvSpec(d=d)
     pool = sample_tasks(spec, max(values["n_list"]), m, stream(seed, "tasks", d, m))
@@ -399,70 +402,70 @@ def _sweep_point(args):
                                  eval_tasks=values["eval_tasks"],
                                  eval_points=values["eval_points"])
     else:
-        cfg = _train_config(values, seed)
-        point = two_prior_point(spec, pool[:n], seed, cfg,
+        point = two_prior_point(spec, pool[:n], seed, replace(train_cfg, seed=seed),
                                 eval_tasks=values["eval_tasks"],
                                 eval_points=values["eval_points"],
                                 mc_eval=values["mc_eval"])
     return ResultRow(point, time.perf_counter() - start)
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
+def cmd_sweep(cfg: ExperimentConfig):
     values = cfg.values
     root = values["seed"]
-    if not values["n_list"]:
-        raise ConfigError("n_list must not be empty")
+    train_cfgs = {d: _train_config(values, LinearEnvSpec(d=d)) for d in values["d_list"]}
     coords = [
-        (values, n, m, d, spawn_seed(root, "sweep", s, d, m))
+        (values, train_cfgs[d], n, m, d, spawn_seed(root, "sweep", s, d, m))
         for s in range(values["seeds"])
         for d in values["d_list"]
         for m in values["m_list"]
         for n in values["n_list"]
     ]
-    if values["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=values["jobs"]) as pool:
-            rows = list(pool.map(_sweep_point, coords))
-    else:
-        rows = [_sweep_point(c) for c in coords]
-    total = sum(r.wall_time for r in rows)
-    csv_rows = []
-    for r in rows:
-        p = r.point
-        csv_rows.append((p.n, p.m, p.d, p.seed, p.empirical_multitask_risk,
-                         p.bound_thm1, p.bound_thm2, p.meta_test_loss,
-                         p.meta_train_loss, p.task_level_term, p.multitask_term,
-                         p.kl_rho_pi, p.mean_task_kl))
-    write_csv(values["out"], RESULT_COLUMNS, csv_rows, cfg.config_hash, root,
-              trailers=[f"# wall_time {total:.3f}"])
-    print(f"wrote {len(csv_rows)} rows to {values['out']}")
-    return 0
+
+    def run() -> int:
+        if values["jobs"] > 1:
+            with ProcessPoolExecutor(max_workers=values["jobs"]) as pool:
+                rows = list(pool.map(_sweep_point, coords))
+        else:
+            rows = [_sweep_point(c) for c in coords]
+        total = sum(r.wall_time for r in rows)
+        write_csv(values["out"], RESULT_COLUMNS, [astuple(r.point) for r in rows],
+                  cfg.config_hash, root, trailers=[f"# wall_time {total:.3f}"])
+        print(f"wrote {len(rows)} rows to {values['out']}")
+        return 0
+
+    return run
 
 
-def cmd_train(cfg: ExperimentConfig) -> int:
+def cmd_train(cfg: ExperimentConfig):
     values = cfg.values
     seed = values["seed"]
-    train_cfg = _train_config(values, seed)
     spec = _env_spec(values)
-    tasks = sample_tasks(spec, values["n"], values["m"], stream(seed, "tasks"))
-    rho, trace = train_meta(tasks, train_cfg)
-    out = Path(values["out"])
-    save_meta_posterior(rho, out)
-    trace_rows = [
-        (i, 1 if i < trace.stage_boundary else 2, obj)
-        for i, obj in enumerate(trace.objectives)
-    ]
-    write_csv(out.with_suffix(out.suffix + ".trace.csv"), TRACE_COLUMNS,
-              trace_rows, cfg.config_hash, seed)
-    print(f"wrote posterior to {out} ({len(trace.objectives)} epochs)")
-    return 0
+    train_cfg = _train_config(values, spec)
+
+    def run() -> int:
+        tasks = sample_tasks(spec, values["n"], values["m"], stream(seed, "tasks"))
+        rho, trace = train_meta(tasks, train_cfg)
+        out = Path(values["out"])
+        save_meta_posterior(rho, out)
+        trace_rows = [
+            (i, 1 if i < trace.stage_boundary else 2, obj)
+            for i, obj in enumerate(trace.objectives)
+        ]
+        write_csv(out.with_suffix(out.suffix + ".trace.csv"), TRACE_COLUMNS,
+                  trace_rows, cfg.config_hash, seed)
+        print(f"wrote posterior to {out} ({len(trace.objectives)} epochs)")
+        return 0
+
+    return run
 
 
-def cmd_adapt(cfg: ExperimentConfig) -> int:
+def cmd_adapt(cfg: ExperimentConfig):
     values = cfg.values
     seed = values["seed"]
-    train_cfg = _train_config(values, seed)
+    spec = _env_spec(values)
+    train_cfg = _train_config(values, spec)
     posterior_path = Path(values["posterior"])
-    if not posterior_path.exists():
+    if not posterior_path.is_file():
         raise ConfigError(f"posterior artifact not found: {posterior_path}")
     rho = load_meta_posterior(posterior_path)
     expected = 2 * train_cfg.arch.param_count
@@ -471,80 +474,85 @@ def cmd_adapt(cfg: ExperimentConfig) -> int:
             f"posterior dimension {rho.rho0.dim} does not match the configured "
             f"architecture (expected {expected})"
         )
-    spec = _env_spec(values)
-    tasks = sample_tasks(spec, values["num_tasks"], values["m"],
-                         stream(seed, "adapt-tasks"))
-    zero_one = LossSpec("zero_one")
-    adapted = adapt_many(rho, tasks, train_cfg, adapt_epochs=values["adapt_epochs"],
-                         rngs=[stream(seed, "adapt", i) for i in range(len(tasks))],
-                         mc_eval=values["mc_eval"])
-    rows = []
-    for i, (task, (model, bound)) in enumerate(zip(tasks, adapted)):
-        train_risk = mc_empirical_risk(model, task.train_x, task.train_y,
-                                       train_cfg.loss, values["mc_eval"],
-                                       stream(seed, "adapt-train-risk", i))
-        test_error, _ = true_risk_mc(task, model, zero_one,
-                                     values["eval_points"],
-                                     stream(seed, "adapt-eval", i),
-                                     mc_samples=values["mc_eval"])
-        rows.append((i, seed, train_risk, bound, test_error))
-    errors = [r[4] for r in rows]
-    bounds_col = [r[3] for r in rows]
-    trailers = [
-        f"# summary test_error mean={_fmt(float(np.mean(errors)))}"
-        f" std={_fmt(float(np.std(errors)))}",
-        f"# summary bound mean={_fmt(float(np.mean(bounds_col)))}"
-        f" std={_fmt(float(np.std(bounds_col)))}",
-    ]
-    write_csv(values["out"], ADAPT_COLUMNS, rows, cfg.config_hash, seed,
-              trailers=trailers)
-    print(f"wrote {len(rows)} adapted tasks to {values['out']}")
-    return 0
+
+    def run() -> int:
+        tasks = sample_tasks(spec, values["num_tasks"], values["m"],
+                             stream(seed, "adapt-tasks"))
+        rngs = [stream(seed, "adapt", i) for i in range(len(tasks))]
+        adapted = adapt_many(rho, tasks, train_cfg, adapt_epochs=values["adapt_epochs"],
+                             rngs=rngs)
+        zero_one = LossSpec("zero_one")
+        rows = []
+        for i, (task, rng, (model, prior)) in enumerate(zip(tasks, rngs, adapted)):
+            bound = adaptation_certificate(model, prior, task, train_cfg,
+                                           mc_eval=values["mc_eval"], rng=rng)
+            train_risk = mc_empirical_risk(model, task.train_x, task.train_y,
+                                           train_cfg.loss, values["mc_eval"],
+                                           stream(seed, "adapt-train-risk", i))
+            test_error, _ = true_risk_mc(task, model, zero_one,
+                                         values["eval_points"],
+                                         stream(seed, "adapt-eval", i),
+                                         mc_samples=values["mc_eval"])
+            rows.append((i, seed, train_risk, bound, test_error))
+        errors = [r[4] for r in rows]
+        bounds_col = [r[3] for r in rows]
+        trailers = [
+            f"# summary test_error mean={_fmt(float(np.mean(errors)))}"
+            f" std={_fmt(float(np.std(errors)))}",
+            f"# summary bound mean={_fmt(float(np.mean(bounds_col)))}"
+            f" std={_fmt(float(np.std(bounds_col)))}",
+        ]
+        write_csv(values["out"], ADAPT_COLUMNS, rows, cfg.config_hash, seed,
+                  trailers=trailers)
+        print(f"wrote {len(rows)} adapted tasks to {values['out']}")
+        return 0
+
+    return run
 
 
-def cmd_audit(cfg: ExperimentConfig) -> int:
+def cmd_audit(cfg: ExperimentConfig):
     values = cfg.values
     seed = values["seed"]
-    train_cfg = _train_config(values, seed)
     spec = _env_spec(values)
-    report = audit_bound_validity(
-        spec, values["n"], values["m"], train_cfg, values["trials"],
-        stream(seed, "audit-root"), eval_tasks=values["eval_tasks"],
-        eval_points=values["eval_points"], mc_eval=values["mc_eval"],
-        jobs=values["jobs"],
-    )
-    rows = [
-        (r.trial_index, r.seed, r.bound, r.true_risk_est, r.true_risk_se,
-         r.margin, r.violated)
-        for r in report.records
-    ]
-    trailers = [f"# violations {report.violations}/{report.trials} delta={report.delta!r}"]
-    write_csv(values["out"], AUDIT_COLUMNS, rows, cfg.config_hash, seed,
-              trailers=trailers)
-    print(f"audit: {report.violations}/{report.trials} violations "
-          f"(delta={report.delta})")
-    return 0
+    train_cfg = _train_config(values, spec)
+
+    def run() -> int:
+        report = audit_bound_validity(
+            spec, values["n"], values["m"], train_cfg, values["trials"],
+            stream(seed, "audit-root"), eval_tasks=values["eval_tasks"],
+            eval_points=values["eval_points"], mc_eval=values["mc_eval"],
+            jobs=values["jobs"],
+        )
+        trailers = [f"# violations {report.violations}/{report.trials} delta={report.delta!r}"]
+        write_csv(values["out"], AUDIT_COLUMNS, [astuple(r) for r in report.records],
+                  cfg.config_hash, seed, trailers=trailers)
+        print(f"audit: {report.violations}/{report.trials} violations "
+              f"(delta={report.delta})")
+        return 0
+
+    return run
 
 
-def cmd_bound(cfg: ExperimentConfig) -> int:
+def cmd_bound(cfg: ExperimentConfig):
     values = cfg.values
     pairs = values["pairs"]
     if pairs is None:
         pairs = ((values["kl_hyper"], values["sum_task_kl"]),)
-    try:
-        inp = MetaBoundInput(
-            empirical_multitask_risk=values["empirical_risk"],
-            kl_rho_pi=values["kl_rho_pi"],
-            per_algorithm_complexity=pairs,
-            n=values["n"],
-            m=values["m"],
-            delta=values["delta"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(f"theorem1 {theorem1_bound(inp):.12g}")
-    print(f"theorem2 {theorem2_bound(inp):.12g}")
-    return 0
+    inp = MetaBoundInput(
+        empirical_multitask_risk=values["empirical_risk"],
+        kl_rho_pi=values["kl_rho_pi"],
+        per_algorithm_complexity=pairs,
+        n=values["n"],
+        m=values["m"],
+        delta=values["delta"],
+    )
+
+    def run() -> int:
+        print(f"theorem1 {theorem1_bound(inp):.12g}")
+        print(f"theorem2 {theorem2_bound(inp):.12g}")
+        return 0
+
+    return run
 
 
 COMMANDS = {
@@ -576,19 +584,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
+    overrides = {key: getattr(args, key) for key in ("seed", "out", "jobs")
+                 if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config, args.command, overrides)
-        return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+        run = COMMANDS[args.command](load_config(args.config, args.command, overrides))
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return run()
     except TrainingDiverged as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -224,14 +224,18 @@ def exp(a: Tensor):
     return Tensor(a.tape, out, (a,), lambda g: (g * out,))
 
 
+# log and sqrt reject nonpositive input but let NaN through, so that a
+# diverging objective reaches the callers' finiteness checks.
+
+
 def log(a: Tensor):
-    if not np.all(a.value > 0.0):
+    if np.any(a.value <= 0.0):
         raise ValueError("log requires strictly positive input")
     return Tensor(a.tape, np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def sqrt(a: Tensor):
-    if not np.all(a.value > 0.0):
+    if np.any(a.value <= 0.0):
         raise ValueError("sqrt requires strictly positive input")
     out = np.sqrt(a.value)
     return Tensor(a.tape, out, (a,), lambda g: (g * 0.5 / out,))

@@ -1,9 +1,8 @@
-"""Diagonal Gaussian and Dirac distributions over real weight vectors.
+"""Diagonal Gaussian distributions over real weight vectors.
 
-These two families carry every distribution in the package: priors and
-posteriors over model weights, meta-level distributions over prior
-parameters, and the degenerate point masses used when a construction pins
-a prior exactly. Variances are stored in log space so that gradient-based
+This family carries every distribution in the package: priors and
+posteriors over model weights and meta-level distributions over prior
+parameters. Variances are stored in log space so that gradient-based
 optimization of them is unconstrained.
 """
 
@@ -59,23 +58,6 @@ def isotropic(mean: np.ndarray, variance: float) -> DiagonalGaussian:
     return DiagonalGaussian(mean, np.full(mean.shape, np.log(variance)))
 
 
-@dataclass(frozen=True)
-class DiracDistribution:
-    """Point mass at a fixed vector."""
-
-    point: np.ndarray
-
-    def __post_init__(self):
-        point = np.asarray(self.point, dtype=np.float64)
-        if point.ndim != 1 or point.shape[0] < 1:
-            raise ValueError("point must be a vector of dimension >= 1")
-        object.__setattr__(self, "point", point)
-
-    @property
-    def dim(self) -> int:
-        return self.point.shape[0]
-
-
 def kl_diag_gaussian(q: DiagonalGaussian, p: DiagonalGaussian) -> float:
     """Exact KL(q || p) between diagonal Gaussians.
 
@@ -90,29 +72,6 @@ def kl_diag_gaussian(q: DiagonalGaussian, p: DiagonalGaussian) -> float:
     delta = q.mean - p.mean
     terms = np.exp(dlv) + delta * delta * np.exp(-p.log_var) - 1.0 - dlv
     return float(0.5 * np.sum(terms))
-
-
-def kl_dirac(q: DiracDistribution, p: DiracDistribution) -> float:
-    """KL between point masses: zero when they coincide, undefined otherwise.
-
-    A mismatched pair has infinite divergence and is never a meaningful
-    input here, so it raises instead of returning inf.
-    """
-    if q.dim != p.dim:
-        raise ValueError(f"dimension mismatch: {q.dim} vs {p.dim}")
-    if not np.array_equal(q.point, p.point):
-        raise ValueError("KL between distinct point masses is undefined (infinite)")
-    return 0.0
-
-
-def sample(dist: DiagonalGaussian, rng: np.random.Generator) -> np.ndarray:
-    """Draw one vector as mean + std * eps with eps standard normal.
-
-    The reparametrized form is deliberate: callers that need pathwise
-    gradients reuse the same eps convention on the tape.
-    """
-    eps = rng.standard_normal(dist.dim)
-    return dist.mean + dist.std * eps
 
 
 def expected_kl_under_gaussian_mean(

@@ -51,6 +51,7 @@ __all__ = [
     "train_meta",
     "adapt",
     "adapt_many",
+    "adaptation_certificate",
     "independent_baseline",
     "save_meta_posterior",
     "load_meta_posterior",
@@ -147,8 +148,10 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.kappa_pi <= 0.0 or self.kappa_rho <= 0.0:
-            raise ValueError("kappa_pi and kappa_rho must be positive")
+        for name, kappa in (("kappa_pi", self.kappa_pi), ("kappa_rho", self.kappa_rho)):
+            # the meta-KL divides by kappa_pi squared and adds kappa_rho squared
+            if not 0.0 < kappa * kappa < math.inf:
+                raise ValueError(f"{name} must be positive with a finite, nonzero square")
         if self.mc_train < 1:
             raise ValueError("mc_train must be positive")
         if self.optimizer not in ("adam", "sgd"):
@@ -171,7 +174,8 @@ class TrainingDiverged(RuntimeError):
 
     Carries the trace of the epochs completed before the failing step and,
     when several tasks were adapted together, the index of the task that
-    failed.
+    failed.  Also raised when trained parameters are finite but a
+    certificate priced from them is not.
     """
 
     def __init__(self, message: str, trace: TrainingTrace, task: int | None = None):
@@ -499,19 +503,19 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
 
 
 def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int = 100,
-               rngs, mc_eval: int = 1000) -> list[tuple[StochasticModel, float]]:
-    """Adapt to several fresh tasks at once and certify each.
+               rngs) -> list[tuple[StochasticModel, DiagonalGaussian]]:
+    """Adapt to several fresh tasks at once.
 
     The tasks must share a sample count.  Their posteriors are the rows of
     one stacked array, optimized together with one tape per step; since the
     summed objective separates by task, each row follows exactly the path a
     single-task run would.  Task i draws only from ``rngs[i]``, in the order
     of a single-task run: its initialization from ``rho0``, its prior from
-    ``rho1``, then per epoch a permutation and per step its weight noise, and
-    last the ``mc_eval`` weight draws of its certificate.  Returns one
-    ``(model, certificate)`` pair per task.
+    ``rho1``, then per epoch a permutation and per step its weight noise.
+    Returns one ``(model, prior)`` pair per task; pass it to
+    :func:`adaptation_certificate` with the same generator to certify it.
 
-    Raises TrainingDiverged naming the first task whose objective or
+    Raises TrainingDiverged naming the first task whose draws, objective or
     parameters stop being finite, with that task's completed epochs.
     """
     arch = cfg.arch
@@ -531,6 +535,8 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     prior = np.stack(priors)
     x, y = _stacked_data(tasks)
     traces = [TrainingTrace() for _ in tasks]
+    _check_finite(np.concatenate([params["q"], prior], axis=1), traces,
+                  "sampled initialization or prior is non-finite")
     opt = _make_optimizer(cfg)
 
     for _ in range(adapt_epochs):
@@ -549,14 +555,26 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
         for trace, value in zip(traces, np.mean(per_step, axis=0)):
             trace.objectives.append(float(value))
 
-    results = []
-    for task, rng, row, prior_row in zip(tasks, rngs, params["q"], prior):
-        posterior = DiagonalGaussian(row[:d], row[d:])
-        model = StochasticModel(arch, posterior)
-        empirical = mc_empirical_risk(model, task.train_x, task.train_y, cfg.loss, mc_eval, rng)
-        kl = kl_diag_gaussian(posterior, DiagonalGaussian(prior_row[:d], prior_row[d:]))
-        results.append((model, adaptation_bound(empirical, kl, m, cfg.delta)))
-    return results
+    return [(StochasticModel(arch, DiagonalGaussian(row[:d], row[d:])),
+             DiagonalGaussian(prior_row[:d], prior_row[d:]))
+            for row, prior_row in zip(params["q"], prior)]
+
+
+def adaptation_certificate(model: StochasticModel, prior: DiagonalGaussian, task: Task,
+                           cfg: TrainConfig, *, mc_eval: int,
+                           rng: np.random.Generator) -> float:
+    """Certificate of an adapted posterior against the prior it was trained
+    against, with the empirical risk estimated from ``mc_eval`` weight draws.
+
+    Raises TrainingDiverged when the posterior is finite but its risk or
+    divergence is not.
+    """
+    empirical = mc_empirical_risk(model, task.train_x, task.train_y, cfg.loss, mc_eval, rng)
+    kl = kl_diag_gaussian(model.posterior, prior)
+    if not (math.isfinite(empirical) and math.isfinite(kl)):
+        raise TrainingDiverged("adapted posterior has a non-finite certificate",
+                               TrainingTrace())
+    return adaptation_bound(empirical, kl, task.m, cfg.delta)
 
 
 def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
@@ -568,12 +586,12 @@ def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
     minimizes the single-task certificate for ``adapt_epochs`` epochs.
     Returns the model and its certificate value, with the empirical risk in
     the certificate estimated from ``mc_eval`` weight draws.  This is
-    :func:`adapt_many` on one task.
+    :func:`adapt_many` on one task followed by :func:`adaptation_certificate`.
     """
     if rng is None:
         rng = stream(cfg.seed, "adapt")
-    return adapt_many(rho, [new_task], cfg, adapt_epochs=adapt_epochs, rngs=[rng],
-                      mc_eval=mc_eval)[0]
+    [(model, prior)] = adapt_many(rho, [new_task], cfg, adapt_epochs=adapt_epochs, rngs=[rng])
+    return model, adaptation_certificate(model, prior, new_task, cfg, mc_eval=mc_eval, rng=rng)
 
 
 def independent_baseline(new_task: Task, cfg: TrainConfig,
@@ -589,7 +607,7 @@ def independent_baseline(new_task: Task, cfg: TrainConfig,
     base = MetaPosterior.from_means(np.zeros(2 * d), np.zeros(2 * d), cfg.kappa_rho)
     if rng is None:
         rng = stream(cfg.seed, "independent")
-    model, _ = adapt(base, new_task, cfg, adapt_epochs=adapt_epochs, rng=rng)
+    [(model, _)] = adapt_many(base, [new_task], cfg, adapt_epochs=adapt_epochs, rngs=[rng])
     return model
 
 
@@ -604,7 +622,9 @@ def save_meta_posterior(rho: MetaPosterior, path) -> None:
     ]
     for vec in (rho.theta0, rho.theta1):
         lines.append(" ".join(format(v, ".17g") for v in vec))
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def load_meta_posterior(path) -> MetaPosterior:

@@ -139,20 +139,6 @@ def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray) -> 
     return h @ blocks["w2"] + blocks["b2"][..., None, :]
 
 
-def predict(model_weights: np.ndarray, arch: ModelArchitecture, x: np.ndarray):
-    """Score a single input.
-
-    Linear: returns the scalar score w.x; the predicted label is 1 when the
-    score is nonpositive. mlp1: returns the logit vector; predicted label
-    is the argmax.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (arch.input_dim,):
-        raise ValueError(f"input must have dimension {arch.input_dim}, got {x.shape}")
-    s = scores_batch(arch, model_weights, x[None, :])[0]
-    return s
-
-
 def predicted_labels(arch: ModelArchitecture, scores: np.ndarray) -> np.ndarray:
     """Decision rule on raw scores: sign test for linear, argmax for mlp1."""
     if arch.kind == "linear":

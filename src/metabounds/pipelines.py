@@ -34,6 +34,8 @@ from .metalearn import (
     MetaPosterior,
     MetaPrior,
     TrainConfig,
+    TrainingDiverged,
+    TrainingTrace,
     adapt,  # noqa: F401 - bench/tracer.py wraps it on this module
     adapt_many,
     meta_kl,
@@ -237,6 +239,8 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
     training data.  The per-algorithm complexity is sampled: each draw from
     the regularization component yields one prior and one summed task
     divergence, and the theorem-2 evaluator averages the square roots.
+    Raises TrainingDiverged when the trained system is finite but its risk
+    or a divergence is not.
     """
     n = len(tasks)
     m = tasks[0].m
@@ -257,6 +261,8 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
             kl_diag_gaussian(mdl.posterior, prior) for mdl in system.task_models
         )
         pairs.append((0.0, skl))
+    if not all(math.isfinite(v) for v in (er, kl_rho_pi, *(skl for _, skl in pairs))):
+        raise TrainingDiverged("trained system has a non-finite certificate", TrainingTrace())
     inp = MetaBoundInput(
         empirical_multitask_risk=er,
         kl_rho_pi=kl_rho_pi,
@@ -280,7 +286,7 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
     )
 
 
-def two_prior_point(spec, tasks: list[Task], seed: int, cfg: TrainConfig, *,
+def two_prior_point(spec: LinearEnvSpec, tasks: list[Task], seed: int, cfg: TrainConfig, *,
                     eval_tasks: int = 20, eval_points: int = 400,
                     mc_eval: int = 200) -> PipelinePoint:
     """Evaluate the trained pipeline on a fixed set of training tasks.
@@ -304,7 +310,7 @@ def two_prior_point(spec, tasks: list[Task], seed: int, cfg: TrainConfig, *,
     return PipelinePoint(
         n=len(tasks),
         m=tasks[0].m,
-        d=spec.d if hasattr(spec, "d") else cfg.arch.input_dim,
+        d=spec.d,
         seed=seed,
         empirical_multitask_risk=breakdown.empirical_multitask_risk,
         bound_thm1=breakdown.bound_thm1,

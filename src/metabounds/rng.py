@@ -13,6 +13,14 @@ import hashlib
 import numpy as np
 
 
+def _digest(root_seed: int, labels: tuple) -> bytes:
+    h = hashlib.sha256(str(int(root_seed)).encode())
+    for lab in labels:
+        h.update(b"|")
+        h.update(str(lab).encode())
+    return h.digest()
+
+
 def stream(root_seed: int, *labels: object) -> np.random.Generator:
     """Return a fresh Generator for (root_seed, labels).
 
@@ -20,12 +28,7 @@ def stream(root_seed: int, *labels: object) -> np.random.Generator:
     stream, e.g. stream(seed, "tasks", 3). The same arguments always yield
     a generator producing the same draws.
     """
-    h = hashlib.sha256()
-    h.update(str(int(root_seed)).encode())
-    for lab in labels:
-        h.update(b"|")
-        h.update(str(lab).encode())
-    return np.random.default_rng(int.from_bytes(h.digest()[:16], "big"))
+    return np.random.default_rng(int.from_bytes(_digest(root_seed, labels)[:16], "big"))
 
 
 def spawn_seed(root_seed: int, *labels: object) -> int:
@@ -34,9 +37,4 @@ def spawn_seed(root_seed: int, *labels: object) -> int:
     Useful when a seed has to be recorded in a report or handed to a
     subprocess rather than consumed immediately.
     """
-    h = hashlib.sha256()
-    h.update(str(int(root_seed)).encode())
-    for lab in labels:
-        h.update(b"|")
-        h.update(str(lab).encode())
-    return int.from_bytes(h.digest()[:8], "big")
+    return int.from_bytes(_digest(root_seed, labels)[:8], "big")

@@ -16,56 +16,17 @@ from metabounds.bounds import (
     AlgorithmComplexity,
     DiscreteMetaSystem,
     MetaBoundInput,
-    PerTaskBoundInput,
     adaptation_bound,
     kl_decomposition_check,
     lambda_star,
     lemma2_grid_minimum,
     lemma2_lambda_form,
-    maurer_bound,
     multitask_sqrt_term,
     random_discrete_system,
     task_level_term,
     theorem1_bound,
     theorem2_bound,
 )
-
-
-class TestMaurerBound:
-    def test_zero_risk_zero_kl_example(self):
-        """sqrt(log(2 sqrt(5) / 0.1) / 10), worked out by hand."""
-        inp = PerTaskBoundInput(empirical_risk=0.0, kl_q_p=0.0, m=5, delta=0.1)
-        np.testing.assert_allclose(maurer_bound(inp), 0.6164779987778186, rtol=1e-12)
-
-    def test_large_kl_is_vacuous(self):
-        inp = PerTaskBoundInput(empirical_risk=0.0, kl_q_p=1e4, m=5, delta=0.1)
-        assert maurer_bound(inp) > 1.0
-
-    def test_large_sample_count_tightens(self):
-        inp = PerTaskBoundInput(empirical_risk=0.2, kl_q_p=0.0, m=10**6, delta=0.1)
-        np.testing.assert_allclose(maurer_bound(inp), 0.20222525139619507, rtol=1e-12)
-        assert maurer_bound(inp) < 0.21
-
-    def test_monotone_in_kl_and_confidence(self):
-        base = maurer_bound(PerTaskBoundInput(0.1, 1.0, 20, 0.1))
-        assert maurer_bound(PerTaskBoundInput(0.1, 2.0, 20, 0.1)) > base
-        assert maurer_bound(PerTaskBoundInput(0.1, 1.0, 20, 0.05)) > base
-
-    @pytest.mark.parametrize(
-        "risk, kl, m, delta",
-        [
-            (0.0, 0.0, 5, 0.0),
-            (0.0, 0.0, 5, 1.0),
-            (-0.1, 0.0, 5, 0.1),
-            (1.1, 0.0, 5, 0.1),
-            (0.0, -1.0, 5, 0.1),
-            (0.0, 0.0, 0, 0.1),
-            (0.0, math.inf, 5, 0.1),
-        ],
-    )
-    def test_rejects_out_of_range_inputs(self, risk, kl, m, delta):
-        with pytest.raises(ValueError):
-            PerTaskBoundInput(empirical_risk=risk, kl_q_p=kl, m=m, delta=delta)
 
 
 class TestAdaptationBound:
@@ -83,6 +44,22 @@ class TestAdaptationBound:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             adaptation_bound(0.0, 0.0, 100, 0.0)
+
+    @pytest.mark.parametrize(
+        "risk, kl, m, delta",
+        [
+            (0.0, 0.0, 5, 0.0),
+            (0.0, 0.0, 5, 1.0),
+            (-0.1, 0.0, 5, 0.1),
+            (1.1, 0.0, 5, 0.1),
+            (0.0, -1.0, 5, 0.1),
+            (0.0, 0.0, 0, 0.1),
+            (0.0, math.inf, 5, 0.1),
+        ],
+    )
+    def test_rejects_out_of_range_inputs(self, risk, kl, m, delta):
+        with pytest.raises(ValueError):
+            adaptation_bound(risk, kl, m, delta)
 
 
 def _meta_input(risk=0.0, kl_rho_pi=0.0, pairs=((0.0, 0.0),), n=10, m=5, delta=0.1):

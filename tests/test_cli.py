@@ -1,9 +1,15 @@
 """Tests for config parsing, CSV output, and the CLI subcommands."""
 
+import contextlib
+import io
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from metabounds.bounds import MetaBoundInput, theorem2_bound
 from metabounds.cli import (
@@ -13,6 +19,7 @@ from metabounds.cli import (
     main,
     write_csv,
 )
+from metabounds.metalearn import MetaPosterior, save_meta_posterior
 
 
 def _write(tmp_path, text, name="conf.ini"):
@@ -312,3 +319,190 @@ class TestCmdAudit:
 
 
 AUDIT_HEADER = "trial_index,seed,bound,true_risk_est,true_risk_se,margin,violated"
+
+
+# ---------------------------------------------------------------------------
+# The config boundary: every config ends in exit code 0, 2 or 3.
+
+# Small settings per command, so that a config that passes the boundary
+# finishes in a fraction of a second; each case below overrides some keys.
+CHEAP = {
+    "train": {"n": "2", "m": "6", "epochs_stage1": "2", "epochs_stage2": "2",
+              "out": "{dir}/posterior.txt"},
+    "adapt": {"posterior": "{dir}/posterior.txt", "m": "5", "num_tasks": "2",
+              "adapt_epochs": "2", "eval_points": "20", "mc_eval": "10",
+              "out": "{dir}/adapt.csv"},
+    "audit": {"n": "2", "m": "5", "trials": "50", "epochs_stage1": "1",
+              "epochs_stage2": "1", "eval_points": "20", "mc_eval": "5",
+              "out": "{dir}/audit.csv"},
+    "sweep": {"n_list": "2", "seeds": "1", "eval_tasks": "3", "eval_points": "20",
+              "epochs_stage1": "2", "epochs_stage2": "2", "mc_eval": "10",
+              "out": "{dir}/sweep.csv"},
+    "bound": {"n": "10", "m": "5"},
+}
+
+
+def _run(command, overrides, workdir):
+    """Run main on CHEAP[command] updated with overrides; return the exit
+    code and stderr. The adapt posterior is a linear d=2 meta-posterior."""
+    workdir = Path(workdir)
+    save_meta_posterior(MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3),
+                        workdir / "posterior.txt")
+    (workdir / "garbage.txt").write_text("garbage\n")
+    values = {**CHEAP[command], **overrides}
+    lines = [f"[{command}]"] + [f"{k} = {v.format(dir=workdir)}" for k, v in values.items()]
+    path = workdir / "conf.ini"
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(path)])
+    return code, err.getvalue()
+
+
+BOUNDARY_CASES = [
+    ("train", {"env": "blobs"}, 2),
+    ("train", {"n": "0"}, 2),
+    ("sweep", {"n_list": "0"}, 2),
+    ("sweep", {"m_list": "0"}, 2),
+    ("sweep", {"d_list": "0"}, 2),
+    ("audit", {"trials": "10"}, 2),
+    ("audit", {"eval_tasks": "5"}, 2),
+    ("train", {"arch": "mlp1", "hidden_dim": "0"}, 2),
+    ("adapt", {"posterior": "{dir}/garbage.txt"}, 2),
+    ("sweep", {"delta": "2"}, 2),
+    ("sweep", {"eval_points": "0"}, 2),
+    ("sweep", {"seeds": "0"}, 2),
+    ("sweep", {"pipeline": "two_prior", "d_list": "3"}, 0),
+    ("train", {"arch": "mlp1"}, 0),
+    ("train", {"env": "permuted", "arch": "mlp1"}, 0),
+    ("train", {"env": "permuted", "arch": "linear", "input_dim": "10"}, 2),
+    ("train", {"env": "permuted", "arch": "linear"}, 2),
+    ("train", {"input_dim": "2"}, 2),
+    ("train", {"num_classes": "2"}, 2),
+    ("train", {"loss": "logistic_clipped"}, 2),
+    ("train", {"learning_rate": "1e300"}, 3),
+    ("train", {"kappa_rho": "1e300"}, 2),
+    ("train", {"kappa_pi": "1e-300"}, 2),
+    ("audit", {"learning_rate": "1e300", "epochs_stage2": "0"}, 3),
+    ("sweep", {"out": "{dir}"}, 2),
+    ("train", {"out": "{dir}/new/posterior.txt"}, 0),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, overrides, wanted", BOUNDARY_CASES,
+                         ids=[f"{c}-" + "-".join(f"{k}={v.format(dir='dir')}"
+                                                  for k, v in o.items())
+                              for c, o, _ in BOUNDARY_CASES])
+def test_config_gives_its_documented_exit_code(tmp_path, command, overrides, wanted):
+    code, err = _run(command, overrides, tmp_path)
+    assert code == wanted, err
+    if wanted:
+        assert err.startswith("config error:" if wanted == 2 else "numeric failure:"), err
+    assert "Traceback" not in err
+
+
+def test_overrides_are_checked_like_file_values(tmp_path):
+    path = _write(tmp_path, "[sweep]\n")
+    with pytest.raises(ConfigError, match="jobs"):
+        load_config(path, "sweep", overrides={"jobs": 0})
+
+
+# Draws per key: a list of small valid and boundary values, and a list of
+# invalid ones (0, negative, non-numeric, unknown choice, extreme floats).
+_SMALL_INT = (["0", "1", "2", "3"], ["-1", "x", "2.5"])
+_EPOCHS = (["0", "1", "2"], ["-1", "x"])
+_FLOAT = (["0.1", "0.5", "1e-3", "1", "2", "1e-300", "1e300", "5e-324"],
+          ["0", "-1", "-1e300", "nan", "inf", "x"])
+_SEED = (["0", "1"], ["-1", "x"])
+_JOBS = (["1", "2"], ["-1", "0"])
+
+
+def _choices(*valid):
+    return list(valid), ["bogus"]
+
+
+_TRAIN_DRAWS = {
+    "arch": _choices("linear", "mlp1"),
+    "hidden_dim": _SMALL_INT,
+    "clip_max": _FLOAT,
+    "epochs_stage1": _EPOCHS,
+    "epochs_stage2": _EPOCHS,
+    "learning_rate": _FLOAT,
+    "batch_size": _SMALL_INT,
+    "delta": _FLOAT,
+    "kappa_pi": _FLOAT,
+    "kappa_rho": _FLOAT,
+    "mc_train": _SMALL_INT,
+    "optimizer": _choices("adam", "sgd"),
+}
+_ENV_DRAWS = {
+    "env": (["linear", "permuted"], ["blobs"]),
+    "d": _SMALL_INT,
+    "blob_points": (["1", "2", "8"], ["0", "x"]),
+    "blob_dim": _SMALL_INT,
+    "blob_classes": _SMALL_INT,
+    "blob_center_scale": _FLOAT,
+    "blob_noise": _FLOAT,
+    "blob_seed": _SEED,
+    "permute_mode": _choices("permute_labels", "shuffle_features"),
+    "num_shuffled": _SMALL_INT,
+}
+_DRAWS = {
+    "sweep": {
+        **_TRAIN_DRAWS,
+        "pipeline": _choices("prior_mean", "two_prior"),
+        "n_list": (["1", "2, 3"], ["0", "", "x"]),
+        "m_list": (["1", "3"], ["0", "x"]),
+        "d_list": (["1", "2, 3"], ["0", "x"]),
+        "seeds": (["1", "2"], ["0", "-1"]),
+        "eval_tasks": _SMALL_INT,
+        "eval_points": _SMALL_INT,
+        "mc_eval": _SMALL_INT,
+        "seed": _SEED,
+        "jobs": _JOBS,
+    },
+    "train": {**_TRAIN_DRAWS, **_ENV_DRAWS, "n": _SMALL_INT, "m": _SMALL_INT,
+              "seed": _SEED},
+    "adapt": {**_TRAIN_DRAWS, **_ENV_DRAWS,
+              "posterior": (["{dir}/posterior.txt"],
+                            ["{dir}/garbage.txt", "{dir}/absent.txt", "{dir}"]),
+              "num_tasks": _SMALL_INT, "m": _SMALL_INT, "adapt_epochs": _EPOCHS,
+              "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED},
+    "audit": {**_TRAIN_DRAWS, **_ENV_DRAWS, "n": _SMALL_INT, "m": _SMALL_INT,
+              "trials": (["50"], ["49"]), "eval_tasks": (["20"], ["19"]),
+              "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED,
+              "jobs": _JOBS},
+    "bound": {"empirical_risk": _FLOAT, "kl_rho_pi": _FLOAT, "kl_hyper": _FLOAT,
+              "sum_task_kl": _FLOAT, "pairs": (["0.5:1.0 ; 0:3", "0:1e300"], ["1:x", ":"]),
+              "n": _SMALL_INT, "m": _SMALL_INT, "delta": _FLOAT},
+}
+
+
+@st.composite
+def _configs(draw):
+    """A command and up to five keys over its cheap settings. Half of the
+    configs draw valid values only, so that many reach the work itself."""
+    command = draw(st.sampled_from(sorted(_DRAWS)))
+    table = _DRAWS[command]
+    allow_invalid = draw(st.booleans())
+    keys = draw(st.lists(st.sampled_from(sorted(table)), max_size=5, unique=True))
+    overrides = {}
+    for key in keys:
+        valid, invalid = table[key]
+        overrides[key] = draw(st.sampled_from(valid + invalid if allow_invalid else valid))
+    if allow_invalid and draw(st.integers(0, 9)) == 0:
+        overrides["no_such_key"] = "1"
+    return command, overrides
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_every_config_exits_0_2_or_3(case):
+    command, overrides = case
+    with tempfile.TemporaryDirectory() as workdir:
+        code, err = _run(command, overrides, workdir)
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err

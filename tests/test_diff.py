@@ -42,6 +42,14 @@ class TestForwardOps:
         with pytest.raises(ValueError):
             diff.sqrt(tape.tensor(np.array([-1.0])))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_log_and_sqrt_pass_nan_through(self):
+        """A NaN objective must reach the training loops' finiteness checks."""
+        tape = Tape()
+        nan = tape.tensor(np.array([0.0, 4.0])) * np.inf
+        assert np.isnan(diff.log(nan).value[0])
+        assert np.isnan(diff.sqrt(nan).value[0])
+
     def test_add_bias_broadcast(self):
         tape = Tape()
         a = tape.tensor(np.ones((2, 3)))

@@ -1,4 +1,4 @@
-"""Tests for the diagonal Gaussian and Dirac distribution layer."""
+"""Tests for the diagonal Gaussian distribution layer."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from metabounds.audit import quadrature_kl_1d
 from metabounds.gauss import (
     DiagonalGaussian,
-    DiracDistribution,
     expected_kl_under_gaussian_mean,
     isotropic,
     kl_diag_gaussian,
-    kl_dirac,
-    sample,
 )
 
 
@@ -93,44 +90,6 @@ class TestKlDiagGaussian:
         q = gauss_1d(0.0, 1.0)
         p = gauss_1d(1e-4, 1.0)
         assert kl_diag_gaussian(q, p) > 0.0
-
-
-class TestDirac:
-    def test_matching_points_give_zero(self):
-        a = DiracDistribution(np.array([1.0, 2.0]))
-        b = DiracDistribution(np.array([1.0, 2.0]))
-        assert kl_dirac(a, b) == 0.0
-
-    def test_mismatched_points_raise(self):
-        a = DiracDistribution(np.array([1.0, 2.0]))
-        b = DiracDistribution(np.array([1.0, 2.5]))
-        with pytest.raises(ValueError):
-            kl_dirac(a, b)
-
-
-class TestSample:
-    def test_near_degenerate_variance_returns_mean(self):
-        d = DiagonalGaussian(np.array([3.0, -1.0]), np.full(2, -60.0))
-        x = sample(d, np.random.default_rng(0))
-        np.testing.assert_allclose(x, d.mean, atol=1e-10)
-
-    def test_same_seed_same_draw(self):
-        d = isotropic(np.zeros(5), 2.0)
-        x1 = sample(d, np.random.default_rng(123))
-        x2 = sample(d, np.random.default_rng(123))
-        np.testing.assert_array_equal(x1, x2)
-
-    def test_empirical_mean_matches(self):
-        d = isotropic(np.zeros(2), 1.0)
-        rng = np.random.default_rng(42)
-        draws = np.array([sample(d, rng) for _ in range(100_000)])
-        assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
-
-    def test_empirical_variance_within_5_percent(self):
-        d = DiagonalGaussian(np.array([1.0, -2.0]), np.log(np.array([0.5, 3.0])))
-        rng = np.random.default_rng(9)
-        draws = np.array([sample(d, rng) for _ in range(100_000)])
-        np.testing.assert_allclose(draws.var(axis=0), d.var, rtol=0.05)
 
 
 class TestExpectedKlUnderGaussianMean:

@@ -17,6 +17,7 @@ from metabounds.metalearn import (
     TrainingDiverged,
     adapt,
     adapt_many,
+    adaptation_certificate,
     adaptation_objective,
     independent_baseline,
     load_meta_posterior,
@@ -501,10 +502,11 @@ class TestAdaptMany:
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_equals_adapting_each_task_alone(self, arch):
         rho, tasks, cfg = _adapt_setup(arch)
-        together = adapt_many(rho, tasks, cfg, adapt_epochs=4, mc_eval=60,
-                              rngs=[stream(79, "adapt", i) for i in range(len(tasks))])
+        rngs = [stream(79, "adapt", i) for i in range(len(tasks))]
+        together = adapt_many(rho, tasks, cfg, adapt_epochs=4, rngs=rngs)
         assert len(together) == len(tasks)
-        for i, (task, (model, bound)) in enumerate(zip(tasks, together)):
+        for i, (task, rng, (model, prior)) in enumerate(zip(tasks, rngs, together)):
+            bound = adaptation_certificate(model, prior, task, cfg, mc_eval=60, rng=rng)
             alone, alone_bound = adapt(rho, task, cfg, adapt_epochs=4, mc_eval=60,
                                        rng=stream(79, "adapt", i))
             np.testing.assert_allclose(model.posterior.mean, alone.posterior.mean,
@@ -572,11 +574,55 @@ class TestAdaptMany:
             adapt_many(rho, tasks, _cfg(), adapt_epochs=1,
                        rngs=[np.random.default_rng(0), np.random.default_rng(1)])
 
+    def test_returns_the_prior_each_task_drew(self):
+        rho, tasks, cfg = _adapt_setup(LINEAR)
+        rngs = [stream(5, "adapt", i) for i in range(3)]
+        adapted = adapt_many(rho, tasks[:3], cfg, adapt_epochs=0, rngs=rngs)
+        for i, (model, prior) in enumerate(adapted):
+            replay = stream(5, "adapt", i)
+            init = rho.theta0 + rho.kappa_rho * replay.standard_normal(4)
+            drawn = rho.theta1 + rho.kappa_rho * replay.standard_normal(4)
+            np.testing.assert_array_equal(model.posterior.mean, init[:2])
+            np.testing.assert_array_equal(prior.mean, drawn[:2])
+            np.testing.assert_array_equal(prior.log_var, drawn[2:])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_draws_are_a_divergence(self):
+        rho = MetaPosterior.from_means(np.full(4, 1.79e308), np.zeros(4), 1e307)
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            adapt_many(rho, _toy_tasks(2, 6), _cfg(), adapt_epochs=1,
+                       rngs=[stream(2, "adapt", i) for i in range(2)])
+
     def test_rejects_generator_count_mismatch(self):
         tasks = _toy_tasks(2, 6)
         rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
         with pytest.raises(ValueError, match="one generator per task"):
             adapt_many(rho, tasks, _cfg(), adapt_epochs=1, rngs=[np.random.default_rng(0)])
+
+
+class TestAdaptationCertificate:
+    def test_prices_the_risk_and_divergence(self):
+        task = _toy_tasks(1, 12, seed=3)[0]
+        model = StochasticModel(LINEAR, DiagonalGaussian(np.array([0.5, -1.0]),
+                                                         np.full(2, -4.0)))
+        prior = DiagonalGaussian(np.zeros(2), np.full(2, -2.0))
+        bound = adaptation_certificate(model, prior, task, _cfg(), mc_eval=40,
+                                       rng=np.random.default_rng(11))
+        from metabounds.model import mc_empirical_risk
+
+        risk = mc_empirical_risk(model, task.train_x, task.train_y, LOGISTIC, 40,
+                                 np.random.default_rng(11))
+        expected = adaptation_bound(risk, kl_diag_gaussian(model.posterior, prior), 12, 0.1)
+        assert bound == expected
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_divergence_is_a_numeric_failure(self):
+        task = _toy_tasks(1, 12, seed=3)[0]
+        model = StochasticModel(LINEAR, DiagonalGaussian(np.full(2, 1e300), np.zeros(2)))
+        prior = DiagonalGaussian(np.zeros(2), np.zeros(2))
+        with pytest.raises(TrainingDiverged, match="non-finite certificate"):
+            adaptation_certificate(model, prior, task, _cfg(), mc_eval=5,
+                                   rng=np.random.default_rng(0))
 
 
 class TestIndependentBaseline:
@@ -641,3 +687,9 @@ class TestTrainConfig:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
             _cfg(delta=1.5)
+
+    @pytest.mark.parametrize("kappas", [dict(kappa_pi=1e-300), dict(kappa_pi=1e300),
+                                        dict(kappa_rho=1e300), dict(kappa_rho=0.0)])
+    def test_rejects_kappas_whose_square_leaves_the_floats(self, kappas):
+        with pytest.raises(ValueError, match="square"):
+            _cfg(**kappas)

@@ -14,8 +14,8 @@ from metabounds.model import (
     join_flat,
     loss_values,
     mc_empirical_risk,
-    predict,
     predicted_labels,
+    scores_batch,
     split_flat,
     taped_loss,
     taped_mc_risk,
@@ -52,23 +52,25 @@ class TestArchitecture:
             StochasticModel(LINEAR2, isotropic(np.zeros(3), 1.0))
 
 
-class TestPredict:
+class TestScoresBatch:
+    """Scores of a single input, a batch of one."""
+
     def test_linear_score_and_label(self):
-        score = predict(np.array([1.0, 0.0]), LINEAR2, np.array([0.5, 0.3]))
+        score = scores_batch(LINEAR2, np.array([1.0, 0.0]), np.array([[0.5, 0.3]]))[0]
         assert score == pytest.approx(0.5)
         assert predicted_labels(LINEAR2, np.array([score]))[0] == 0
 
     def test_linear_sign_flip(self):
-        score = predict(np.array([1.0, 0.0]), LINEAR2, np.array([-0.5, 0.3]))
+        score = scores_batch(LINEAR2, np.array([1.0, 0.0]), np.array([[-0.5, 0.3]]))[0]
         assert predicted_labels(LINEAR2, np.array([score]))[0] == 1
 
     def test_zero_mlp_gives_uniform_logits(self):
-        logits = predict(np.zeros(MLP.param_count), MLP, np.ones(3))
+        logits = scores_batch(MLP, np.zeros(MLP.param_count), np.ones((1, 3)))[0]
         np.testing.assert_array_equal(logits, np.zeros(4))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            predict(np.array([1.0, 0.0]), LINEAR2, np.ones(3))
+            scores_batch(LINEAR2, np.array([1.0, 0.0]), np.ones((1, 3)))
 
 
 class TestLossValues:
