@@ -467,7 +467,10 @@ def cmd_adapt(cfg: ExperimentConfig):
     posterior_path = Path(values["posterior"])
     if not posterior_path.is_file():
         raise ConfigError(f"posterior artifact not found: {posterior_path}")
-    rho = load_meta_posterior(posterior_path)
+    try:
+        rho = load_meta_posterior(posterior_path)
+    except OSError as exc:
+        raise ConfigError(f"posterior artifact unreadable: {exc}") from exc
     expected = 2 * train_cfg.arch.param_count
     if rho.rho0.dim != expected:
         raise ConfigError(

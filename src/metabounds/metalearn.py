@@ -150,7 +150,7 @@ class TrainConfig:
             raise ValueError("delta must lie in (0, 1)")
         for name, kappa in (("kappa_pi", self.kappa_pi), ("kappa_rho", self.kappa_rho)):
             # the meta-KL divides by kappa_pi squared and adds kappa_rho squared
-            if not 0.0 < kappa * kappa < math.inf:
+            if not (kappa > 0.0 and 0.0 < kappa * kappa < math.inf):
                 raise ValueError(f"{name} must be positive with a finite, nonzero square")
         if self.mc_train < 1:
             raise ValueError("mc_train must be positive")
@@ -180,8 +180,14 @@ class TrainingDiverged(RuntimeError):
 
     def __init__(self, message: str, trace: TrainingTrace, task: int | None = None):
         super().__init__(message if task is None else f"task {task}: {message}")
+        self.message = message
         self.trace = trace
         self.task = task
+
+    def __reduce__(self):
+        # worker processes send exceptions back by pickle, which by default
+        # rebuilds them from ``args`` alone
+        return (TrainingDiverged, (self.message, self.trace, self.task))
 
 
 def _meta_kl_value(squares, d: int, kappa_rho: float, kappa_pi: float):

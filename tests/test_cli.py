@@ -384,6 +384,12 @@ BOUNDARY_CASES = [
     ("train", {"kappa_rho": "1e300"}, 2),
     ("train", {"kappa_pi": "1e-300"}, 2),
     ("audit", {"learning_rate": "1e300", "epochs_stage2": "0"}, 3),
+    ("audit", {"learning_rate": "1e300", "epochs_stage2": "0", "jobs": "2"}, 3),
+    ("sweep", {"pipeline": "two_prior", "learning_rate": "1e300", "jobs": "2"}, 3),
+    ("train", {"kappa_pi": "-1"}, 2),
+    ("train", {"kappa_rho": "-1"}, 2),
+    ("audit", {"kappa_pi": "-1"}, 2),
+    ("sweep", {"pipeline": "two_prior", "kappa_pi": "-1"}, 2),
     ("sweep", {"out": "{dir}"}, 2),
     ("train", {"out": "{dir}/new/posterior.txt"}, 0),
 ]
@@ -406,6 +412,21 @@ def test_overrides_are_checked_like_file_values(tmp_path):
     path = _write(tmp_path, "[sweep]\n")
     with pytest.raises(ConfigError, match="jobs"):
         load_config(path, "sweep", overrides={"jobs": 0})
+
+
+def test_unreadable_posterior_is_a_config_error(tmp_path, monkeypatch):
+    read_text = Path.read_text
+
+    def refuse_posterior(self, *args, **kwargs):
+        if self.name == "posterior.txt":
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse_posterior)
+    code, err = _run("adapt", {}, tmp_path)
+    assert code == 2
+    assert err.startswith("config error: posterior artifact unreadable"), err
+    assert "Traceback" not in err
 
 
 # Draws per key: a list of small valid and boundary values, and a list of

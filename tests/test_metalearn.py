@@ -1,6 +1,7 @@
 """Tests for the two-prior learner: objective, schedule, adaptation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -567,6 +568,21 @@ class TestAdaptMany:
         np.testing.assert_allclose(alone.value.trace.objectives, failed.trace.objectives,
                                    rtol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_survives_pickling(self):
+        # worker processes send it back to the parent by pickle
+        tasks = _toy_tasks(3, 8, seed=0)
+        cfg = _cfg(optimizer="sgd", learning_rate=1e6, seed=1)
+        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rngs = [stream(1, "diverge", i) for i in range(3)]
+        with pytest.raises(TrainingDiverged) as excinfo:
+            adapt_many(rho, tasks, cfg, adapt_epochs=20, rngs=rngs)
+        back = pickle.loads(pickle.dumps(excinfo.value))
+        assert type(back) is TrainingDiverged
+        assert str(back) == str(excinfo.value)
+        assert back.task == excinfo.value.task
+        assert back.trace.objectives == excinfo.value.trace.objectives
+
     def test_rejects_mixed_sample_counts(self):
         tasks = _toy_tasks(1, 6) + _toy_tasks(1, 7)
         rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
@@ -689,7 +705,8 @@ class TestTrainConfig:
             _cfg(delta=1.5)
 
     @pytest.mark.parametrize("kappas", [dict(kappa_pi=1e-300), dict(kappa_pi=1e300),
-                                        dict(kappa_rho=1e300), dict(kappa_rho=0.0)])
+                                        dict(kappa_rho=1e300), dict(kappa_rho=0.0),
+                                        dict(kappa_pi=-1.0), dict(kappa_rho=-1.0)])
     def test_rejects_kappas_whose_square_leaves_the_floats(self, kappas):
         with pytest.raises(ValueError, match="square"):
             _cfg(**kappas)
