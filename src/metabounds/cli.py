@@ -47,7 +47,7 @@ from .metalearn import (
     train_meta,
 )
 from .model import LossSpec, ModelArchitecture, mc_empirical_risk
-from .pipelines import PipelinePoint, prior_mean_point, two_prior_point
+from .pipelines import PipelinePoint, prior_mean_point, rule_test_loss, two_prior_point
 from .rng import spawn_seed, stream
 
 CSV_VERSION = "1"
@@ -63,14 +63,6 @@ TRACE_COLUMNS = ["epoch", "stage", "objective"]
 
 class ConfigError(Exception):
     """Raised for any malformed, unknown, or missing configuration value."""
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One sweep row: the pipeline point plus how long it took to compute."""
-
-    point: PipelinePoint
-    wall_time: float
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +191,10 @@ SCHEMAS: dict[str, dict] = {
         "out": (_to_str, "posterior.txt"),
     },
     "adapt": {
-        **_TRAIN_KEYS,
+        # adaptation samples with the artifact's kappa_rho and runs
+        # adapt_epochs, so the meta-training keys do not apply
+        **{key: spec for key, spec in _TRAIN_KEYS.items()
+           if key not in ("kappa_pi", "kappa_rho", "epochs_stage1", "epochs_stage2")},
         **_ENV_KEYS,
         "posterior": (_to_str, REQUIRED),
         "num_tasks": (_int(1), 20),
@@ -295,6 +290,11 @@ def load_config(path: str | Path, command: str,
 
 _TRAINING_LOSS = {"linear": "logistic_clipped", "mlp1": "cross_entropy_clipped"}
 
+# TrainConfig fields set from keys of the same name; a command without the
+# key leaves the field at its default.
+_TRAIN_CONFIG_KEYS = ("epochs_stage1", "epochs_stage2", "learning_rate", "batch_size", "delta",
+                      "kappa_pi", "kappa_rho", "mc_train", "optimizer", "seed")
+
 
 def _train_config(values: dict, spec) -> TrainConfig:
     """Training settings for tasks of ``spec``: the model's input size and
@@ -306,20 +306,9 @@ def _train_config(values: dict, spec) -> TrainConfig:
     kind = values["arch"]
     arch = ModelArchitecture(kind, input_dim=input_dim, num_classes=num_classes,
                              hidden_dim=values["hidden_dim"] if kind == "mlp1" else None)
-    return TrainConfig(
-        arch=arch,
-        loss=LossSpec(_TRAINING_LOSS[kind], clip_max=values["clip_max"]),
-        epochs_stage1=values["epochs_stage1"],
-        epochs_stage2=values["epochs_stage2"],
-        learning_rate=values["learning_rate"],
-        batch_size=values["batch_size"],
-        delta=values["delta"],
-        kappa_pi=values["kappa_pi"],
-        kappa_rho=values["kappa_rho"],
-        mc_train=values["mc_train"],
-        optimizer=values["optimizer"],
-        seed=values["seed"],
-    )
+    loss = LossSpec(_TRAINING_LOSS[kind], clip_max=values["clip_max"])
+    return TrainConfig(arch=arch, loss=loss,
+                       **{key: values[key] for key in _TRAIN_CONFIG_KEYS if key in values})
 
 
 def _env_spec(values: dict):
@@ -392,44 +381,57 @@ def write_csv(path: str | Path, columns: list[str], rows: list[tuple],
 # TrainingDiverged, for a numeric failure.
 
 
-def _sweep_point(args):
-    values, train_cfg, n, m, d, seed = args
+def _sweep_unit(args):
+    """Price the rows of one (seed, d, m) group for the task counts ``ns``,
+    all from one task pool; returns the points and the seconds they took."""
+    values, train_cfg, ns, m, d, seed = args
     start = time.perf_counter()
     spec = LinearEnvSpec(d=d)
     pool = sample_tasks(spec, max(values["n_list"]), m, stream(seed, "tasks", d, m))
     if values["pipeline"] == "prior_mean":
-        point = prior_mean_point(spec, pool[:n], seed=seed, delta=values["delta"],
-                                 eval_tasks=values["eval_tasks"],
-                                 eval_points=values["eval_points"])
+        test_loss = rule_test_loss(spec, m, seed, eval_tasks=values["eval_tasks"],
+                                   eval_points=values["eval_points"])
+        points = [prior_mean_point(spec, pool[:n], seed, values["delta"],
+                                   meta_test_loss=test_loss)
+                  for n in ns]
     else:
-        point = two_prior_point(spec, pool[:n], seed, replace(train_cfg, seed=seed),
-                                eval_tasks=values["eval_tasks"],
-                                eval_points=values["eval_points"],
-                                mc_eval=values["mc_eval"])
-    return ResultRow(point, time.perf_counter() - start)
+        points = [two_prior_point(spec, pool[:n], seed, replace(train_cfg, seed=seed),
+                                  eval_tasks=values["eval_tasks"],
+                                  eval_points=values["eval_points"],
+                                  mc_eval=values["mc_eval"])
+                  for n in ns]
+    return points, time.perf_counter() - start
 
 
 def cmd_sweep(cfg: ExperimentConfig):
     values = cfg.values
     root = values["seed"]
     train_cfgs = {d: _train_config(values, LinearEnvSpec(d=d)) for d in values["d_list"]}
-    coords = [
-        (values, train_cfgs[d], n, m, d, spawn_seed(root, "sweep", s, d, m))
+    # A closed-form group shares its pool and held-out loss across n_list, so
+    # it is one unit of work; a trained point is costly enough to be its own,
+    # so that --jobs spreads a group's points over the workers.
+    if values["pipeline"] == "prior_mean":
+        unit_ns = [values["n_list"]]
+    else:
+        unit_ns = [(n,) for n in values["n_list"]]
+    units = [
+        (values, train_cfgs[d], ns, m, d, spawn_seed(root, "sweep", s, d, m))
         for s in range(values["seeds"])
         for d in values["d_list"]
         for m in values["m_list"]
-        for n in values["n_list"]
+        for ns in unit_ns
     ]
 
     def run() -> int:
         if values["jobs"] > 1:
             with ProcessPoolExecutor(max_workers=values["jobs"]) as pool:
-                rows = list(pool.map(_sweep_point, coords))
+                priced = list(pool.map(_sweep_unit, units))
         else:
-            rows = [_sweep_point(c) for c in coords]
-        total = sum(r.wall_time for r in rows)
-        write_csv(values["out"], RESULT_COLUMNS, [astuple(r.point) for r in rows],
-                  cfg.config_hash, root, trailers=[f"# wall_time {total:.3f}"])
+            priced = [_sweep_unit(u) for u in units]
+        rows = [astuple(point) for points, _ in priced for point in points]
+        total = sum(seconds for _, seconds in priced)
+        write_csv(values["out"], RESULT_COLUMNS, rows, cfg.config_hash, root,
+                  trailers=[f"# wall_time {total:.3f}"])
         print(f"wrote {len(rows)} rows to {values['out']}")
         return 0
 

@@ -68,10 +68,17 @@ def kl_diag_gaussian(q: DiagonalGaussian, p: DiagonalGaussian) -> float:
     """
     if q.dim != p.dim:
         raise ValueError(f"dimension mismatch: {q.dim} vs {p.dim}")
-    dlv = q.log_var - p.log_var
-    delta = q.mean - p.mean
-    terms = np.exp(dlv) + delta * delta * np.exp(-p.log_var) - 1.0 - dlv
-    return float(0.5 * np.sum(terms))
+    return float(kl_diag_arrays(q.mean, q.log_var, p.mean, p.log_var))
+
+
+def kl_diag_arrays(q_mean: np.ndarray, q_log_var: np.ndarray, p_mean: np.ndarray,
+                   p_log_var: np.ndarray) -> np.ndarray:
+    """:func:`kl_diag_gaussian` on parameter arrays: the last axis holds the
+    coordinates and leading axes broadcast, one divergence per row."""
+    dlv = q_log_var - p_log_var
+    delta = q_mean - p_mean
+    terms = np.exp(dlv) + delta * delta * np.exp(-p_log_var) - 1.0 - dlv
+    return 0.5 * np.sum(terms, axis=-1)
 
 
 def expected_kl_under_gaussian_mean(
@@ -92,7 +99,15 @@ def expected_kl_under_gaussian_mean(
     """
     if q.dim != hyper.dim:
         raise ValueError(f"dimension mismatch: {q.dim} vs {hyper.dim}")
+    return float(expected_kl_arrays(q.mean, q.log_var, hyper, prior_var))
+
+
+def expected_kl_arrays(q_mean: np.ndarray, q_log_var: np.ndarray,
+                       hyper: DiagonalGaussian, prior_var: float) -> np.ndarray:
+    """:func:`expected_kl_under_gaussian_mean` for posteriors given as
+    parameter arrays (..., d), one expectation per row."""
     if prior_var <= 0.0:
         raise ValueError("prior_var must be positive")
     center = isotropic(hyper.mean, prior_var)
-    return kl_diag_gaussian(q, center) + float(np.sum(hyper.var)) / (2.0 * prior_var)
+    spread = float(np.sum(hyper.var)) / (2.0 * prior_var)
+    return kl_diag_arrays(q_mean, q_log_var, center.mean, center.log_var) + spread

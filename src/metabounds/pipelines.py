@@ -26,7 +26,8 @@ from .bounds import (
 from .env import LinearEnvSpec, Task, sample_tasks, true_risk_mc
 from .gauss import (
     DiagonalGaussian,
-    expected_kl_under_gaussian_mean,
+    expected_kl_arrays,
+    expected_kl_under_gaussian_mean,  # noqa: F401 - bench/tracer.py wraps it on this module
     isotropic,
     kl_diag_gaussian,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "signed_mean_direction",
     "rule_weight",
     "gaussian_sign_risk",
+    "rule_test_loss",
     "prior_mean_point",
     "TrainedSystem",
     "BoundBreakdown",
@@ -87,105 +89,129 @@ class PipelinePoint:
     mean_task_kl: float
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v`` (..., k), rounded as
+    ``np.linalg.norm`` rounds one row alone: a dot product, then a root."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def signed_mean_direction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unit vector pointing toward the halfspace labeled 1.
+    """Unit vector pointing toward the halfspace labeled 1, per task.
 
-    Averages the inputs with label-dependent sign.  Labels follow the
-    convention y = 1 when the latent weight scores the point nonpositive,
-    so the signed mean recovers the latent direction in expectation.
+    Inputs ``x`` (..., B, d) and labels ``y`` (..., B) give directions
+    (..., d).  Averages the inputs with label-dependent sign.  Labels follow
+    the convention y = 1 when the latent weight scores the point
+    nonpositive, so the signed mean recovers the latent direction in
+    expectation.  A task whose signed mean vanishes gets the first axis.
     """
-    v = -np.mean((2.0 * y[:, None] - 1.0) * x, axis=0)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        v = np.zeros(x.shape[1])
-        v[0] = 1.0
-        return v
-    return v / norm
+    v = -np.mean((2.0 * y[..., None] - 1.0) * x, axis=-2)
+    norm = _row_norms(v)[..., None]
+    degenerate = norm < 1e-12
+    first_axis = np.eye(1, v.shape[-1])[0]
+    return np.where(degenerate, first_axis, v / np.where(degenerate, 1.0, norm))
 
 
-def rule_weight(task: Task) -> np.ndarray:
-    """The fixed rule's weight estimate for one task: direction times radius."""
-    return RULE_RADIUS * signed_mean_direction(task.train_x, task.train_y)
+def rule_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The fixed rule's weight estimate per task: direction times radius.
+    Shapes as in :func:`signed_mean_direction`."""
+    return RULE_RADIUS * signed_mean_direction(x, y)
 
 
-def gaussian_sign_risk(w_mean: np.ndarray, x: np.ndarray, y: np.ndarray,
-                       noise_std: float = PRIOR_STD) -> float:
+def gaussian_sign_risk(w_mean: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact expected 0-1 risk of sign prediction under isotropic weight noise.
 
-    With weights drawn from N(w_mean, noise_std^2 I) the score on a point is
-    Gaussian, so the misclassification probability is a normal tail whose
-    argument is the scaled margin.
+    Weight means ``w_mean`` (..., d), inputs ``x`` (..., B, d) and labels
+    ``y`` (..., B) give one risk per task, shape (...).  With weights drawn
+    from N(w_mean, PRIOR_STD^2 I) the score on a point is Gaussian, so the
+    misclassification probability is a normal tail whose argument is the
+    scaled margin.
     """
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.linalg.norm(x, axis=-1)
     norms = np.where(norms < 1e-12, 1e-12, norms)
-    z = (x @ w_mean) / (noise_std * norms)
+    z = (x @ w_mean[..., :, None])[..., 0] / (PRIOR_STD * norms)
     signed = z * (2.0 * y - 1.0)
-    probs = [0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) for t in signed]
-    return float(np.mean(probs))
+    # numpy has no erf, and math.erf is fastest on Python floats
+    erfs = np.fromiter(map(math.erf, (signed / math.sqrt(2.0)).ravel().tolist()),
+                       dtype=np.float64, count=signed.size)
+    return np.mean(0.5 * (1.0 + erfs.reshape(signed.shape)), axis=-1)
+
+
+def rule_test_loss(spec: LinearEnvSpec, m: int, seed: int, *, eval_tasks: int = 20,
+                   eval_points: int = 400) -> float:
+    """Oracle test loss of the fixed rule in ``spec``: its mean sign risk on
+    ``eval_points`` fresh points of each of ``eval_tasks`` fresh tasks of
+    ``m`` training points.
+
+    It depends on the seed, d and m only, not on any training task, so a
+    sweep computes it once per (seed, d, m) and hands it to
+    :func:`prior_mean_point` for every task count.  Tasks are scored one at
+    a time, so only one task's points are held at once.
+    """
+    test_rng = stream(seed, "rule-test")
+    fresh = sample_tasks(spec, eval_tasks, m, test_rng)
+    test_risks = []
+    for task in fresh:
+        xe, ye = task.draw(eval_points, test_rng)
+        test_risks.append(gaussian_sign_risk(rule_weight(task.train_x, task.train_y), xe, ye))
+    return float(np.mean(test_risks))
 
 
 def prior_mean_point(spec: LinearEnvSpec, tasks: list[Task], seed: int,
                      delta: float, *, eval_tasks: int = 20,
-                     eval_points: int = 400) -> PipelinePoint:
-    """Evaluate the closed-form pipeline on a fixed set of training tasks.
+                     eval_points: int = 400,
+                     meta_test_loss: float | None = None) -> PipelinePoint:
+    """Evaluate the closed-form pipeline on a fixed set of training tasks,
+    which share one sample count.
 
     The rule is a point mass, so the algorithm-level divergence vanishes and
     both theorem bounds coincide.  The hyper-posterior over the prior mean is
     the conjugate Gaussian posterior given the fitted weights, treating each
-    as a noisy observation of a common center at the prior spread.
+    as a noisy observation of a common center at the prior spread.  All
+    tasks are priced together along a task axis.  ``meta_test_loss``, when
+    given, is :func:`rule_test_loss` of the same spec, m, seed and eval
+    sizes, and replaces computing it here.
     """
     if not tasks:
         raise ValueError("at least one training task is required")
     n = len(tasks)
     m = tasks[0].m
     d = spec.d
-    weights = [rule_weight(t) for t in tasks]
-    train_risks = [
-        gaussian_sign_risk(w, t.train_x, t.train_y) for w, t in zip(weights, tasks)
-    ]
-    er = float(np.mean(train_risks))
+    x = np.stack([t.train_x for t in tasks])
+    y = np.stack([t.train_y for t in tasks])
+    weights = rule_weight(x, y)
+    er = float(np.mean(gaussian_sign_risk(weights, x, y)))
 
     prior_var = PRIOR_STD**2
     s2 = 1.0 / (1.0 / HYPER_PRIOR_STD**2 + n / prior_var)
     center = s2 * np.sum(weights, axis=0) / prior_var
     hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
     kl_hyper = kl_diag_gaussian(hyper, isotropic(np.zeros(d), HYPER_PRIOR_STD**2))
-    task_kls = [
-        expected_kl_under_gaussian_mean(
-            DiagonalGaussian(w, np.full(d, math.log(prior_var))), hyper, prior_var
-        )
-        for w in weights
-    ]
+    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper,
+                                  prior_var).tolist()
+    sum_task_kl = math.fsum(task_kls)
     inp = MetaBoundInput(
         empirical_multitask_risk=er,
         kl_rho_pi=0.0,
-        per_algorithm_complexity=((kl_hyper, math.fsum(task_kls)),),
+        per_algorithm_complexity=((kl_hyper, sum_task_kl),),
         n=n,
         m=m,
         delta=delta,
     )
-    b1 = theorem1_bound(inp)
-    b2 = theorem2_bound(inp)
-
-    test_rng = stream(seed, "rule-test")
-    fresh = sample_tasks(spec, eval_tasks, m, test_rng)
-    test_risks = []
-    for task in fresh:
-        w = rule_weight(task)
-        xe, ye = task.draw(eval_points, test_rng)
-        test_risks.append(gaussian_sign_risk(w, xe, ye))
+    if meta_test_loss is None:
+        meta_test_loss = rule_test_loss(spec, m, seed, eval_tasks=eval_tasks,
+                                        eval_points=eval_points)
     return PipelinePoint(
         n=n,
         m=m,
         d=d,
         seed=seed,
         empirical_multitask_risk=er,
-        bound_thm1=b1,
-        bound_thm2=b2,
-        meta_test_loss=float(np.mean(test_risks)),
+        bound_thm1=theorem1_bound(inp),
+        bound_thm2=theorem2_bound(inp),
+        meta_test_loss=meta_test_loss,
         meta_train_loss=er,
         task_level_term=task_level_term(0.0, n, delta),
-        multitask_term=multitask_sqrt_term(kl_hyper + math.fsum(task_kls), n, m, delta),
+        multitask_term=multitask_sqrt_term(kl_hyper + sum_task_kl, n, m, delta),
         kl_rho_pi=0.0,
         mean_task_kl=float(np.mean(task_kls)),
     )

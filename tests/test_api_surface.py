@@ -19,6 +19,8 @@ ALLOWED = {
     "meta_objective": "criterion 3 gradchecks the meta-level certificate through it",
     "independent_baseline": "criterion 7 compares the meta-learner with from-scratch adaptation",
     "gradcheck": "criterion 3's finite-difference oracle",
+    "expected_kl_under_gaussian_mean": "criterion 2 checks the expected divergence against Monte "
+                                       "Carlo through it; the sweep prices its array form",
     "quadrature_kl_1d": "criterion 2's numerical-integration oracle for the closed-form KLs",
     "lambda_star": "criterion 8 checks the closed-form trade-off parameter and its clip flag",
     "lemma2_grid_minimum": "criterion 8's exact grid oracle",

@@ -1,6 +1,7 @@
 """Tests for config parsing, CSV output, and the CLI subcommands."""
 
 import contextlib
+import hashlib
 import io
 import tempfile
 import textwrap
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from metabounds import cli, pipelines
 from metabounds.bounds import MetaBoundInput, theorem2_bound
 from metabounds.cli import (
+    SCHEMAS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -208,6 +211,72 @@ class TestCmdSweep:
             assert abs(recombined - float(rec["bound_thm2"])) <= 1e-12
 
 
+README_SWEEP = """\
+    [sweep]
+    pipeline = prior_mean
+    n_list = 2, 5, 10, 20, 50
+    m_list = 5
+    seeds = 5
+    """
+
+TWO_PRIOR_SMALL = """\
+    [sweep]
+    pipeline = two_prior
+    n_list = 2, 3
+    m_list = 5
+    seeds = 2
+    epochs_stage1 = 2
+    epochs_stage2 = 2
+    eval_tasks = 3
+    eval_points = 20
+    mc_eval = 10
+    """
+
+# sha256 of the CSV bodies (the lines outside '#' comments, joined by
+# newlines) at seed 0, recorded when each sweep row was priced on its own.
+# Bit-exact floats: recorded with numpy 2.4 and OpenBLAS on x86-64.
+GOLDEN_BODIES = {
+    "readme": (README_SWEEP,
+               "7fa918c9b2b81c5a9e8ea998605450dd3168dc2763540fc0c7d303e1b4d84722"),
+    "two_prior": (TWO_PRIOR_SMALL,
+                  "d74e37a2842a06c4f29927170d267d2d6178c6517ff6142245215ee73addeed0"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_BODIES))
+def test_sweep_body_matches_its_golden_hash(tmp_path, name, jobs):
+    text, digest = GOLDEN_BODIES[name]
+    out = tmp_path / "sweep.csv"
+    path = _write(tmp_path, text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", path, "--out", str(out), "--jobs", jobs]) == 0
+    body = "\n".join(_data_lines(out))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):
+    calls = {"pool": 0, "held_out": 0, "sign_risk": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "sample_tasks", counting("pool", cli.sample_tasks))
+    monkeypatch.setattr(pipelines, "sample_tasks", counting("held_out", pipelines.sample_tasks))
+    monkeypatch.setattr(pipelines, "gaussian_sign_risk",
+                        counting("sign_risk", pipelines.gaussian_sign_risk))
+    path = _write(tmp_path, README_SWEEP)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(_data_lines(tmp_path / "sweep.csv")) == 26
+    # one pool and one held-out set per seed; one training batch per row,
+    # and the 20 held-out tasks of each seed one at a time
+    assert calls == {"pool": 5, "held_out": 5, "sign_risk": 25 + 5 * 20}
+
+
 TRAIN_SMALL = """\
     [train]
     env = linear
@@ -392,6 +461,10 @@ BOUNDARY_CASES = [
     ("sweep", {"pipeline": "two_prior", "kappa_pi": "-1"}, 2),
     ("sweep", {"out": "{dir}"}, 2),
     ("train", {"out": "{dir}/new/posterior.txt"}, 0),
+    ("adapt", {"kappa_pi": "5"}, 2),
+    ("adapt", {"kappa_rho": "0.5"}, 2),
+    ("adapt", {"epochs_stage1": "7"}, 2),
+    ("adapt", {"epochs_stage2": "7"}, 2),
 ]
 
 
@@ -485,7 +558,8 @@ _DRAWS = {
     },
     "train": {**_TRAIN_DRAWS, **_ENV_DRAWS, "n": _SMALL_INT, "m": _SMALL_INT,
               "seed": _SEED},
-    "adapt": {**_TRAIN_DRAWS, **_ENV_DRAWS,
+    "adapt": {**{k: v for k, v in _TRAIN_DRAWS.items() if k in SCHEMAS["adapt"]},
+              **_ENV_DRAWS,
               "posterior": (["{dir}/posterior.txt"],
                             ["{dir}/garbage.txt", "{dir}/absent.txt", "{dir}"]),
               "num_tasks": _SMALL_INT, "m": _SMALL_INT, "adapt_epochs": _EPOCHS,

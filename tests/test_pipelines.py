@@ -10,9 +10,11 @@ from metabounds.metalearn import TrainConfig
 from metabounds.model import LossSpec, ModelArchitecture
 from metabounds.pipelines import (
     PRIOR_STD,
+    RULE_RADIUS,
     fit_two_prior_system,
     gaussian_sign_risk,
     prior_mean_point,
+    rule_test_loss,
     rule_weight,
     signed_mean_direction,
     trained_bound_breakdown,
@@ -63,6 +65,105 @@ class TestRuleComponents:
         predicted = (scores <= 0.0).astype(float)
         mc = float(np.mean(predicted != task.train_y[:, None]))
         assert abs(closed - mc) < 0.02
+
+
+def _reference_direction(x, y):
+    """The rule's direction on one task, computed row by row."""
+    v = -np.mean((2.0 * y[:, None] - 1.0) * x, axis=0)
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-12:
+        v = np.zeros(x.shape[1])
+        v[0] = 1.0
+        return v
+    return v / norm
+
+
+def _reference_sign_risk(w_mean, x, y):
+    """The sign risk on one task, with one erf call per point."""
+    norms = np.linalg.norm(x, axis=1)
+    norms = np.where(norms < 1e-12, 1e-12, norms)
+    z = (x @ w_mean) / (PRIOR_STD * norms)
+    signed = z * (2.0 * y - 1.0)
+    return float(np.mean([0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) for t in signed]))
+
+
+def _batch_with_degenerate_tasks():
+    """A (k, 5, 2) stack of sampled tasks plus two degenerate ones: signed
+    means that cancel to zero (with an all-zero input row), and all-zero
+    inputs."""
+    tasks = _tasks(30, 5, seed=29)
+    x = [t.train_x for t in tasks]
+    y = [t.train_y for t in tasks]
+    x.append(np.array([[0.3, -0.2], [0.3, -0.2], [0.5, 0.1], [0.5, 0.1], [0.0, 0.0]]))
+    y.append(np.array([1, 0, 1, 0, 1]))
+    x.append(np.zeros((5, 2)))
+    y.append(np.array([1, 1, 0, 1, 0]))
+    return np.stack(x), np.stack(y)
+
+
+class TestBatchedRule:
+    """The task axis changes no bit: a batched call equals the per-task
+    calls and the row-by-row reference, compared with ==."""
+
+    def test_direction_equals_per_task_calls(self):
+        x, y = _batch_with_degenerate_tasks()
+        batched = signed_mean_direction(x, y)
+        assert batched.shape == (x.shape[0], 2)
+        for i in range(x.shape[0]):
+            assert np.array_equal(batched[i], signed_mean_direction(x[i], y[i]))
+            assert np.array_equal(batched[i], _reference_direction(x[i], y[i]))
+
+    def test_degenerate_tasks_fall_back_to_first_axis(self):
+        x, y = _batch_with_degenerate_tasks()
+        batched = signed_mean_direction(x, y)
+        assert np.array_equal(batched[-2:], [[1.0, 0.0], [1.0, 0.0]])
+        assert np.all(np.isfinite(batched))
+
+    def test_rule_weight_equals_per_task_calls(self):
+        x, y = _batch_with_degenerate_tasks()
+        batched = rule_weight(x, y)
+        for i in range(x.shape[0]):
+            assert np.array_equal(batched[i], rule_weight(x[i], y[i]))
+            assert np.array_equal(batched[i], RULE_RADIUS * _reference_direction(x[i], y[i]))
+
+    def test_sign_risk_equals_per_task_calls(self):
+        x, y = _batch_with_degenerate_tasks()
+        w = rule_weight(x, y)
+        batched = gaussian_sign_risk(w, x, y)
+        assert batched.shape == (x.shape[0],)
+        for i in range(x.shape[0]):
+            assert batched[i] == gaussian_sign_risk(w[i], x[i], y[i])
+            assert batched[i] == _reference_sign_risk(w[i], x[i], y[i])
+
+    def test_zero_input_row_scores_half(self):
+        risk = gaussian_sign_risk(np.array([3.0, -1.0]), np.zeros((1, 2)), np.ones(1))
+        assert risk == 0.5
+
+    def test_two_leading_axes_equal_one(self):
+        x, y = _batch_with_degenerate_tasks()
+        x4, y4 = x[:30].reshape(5, 6, 5, 2), y[:30].reshape(5, 6, 5)
+        w4 = rule_weight(x4, y4)
+        assert np.array_equal(w4.reshape(30, 2), rule_weight(x[:30], y[:30]))
+        assert np.array_equal(gaussian_sign_risk(w4, x4, y4).ravel(),
+                              gaussian_sign_risk(w4.reshape(30, 2), x[:30], y[:30]))
+
+
+class TestRuleTestLoss:
+    def test_equals_the_per_task_loop(self):
+        spec = LinearEnvSpec(d=3)
+        rng = stream(41, "rule-test")
+        risks = []
+        for task in sample_tasks(spec, 6, 7, rng):
+            w = RULE_RADIUS * _reference_direction(task.train_x, task.train_y)
+            xe, ye = task.draw(50, rng)
+            risks.append(_reference_sign_risk(w, xe, ye))
+        assert rule_test_loss(spec, 7, 41, eval_tasks=6, eval_points=50) == float(np.mean(risks))
+
+    def test_shared_loss_gives_the_same_point(self):
+        tasks = _tasks(6, 5, seed=43)
+        shared = rule_test_loss(SPEC, 5, 43, eval_tasks=4, eval_points=30)
+        alone = prior_mean_point(SPEC, tasks, 43, 0.1, eval_tasks=4, eval_points=30)
+        assert prior_mean_point(SPEC, tasks, 43, 0.1, meta_test_loss=shared) == alone
 
 
 class TestPriorMeanPoint:
