@@ -92,6 +92,13 @@ def _to_float(raw: str) -> float:
     return value
 
 
+def _fraction(raw: str) -> float:
+    value = _to_float(raw)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"expected a number in (0, 1), got {raw!r}")
+    return value
+
+
 def _int_list(minimum: int):
     convert = _int(minimum)
 
@@ -146,7 +153,7 @@ _TRAIN_KEYS = {
     "epochs_stage2": (_int(0), 100),
     "learning_rate": (_to_float, 1e-3),
     "batch_size": (_int(1), 128),
-    "delta": (_to_float, 0.1),
+    "delta": (_fraction, 0.1),
     "kappa_pi": (_to_float, 100.0),
     "kappa_rho": (_to_float, 1e-3),
     "mc_train": (_int(1), 1),
@@ -226,9 +233,21 @@ SCHEMAS: dict[str, dict] = {
         "pairs": (_pairs, None),
         "n": (_int(1), REQUIRED),
         "m": (_int(1), REQUIRED),
-        "delta": (_to_float, 0.1),
+        "delta": (_fraction, 0.1),
     },
 }
+
+# Sweep keys that only the trained pipeline reads; a closed-form sweep
+# rejects them like unknown keys.
+_TWO_PRIOR_KEYS = frozenset(_TRAIN_KEYS) - {"delta"} | {"mc_eval"}
+
+
+def _schema(command: str, raw_values: dict) -> dict:
+    """The keys a section accepts, given its raw values."""
+    schema = SCHEMAS[command]
+    if command == "sweep" and raw_values.get("pipeline", "").strip() != "two_prior":
+        return {key: spec for key, spec in schema.items() if key not in _TWO_PRIOR_KEYS}
+    return schema
 
 
 @dataclass(frozen=True)
@@ -255,7 +274,6 @@ def load_config(path: str | Path, command: str,
     but before required-key checking, so --seed works with or without a
     seed line in the file; they are checked like file values.
     """
-    schema = SCHEMAS[command]
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(str(path))
@@ -267,9 +285,11 @@ def load_config(path: str | Path, command: str,
         if section not in SCHEMAS:
             raise ConfigError(f"unknown section [{section}]")
     raw_values = dict(parser.items(command)) if parser.has_section(command) else {}
+    schema = _schema(command, raw_values)
     for key in raw_values:
         if key not in schema:
-            raise ConfigError(f"unknown key {key!r} in section [{command}]")
+            hint = " (read only with pipeline = two_prior)" if key in SCHEMAS[command] else ""
+            raise ConfigError(f"unknown key {key!r} in section [{command}]{hint}")
     raw_values.update((key, str(value)) for key, value in (overrides or {}).items()
                       if key in schema)
     values = {key: default for key, (_, default) in schema.items()}
@@ -384,7 +404,7 @@ def write_csv(path: str | Path, columns: list[str], rows: list[tuple],
 def _sweep_unit(args):
     """Price the rows of one (seed, d, m) group for the task counts ``ns``,
     all from one task pool; returns the points and the seconds they took."""
-    values, train_cfg, ns, m, d, seed = args
+    values, train_cfg, ns, m, d, seed = args  # train_cfg is None for prior_mean
     start = time.perf_counter()
     spec = LinearEnvSpec(d=d)
     pool = sample_tasks(spec, max(values["n_list"]), m, stream(seed, "tasks", d, m))
@@ -406,16 +426,17 @@ def _sweep_unit(args):
 def cmd_sweep(cfg: ExperimentConfig):
     values = cfg.values
     root = values["seed"]
-    train_cfgs = {d: _train_config(values, LinearEnvSpec(d=d)) for d in values["d_list"]}
     # A closed-form group shares its pool and held-out loss across n_list, so
     # it is one unit of work; a trained point is costly enough to be its own,
     # so that --jobs spreads a group's points over the workers.
     if values["pipeline"] == "prior_mean":
+        train_cfgs = {}
         unit_ns = [values["n_list"]]
     else:
+        train_cfgs = {d: _train_config(values, LinearEnvSpec(d=d)) for d in values["d_list"]}
         unit_ns = [(n,) for n in values["n_list"]]
     units = [
-        (values, train_cfgs[d], ns, m, d, spawn_seed(root, "sweep", s, d, m))
+        (values, train_cfgs.get(d), ns, m, d, spawn_seed(root, "sweep", s, d, m))
         for s in range(values["seeds"])
         for d in values["d_list"]
         for m in values["m_list"]

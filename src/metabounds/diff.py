@@ -2,11 +2,24 @@
 
 Deliberately minimal: exactly the operations the bound objectives need
 (broadcasting elementwise arithmetic, batched matmul, full and axis-wise
-reductions, slicing and concatenation, exp/log/sqrt/tanh/relu, and a stable
-softmax cross-entropy), recorded on an explicit tape whose node
-order is a topological order by construction. backward() is one reverse
-pass over that list. Everything is float64; a finite-difference gradcheck
-is included as the accompanying oracle.
+reductions, slicing and concatenation, exp/log/sqrt/tanh/relu, a stable
+softmax cross-entropy, and the reparametrized draw ``reparam``), recorded on
+an explicit tape whose node order is a topological order by construction.
+backward() is one reverse pass over that list. Everything is float64; a
+finite-difference gradcheck is included as the accompanying oracle.
+
+Only what is differentiated is a node. ``add``, ``sub``, ``mul`` and
+``matmul`` take a constant on either side, a number or an ndarray (data,
+noise draws, fixed priors); the resulting node has only its Tensor operand
+as parent and no adjoint is computed for the constant. Constant arrays are
+not copied and, like leaves, must be finite; numbers pass as they are.
+
+Every Tensor refers to its tape and an open tape lists its nodes, so a
+step's graph is a reference cycle. Run each step in ``with Tape() as
+tape:``: leaving the block drops the node list, so the graph is freed by
+reference counting, whether the block ends normally or by an exception. A
+closed tape records nothing more; its nodes keep their values and the last
+pass's adjoints. A tape used without ``with`` keeps its nodes while it lives.
 """
 
 from __future__ import annotations
@@ -16,20 +29,32 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tensor entries must be finite")
+    return arr
+
+
 class Tape:
-    """Append-only record of operations, in construction order."""
+    """Append-only record of operations, in construction order; a context
+    manager that releases the record when its block ends."""
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        # None once the tape is closed.
+        self.nodes: list[Tensor] | None = []
         # Adjoints of the last backward pass, by node index.
         self.grads: dict[int, np.ndarray] = {}
 
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # the node list is the only reference from the tape to its nodes
+        self.nodes = None
+
     def tensor(self, value) -> "Tensor":
         """Create a leaf node holding a copy of value."""
-        arr = np.array(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
-        return Tensor(self, arr, (), None)
+        return Tensor(self, _finite(np.array(value, dtype=np.float64)), (), None)
 
 
 class Tensor:
@@ -40,16 +65,23 @@ class Tensor:
     """
 
     __slots__ = ("tape", "idx", "value", "parents", "vjp")
+    # numpy defers every operator with a Tensor operand to the Tensor's
+    # reflected method, so ``ndarray * Tensor`` is a node and not an object
+    # array of nodes
+    __array_ufunc__ = None
 
     def __init__(self, tape: Tape, value: np.ndarray,
                  parents: tuple["Tensor", ...],
                  vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None):
+        nodes = tape.nodes
+        if nodes is None:
+            raise ValueError("the tape is closed")
         self.tape = tape
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.idx = len(tape.nodes)
-        tape.nodes.append(self)
+        self.idx = len(nodes)
+        nodes.append(self)
 
     @property
     def shape(self):
@@ -66,7 +98,7 @@ class Tensor:
         return add(self, other)
 
     def __radd__(self, other):
-        return add(self, other)
+        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
@@ -78,13 +110,16 @@ class Tensor:
         return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(self, other)
+        return mul(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -105,67 +140,100 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.sum(axis=axes, keepdims=True) if axes else g
 
 
-def _binary(a: Tensor, b: Tensor, value: np.ndarray, vjp_a, vjp_b) -> Tensor:
-    """Node for a broadcasting elementwise op; vjp_a/vjp_b map the adjoint to
-    each operand's full-size adjoint before it is summed back to shape."""
-    _same_tape(a, b)
-    sa, sb = a.shape, b.shape
-    return Tensor(a.tape, value, (a, b),
-                  lambda g: (_unbroadcast(vjp_a(g), sa), _unbroadcast(vjp_b(g), sb)))
+def _constant(value):
+    """A constant operand: a number as a float, anything else as a finite
+    float64 array (not copied)."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    return _finite(np.asarray(value, dtype=np.float64))
 
 
-def add(a: Tensor, b):
-    """a + b under numpy broadcasting; b may be a Python scalar."""
+def _operands(a, b):
+    """Values of a binary op's operands: Tensors on one tape, or one Tensor
+    and one constant."""
+    if isinstance(a, Tensor):
+        if isinstance(b, Tensor):
+            _same_tape(a, b)
+            return a.value, b.value
+        return a.value, _constant(b)
     if not isinstance(b, Tensor):
-        c = float(b)
-        return Tensor(a.tape, a.value + c, (a,), lambda g: (g,))
-    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g)
+        raise TypeError("at least one operand must be a Tensor")
+    return _constant(a), b.value
+
+
+def _node(a, b, value, vjp_a, vjp_b) -> Tensor:
+    """Node of a binary op whose adjoints vjp_a and vjp_b give. An operand
+    that is no Tensor is a constant: no parent, and its vjp is never called."""
+    if isinstance(a, Tensor):
+        if isinstance(b, Tensor):
+            return Tensor(a.tape, value, (a, b), lambda g: (vjp_a(g), vjp_b(g)))
+        return Tensor(a.tape, value, (a,), lambda g: (vjp_a(g),))
+    return Tensor(b.tape, value, (b,), lambda g: (vjp_b(g),))
+
+
+def add(a, b):
+    """a + b under numpy broadcasting."""
+    av, bv = _operands(a, b)
+    sa, sb = np.shape(av), np.shape(bv)
+    return _node(a, b, av + bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
 
 
 def sub(a, b):
-    """a - b under the same rules as add."""
-    if isinstance(a, Tensor) and not isinstance(b, Tensor):
-        c = float(b)
-        return Tensor(a.tape, a.value - c, (a,), lambda g: (g,))
-    if not isinstance(a, Tensor) and isinstance(b, Tensor):
-        c = float(a)
-        return Tensor(b.tape, c - b.value, (b,), lambda g: (-g,))
-    return _binary(a, b, a.value - b.value, lambda g: g, lambda g: -g)
+    """a - b under numpy broadcasting."""
+    av, bv = _operands(a, b)
+    sa, sb = np.shape(av), np.shape(bv)
+    return _node(a, b, av - bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
 
 
-def mul(a: Tensor, b):
-    """Elementwise product under numpy broadcasting; b may be a Python scalar."""
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return Tensor(a.tape, a.value * c, (a,), lambda g: (g * c,))
-    av, bv = a.value, b.value
-    return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
+def mul(a, b):
+    """Elementwise product under numpy broadcasting."""
+    av, bv = _operands(a, b)
+    sa, sb = np.shape(av), np.shape(bv)
+    return _node(a, b, av * bv, lambda g: _unbroadcast(g * bv, sa),
+                 lambda g: _unbroadcast(g * av, sb))
 
 
-def matmul(a: Tensor, b: Tensor):
-    """Matrix product with numpy semantics.
+def reparam(mean: Tensor, log_var: Tensor, eps) -> Tensor:
+    """The reparametrized draw mean + exp(log_var * 0.5) * eps as one node.
+
+    eps is constant noise; the three broadcast together. Value and adjoints
+    repeat, in the same order, the float operations of that expression
+    built from mul, exp, mul and add, so both agree with it bit for bit.
+    """
+    _same_tape(mean, log_var)
+    eps = _constant(eps)
+    std = np.exp(log_var.value * 0.5)
+    noise = std * eps
+    sm, sn, sl = mean.shape, noise.shape, log_var.shape
+    return Tensor(mean.tape, mean.value + noise, (mean, log_var), lambda g: (
+        _unbroadcast(g, sm),
+        _unbroadcast(_unbroadcast(g, sn) * eps, sl) * std * 0.5,
+    ))
+
+
+def matmul(a, b):
+    """Matrix product with numpy semantics; either side may be a constant
+    array.
 
     (p,q)@(q,) -> (p,) is the matrix-vector product. Otherwise both operands
     have at least two axes: the last two multiply as matrices and any leading
     axes are batch axes that broadcast, so (n,k,p,q)@(n,1,q,r) -> (n,k,p,r).
     """
-    _same_tape(a, b)
-    av, bv = a.value, b.value
-    if av.ndim < 2:
-        raise ValueError(f"matmul left operand must be at least 2-d, got {a.shape}")
-    if bv.ndim == 1:
-        if av.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-        return Tensor(a.tape, av @ bv, (a, b),
-                      lambda g: (np.outer(g, bv), av.T @ g))
+    av, bv = _operands(a, b)
+    sa, sb = np.shape(av), np.shape(bv)
+    if len(sa) < 2:
+        raise ValueError(f"matmul left operand must be at least 2-d, got {sa}")
+    if len(sb) == 1:
+        if len(sa) != 2 or sa[1] != sb[0]:
+            raise ValueError(f"matmul shape mismatch: {sa} @ {sb}")
+        return _node(a, b, av @ bv, lambda g: np.outer(g, bv), lambda g: av.T @ g)
     try:
         value = av @ bv
     except ValueError as exc:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
-    return Tensor(a.tape, value, (a, b), lambda g: (
-        _unbroadcast(g @ np.swapaxes(bv, -1, -2), a.shape),
-        _unbroadcast(np.swapaxes(av, -1, -2) @ g, b.shape),
-    ))
+        raise ValueError(f"matmul shape mismatch: {sa} @ {sb}") from exc
+    return _node(a, b, value,
+                 lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), sa),
+                 lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, sb))
 
 
 def _spread(g: np.ndarray, axis, shape: tuple) -> np.ndarray:
@@ -292,6 +360,8 @@ def backward(out: Tensor) -> None:
     if out.value.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {out.shape}")
     nodes = out.tape.nodes
+    if nodes is None:
+        raise ValueError("the tape is closed")
     adjoint = {out.idx: np.ones_like(out.value)}
     for i in range(out.idx, -1, -1):
         g = adjoint.get(i)

@@ -210,8 +210,9 @@ def meta_kl(rho: MetaPosterior, pi: MetaPrior) -> float:
 
 # Tape-side certificates. Parameter nodes are stacked: the task posteriors
 # are one (n, 2d) node, the prior centers (2d,) nodes that broadcast against
-# it. Each certificate has one builder, used by training and by the public
-# objective functions that gradcheck it.
+# it. What is not optimized (data, noise, fixed priors, the frozen stage-two
+# center) enters as a constant array. Each certificate has one builder, used
+# by training and by the public objective functions that gradcheck it.
 
 
 def _mean_lv(v):
@@ -221,14 +222,21 @@ def _mean_lv(v):
 
 
 def _taped_kl(q_mean, q_lv, p_mean, p_lv):
-    """Diagonal-Gaussian KL of each task posterior from its prior: (n,)."""
+    """Diagonal-Gaussian KL of each task posterior from its prior: (n,).
+    The prior halves are nodes or constant arrays."""
     dlv = q_lv - p_lv
     dm = q_mean - p_mean
-    per_weight = diff.exp(dlv) + dm * dm * diff.exp(-p_lv) - dlv + (-1.0)
+    inv_var = diff.exp(-p_lv) if isinstance(p_lv, diff.Tensor) else np.exp(-p_lv)
+    per_weight = diff.exp(dlv) + dm * dm * inv_var - dlv + (-1.0)
     return diff.sum(per_weight, axis=-1) * 0.5
 
 
-def _taped_risk(tape, cfg: TrainConfig, q_mean, q_lv, x, y, eps: np.ndarray):
+def _sum_squares(theta):
+    """Summed squares of a prior center: a node, or a number for a constant."""
+    return diff.sum(theta * theta) if isinstance(theta, diff.Tensor) else np.sum(theta * theta)
+
+
+def _taped_risk(cfg: TrainConfig, q_mean, q_lv, x, y, eps: np.ndarray):
     """Reparametrized risk of each task posterior on its minibatch: (n,).
 
     eps is the (n, mc_train, d) weight noise; x is (n, B, in), y is (n, B).
@@ -241,27 +249,28 @@ def _taped_risk(tape, cfg: TrainConfig, q_mean, q_lv, x, y, eps: np.ndarray):
                 for name, span, shape in block_layout(arch)}
 
     draws = [split_flat(arch, eps[:, k]) for k in range(eps.shape[1])]
-    return taped_mc_risk(tape, arch, blocks(q_mean), blocks(q_lv), x, y, cfg.loss, draws)
+    return taped_mc_risk(arch, blocks(q_mean), blocks(q_lv), x, y, cfg.loss, draws)
 
 
-def _meta_certificate(tape, cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
+def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
                       rng: np.random.Generator):
     """The two-level certificate on one tape.
 
-    theta0 and theta1 are the (2d,) prior-center nodes (one node when tied),
-    q the (n, 2d) task-posterior node, x and y one minibatch per task.  ``m``
-    is each task's full sample count, which sets the slack constants whatever
-    the minibatch size.  Draws the regularization prior's noise, then every
-    task's weight noise, from rng.
+    theta0 and theta1 are the (2d,) prior-center nodes (one node when tied;
+    theta0 is a constant array when frozen), q the (n, 2d) task-posterior
+    node, x and y one minibatch per task.  ``m`` is each task's full sample
+    count, which sets the slack constants whatever the minibatch size.
+    Draws the regularization prior's noise, then every task's weight noise,
+    from rng.
     """
     n, width = q.shape
     d = width // 2
-    p = theta1 + tape.tensor(cfg.kappa_rho * rng.standard_normal(width))
+    p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
     eps = rng.standard_normal((n, cfg.mc_train, d))
     q_mean, q_lv = _mean_lv(q)
-    risk = _taped_risk(tape, cfg, q_mean, q_lv, x, y, eps)
+    risk = _taped_risk(cfg, q_mean, q_lv, x, y, eps)
     kl_sum = diff.sum(_taped_kl(q_mean, q_lv, *_mean_lv(p)))
-    squares = diff.sum(theta0 * theta0) + diff.sum(theta1 * theta1)
+    squares = _sum_squares(theta0) + _sum_squares(theta1)
     mkl = _meta_kl_value(squares, d, cfg.kappa_rho, cfg.kappa_pi)
     empirical = diff.sum(risk) * (1.0 / n)
     task_term = diff.sqrt((mkl + task_level_slack(n, cfg.delta)) * (1.0 / (2.0 * n)))
@@ -270,7 +279,7 @@ def _meta_certificate(tape, cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     return empirical + task_term + multi_term
 
 
-def _adaptation_certificates(tape, cfg: TrainConfig, m: int, q, prior: np.ndarray,
+def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
                              x, y, eps: np.ndarray):
     """Single-task certificates of stacked posteriors against fixed priors.
 
@@ -279,8 +288,8 @@ def _adaptation_certificates(tape, cfg: TrainConfig, m: int, q, prior: np.ndarra
     """
     d = prior.shape[-1] // 2
     q_mean, q_lv = _mean_lv(q)
-    risk = _taped_risk(tape, cfg, q_mean, q_lv, x, y, eps)
-    kl = _taped_kl(q_mean, q_lv, tape.tensor(prior[:, :d]), tape.tensor(prior[:, d:]))
+    risk = _taped_risk(cfg, q_mean, q_lv, x, y, eps)
+    kl = _taped_kl(q_mean, q_lv, prior[:, :d], prior[:, d:])
     return risk + diff.sqrt((kl + multitask_slack(1, m, cfg.delta)) * (1.0 / (2.0 * m)))
 
 
@@ -349,7 +358,7 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     theta1 = _keyed_leaves(tape, arch, rho.theta1, ["theta1"], leaf_map)
     q = _keyed_leaves(tape, arch, np.stack([_flat(mdl.posterior) for mdl in task_posteriors]),
                       [f"q{i}" for i in range(len(tasks))], leaf_map)
-    return _meta_certificate(tape, cfg, m, theta0, theta1, q, *_stacked_data(tasks), rng)
+    return _meta_certificate(cfg, m, theta0, theta1, q, *_stacked_data(tasks), rng)
 
 
 def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: Task,
@@ -370,7 +379,7 @@ def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: 
     leaf_map: dict = {} if leaves_out is None else leaves_out
     q = _keyed_leaves(tape, arch, _flat(model.posterior)[None], ["q"], leaf_map)
     eps = rng.standard_normal((1, cfg.mc_train, arch.param_count))
-    values = _adaptation_certificates(tape, cfg, task.m, q, _flat(prior)[None],
+    values = _adaptation_certificates(cfg, task.m, q, _flat(prior)[None],
                                       task.train_x[None], task.train_y[None], eps)
     return diff.sum(values)
 
@@ -447,16 +456,16 @@ def _stage_loop(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict,
         perms = np.stack([rng.permutation(m) for _ in range(n)])
         per_step = []
         for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
-            tape = diff.Tape()
-            theta1 = tape.tensor(params["theta"])
-            th0 = theta1 if theta0 is None else tape.tensor(theta0)
-            q = tape.tensor(params["q"])
-            value = _meta_certificate(tape, cfg, m, th0, theta1, q, xb, yb, rng)
-            current = float(value.value)
-            if not math.isfinite(current):
-                raise TrainingDiverged("objective became non-finite", trace)
-            diff.backward(value)
-            opt.step(params, {"theta": theta1.grad, "q": q.grad})
+            with diff.Tape() as tape:
+                theta1 = tape.tensor(params["theta"])
+                q = tape.tensor(params["q"])
+                value = _meta_certificate(cfg, m, theta1 if theta0 is None else theta0,
+                                          theta1, q, xb, yb, rng)
+                current = float(value.value)
+                if not math.isfinite(current):
+                    raise TrainingDiverged("objective became non-finite", trace)
+                diff.backward(value)
+                opt.step(params, {"theta": theta1.grad, "q": q.grad})
             if not all(np.all(np.isfinite(v)) for v in params.values()):
                 raise TrainingDiverged("parameters became non-finite", trace)
             per_step.append(current)
@@ -550,12 +559,12 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
         per_step = []
         for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
             eps = np.stack([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
-            tape = diff.Tape()
-            q = tape.tensor(params["q"])
-            values = _adaptation_certificates(tape, cfg, m, q, prior, xb, yb, eps)
-            _check_finite(values.value, traces, "adaptation objective became non-finite")
-            diff.backward(diff.sum(values))
-            opt.step(params, {"q": q.grad})
+            with diff.Tape() as tape:
+                q = tape.tensor(params["q"])
+                values = _adaptation_certificates(cfg, m, q, prior, xb, yb, eps)
+                _check_finite(values.value, traces, "adaptation objective became non-finite")
+                diff.backward(diff.sum(values))
+                opt.step(params, {"q": q.grad})
             _check_finite(params["q"], traces, "parameters became non-finite")
             per_step.append(values.value)
         for trace, value in zip(traces, np.mean(per_step, axis=0)):

@@ -210,21 +210,18 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
     return DiagonalGaussian(mean, log_var)
 
 
-# Tape-side builders. These mirror the numpy paths above but leave the
-# posterior parameters as leaves so that bound objectives are differentiable
-# through them (pathwise, with the noise draws held fixed per step). Weight
-# blocks carry a draw axis in front of the block shape, and optionally a task
-# axis in front of that, so one tape serves every task and every draw.
+# Tape-side builders. These mirror the numpy paths above but take the
+# posterior parameters as nodes so that bound objectives are differentiable
+# through them (pathwise, with the noise draws held fixed per step); data and
+# noise enter as constant arrays. Weight blocks carry a draw axis in front of
+# the block shape, and optionally a task axis in front of that, so one tape
+# serves every task and every draw.
 
 
-def taped_weights(tape: diff.Tape, mean_nodes: dict, log_var_nodes: dict,
-                  eps: dict[str, np.ndarray]) -> dict:
+def taped_weights(mean_nodes: dict, log_var_nodes: dict, eps: dict[str, np.ndarray]) -> dict:
     """Reparametrized weight draw per block: mean + exp(log_var / 2) * eps."""
-    return {
-        name: mean_nodes[name]
-        + diff.exp(log_var_nodes[name] * 0.5) * tape.tensor(eps[name])
-        for name in mean_nodes
-    }
+    return {name: diff.reparam(mean_nodes[name], log_var_nodes[name], eps[name])
+            for name in mean_nodes}
 
 
 def _bias_row(b):
@@ -232,8 +229,7 @@ def _bias_row(b):
     return diff.slice(b, (Ellipsis, None, slice(None)))
 
 
-def taped_scores(tape: diff.Tape, arch: ModelArchitecture, weights: dict,
-                 x: np.ndarray):
+def taped_scores(arch: ModelArchitecture, weights: dict, x: np.ndarray):
     """Forward pass with weight-block nodes; x enters as a constant.
 
     Weight blocks are (..., K, *block shape) for K draws; x is (B, in), or
@@ -242,21 +238,20 @@ def taped_scores(tape: diff.Tape, arch: ModelArchitecture, weights: dict,
     """
     x = np.asarray(x, dtype=np.float64)
     if arch.kind == "linear":
-        return diff.matmul(weights["w"], tape.tensor(np.swapaxes(x, -1, -2)))
-    xs = tape.tensor(x[..., None, :, :])
-    h = diff.tanh(diff.matmul(xs, weights["w1"]) + _bias_row(weights["b1"]))
+        # contiguous, so that BLAS sums in the same order as for a copied leaf
+        return diff.matmul(weights["w"], np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+    h = diff.tanh(diff.matmul(x[..., None, :, :], weights["w1"]) + _bias_row(weights["b1"]))
     return diff.matmul(h, weights["w2"]) + _bias_row(weights["b2"])
 
 
-def taped_loss(tape: diff.Tape, arch: ModelArchitecture, loss: LossSpec,
-               scores, y: np.ndarray):
+def taped_loss(arch: ModelArchitecture, loss: LossSpec, scores, y: np.ndarray):
     """Mean clipped loss over the draw and sample axes of the scores from
     taped_scores: a scalar node, or one entry per task when the scores carry
     a task axis (then y is (n, B)). zero_one has no usable gradient and is
     rejected here."""
     y = np.asarray(y)[..., None, :]
     if loss.kind == "logistic_clipped":
-        t = scores * tape.tensor(2.0 * y - 1.0)
+        t = scores * (2.0 * y - 1.0)
         # softplus(t) = relu(t) + log(1 + exp(-|t|)), overflow-free
         abs_t = diff.relu(t) + diff.relu(-t)
         raw = diff.relu(t) + diff.log(diff.exp(-abs_t) + 1.0)
@@ -269,8 +264,7 @@ def taped_loss(tape: diff.Tape, arch: ModelArchitecture, loss: LossSpec,
     return diff.mean(clipped, axis=(-2, -1))
 
 
-def taped_mc_risk(tape: diff.Tape, arch: ModelArchitecture,
-                  mean_nodes: dict, log_var_nodes: dict,
+def taped_mc_risk(arch: ModelArchitecture, mean_nodes: dict, log_var_nodes: dict,
                   x: np.ndarray, y: np.ndarray, loss: LossSpec,
                   eps_draws: list[dict[str, np.ndarray]]):
     """Empirical risk averaged over fixed reparametrization draws.
@@ -284,5 +278,5 @@ def taped_mc_risk(tape: diff.Tape, arch: ModelArchitecture,
         name: np.stack([draw[name] for draw in eps_draws], axis=-len(shape) - 1)
         for name, shape in arch.layer_shapes()
     }
-    weights = taped_weights(tape, mean_nodes, log_var_nodes, eps)
-    return taped_loss(tape, arch, loss, taped_scores(tape, arch, weights, x), y)
+    weights = taped_weights(mean_nodes, log_var_nodes, eps)
+    return taped_loss(arch, loss, taped_scores(arch, weights, x), y)

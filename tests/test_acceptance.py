@@ -134,7 +134,7 @@ def test_criterion_3_objective_gradients(capsys):
         qlv = tape.tensor(ps[1])
         pm = tape.tensor(prior.mean)
         plv = tape.tensor(prior.log_var)
-        risk = taped_mc_risk(tape, LINEAR, {"w": qm}, {"w": qlv},
+        risk = taped_mc_risk(LINEAR, {"w": qm}, {"w": qlv},
                              task.train_x, task.train_y, LOGISTIC, [{"w": eps}])
         dm = qm - pm
         kl = (diff.sum(diff.exp(qlv - plv)) + diff.sum(dm * dm * diff.exp(-plv))

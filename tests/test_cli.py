@@ -405,10 +405,11 @@ CHEAP = {
               "epochs_stage2": "1", "eval_points": "20", "mc_eval": "5",
               "out": "{dir}/audit.csv"},
     "sweep": {"n_list": "2", "seeds": "1", "eval_tasks": "3", "eval_points": "20",
-              "epochs_stage1": "2", "epochs_stage2": "2", "mc_eval": "10",
               "out": "{dir}/sweep.csv"},
     "bound": {"n": "10", "m": "5"},
 }
+# Added for a sweep with pipeline = two_prior, the only one that reads them.
+CHEAP_TWO_PRIOR = {"epochs_stage1": "2", "epochs_stage2": "2", "mc_eval": "10"}
 
 
 def _run(command, overrides, workdir):
@@ -419,6 +420,8 @@ def _run(command, overrides, workdir):
                         workdir / "posterior.txt")
     (workdir / "garbage.txt").write_text("garbage\n")
     values = {**CHEAP[command], **overrides}
+    if values.get("pipeline") == "two_prior":
+        values = {**CHEAP_TWO_PRIOR, **values}
     lines = [f"[{command}]"] + [f"{k} = {v.format(dir=workdir)}" for k, v in values.items()]
     path = workdir / "conf.ini"
     path.write_text("\n".join(lines) + "\n")
@@ -465,6 +468,10 @@ BOUNDARY_CASES = [
     ("adapt", {"kappa_rho": "0.5"}, 2),
     ("adapt", {"epochs_stage1": "7"}, 2),
     ("adapt", {"epochs_stage2": "7"}, 2),
+    ("sweep", {"kappa_pi": "5"}, 2),
+    ("sweep", {"mc_eval": "3"}, 2),
+    ("sweep", {"arch": "mlp1"}, 2),
+    ("sweep", {"pipeline": "prior_mean", "epochs_stage1": "2"}, 2),
 ]
 
 
@@ -542,6 +549,7 @@ _ENV_DRAWS = {
     "permute_mode": _choices("permute_labels", "shuffle_features"),
     "num_shuffled": _SMALL_INT,
 }
+_TWO_PRIOR_ONLY = frozenset(_TRAIN_DRAWS) - {"delta"} | {"mc_eval"}
 _DRAWS = {
     "sweep": {
         **_TRAIN_DRAWS,
@@ -586,6 +594,9 @@ def _configs(draw):
     for key in keys:
         valid, invalid = table[key]
         overrides[key] = draw(st.sampled_from(valid + invalid if allow_invalid else valid))
+    if command == "sweep" and not allow_invalid and overrides.get("pipeline") != "two_prior":
+        # a closed-form sweep rejects the keys only the trained pipeline reads
+        overrides = {k: v for k, v in overrides.items() if k not in _TWO_PRIOR_ONLY}
     if allow_invalid and draw(st.integers(0, 9)) == 0:
         overrides["no_such_key"] = "1"
     return command, overrides

@@ -341,3 +341,140 @@ class TestStackedOps:
             for k in range(3):
                 row = diff.softmax_cross_entropy(tape.tensor(logits[t, k]), labels[t, 0]).value
                 np.testing.assert_allclose(batched[t, k], row, rtol=1e-14)
+
+
+class TestConstantOperands:
+    """A constant operand (a number or an ndarray) is no node: it is not a
+    parent and gets no adjoint."""
+
+    rng = np.random.default_rng(103)
+
+    @pytest.mark.parametrize("op", [diff.add, diff.sub, diff.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("constant_first", [False, True], ids=["right", "left"])
+    def test_broadcasting_constant_on_either_side(self, op, constant_first):
+        const = self.rng.normal(size=(3, 1, 4))
+
+        def apply(t):
+            return op(const, t) if constant_first else op(t, const)
+
+        def build(ps):
+            tape = Tape()
+            a = tape.tensor(ps[0])
+            return diff.sum(diff.tanh(apply(a))), [a]
+
+        point = self.rng.normal(size=(2, 1))
+        assert gradcheck(build, [point]) <= 1e-6
+        tape = Tape()
+        a = tape.tensor(point)
+        out = apply(a)
+        assert out.parents == (a,)
+        assert len(tape.nodes) == 2
+        expected = op(tape.tensor(const), a) if constant_first else op(a, tape.tensor(const))
+        assert np.array_equal(out.value, expected.value)
+
+    @pytest.mark.parametrize("constant_first", [False, True], ids=["right", "left"])
+    def test_matmul_with_a_broadcasting_constant(self, constant_first):
+        left = self.rng.normal(size=(3, 1, 5, 2))
+        right = self.rng.normal(size=(3, 4, 2, 6))
+
+        def apply(t):
+            return diff.matmul(left, t) if constant_first else diff.matmul(t, right)
+
+        def build(ps):
+            tape = Tape()
+            a = tape.tensor(ps[0])
+            return diff.sum(diff.tanh(apply(a))), [a]
+
+        point = right if constant_first else left
+        assert gradcheck(build, [point]) <= 1e-6
+        tape = Tape()
+        a = tape.tensor(point)
+        out = apply(a)
+        assert out.parents == (a,)
+        assert out.shape == (3, 4, 5, 6)
+
+    def test_nonfinite_constant_array_is_rejected(self):
+        tape = Tape()
+        a = tape.tensor(np.ones(2))
+        bad = np.array([1.0, np.nan])
+        for build in (lambda: a + bad, lambda: bad - a, lambda: a * bad,
+                      lambda: diff.matmul(tape.tensor(np.ones((2, 2))), bad),
+                      lambda: diff.reparam(a, a, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+
+    def test_ndarray_on_the_left_dispatches_to_the_tape(self):
+        tape = Tape()
+        t = tape.tensor(np.array([1.0, 2.0, 3.0]))
+        const = np.full(3, 2.0)
+        for out, value in ((const * t, [2.0, 4.0, 6.0]), (const + t, [3.0, 4.0, 5.0]),
+                           (const - t, [1.0, 0.0, -1.0]),
+                           (np.float64(2.0) * t, [2.0, 4.0, 6.0])):
+            assert isinstance(out, diff.Tensor)
+            np.testing.assert_array_equal(out.value, value)
+        product = np.ones((2, 3)) @ t
+        assert isinstance(product, diff.Tensor)
+        np.testing.assert_array_equal(product.value, [6.0, 6.0])
+        backward(diff.sum(product))
+        np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
+
+    def test_two_constants_are_not_an_op(self):
+        with pytest.raises(TypeError):
+            diff.add(np.ones(2), np.ones(2))
+
+
+class TestReparam:
+    rng = np.random.default_rng(107)
+
+    def test_gradcheck(self):
+        eps = self.rng.standard_normal((3, 4, 2))
+
+        def build(ps):
+            tape = Tape()
+            mean, log_var = tape.tensor(ps[0]), tape.tensor(ps[1])
+            return diff.sum(diff.tanh(diff.reparam(mean, log_var, eps))), [mean, log_var]
+
+        points = [self.rng.normal(size=(3, 1, 2)), self.rng.normal(-1.0, 0.5, (3, 1, 2))]
+        assert gradcheck(build, points) <= 1e-6
+
+    def test_matches_the_four_op_chain_bit_for_bit(self):
+        mean_v = self.rng.normal(size=(3, 1, 2))
+        log_var_v = self.rng.normal(-1.0, 0.5, (3, 1, 2))
+        eps = self.rng.standard_normal((3, 4, 2))
+        weights = self.rng.normal(size=(3, 4, 2))
+
+        def run(draw):
+            tape = Tape()
+            mean, log_var = tape.tensor(mean_v), tape.tensor(log_var_v)
+            w = draw(tape, mean, log_var)
+            backward(diff.sum(diff.tanh(w) * weights))
+            return w.value, mean.grad, log_var.grad, len(tape.nodes)
+
+        fused = run(lambda tape, m, lv: diff.reparam(m, lv, eps))
+        chain = run(lambda tape, m, lv: m + diff.exp(lv * 0.5) * tape.tensor(eps))
+        for a, b in zip(fused[:3], chain[:3]):
+            assert np.array_equal(a, b)
+        assert chain[3] - fused[3] == 4
+
+
+class TestTapeLifetime:
+    def test_leaving_the_block_closes_the_tape(self):
+        with Tape() as tape:
+            x = tape.tensor(np.array([1.0, 2.0]))
+            y = diff.sum(x * x)
+            backward(y)
+            assert len(tape.nodes) == 3 and tape.nodes[0] is x and tape.nodes[2] is y
+        assert tape.nodes is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert float(y.value) == 5.0
+        with pytest.raises(ValueError, match="closed"):
+            x * 2.0
+        with pytest.raises(ValueError, match="closed"):
+            backward(y)
+
+    def test_an_exception_closes_the_tape_too(self):
+        with pytest.raises(RuntimeError):
+            with Tape() as tape:
+                tape.tensor(np.ones(2))
+                raise RuntimeError
+        assert tape.nodes is None

@@ -1,5 +1,7 @@
 """Tests for the two-prior learner: objective, schedule, adaptation."""
 
+import contextlib
+import gc
 import math
 import pickle
 
@@ -413,6 +415,82 @@ class TestTrainMeta:
             per_count[n] = list(sizes)
         assert per_count[2] == per_count[10]
         assert len(per_count[2]) == 2
+
+
+@contextlib.contextmanager
+def _cyclic_tape_garbage():
+    """Yield a list that receives, when the block ends, every tape and node
+    that only the cyclic collector could free. The gc state is restored."""
+    gc.collect()
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    found = []
+    try:
+        yield found
+        gc.collect()
+        found.extend(type(obj).__name__ for obj in gc.garbage
+                     if isinstance(obj, (diff.Tensor, diff.Tape)))
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+
+
+def _step_setup(arch):
+    if arch.kind == "linear":
+        return _toy_tasks(3, 8, seed=2), _cfg(epochs_stage1=1, epochs_stage2=1)
+    return (sample_tasks(BLOBS, 3, 8, stream(2, "tasks")),
+            _cfg(arch=MLP, loss=CROSS_ENTROPY, epochs_stage1=1, epochs_stage2=1))
+
+
+class TestStepTapes:
+    """One tape per optimizer step, holding only the parameters as leaves
+    and freed by reference counting when the step ends."""
+
+    @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
+                             [(LINEAR, (60, 58), 40), (MLP, (65, 63), 45)],
+                             ids=["linear", "mlp1"])
+    def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
+        steps = []
+        real_backward = diff.backward
+
+        def recording_backward(out):
+            real_backward(out)
+            nodes = out.tape.nodes[:out.idx + 1]
+            steps.append((len(nodes), sum(1 for node in nodes if node.vjp is None)))
+
+        monkeypatch.setattr(diff, "backward", recording_backward)
+        tasks, cfg = _step_setup(arch)
+        rho, _ = train_meta(tasks, cfg)
+        # theta and q; stage two's frozen theta0 is a constant
+        assert steps == [(meta_nodes[0], 2), (meta_nodes[1], 2)]
+        steps.clear()
+        adapt_many(rho, tasks, cfg, adapt_epochs=1,
+                   rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+        assert steps == [(adapt_nodes, 1)]
+
+    @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_steps_leave_no_cyclic_garbage(self, arch):
+        tasks, cfg = _step_setup(arch)
+        with _cyclic_tape_garbage() as leaked:
+            rho, _ = train_meta(tasks, cfg)
+            adapt_many(rho, tasks, cfg, adapt_epochs=2,
+                       rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+        assert leaked == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverging_step_leaves_no_cyclic_garbage(self):
+        cfg = _cfg(optimizer="sgd", learning_rate=1e8, epochs_stage1=6, epochs_stage2=0)
+        with _cyclic_tape_garbage() as leaked:
+            try:
+                train_meta(_toy_tasks(2, 8, seed=29), cfg)
+            except TrainingDiverged:
+                pass
+            else:
+                pytest.fail("training did not diverge")
+        assert leaked == []
 
 
 class TestAdapt:

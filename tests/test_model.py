@@ -187,7 +187,7 @@ class TestTapedRisk:
                 mean_nodes[name] = tape.tensor(ps[2 * i])
                 lv_nodes[name] = tape.tensor(ps[2 * i + 1])
                 leaves.extend([mean_nodes[name], lv_nodes[name]])
-            out = taped_mc_risk(tape, arch, mean_nodes, lv_nodes, x, y, loss, eps)
+            out = taped_mc_risk(arch, mean_nodes, lv_nodes, x, y, loss, eps)
             return out, leaves
 
         mean_blocks = sf(arch, post.mean)
@@ -207,7 +207,7 @@ class TestTapedRisk:
         mean_nodes = {"w": tape.tensor(post.mean)}
         lv_nodes = {"w": tape.tensor(post.log_var)}
         eps = {"w": np.random.default_rng(9).standard_normal(2)}
-        out = taped_mc_risk(tape, LINEAR2, mean_nodes, lv_nodes, x, y, loss, [eps])
+        out = taped_mc_risk(LINEAR2, mean_nodes, lv_nodes, x, y, loss, [eps])
         w = post.mean + post.std * eps["w"]
         m = StochasticModel(LINEAR2, near_dirac(w))
         direct = loss_values(loss, LINEAR2, x @ w, y).mean()
@@ -234,4 +234,4 @@ class TestTapedRisk:
         tape = Tape()
         s = tape.tensor(np.array([0.5]))
         with pytest.raises(ValueError):
-            taped_loss(tape, LINEAR2, LossSpec("zero_one"), s, np.array([0]))
+            taped_loss(LINEAR2, LossSpec("zero_one"), s, np.array([0]))
