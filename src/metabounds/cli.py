@@ -29,7 +29,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,35 +143,46 @@ def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
 
 REQUIRED = object()
 
+
+def _defaults(cls) -> dict:
+    """The field defaults of a dataclass, by field name."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+_TRAIN = _defaults(TrainConfig)
+_BLOBS = _defaults(BlobsSpec)
+_PERMUTED = _defaults(PermutedEnvSpec)
+
 # Keys shared by every command that builds a TrainConfig. The model's input
 # size and class count follow from the env, its loss from the architecture.
+# A key that sets a dataclass field takes its default from the field.
 _TRAIN_KEYS = {
     "arch": (_choice("linear", "mlp1"), "linear"),
     "hidden_dim": (_int(1), 16),
-    "clip_max": (_to_float, 4.0),
-    "epochs_stage1": (_int(0), 100),
-    "epochs_stage2": (_int(0), 100),
-    "learning_rate": (_to_float, 1e-3),
-    "batch_size": (_int(1), 128),
-    "delta": (_fraction, 0.1),
-    "kappa_pi": (_to_float, 100.0),
-    "kappa_rho": (_to_float, 1e-3),
-    "mc_train": (_int(1), 1),
-    "optimizer": (_choice("adam", "sgd"), "adam"),
+    "clip_max": (_to_float, _defaults(LossSpec)["clip_max"]),
+    "epochs_stage1": (_int(0), _TRAIN["epochs_stage1"]),
+    "epochs_stage2": (_int(0), _TRAIN["epochs_stage2"]),
+    "learning_rate": (_to_float, _TRAIN["learning_rate"]),
+    "batch_size": (_int(1), _TRAIN["batch_size"]),
+    "delta": (_fraction, _TRAIN["delta"]),
+    "kappa_pi": (_to_float, _TRAIN["kappa_pi"]),
+    "kappa_rho": (_to_float, _TRAIN["kappa_rho"]),
+    "mc_train": (_int(1), _TRAIN["mc_train"]),
+    "optimizer": (_choice("adam", "sgd"), _TRAIN["optimizer"]),
 }
 
 # Keys selecting and shaping the task environment.
 _ENV_KEYS = {
     "env": (_choice("linear", "permuted"), "linear"),
     "d": (_int(1), 2),
-    "blob_points": (_int(1), 256),
-    "blob_dim": (_int(1), 10),
-    "blob_classes": (_int(2), 4),
-    "blob_center_scale": (_to_float, 1.0),
-    "blob_noise": (_to_float, 1.0),
-    "blob_seed": (_int(0), 0),
-    "permute_mode": (_choice("permute_labels", "shuffle_features"), "permute_labels"),
-    "num_shuffled": (_int(1), 5),
+    "blob_points": (_int(1), _BLOBS["num_points"]),
+    "blob_dim": (_int(1), _BLOBS["dim"]),
+    "blob_classes": (_int(2), _BLOBS["num_classes"]),
+    "blob_center_scale": (_to_float, _BLOBS["center_scale"]),
+    "blob_noise": (_to_float, _BLOBS["noise"]),
+    "blob_seed": (_int(0), _BLOBS["seed"]),
+    "permute_mode": (_choice("permute_labels", "shuffle_features"), _PERMUTED["mode"]),
+    "num_shuffled": (_int(1), _PERMUTED["num_shuffled"]),
 }
 
 SCHEMAS: dict[str, dict] = {
@@ -310,15 +321,12 @@ def load_config(path: str | Path, command: str,
 
 _TRAINING_LOSS = {"linear": "logistic_clipped", "mlp1": "cross_entropy_clipped"}
 
-# TrainConfig fields set from keys of the same name; a command without the
-# key leaves the field at its default.
-_TRAIN_CONFIG_KEYS = ("epochs_stage1", "epochs_stage2", "learning_rate", "batch_size", "delta",
-                      "kappa_pi", "kappa_rho", "mc_train", "optimizer", "seed")
-
 
 def _train_config(values: dict, spec) -> TrainConfig:
     """Training settings for tasks of ``spec``: the model's input size and
-    class count are the env's, its loss the one its architecture trains."""
+    class count are the env's, its loss the one its architecture trains.
+    Every other field is set from the key of its name; a command without
+    the key leaves the field at its default."""
     if isinstance(spec, LinearEnvSpec):
         input_dim, num_classes = spec.d, 2
     else:
@@ -328,7 +336,7 @@ def _train_config(values: dict, spec) -> TrainConfig:
                              hidden_dim=values["hidden_dim"] if kind == "mlp1" else None)
     loss = LossSpec(_TRAINING_LOSS[kind], clip_max=values["clip_max"])
     return TrainConfig(arch=arch, loss=loss,
-                       **{key: values[key] for key in _TRAIN_CONFIG_KEYS if key in values})
+                       **{key: values[key] for key in _TRAIN if key in values})
 
 
 def _env_spec(values: dict):

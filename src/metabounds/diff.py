@@ -2,11 +2,18 @@
 
 Deliberately minimal: exactly the operations the bound objectives need
 (broadcasting elementwise arithmetic, batched matmul, full and axis-wise
-reductions, slicing and concatenation, exp/log/sqrt/tanh/relu, a stable
-softmax cross-entropy, and the reparametrized draw ``reparam``), recorded on
-an explicit tape whose node order is a topological order by construction.
-backward() is one reverse pass over that list. Everything is float64; a
-finite-difference gradcheck is included as the accompanying oracle.
+reductions, slicing and concatenation, exp/log/sqrt/tanh, a stable softmax
+cross-entropy), recorded on an explicit tape whose node order is a
+topological order by construction. backward() is one reverse pass over that
+list. Everything is float64; a finite-difference gradcheck is included as
+the accompanying oracle.
+
+The cost of a step is Python overhead per node, so the certificates' hot
+chains are fused into single nodes: the reparametrized draw ``reparam``, the
+diagonal-Gaussian divergence ``gaussian_kl``, the logistic ``softplus`` and
+the clipped, rescaled loss ``clip_rescale``. Each repeats, in the same order,
+the float operations of the elementwise chain it stands for, adjoint
+accumulation included, so a fused tape and the chain agree bit for bit.
 
 Only what is differentiated is a node. ``add``, ``sub``, ``mul`` and
 ``matmul`` take a constant on either side, a number or an ndarray (data,
@@ -211,6 +218,82 @@ def reparam(mean: Tensor, log_var: Tensor, eps) -> Tensor:
     ))
 
 
+def gaussian_kl(q: Tensor, p) -> Tensor:
+    """KL of diagonal Gaussians, one value per row: (..., 2d) -> (...).
+
+    Each row of q, and of p, holds d means then d log-variances; p is a node
+    or a constant array and broadcasts against q, so a (2d,) prior serves
+    every row of an (n, 2d) posterior. Value and adjoints repeat, in the same
+    order, the float operations of the 12-op chain
+    ``sum(exp(dlv) + dm * dm * exp(-p_lv) - dlv + (-1), axis=-1) * 0.5``
+    with ``dlv = q_lv - p_lv`` and ``dm = q_mean - p_mean``.
+    """
+    prior_is_node = isinstance(p, Tensor)
+    if prior_is_node:
+        _same_tape(q, p)
+    pv = p.value if prior_is_node else _constant(p)
+    d = q.shape[-1] // 2
+    q_mean, q_lv = q.value[..., :d], q.value[..., d:]
+    p_mean, p_lv = pv[..., :d], pv[..., d:]
+    dlv = q_lv - p_lv
+    dm = q_mean - p_mean
+    inv_var = np.exp(p_lv * -1.0)
+    e = np.exp(dlv)
+    sq = dm * dm
+    per_weight = e + sq * inv_var - dlv + (-1.0)
+    value = np.asarray(per_weight.sum(axis=-1)) * 0.5
+
+    def vjp(g):
+        g = _spread(g * 0.5, -1, per_weight.shape)
+        g_sq = g * inv_var
+        g_dm = g_sq * dm + g_sq * dm
+        g_dlv = -g + g * e
+        g_q = np.concatenate([_unbroadcast(g_dm, q_mean.shape),
+                              _unbroadcast(g_dlv, q_lv.shape)], axis=-1)
+        if not prior_is_node:
+            return (g_q,)
+        g_inv = _unbroadcast(g * sq, inv_var.shape)
+        g_p_lv = g_inv * inv_var * -1.0 + _unbroadcast(-g_dlv, p_lv.shape)
+        return g_q, np.concatenate([_unbroadcast(-g_dm, p_mean.shape), g_p_lv], axis=-1)
+
+    return Tensor(q.tape, value, (q, p) if prior_is_node else (q,), vjp)
+
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + exp(a)), overflow-free, as one node.
+
+    Value and adjoint repeat, in the same order, the float operations of the
+    10-op chain ``relu(a) + log(exp(-(relu(a) + relu(-a))) + 1)``, relu
+    having subgradient 0 at 0; so the adjoint at a = 0 is 0, not 1/2.
+    """
+    t = a.value
+    pos = t > 0.0
+    relu_t = np.where(pos, t, 0.0)
+    neg_t = t * -1.0
+    neg = neg_t > 0.0
+    shrink = np.exp((relu_t + np.where(neg, neg_t, 0.0)) * -1.0)
+    one_plus = shrink + 1.0
+
+    def vjp(g):
+        g_abs = g / one_plus * shrink * -1.0
+        return (g * pos + g_abs * neg * -1.0 + g_abs * pos,)
+
+    return Tensor(a.tape, relu_t + np.log(one_plus), (a,), vjp)
+
+
+def clip_rescale(a: Tensor, c: float) -> Tensor:
+    """min(a, c) / c as one node, with adjoint 0 where a >= c.
+
+    Value and adjoint repeat, in the same order, the float operations of the
+    6-op chain ``(relu(-a + c) * -1 + c) * (1 / c)``.
+    """
+    scale = 1.0 / c
+    gap = a.value * -1.0 + c
+    below = gap > 0.0
+    value = (np.where(below, gap, 0.0) * -1.0 + c) * scale
+    return Tensor(a.tape, value, (a,), lambda g: (g * scale * -1.0 * below * -1.0,))
+
+
 def matmul(a, b):
     """Matrix product with numpy semantics; either side may be a constant
     array.
@@ -312,13 +395,6 @@ def sqrt(a: Tensor):
 def tanh(a: Tensor):
     out = np.tanh(a.value)
     return Tensor(a.tape, out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def relu(a: Tensor):
-    """max(x, 0) with subgradient 0 at x = 0."""
-    mask = a.value > 0.0
-    return Tensor(a.tape, np.where(mask, a.value, 0.0), (a,),
-                  lambda g: (g * mask,))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray):

@@ -31,7 +31,6 @@ from .model import (
     LossSpec,
     ModelArchitecture,
     StochasticModel,
-    block_layout,
     glorot_init,
     mc_empirical_risk,
     split_flat,
@@ -215,41 +214,21 @@ def meta_kl(rho: MetaPosterior, pi: MetaPrior) -> float:
 # by training and by the public objective functions that gradcheck it.
 
 
-def _mean_lv(v):
-    """Weight-mean and log-variance halves of a stacked parameter node."""
-    d = v.shape[-1] // 2
-    return diff.slice(v, (Ellipsis, slice(None, d))), diff.slice(v, (Ellipsis, slice(d, None)))
-
-
-def _taped_kl(q_mean, q_lv, p_mean, p_lv):
-    """Diagonal-Gaussian KL of each task posterior from its prior: (n,).
-    The prior halves are nodes or constant arrays."""
-    dlv = q_lv - p_lv
-    dm = q_mean - p_mean
-    inv_var = diff.exp(-p_lv) if isinstance(p_lv, diff.Tensor) else np.exp(-p_lv)
-    per_weight = diff.exp(dlv) + dm * dm * inv_var - dlv + (-1.0)
-    return diff.sum(per_weight, axis=-1) * 0.5
-
-
 def _sum_squares(theta):
     """Summed squares of a prior center: a node, or a number for a constant."""
     return diff.sum(theta * theta) if isinstance(theta, diff.Tensor) else np.sum(theta * theta)
 
 
-def _taped_risk(cfg: TrainConfig, q_mean, q_lv, x, y, eps: np.ndarray):
+def _taped_risk(cfg: TrainConfig, q, x, y, eps: np.ndarray):
     """Reparametrized risk of each task posterior on its minibatch: (n,).
 
-    eps is the (n, mc_train, d) weight noise; x is (n, B, in), y is (n, B).
+    q is the (n, 2d) posterior node, eps the (n, mc_train, d) weight noise;
+    x is (n, B, in), y is (n, B).
     """
-    arch = cfg.arch
-    n = q_mean.shape[0]
-
-    def blocks(half):
-        return {name: diff.slice(half, (slice(None), span), (n, 1) + shape)
-                for name, span, shape in block_layout(arch)}
-
-    draws = [split_flat(arch, eps[:, k]) for k in range(eps.shape[1])]
-    return taped_mc_risk(arch, blocks(q_mean), blocks(q_lv), x, y, cfg.loss, draws)
+    d = q.shape[-1] // 2
+    mean = diff.slice(q, (Ellipsis, None, slice(None, d)))
+    log_var = diff.slice(q, (Ellipsis, None, slice(d, None)))
+    return taped_mc_risk(cfg.arch, mean, log_var, x, y, cfg.loss, eps)
 
 
 def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
@@ -267,9 +246,8 @@ def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     d = width // 2
     p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
     eps = rng.standard_normal((n, cfg.mc_train, d))
-    q_mean, q_lv = _mean_lv(q)
-    risk = _taped_risk(cfg, q_mean, q_lv, x, y, eps)
-    kl_sum = diff.sum(_taped_kl(q_mean, q_lv, *_mean_lv(p)))
+    risk = _taped_risk(cfg, q, x, y, eps)
+    kl_sum = diff.sum(diff.gaussian_kl(q, p))
     squares = _sum_squares(theta0) + _sum_squares(theta1)
     mkl = _meta_kl_value(squares, d, cfg.kappa_rho, cfg.kappa_pi)
     empirical = diff.sum(risk) * (1.0 / n)
@@ -286,10 +264,8 @@ def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
     q is the (n, 2d) posterior node and prior the (n, 2d) array of prior
     parameters; returns one certificate per task, (n,).
     """
-    d = prior.shape[-1] // 2
-    q_mean, q_lv = _mean_lv(q)
-    risk = _taped_risk(cfg, q_mean, q_lv, x, y, eps)
-    kl = _taped_kl(q_mean, q_lv, prior[:, :d], prior[:, d:])
+    risk = _taped_risk(cfg, q, x, y, eps)
+    kl = diff.gaussian_kl(q, prior)
     return risk + diff.sqrt((kl + multitask_slack(1, m, cfg.delta)) * (1.0 / (2.0 * m)))
 
 
@@ -609,21 +585,19 @@ def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
     return model, adaptation_certificate(model, prior, new_task, cfg, mc_eval=mc_eval, rng=rng)
 
 
-def independent_baseline(new_task: Task, cfg: TrainConfig,
-                         adapt_epochs: int = 100,
-                         rng: np.random.Generator | None = None) -> StochasticModel:
+def independent_baseline(tasks, cfg: TrainConfig, *, adapt_epochs: int = 100,
+                         rngs) -> list[StochasticModel]:
     """Single-task training from scratch against the fixed zero-centered prior.
 
-    Runs the same adaptation procedure with both meta-posterior components
-    collapsed onto the zero parameter vector, i.e. a unit-variance zero-mean
-    prior over weights and an initialization sampled from the same point.
+    Runs :func:`adapt_many` with both meta-posterior components collapsed
+    onto the zero parameter vector, i.e. a unit-variance zero-mean prior over
+    weights and an initialization sampled from the same point; task i draws
+    from ``rngs[i]``.  Returns one model per task.
     """
     d = cfg.arch.param_count
     base = MetaPosterior.from_means(np.zeros(2 * d), np.zeros(2 * d), cfg.kappa_rho)
-    if rng is None:
-        rng = stream(cfg.seed, "independent")
-    [(model, _)] = adapt_many(base, [new_task], cfg, adapt_epochs=adapt_epochs, rngs=[rng])
-    return model
+    return [model for model, _ in adapt_many(base, tasks, cfg, adapt_epochs=adapt_epochs,
+                                             rngs=rngs)]
 
 
 _ARTIFACT_TAG = "metaposterior"

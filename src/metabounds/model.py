@@ -218,12 +218,6 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
 # serves every task and every draw.
 
 
-def taped_weights(mean_nodes: dict, log_var_nodes: dict, eps: dict[str, np.ndarray]) -> dict:
-    """Reparametrized weight draw per block: mean + exp(log_var / 2) * eps."""
-    return {name: diff.reparam(mean_nodes[name], log_var_nodes[name], eps[name])
-            for name in mean_nodes}
-
-
 def _bias_row(b):
     """Insert the sample axis in front of a bias block's last axis."""
     return diff.slice(b, (Ellipsis, None, slice(None)))
@@ -251,32 +245,26 @@ def taped_loss(arch: ModelArchitecture, loss: LossSpec, scores, y: np.ndarray):
     rejected here."""
     y = np.asarray(y)[..., None, :]
     if loss.kind == "logistic_clipped":
-        t = scores * (2.0 * y - 1.0)
-        # softplus(t) = relu(t) + log(1 + exp(-|t|)), overflow-free
-        abs_t = diff.relu(t) + diff.relu(-t)
-        raw = diff.relu(t) + diff.log(diff.exp(-abs_t) + 1.0)
+        raw = diff.softplus(scores * (2.0 * y - 1.0))
     elif loss.kind == "cross_entropy_clipped":
         raw = diff.softmax_cross_entropy(scores, y)
     else:
         raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
-    c = loss.clip_max
-    clipped = (diff.relu((-raw) + c) * (-1.0) + c) * (1.0 / c)
-    return diff.mean(clipped, axis=(-2, -1))
+    return diff.mean(diff.clip_rescale(raw, loss.clip_max), axis=(-2, -1))
 
 
-def taped_mc_risk(arch: ModelArchitecture, mean_nodes: dict, log_var_nodes: dict,
-                  x: np.ndarray, y: np.ndarray, loss: LossSpec,
-                  eps_draws: list[dict[str, np.ndarray]]):
+def taped_mc_risk(arch: ModelArchitecture, mean, log_var, x: np.ndarray, y: np.ndarray,
+                  loss: LossSpec, eps: np.ndarray):
     """Empirical risk averaged over fixed reparametrization draws.
 
-    Each draw maps block names to noise of the block's shape, or of (n,
-    *block shape) for n stacked tasks; then the mean and log-variance nodes
-    are (n, 1, *block shape), x is (n, B, in), y is (n, B) and the result
-    holds one risk per task. All draws share one tape pass.
+    mean and log_var are flat weight nodes that broadcast against the
+    (..., K, d) noise of K draws: (d,) for one task, or (n, 1, d) for n
+    stacked tasks, with x (n, B, in), y (n, B) and one risk per task as the
+    result. The draw is one ``diff.reparam`` node, cut into weight blocks;
+    all draws share one tape pass.
     """
-    eps = {
-        name: np.stack([draw[name] for draw in eps_draws], axis=-len(shape) - 1)
-        for name, shape in arch.layer_shapes()
-    }
-    weights = taped_weights(mean_nodes, log_var_nodes, eps)
-    return taped_loss(arch, loss, taped_scores(arch, weights, x), y)
+    weights = diff.reparam(mean, log_var, eps)
+    lead = weights.shape[:-1]
+    blocks = {name: diff.slice(weights, (Ellipsis, span), lead + shape)
+              for name, span, shape in block_layout(arch)}
+    return taped_loss(arch, loss, taped_scores(arch, blocks, x), y)

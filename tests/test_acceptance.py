@@ -43,7 +43,7 @@ from metabounds.gauss import (
 from metabounds.metalearn import (
     MetaPosterior,
     TrainConfig,
-    adapt,
+    adapt_many,
     adaptation_objective,
     independent_baseline,
     meta_objective,
@@ -134,8 +134,8 @@ def test_criterion_3_objective_gradients(capsys):
         qlv = tape.tensor(ps[1])
         pm = tape.tensor(prior.mean)
         plv = tape.tensor(prior.log_var)
-        risk = taped_mc_risk(LINEAR, {"w": qm}, {"w": qlv},
-                             task.train_x, task.train_y, LOGISTIC, [{"w": eps}])
+        risk = taped_mc_risk(LINEAR, qm, qlv, task.train_x, task.train_y, LOGISTIC,
+                             eps[None])
         dm = qm - pm
         kl = (diff.sum(diff.exp(qlv - plv)) + diff.sum(dm * dm * diff.exp(-plv))
               - float(prior.dim) + diff.sum(plv) - diff.sum(qlv)) * 0.5
@@ -280,16 +280,23 @@ def test_criterion_7_separated_priors_beat_tied_and_scratch(capsys):
         rho_sep, _ = train_meta(train_tasks, cfg(100, 600))
         rho_tied, _ = train_meta(train_tasks, cfg(700, 0))
         c = cfg(100, 600)
+
+        def rngs(name):
+            return [stream(seed, name, i) for i in range(len(test_tasks))]
+
+        # all 20 test tasks of an arm adapt together, each from its own stream
+        adapted = {
+            "sep": [m for m, _ in adapt_many(rho_sep, test_tasks, c, adapt_epochs=300,
+                                             rngs=rngs("a-sep"))],
+            "tied": [m for m, _ in adapt_many(rho_tied, test_tasks, c, adapt_epochs=300,
+                                              rngs=rngs("a-tied"))],
+            "ind": independent_baseline(test_tasks, c, adapt_epochs=300, rngs=rngs("a-ind")),
+        }
         errs = {"sep": [], "tied": [], "ind": []}
         for i, task in enumerate(test_tasks):
             eval_rng = stream(seed, "eval", i)
-            m_sep, _ = adapt(rho_sep, task, c, adapt_epochs=300,
-                             rng=stream(seed, "a-sep", i), mc_eval=50)
-            m_tied, _ = adapt(rho_tied, task, c, adapt_epochs=300,
-                              rng=stream(seed, "a-tied", i), mc_eval=50)
-            m_ind = independent_baseline(task, c, adapt_epochs=300,
-                                         rng=stream(seed, "a-ind", i))
-            for key, model in (("sep", m_sep), ("tied", m_tied), ("ind", m_ind)):
+            for key in ("sep", "tied", "ind"):
+                model = adapted[key][i]
                 err, _ = true_risk_mc(task, model, ZERO_ONE, 400, eval_rng, mc_samples=50)
                 errs[key].append(err)
         return {k: float(np.mean(v)) for k, v in errs.items()}

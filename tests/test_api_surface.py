@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "metabounds"
 
 ALLOWED = {
-    "adapt": "criterion 7 and the benchmark adapt and certify single tasks through it",
+    "adapt": "the benchmark adapts and certifies single tasks through it",
     "adaptation_objective": "criterion 3 gradchecks the adaptation certificate through it",
     "meta_objective": "criterion 3 gradchecks the meta-level certificate through it",
     "independent_baseline": "criterion 7 compares the meta-learner with from-scratch adaptation",

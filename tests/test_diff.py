@@ -27,10 +27,10 @@ class TestForwardOps:
         loss = diff.softmax_cross_entropy(logits, np.array([0]))
         np.testing.assert_allclose(loss.value, [np.log(2.0)])
 
-    def test_relu_values(self):
+    def test_clip_rescale_values(self):
         tape = Tape()
-        x = tape.tensor(np.array([-1.0, 2.0]))
-        np.testing.assert_array_equal(diff.relu(x).value, [0.0, 2.0])
+        x = tape.tensor(np.array([-1.0, 2.0, 4.0, 5.0]))
+        np.testing.assert_array_equal(diff.clip_rescale(x, 4.0).value, [-0.25, 0.5, 1.0, 1.0])
 
     def test_log_rejects_nonpositive(self):
         tape = Tape()
@@ -74,16 +74,16 @@ class TestBackward:
         backward(x * x)
         np.testing.assert_allclose(x.grad, 6.0)
 
-    def test_sum_of_relu_subgradient(self):
+    def test_sum_of_clip_rescale_subgradient(self):
         tape = Tape()
-        x = tape.tensor(np.array([-1.0, 2.0]))
-        backward(diff.sum(diff.relu(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+        x = tape.tensor(np.array([-1.0, 2.0, 5.0]))
+        backward(diff.sum(diff.clip_rescale(x, 4.0)))
+        np.testing.assert_array_equal(x.grad, [0.25, 0.25, 0.0])
 
-    def test_relu_subgradient_at_zero_is_zero(self):
+    def test_clip_rescale_subgradient_at_the_clip_is_zero(self):
         tape = Tape()
-        x = tape.tensor(np.array([0.0]))
-        backward(diff.sum(diff.relu(x)))
+        x = tape.tensor(np.array([4.0]))
+        backward(diff.sum(diff.clip_rescale(x, 4.0)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_rejects_nonscalar_output(self):
@@ -399,7 +399,8 @@ class TestConstantOperands:
         bad = np.array([1.0, np.nan])
         for build in (lambda: a + bad, lambda: bad - a, lambda: a * bad,
                       lambda: diff.matmul(tape.tensor(np.ones((2, 2))), bad),
-                      lambda: diff.reparam(a, a, bad)):
+                      lambda: diff.reparam(a, a, bad),
+                      lambda: diff.gaussian_kl(a, bad)):
             with pytest.raises(ValueError, match="finite"):
                 build()
 
@@ -455,6 +456,153 @@ class TestReparam:
         for a, b in zip(fused[:3], chain[:3]):
             assert np.array_equal(a, b)
         assert chain[3] - fused[3] == 4
+
+
+def _relu(a):
+    """max(a, 0) with subgradient 0 at 0: the op the fused chains were built
+    from, kept here as their reference."""
+    mask = a.value > 0.0
+    return diff.Tensor(a.tape, np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+
+
+def _chain_kl(q, p):
+    """The per-row Gaussian KL as the elementwise chain gaussian_kl fuses."""
+    d = q.shape[-1] // 2
+    q_mean, q_lv = diff.slice(q, (Ellipsis, slice(None, d))), diff.slice(q, (Ellipsis, slice(d, None)))
+    if isinstance(p, diff.Tensor):
+        p_mean, p_lv = diff.slice(p, (Ellipsis, slice(None, d))), diff.slice(p, (Ellipsis, slice(d, None)))
+        inv_var = diff.exp(-p_lv)
+    else:
+        p_mean, p_lv = p[..., :d], p[..., d:]
+        inv_var = np.exp(-p_lv)
+    dlv = q_lv - p_lv
+    dm = q_mean - p_mean
+    per_weight = diff.exp(dlv) + dm * dm * inv_var - dlv + (-1.0)
+    return diff.sum(per_weight, axis=-1) * 0.5
+
+
+def _chain_softplus(t):
+    abs_t = _relu(t) + _relu(-t)
+    return _relu(t) + diff.log(diff.exp(-abs_t) + 1.0)
+
+
+def _chain_clip_rescale(raw, c):
+    return (_relu((-raw) + c) * (-1.0) + c) * (1.0 / c)
+
+
+class TestFusedOps:
+    """Each fused op is its elementwise chain as one node: same gradient, and
+    the same floats, value and adjoints, as the chain."""
+
+    rng = np.random.default_rng(113)
+
+    def _kl_prior(self, prior_kind, n, d):
+        if prior_kind == "row":
+            return self.rng.normal(-0.5, 0.5, 2 * d)
+        return self.rng.normal(-0.5, 0.5, (n, 2 * d))
+
+    @pytest.mark.parametrize("prior_kind", ["row", "stacked"])
+    @pytest.mark.parametrize("prior_is_node", [True, False], ids=["node", "constant"])
+    def test_gaussian_kl_gradcheck(self, prior_kind, prior_is_node):
+        n, d = 3, 2
+        p_value = self._kl_prior(prior_kind, n, d)
+        weights = self.rng.normal(size=n)
+
+        def build(ps):
+            tape = Tape()
+            q = tape.tensor(ps[0])
+            p = tape.tensor(ps[1]) if prior_is_node else p_value
+            out = diff.sum(diff.gaussian_kl(q, p) * weights)
+            return out, [q, p] if prior_is_node else [q]
+
+        points = [self.rng.normal(-0.5, 0.5, (n, 2 * d))]
+        if prior_is_node:
+            points.append(p_value)
+        assert gradcheck(build, points) <= 1e-6
+
+    def test_gaussian_kl_is_the_closed_form(self):
+        from metabounds.gauss import DiagonalGaussian, kl_diag_gaussian
+
+        q = self.rng.normal(size=(2, 6))
+        p = self.rng.normal(size=6)
+        value = diff.gaussian_kl(Tape().tensor(q), p).value
+        for row, kl in zip(q, value):
+            expected = kl_diag_gaussian(DiagonalGaussian(row[:3], row[3:]),
+                                        DiagonalGaussian(p[:3], p[3:]))
+            assert abs(kl - expected) <= 1e-12
+
+    @pytest.mark.parametrize("prior_kind", ["row", "stacked"])
+    @pytest.mark.parametrize("prior_is_node", [True, False], ids=["node", "constant"])
+    def test_gaussian_kl_equals_its_chain(self, prior_kind, prior_is_node):
+        n, d = 10, 3
+        q_value = self.rng.normal(-0.5, 0.5, (n, 2 * d))
+        p_value = self._kl_prior(prior_kind, n, d)
+        weights = self.rng.normal(size=n)
+
+        def run(kl):
+            tape = Tape()
+            q = tape.tensor(q_value)
+            p = tape.tensor(p_value) if prior_is_node else p_value
+            # q feeds a second consumer, as in the certificates
+            out = kl(q, p)
+            backward(diff.sum(out * weights) + diff.sum(q * q))
+            return out.value, q.grad, p.grad if prior_is_node else None
+
+        fused, chain = run(diff.gaussian_kl), run(_chain_kl)
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+
+    def test_softplus_gradcheck(self):
+        def build(ps):
+            tape = Tape()
+            t = tape.tensor(ps[0])
+            return diff.sum(diff.softplus(t) * np.arange(1.0, 7.0)), [t]
+
+        assert gradcheck(build, [np.array([-6.0, -2.0, -0.3, 0.4, 3.0, 6.0])]) <= 1e-6
+
+    def test_softplus_equals_its_chain(self):
+        t_value = np.concatenate([[0.0, -0.0, 1e-300, -800.0, 800.0, 40.0, -40.0],
+                                  self.rng.normal(0.0, 3.0, 9)])
+        weights = self.rng.normal(size=t_value.size)
+
+        def run(op):
+            tape = Tape()
+            t = tape.tensor(t_value)
+            out = op(t)
+            backward(diff.sum(out * weights))
+            return out.value, t.grad
+
+        fused, chain = run(diff.softplus), run(_chain_softplus)
+        assert np.all(np.isfinite(fused[0]))
+        np.testing.assert_allclose(fused[0], np.logaddexp(0.0, t_value), rtol=0.0, atol=1e-15)
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+
+    def test_clip_rescale_gradcheck(self):
+        def build(ps):
+            tape = Tape()
+            raw = tape.tensor(ps[0])
+            return diff.sum(diff.clip_rescale(raw, 3.0) * np.arange(1.0, 5.0)), [raw]
+
+        assert gradcheck(build, [np.array([0.2, 1.5, 2.9, 3.4])]) <= 1e-6
+
+    def test_clip_rescale_equals_its_chain(self):
+        c = 3.0
+        raw_value = np.concatenate([[c, np.nextafter(c, 0.0), np.nextafter(c, 9.0), 0.0, 1e3],
+                                    self.rng.uniform(0.0, 2.0 * c, 60)])
+        weights = self.rng.normal(size=raw_value.size)
+
+        def run(op):
+            tape = Tape()
+            raw = tape.tensor(raw_value)
+            out = op(raw, c)
+            backward(diff.sum(out * weights))
+            return out.value, raw.grad
+
+        fused, chain = run(diff.clip_rescale), run(_chain_clip_rescale)
+        assert fused[1][0] == 0.0 and fused[1][1] != 0.0
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
 
 
 class TestTapeLifetime:

@@ -450,7 +450,7 @@ class TestStepTapes:
     and freed by reference counting when the step ends."""
 
     @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
-                             [(LINEAR, (60, 58), 40), (MLP, (65, 63), 45)],
+                             [(LINEAR, (32, 30), 16), (MLP, (40, 38), 24)],
                              ids=["linear", "mlp1"])
     def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
         steps = []
@@ -723,7 +723,8 @@ class TestIndependentBaseline:
     def test_delegates_to_adaptation_at_the_zero_point(self):
         task = _toy_tasks(1, 16, seed=47)[0]
         cfg = _cfg()
-        baseline = independent_baseline(task, cfg, adapt_epochs=3)
+        [baseline] = independent_baseline([task], cfg, adapt_epochs=3,
+                                          rngs=[stream(cfg.seed, "independent")])
         zero = MetaPosterior.from_means(np.zeros(4), np.zeros(4), cfg.kappa_rho)
         same, _ = adapt(zero, task, cfg, adapt_epochs=3,
                         rng=stream(cfg.seed, "independent"))
@@ -732,8 +733,10 @@ class TestIndependentBaseline:
 
     def test_deterministic_given_seed(self):
         task = _toy_tasks(1, 16, seed=53)[0]
-        a = independent_baseline(task, _cfg(), adapt_epochs=2)
-        b = independent_baseline(task, _cfg(), adapt_epochs=2)
+        [a] = independent_baseline([task], _cfg(), adapt_epochs=2,
+                                   rngs=[np.random.default_rng(3)])
+        [b] = independent_baseline([task], _cfg(), adapt_epochs=2,
+                                   rngs=[np.random.default_rng(3)])
         assert np.array_equal(a.posterior.mean, b.posterior.mean)
 
 

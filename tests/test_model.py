@@ -173,29 +173,17 @@ class TestTapedRisk:
     def _build_for(self, arch, loss, x, y, seed):
         rng = np.random.default_rng(seed)
         post = glorot_init(arch, rng)
-        shapes = arch.layer_shapes()
-        eps = [{name: rng.standard_normal(s) for name, s in shapes}
-               for _ in range(2)]
-        from metabounds.model import split_flat as sf
+        # two draws, each filled block by block in layout order
+        eps = rng.standard_normal((2, arch.param_count))
 
         def build(ps):
             tape = Tape()
-            mean_nodes = {}
-            lv_nodes = {}
-            leaves = []
-            for i, (name, _) in enumerate(shapes):
-                mean_nodes[name] = tape.tensor(ps[2 * i])
-                lv_nodes[name] = tape.tensor(ps[2 * i + 1])
-                leaves.extend([mean_nodes[name], lv_nodes[name]])
-            out = taped_mc_risk(arch, mean_nodes, lv_nodes, x, y, loss, eps)
-            return out, leaves
+            mean = tape.tensor(ps[0])
+            log_var = tape.tensor(ps[1])
+            out = taped_mc_risk(arch, mean, log_var, x, y, loss, eps)
+            return out, [mean, log_var]
 
-        mean_blocks = sf(arch, post.mean)
-        lv_blocks = sf(arch, post.log_var)
-        points = []
-        for name, _ in shapes:
-            points.extend([mean_blocks[name], lv_blocks[name]])
-        return build, points
+        return build, [post.mean, post.log_var]
 
     def test_taped_value_matches_numpy_path(self):
         rng = np.random.default_rng(2)
@@ -204,11 +192,11 @@ class TestTapedRisk:
         post = glorot_init(LINEAR2, np.random.default_rng(8))
         loss = LossSpec("logistic_clipped")
         tape = Tape()
-        mean_nodes = {"w": tape.tensor(post.mean)}
-        lv_nodes = {"w": tape.tensor(post.log_var)}
-        eps = {"w": np.random.default_rng(9).standard_normal(2)}
-        out = taped_mc_risk(LINEAR2, mean_nodes, lv_nodes, x, y, loss, [eps])
-        w = post.mean + post.std * eps["w"]
+        mean = tape.tensor(post.mean)
+        log_var = tape.tensor(post.log_var)
+        eps = np.random.default_rng(9).standard_normal(2)
+        out = taped_mc_risk(LINEAR2, mean, log_var, x, y, loss, eps[None])
+        w = post.mean + post.std * eps
         m = StochasticModel(LINEAR2, near_dirac(w))
         direct = loss_values(loss, LINEAR2, x @ w, y).mean()
         np.testing.assert_allclose(float(out.value), direct, rtol=1e-12)
