@@ -8,12 +8,17 @@ topological order by construction. backward() is one reverse pass over that
 list. Everything is float64; a finite-difference gradcheck is included as
 the accompanying oracle.
 
-The cost of a step is Python overhead per node, so the certificates' hot
-chains are fused into single nodes: the reparametrized draw ``reparam``, the
-diagonal-Gaussian divergence ``gaussian_kl``, the logistic ``softplus`` and
-the clipped, rescaled loss ``clip_rescale``. Each repeats, in the same order,
-the float operations of the elementwise chain it stands for, adjoint
-accumulation included, so a fused tape and the chain agree bit for bit.
+The cost of a step is Python overhead per node, not flops: the arrays are
+tiny. So the certificates' hot chains are fused into single nodes: the
+reparametrized draw ``reparam``, the diagonal-Gaussian divergence
+``gaussian_kl``, the logistic ``softplus`` and the clipped, rescaled loss
+``clip_rescale`` here, and each certificate's arithmetic in ``metalearn``.
+Each repeats, in the same order, the float operations of the elementwise
+chain it stands for, adjoint accumulation included, so a fused tape and the
+chain agree bit for bit. For the same reason the ops reduce with ufunc
+methods (``np.add.reduce`` rather than ``ndarray.sum``) and read ``.shape``
+rather than ``np.shape``: numpy's Python-level wrappers would add Python
+calls per node for the same floats.
 
 Only what is differentiated is a node. ``add``, ``sub``, ``mul`` and
 ``matmul`` take a constant on either side, a number or an ndarray (data,
@@ -37,7 +42,7 @@ import numpy as np
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor entries must be finite")
     return arr
 
@@ -142,9 +147,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     broadcast, so it comes back in the operand's own shape."""
     if g.shape == shape:
         return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    lead = g.ndim - len(shape)
+    if lead:
+        g = np.add.reduce(g, axis=tuple(range(lead)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
+    return np.add.reduce(g, axis=axes, keepdims=True) if axes else g
 
 
 def _constant(value):
@@ -178,26 +185,29 @@ def _node(a, b, value, vjp_a, vjp_b) -> Tensor:
     return Tensor(b.tape, value, (b,), lambda g: (vjp_b(g),))
 
 
+# A vjp reads its operand's shape only when that operand is a Tensor, whose
+# value is an ndarray or numpy scalar; a constant may be a plain float.
+
+
 def add(a, b):
     """a + b under numpy broadcasting."""
     av, bv = _operands(a, b)
-    sa, sb = np.shape(av), np.shape(bv)
-    return _node(a, b, av + bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
+    return _node(a, b, av + bv, lambda g: _unbroadcast(g, av.shape),
+                 lambda g: _unbroadcast(g, bv.shape))
 
 
 def sub(a, b):
     """a - b under numpy broadcasting."""
     av, bv = _operands(a, b)
-    sa, sb = np.shape(av), np.shape(bv)
-    return _node(a, b, av - bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
+    return _node(a, b, av - bv, lambda g: _unbroadcast(g, av.shape),
+                 lambda g: _unbroadcast(-g, bv.shape))
 
 
 def mul(a, b):
     """Elementwise product under numpy broadcasting."""
     av, bv = _operands(a, b)
-    sa, sb = np.shape(av), np.shape(bv)
-    return _node(a, b, av * bv, lambda g: _unbroadcast(g * bv, sa),
-                 lambda g: _unbroadcast(g * av, sb))
+    return _node(a, b, av * bv, lambda g: _unbroadcast(g * bv, av.shape),
+                 lambda g: _unbroadcast(g * av, bv.shape))
 
 
 def reparam(mean: Tensor, log_var: Tensor, eps) -> Tensor:
@@ -241,7 +251,7 @@ def gaussian_kl(q: Tensor, p) -> Tensor:
     e = np.exp(dlv)
     sq = dm * dm
     per_weight = e + sq * inv_var - dlv + (-1.0)
-    value = np.asarray(per_weight.sum(axis=-1)) * 0.5
+    value = np.add.reduce(per_weight, axis=-1) * 0.5
 
     def vjp(g):
         g = _spread(g * 0.5, -1, per_weight.shape)
@@ -264,7 +274,8 @@ def softplus(a: Tensor) -> Tensor:
 
     Value and adjoint repeat, in the same order, the float operations of the
     10-op chain ``relu(a) + log(exp(-(relu(a) + relu(-a))) + 1)``, relu
-    having subgradient 0 at 0; so the adjoint at a = 0 is 0, not 1/2.
+    having subgradient 0 at 0; at a = 0 alone the adjoint is instead
+    softplus's derivative 1/2.
     """
     t = a.value
     pos = t > 0.0
@@ -276,7 +287,8 @@ def softplus(a: Tensor) -> Tensor:
 
     def vjp(g):
         g_abs = g / one_plus * shrink * -1.0
-        return (g * pos + g_abs * neg * -1.0 + g_abs * pos,)
+        chain = g * pos + g_abs * neg * -1.0 + g_abs * pos
+        return (np.where(t == 0.0, g * 0.5, chain),)
 
     return Tensor(a.tape, relu_t + np.log(one_plus), (a,), vjp)
 
@@ -303,7 +315,7 @@ def matmul(a, b):
     axes are batch axes that broadcast, so (n,k,p,q)@(n,1,q,r) -> (n,k,p,r).
     """
     av, bv = _operands(a, b)
-    sa, sb = np.shape(av), np.shape(bv)
+    sa, sb = getattr(av, "shape", ()), getattr(bv, "shape", ())
     if len(sa) < 2:
         raise ValueError(f"matmul left operand must be at least 2-d, got {sa}")
     if len(sb) == 1:
@@ -315,29 +327,38 @@ def matmul(a, b):
     except ValueError as exc:
         raise ValueError(f"matmul shape mismatch: {sa} @ {sb}") from exc
     return _node(a, b, value,
-                 lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), sa),
-                 lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, sb))
+                 lambda g: _unbroadcast(g @ bv.swapaxes(-1, -2), sa),
+                 lambda g: _unbroadcast(av.swapaxes(-1, -2) @ g, sb))
 
 
 def _spread(g: np.ndarray, axis, shape: tuple) -> np.ndarray:
-    """Broadcast the adjoint of a reduction back over the reduced axes."""
-    axes = tuple(range(len(shape))) if axis is None else axis
-    return np.broadcast_to(np.expand_dims(g, axes), shape)
+    """Copy the adjoint of a reduction over ``axis`` (None for all axes) back
+    across the reduced axes of an operand of ``shape``."""
+    full = np.empty(shape)
+    if axis is None:
+        full[...] = g
+        return full
+    kept = list(shape)
+    for ax in (axis,) if isinstance(axis, int) else axis:
+        kept[ax] = 1
+    full[...] = g.reshape(kept)
+    return full
 
 
 def sum(a: Tensor, axis=None):  # noqa: A001 - mirrors the op set on purpose
     """Sum over ``axis`` (an int or a tuple of ints), or of all entries as a
     scalar."""
-    return Tensor(a.tape, np.asarray(a.value.sum(axis=axis)), (a,),
+    return Tensor(a.tape, np.asarray(np.add.reduce(a.value, axis=axis)), (a,),
                   lambda g: (_spread(g, axis, a.shape),))
 
 
 def mean(a: Tensor, axis=None):
     """Arithmetic mean over ``axis`` (an int or a tuple of ints), or of all
     entries as a scalar."""
-    value = np.asarray(a.value.mean(axis=axis))
-    count = a.value.size // value.size
-    return Tensor(a.tape, value, (a,), lambda g: (_spread(g / count, axis, a.shape),))
+    total = np.add.reduce(a.value, axis=axis)
+    count = a.value.size // total.size
+    return Tensor(a.tape, np.asarray(total / count), (a,),
+                  lambda g: (_spread(g / count, axis, a.shape),))
 
 
 def slice(a: Tensor, index, shape: tuple | None = None):  # noqa: A001
@@ -408,17 +429,21 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray):
     if logits.value.ndim < 2:
         raise ValueError(f"logits must be at least 2-d, got {logits.shape}")
     labels = np.asarray(labels)
-    lead = logits.shape[:-1]
+    z = logits.value
+    lead = z.shape[:-1]
     if labels.ndim == 0 or labels.shape[-1] != lead[-1]:
         raise ValueError(f"labels shape {labels.shape} does not match batch {lead}")
-    labels = np.broadcast_to(labels, lead)
-    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
+    if (np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= z.shape[-1]):
         raise ValueError("label out of range")
-    z = logits.value
-    shifted = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
     onehot = labels[..., None] == np.arange(z.shape[-1])
-    losses = lse - np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
+    # one term per row is not zero, so the sum is the label's entry exactly
+    picked = np.add.reduce(np.where(onehot, shifted, 0.0), axis=-1)
+    if picked.shape != lead:
+        raise ValueError(f"labels shape {labels.shape} does not match batch {lead}")
+    losses = lse - picked
     residual = np.exp(shifted - lse[..., None]) - onehot
 
     return Tensor(logits.tape, losses, (logits,), lambda g: (residual * g[..., None],))

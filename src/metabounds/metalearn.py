@@ -189,22 +189,24 @@ class TrainingDiverged(RuntimeError):
         return (TrainingDiverged, (self.message, self.trace, self.task))
 
 
-def _meta_kl_value(squares, d: int, kappa_rho: float, kappa_pi: float):
-    """Meta-KL given the summed squares of both components' centers.
+def _meta_kl_coefficients(d: int, kappa_rho: float, kappa_pi: float) -> tuple[float, float]:
+    """``(scale, shift)`` with meta-KL ``= squares * scale + shift``, where
+    ``squares`` sums the squares of both components' centers.
 
     Closed form for equal-spread Gaussians against the zero-centered
-    reference; ``squares`` may be a float or a tape node.
+    reference.
     """
     scale = 1.0 / (2.0 * kappa_pi**2)
     shift = 4.0 * d * kappa_rho**2 * scale - 2.0 * d + 4.0 * d * math.log(kappa_pi / kappa_rho)
-    return squares * scale + shift
+    return scale, shift
 
 
 def meta_kl(rho: MetaPosterior, pi: MetaPrior) -> float:
     """Divergence of the two-component meta-posterior from its reference;
     equals the sum of the two component KLs."""
     squares = float(rho.theta0 @ rho.theta0 + rho.theta1 @ rho.theta1)
-    return _meta_kl_value(squares, rho.weight_dim, rho.kappa_rho, pi.kappa_pi)
+    scale, shift = _meta_kl_coefficients(rho.weight_dim, rho.kappa_rho, pi.kappa_pi)
+    return squares * scale + shift
 
 
 # Tape-side certificates. Parameter nodes are stacked: the task posteriors
@@ -212,11 +214,83 @@ def meta_kl(rho: MetaPosterior, pi: MetaPrior) -> float:
 # it. What is not optimized (data, noise, fixed priors, the frozen stage-two
 # center) enters as a constant array. Each certificate has one builder, used
 # by training and by the public objective functions that gradcheck it.
+#
+# A certificate's arithmetic on the per-task risks and divergences is one
+# node. Its value and adjoints repeat, in the same order, the float
+# operations of the chain of diff ops that spells the certificate out (sums,
+# sums of squares, scalings, square roots), adjoint accumulation included,
+# so training follows the chain's path bit for bit. Like diff.sqrt, the
+# nodes reject a nonpositive square-root argument and let NaN through to the
+# training loops' finiteness checks.
 
 
-def _sum_squares(theta):
-    """Summed squares of a prior center: a node, or a number for a constant."""
-    return diff.sum(theta * theta) if isinstance(theta, diff.Tensor) else np.sum(theta * theta)
+def _check_sqrt_args(*args) -> None:
+    for arg in args:
+        if (arg <= 0.0).any():
+            raise ValueError("sqrt requires strictly positive input")
+
+
+def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
+    """The two-level certificate of the (n,) risks and divergences as one
+    node: their mean risk plus the task-level and multitask square-root terms.
+
+    theta1 is a node; theta0 is the same node (tied), another node, or a
+    constant array (frozen). The node stands for the chain
+    ``sum(risk) * (1/n) + sqrt((mkl + task_level_slack) * (1/(2n)))
+    + sqrt((mkl + sum(kl) + multitask_slack) * (1/(2nm)))`` with the meta-KL
+    ``mkl = (sum(theta0 * theta0) + sum(theta1 * theta1)) * scale + shift``.
+    """
+    n = risk.shape[0]
+    tied = theta0 is theta1
+    theta0_is_node = isinstance(theta0, diff.Tensor)
+    t1 = theta1.value
+    t0 = theta0.value if theta0_is_node else theta0
+    sq1 = np.add.reduce(t1 * t1, axis=None)
+    squares = (sq1 if tied else np.add.reduce(t0 * t0, axis=None)) + sq1
+    scale, shift = _meta_kl_coefficients(t1.shape[0] // 2, cfg.kappa_rho, cfg.kappa_pi)
+    mkl = squares * scale + shift
+    task_scale = 1.0 / (2.0 * n)
+    multi_scale = 1.0 / (2.0 * n * m)
+    task_arg = (mkl + task_level_slack(n, cfg.delta)) * task_scale
+    multi_arg = (mkl + np.add.reduce(kl.value, axis=None)
+                 + multitask_slack(n, m, cfg.delta)) * multi_scale
+    _check_sqrt_args(task_arg, multi_arg)
+    task_term = np.sqrt(task_arg)
+    multi_term = np.sqrt(multi_arg)
+    value = np.add.reduce(risk.value, axis=None) * (1.0 / n) + task_term + multi_term
+
+    def vjp(g):
+        g_multi = g * 0.5 / multi_term * multi_scale
+        # the chain reaches mkl through the multitask term first
+        g_squares = (g_multi + g * 0.5 / task_term * task_scale) * scale
+        g_risk, g_kl = np.full(n, g * (1.0 / n)), np.full(n, g_multi)
+        # each sum of squares hands its center two equal adjoints; the chain
+        # accumulates theta1's pair, then theta0's
+        g1 = g_squares * t1
+        if tied:
+            return g_risk, g_kl, g1 + g1 + g1 + g1
+        if not theta0_is_node:
+            return g_risk, g_kl, g1 + g1
+        g0 = g_squares * t0
+        return g_risk, g_kl, g0 + g0, g1 + g1
+
+    if tied or not theta0_is_node:
+        parents = (risk, kl, theta1)
+    else:
+        parents = (risk, kl, theta0, theta1)
+    return diff.Tensor(risk.tape, value, parents, vjp)
+
+
+def _adaptation_certificate_node(cfg: TrainConfig, m: int, risk, kl):
+    """Single-task certificates of (n,) risks and divergences as one node:
+    the chain ``risk + sqrt((kl + multitask_slack) * (1/(2m)))``, one value
+    per task."""
+    scale = 1.0 / (2.0 * m)
+    arg = (kl.value + multitask_slack(1, m, cfg.delta)) * scale
+    _check_sqrt_args(arg)
+    root = np.sqrt(arg)
+    return diff.Tensor(risk.tape, risk.value + root, (risk, kl),
+                       lambda g: (g, g * 0.5 / root * scale))
 
 
 def _taped_risk(cfg: TrainConfig, q, x, y, eps: np.ndarray):
@@ -247,14 +321,7 @@ def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = _taped_risk(cfg, q, x, y, eps)
-    kl_sum = diff.sum(diff.gaussian_kl(q, p))
-    squares = _sum_squares(theta0) + _sum_squares(theta1)
-    mkl = _meta_kl_value(squares, d, cfg.kappa_rho, cfg.kappa_pi)
-    empirical = diff.sum(risk) * (1.0 / n)
-    task_term = diff.sqrt((mkl + task_level_slack(n, cfg.delta)) * (1.0 / (2.0 * n)))
-    multi_term = diff.sqrt((mkl + kl_sum + multitask_slack(n, m, cfg.delta))
-                           * (1.0 / (2.0 * n * m)))
-    return empirical + task_term + multi_term
+    return _meta_certificate_node(cfg, m, theta0, theta1, risk, diff.gaussian_kl(q, p))
 
 
 def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
@@ -265,8 +332,7 @@ def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
     parameters; returns one certificate per task, (n,).
     """
     risk = _taped_risk(cfg, q, x, y, eps)
-    kl = diff.gaussian_kl(q, prior)
-    return risk + diff.sqrt((kl + multitask_slack(1, m, cfg.delta)) * (1.0 / (2.0 * m)))
+    return _adaptation_certificate_node(cfg, m, risk, diff.gaussian_kl(q, prior))
 
 
 def _flat(dist: DiagonalGaussian) -> np.ndarray:
@@ -408,13 +474,19 @@ def _minibatches(x: np.ndarray, y: np.ndarray, perms: np.ndarray, batch_size: in
         yield x[rows, idx], y[rows, idx]
 
 
+def _epoch_mean(per_step: list):
+    """Mean over an epoch's steps of their objective values, as np.mean
+    computes it: the values' sum divided by their count."""
+    return np.add.reduce(per_step, axis=0) / len(per_step)
+
+
 def _check_finite(values: np.ndarray, traces: list, message: str) -> None:
     """Raise TrainingDiverged for the first task whose row of ``values``
     holds a non-finite entry, with that task's trace."""
-    bad = ~np.isfinite(values.reshape(len(traces), -1)).all(axis=1)
-    if bad.any():
-        task = int(np.argmax(bad))
-        raise TrainingDiverged(message, traces[task], task=task)
+    if np.isfinite(values).all():
+        return
+    task = int(np.argmin(np.isfinite(values.reshape(len(traces), -1)).all(axis=1)))
+    raise TrainingDiverged(message, traces[task], task=task)
 
 
 def _stage_loop(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict,
@@ -429,7 +501,7 @@ def _stage_loop(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict,
     n, m = y.shape
     opt = _make_optimizer(cfg)
     for _ in range(epochs):
-        perms = np.stack([rng.permutation(m) for _ in range(n)])
+        perms = np.array([rng.permutation(m) for _ in range(n)])
         per_step = []
         for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
             with diff.Tape() as tape:
@@ -442,10 +514,10 @@ def _stage_loop(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict,
                     raise TrainingDiverged("objective became non-finite", trace)
                 diff.backward(value)
                 opt.step(params, {"theta": theta1.grad, "q": q.grad})
-            if not all(np.all(np.isfinite(v)) for v in params.values()):
+            if not (np.isfinite(params["theta"]).all() and np.isfinite(params["q"]).all()):
                 raise TrainingDiverged("parameters became non-finite", trace)
             per_step.append(current)
-        trace.objectives.append(float(np.mean(per_step)))
+        trace.objectives.append(float(_epoch_mean(per_step)))
 
 
 def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrace]:
@@ -531,10 +603,10 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     opt = _make_optimizer(cfg)
 
     for _ in range(adapt_epochs):
-        perms = np.stack([rng.permutation(m) for rng in rngs])
+        perms = np.array([rng.permutation(m) for rng in rngs])
         per_step = []
         for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
-            eps = np.stack([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
+            eps = np.array([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
             with diff.Tape() as tape:
                 q = tape.tensor(params["q"])
                 values = _adaptation_certificates(cfg, m, q, prior, xb, yb, eps)
@@ -543,7 +615,7 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
                 opt.step(params, {"q": q.grad})
             _check_finite(params["q"], traces, "parameters became non-finite")
             per_step.append(values.value)
-        for trace, value in zip(traces, np.mean(per_step, axis=0)):
+        for trace, value in zip(traces, _epoch_mean(per_step)):
             trace.objectives.append(float(value))
 
     return [(StochasticModel(arch, DiagonalGaussian(row[:d], row[d:])),

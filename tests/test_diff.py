@@ -560,8 +560,18 @@ class TestFusedOps:
 
         assert gradcheck(build, [np.array([-6.0, -2.0, -0.3, 0.4, 3.0, 6.0])]) <= 1e-6
 
+    def test_softplus_gradcheck_at_zero(self):
+        def build(ps):
+            tape = Tape()
+            t = tape.tensor(ps[0])
+            return diff.sum(diff.softplus(t) * np.array([1.0, -3.0])), [t]
+
+        assert gradcheck(build, [np.array([0.0, -0.0])]) <= 1e-6
+
     def test_softplus_equals_its_chain(self):
-        t_value = np.concatenate([[0.0, -0.0, 1e-300, -800.0, 800.0, 40.0, -40.0],
+        """Bit for bit off zero; at +-0 the adjoint is the derivative 1/2,
+        where the chain's relu subgradient gives 0."""
+        t_value = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, -800.0, 800.0, 40.0, -40.0],
                                   self.rng.normal(0.0, 3.0, 9)])
         weights = self.rng.normal(size=t_value.size)
 
@@ -575,8 +585,10 @@ class TestFusedOps:
         fused, chain = run(diff.softplus), run(_chain_softplus)
         assert np.all(np.isfinite(fused[0]))
         np.testing.assert_allclose(fused[0], np.logaddexp(0.0, t_value), rtol=0.0, atol=1e-15)
-        for a, b in zip(fused, chain):
-            assert np.array_equal(a, b)
+        assert np.array_equal(fused[0], chain[0])
+        off_zero = t_value != 0.0
+        assert np.array_equal(fused[1][off_zero], chain[1][off_zero])
+        assert np.array_equal(fused[1][~off_zero], 0.5 * weights[~off_zero])
 
     def test_clip_rescale_gradcheck(self):
         def build(ps):

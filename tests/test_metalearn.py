@@ -2,14 +2,21 @@
 
 import contextlib
 import gc
+import hashlib
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from metabounds.bounds import MetaBoundInput, adaptation_bound, theorem1_bound
-from metabounds import diff
+from metabounds.bounds import (
+    MetaBoundInput,
+    adaptation_bound,
+    multitask_slack,
+    task_level_slack,
+    theorem1_bound,
+)
+from metabounds import diff, metalearn
 from metabounds.diff import backward, gradcheck
 from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
 from metabounds.gauss import DiagonalGaussian, isotropic, kl_diag_gaussian
@@ -334,6 +341,182 @@ class TestMetaObjective:
                            [model], tasks, _cfg())
 
 
+def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
+    """metalearn._meta_certificate as it was before its arithmetic became one
+    node, kept as that node's reference: a chain of diff ops. Returns the
+    certificate and its risk and divergence nodes."""
+    n, width = q.shape
+    d = width // 2
+    p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
+    eps = rng.standard_normal((n, cfg.mc_train, d))
+    risk = metalearn._taped_risk(cfg, q, x, y, eps)
+    kl = diff.gaussian_kl(q, p)
+    kl_sum = diff.sum(kl)
+
+    def sum_squares(theta):
+        return diff.sum(theta * theta) if isinstance(theta, diff.Tensor) else np.sum(theta * theta)
+
+    squares = sum_squares(theta0) + sum_squares(theta1)
+    scale, shift = metalearn._meta_kl_coefficients(d, cfg.kappa_rho, cfg.kappa_pi)
+    mkl = squares * scale + shift
+    empirical = diff.sum(risk) * (1.0 / n)
+    task_term = diff.sqrt((mkl + task_level_slack(n, cfg.delta)) * (1.0 / (2.0 * n)))
+    multi_term = diff.sqrt((mkl + kl_sum + multitask_slack(n, m, cfg.delta))
+                           * (1.0 / (2.0 * n * m)))
+    return empirical + task_term + multi_term, risk, kl
+
+
+def _chain_adaptation_certificates(cfg, m, q, prior, x, y, eps):
+    """metalearn._adaptation_certificates as a chain of diff ops, kept as the
+    reference of its one-node arithmetic. Returns the (n,) certificates and
+    their risk and divergence nodes."""
+    risk = metalearn._taped_risk(cfg, q, x, y, eps)
+    kl = diff.gaussian_kl(q, prior)
+    return risk + diff.sqrt((kl + multitask_slack(1, m, cfg.delta)) * (1.0 / (2.0 * m))), risk, kl
+
+
+def _fused(certificate):
+    """A certificate builder of metalearn, returning its node and the node's
+    risk and divergence inputs as the reference chains do."""
+    def build(*args):
+        out = certificate(*args)
+        return out, out.parents[0], out.parents[1]
+    return build
+
+
+def _certificate_setup(arch, n, seed):
+    """A config, stacked minibatch data of n tasks, and posterior and prior
+    rows of the architecture's width. No scale factor of the certificates is
+    a power of two, so that every reordering of their float operations can
+    round differently."""
+    rng = np.random.default_rng(seed)
+    width = 2 * arch.param_count
+    if arch.kind == "linear":
+        tasks, cfg = _toy_tasks(n, 6, seed=seed), _cfg(mc_train=2, kappa_pi=3.0)
+    else:
+        tasks = sample_tasks(BLOBS, n, 6, stream(seed, "tasks"))
+        cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, mc_train=2, kappa_pi=3.0)
+    x, y = metalearn._stacked_data(tasks)
+
+    def rows(*lead):
+        return np.concatenate([rng.normal(0.0, 0.5, lead + (width // 2,)),
+                               rng.uniform(-3.0, -1.0, lead + (width // 2,))], axis=-1)
+
+    return cfg, x, y, rows
+
+
+class TestCertificateNodes:
+    """Each certificate's arithmetic is one node. Its value and the adjoints
+    it hands on equal, bit for bit, those of the chain of diff ops it stands
+    for; a reordered float operation changes the last bit at some of the
+    points compared."""
+
+    @pytest.mark.parametrize("form", ["tied", "frozen", "separate"])
+    @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_meta_certificate_equals_its_chain(self, arch, form, seed):
+        cfg, x, y, rows = _certificate_setup(arch, 3, seed=61 + seed)
+        theta0_value, theta1_value, q_value = rows(), rows(), rows(3)
+
+        def run(certificate):
+            tape = diff.Tape()
+            theta1 = tape.tensor(theta1_value)
+            theta0 = {"tied": theta1, "frozen": theta0_value,
+                      "separate": tape.tensor(theta0_value)}[form]
+            q = tape.tensor(q_value)
+            out, risk, kl = certificate(cfg, 6, theta0, theta1, q, x, y,
+                                        np.random.default_rng(seed))
+            backward(out)
+            grads = [risk.grad, kl.grad, theta1.grad, q.grad]
+            if form == "separate":
+                grads.append(theta0.grad)
+            return [out.value] + grads
+
+        fused = run(_fused(metalearn._meta_certificate))
+        chain = run(_chain_meta_certificate)
+        assert len(fused) == len(chain)
+        for a, b in zip(fused, chain):
+            assert np.any(a != 0.0)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_adaptation_certificates_equal_their_chain(self, arch, n, seed):
+        cfg, x, y, rows = _certificate_setup(arch, n, seed=73 + seed)
+        q_value, prior = rows(n), rows(n)
+        eps = np.random.default_rng(seed).standard_normal((n, cfg.mc_train, arch.param_count))
+        weights = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+
+        def run(certificates):
+            tape = diff.Tape()
+            q = tape.tensor(q_value)
+            out, risk, kl = certificates(cfg, 6, q, prior, x, y, eps)
+            backward(diff.sum(out * weights))
+            return out.value, risk.grad, kl.grad, q.grad
+
+        fused = run(_fused(metalearn._adaptation_certificates))
+        chain = run(_chain_adaptation_certificates)
+        for a, b in zip(fused, chain):
+            assert np.any(a != 0.0)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("form", ["tied", "frozen", "separate"])
+    def test_meta_certificate_node_gradcheck(self, form):
+        cfg = _cfg(kappa_pi=2.0)
+        rng = np.random.default_rng(89)
+        frozen = rng.normal(0.0, 0.5, 4)
+
+        def build(ps):
+            tape = diff.Tape()
+            risk, kl, theta1 = (tape.tensor(v) for v in ps[:3])
+            leaves = [risk, kl, theta1]
+            if form == "separate":
+                theta0 = tape.tensor(ps[3])
+                leaves.append(theta0)
+            else:
+                theta0 = theta1 if form == "tied" else frozen
+            return metalearn._meta_certificate_node(cfg, 7, theta0, theta1, risk, kl), leaves
+
+        points = [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3), rng.normal(0.0, 0.5, 4)]
+        if form == "separate":
+            points.append(rng.normal(0.0, 0.5, 4))
+        assert gradcheck(build, points) <= 1e-6
+
+    def test_adaptation_certificate_node_gradcheck(self):
+        cfg = _cfg()
+        rng = np.random.default_rng(97)
+        weights = rng.uniform(0.5, 2.0, 3)
+
+        def build(ps):
+            tape = diff.Tape()
+            risk, kl = tape.tensor(ps[0]), tape.tensor(ps[1])
+            node = metalearn._adaptation_certificate_node(cfg, 9, risk, kl)
+            return diff.sum(node * weights), [risk, kl]
+
+        assert gradcheck(build, [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3)]) <= 1e-6
+
+    def test_nonpositive_square_root_argument_is_rejected(self):
+        cfg = _cfg()
+        tape = diff.Tape()
+        risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
+        very_negative = tape.tensor(np.array([0.5, -1e9]))
+        with pytest.raises(ValueError, match="sqrt"):
+            metalearn._meta_certificate_node(cfg, 7, theta, theta, risk, very_negative)
+        with pytest.raises(ValueError, match="sqrt"):
+            metalearn._adaptation_certificate_node(cfg, 7, risk, very_negative)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_passes_through_to_the_finiteness_checks(self):
+        cfg = _cfg()
+        tape = diff.Tape()
+        risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
+        nan_kl = tape.tensor(np.array([0.0, 1.0])) * np.inf
+        assert np.isnan(metalearn._meta_certificate_node(cfg, 7, theta, theta, risk, nan_kl).value)
+        values = metalearn._adaptation_certificate_node(cfg, 7, risk, nan_kl).value
+        assert np.isnan(values[0]) and values[1] == np.inf
+
+
 class TestTrainMeta:
     def test_deterministic_given_seed(self):
         tasks = _toy_tasks(3, 12, seed=11)
@@ -450,7 +633,7 @@ class TestStepTapes:
     and freed by reference counting when the step ends."""
 
     @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
-                             [(LINEAR, (32, 30), 16), (MLP, (40, 38), 24)],
+                             [(LINEAR, (14, 14), 13), (MLP, (22, 22), 21)],
                              ids=["linear", "mlp1"])
     def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
         steps = []
@@ -491,6 +674,58 @@ class TestStepTapes:
             else:
                 pytest.fail("training did not diverge")
         assert leaked == []
+
+
+# sha256 of the bytes of a short train_meta run (theta0, theta1, the trace
+# and its stage boundary) followed by adapt_many on fresh tasks (every
+# posterior's means and log-variances), per architecture, mc_train and batch
+# size ("full" is one step per epoch). Recorded before the certificates'
+# arithmetic became single tape nodes; any change to the floats of a
+# training step moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
+TRAINING_DIGESTS = {
+    ("linear", 1, 8):
+        "18c95dc8a25db6b89975c02dbc62a4e3481ccacc2336b13b1a8f49d17b6233fe",
+    ("linear", 1, "full"):
+        "e84bcb896c7718deb812109c329a7454b047b572323971b20d9467a885a30aa7",
+    ("linear", 3, 8):
+        "f8f8c0bad60d1f863e31d2a9580aaef555297bfef2e490908312cf4517f0511e",
+    ("linear", 3, "full"):
+        "aff6874bf2cab77c1121cb1ccfe3a70aa3c7f32728bafc307ecc651544999890",
+    ("mlp1", 1, 8):
+        "a6495f1f4d96b8013e2bc752e15f92b759acd39bba78e5109c14a9ddaf03ad32",
+    ("mlp1", 1, "full"):
+        "a12fed635995d00e534e4134e5e84d8b35fe5fc2dd52cd8e7d63551eaba87b4c",
+    ("mlp1", 3, 8):
+        "24b8342aaef8d7e9a252da7f780587afd055257b94142f8fd66ce53152372b70",
+    ("mlp1", 3, "full"):
+        "f42d1881bbf9f4e7503355066b28f2a28cacb1ae5d538a371405901a4d409750",
+}
+
+
+def _training_digest(arch_kind, mc_train, batch):
+    batch_size = 128 if batch == "full" else batch
+    if arch_kind == "linear":
+        tasks = _toy_tasks(4, 12, seed=41)
+        fresh = _toy_tasks(3, 12, seed=43)
+        cfg = _cfg(batch_size=batch_size, mc_train=mc_train, learning_rate=1e-2, seed=41)
+    else:
+        tasks = sample_tasks(BLOBS, 4, 16, stream(41, "tasks"))
+        fresh = sample_tasks(BLOBS, 3, 16, stream(43, "tasks"))
+        cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, epochs_stage1=3, epochs_stage2=3,
+                   batch_size=batch_size, mc_train=mc_train, learning_rate=0.1, seed=41)
+    rho, trace = train_meta(tasks, cfg)
+    adapted = adapt_many(rho, fresh, cfg, adapt_epochs=3,
+                         rngs=[stream(47, "adapt", i) for i in range(len(fresh))])
+    parts = [rho.theta0, rho.theta1, np.array(trace.objectives),
+             np.array([trace.stage_boundary], dtype=np.int64)]
+    for model, _ in adapted:
+        parts += [model.posterior.mean, model.posterior.log_var]
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(TRAINING_DIGESTS), ids=lambda k: f"{k[0]}-mc{k[1]}-b{k[2]}")
+def test_training_is_bit_identical_to_its_recorded_digest(key):
+    assert _training_digest(*key) == TRAINING_DIGESTS[key]
 
 
 class TestAdapt:
