@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import kl_decomposition_check, random_discrete_system
+from .bounds import kl_decomposition_check  # noqa: F401 - bench/tracer.py wraps it on this module
 from .env import sample_tasks, true_risk_mc
 from .gauss import DiagonalGaussian
 from .metalearn import TrainConfig, adapt_many
@@ -109,12 +109,6 @@ def _audit_trial(env_spec, n: int, m: int, cfg: TrainConfig, index: int,
     ]
     est = float(np.mean(risks))
     se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
-
-    # Cross-check the discrete decomposition oracle alongside every trial so
-    # a regression in the KL bookkeeping cannot hide behind a loose bound.
-    _, _, gap = kl_decomposition_check(random_discrete_system(stream(seed, "audit-decomp")))
-    if gap > 1e-12:
-        raise RuntimeError(f"discrete KL decomposition failed in trial {index}: {gap}")
 
     return AuditRecord(
         trial_index=index,

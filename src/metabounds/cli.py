@@ -239,8 +239,9 @@ SCHEMAS: dict[str, dict] = {
     "bound": {
         "empirical_risk": (_to_float, 0.0),
         "kl_rho_pi": (_to_float, 0.0),
-        "kl_hyper": (_to_float, 0.0),
-        "sum_task_kl": (_to_float, 0.0),
+        # one pair, or several through ``pairs``; unset keys of the pair are 0
+        "kl_hyper": (_to_float, None),
+        "sum_task_kl": (_to_float, None),
         "pairs": (_pairs, None),
         "n": (_int(1), REQUIRED),
         "m": (_int(1), REQUIRED),
@@ -570,8 +571,11 @@ def cmd_audit(cfg: ExperimentConfig):
 def cmd_bound(cfg: ExperimentConfig):
     values = cfg.values
     pairs = values["pairs"]
+    pair = (values["kl_hyper"], values["sum_task_kl"])
     if pairs is None:
-        pairs = ((values["kl_hyper"], values["sum_task_kl"]),)
+        pairs = (tuple(0.0 if v is None else v for v in pair),)
+    elif pair != (None, None):
+        raise ConfigError("pairs excludes kl_hyper and sum_task_kl; give one form")
     inp = MetaBoundInput(
         empirical_multitask_risk=values["empirical_risk"],
         kl_rho_pi=values["kl_rho_pi"],

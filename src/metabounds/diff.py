@@ -13,12 +13,14 @@ tiny. So the certificates' hot chains are fused into single nodes: the
 reparametrized draw ``reparam``, the diagonal-Gaussian divergence
 ``gaussian_kl``, the logistic ``softplus`` and the clipped, rescaled loss
 ``clip_rescale`` here, and each certificate's arithmetic in ``metalearn``.
-Each repeats, in the same order, the float operations of the elementwise
-chain it stands for, adjoint accumulation included, so a fused tape and the
-chain agree bit for bit. For the same reason the ops reduce with ufunc
-methods (``np.add.reduce`` rather than ``ndarray.sum``) and read ``.shape``
-rather than ``np.shape``: numpy's Python-level wrappers would add Python
-calls per node for the same floats.
+A diagonal Gaussian enters both of its nodes in one layout, a stacked row
+of d means then d log-variances, so no step slices off the halves as nodes
+of their own. Each fused node repeats, in the same order, the float
+operations of the elementwise chain it stands for, adjoint accumulation
+included, so a fused tape and the chain agree bit for bit. For the same
+reason the ops reduce with ufunc methods (``np.add.reduce`` rather than
+``ndarray.sum``) and read ``.shape`` rather than ``np.shape``: numpy's
+Python-level wrappers would add Python calls per node for the same floats.
 
 Only what is differentiated is a node. ``add``, ``sub``, ``mul`` and
 ``matmul`` take a constant on either side, a number or an ndarray (data,
@@ -210,22 +212,28 @@ def mul(a, b):
                  lambda g: _unbroadcast(g * av, bv.shape))
 
 
-def reparam(mean: Tensor, log_var: Tensor, eps) -> Tensor:
-    """The reparametrized draw mean + exp(log_var * 0.5) * eps as one node.
+def reparam(q: Tensor, eps) -> Tensor:
+    """Reparametrized draws from a diagonal Gaussian as one node.
 
-    eps is constant noise; the three broadcast together. Value and adjoints
-    repeat, in the same order, the float operations of that expression
-    built from mul, exp, mul and add, so both agree with it bit for bit.
+    q is laid out as for gaussian_kl: d means then d log-variances, (2d,)
+    for one Gaussian or (n, 2d) for a row per task. eps is constant
+    (..., K, d) noise for K draws, against which each row broadcasts with a
+    draw axis in front of its halves: the result is the (..., K, d) draws
+    ``mean + exp(log_var * 0.5) * eps``. Value and adjoint repeat, in the
+    same order, the float operations of that expression built from mul,
+    exp, mul and add on the two (..., 1, d) halves sliced off q, so both
+    agree with it bit for bit.
     """
-    _same_tape(mean, log_var)
     eps = _constant(eps)
-    std = np.exp(log_var.value * 0.5)
-    noise = std * eps
-    sm, sn, sl = mean.shape, noise.shape, log_var.shape
-    return Tensor(mean.tape, mean.value + noise, (mean, log_var), lambda g: (
-        _unbroadcast(g, sm),
-        _unbroadcast(_unbroadcast(g, sn) * eps, sl) * std * 0.5,
-    ))
+    d = q.shape[-1] // 2
+    rows = q.value[..., None, :]
+    mean, log_var = rows[..., :d], rows[..., d:]
+    std = np.exp(log_var * 0.5)
+    half = mean.shape
+    return Tensor(q.tape, mean + std * eps, (q,), lambda g: (np.concatenate([
+        _unbroadcast(g, half),
+        _unbroadcast(g * eps, half) * std * 0.5,
+    ], axis=-1).reshape(q.shape),))
 
 
 def gaussian_kl(q: Tensor, p) -> Tensor:

@@ -234,19 +234,17 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
     """The two-level certificate of the (n,) risks and divergences as one
     node: their mean risk plus the task-level and multitask square-root terms.
 
-    theta1 is a node; theta0 is the same node (tied), another node, or a
-    constant array (frozen). The node stands for the chain
+    theta1 is a node; theta0 is the same node (tied) or a constant array
+    (frozen). The node stands for the chain
     ``sum(risk) * (1/n) + sqrt((mkl + task_level_slack) * (1/(2n)))
     + sqrt((mkl + sum(kl) + multitask_slack) * (1/(2nm)))`` with the meta-KL
     ``mkl = (sum(theta0 * theta0) + sum(theta1 * theta1)) * scale + shift``.
     """
     n = risk.shape[0]
     tied = theta0 is theta1
-    theta0_is_node = isinstance(theta0, diff.Tensor)
     t1 = theta1.value
-    t0 = theta0.value if theta0_is_node else theta0
     sq1 = np.add.reduce(t1 * t1, axis=None)
-    squares = (sq1 if tied else np.add.reduce(t0 * t0, axis=None)) + sq1
+    squares = (sq1 if tied else np.add.reduce(theta0 * theta0, axis=None)) + sq1
     scale, shift = _meta_kl_coefficients(t1.shape[0] // 2, cfg.kappa_rho, cfg.kappa_pi)
     mkl = squares * scale + shift
     task_scale = 1.0 / (2.0 * n)
@@ -265,20 +263,11 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
         g_squares = (g_multi + g * 0.5 / task_term * task_scale) * scale
         g_risk, g_kl = np.full(n, g * (1.0 / n)), np.full(n, g_multi)
         # each sum of squares hands its center two equal adjoints; the chain
-        # accumulates theta1's pair, then theta0's
+        # accumulates theta1's pair, then the tied theta0's
         g1 = g_squares * t1
-        if tied:
-            return g_risk, g_kl, g1 + g1 + g1 + g1
-        if not theta0_is_node:
-            return g_risk, g_kl, g1 + g1
-        g0 = g_squares * t0
-        return g_risk, g_kl, g0 + g0, g1 + g1
+        return g_risk, g_kl, (g1 + g1 + g1 + g1) if tied else (g1 + g1)
 
-    if tied or not theta0_is_node:
-        parents = (risk, kl, theta1)
-    else:
-        parents = (risk, kl, theta0, theta1)
-    return diff.Tensor(risk.tape, value, parents, vjp)
+    return diff.Tensor(risk.tape, value, (risk, kl, theta1), vjp)
 
 
 def _adaptation_certificate_node(cfg: TrainConfig, m: int, risk, kl):
@@ -293,24 +282,12 @@ def _adaptation_certificate_node(cfg: TrainConfig, m: int, risk, kl):
                        lambda g: (g, g * 0.5 / root * scale))
 
 
-def _taped_risk(cfg: TrainConfig, q, x, y, eps: np.ndarray):
-    """Reparametrized risk of each task posterior on its minibatch: (n,).
-
-    q is the (n, 2d) posterior node, eps the (n, mc_train, d) weight noise;
-    x is (n, B, in), y is (n, B).
-    """
-    d = q.shape[-1] // 2
-    mean = diff.slice(q, (Ellipsis, None, slice(None, d)))
-    log_var = diff.slice(q, (Ellipsis, None, slice(d, None)))
-    return taped_mc_risk(cfg.arch, mean, log_var, x, y, cfg.loss, eps)
-
-
 def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
                       rng: np.random.Generator):
     """The two-level certificate on one tape.
 
-    theta0 and theta1 are the (2d,) prior-center nodes (one node when tied;
-    theta0 is a constant array when frozen), q the (n, 2d) task-posterior
+    theta1 is the (2d,) regularization-center node and theta0 the same node
+    (tied) or a constant array (frozen); q is the (n, 2d) task-posterior
     node, x and y one minibatch per task.  ``m`` is each task's full sample
     count, which sets the slack constants whatever the minibatch size.
     Draws the regularization prior's noise, then every task's weight noise,
@@ -320,7 +297,7 @@ def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     d = width // 2
     p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
     eps = rng.standard_normal((n, cfg.mc_train, d))
-    risk = _taped_risk(cfg, q, x, y, eps)
+    risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     return _meta_certificate_node(cfg, m, theta0, theta1, risk, diff.gaussian_kl(q, p))
 
 
@@ -331,7 +308,7 @@ def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
     q is the (n, 2d) posterior node and prior the (n, 2d) array of prior
     parameters; returns one certificate per task, (n,).
     """
-    risk = _taped_risk(cfg, q, x, y, eps)
+    risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     return _adaptation_certificate_node(cfg, m, risk, diff.gaussian_kl(q, prior))
 
 
@@ -374,9 +351,10 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     """Differentiable certificate at the given parameter point.
 
     Evaluates on each task's full training set with ``cfg.mc_train`` weight
-    draws and a single sampled regularization prior.  Returns the scalar tape
-    node; when ``leaves_out`` is a dict it receives one parameter leaf per
-    block, keyed ``"theta0.mean.<block>"``, ``"theta1.lv.<block>"``,
+    draws and a single sampled regularization prior.  ``theta0`` enters as
+    a constant, frozen as in training's second stage.  Returns the scalar
+    tape node; when ``leaves_out`` is a dict it receives one parameter leaf
+    per block, keyed ``"theta1.mean.<block>"``, ``"theta1.lv.<block>"``,
     ``"q<i>.mean.<block>"`` and so on, so callers can read gradients after a
     backward pass.
     """
@@ -396,11 +374,10 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
 
     tape = diff.Tape()
     leaf_map: dict = {} if leaves_out is None else leaves_out
-    theta0 = _keyed_leaves(tape, arch, rho.theta0, ["theta0"], leaf_map)
     theta1 = _keyed_leaves(tape, arch, rho.theta1, ["theta1"], leaf_map)
     q = _keyed_leaves(tape, arch, np.stack([_flat(mdl.posterior) for mdl in task_posteriors]),
                       [f"q{i}" for i in range(len(tasks))], leaf_map)
-    return _meta_certificate(cfg, m, theta0, theta1, q, *_stacked_data(tasks), rng)
+    return _meta_certificate(cfg, m, rho.theta0, theta1, q, *_stacked_data(tasks), rng)
 
 
 def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: Task,

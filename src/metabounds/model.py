@@ -119,8 +119,9 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ("zero_one", "logistic_clipped", "cross_entropy_clipped"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.clip_max <= 0.0:
-            raise ValueError("clip_max must be positive")
+        # an infinite clip would rescale every loss to 0, a NaN one to NaN
+        if not 0.0 < self.clip_max < math.inf:
+            raise ValueError("clip_max must be positive and finite")
 
 
 def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -213,29 +214,30 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
 # Tape-side builders. These mirror the numpy paths above but take the
 # posterior parameters as nodes so that bound objectives are differentiable
 # through them (pathwise, with the noise draws held fixed per step); data and
-# noise enter as constant arrays. Weight blocks carry a draw axis in front of
-# the block shape, and optionally a task axis in front of that, so one tape
-# serves every task and every draw.
+# noise enter as constant arrays. Weight draws carry a draw axis in front of
+# the flat weight vector, and optionally a task axis in front of that, so one
+# tape serves every task and every draw.
 
 
-def _bias_row(b):
-    """Insert the sample axis in front of a bias block's last axis."""
-    return diff.slice(b, (Ellipsis, None, slice(None)))
+def taped_scores(arch: ModelArchitecture, draws, x: np.ndarray):
+    """Forward pass with the flat weight draws as a node; x enters as a
+    constant.
 
-
-def taped_scores(arch: ModelArchitecture, weights: dict, x: np.ndarray):
-    """Forward pass with weight-block nodes; x enters as a constant.
-
-    Weight blocks are (..., K, *block shape) for K draws; x is (B, in), or
-    (n, B, in) when the blocks carry a leading task axis of n. Returns
-    (..., K, B) scores for linear and (..., K, B, C) logits for mlp1.
+    draws is (..., K, d) for K draws; x is (B, in), or (n, B, in) when the
+    draws carry a leading task axis of n. Returns (..., K, B) scores for
+    linear and (..., K, B, C) logits for mlp1.
     """
     x = np.asarray(x, dtype=np.float64)
     if arch.kind == "linear":
-        # contiguous, so that BLAS sums in the same order as for a copied leaf
-        return diff.matmul(weights["w"], np.ascontiguousarray(np.swapaxes(x, -1, -2)))
-    h = diff.tanh(diff.matmul(x[..., None, :, :], weights["w1"]) + _bias_row(weights["b1"]))
-    return diff.matmul(h, weights["w2"]) + _bias_row(weights["b2"])
+        # the one block is the whole vector; x contiguous, so that BLAS sums
+        # in the same order as for a copied leaf
+        return diff.matmul(draws, np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+    lead = draws.shape[:-1]
+    # biases are cut to (..., K, 1, width), broadcasting over the samples
+    w1, b1, w2, b2 = (diff.slice(draws, (Ellipsis, span), lead + (1,) * (2 - len(shape)) + shape)
+                      for _, span, shape in block_layout(arch))
+    h = diff.tanh(diff.matmul(x[..., None, :, :], w1) + b1)
+    return diff.matmul(h, w2) + b2
 
 
 def taped_loss(arch: ModelArchitecture, loss: LossSpec, scores, y: np.ndarray):
@@ -253,18 +255,14 @@ def taped_loss(arch: ModelArchitecture, loss: LossSpec, scores, y: np.ndarray):
     return diff.mean(diff.clip_rescale(raw, loss.clip_max), axis=(-2, -1))
 
 
-def taped_mc_risk(arch: ModelArchitecture, mean, log_var, x: np.ndarray, y: np.ndarray,
+def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
                   loss: LossSpec, eps: np.ndarray):
     """Empirical risk averaged over fixed reparametrization draws.
 
-    mean and log_var are flat weight nodes that broadcast against the
-    (..., K, d) noise of K draws: (d,) for one task, or (n, 1, d) for n
-    stacked tasks, with x (n, B, in), y (n, B) and one risk per task as the
-    result. The draw is one ``diff.reparam`` node, cut into weight blocks;
-    all draws share one tape pass.
+    q is the stacked posterior node, d weight means then d log-variances:
+    (2d,) for one task with eps (K, d) for K draws, or (n, 2d) for n stacked
+    tasks with eps (n, K, d), x (n, B, in), y (n, B) and one risk per task
+    as the result. The draws are one ``diff.reparam`` node; all draws share
+    one tape pass.
     """
-    weights = diff.reparam(mean, log_var, eps)
-    lead = weights.shape[:-1]
-    blocks = {name: diff.slice(weights, (Ellipsis, span), lead + shape)
-              for name, span, shape in block_layout(arch)}
-    return taped_loss(arch, loss, taped_scores(arch, blocks, x), y)
+    return taped_loss(arch, loss, taped_scores(arch, diff.reparam(q, eps), x), y)

@@ -134,8 +134,8 @@ def test_criterion_3_objective_gradients(capsys):
         qlv = tape.tensor(ps[1])
         pm = tape.tensor(prior.mean)
         plv = tape.tensor(prior.log_var)
-        risk = taped_mc_risk(LINEAR, qm, qlv, task.train_x, task.train_y, LOGISTIC,
-                             eps[None])
+        risk = taped_mc_risk(LINEAR, diff.concat([qm, qlv], (4,)), task.train_x,
+                             task.train_y, LOGISTIC, eps[None])
         dm = qm - pm
         kl = (diff.sum(diff.exp(qlv - plv)) + diff.sum(dm * dm * diff.exp(-plv))
               - float(prior.dim) + diff.sum(plv) - diff.sum(qlv)) * 0.5

@@ -32,6 +32,8 @@ ALLOWED = {
                                              "its array form",
     "audit.quadrature_kl_1d": "criterion 2's numerical-integration oracle for the closed-form "
                               "KLs",
+    "bounds.kl_decomposition_check": "criterion 1's oracle",
+    "bounds.random_discrete_system": "criterion 1's oracle",
     "bounds.lambda_star": "criterion 8 checks the closed-form trade-off parameter and its "
                           "clip flag",
     "bounds.lemma2_grid_minimum": "criterion 8's exact grid oracle",

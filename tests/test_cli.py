@@ -472,6 +472,8 @@ BOUNDARY_CASES = [
     ("sweep", {"mc_eval": "3"}, 2),
     ("sweep", {"arch": "mlp1"}, 2),
     ("sweep", {"pipeline": "prior_mean", "epochs_stage1": "2"}, 2),
+    ("bound", {"pairs": "0.5:1.0", "kl_hyper": "300"}, 2),
+    ("bound", {"pairs": "0.5:1.0", "sum_task_kl": "900"}, 2),
 ]
 
 

@@ -399,7 +399,7 @@ class TestConstantOperands:
         bad = np.array([1.0, np.nan])
         for build in (lambda: a + bad, lambda: bad - a, lambda: a * bad,
                       lambda: diff.matmul(tape.tensor(np.ones((2, 2))), bad),
-                      lambda: diff.reparam(a, a, bad),
+                      lambda: diff.reparam(a, bad),
                       lambda: diff.gaussian_kl(a, bad)):
             with pytest.raises(ValueError, match="finite"):
                 build()
@@ -425,37 +425,54 @@ class TestConstantOperands:
 
 
 class TestReparam:
+    """reparam takes the stacked (2d,) or (n, 2d) posterior, as gaussian_kl
+    does, against (..., K, d) noise."""
+
     rng = np.random.default_rng(107)
+    # (rows of the posterior, noise shape) with d = 2: one Gaussian or three
+    # stacked rows, each with a single draw and with several
+    LAYOUTS = [((), (1, 2)), ((), (4, 2)), ((3,), (3, 1, 2)), ((3,), (3, 4, 2))]
+
+    def _row(self, lead):
+        return np.concatenate([self.rng.normal(size=lead + (2,)),
+                               self.rng.normal(-1.0, 0.5, lead + (2,))], axis=-1)
 
     def test_gradcheck(self):
-        eps = self.rng.standard_normal((3, 4, 2))
+        for lead, noise_shape in self.LAYOUTS:
+            eps = self.rng.standard_normal(noise_shape)
 
-        def build(ps):
-            tape = Tape()
-            mean, log_var = tape.tensor(ps[0]), tape.tensor(ps[1])
-            return diff.sum(diff.tanh(diff.reparam(mean, log_var, eps))), [mean, log_var]
+            def build(ps):
+                tape = Tape()
+                q = tape.tensor(ps[0])
+                return diff.sum(diff.tanh(diff.reparam(q, eps))), [q]
 
-        points = [self.rng.normal(size=(3, 1, 2)), self.rng.normal(-1.0, 0.5, (3, 1, 2))]
-        assert gradcheck(build, points) <= 1e-6
+            assert gradcheck(build, [self._row(lead)]) <= 1e-6
 
     def test_matches_the_four_op_chain_bit_for_bit(self):
-        mean_v = self.rng.normal(size=(3, 1, 2))
-        log_var_v = self.rng.normal(-1.0, 0.5, (3, 1, 2))
-        eps = self.rng.standard_normal((3, 4, 2))
-        weights = self.rng.normal(size=(3, 4, 2))
+        for lead, noise_shape in self.LAYOUTS:
+            q_v = self._row(lead)
+            eps = self.rng.standard_normal(noise_shape)
+            weights = self.rng.normal(size=noise_shape)
 
-        def run(draw):
-            tape = Tape()
-            mean, log_var = tape.tensor(mean_v), tape.tensor(log_var_v)
-            w = draw(tape, mean, log_var)
-            backward(diff.sum(diff.tanh(w) * weights))
-            return w.value, mean.grad, log_var.grad, len(tape.nodes)
+            def run(draw):
+                tape = Tape()
+                q = tape.tensor(q_v)
+                w = draw(q)
+                backward(diff.sum(diff.tanh(w) * weights))
+                return w.value, q.grad, len(tape.nodes)
 
-        fused = run(lambda tape, m, lv: diff.reparam(m, lv, eps))
-        chain = run(lambda tape, m, lv: m + diff.exp(lv * 0.5) * tape.tensor(eps))
-        for a, b in zip(fused[:3], chain[:3]):
-            assert np.array_equal(a, b)
-        assert chain[3] - fused[3] == 4
+            def chain(q):
+                # the halves sliced off the stacked row, as (..., 1, d)
+                mean = diff.slice(q, (Ellipsis, None, slice(None, 2)))
+                log_var = diff.slice(q, (Ellipsis, None, slice(2, None)))
+                return mean + diff.exp(log_var * 0.5) * eps
+
+            fused = run(lambda q: diff.reparam(q, eps))
+            sliced = run(chain)
+            assert fused[0].shape == noise_shape and fused[1].shape == q_v.shape
+            for a, b in zip(fused[:2], sliced[:2]):
+                assert np.array_equal(a, b)
+            assert sliced[2] - fused[2] == 5
 
 
 def _relu(a):

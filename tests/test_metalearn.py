@@ -42,6 +42,7 @@ from metabounds.model import (
     StochasticModel,
     glorot_init,
     loss_values,
+    taped_mc_risk,
 )
 from metabounds.rng import stream
 
@@ -349,7 +350,7 @@ def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
     d = width // 2
     p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
     eps = rng.standard_normal((n, cfg.mc_train, d))
-    risk = metalearn._taped_risk(cfg, q, x, y, eps)
+    risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = diff.gaussian_kl(q, p)
     kl_sum = diff.sum(kl)
 
@@ -370,7 +371,7 @@ def _chain_adaptation_certificates(cfg, m, q, prior, x, y, eps):
     """metalearn._adaptation_certificates as a chain of diff ops, kept as the
     reference of its one-node arithmetic. Returns the (n,) certificates and
     their risk and divergence nodes."""
-    risk = metalearn._taped_risk(cfg, q, x, y, eps)
+    risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = diff.gaussian_kl(q, prior)
     return risk + diff.sqrt((kl + multitask_slack(1, m, cfg.delta)) * (1.0 / (2.0 * m))), risk, kl
 
@@ -411,7 +412,7 @@ class TestCertificateNodes:
     for; a reordered float operation changes the last bit at some of the
     points compared."""
 
-    @pytest.mark.parametrize("form", ["tied", "frozen", "separate"])
+    @pytest.mark.parametrize("form", ["tied", "frozen"])
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     @pytest.mark.parametrize("seed", range(10))
     def test_meta_certificate_equals_its_chain(self, arch, form, seed):
@@ -421,16 +422,12 @@ class TestCertificateNodes:
         def run(certificate):
             tape = diff.Tape()
             theta1 = tape.tensor(theta1_value)
-            theta0 = {"tied": theta1, "frozen": theta0_value,
-                      "separate": tape.tensor(theta0_value)}[form]
+            theta0 = theta1 if form == "tied" else theta0_value
             q = tape.tensor(q_value)
             out, risk, kl = certificate(cfg, 6, theta0, theta1, q, x, y,
                                         np.random.default_rng(seed))
             backward(out)
-            grads = [risk.grad, kl.grad, theta1.grad, q.grad]
-            if form == "separate":
-                grads.append(theta0.grad)
-            return [out.value] + grads
+            return out.value, risk.grad, kl.grad, theta1.grad, q.grad
 
         fused = run(_fused(metalearn._meta_certificate))
         chain = run(_chain_meta_certificate)
@@ -461,7 +458,7 @@ class TestCertificateNodes:
             assert np.any(a != 0.0)
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("form", ["tied", "frozen", "separate"])
+    @pytest.mark.parametrize("form", ["tied", "frozen"])
     def test_meta_certificate_node_gradcheck(self, form):
         cfg = _cfg(kappa_pi=2.0)
         rng = np.random.default_rng(89)
@@ -469,18 +466,12 @@ class TestCertificateNodes:
 
         def build(ps):
             tape = diff.Tape()
-            risk, kl, theta1 = (tape.tensor(v) for v in ps[:3])
-            leaves = [risk, kl, theta1]
-            if form == "separate":
-                theta0 = tape.tensor(ps[3])
-                leaves.append(theta0)
-            else:
-                theta0 = theta1 if form == "tied" else frozen
-            return metalearn._meta_certificate_node(cfg, 7, theta0, theta1, risk, kl), leaves
+            risk, kl, theta1 = (tape.tensor(v) for v in ps)
+            theta0 = theta1 if form == "tied" else frozen
+            return (metalearn._meta_certificate_node(cfg, 7, theta0, theta1, risk, kl),
+                    [risk, kl, theta1])
 
         points = [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3), rng.normal(0.0, 0.5, 4)]
-        if form == "separate":
-            points.append(rng.normal(0.0, 0.5, 4))
         assert gradcheck(build, points) <= 1e-6
 
     def test_adaptation_certificate_node_gradcheck(self):
@@ -633,7 +624,7 @@ class TestStepTapes:
     and freed by reference counting when the step ends."""
 
     @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
-                             [(LINEAR, (14, 14), 13), (MLP, (22, 22), 21)],
+                             [(LINEAR, (11, 11), 10), (MLP, (18, 18), 17)],
                              ids=["linear", "mlp1"])
     def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
         steps = []

@@ -100,6 +100,12 @@ class TestLossValues:
                            np.array([50.0]), np.array([1]))
         assert vals[0] == 1.0
 
+    @pytest.mark.parametrize("clip_max", [0.0, -1.0, np.inf, np.nan])
+    def test_clip_max_must_be_positive_and_finite(self, clip_max):
+        # an infinite clip would rescale every loss to 0, a NaN one to NaN
+        with pytest.raises(ValueError, match="clip_max"):
+            LossSpec("logistic_clipped", clip_max=clip_max)
+
 
 class TestMcEmpiricalRisk:
     def test_near_dirac_zero_error(self):
@@ -180,7 +186,8 @@ class TestTapedRisk:
             tape = Tape()
             mean = tape.tensor(ps[0])
             log_var = tape.tensor(ps[1])
-            out = taped_mc_risk(arch, mean, log_var, x, y, loss, eps)
+            q = diff.concat([mean, log_var], (2 * arch.param_count,))
+            out = taped_mc_risk(arch, q, x, y, loss, eps)
             return out, [mean, log_var]
 
         return build, [post.mean, post.log_var]
@@ -195,7 +202,7 @@ class TestTapedRisk:
         mean = tape.tensor(post.mean)
         log_var = tape.tensor(post.log_var)
         eps = np.random.default_rng(9).standard_normal(2)
-        out = taped_mc_risk(LINEAR2, mean, log_var, x, y, loss, eps[None])
+        out = taped_mc_risk(LINEAR2, diff.concat([mean, log_var], (4,)), x, y, loss, eps[None])
         w = post.mean + post.std * eps
         m = StochasticModel(LINEAR2, near_dirac(w))
         direct = loss_values(loss, LINEAR2, x @ w, y).mean()
