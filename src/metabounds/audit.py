@@ -88,6 +88,17 @@ class AuditReport:
     def violation_rate(self) -> float:
         return self.violations / self.trials
 
+    @property
+    def vacuous_trials(self) -> int:
+        """Trials whose bound is at least 1, which any [0, 1] risk meets."""
+        return sum(1 for r in self.records if r.bound >= 1.0)
+
+    @property
+    def margin_quartiles(self) -> tuple[float, float, float]:
+        """25th, 50th and 75th percentiles of bound minus estimated risk."""
+        q = np.percentile([r.margin for r in self.records], (25, 50, 75))
+        return float(q[0]), float(q[1]), float(q[2])
+
 
 def _audit_trial(env_spec, n: int, m: int, cfg: TrainConfig, index: int,
                  seed: int, eval_tasks: int, eval_points: int,

@@ -558,7 +558,11 @@ def cmd_audit(cfg: ExperimentConfig):
             eval_points=values["eval_points"], mc_eval=values["mc_eval"],
             jobs=values["jobs"],
         )
-        trailers = [f"# violations {report.violations}/{report.trials} delta={report.delta!r}"]
+        trailers = [
+            f"# violations {report.violations}/{report.trials} delta={report.delta!r}",
+            f"# vacuous {report.vacuous_trials}/{report.trials}",
+            "# margin q25={} q50={} q75={}".format(*map(_fmt, report.margin_quartiles)),
+        ]
         write_csv(values["out"], AUDIT_COLUMNS, [astuple(r) for r in report.records],
                   cfg.config_hash, seed, trailers=trailers)
         print(f"audit: {report.violations}/{report.trials} violations "

@@ -7,6 +7,12 @@ share a fixed small Gaussian-blobs dataset; tasks differ by a uniformly
 drawn label permutation, or by a permutation of a fixed coordinate
 subset. The oracle estimates the unobservable true risk of a stochastic
 model on a task by fresh sampling.
+
+One oracle call draws the B = n_eval inputs first and the K = mc_samples
+weight vectors second, from the same generator. A clipped loss is computed
+in place in the one K x B buffer of linear scores (320 KB at K = B = 200);
+the 0-1 loss is one new K x B array. For mlp1 the forward pass holds one
+K x B x hidden buffer and one K x B x classes buffer of logits.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LossSpec, StochasticModel, loss_values, scores_batch
+from .model import LossSpec, StochasticModel, _mc_losses
 
 
 @dataclass(frozen=True)
@@ -176,9 +182,7 @@ def true_risk_mc(task: Task, model: StochasticModel, loss: LossSpec,
     if n_eval < 1 or mc_samples < 1:
         raise ValueError("n_eval and mc_samples must be >= 1")
     x, y = task.draw(n_eval, rng)
-    post = model.posterior
-    draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))
-    vals = loss_values(loss, model.arch, scores_batch(model.arch, draws, x), y)
+    vals = _mc_losses(model, x, y, loss, mc_samples, rng)
     per_sample = vals.mean(axis=0)
     per_draw = vals.mean(axis=1)
     risk = float(per_sample.mean())

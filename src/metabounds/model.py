@@ -129,6 +129,7 @@ def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray) -> 
 
     flat_w is (d,) or (K, d). Returns (B,) raw scores for linear and (B, C)
     logits for mlp1, with a leading K axis when K weight vectors are given.
+    The result is always a new array, so the caller may overwrite it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
@@ -136,8 +137,12 @@ def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray) -> 
     blocks = split_flat(arch, flat_w)
     if arch.kind == "linear":
         return blocks["w"] @ x.T
-    h = np.tanh(x @ blocks["w1"] + blocks["b1"][..., None, :])
-    return h @ blocks["w2"] + blocks["b2"][..., None, :]
+    h = x @ blocks["w1"]
+    h += blocks["b1"][..., None, :]
+    np.tanh(h, out=h)
+    out = h @ blocks["w2"]
+    out += blocks["b2"][..., None, :]
+    return out
 
 
 def predicted_labels(arch: ModelArchitecture, scores: np.ndarray) -> np.ndarray:
@@ -152,25 +157,55 @@ def loss_values(loss: LossSpec, arch: ModelArchitecture,
     """Per-sample losses in [0, 1] for raw scores against integer labels.
 
     scores may carry leading axes in front of the sample axis (for example
-    one row per weight draw); y broadcasts against the sample axis.
+    one row per weight draw); y broadcasts against the sample axis. scores
+    is left as it is: a clipped loss is computed in a copy of its own.
     """
     y = np.asarray(y)
     if loss.kind == "zero_one":
         return (predicted_labels(arch, scores) != y).astype(np.float64)
+    return _clipped_loss_in_place(loss, arch, np.array(scores, dtype=np.float64), y)
+
+
+def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
+                           s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The clipped logistic or cross-entropy loss of the float64 scores s,
+    which this overwrites: the logistic losses are s itself, cross-entropy
+    leaves the exponentials of its shifted logits in s."""
     if loss.kind == "logistic_clipped":
         if arch.kind != "linear":
             raise ValueError("logistic loss applies to the linear architecture")
         # class-0 logit is the score, class-1 logit is 0
-        t = (2.0 * y - 1.0) * scores
-        raw = np.logaddexp(0.0, t)
+        s *= 2.0 * y - 1.0
+        raw = np.logaddexp(0.0, s, out=s)
     else:
-        if arch.kind != "mlp1" or scores.ndim < 2:
+        if arch.kind != "mlp1" or s.ndim < 2:
             raise ValueError("cross-entropy expects logit rows")
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=-1))
-        labels = np.broadcast_to(y, shifted.shape[:-1])[..., None]
-        raw = lse - np.take_along_axis(shifted, labels, axis=-1)[..., 0]
-    return np.minimum(raw, loss.clip_max) / loss.clip_max
+        s -= s.max(axis=-1, keepdims=True)
+        labels = np.broadcast_to(y, s.shape[:-1])[..., None]
+        picked = np.take_along_axis(s, labels, axis=-1)[..., 0]
+        raw = np.exp(s, out=s).sum(axis=-1)
+        np.log(raw, out=raw)
+        raw -= picked
+    np.minimum(raw, loss.clip_max, out=raw)
+    raw /= loss.clip_max
+    return raw
+
+
+def _mc_losses(model: StochasticModel, x: np.ndarray, y: np.ndarray,
+               loss: LossSpec, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """(K, B) losses of K = mc_samples fresh posterior draws on the B inputs.
+
+    The draws are mean + std * N(0, 1) of shape (K, d), taken from rng here.
+    The scores are made here, so a clipped loss overwrites them: one call
+    holds one K x B buffer (for mlp1 one K x B x hidden buffer and one
+    K x B x classes buffer).
+    """
+    post = model.posterior
+    draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))
+    scores = scores_batch(model.arch, draws, x)
+    if loss.kind == "zero_one":
+        return loss_values(loss, model.arch, scores, y)
+    return _clipped_loss_in_place(loss, model.arch, scores, np.asarray(y))
 
 
 def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
@@ -178,15 +213,11 @@ def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
                       rng: np.random.Generator) -> float:
     """Average loss over the dataset and mc_samples posterior weight draws."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
-    post = model.posterior
-    eps = rng.standard_normal((mc_samples, post.dim))
-    draws = post.mean + post.std * eps
-    return float(loss_values(loss, model.arch, scores_batch(model.arch, draws, x), y).mean())
+    return float(_mc_losses(model, x, y, loss, mc_samples, rng).mean())
 
 
 def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGaussian:

@@ -67,6 +67,14 @@ class TestAuditReport:
         report = AuditReport(2, 1, 0.1, (self._record(0), self._record(1)))
         assert report.violation_rate == 0.5
 
+    def test_vacuity_counts_bounds_of_at_least_one(self):
+        records = tuple(AuditRecord(i, i, bound, 0.2, 0.01, bound - 0.2, False)
+                        for i, bound in enumerate((0.5, 0.999, 1.0, 3.6)))
+        report = AuditReport(4, 0, 0.1, records)
+        assert report.vacuous_trials == 2
+        # linear-interpolated percentiles of the margins 0.3, 0.799, 0.8, 3.4
+        assert report.margin_quartiles == pytest.approx((0.67425, 0.7995, 1.45))
+
 
 def _light_cfg():
     return TrainConfig(arch=ModelArchitecture("linear", input_dim=2),

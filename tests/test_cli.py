@@ -383,8 +383,17 @@ class TestCmdAudit:
         body = _data_lines(out)
         assert body[0] == AUDIT_HEADER
         assert len(body) == 51
-        assert "# violations 0/50" in out.read_text()
+        text = out.read_text()
+        assert "# violations 0/50" in text
         assert "0/50 violations" in capsys.readouterr().out
+        # the vacuity trailers restate the body's bound and margin columns
+        columns = AUDIT_HEADER.split(",")
+        rows = [dict(zip(columns, row.split(","))) for row in body[1:]]
+        bounds = np.array([float(r["bound"]) for r in rows])
+        margins = np.array([float(r["margin"]) for r in rows])
+        assert f"\n# vacuous {int(np.sum(bounds >= 1.0))}/50\n" in text
+        q25, q50, q75 = (repr(float(q)) for q in np.percentile(margins, (25, 50, 75)))
+        assert f"\n# margin q25={q25} q50={q50} q75={q75}\n" in text
 
 
 AUDIT_HEADER = "trial_index,seed,bound,true_risk_est,true_risk_se,margin,violated"

@@ -1,5 +1,7 @@
 """Tests for synthetic task environments and the true-risk oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,67 @@ class TestVectorizedOracles:
             for w in draws
         ]
         assert abs(got - float(np.mean(per_draw))) <= 1e-12
+
+
+class TestOraclesWriteIntoNoCallerArray:
+    """The losses are computed in place, but only in buffers the oracles make."""
+
+    @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
+    def test_loss_values_twice_on_the_same_scores(self, arch, kind):
+        task, model = _oracle_setup(arch)
+        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        loss = LossSpec(kind)
+        # a copy, so that a result written over the scores cannot pass
+        first = loss_values(loss, arch, scores, task.train_y).copy()
+        np.testing.assert_array_equal(loss_values(loss, arch, scores, task.train_y), first)
+
+    @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
+    def test_inputs_unchanged(self, arch, kind):
+        task, model = _oracle_setup(arch)
+        loss = LossSpec(kind)
+        post = model.posterior
+        flat_w = post.mean + post.std * np.random.default_rng(7).standard_normal((6, post.dim))
+        scores = scores_batch(arch, flat_w, task.train_x)
+        inputs = (flat_w, scores, task.train_x, task.train_y, task.latent,
+                  post.mean, post.log_var)
+        before = [a.copy() for a in inputs]
+        scores_batch(arch, flat_w, task.train_x)
+        loss_values(loss, arch, scores, task.train_y)
+        mc_empirical_risk(model, task.train_x, task.train_y, loss, 5, np.random.default_rng(8))
+        true_risk_mc(task, model, loss, 9, np.random.default_rng(9), mc_samples=5)
+        for after, kept in zip(inputs, before):
+            np.testing.assert_array_equal(after, kept)
+
+
+# sha256 of the float bytes of true_risk_mc's (risk, se) at (n_eval,
+# mc_samples) = (50, 30), (1, 30) and (50, 1), followed by mc_empirical_risk on
+# the training set at mc_samples 40 and 1, per oracle case. Recorded before
+# the Monte-Carlo risks were computed in one owned buffer; any change to the
+# oracles' floats moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
+ORACLE_DIGESTS = {
+    "linear-zero_one":
+        "ede53babede997ebaa628fef15628a5b8ec56139dc85ad20426d428a7aec936d",
+    "linear-logistic_clipped":
+        "25aa884cf4492503e264d96c4649f707ea76131cbff6af8121ae23f6760463a7",
+    "mlp1-zero_one":
+        "33f81ecd464a72dc67aba1441d4bdd3e6d7e57e4a6c11c0c83b41a9fc91da0ec",
+    "mlp1-cross_entropy_clipped":
+        "a7854fe036c7d3b08c8f6d374606f42918b189df394c20b4835b9c296d509146",
+}
+
+
+def _oracle_digest(arch, kind):
+    task, model = _oracle_setup(arch)
+    loss = LossSpec(kind)
+    values = []
+    for n_eval, mc in ((50, 30), (1, 30), (50, 1)):
+        values += true_risk_mc(task, model, loss, n_eval, np.random.default_rng(11), mc_samples=mc)
+    for mc in (40, 1):
+        values.append(mc_empirical_risk(model, task.train_x, task.train_y, loss, mc,
+                                        np.random.default_rng(12)))
+    return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("arch,kind", ORACLE_CASES, ids=lambda v: getattr(v, "kind", v))
+def test_oracles_are_bit_identical_to_their_recorded_digest(arch, kind):
+    assert _oracle_digest(arch, kind) == ORACLE_DIGESTS[f"{arch.kind}-{kind}"]
