@@ -111,3 +111,19 @@ def expected_kl_arrays(q_mean: np.ndarray, q_log_var: np.ndarray,
     center = isotropic(hyper.mean, prior_var)
     spread = float(np.sum(hyper.var)) / (2.0 * prior_var)
     return kl_diag_arrays(q_mean, q_log_var, center.mean, center.log_var) + spread
+
+
+def expected_kl_fixed_spread_arrays(q_mean: np.ndarray, q_log_var: np.ndarray,
+                                    p_mean: np.ndarray, p_log_var: np.ndarray,
+                                    spread_var: float) -> np.ndarray:
+    """E of KL(q || N(a', diag exp(b'))) over (a', b') ~ N((p_mean, p_log_var),
+    spread_var I), in closed form; posteriors as in :func:`kl_diag_arrays`.
+
+    With s = spread_var, E[exp(-b')] = exp(-b + s/2) and E[(mq - a')^2] =
+    (mq - a)^2 + s, so per coordinate the expectation is
+    (b - lv_q + (vq + (mq - a)^2 + s) exp(-b + s/2) - 1) / 2, which is
+    KL(q || N(a, exp(b - s/2))) + s (exp(-b + s/2) + 1/2) / 2.
+    """
+    shifted = p_log_var - 0.5 * spread_var
+    spread = 0.5 * spread_var * np.sum(np.exp(-shifted) + 0.5)
+    return kl_diag_arrays(q_mean, q_log_var, p_mean, shifted) + spread

@@ -4,15 +4,16 @@ Two ways of producing a certified multi-task system are supported.  The
 closed-form pipeline fits each task with a fixed deterministic rule and
 places a conjugate Gaussian hyper-posterior over the prior mean, so every
 bound ingredient has an exact expression and sweeps are cheap.  The trained
-pipeline runs the two-prior learner and prices its output with Monte-Carlo
-estimates.  Both produce the same row shape so the CLI can mix them.
+pipeline runs the two-prior learner and prices its output with a Monte-Carlo
+empirical risk and exact expected divergences.  One function turns the
+ingredients of either into both theorem bounds, so both produce the same
+row shape and the CLI can mix them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .env import LinearEnvSpec, Task, sample_tasks, true_risk_mc
 from .gauss import (
     DiagonalGaussian,
     expected_kl_arrays,
+    expected_kl_fixed_spread_arrays,
     expected_kl_under_gaussian_mean,  # noqa: F401 - bench/tracer.py wraps it on this module
     isotropic,
     kl_diag_gaussian,
@@ -49,6 +51,7 @@ __all__ = [
     "RULE_RADIUS",
     "PRIOR_STD",
     "HYPER_PRIOR_STD",
+    "RISK_DRAWS",
     "PipelinePoint",
     "signed_mean_direction",
     "rule_weight",
@@ -69,6 +72,9 @@ RULE_RADIUS = 30.0
 PRIOR_STD = 10.0
 HYPER_PRIOR_STD = 20.0
 
+# Weight draws per training task behind the trained pipeline's empirical risk.
+RISK_DRAWS = 2000
+
 
 @dataclass(frozen=True)
 class PipelinePoint:
@@ -87,6 +93,44 @@ class PipelinePoint:
     multitask_term: float
     kl_rho_pi: float
     mean_task_kl: float
+
+
+@dataclass(frozen=True)
+class BoundBreakdown:
+    """Certified bound values for one system plus their components."""
+
+    empirical_multitask_risk: float
+    kl_rho_pi: float
+    bound_thm1: float
+    bound_thm2: float
+    task_level_term: float
+    multitask_term: float
+    mean_task_kl: float
+
+
+def _certificate(er: float, kl_rho_pi: float, kl_hyper: float, task_kls: np.ndarray,
+                 n: int, m: int, delta: float) -> BoundBreakdown:
+    """Both theorem bounds and their terms for one algorithm pair: the
+    hyper-level divergence ``kl_hyper`` and the per-task expected
+    divergences ``task_kls`` (n,)."""
+    sum_task_kl = math.fsum(task_kls.tolist())
+    inp = MetaBoundInput(
+        empirical_multitask_risk=er,
+        kl_rho_pi=kl_rho_pi,
+        per_algorithm_complexity=((kl_hyper, sum_task_kl),),
+        n=n,
+        m=m,
+        delta=delta,
+    )
+    return BoundBreakdown(
+        empirical_multitask_risk=er,
+        kl_rho_pi=kl_rho_pi,
+        bound_thm1=theorem1_bound(inp),
+        bound_thm2=theorem2_bound(inp),
+        task_level_term=task_level_term(kl_rho_pi, n, delta),
+        multitask_term=multitask_sqrt_term(kl_hyper + sum_task_kl, n, m, delta),
+        mean_task_kl=float(np.mean(task_kls)),
+    )
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -186,35 +230,13 @@ def prior_mean_point(spec: LinearEnvSpec, tasks: list[Task], seed: int,
     center = s2 * np.sum(weights, axis=0) / prior_var
     hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
     kl_hyper = kl_diag_gaussian(hyper, isotropic(np.zeros(d), HYPER_PRIOR_STD**2))
-    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper,
-                                  prior_var).tolist()
-    sum_task_kl = math.fsum(task_kls)
-    inp = MetaBoundInput(
-        empirical_multitask_risk=er,
-        kl_rho_pi=0.0,
-        per_algorithm_complexity=((kl_hyper, sum_task_kl),),
-        n=n,
-        m=m,
-        delta=delta,
-    )
+    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper, prior_var)
     if meta_test_loss is None:
         meta_test_loss = rule_test_loss(spec, m, seed, eval_tasks=eval_tasks,
                                         eval_points=eval_points)
-    return PipelinePoint(
-        n=n,
-        m=m,
-        d=d,
-        seed=seed,
-        empirical_multitask_risk=er,
-        bound_thm1=theorem1_bound(inp),
-        bound_thm2=theorem2_bound(inp),
-        meta_test_loss=meta_test_loss,
-        meta_train_loss=er,
-        task_level_term=task_level_term(0.0, n, delta),
-        multitask_term=multitask_sqrt_term(kl_hyper + sum_task_kl, n, m, delta),
-        kl_rho_pi=0.0,
-        mean_task_kl=float(np.mean(task_kls)),
-    )
+    breakdown = _certificate(er, 0.0, kl_hyper, task_kls, n, m, delta)
+    return PipelinePoint(n=n, m=m, d=d, seed=seed, meta_test_loss=meta_test_loss,
+                         meta_train_loss=er, **vars(breakdown))
 
 
 @dataclass(frozen=True)
@@ -226,90 +248,45 @@ class TrainedSystem:
     trace_objectives: tuple[float, ...]
 
 
-def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig,
-                         adapt_epochs: int | None = None) -> TrainedSystem:
+def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig) -> TrainedSystem:
     """Train the meta-posterior, then run its adaptation rule on each
-    training task to obtain the posteriors the certificate prices.
-
-    adapt_epochs defaults to the stage-2 epoch count so the per-task effort
-    matches what a fresh task would receive.
-    """
+    training task for the stage-2 epoch count, the effort a fresh task
+    receives, to obtain the posteriors the certificate prices."""
     rho, trace = train_meta(tasks, cfg)
-    if adapt_epochs is None:
-        adapt_epochs = cfg.epochs_stage2
-    adapted = adapt_many(rho, tasks, cfg, adapt_epochs=adapt_epochs,
+    adapted = adapt_many(rho, tasks, cfg, adapt_epochs=cfg.epochs_stage2,
                          rngs=[stream(cfg.seed, "task-posterior", i) for i in range(len(tasks))])
     return TrainedSystem(rho, [model for model, _ in adapted], tuple(trace.objectives))
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
-    """Certified bound values for a trained system plus their components."""
-
-    empirical_multitask_risk: float
-    kl_rho_pi: float
-    pairs: tuple[tuple[float, float], ...]
-    bound_thm1: float
-    bound_thm2: float
-    task_level_term: float
-    multitask_term: float
-    mean_task_kl: float
-
-
 def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
-                            cfg: TrainConfig, *, algorithm_draws: int = 5,
-                            mc_risk: int = 2000) -> BoundBreakdown:
+                            cfg: TrainConfig) -> BoundBreakdown:
     """Price a trained system with both theorem bounds.
 
-    The empirical multitask risk is a high-draw Monte-Carlo estimate on the
-    training data.  The per-algorithm complexity is sampled: each draw from
-    the regularization component yields one prior and one summed task
-    divergence, and the theorem-2 evaluator averages the square roots.
+    The empirical multitask risk is a Monte-Carlo estimate from
+    ``RISK_DRAWS`` weight draws per task on its training data.  The
+    expected summed task divergence over priors drawn from the learned
+    hyper-posterior N(theta1, kappa_rho^2 I) is exact, so the theorem-2
+    evaluator sees one algorithm pair and takes the square root of the
+    expectation, which bounds the expected square root from above.
     Raises TrainingDiverged when the trained system is finite but its risk
     or a divergence is not.
     """
-    n = len(tasks)
-    m = tasks[0].m
     d = system.rho.weight_dim
     risk_rng = stream(cfg.seed, "bound-risk")
     risks = [
-        mc_empirical_risk(mdl, t.train_x, t.train_y, cfg.loss, mc_risk, risk_rng)
+        mc_empirical_risk(mdl, t.train_x, t.train_y, cfg.loss, RISK_DRAWS, risk_rng)
         for mdl, t in zip(system.task_models, tasks)
     ]
     er = float(np.mean(risks))
     kl_rho_pi = meta_kl(system.rho, MetaPrior(cfg.kappa_pi))
-    draw_rng = stream(cfg.seed, "bound-priors")
-    pairs = []
-    for _ in range(algorithm_draws):
-        flat = system.rho.theta1 + cfg.kappa_rho * draw_rng.standard_normal(2 * d)
-        prior = DiagonalGaussian(flat[:d].copy(), flat[d:].copy())
-        skl = math.fsum(
-            kl_diag_gaussian(mdl.posterior, prior) for mdl in system.task_models
-        )
-        pairs.append((0.0, skl))
-    if not all(math.isfinite(v) for v in (er, kl_rho_pi, *(skl for _, skl in pairs))):
+    theta1 = system.rho.theta1
+    task_kls = expected_kl_fixed_spread_arrays(
+        np.stack([mdl.posterior.mean for mdl in system.task_models]),
+        np.stack([mdl.posterior.log_var for mdl in system.task_models]),
+        theta1[:d], theta1[d:], system.rho.kappa_rho**2)
+    if not (math.isfinite(er) and math.isfinite(kl_rho_pi) and np.isfinite(task_kls).all()):
         raise TrainingDiverged("trained system has a non-finite certificate", TrainingTrace())
-    inp = MetaBoundInput(
-        empirical_multitask_risk=er,
-        kl_rho_pi=kl_rho_pi,
-        per_algorithm_complexity=tuple(pairs),
-        n=n,
-        m=m,
-        delta=cfg.delta,
-    )
-    multitask = fmean(
-        multitask_sqrt_term(kl_h + skl, n, m, cfg.delta) for kl_h, skl in pairs
-    )
-    return BoundBreakdown(
-        empirical_multitask_risk=er,
-        kl_rho_pi=kl_rho_pi,
-        pairs=tuple(pairs),
-        bound_thm1=theorem1_bound(inp),
-        bound_thm2=theorem2_bound(inp),
-        task_level_term=task_level_term(kl_rho_pi, n, cfg.delta),
-        multitask_term=multitask,
-        mean_task_kl=fmean(skl for _, skl in pairs) / n,
-    )
+    return _certificate(er, kl_rho_pi, 0.0, task_kls, len(tasks), tasks[0].m, cfg.delta)
 
 
 def two_prior_point(spec: LinearEnvSpec, tasks: list[Task], seed: int, cfg: TrainConfig, *,
@@ -333,18 +310,6 @@ def two_prior_point(spec: LinearEnvSpec, tasks: list[Task], seed: int, cfg: Trai
     ]
     trace = system.trace_objectives
     train_loss = trace[-1] if trace else breakdown.empirical_multitask_risk
-    return PipelinePoint(
-        n=len(tasks),
-        m=tasks[0].m,
-        d=spec.d,
-        seed=seed,
-        empirical_multitask_risk=breakdown.empirical_multitask_risk,
-        bound_thm1=breakdown.bound_thm1,
-        bound_thm2=breakdown.bound_thm2,
-        meta_test_loss=float(np.mean(test_risks)),
-        meta_train_loss=train_loss,
-        task_level_term=breakdown.task_level_term,
-        multitask_term=breakdown.multitask_term,
-        kl_rho_pi=breakdown.kl_rho_pi,
-        mean_task_kl=breakdown.mean_task_kl,
-    )
+    return PipelinePoint(n=len(tasks), m=tasks[0].m, d=spec.d, seed=seed,
+                         meta_test_loss=float(np.mean(test_risks)),
+                         meta_train_loss=train_loss, **vars(breakdown))

@@ -159,6 +159,19 @@ SWEEP_SMALL = """\
     out = {out}
     """
 
+TWO_PRIOR_SMALL = """\
+    [sweep]
+    pipeline = two_prior
+    n_list = 2, 3
+    m_list = 5
+    seeds = 2
+    epochs_stage1 = 2
+    epochs_stage2 = 2
+    eval_tasks = 3
+    eval_points = 20
+    mc_eval = 10
+    """
+
 
 class TestCmdSweep:
     def test_writes_expected_rows(self, tmp_path, capsys):
@@ -197,10 +210,13 @@ class TestCmdSweep:
         main(["sweep", "--config", path, "--out", str(out_b), "--jobs", "2"])
         assert _data_lines(out_a) == _data_lines(out_b)
 
-    def test_components_recombine_in_every_row(self, tmp_path):
+    @pytest.mark.parametrize("text", [SWEEP_SMALL.format(out="p.csv"), TWO_PRIOR_SMALL],
+                             ids=["prior_mean", "two_prior"])
+    def test_components_recombine_in_every_row(self, tmp_path, text):
         out = tmp_path / "sweep.csv"
-        path = _write(tmp_path, SWEEP_SMALL.format(out=out))
-        main(["sweep", "--config", path])
+        path = _write(tmp_path, text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
         header, *rows = _data_lines(out)
         cols = header.split(",")
         for line in rows:
@@ -219,27 +235,15 @@ README_SWEEP = """\
     seeds = 5
     """
 
-TWO_PRIOR_SMALL = """\
-    [sweep]
-    pipeline = two_prior
-    n_list = 2, 3
-    m_list = 5
-    seeds = 2
-    epochs_stage1 = 2
-    epochs_stage2 = 2
-    eval_tasks = 3
-    eval_points = 20
-    mc_eval = 10
-    """
-
 # sha256 of the CSV bodies (the lines outside '#' comments, joined by
-# newlines) at seed 0, recorded when each sweep row was priced on its own.
+# newlines) at seed 0, recorded when each sweep row was priced on its own;
+# "two_prior" re-recorded when its expected task divergence became exact.
 # Bit-exact floats: recorded with numpy 2.4 and OpenBLAS on x86-64.
 GOLDEN_BODIES = {
     "readme": (README_SWEEP,
                "7fa918c9b2b81c5a9e8ea998605450dd3168dc2763540fc0c7d303e1b4d84722"),
     "two_prior": (TWO_PRIOR_SMALL,
-                  "d74e37a2842a06c4f29927170d267d2d6178c6517ff6142245215ee73addeed0"),
+                  "4a578f94147cf1d4692f62f4345577d2014e967ba5580f73308d74993d9feaa2"),
 }
 
 

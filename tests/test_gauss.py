@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from metabounds.audit import quadrature_kl_1d
 from metabounds.gauss import (
     DiagonalGaussian,
+    expected_kl_fixed_spread_arrays,
     expected_kl_under_gaussian_mean,
     isotropic,
+    kl_diag_arrays,
     kl_diag_gaussian,
 )
 
@@ -140,3 +142,26 @@ class TestExpectedKlUnderGaussianMean:
             expected_kl_under_gaussian_mean(
                 isotropic(np.zeros(2), 1.0), isotropic(np.zeros(3), 1.0), 1.0
             )
+
+
+class TestExpectedKlFixedSpread:
+    @pytest.mark.parametrize("kappa_rho", [1e-3, 0.1])
+    def test_monte_carlo_agreement_over_both_halves(self, kappa_rho):
+        """Two tight posteriors (log-variance near -10, as adapted ones are)
+        against priors whose mean and log-variance are both drawn around
+        (a, b). At kappa_rho = 0.1, dropping exp(kappa_rho^2 / 2) or the
+        + kappa_rho^2 term moves the value by more than 6 standard errors."""
+        rng = np.random.default_rng(5)
+        q_mean = rng.normal(size=(2, 3))
+        q_log_var = -10.0 + rng.normal(scale=0.3, size=(2, 3))
+        a = q_mean[0] + np.array([1.0, -0.8, 1.2])
+        b = np.full(3, -2.0)
+        draws = 50_000
+        a_draws = a + kappa_rho * rng.standard_normal((draws, 3))
+        b_draws = b + kappa_rho * rng.standard_normal((draws, 3))
+        sums = np.sum(kl_diag_arrays(q_mean, q_log_var, a_draws[:, None], b_draws[:, None]),
+                      axis=1)
+        se = np.std(sums, ddof=1) / np.sqrt(draws)
+        closed = expected_kl_fixed_spread_arrays(q_mean, q_log_var, a, b, kappa_rho**2)
+        assert closed.shape == (2,)
+        assert abs(np.sum(closed) - np.mean(sums)) < 3.0 * se

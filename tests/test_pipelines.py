@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from metabounds.env import LinearEnvSpec, sample_tasks
-from metabounds.metalearn import TrainConfig
+from metabounds.metalearn import MetaPosterior, TrainConfig, TrainingDiverged
 from metabounds.model import LossSpec, ModelArchitecture
 from metabounds.pipelines import (
     PRIOR_STD,
     RULE_RADIUS,
+    TrainedSystem,
     fit_two_prior_system,
     gaussian_sign_risk,
     prior_mean_point,
@@ -212,6 +213,21 @@ class TestTrainedPipeline:
         assert abs(recombined - bd.bound_thm2) <= 1e-12
         assert bd.bound_thm2 <= bd.bound_thm1 + 1e-12
         assert bd.bound_thm2 > bd.empirical_multitask_risk
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_prior_variance_is_a_numeric_failure(self):
+        """A theta1 log-variance of -800 makes exp(-b) overflow, so the
+        expected task divergence is infinite: a diverged run, not a
+        ValueError from the bound's input checks."""
+        tasks = _tasks(2, 6, seed=17)
+        cfg = _cfg(seed=17)
+        system = fit_two_prior_system(tasks, cfg)
+        theta1 = system.rho.theta1.copy()
+        theta1[system.rho.weight_dim:] = -800.0
+        rho = MetaPosterior.from_means(system.rho.theta0, theta1, system.rho.kappa_rho)
+        broken = TrainedSystem(rho, system.task_models, system.trace_objectives)
+        with pytest.raises(TrainingDiverged, match="non-finite certificate"):
+            trained_bound_breakdown(broken, tasks, cfg)
 
     def test_system_fit_is_deterministic(self):
         tasks = _tasks(2, 6, seed=19)
