@@ -10,9 +10,11 @@ model on a task by fresh sampling.
 
 One oracle call draws the B = n_eval inputs first and the K = mc_samples
 weight vectors second, from the same generator. A clipped loss is computed
-in place in the one K x B buffer of linear scores (320 KB at K = B = 200);
-the 0-1 loss is one new K x B array. For mlp1 the forward pass holds one
-K x B x hidden buffer and one K x B x classes buffer of logits.
+in place in the K x B buffer of linear scores (320 KB at K = B = 200); the
+logistic loss repeats ``diff.softplus``'s float operations and holds one
+more K x B scratch buffer for its relu. The 0-1 loss is one new K x B
+array. For mlp1 the forward pass holds one K x B x hidden buffer and one
+K x B x classes buffer of logits.
 """
 
 from __future__ import annotations

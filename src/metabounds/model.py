@@ -170,13 +170,25 @@ def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
                            s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The clipped logistic or cross-entropy loss of the float64 scores s,
     which this overwrites: the logistic losses are s itself, cross-entropy
-    leaves the exponentials of its shifted logits in s."""
+    leaves the exponentials of its shifted logits in s.
+
+    The logistic branch repeats ``diff.softplus``'s float operations,
+    relu(t) + log(exp(-|t|) + 1), so before the clip its losses equal that
+    node's values bit for bit; it holds one scratch array of s's shape for
+    the relu.
+    """
     if loss.kind == "logistic_clipped":
         if arch.kind != "linear":
             raise ValueError("logistic loss applies to the linear architecture")
         # class-0 logit is the score, class-1 logit is 0
         s *= 2.0 * y - 1.0
-        raw = np.logaddexp(0.0, s, out=s)
+        relu = np.maximum(s, 0.0)
+        np.abs(s, out=s)
+        s *= -1.0
+        np.exp(s, out=s)
+        s += 1.0
+        raw = np.log(s, out=s)
+        raw += relu
     else:
         if arch.kind != "mlp1" or s.ndim < 2:
             raise ValueError("cross-entropy expects logit rows")
@@ -197,8 +209,9 @@ def _mc_losses(model: StochasticModel, x: np.ndarray, y: np.ndarray,
 
     The draws are mean + std * N(0, 1) of shape (K, d), taken from rng here.
     The scores are made here, so a clipped loss overwrites them: one call
-    holds one K x B buffer (for mlp1 one K x B x hidden buffer and one
-    K x B x classes buffer).
+    holds one K x B buffer, plus one K x B scratch buffer for the logistic
+    relu (for mlp1 one K x B x hidden buffer and one K x B x classes
+    buffer).
     """
     post = model.posterior
     draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))

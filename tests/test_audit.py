@@ -1,10 +1,12 @@
 """Tests for the quadrature oracle and the bound-validity auditor."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from metabounds import audit
 from metabounds.audit import (
     AuditRecord,
     AuditReport,
@@ -15,6 +17,7 @@ from metabounds.env import LinearEnvSpec
 from metabounds.gauss import DiagonalGaussian, kl_diag_gaussian
 from metabounds.metalearn import TrainConfig
 from metabounds.model import LossSpec, ModelArchitecture
+from metabounds.rng import stream
 
 
 def _g(mean, var):
@@ -115,3 +118,23 @@ class TestAuditor:
         with pytest.raises(ValueError, match="at least 50"):
             audit_bound_validity(LinearEnvSpec(d=2), 2, 5, _light_cfg(), 10,
                                  np.random.default_rng(0))
+
+
+def test_negative_control_flags_the_empirical_risk_alone(monkeypatch):
+    """An audit that cannot fail is no check: with the certificate cut down
+    to the empirical multitask risk, no slack at all, the criterion-5
+    pipeline must show more violations than delta allows."""
+    real = audit.trained_bound_breakdown
+
+    def risk_only(system, tasks, cfg):
+        full = real(system, tasks, cfg)
+        return replace(full, bound_thm2=full.empirical_multitask_risk)
+
+    monkeypatch.setattr(audit, "trained_bound_breakdown", risk_only)
+    cfg = TrainConfig(arch=ModelArchitecture("linear", input_dim=2),
+                      loss=LossSpec("logistic_clipped"),
+                      epochs_stage1=20, epochs_stage2=20, seed=0)
+    trials = 100
+    report = audit_bound_validity(LinearEnvSpec(d=2), 5, 5, cfg, trials,
+                                  stream(12, "negative-control-audit"))
+    assert report.violations > cfg.delta * trials

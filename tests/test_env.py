@@ -257,13 +257,15 @@ class TestOraclesWriteIntoNoCallerArray:
 # sha256 of the float bytes of true_risk_mc's (risk, se) at (n_eval,
 # mc_samples) = (50, 30), (1, 30) and (50, 1), followed by mc_empirical_risk on
 # the training set at mc_samples 40 and 1, per oracle case. Recorded before
-# the Monte-Carlo risks were computed in one owned buffer; any change to the
-# oracles' floats moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
+# the Monte-Carlo risks were computed in one owned buffer; the logistic one was
+# re-recorded when its loss took diff.softplus's float operations in place of
+# np.logaddexp (within an ulp, see test_model.TestLogisticKernel). Any change to
+# the oracles' floats moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
 ORACLE_DIGESTS = {
     "linear-zero_one":
         "ede53babede997ebaa628fef15628a5b8ec56139dc85ad20426d428a7aec936d",
     "linear-logistic_clipped":
-        "25aa884cf4492503e264d96c4649f707ea76131cbff6af8121ae23f6760463a7",
+        "391649a0fe8013463e124aafd5e59b948b7d4e83369b50920bd5e85c9be367cd",
     "mlp1-zero_one":
         "33f81ecd464a72dc67aba1441d4bdd3e6d7e57e4a6c11c0c83b41a9fc91da0ec",
     "mlp1-cross_entropy_clipped":

@@ -107,6 +107,56 @@ class TestLossValues:
             LossSpec("logistic_clipped", clip_max=clip_max)
 
 
+def _kernel_scores():
+    """Signed zeros, values at the edges of exp's range and of float64,
+    infinities, and random scores at several scales."""
+    edges = [0.0, -0.0, 1e-300, -1e-300, 709.0, 710.0, -745.0, 1e308, -1e308,
+             np.inf, -np.inf]
+    rng = np.random.default_rng(5)
+    return np.concatenate([edges] + [rng.standard_normal(20_000) * scale
+                                     for scale in (1e-3, 1.0, 30.0, 1e3)])
+
+
+class TestLogisticKernel:
+    """The oracles' clipped logistic loss, computed with diff.softplus's
+    float operations in place of np.logaddexp. Label 1 scores the loss of
+    t = s, label 0 that of t = -s."""
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_within_an_ulp_of_logaddexp(self, label):
+        t = _kernel_scores()
+        s = t if label == 1 else -t
+        loss = LossSpec("logistic_clipped")
+        vals = loss_values(loss, LINEAR2, s, np.full(s.shape, label))
+        ref = np.minimum(np.logaddexp(0.0, t), loss.clip_max) / loss.clip_max
+        assert np.max(np.abs(vals - ref)) <= 2.3e-16
+
+    def test_unclipped_losses_are_the_softplus_node_values(self):
+        t = _kernel_scores()
+        finite = t[np.isfinite(t)]
+        with Tape() as tape:
+            softplus = diff.softplus(tape.tensor(finite)).value
+        # dividing by a power of two is exact where the quotient stays
+        # normal; softplus is 0 or at least 2.2e-16, so each clip recovers
+        # the unclipped losses in its range bit for bit
+        covered = np.zeros(finite.shape, dtype=bool)
+        for lo, clip in ((0.0, 2.0), (2.0, 2.0**1023)):
+            vals = loss_values(LossSpec("logistic_clipped", clip_max=clip), LINEAR2,
+                               finite, np.ones(finite.shape, dtype=np.int64))
+            exact = (softplus >= lo) & (softplus <= clip)
+            np.testing.assert_array_equal(vals[exact] * clip, softplus[exact])
+            covered |= exact
+        # only the softplus of 1e308 lies beyond 2**1023
+        np.testing.assert_array_equal(finite[~covered], [1e308])
+
+    def test_infinities_saturate_and_nan_stays_nan(self):
+        vals = loss_values(LossSpec("logistic_clipped"), LINEAR2,
+                           np.array([np.inf, -np.inf, np.nan]), np.ones(3, dtype=np.int64))
+        assert vals[0] == 1.0
+        assert vals[1] == 0.0
+        assert np.isnan(vals[2])
+
+
 class TestMcEmpiricalRisk:
     def test_near_dirac_zero_error(self):
         w = np.array([1.0, 1.0])
