@@ -283,11 +283,11 @@ def softplus(a: Tensor) -> Tensor:
     Value and adjoint repeat, in the same order, the float operations of the
     10-op chain ``relu(a) + log(exp(-(relu(a) + relu(-a))) + 1)``, relu
     having subgradient 0 at 0; at a = 0 alone the adjoint is instead
-    softplus's derivative 1/2.
+    softplus's derivative 1/2. A NaN input gives NaN, value and adjoint.
     """
     t = a.value
     pos = t > 0.0
-    relu_t = np.where(pos, t, 0.0)
+    relu_t = np.maximum(t, 0.0)
     neg_t = t * -1.0
     neg = neg_t > 0.0
     shrink = np.exp((relu_t + np.where(neg, neg_t, 0.0)) * -1.0)

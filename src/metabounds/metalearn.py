@@ -235,22 +235,32 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
     node: their mean risk plus the task-level and multitask square-root terms.
 
     theta1 is a node; theta0 is the same node (tied) or a constant array
-    (frozen). The node stands for the chain
+    (frozen). kl holds each task's divergence from N(a, exp(b - h)), where
+    theta1 = (a, b) and h = kappa_rho**2 / 2; adding n spread terms
+    h * sum(exp(h - b) + 1/2) turns their sum into the expected divergence
+    from regularization priors drawn from N(theta1, kappa_rho**2 I)
+    (gauss.expected_kl_fixed_spread_arrays). The node stands for the chain
     ``sum(risk) * (1/n) + sqrt((mkl + task_level_slack) * (1/(2n)))
-    + sqrt((mkl + sum(kl) + multitask_slack) * (1/(2nm)))`` with the meta-KL
+    + sqrt((mkl + sum(kl) + spread + multitask_slack) * (1/(2nm)))`` with
+    ``spread = sum(exp(h - b) + 0.5) * (h * n)``, b sliced from theta1
+    before the meta-KL
     ``mkl = (sum(theta0 * theta0) + sum(theta1 * theta1)) * scale + shift``.
     """
     n = risk.shape[0]
     tied = theta0 is theta1
     t1 = theta1.value
+    d = t1.shape[0] // 2
+    half = 0.5 * cfg.kappa_rho**2
+    inv_var = np.exp(half - t1[d:])
+    spread = np.add.reduce(inv_var + 0.5, axis=None) * (half * n)
     sq1 = np.add.reduce(t1 * t1, axis=None)
     squares = (sq1 if tied else np.add.reduce(theta0 * theta0, axis=None)) + sq1
-    scale, shift = _meta_kl_coefficients(t1.shape[0] // 2, cfg.kappa_rho, cfg.kappa_pi)
+    scale, shift = _meta_kl_coefficients(d, cfg.kappa_rho, cfg.kappa_pi)
     mkl = squares * scale + shift
     task_scale = 1.0 / (2.0 * n)
     multi_scale = 1.0 / (2.0 * n * m)
     task_arg = (mkl + task_level_slack(n, cfg.delta)) * task_scale
-    multi_arg = (mkl + np.add.reduce(kl.value, axis=None)
+    multi_arg = (mkl + np.add.reduce(kl.value, axis=None) + spread
                  + multitask_slack(n, m, cfg.delta)) * multi_scale
     _check_sqrt_args(task_arg, multi_arg)
     task_term = np.sqrt(task_arg)
@@ -263,9 +273,11 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
         g_squares = (g_multi + g * 0.5 / task_term * task_scale) * scale
         g_risk, g_kl = np.full(n, g * (1.0 / n)), np.full(n, g_multi)
         # each sum of squares hands its center two equal adjoints; the chain
-        # accumulates theta1's pair, then the tied theta0's
+        # accumulates theta1's pair, then the tied theta0's, then the spread's
         g1 = g_squares * t1
-        return g_risk, g_kl, (g1 + g1 + g1 + g1) if tied else (g1 + g1)
+        g_theta = (g1 + g1 + g1 + g1) if tied else (g1 + g1)
+        g_theta[d:] -= g_multi * (half * n) * inv_var
+        return g_risk, g_kl, g_theta
 
     return diff.Tensor(risk.tape, value, (risk, kl, theta1), vjp)
 
@@ -290,12 +302,15 @@ def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     (tied) or a constant array (frozen); q is the (n, 2d) task-posterior
     node, x and y one minibatch per task.  ``m`` is each task's full sample
     count, which sets the slack constants whatever the minibatch size.
-    Draws the regularization prior's noise, then every task's weight noise,
-    from rng.
+    Each task's divergence is its expectation over regularization priors
+    drawn from N(theta1, kappa_rho**2 I), in the closed form that prices the
+    trained certificate: the KL from theta1 with its log-variances lowered
+    by kappa_rho**2 / 2, plus a spread term the certificate node adds.
+    Draws every task's weight noise, and nothing else, from rng.
     """
     n, width = q.shape
     d = width // 2
-    p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
+    p = theta1 - np.concatenate([np.zeros(d), np.full(d, 0.5 * cfg.kappa_rho**2)])
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     return _meta_certificate_node(cfg, m, theta0, theta1, risk, diff.gaussian_kl(q, p))
@@ -351,7 +366,8 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     """Differentiable certificate at the given parameter point.
 
     Evaluates on each task's full training set with ``cfg.mc_train`` weight
-    draws and a single sampled regularization prior.  ``theta0`` enters as
+    draws and the exact expectation over regularization priors, so ``rng``
+    gives the weight noise alone.  ``theta0`` enters as
     a constant, frozen as in training's second stage.  Returns the scalar
     tape node; when ``leaves_out`` is a dict it receives one parameter leaf
     per block, keyed ``"theta1.mean.<block>"``, ``"theta1.lv.<block>"``,

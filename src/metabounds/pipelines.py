@@ -265,7 +265,8 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
     The empirical multitask risk is a Monte-Carlo estimate from
     ``RISK_DRAWS`` weight draws per task on its training data.  The
     expected summed task divergence over priors drawn from the learned
-    hyper-posterior N(theta1, kappa_rho^2 I) is exact, so the theorem-2
+    hyper-posterior N(theta1, kappa_rho^2 I) is exact, in the closed form
+    that training's meta-objective also takes, so the theorem-2
     evaluator sees one algorithm pair and takes the square root of the
     expectation, which bounds the expected square root from above.
     Raises TrainingDiverged when the trained system is finite but its risk

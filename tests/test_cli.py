@@ -237,13 +237,14 @@ README_SWEEP = """\
 
 # sha256 of the CSV bodies (the lines outside '#' comments, joined by
 # newlines) at seed 0, recorded when each sweep row was priced on its own;
-# "two_prior" re-recorded when its expected task divergence became exact.
+# "two_prior" re-recorded when its expected task divergence became exact,
+# and again when training took that expectation exactly too.
 # Bit-exact floats: recorded with numpy 2.4 and OpenBLAS on x86-64.
 GOLDEN_BODIES = {
     "readme": (README_SWEEP,
                "7fa918c9b2b81c5a9e8ea998605450dd3168dc2763540fc0c7d303e1b4d84722"),
     "two_prior": (TWO_PRIOR_SMALL,
-                  "4a578f94147cf1d4692f62f4345577d2014e967ba5580f73308d74993d9feaa2"),
+                  "d261b15d5d33fbf9e5de7b5c3cca14e60c0a95353c63bd758a5a6c86243616cf"),
 }
 
 
@@ -467,6 +468,8 @@ BOUNDARY_CASES = [
     ("train", {"loss": "logistic_clipped"}, 2),
     ("train", {"learning_rate": "1e300"}, 3),
     ("train", {"kappa_rho": "1e300"}, 2),
+    # exp(kappa_rho**2 / 2) overflows the expected task divergence
+    ("train", {"kappa_rho": "40"}, 3),
     ("train", {"kappa_pi": "1e-300"}, 2),
     ("audit", {"learning_rate": "1e300", "epochs_stage2": "0"}, 3),
     ("audit", {"learning_rate": "1e300", "epochs_stage2": "0", "jobs": "2"}, 3),

@@ -49,6 +49,7 @@ class TestForwardOps:
         nan = tape.tensor(np.array([0.0, 4.0])) * np.inf
         assert np.isnan(diff.log(nan).value[0])
         assert np.isnan(diff.sqrt(nan).value[0])
+        assert np.isnan(diff.softplus(nan).value[0])
 
     def test_add_bias_broadcast(self):
         tape = Tape()

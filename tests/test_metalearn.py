@@ -19,7 +19,12 @@ from metabounds.bounds import (
 from metabounds import diff, metalearn
 from metabounds.diff import backward, gradcheck
 from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
-from metabounds.gauss import DiagonalGaussian, isotropic, kl_diag_gaussian
+from metabounds.gauss import (
+    DiagonalGaussian,
+    expected_kl_fixed_spread_arrays,
+    isotropic,
+    kl_diag_gaussian,
+)
 from metabounds.metalearn import (
     MetaPosterior,
     MetaPrior,
@@ -55,40 +60,38 @@ CROSS_ENTROPY = LossSpec("cross_entropy_clipped")
 BLOBS = PermutedEnvSpec(base=BlobsSpec(num_points=60, dim=3, num_classes=3,
                                        center_scale=2.5, seed=0))
 
-# Meta-posterior centers from train_meta as it was when tasks were still
-# taped one by one (see TestTrainMeta.test_matches_recorded_*). They pin the
-# random draw order of the stacked implementation.
+# Meta-posterior centers from a short train_meta run (see
+# TestTrainMeta.test_matches_recorded_*). They pin the random draw order of
+# training; re-recorded when each step stopped drawing a regularization prior
+# and took the exact expectation over it instead.
 GOLDEN_LINEAR_THETA0 = np.array([
-    -0.13532851874453786, -0.74056676962364953, -9.7111267886190511,
-    -9.7703928625340453,
+    -0.13533411301998916, -0.7405630899953927, -9.711132693395735, -9.770389065179893,
 ])
 GOLDEN_LINEAR_THETA1 = np.array([
-    -0.14003405873746413, -0.73273092679742668, -9.6480328959658692,
-    -9.6994969418301249,
+    -0.12807626223168572, -0.7335781261455289, -9.638541110356796, -9.698068049318106,
 ])
 GOLDEN_MLP1_THETA0 = np.array([
-    0.14832195180487812, 0.054825472856313874, 0.39151750016844156,
-    -0.50654080308416161, 0.089644571803556089, 0.45297567720883858,
-    0.079515389118115981, -0.0010046471733062487, 0.048586996851209457,
-    -0.26877965689534711, -0.16449023651706024, -0.71780943455905499,
-    0.063897034103591974, -0.20518875177444845, 0.1154288156211756,
-    0.066312105139641253, -0.054753005122727121, -9.4688351841878546,
-    -9.3934120017123934, -9.4900456630561045, -9.5835436783201029, -9.6028698905766046,
-    -9.5431145230775627, -9.5151216253418713, -9.5498668215160691, -9.4986004621006064,
-    -9.5529132360064928, -9.6702591404068254, -9.4482543630590481, -9.5135559280638748,
-    -9.5828704823935666, -9.5605147800262831, -9.4943115421567317, -9.5711267712392498,
+    0.14794598568279146, 0.05573136949716671, 0.39068346153677624, -0.5068130693947493,
+    0.08985588234631549, 0.45345098430108005, -0.040158971946663784,
+    -0.03718513379163735, 0.04834662635682829, -0.2688124181713978,
+    -0.15952467522306107, -0.7198318008425089, 0.06374808747480795,
+    -0.20536960520916628, 0.04411562949224268, -0.06201564816193362,
+    -0.04694192065505972, -9.468367981955119, -9.393084144913574, -9.489497372110122,
+    -9.58286574059787, -9.602705557276318, -9.543273287141094, -9.522738449036648,
+    -9.530698994526828, -9.498407402906777, -9.552713273089658, -9.669341947874592,
+    -9.44741062886624, -9.513265931375281, -9.582617430918726, -9.519441702495595,
+    -9.50782899513213, -9.577666718269793,
 ])
 GOLDEN_MLP1_THETA1 = np.array([
-    0.13931524513447732, 0.047439781656520616, 0.31164143715562898,
-    -0.42371533237506631, 0.098180150297720536, 0.4430736413072513,
-    0.08934780816809941, -0.13228686567893611, -0.084606326168038759,
-    -0.25910348338338085, -0.24275223087664688, -0.63270681263588835,
-    -0.02179191908310369, -0.28791855226868884, 0.059176927576115132,
-    0.13511224814000503, 0.018866864067580223, -9.0021589589769491,
-    -8.9284092369418175, -8.9886150139122947, -9.0978878064255184, -9.1365404836797062,
-    -9.0773502930720884, -9.0463848666672568, -9.0806559642590567, -9.028900135123461,
-    -9.0877223722359286, -9.1681052674317005, -8.9447700091497708, -9.009110812333466,
-    -9.0803016889522503, -9.0661405208042645, -8.9960033588478296, -9.0681727483613983,
+    0.22486349999851626, 0.1340866171610952, 0.38570431292389173, -0.5729269599031102,
+    0.20894758514516673, 0.4564004531011212, -0.10421443532877107, -0.1584155944073647,
+    -0.05062340196097561, -0.3377320422254781, -0.23017869567507648,
+    -0.6387933912285758, -0.01759601349702823, -0.14937017914270267,
+    0.16252297005850588, -0.1396617083301249, -0.12265450239007011, -8.96628728013334,
+    -8.89098040150303, -9.028401682090662, -9.086093138101758, -9.122524625187134,
+    -9.081638722384211, -9.027340872391099, -9.051873557723564, -9.012778473362609,
+    -9.054292919181702, -9.170217152507282, -8.944818345146938, -9.010715401996514,
+    -9.0914942222329, -9.039784021639132, -9.005693412686032, -9.075907649055136,
 ])
 
 
@@ -203,9 +206,11 @@ class TestMetaObjective:
 
     def test_equals_theorem1_bound_at_the_drawn_prior(self):
         """With the weight noise replayed, the taped certificate is the
-        closed-form one term for term, slack constants included."""
+        closed-form one term for term, slack constants included, and its
+        summed task divergence is the exact expectation over regularization
+        priors that prices the trained certificate. The weight noise is the
+        only draw."""
         tasks = _toy_tasks(3, 6, seed=103)
-        cfg = _cfg(mc_train=2)
         rng = np.random.default_rng(107)
         models = [
             StochasticModel(LINEAR, DiagonalGaussian(rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)))
@@ -213,27 +218,31 @@ class TestMetaObjective:
         ]
         theta0 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
         theta1 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
-        rho = MetaPosterior.from_means(theta0, theta1, cfg.kappa_rho)
-        value = float(meta_objective(rho, models, tasks, cfg,
-                                     rng=np.random.default_rng(109)).value)
+        for kappa_rho in (1e-3, 0.05, 0.5):
+            cfg = _cfg(mc_train=2, kappa_rho=kappa_rho)
+            rho = MetaPosterior.from_means(theta0, theta1, kappa_rho)
+            drawn = np.random.default_rng(109)
+            value = float(meta_objective(rho, models, tasks, cfg, rng=drawn).value)
 
-        replay = np.random.default_rng(109)
-        drawn = theta1 + cfg.kappa_rho * replay.standard_normal(4)
-        prior = DiagonalGaussian(drawn[:2], drawn[2:])
-        eps = replay.standard_normal((3, 2, 2))
-        risks = [
-            np.mean([loss_values(LOGISTIC, LINEAR, task.train_x @ (post.mean + post.std * e),
-                                 task.train_y).mean() for e in task_eps])
-            for post, task, task_eps in zip((m.posterior for m in models), tasks, eps)
-        ]
-        sum_kl = sum(kl_diag_gaussian(m.posterior, prior) for m in models)
-        expected = theorem1_bound(MetaBoundInput(
-            empirical_multitask_risk=float(np.mean(risks)),
-            kl_rho_pi=meta_kl(rho, MetaPrior(cfg.kappa_pi)),
-            per_algorithm_complexity=((0.0, sum_kl),),
-            n=3, m=6, delta=cfg.delta,
-        ))
-        assert abs(value - expected) <= 1e-12
+            replay = np.random.default_rng(109)
+            eps = replay.standard_normal((3, 2, 2))
+            assert drawn.bit_generator.state == replay.bit_generator.state
+            risks = [
+                np.mean([loss_values(LOGISTIC, LINEAR, task.train_x @ (post.mean + post.std * e),
+                                     task.train_y).mean() for e in task_eps])
+                for post, task, task_eps in zip((m.posterior for m in models), tasks, eps)
+            ]
+            task_kls = expected_kl_fixed_spread_arrays(
+                np.stack([m.posterior.mean for m in models]),
+                np.stack([m.posterior.log_var for m in models]),
+                theta1[:2], theta1[2:], kappa_rho**2)
+            expected = theorem1_bound(MetaBoundInput(
+                empirical_multitask_risk=float(np.mean(risks)),
+                kl_rho_pi=meta_kl(rho, MetaPrior(cfg.kappa_pi)),
+                per_algorithm_complexity=((0.0, float(np.sum(task_kls))),),
+                n=3, m=6, delta=cfg.delta,
+            ))
+            assert abs(value - expected) <= 1e-12
 
     def test_gradcheck_linear(self):
         tasks = _toy_tasks(2, 6, seed=3)
@@ -343,16 +352,20 @@ class TestMetaObjective:
 
 
 def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
-    """metalearn._meta_certificate as it was before its arithmetic became one
-    node, kept as that node's reference: a chain of diff ops. Returns the
+    """metalearn._meta_certificate spelled out as a chain of diff ops, kept
+    as the reference of its one-node arithmetic: the divergence from theta1
+    with its log-variances lowered by kappa_rho**2 / 2, plus n times the
+    spread term of the expectation over regularization priors. Returns the
     certificate and its risk and divergence nodes."""
     n, width = q.shape
     d = width // 2
-    p = theta1 + cfg.kappa_rho * rng.standard_normal(width)
+    half = 0.5 * cfg.kappa_rho**2
+    p = theta1 - np.concatenate([np.zeros(d), np.full(d, half)])
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = diff.gaussian_kl(q, p)
     kl_sum = diff.sum(kl)
+    spread = diff.sum(diff.exp(half - diff.slice(theta1, np.s_[d:])) + 0.5) * (half * n)
 
     def sum_squares(theta):
         return diff.sum(theta * theta) if isinstance(theta, diff.Tensor) else np.sum(theta * theta)
@@ -362,7 +375,7 @@ def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
     mkl = squares * scale + shift
     empirical = diff.sum(risk) * (1.0 / n)
     task_term = diff.sqrt((mkl + task_level_slack(n, cfg.delta)) * (1.0 / (2.0 * n)))
-    multi_term = diff.sqrt((mkl + kl_sum + multitask_slack(n, m, cfg.delta))
+    multi_term = diff.sqrt((mkl + kl_sum + spread + multitask_slack(n, m, cfg.delta))
                            * (1.0 / (2.0 * n * m)))
     return empirical + task_term + multi_term, risk, kl
 
@@ -389,14 +402,16 @@ def _certificate_setup(arch, n, seed):
     """A config, stacked minibatch data of n tasks, and posterior and prior
     rows of the architecture's width. No scale factor of the certificates is
     a power of two, so that every reordering of their float operations can
-    round differently."""
+    round differently, and kappa_rho is wide enough that the spread term of
+    the meta-certificate moves its value by far more than a rounding."""
     rng = np.random.default_rng(seed)
     width = 2 * arch.param_count
     if arch.kind == "linear":
-        tasks, cfg = _toy_tasks(n, 6, seed=seed), _cfg(mc_train=2, kappa_pi=3.0)
+        tasks = _toy_tasks(n, 6, seed=seed)
+        cfg = _cfg(mc_train=2, kappa_pi=3.0, kappa_rho=0.3)
     else:
         tasks = sample_tasks(BLOBS, n, 6, stream(seed, "tasks"))
-        cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, mc_train=2, kappa_pi=3.0)
+        cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, mc_train=2, kappa_pi=3.0, kappa_rho=0.3)
     x, y = metalearn._stacked_data(tasks)
 
     def rows(*lead):
@@ -460,19 +475,21 @@ class TestCertificateNodes:
 
     @pytest.mark.parametrize("form", ["tied", "frozen"])
     def test_meta_certificate_node_gradcheck(self, form):
-        cfg = _cfg(kappa_pi=2.0)
         rng = np.random.default_rng(89)
         frozen = rng.normal(0.0, 0.5, 4)
-
-        def build(ps):
-            tape = diff.Tape()
-            risk, kl, theta1 = (tape.tensor(v) for v in ps)
-            theta0 = theta1 if form == "tied" else frozen
-            return (metalearn._meta_certificate_node(cfg, 7, theta0, theta1, risk, kl),
-                    [risk, kl, theta1])
-
         points = [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3), rng.normal(0.0, 0.5, 4)]
-        assert gradcheck(build, points) <= 1e-6
+        # at the wider spread the spread term's adjoint is material
+        for kappa_rho in (1e-3, 0.5):
+            cfg = _cfg(kappa_pi=2.0, kappa_rho=kappa_rho)
+
+            def build(ps):
+                tape = diff.Tape()
+                risk, kl, theta1 = (tape.tensor(v) for v in ps)
+                theta0 = theta1 if form == "tied" else frozen
+                return (metalearn._meta_certificate_node(cfg, 7, theta0, theta1, risk, kl),
+                        [risk, kl, theta1])
+
+            assert gradcheck(build, points) <= 1e-6
 
     def test_adaptation_certificate_node_gradcheck(self):
         cfg = _cfg()
@@ -670,26 +687,26 @@ class TestStepTapes:
 # sha256 of the bytes of a short train_meta run (theta0, theta1, the trace
 # and its stage boundary) followed by adapt_many on fresh tasks (every
 # posterior's means and log-variances), per architecture, mc_train and batch
-# size ("full" is one step per epoch). Recorded before the certificates'
-# arithmetic became single tape nodes; any change to the floats of a
-# training step moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
+# size ("full" is one step per epoch). Re-recorded when each step stopped
+# drawing a regularization prior and took the exact expectation over it
+# instead; any change to the floats of a training step moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
 TRAINING_DIGESTS = {
     ("linear", 1, 8):
-        "18c95dc8a25db6b89975c02dbc62a4e3481ccacc2336b13b1a8f49d17b6233fe",
+        "a4c5754e17beb7ef3c33c5d5e255b8d87cdc7b7b1e85a89d0b933d6e9b3cbed8",
     ("linear", 1, "full"):
-        "e84bcb896c7718deb812109c329a7454b047b572323971b20d9467a885a30aa7",
+        "127087ea00ad9f1eaf2ea8ee46e8ad72818955ac09816be68a2675914bf244e8",
     ("linear", 3, 8):
-        "f8f8c0bad60d1f863e31d2a9580aaef555297bfef2e490908312cf4517f0511e",
+        "0165da183662ba4b17d9686b2c7f3bd12a3f493db58ef95ddc027bc3f359f642",
     ("linear", 3, "full"):
-        "aff6874bf2cab77c1121cb1ccfe3a70aa3c7f32728bafc307ecc651544999890",
+        "82626867fcca571a8152cffbaf052b9afc73fe1c53246c84e6f5d32e2ae3253e",
     ("mlp1", 1, 8):
-        "a6495f1f4d96b8013e2bc752e15f92b759acd39bba78e5109c14a9ddaf03ad32",
+        "68d95f3fe0a1f3f6057995f10a0b663687d25a82b3d0ae877b32af6198f7a2bc",
     ("mlp1", 1, "full"):
-        "a12fed635995d00e534e4134e5e84d8b35fe5fc2dd52cd8e7d63551eaba87b4c",
+        "0a340924cfc45ddcb73364393eb5206a6a23532ec9dfaa41fe43310188aa9b26",
     ("mlp1", 3, 8):
-        "24b8342aaef8d7e9a252da7f780587afd055257b94142f8fd66ce53152372b70",
+        "7d58b456951b32a26273399b53cb507a75c14871f6dfe4efeba65b1b65791534",
     ("mlp1", 3, "full"):
-        "f42d1881bbf9f4e7503355066b28f2a28cacb1ae5d538a371405901a4d409750",
+        "a5747e685d37c1f74d3bb105a06a33a0c8671099d9dc44706ec8d554b4d8395b",
 }
 
 
@@ -717,6 +734,49 @@ def _training_digest(arch_kind, mc_train, batch):
 @pytest.mark.parametrize("key", list(TRAINING_DIGESTS), ids=lambda k: f"{k[0]}-mc{k[1]}-b{k[2]}")
 def test_training_is_bit_identical_to_its_recorded_digest(key):
     assert _training_digest(*key) == TRAINING_DIGESTS[key]
+
+
+# sha256 of the posteriors (means, then log-variances, task by task) that
+# adapt_many gives from a fixed, hand-built meta-posterior, per architecture
+# and mc_train. No training runs, so these pin adaptation apart from
+# meta-training: a change to the meta-objective alone leaves them in place.
+# Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
+ADAPT_DIGESTS = {
+    ("linear", 1):
+        "e4069a96d512ac3ee20d85ef82eaf74208452a030c678b03736ebc889423b9bb",
+    ("linear", 3):
+        "dedd8ce392ec74d03afd7fa458386d0ebba0ce4e4f1e82658a07796ef64df476",
+    ("mlp1", 1):
+        "4974522ac9cdc40149a18f74c730d55a25bb511773c45ecfb0bdd47ef087c7b0",
+    ("mlp1", 3):
+        "096466942e578dc8ee5fb92300895e557b81a27609290e3b7f5872fa27211b4a",
+}
+
+
+def _adapt_digest(arch_kind, mc_train):
+    if arch_kind == "linear":
+        fresh = _toy_tasks(3, 12, seed=43)
+        cfg = _cfg(batch_size=8, mc_train=mc_train, learning_rate=1e-2, seed=41)
+    else:
+        fresh = sample_tasks(BLOBS, 3, 16, stream(43, "tasks"))
+        cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, batch_size=8, mc_train=mc_train,
+                   learning_rate=0.1, seed=41)
+    d = cfg.arch.param_count
+    rng = np.random.default_rng(53)
+    theta0, theta1 = (np.concatenate([rng.normal(0.0, 0.5, d), rng.uniform(-3.0, -1.0, d)])
+                      for _ in range(2))
+    rho = MetaPosterior.from_means(theta0, theta1, 0.05)
+    adapted = adapt_many(rho, fresh, cfg, adapt_epochs=3,
+                         rngs=[stream(47, "adapt", i) for i in range(len(fresh))])
+    parts = []
+    for model, _ in adapted:
+        parts += [model.posterior.mean, model.posterior.log_var]
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(ADAPT_DIGESTS), ids=lambda k: f"{k[0]}-mc{k[1]}")
+def test_adaptation_is_bit_identical_to_its_recorded_digest(key):
+    assert _adapt_digest(*key) == ADAPT_DIGESTS[key]
 
 
 class TestAdapt:

@@ -87,13 +87,16 @@ class TestLossValues:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_logistic_matches_two_class_cross_entropy(self):
-        s = np.array([0.7, -1.3, 2.0])
-        y = np.array([0, 1, 1])
-        raw_logistic = np.logaddexp(0.0, (2.0 * y - 1.0) * s)
-        logits = np.stack([s, np.zeros(3)], axis=1)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        raw_ce = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(3), y]
-        np.testing.assert_allclose(raw_logistic, raw_ce, rtol=1e-12)
+        """A linear score s is the class-0 logit against a class-1 logit of
+        0, so its logistic loss is the cross-entropy of the logits [s, 0]."""
+        s = np.array([0.7, -1.3, 2.0, 0.0, -30.0])
+        two_class = ModelArchitecture("mlp1", 2, num_classes=2, hidden_dim=3)
+        logits = np.stack([s, np.zeros(5)], axis=1)
+        for label in (0, 1):
+            y = np.full(5, label)
+            logistic = loss_values(LossSpec("logistic_clipped"), LINEAR2, s, y)
+            cross_entropy = loss_values(LossSpec("cross_entropy_clipped"), two_class, logits, y)
+            np.testing.assert_allclose(logistic, cross_entropy, rtol=1e-14, atol=0.0)
 
     def test_clip_saturates(self):
         vals = loss_values(LossSpec("logistic_clipped", clip_max=2.0), LINEAR2,
