@@ -504,9 +504,9 @@ def cmd_adapt(cfg: ExperimentConfig):
     except OSError as exc:
         raise ConfigError(f"posterior artifact unreadable: {exc}") from exc
     expected = 2 * train_cfg.arch.param_count
-    if rho.rho0.dim != expected:
+    if rho.theta0.size != expected:
         raise ConfigError(
-            f"posterior dimension {rho.rho0.dim} does not match the configured "
+            f"posterior dimension {rho.theta0.size} does not match the configured "
             f"architecture (expected {expected})"
         )
 
@@ -628,16 +628,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {key: getattr(args, key) for key in ("seed", "out", "jobs")
                  if getattr(args, key) is not None}
-    try:
-        run = COMMANDS[args.command](load_config(args.config, args.command, overrides))
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run()
-    except TrainingDiverged as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+    # the finiteness checks turn every overflow into exit 3, so numpy's own
+    # warnings would only put lines before the documented one; forked
+    # workers inherit this state
+    with np.errstate(all="ignore"):
+        try:
+            run = COMMANDS[args.command](load_config(args.config, args.command, overrides))
+        except (ConfigError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            return run()
+        except TrainingDiverged as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

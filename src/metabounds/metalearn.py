@@ -1,11 +1,13 @@
 """Two-prior meta-learning driven by the differentiable certificates.
 
-The learner keeps two Gaussian families over prior parameters.  ``rho0``
-controls how the posterior for a fresh task is initialized; ``rho1`` controls
-which prior the certificate measures divergence against.  Training minimizes
-the two-level certificate itself, in two stages: first with the families tied
-to a single parameter vector, then with the initialization family frozen
-while the regularization family and the per-task posteriors keep moving.
+The learner keeps one hyper-posterior over prior parameters, the product
+N(theta0, kappa_rho**2 I) x N(theta1, kappa_rho**2 I).  A fresh task's
+posterior is initialized from N(theta0, kappa_rho**2 I); the certificate
+measures divergence against a prior from N(theta1, kappa_rho**2 I).  Training
+minimizes the two-level certificate itself, in two stages: first with the two
+centers tied to a single parameter vector, then with the initialization
+center frozen while the regularization center and the per-task posteriors
+keep moving.
 
 Prior parameters live in a ``2d``-dimensional space for a ``d``-weight
 network: the first half are weight means, the second half weight
@@ -18,7 +20,7 @@ one tape as a single leaf and the tape's size depends on the layers, not on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,6 @@ from .rng import stream
 
 __all__ = [
     "MetaPosterior",
-    "MetaPrior",
     "TrainConfig",
     "TrainingTrace",
     "TrainingDiverged",
@@ -59,66 +60,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetaPosterior:
-    """Product of two Gaussians over prior parameters, with fixed spread.
+    """The hyper-posterior N(theta0, kappa_rho**2 I) x N(theta1, kappa_rho**2 I)
+    over the initialization prior and the regularization prior.
 
-    Only the centers ``theta0`` and ``theta1`` are learned; both components
-    keep every variance pinned at ``kappa_rho**2``, which the constructor
-    enforces.
+    ``theta0`` and ``theta1`` are the centers, ``2d`` prior parameters each;
+    ``kappa_rho`` is the one spread of both components.
     """
 
-    rho0: DiagonalGaussian
-    rho1: DiagonalGaussian
+    theta0: np.ndarray
+    theta1: np.ndarray
     kappa_rho: float
 
     def __post_init__(self) -> None:
-        if self.kappa_rho <= 0.0:
-            raise ValueError("kappa_rho must be positive")
-        if self.rho0.dim != self.rho1.dim:
-            raise ValueError("rho0 and rho1 must have equal dimension")
-        if self.rho0.dim % 2 != 0:
-            raise ValueError("dimension must be even: weight means plus log-variances")
-        target = 2.0 * math.log(self.kappa_rho)
-        for name, comp in (("rho0", self.rho0), ("rho1", self.rho1)):
-            if np.max(np.abs(comp.log_var - target)) > 1e-12:
-                raise ValueError(f"{name} variances must be fixed at kappa_rho squared")
-
-    @classmethod
-    def from_means(cls, theta0: np.ndarray, theta1: np.ndarray, kappa_rho: float) -> "MetaPosterior":
-        theta0 = np.asarray(theta0, dtype=np.float64)
-        theta1 = np.asarray(theta1, dtype=np.float64)
-        if kappa_rho <= 0.0:
-            raise ValueError("kappa_rho must be positive")
+        theta0 = np.asarray(self.theta0, dtype=np.float64)
+        theta1 = np.asarray(self.theta1, dtype=np.float64)
         if theta0.shape != theta1.shape:
             raise ValueError("theta0 and theta1 must have equal dimension")
-        log_var = np.full(theta0.size, 2.0 * math.log(kappa_rho))
-        return cls(
-            DiagonalGaussian(theta0, log_var),
-            DiagonalGaussian(theta1, log_var.copy()),
-            kappa_rho,
-        )
-
-    @property
-    def theta0(self) -> np.ndarray:
-        return self.rho0.mean
-
-    @property
-    def theta1(self) -> np.ndarray:
-        return self.rho1.mean
+        if theta0.ndim != 1 or theta0.size == 0 or theta0.size % 2 != 0:
+            raise ValueError("centers must be nonempty 1-d vectors of even length: "
+                             "weight means plus log-variances")
+        if not (np.isfinite(theta0).all() and np.isfinite(theta1).all()):
+            raise ValueError("center entries must be finite")
+        if not 0.0 < self.kappa_rho < math.inf:
+            raise ValueError("kappa_rho must be positive and finite")
+        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "theta1", theta1)
 
     @property
     def weight_dim(self) -> int:
-        return self.rho0.dim // 2
-
-
-@dataclass(frozen=True)
-class MetaPrior:
-    """Zero-centered reference for both meta-posterior components."""
-
-    kappa_pi: float
-
-    def __post_init__(self) -> None:
-        if self.kappa_pi <= 0.0:
-            raise ValueError("kappa_pi must be positive")
+        return self.theta0.size // 2
 
 
 @dataclass(frozen=True)
@@ -201,11 +171,12 @@ def _meta_kl_coefficients(d: int, kappa_rho: float, kappa_pi: float) -> tuple[fl
     return scale, shift
 
 
-def meta_kl(rho: MetaPosterior, pi: MetaPrior) -> float:
-    """Divergence of the two-component meta-posterior from its reference;
-    equals the sum of the two component KLs."""
+def meta_kl(rho: MetaPosterior, kappa_pi: float) -> float:
+    """Divergence of the two-component meta-posterior from the zero-centered
+    reference N(0, kappa_pi**2 I) x N(0, kappa_pi**2 I); equals the sum of
+    the two component KLs."""
     squares = float(rho.theta0 @ rho.theta0 + rho.theta1 @ rho.theta1)
-    scale, shift = _meta_kl_coefficients(rho.weight_dim, rho.kappa_rho, pi.kappa_pi)
+    scale, shift = _meta_kl_coefficients(rho.weight_dim, rho.kappa_rho, kappa_pi)
     return squares * scale + shift
 
 
@@ -366,9 +337,11 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     """Differentiable certificate at the given parameter point.
 
     Evaluates on each task's full training set with ``cfg.mc_train`` weight
-    draws and the exact expectation over regularization priors, so ``rng``
-    gives the weight noise alone.  ``theta0`` enters as
-    a constant, frozen as in training's second stage.  Returns the scalar
+    draws and the exact expectation over regularization priors drawn from
+    N(theta1, kappa_rho**2 I), so ``rng`` gives the weight noise alone.  The
+    meta-KL and that expectation are priced at rho's own spread
+    ``rho.kappa_rho``, not at ``cfg.kappa_rho``.  ``theta0`` enters as a
+    constant, frozen as in training's second stage.  Returns the scalar
     tape node; when ``leaves_out`` is a dict it receives one parameter leaf
     per block, keyed ``"theta1.mean.<block>"``, ``"theta1.lv.<block>"``,
     ``"q<i>.mean.<block>"`` and so on, so callers can read gradients after a
@@ -387,6 +360,7 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     m = _shared_sample_count(tasks)
     if rng is None:
         rng = stream(cfg.seed, "objective")
+    cfg = replace(cfg, kappa_rho=rho.kappa_rho)
 
     tape = diff.Tape()
     leaf_map: dict = {} if leaves_out is None else leaves_out
@@ -555,7 +529,7 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
                     stream(cfg.seed, "stage2"), trace)
         theta1 = stage2["theta"]
 
-    return MetaPosterior.from_means(theta0, theta1, cfg.kappa_rho), trace
+    return MetaPosterior(theta0, theta1, cfg.kappa_rho), trace
 
 
 def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int = 100,
@@ -566,8 +540,9 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     one stacked array, optimized together with one tape per step; since the
     summed objective separates by task, each row follows exactly the path a
     single-task run would.  Task i draws only from ``rngs[i]``, in the order
-    of a single-task run: its initialization from ``rho0``, its prior from
-    ``rho1``, then per epoch a permutation and per step its weight noise.
+    of a single-task run: its initialization from N(theta0, kappa_rho**2 I),
+    its prior from N(theta1, kappa_rho**2 I), both at ``rho.kappa_rho``, then
+    per epoch a permutation and per step its weight noise.
     Returns one ``(model, prior)`` pair per task; pass it to
     :func:`adaptation_certificate` with the same generator to certify it.
 
@@ -638,8 +613,9 @@ def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
           mc_eval: int = 1000) -> tuple[StochasticModel, float]:
     """Train a posterior for a fresh task and certify it.
 
-    Samples an initialization from ``rho0`` and a prior from ``rho1``, then
-    minimizes the single-task certificate for ``adapt_epochs`` epochs.
+    Samples an initialization from N(theta0, kappa_rho**2 I) and a prior
+    from N(theta1, kappa_rho**2 I), then minimizes the single-task
+    certificate for ``adapt_epochs`` epochs.
     Returns the model and its certificate value, with the empirical risk in
     the certificate estimated from ``mc_eval`` weight draws.  This is
     :func:`adapt_many` on one task followed by :func:`adaptation_certificate`.
@@ -660,7 +636,7 @@ def independent_baseline(tasks, cfg: TrainConfig, *, adapt_epochs: int = 100,
     from ``rngs[i]``.  Returns one model per task.
     """
     d = cfg.arch.param_count
-    base = MetaPosterior.from_means(np.zeros(2 * d), np.zeros(2 * d), cfg.kappa_rho)
+    base = MetaPosterior(np.zeros(2 * d), np.zeros(2 * d), cfg.kappa_rho)
     return [model for model, _ in adapt_many(base, tasks, cfg, adapt_epochs=adapt_epochs,
                                              rngs=rngs)]
 
@@ -672,7 +648,7 @@ _ARTIFACT_VERSION = 1
 def save_meta_posterior(rho: MetaPosterior, path) -> None:
     """Write the meta-posterior as plain text; round-trips bit-exactly."""
     lines = [
-        f"{_ARTIFACT_TAG} {_ARTIFACT_VERSION} {rho.rho0.dim} {rho.kappa_rho:.17g}"
+        f"{_ARTIFACT_TAG} {_ARTIFACT_VERSION} {rho.theta0.size} {rho.kappa_rho:.17g}"
     ]
     for vec in (rho.theta0, rho.theta1):
         lines.append(" ".join(format(v, ".17g") for v in vec))
@@ -696,4 +672,4 @@ def load_meta_posterior(path) -> MetaPosterior:
     theta1 = np.array([float(tok) for tok in lines[2].split()])
     if theta0.size != dim or theta1.size != dim:
         raise ValueError("parameter rows do not match the declared dimension")
-    return MetaPosterior.from_means(theta0, theta1, kappa_rho)
+    return MetaPosterior(theta0, theta1, kappa_rho)

@@ -35,7 +35,6 @@ from .gauss import (
 )
 from .metalearn import (
     MetaPosterior,
-    MetaPrior,
     TrainConfig,
     TrainingDiverged,
     TrainingTrace,
@@ -279,7 +278,7 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
         for mdl, t in zip(system.task_models, tasks)
     ]
     er = float(np.mean(risks))
-    kl_rho_pi = meta_kl(system.rho, MetaPrior(cfg.kappa_pi))
+    kl_rho_pi = meta_kl(system.rho, cfg.kappa_pi)
     theta1 = system.rho.theta1
     task_kls = expected_kl_fixed_spread_arrays(
         np.stack([mdl.posterior.mean for mdl in system.task_models]),

@@ -153,7 +153,7 @@ def test_criterion_3_objective_gradients(capsys):
 
     def build_meta(ps):
         theta1 = np.concatenate([ps[0], ps[1]])
-        rho = MetaPosterior.from_means(theta0, theta1, 0.05)
+        rho = MetaPosterior(theta0, theta1, 0.05)
         models = [
             StochasticModel(LINEAR, DiagonalGaussian(ps[2], ps[3])),
             StochasticModel(LINEAR, DiagonalGaussian(ps[4], ps[5])),

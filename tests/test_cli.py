@@ -3,6 +3,9 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -430,7 +433,7 @@ def _run(command, overrides, workdir):
     """Run main on CHEAP[command] updated with overrides; return the exit
     code and stderr. The adapt posterior is a linear d=2 meta-posterior."""
     workdir = Path(workdir)
-    save_meta_posterior(MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3),
+    save_meta_posterior(MetaPosterior(np.zeros(4), np.zeros(4), 1e-3),
                         workdir / "posterior.txt")
     (workdir / "garbage.txt").write_text("garbage\n")
     values = {**CHEAP[command], **overrides}
@@ -493,7 +496,7 @@ BOUNDARY_CASES = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, overrides, wanted", BOUNDARY_CASES,
                          ids=[f"{c}-" + "-".join(f"{k}={v.format(dir='dir')}"
                                                   for k, v in o.items())
@@ -504,6 +507,27 @@ def test_config_gives_its_documented_exit_code(tmp_path, command, overrides, wan
     if wanted:
         assert err.startswith("config error:" if wanted == 2 else "numeric failure:"), err
     assert "Traceback" not in err
+
+
+def test_numeric_failure_is_one_stderr_line(tmp_path):
+    """Overflow on the way to exit 3 prints no numpy warnings, even where no
+    test harness filters them: stderr is the one documented line."""
+    path = _write(tmp_path, f"""\
+        [train]
+        n = 3
+        m = 5
+        epochs_stage1 = 2
+        epochs_stage2 = 2
+        kappa_rho = 40
+        out = {tmp_path / "posterior.txt"}
+        """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "metabounds.cli", "train", "--config", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:"), done.stderr
 
 
 def test_overrides_are_checked_like_file_values(tmp_path):
@@ -524,6 +548,20 @@ def test_unreadable_posterior_is_a_config_error(tmp_path, monkeypatch):
     code, err = _run("adapt", {}, tmp_path)
     assert code == 2
     assert err.startswith("config error: posterior artifact unreadable"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kappa_rho, first_center", [
+    ("nan", "0"), ("inf", "0"), ("0", "0"), ("-1", "0"), ("1e-3", "nan"),
+])
+def test_malformed_posterior_artifact_is_a_config_error(tmp_path, kappa_rho, first_center):
+    """A linear d=2 artifact with a spread outside (0, inf) or a non-finite
+    center entry is rejected at load."""
+    (tmp_path / "malformed.txt").write_text(
+        f"metaposterior 1 4 {kappa_rho}\n{first_center} 0 0 0\n0 0 0 0\n")
+    code, err = _run("adapt", {"posterior": "{dir}/malformed.txt"}, tmp_path)
+    assert code == 2, err
+    assert err.startswith("config error:"), err
     assert "Traceback" not in err
 
 

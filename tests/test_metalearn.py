@@ -5,6 +5,7 @@ import gc
 import hashlib
 import math
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from metabounds.gauss import (
 )
 from metabounds.metalearn import (
     MetaPosterior,
-    MetaPrior,
     TrainConfig,
     TrainingDiverged,
     adapt,
@@ -103,61 +103,75 @@ def _cfg(**overrides):
 
 
 class TestMetaPosterior:
-    def test_from_means_pins_the_variances(self):
-        rho = MetaPosterior.from_means(np.zeros(4), np.ones(4), 1e-3)
+    def test_holds_two_centers_and_one_spread(self):
+        rho = MetaPosterior([0, 0, 0, 0], np.ones(4), 1e-3)
+        assert [f.name for f in fields(rho)] == ["theta0", "theta1", "kappa_rho"]
         assert rho.weight_dim == 2
-        np.testing.assert_allclose(rho.rho0.log_var, 2.0 * math.log(1e-3))
+        assert rho.theta0.dtype == np.float64 and rho.theta1.dtype == np.float64
+        np.testing.assert_array_equal(rho.theta1, np.ones(4))
 
     def test_rejects_mismatched_component_dimensions(self):
         with pytest.raises(ValueError, match="equal dimension"):
-            MetaPosterior.from_means(np.zeros(4), np.zeros(6), 1e-3)
+            MetaPosterior(np.zeros(4), np.zeros(6), 1e-3)
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="even"):
-            MetaPosterior.from_means(np.zeros(3), np.zeros(3), 1e-3)
+            MetaPosterior(np.zeros(3), np.zeros(3), 1e-3)
 
-    def test_rejects_unpinned_variances(self):
-        loose = DiagonalGaussian(np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError, match="fixed at kappa_rho"):
-            MetaPosterior(loose, loose, 1e-3)
+    @pytest.mark.parametrize("center", [np.zeros(0), np.zeros((2, 2))])
+    def test_rejects_empty_or_stacked_centers(self, center):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            MetaPosterior(center, center, 1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_centers(self, bad):
+        theta = np.zeros(4)
+        theta[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MetaPosterior(np.zeros(4), theta, 1e-3)
 
     def test_rejects_nonpositive_spread(self):
         with pytest.raises(ValueError, match="kappa_rho"):
-            MetaPosterior.from_means(np.zeros(4), np.zeros(4), 0.0)
+            MetaPosterior(np.zeros(4), np.zeros(4), 0.0)
+
+    @pytest.mark.parametrize("kappa_rho", [math.nan, math.inf])
+    def test_rejects_non_finite_spread(self, kappa_rho):
+        with pytest.raises(ValueError, match="kappa_rho"):
+            MetaPosterior(np.zeros(4), np.zeros(4), kappa_rho)
 
 
 class TestMetaKl:
     def test_matching_distributions_give_zero(self):
-        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 2.5)
-        assert meta_kl(rho, MetaPrior(2.5)) == pytest.approx(0.0, abs=1e-12)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 2.5)
+        assert meta_kl(rho, 2.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_weight_default_scales(self):
         """d = 1 with the default spreads: -2 + 4 log(1e5) plus a sliver."""
-        rho = MetaPosterior.from_means(np.zeros(2), np.zeros(2), 1e-3)
+        rho = MetaPosterior(np.zeros(2), np.zeros(2), 1e-3)
         np.testing.assert_allclose(
-            meta_kl(rho, MetaPrior(100.0)), 44.05170186008091, rtol=1e-12
+            meta_kl(rho, 100.0), 44.05170186008091, rtol=1e-12
         )
 
     def test_equals_sum_of_component_divergences(self):
         rng = np.random.default_rng(3)
         dim = 6
-        rho = MetaPosterior.from_means(
+        rho = MetaPosterior(
             rng.normal(size=dim), rng.normal(size=dim), 0.37
         )
-        pi = MetaPrior(4.2)
-        reference = isotropic(np.zeros(dim), pi.kappa_pi**2)
-        expected = kl_diag_gaussian(rho.rho0, reference) + kl_diag_gaussian(
-            rho.rho1, reference
-        )
-        np.testing.assert_allclose(meta_kl(rho, pi), expected, rtol=1e-10)
+        kappa_pi = 4.2
+        reference = isotropic(np.zeros(dim), kappa_pi**2)
+        expected = kl_diag_gaussian(
+            isotropic(rho.theta0, rho.kappa_rho**2), reference
+        ) + kl_diag_gaussian(isotropic(rho.theta1, rho.kappa_rho**2), reference)
+        np.testing.assert_allclose(meta_kl(rho, kappa_pi), expected, rtol=1e-10)
 
     def test_nonnegative_for_arbitrary_spreads(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            rho = MetaPosterior.from_means(
+            rho = MetaPosterior(
                 rng.normal(size=4), rng.normal(size=4), float(rng.uniform(0.01, 5.0))
             )
-            assert meta_kl(rho, MetaPrior(float(rng.uniform(0.01, 5.0)))) >= -1e-12
+            assert meta_kl(rho, float(rng.uniform(0.01, 5.0))) >= -1e-12
 
 
 def _toy_tasks(n, m, seed=0):
@@ -177,7 +191,7 @@ class TestMetaObjective:
         rng = np.random.default_rng(10)
         theta0 = rng.normal(0.0, 0.5, size=4)
         theta1 = rng.normal(0.0, 0.5, size=4)
-        rho = MetaPosterior.from_means(theta0, theta1, 1e-3)
+        rho = MetaPosterior(theta0, theta1, 1e-3)
 
         value = meta_objective(rho, models, tasks, cfg, rng=np.random.default_rng(4))
         objective = float(value.value)
@@ -195,7 +209,7 @@ class TestMetaObjective:
         reference = theorem1_bound(
             MetaBoundInput(
                 empirical_multitask_risk=float(np.mean(risks)),
-                kl_rho_pi=meta_kl(rho, MetaPrior(cfg.kappa_pi)),
+                kl_rho_pi=meta_kl(rho, cfg.kappa_pi),
                 per_algorithm_complexity=((0.0, sum_kl),),
                 n=3,
                 m=8,
@@ -209,7 +223,8 @@ class TestMetaObjective:
         closed-form one term for term, slack constants included, and its
         summed task divergence is the exact expectation over regularization
         priors that prices the trained certificate. The weight noise is the
-        only draw."""
+        only draw. The config keeps one spread while rho's varies: the
+        objective prices rho at rho's own kappa_rho."""
         tasks = _toy_tasks(3, 6, seed=103)
         rng = np.random.default_rng(107)
         models = [
@@ -218,9 +233,10 @@ class TestMetaObjective:
         ]
         theta0 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
         theta1 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
+        cfg = _cfg(mc_train=2, kappa_rho=1e-3)
+        values = set()
         for kappa_rho in (1e-3, 0.05, 0.5):
-            cfg = _cfg(mc_train=2, kappa_rho=kappa_rho)
-            rho = MetaPosterior.from_means(theta0, theta1, kappa_rho)
+            rho = MetaPosterior(theta0, theta1, kappa_rho)
             drawn = np.random.default_rng(109)
             value = float(meta_objective(rho, models, tasks, cfg, rng=drawn).value)
 
@@ -238,11 +254,13 @@ class TestMetaObjective:
                 theta1[:2], theta1[2:], kappa_rho**2)
             expected = theorem1_bound(MetaBoundInput(
                 empirical_multitask_risk=float(np.mean(risks)),
-                kl_rho_pi=meta_kl(rho, MetaPrior(cfg.kappa_pi)),
+                kl_rho_pi=meta_kl(rho, cfg.kappa_pi),
                 per_algorithm_complexity=((0.0, float(np.sum(task_kls))),),
                 n=3, m=6, delta=cfg.delta,
             ))
             assert abs(value - expected) <= 1e-12
+            values.add(value)
+        assert len(values) == 3
 
     def test_gradcheck_linear(self):
         tasks = _toy_tasks(2, 6, seed=3)
@@ -252,7 +270,7 @@ class TestMetaObjective:
 
         def build(ps):
             theta1 = np.concatenate([ps[0], ps[1]])
-            rho = MetaPosterior.from_means(theta0, theta1, 0.05)
+            rho = MetaPosterior(theta0, theta1, 0.05)
             models = [
                 StochasticModel(LINEAR, DiagonalGaussian(ps[2], ps[3])),
                 StochasticModel(LINEAR, DiagonalGaussian(ps[4], ps[5])),
@@ -302,7 +320,7 @@ class TestMetaObjective:
                 arch,
                 DiagonalGaussian(join_flat(arch, q_mean), join_flat(arch, q_lv)),
             )
-            rho = MetaPosterior.from_means(theta0, theta1, 0.05)
+            rho = MetaPosterior(theta0, theta1, 0.05)
             leaves = {}
             value = meta_objective(
                 rho, [model], tasks, cfg, rng=np.random.default_rng(321), leaves_out=leaves
@@ -328,7 +346,7 @@ class TestMetaObjective:
         tasks = _toy_tasks(2, 10, seed=5)
         cfg = _cfg()
         theta = np.concatenate([np.zeros(2), np.full(2, -8.0)])
-        rho = MetaPosterior.from_means(theta, theta, 1e-3)
+        rho = MetaPosterior(theta, theta, 1e-3)
         matched = [
             StochasticModel(LINEAR, DiagonalGaussian(np.zeros(2), np.full(2, -8.0)))
             for _ in range(2)
@@ -347,7 +365,7 @@ class TestMetaObjective:
         tasks = _toy_tasks(2, 6)
         model = StochasticModel(LINEAR, glorot_init(LINEAR, stream(0, "q")))
         with pytest.raises(ValueError, match="one task posterior per task"):
-            meta_objective(MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3),
+            meta_objective(MetaPosterior(np.zeros(4), np.zeros(4), 1e-3),
                            [model], tasks, _cfg())
 
 
@@ -765,7 +783,7 @@ def _adapt_digest(arch_kind, mc_train):
     rng = np.random.default_rng(53)
     theta0, theta1 = (np.concatenate([rng.normal(0.0, 0.5, d), rng.uniform(-3.0, -1.0, d)])
                       for _ in range(2))
-    rho = MetaPosterior.from_means(theta0, theta1, 0.05)
+    rho = MetaPosterior(theta0, theta1, 0.05)
     adapted = adapt_many(rho, fresh, cfg, adapt_epochs=3,
                          rngs=[stream(47, "adapt", i) for i in range(len(fresh))])
     parts = []
@@ -784,7 +802,7 @@ class TestAdapt:
         task = _toy_tasks(1, 40, seed=31)[0]
         direction = task.latent / np.linalg.norm(task.latent)
         theta0 = np.concatenate([100.0 * direction, np.full(2, -10.0)])
-        rho = MetaPosterior.from_means(theta0, theta0, 1e-3)
+        rho = MetaPosterior(theta0, theta0, 1e-3)
         model, bound = adapt(rho, task, _cfg(), adapt_epochs=0)
         from metabounds.model import mc_empirical_risk
 
@@ -795,7 +813,7 @@ class TestAdapt:
 
     def test_bound_exceeds_recomputed_empirical_risk(self):
         task = _toy_tasks(1, 24, seed=37)[0]
-        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         model, bound = adapt(rho, task, _cfg(), adapt_epochs=5, mc_eval=500)
         from metabounds.model import mc_empirical_risk
 
@@ -805,7 +823,7 @@ class TestAdapt:
 
     def test_deterministic_given_seed(self):
         task = _toy_tasks(1, 16, seed=41)[0]
-        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         model_a, bound_a = adapt(rho, task, _cfg(), adapt_epochs=3, mc_eval=50)
         model_b, bound_b = adapt(rho, task, _cfg(), adapt_epochs=3, mc_eval=50)
         assert np.array_equal(model_a.posterior.mean, model_b.posterior.mean)
@@ -854,7 +872,7 @@ def _adapt_setup(arch):
     rng = np.random.default_rng(71)
     theta0 = np.concatenate([rng.normal(0.0, 0.5, d), rng.uniform(-4.0, -2.0, d)])
     theta1 = np.concatenate([rng.normal(0.0, 0.5, d), rng.uniform(-4.0, -2.0, d)])
-    rho = MetaPosterior.from_means(theta0, theta1, 1e-2)
+    rho = MetaPosterior(theta0, theta1, 1e-2)
     if arch.kind == "linear":
         tasks = sample_tasks(LinearEnvSpec(d=2), 20, 11, stream(73, "tasks"))
         return rho, tasks, _cfg(batch_size=4, mc_train=2, learning_rate=1e-2)
@@ -888,7 +906,7 @@ class TestAdaptMany:
         rng = np.random.default_rng(89)
         theta0 = np.concatenate([rng.normal(0.0, 0.5, 2), rng.uniform(-3.0, -1.0, 2)])
         theta1 = np.concatenate([rng.normal(0.0, 0.5, 2), rng.uniform(-3.0, -1.0, 2)])
-        rho = MetaPosterior.from_means(theta0, theta1, 0.05)
+        rho = MetaPosterior(theta0, theta1, 0.05)
 
         seen = []
         real_backward = diff.backward
@@ -915,7 +933,7 @@ class TestAdaptMany:
     def test_divergence_names_the_task_and_keeps_its_epochs(self):
         tasks = _toy_tasks(3, 8, seed=0)
         cfg = _cfg(optimizer="sgd", learning_rate=1e6, seed=1)
-        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         rngs = [stream(1, "diverge", i) for i in range(3)]
         with pytest.raises(TrainingDiverged) as excinfo:
             adapt_many(rho, tasks, cfg, adapt_epochs=20, rngs=rngs)
@@ -937,7 +955,7 @@ class TestAdaptMany:
         # worker processes send it back to the parent by pickle
         tasks = _toy_tasks(3, 8, seed=0)
         cfg = _cfg(optimizer="sgd", learning_rate=1e6, seed=1)
-        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         rngs = [stream(1, "diverge", i) for i in range(3)]
         with pytest.raises(TrainingDiverged) as excinfo:
             adapt_many(rho, tasks, cfg, adapt_epochs=20, rngs=rngs)
@@ -949,7 +967,7 @@ class TestAdaptMany:
 
     def test_rejects_mixed_sample_counts(self):
         tasks = _toy_tasks(1, 6) + _toy_tasks(1, 7)
-        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         with pytest.raises(ValueError, match="share a sample count"):
             adapt_many(rho, tasks, _cfg(), adapt_epochs=1,
                        rngs=[np.random.default_rng(0), np.random.default_rng(1)])
@@ -968,14 +986,14 @@ class TestAdaptMany:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_draws_are_a_divergence(self):
-        rho = MetaPosterior.from_means(np.full(4, 1.79e308), np.zeros(4), 1e307)
+        rho = MetaPosterior(np.full(4, 1.79e308), np.zeros(4), 1e307)
         with pytest.raises(TrainingDiverged, match="non-finite"):
             adapt_many(rho, _toy_tasks(2, 6), _cfg(), adapt_epochs=1,
                        rngs=[stream(2, "adapt", i) for i in range(2)])
 
     def test_rejects_generator_count_mismatch(self):
         tasks = _toy_tasks(2, 6)
-        rho = MetaPosterior.from_means(np.zeros(4), np.zeros(4), 1e-3)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         with pytest.raises(ValueError, match="one generator per task"):
             adapt_many(rho, tasks, _cfg(), adapt_epochs=1, rngs=[np.random.default_rng(0)])
 
@@ -1011,7 +1029,7 @@ class TestIndependentBaseline:
         cfg = _cfg()
         [baseline] = independent_baseline([task], cfg, adapt_epochs=3,
                                           rngs=[stream(cfg.seed, "independent")])
-        zero = MetaPosterior.from_means(np.zeros(4), np.zeros(4), cfg.kappa_rho)
+        zero = MetaPosterior(np.zeros(4), np.zeros(4), cfg.kappa_rho)
         same, _ = adapt(zero, task, cfg, adapt_epochs=3,
                         rng=stream(cfg.seed, "independent"))
         assert np.array_equal(baseline.posterior.mean, same.posterior.mean)
@@ -1029,7 +1047,7 @@ class TestIndependentBaseline:
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(61)
-        rho = MetaPosterior.from_means(
+        rho = MetaPosterior(
             rng.normal(size=6) * np.pi, rng.normal(size=6) / 3.0, 1e-3
         )
         path = tmp_path / "posterior.txt"

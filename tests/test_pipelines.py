@@ -224,7 +224,7 @@ class TestTrainedPipeline:
         system = fit_two_prior_system(tasks, cfg)
         theta1 = system.rho.theta1.copy()
         theta1[system.rho.weight_dim:] = -800.0
-        rho = MetaPosterior.from_means(system.rho.theta0, theta1, system.rho.kappa_rho)
+        rho = MetaPosterior(system.rho.theta0, theta1, system.rho.kappa_rho)
         broken = TrainedSystem(rho, system.task_models, system.trace_objectives)
         with pytest.raises(TrainingDiverged, match="non-finite certificate"):
             trained_bound_breakdown(broken, tasks, cfg)
