@@ -46,7 +46,7 @@ from .metalearn import (
     save_meta_posterior,
     train_meta,
 )
-from .model import LossSpec, ModelArchitecture, mc_empirical_risk
+from .model import LossSpec, ModelArchitecture
 from .pipelines import PipelinePoint, prior_mean_point, rule_test_loss, two_prior_point
 from .rng import spawn_seed, stream
 
@@ -519,11 +519,8 @@ def cmd_adapt(cfg: ExperimentConfig):
         zero_one = LossSpec("zero_one")
         rows = []
         for i, (task, rng, (model, prior)) in enumerate(zip(tasks, rngs, adapted)):
-            bound = adaptation_certificate(model, prior, task, train_cfg,
-                                           mc_eval=values["mc_eval"], rng=rng)
-            train_risk = mc_empirical_risk(model, task.train_x, task.train_y,
-                                           train_cfg.loss, values["mc_eval"],
-                                           stream(seed, "adapt-train-risk", i))
+            train_risk, bound = adaptation_certificate(model, prior, task, train_cfg,
+                                                       mc_eval=values["mc_eval"], rng=rng)
             test_error, _ = true_risk_mc(task, model, zero_one,
                                          values["eval_points"],
                                          stream(seed, "adapt-eval", i),

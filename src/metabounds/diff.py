@@ -2,11 +2,11 @@
 
 Deliberately minimal: exactly the operations the bound objectives need
 (broadcasting elementwise arithmetic, batched matmul, full and axis-wise
-reductions, slicing and concatenation, exp/log/sqrt/tanh, a stable softmax
-cross-entropy), recorded on an explicit tape whose node order is a
-topological order by construction. backward() is one reverse pass over that
-list. Everything is float64; a finite-difference gradcheck is included as
-the accompanying oracle.
+reductions, slicing, exp/log/sqrt/tanh, a stable softmax cross-entropy),
+recorded on an explicit tape whose node order is a topological order by
+construction. backward() is one reverse pass over that list. Everything is
+float64; a finite-difference gradcheck is included as the accompanying
+oracle.
 
 The cost of a step is Python overhead per node, not flops: the arrays are
 tiny. So the certificates' hot chains are fused into single nodes: the
@@ -382,21 +382,6 @@ def slice(a: Tensor, index, shape: tuple | None = None):  # noqa: A001
         return (full,)
 
     return Tensor(a.tape, value, (a,), vjp)
-
-
-def concat(parts: Sequence[Tensor], shape: tuple) -> Tensor:
-    """The entries of ``parts``, each flattened, joined end to end and
-    reshaped to ``shape``."""
-    tape = _same_tape(*parts)
-    sizes = [p.value.size for p in parts]
-    value = np.concatenate([p.value.ravel() for p in parts]).reshape(shape)
-    cuts = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        pieces = np.split(g.ravel(), cuts)
-        return tuple(piece.reshape(p.shape) for piece, p in zip(pieces, parts))
-
-    return Tensor(tape, value, tuple(parts), vjp)
 
 
 def exp(a: Tensor):

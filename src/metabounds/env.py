@@ -79,14 +79,12 @@ class PermutedEnvSpec:
 
     mode "permute_labels" permutes the label space per task; mode
     "shuffle_features" permutes a fixed subset of num_shuffled coordinates
-    per task. force_identity is a test hook that pins the permutation to
-    the identity so a task reproduces the base dataset law exactly.
+    per task.
     """
 
     base: BlobsSpec = field(default_factory=BlobsSpec)
     mode: str = "permute_labels"
     num_shuffled: int = 5
-    force_identity: bool = False
 
     def __post_init__(self):
         if self.mode not in ("permute_labels", "shuffle_features"):
@@ -161,10 +159,7 @@ def sample_tasks(spec, n: int, m: int, rng: np.random.Generator) -> list[Task]:
                 size = spec.base.num_classes
             else:
                 size = spec.num_shuffled
-            if spec.force_identity:
-                latent = np.arange(size, dtype=np.float64)
-            else:
-                latent = rng.permutation(size).astype(np.float64)
+            latent = rng.permutation(size).astype(np.float64)
         else:
             raise ValueError(f"invalid environment spec {type(spec).__name__}")
         x, y = _draw(spec, latent, m, rng)

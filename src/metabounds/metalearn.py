@@ -35,7 +35,6 @@ from .model import (
     StochasticModel,
     glorot_init,
     mc_empirical_risk,
-    split_flat,
     taped_mc_risk,
 )
 from .rng import stream
@@ -184,7 +183,8 @@ def meta_kl(rho: MetaPosterior, kappa_pi: float) -> float:
 # are one (n, 2d) node, the prior centers (2d,) nodes that broadcast against
 # it. What is not optimized (data, noise, fixed priors, the frozen stage-two
 # center) enters as a constant array. Each certificate has one builder, used
-# by training and by the public objective functions that gradcheck it.
+# by training and, on the same tape, by the public objective functions that
+# gradcheck it.
 #
 # A certificate's arithmetic on the per-task risks and divergences is one
 # node. Its value and adjoints repeat, in the same order, the float
@@ -302,24 +302,6 @@ def _flat(dist: DiagonalGaussian) -> np.ndarray:
     return np.concatenate([dist.mean, dist.log_var])
 
 
-def _keyed_leaves(tape, arch: ModelArchitecture, rows: np.ndarray, groups, leaf_map: dict):
-    """A stacked parameter node assembled from one leaf per block.
-
-    Row i of ``rows`` gets leaves keyed ``"<groups[i]>.mean.<block>"`` and
-    ``"<groups[i]>.lv.<block>"`` in ``leaf_map``, so callers can read each
-    block's gradient after a backward pass.
-    """
-    d = arch.param_count
-    parts = []
-    for group, row in zip(groups, rows.reshape(-1, 2 * d)):
-        for half, values in (("mean", row[:d]), ("lv", row[d:])):
-            for name, block in split_flat(arch, values).items():
-                leaf = tape.tensor(block)
-                leaf_map[f"{group}.{half}.{name}"] = leaf
-                parts.append(leaf)
-    return diff.concat(parts, rows.shape)
-
-
 def _shared_sample_count(tasks) -> int:
     counts = {task.m for task in tasks}
     if len(counts) != 1:
@@ -340,12 +322,12 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     draws and the exact expectation over regularization priors drawn from
     N(theta1, kappa_rho**2 I), so ``rng`` gives the weight noise alone.  The
     meta-KL and that expectation are priced at rho's own spread
-    ``rho.kappa_rho``, not at ``cfg.kappa_rho``.  ``theta0`` enters as a
-    constant, frozen as in training's second stage.  Returns the scalar
-    tape node; when ``leaves_out`` is a dict it receives one parameter leaf
-    per block, keyed ``"theta1.mean.<block>"``, ``"theta1.lv.<block>"``,
-    ``"q<i>.mean.<block>"`` and so on, so callers can read gradients after a
-    backward pass.
+    ``rho.kappa_rho``, not at ``cfg.kappa_rho``.  The tape is a stage-two
+    training step's: ``theta0`` enters as a constant, and the leaves are
+    ``rho.theta1`` (2d,) and the task posteriors stacked into one (n, 2d)
+    leaf, row i for task i.  Returns the scalar tape node; when
+    ``leaves_out`` is a dict it receives those leaves under ``"theta1"`` and
+    ``"q"``, so callers can read gradients after a backward pass.
     """
     if len(task_posteriors) != len(tasks):
         raise ValueError("need exactly one task posterior per task")
@@ -363,10 +345,10 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     cfg = replace(cfg, kappa_rho=rho.kappa_rho)
 
     tape = diff.Tape()
-    leaf_map: dict = {} if leaves_out is None else leaves_out
-    theta1 = _keyed_leaves(tape, arch, rho.theta1, ["theta1"], leaf_map)
-    q = _keyed_leaves(tape, arch, np.stack([_flat(mdl.posterior) for mdl in task_posteriors]),
-                      [f"q{i}" for i in range(len(tasks))], leaf_map)
+    theta1 = tape.tensor(rho.theta1)
+    q = tape.tensor(np.stack([_flat(mdl.posterior) for mdl in task_posteriors]))
+    if leaves_out is not None:
+        leaves_out.update(theta1=theta1, q=q)
     return _meta_certificate(cfg, m, rho.theta0, theta1, q, *_stacked_data(tasks), rng)
 
 
@@ -374,9 +356,9 @@ def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: 
                          cfg: TrainConfig, rng: np.random.Generator | None = None,
                          leaves_out: dict | None = None):
     """Differentiable single-task certificate against a fixed prior: the
-    objective :func:`adapt` minimizes, here on the full training set.
-    ``leaves_out`` receives leaves keyed ``"q.mean.<block>"`` and
-    ``"q.lv.<block>"``."""
+    objective :func:`adapt` minimizes, here on the full training set.  The
+    tape is an adapt step's, with the posterior as its one (1, 2d) leaf;
+    ``leaves_out`` receives that leaf under ``"q"``."""
     arch = cfg.arch
     if model.arch != arch:
         raise ValueError("model architecture differs from the config's")
@@ -385,8 +367,9 @@ def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: 
     if rng is None:
         rng = stream(cfg.seed, "adapt-objective")
     tape = diff.Tape()
-    leaf_map: dict = {} if leaves_out is None else leaves_out
-    q = _keyed_leaves(tape, arch, _flat(model.posterior)[None], ["q"], leaf_map)
+    q = tape.tensor(_flat(model.posterior)[None])
+    if leaves_out is not None:
+        leaves_out["q"] = q
     eps = rng.standard_normal((1, cfg.mc_train, arch.param_count))
     values = _adaptation_certificates(cfg, task.m, q, _flat(prior)[None],
                                       task.train_x[None], task.train_y[None], eps)
@@ -593,19 +576,20 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
 
 def adaptation_certificate(model: StochasticModel, prior: DiagonalGaussian, task: Task,
                            cfg: TrainConfig, *, mc_eval: int,
-                           rng: np.random.Generator) -> float:
+                           rng: np.random.Generator) -> tuple[float, float]:
     """Certificate of an adapted posterior against the prior it was trained
     against, with the empirical risk estimated from ``mc_eval`` weight draws.
 
-    Raises TrainingDiverged when the posterior is finite but its risk or
-    divergence is not.
+    Returns ``(empirical_risk, bound)``: the estimate the bound was priced
+    from, and the bound.  Raises TrainingDiverged when the posterior is
+    finite but its risk or divergence is not.
     """
     empirical = mc_empirical_risk(model, task.train_x, task.train_y, cfg.loss, mc_eval, rng)
     kl = kl_diag_gaussian(model.posterior, prior)
     if not (math.isfinite(empirical) and math.isfinite(kl)):
         raise TrainingDiverged("adapted posterior has a non-finite certificate",
                                TrainingTrace())
-    return adaptation_bound(empirical, kl, task.m, cfg.delta)
+    return empirical, adaptation_bound(empirical, kl, task.m, cfg.delta)
 
 
 def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
@@ -623,7 +607,8 @@ def adapt(rho: MetaPosterior, new_task: Task, cfg: TrainConfig,
     if rng is None:
         rng = stream(cfg.seed, "adapt")
     [(model, prior)] = adapt_many(rho, [new_task], cfg, adapt_epochs=adapt_epochs, rngs=[rng])
-    return model, adaptation_certificate(model, prior, new_task, cfg, mc_eval=mc_eval, rng=rng)
+    _, bound = adaptation_certificate(model, prior, new_task, cfg, mc_eval=mc_eval, rng=rng)
+    return model, bound
 
 
 def independent_baseline(tasks, cfg: TrainConfig, *, adapt_epochs: int = 100,

@@ -130,60 +130,52 @@ def test_criterion_3_objective_gradients(capsys):
 
     def build_single(ps):
         tape = diff.Tape()
-        qm = tape.tensor(ps[0])
-        qlv = tape.tensor(ps[1])
+        q = tape.tensor(ps[0])
+        qm = diff.slice(q, slice(0, 2))
+        qlv = diff.slice(q, slice(2, 4))
         pm = tape.tensor(prior.mean)
         plv = tape.tensor(prior.log_var)
-        risk = taped_mc_risk(LINEAR, diff.concat([qm, qlv], (4,)), task.train_x,
-                             task.train_y, LOGISTIC, eps[None])
+        risk = taped_mc_risk(LINEAR, q, task.train_x, task.train_y, LOGISTIC, eps[None])
         dm = qm - pm
         kl = (diff.sum(diff.exp(qlv - plv)) + diff.sum(dm * dm * diff.exp(-plv))
               - float(prior.dim) + diff.sum(plv) - diff.sum(qlv)) * 0.5
         slack = kl + math.log(2.0 * math.sqrt(task.m) / cfg.delta)
-        return risk + diff.sqrt(slack * (1.0 / (2.0 * task.m))), [qm, qlv]
+        return risk + diff.sqrt(slack * (1.0 / (2.0 * task.m))), [q]
 
+    # The public objectives build a training step's tape: the posterior is
+    # one leaf, and a meta point is the theta1 leaf plus one stacked leaf of
+    # task rows.
     def build_adaptation(ps):
-        model = StochasticModel(LINEAR, DiagonalGaussian(ps[0], ps[1]))
+        model = StochasticModel(LINEAR, DiagonalGaussian(ps[0][:2], ps[0][2:]))
         leaves = {}
         value = adaptation_objective(model, prior, task, cfg,
                                      rng=np.random.default_rng(55), leaves_out=leaves)
-        return value, [leaves["q.mean.w"], leaves["q.lv.w"]]
+        return value, [leaves["q"]]
 
     theta0 = np.concatenate([np.zeros(2), np.full(2, -2.0)])
 
     def build_meta(ps):
-        theta1 = np.concatenate([ps[0], ps[1]])
-        rho = MetaPosterior(theta0, theta1, 0.05)
-        models = [
-            StochasticModel(LINEAR, DiagonalGaussian(ps[2], ps[3])),
-            StochasticModel(LINEAR, DiagonalGaussian(ps[4], ps[5])),
-        ]
+        rho = MetaPosterior(theta0, ps[0], 0.05)
+        models = [StochasticModel(LINEAR, DiagonalGaussian(row[:2], row[2:])) for row in ps[1]]
         leaves = {}
         value = meta_objective(rho, models, tasks, cfg,
                                rng=np.random.default_rng(999), leaves_out=leaves)
-        order = [
-            leaves["theta1.mean.w"], leaves["theta1.lv.w"],
-            leaves["q0.mean.w"], leaves["q0.lv.w"],
-            leaves["q1.mean.w"], leaves["q1.lv.w"],
-        ]
-        return value, order
+        return value, [leaves["theta1"], leaves["q"]]
 
     objectives = [
-        ("single-task", build_single, 2),
-        ("adaptation", build_adaptation, 2),
-        ("meta", build_meta, 6),
+        ("single-task", build_single, 1),
+        ("adaptation", build_adaptation, 1),
+        ("meta", build_meta, 3),
     ]
     worst = {}
-    for name, build, num_arrays in objectives:
+    for name, build, num_rows in objectives:
         w = 0.0
         for trial in range(10):
             point_rng = np.random.default_rng(1000 + trial)
-            points = []
-            for k in range(num_arrays):
-                if k % 2 == 0:
-                    points.append(point_rng.normal(0, 0.5, 2))
-                else:
-                    points.append(point_rng.uniform(-3, -1, 2))
+            # one row per Gaussian: two means, then two log-variances
+            rows = [np.concatenate([point_rng.normal(0, 0.5, 2), point_rng.uniform(-3, -1, 2)])
+                    for _ in range(num_rows)]
+            points = rows if num_rows == 1 else [rows[0], np.stack(rows[1:])]
             w = max(w, gradcheck(build, points))
         worst[name] = w
 

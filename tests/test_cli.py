@@ -25,7 +25,15 @@ from metabounds.cli import (
     main,
     write_csv,
 )
-from metabounds.metalearn import MetaPosterior, save_meta_posterior
+from metabounds.env import sample_tasks
+from metabounds.metalearn import (
+    MetaPosterior,
+    adapt_many,
+    adaptation_certificate,
+    load_meta_posterior,
+    save_meta_posterior,
+)
+from metabounds.rng import stream
 
 
 def _write(tmp_path, text, name="conf.ini"):
@@ -327,6 +335,29 @@ class TestTrainAdaptRoundTrip:
         assert body[0] == "task_index,seed,train_risk,bound,test_error"
         assert len(body) == 4
         assert "# summary test_error" in adapt_out.read_text()
+
+    def test_adapt_rows_are_the_certificate_terms(self, tmp_path):
+        artifact = tmp_path / "posterior.txt"
+        adapt_out = tmp_path / "adapt.csv"
+        path = _write(tmp_path, TRAIN_SMALL.format(out=artifact, adapt_out=adapt_out))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--config", path]) == 0
+            assert main(["adapt", "--config", path]) == 0
+
+        values = load_config(path, "adapt").values
+        seed = values["seed"]
+        spec = cli._env_spec(values)
+        cfg = cli._train_config(values, spec)
+        tasks = sample_tasks(spec, values["num_tasks"], values["m"], stream(seed, "adapt-tasks"))
+        rngs = [stream(seed, "adapt", i) for i in range(len(tasks))]
+        adapted = adapt_many(load_meta_posterior(artifact), tasks, cfg,
+                             adapt_epochs=values["adapt_epochs"], rngs=rngs)
+        rows = [line.split(",") for line in _data_lines(adapt_out)[1:]]
+        assert len(rows) == len(tasks)
+        for row, task, rng, (model, prior) in zip(rows, tasks, rngs, adapted):
+            # train_risk is the empirical term the bound was priced from
+            assert (float(row[2]), float(row[3])) == adaptation_certificate(
+                model, prior, task, cfg, mc_eval=values["mc_eval"], rng=rng)
 
     def test_adapt_runs_are_identical(self, tmp_path):
         artifact = tmp_path / "posterior.txt"

@@ -311,21 +311,6 @@ class TestStackedOps:
         assert part.shape == (2, 1, 2)
         np.testing.assert_array_equal(part.value[:, 0], [[1.0, 2.0], [5.0, 6.0]])
 
-    def test_concat(self):
-        def build(ps):
-            tape = Tape()
-            parts = [tape.tensor(p) for p in ps]
-            joined = diff.concat(parts, (2, 5))
-            return diff.sum(diff.tanh(joined) * joined), parts
-
-        points = [self.rng.normal(size=(2, 2)), self.rng.normal(size=3),
-                  self.rng.normal(size=(1, 3))]
-        assert gradcheck(build, points) <= 1e-6
-        tape = Tape()
-        joined = diff.concat([tape.tensor(np.array([1.0, 2.0])), tape.tensor(np.array([3.0]))],
-                             (3,))
-        np.testing.assert_array_equal(joined.value, [1.0, 2.0, 3.0])
-
     def test_batched_softmax_cross_entropy(self):
         labels = np.array([[0, 2, 1, 1], [2, 2, 0, 1]])[:, None, :]
 

@@ -9,6 +9,7 @@ from metabounds.env import (
     BlobsSpec,
     LinearEnvSpec,
     PermutedEnvSpec,
+    Task,
     sample_tasks,
     true_risk_mc,
 )
@@ -73,14 +74,14 @@ class TestLinearEnv:
 
 
 class TestPermutedEnv:
-    def test_identity_hook_reproduces_base(self):
+    def test_identity_permutation_reproduces_base(self):
         spec = PermutedEnvSpec(base=BlobsSpec(num_points=40, dim=4,
-                                              num_classes=4, seed=7),
-                               force_identity=True)
+                                              num_classes=4, seed=7))
         base_x, base_y = spec.base.build()
-        task = sample_tasks(spec, 1, 30, np.random.default_rng(0))[0]
+        task = Task(spec, np.arange(4.0), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        xs, ys = task.draw(30, np.random.default_rng(0))
         # every drawn sample must literally be a base point with its base label
-        for x, y in zip(task.train_x, task.train_y):
+        for x, y in zip(xs, ys):
             hits = np.where((base_x == x).all(axis=1))[0]
             assert len(hits) >= 1 and base_y[hits[0]] == y
 

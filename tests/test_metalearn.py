@@ -269,31 +269,21 @@ class TestMetaObjective:
         theta0 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
 
         def build(ps):
-            theta1 = np.concatenate([ps[0], ps[1]])
-            rho = MetaPosterior(theta0, theta1, 0.05)
-            models = [
-                StochasticModel(LINEAR, DiagonalGaussian(ps[2], ps[3])),
-                StochasticModel(LINEAR, DiagonalGaussian(ps[4], ps[5])),
-            ]
+            rho = MetaPosterior(theta0, ps[0], 0.05)
+            models = [StochasticModel(LINEAR, DiagonalGaussian(row[:2], row[2:]))
+                      for row in ps[1]]
             leaves = {}
             value = meta_objective(
                 rho, models, tasks, cfg, rng=np.random.default_rng(999), leaves_out=leaves
             )
-            order = [
-                leaves["theta1.mean.w"], leaves["theta1.lv.w"],
-                leaves["q0.mean.w"], leaves["q0.lv.w"],
-                leaves["q1.mean.w"], leaves["q1.lv.w"],
-            ]
-            return value, order
+            return value, [leaves["theta1"], leaves["q"]]
 
         for trial in range(3):
             trial_rng = np.random.default_rng(40 + trial)
-            points = [
-                trial_rng.normal(0, 0.5, 2), trial_rng.uniform(-3, -1, 2),
-                trial_rng.normal(0, 0.5, 2), trial_rng.uniform(-3, -1, 2),
-                trial_rng.normal(0, 0.5, 2), trial_rng.uniform(-3, -1, 2),
-            ]
-            assert gradcheck(build, points) <= 1e-4
+            # theta1, then the two task rows: two means, then two log-variances
+            rows = [np.concatenate([trial_rng.normal(0, 0.5, 2), trial_rng.uniform(-3, -1, 2)])
+                    for _ in range(3)]
+            assert gradcheck(build, [rows[0], np.stack(rows[1:])]) <= 1e-4
 
     def test_gradcheck_hidden_layer(self):
         arch = ModelArchitecture("mlp1", input_dim=2, num_classes=2, hidden_dim=3)
@@ -302,45 +292,29 @@ class TestMetaObjective:
         cfg = _cfg(arch=arch, loss=loss, mc_train=1)
         names = [name for name, _ in arch.layer_shapes()]
         shapes = [shape for _, shape in arch.layer_shapes()]
+        d = arch.param_count
         from metabounds.model import join_flat
 
-        theta0 = np.concatenate([
-            np.zeros(arch.param_count), np.full(arch.param_count, -2.0)
-        ])
+        theta0 = np.concatenate([np.zeros(d), np.full(d, -2.0)])
 
         def build(ps):
-            mean_blocks = dict(zip(names, ps[: len(names)]))
-            lv_blocks = dict(zip(names, ps[len(names): 2 * len(names)]))
-            theta1 = np.concatenate([
-                join_flat(arch, mean_blocks), join_flat(arch, lv_blocks)
-            ])
-            q_mean = dict(zip(names, ps[2 * len(names): 3 * len(names)]))
-            q_lv = dict(zip(names, ps[3 * len(names):]))
-            model = StochasticModel(
-                arch,
-                DiagonalGaussian(join_flat(arch, q_mean), join_flat(arch, q_lv)),
-            )
-            rho = MetaPosterior(theta0, theta1, 0.05)
+            rho = MetaPosterior(theta0, ps[0], 0.05)
+            model = StochasticModel(arch, DiagonalGaussian(ps[1][0, :d], ps[1][0, d:]))
             leaves = {}
             value = meta_objective(
                 rho, [model], tasks, cfg, rng=np.random.default_rng(321), leaves_out=leaves
             )
-            order = (
-                [leaves[f"theta1.mean.{nm}"] for nm in names]
-                + [leaves[f"theta1.lv.{nm}"] for nm in names]
-                + [leaves[f"q0.mean.{nm}"] for nm in names]
-                + [leaves[f"q0.lv.{nm}"] for nm in names]
-            )
-            return value, order
+            return value, [leaves["theta1"], leaves["q"]]
 
         trial_rng = np.random.default_rng(77)
-        points = (
-            [trial_rng.normal(0, 0.4, s) for s in shapes]
-            + [trial_rng.uniform(-3, -1, s) for s in shapes]
-            + [trial_rng.normal(0, 0.4, s) for s in shapes]
-            + [trial_rng.uniform(-3, -1, s) for s in shapes]
-        )
-        assert gradcheck(build, points) <= 1e-4
+
+        def row():
+            # the weight means block by block, then the log-variances
+            means = {nm: trial_rng.normal(0, 0.4, s) for nm, s in zip(names, shapes)}
+            log_vars = {nm: trial_rng.uniform(-3, -1, s) for nm, s in zip(names, shapes)}
+            return np.concatenate([join_flat(arch, means), join_flat(arch, log_vars)])
+
+        assert gradcheck(build, [row(), row()[None]]) <= 1e-4
 
     def test_moving_a_posterior_off_the_prior_raises_the_objective(self):
         tasks = _toy_tasks(2, 10, seed=5)
@@ -676,9 +650,15 @@ class TestStepTapes:
         # theta and q; stage two's frozen theta0 is a constant
         assert steps == [(meta_nodes[0], 2), (meta_nodes[1], 2)]
         steps.clear()
-        adapt_many(rho, tasks, cfg, adapt_epochs=1,
-                   rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+        adapted = adapt_many(rho, tasks, cfg, adapt_epochs=1,
+                             rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
         assert steps == [(adapt_nodes, 1)]
+        # the public objectives build a stage-two step's and an adapt step's tape
+        steps.clear()
+        diff.backward(meta_objective(rho, [model for model, _ in adapted], tasks, cfg))
+        model, prior = adapted[0]
+        diff.backward(adaptation_objective(model, prior, tasks[0], cfg))
+        assert steps == [(meta_nodes[1], 2), (adapt_nodes, 1)]
 
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_steps_leave_no_cyclic_garbage(self, arch):
@@ -853,17 +833,17 @@ class TestAdapt:
         prior = DiagonalGaussian(np.array([0.2, -0.1]), np.array([-2.0, -1.5]))
 
         def build(ps):
-            model = StochasticModel(LINEAR, DiagonalGaussian(ps[0], ps[1]))
+            model = StochasticModel(LINEAR, DiagonalGaussian(ps[0][0, :2], ps[0][0, 2:]))
             leaves = {}
             value = adaptation_objective(
                 model, prior, task, cfg, rng=np.random.default_rng(55), leaves_out=leaves
             )
-            return value, [leaves["q.mean.w"], leaves["q.lv.w"]]
+            return value, [leaves["q"]]
 
         for trial in range(3):
             trial_rng = np.random.default_rng(60 + trial)
-            points = [trial_rng.normal(0, 0.5, 2), trial_rng.uniform(-3, -1, 2)]
-            assert gradcheck(build, points) <= 1e-4
+            row = np.concatenate([trial_rng.normal(0, 0.5, 2), trial_rng.uniform(-3, -1, 2)])
+            assert gradcheck(build, [row[None]]) <= 1e-4
 
 
 def _adapt_setup(arch):
@@ -889,7 +869,7 @@ class TestAdaptMany:
         together = adapt_many(rho, tasks, cfg, adapt_epochs=4, rngs=rngs)
         assert len(together) == len(tasks)
         for i, (task, rng, (model, prior)) in enumerate(zip(tasks, rngs, together)):
-            bound = adaptation_certificate(model, prior, task, cfg, mc_eval=60, rng=rng)
+            _, bound = adaptation_certificate(model, prior, task, cfg, mc_eval=60, rng=rng)
             alone, alone_bound = adapt(rho, task, cfg, adapt_epochs=4, mc_eval=60,
                                        rng=stream(79, "adapt", i))
             np.testing.assert_allclose(model.posterior.mean, alone.posterior.mean,
@@ -1004,14 +984,14 @@ class TestAdaptationCertificate:
         model = StochasticModel(LINEAR, DiagonalGaussian(np.array([0.5, -1.0]),
                                                          np.full(2, -4.0)))
         prior = DiagonalGaussian(np.zeros(2), np.full(2, -2.0))
-        bound = adaptation_certificate(model, prior, task, _cfg(), mc_eval=40,
-                                       rng=np.random.default_rng(11))
+        empirical, bound = adaptation_certificate(model, prior, task, _cfg(), mc_eval=40,
+                                                  rng=np.random.default_rng(11))
         from metabounds.model import mc_empirical_risk
 
         risk = mc_empirical_risk(model, task.train_x, task.train_y, LOGISTIC, 40,
                                  np.random.default_rng(11))
         expected = adaptation_bound(risk, kl_diag_gaussian(model.posterior, prior), 12, 0.1)
-        assert bound == expected
+        assert (empirical, bound) == (risk, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_divergence_is_a_numeric_failure(self):

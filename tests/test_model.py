@@ -236,14 +236,10 @@ class TestTapedRisk:
         eps = rng.standard_normal((2, arch.param_count))
 
         def build(ps):
-            tape = Tape()
-            mean = tape.tensor(ps[0])
-            log_var = tape.tensor(ps[1])
-            q = diff.concat([mean, log_var], (2 * arch.param_count,))
-            out = taped_mc_risk(arch, q, x, y, loss, eps)
-            return out, [mean, log_var]
+            q = Tape().tensor(ps[0])
+            return taped_mc_risk(arch, q, x, y, loss, eps), [q]
 
-        return build, [post.mean, post.log_var]
+        return build, [np.concatenate([post.mean, post.log_var])]
 
     def test_taped_value_matches_numpy_path(self):
         rng = np.random.default_rng(2)
@@ -251,11 +247,9 @@ class TestTapedRisk:
         y = rng.integers(0, 2, 5)
         post = glorot_init(LINEAR2, np.random.default_rng(8))
         loss = LossSpec("logistic_clipped")
-        tape = Tape()
-        mean = tape.tensor(post.mean)
-        log_var = tape.tensor(post.log_var)
+        q = Tape().tensor(np.concatenate([post.mean, post.log_var]))
         eps = np.random.default_rng(9).standard_normal(2)
-        out = taped_mc_risk(LINEAR2, diff.concat([mean, log_var], (4,)), x, y, loss, eps[None])
+        out = taped_mc_risk(LINEAR2, q, x, y, loss, eps[None])
         w = post.mean + post.std * eps
         m = StochasticModel(LINEAR2, near_dirac(w))
         direct = loss_values(loss, LINEAR2, x @ w, y).mean()
