@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import kl_decomposition_check  # noqa: F401 - bench/tracer.py wraps it on this module
-from .env import sample_tasks, true_risk_mc
+from .env import sample_tasks, true_risks_mc
+from .env import true_risk_mc  # noqa: F401 - bench/tracer.py wraps it on this module
 from .gauss import DiagonalGaussian
-from .metalearn import TrainConfig, adapt_many
+from .metalearn import TrainConfig
 from .metalearn import adapt  # noqa: F401 - bench/tracer.py wraps it on this module
 from .pipelines import fit_two_prior_system, trained_bound_breakdown
 from .rng import spawn_seed, stream
@@ -103,21 +104,23 @@ class AuditReport:
 def _audit_trial(env_spec, n: int, m: int, cfg: TrainConfig, index: int,
                  seed: int, eval_tasks: int, eval_points: int,
                  mc_eval: int) -> AuditRecord:
-    """Run one full pipeline on fresh tasks and compare bound to oracle risk."""
+    """Run one full pipeline on fresh tasks and compare bound to oracle risk.
+
+    The held-out tasks are adapted in the pass that adapts the training
+    tasks, each on its own ``audit-adapt`` stream, and scored in one oracle
+    call that draws from the ``audit-eval`` stream after their sampling.
+    """
     trial_cfg = replace(cfg, seed=seed)
     tasks = sample_tasks(env_spec, n, m, stream(seed, "audit-tasks"))
-    system = fit_two_prior_system(tasks, trial_cfg)
-    breakdown = trained_bound_breakdown(system, tasks, trial_cfg)
-    bound = breakdown.bound_thm2
-
     eval_rng = stream(seed, "audit-eval")
     fresh = sample_tasks(env_spec, eval_tasks, m, eval_rng)
-    adapted = adapt_many(system.rho, fresh, trial_cfg, adapt_epochs=cfg.epochs_stage2,
-                         rngs=[stream(seed, "audit-adapt", i) for i in range(len(fresh))])
-    risks = [
-        true_risk_mc(task, model, cfg.loss, eval_points, eval_rng, mc_samples=mc_eval)[0]
-        for task, (model, _) in zip(fresh, adapted)
-    ]
+    system = fit_two_prior_system(
+        tasks, trial_cfg, held_out=fresh,
+        held_out_rngs=[stream(seed, "audit-adapt", i) for i in range(len(fresh))])
+    bound = trained_bound_breakdown(system, tasks, trial_cfg).bound_thm2
+    risks = [risk for risk, _ in true_risks_mc(fresh, system.held_out_models, cfg.loss,
+                                               eval_points, [eval_rng] * len(fresh),
+                                               mc_samples=mc_eval)]
     est = float(np.mean(risks))
     se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
 

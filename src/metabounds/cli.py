@@ -36,7 +36,7 @@ import numpy as np
 
 from .audit import MIN_EVAL_TASKS, MIN_TRIALS, AuditRecord, audit_bound_validity
 from .bounds import MetaBoundInput, theorem1_bound, theorem2_bound
-from .env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks, true_risk_mc
+from .env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks, true_risks_mc
 from .metalearn import (
     TrainConfig,
     TrainingDiverged,
@@ -516,16 +516,16 @@ def cmd_adapt(cfg: ExperimentConfig):
         rngs = [stream(seed, "adapt", i) for i in range(len(tasks))]
         adapted = adapt_many(rho, tasks, train_cfg, adapt_epochs=values["adapt_epochs"],
                              rngs=rngs)
-        zero_one = LossSpec("zero_one")
-        rows = []
-        for i, (task, rng, (model, prior)) in enumerate(zip(tasks, rngs, adapted)):
-            train_risk, bound = adaptation_certificate(model, prior, task, train_cfg,
-                                                       mc_eval=values["mc_eval"], rng=rng)
-            test_error, _ = true_risk_mc(task, model, zero_one,
-                                         values["eval_points"],
-                                         stream(seed, "adapt-eval", i),
-                                         mc_samples=values["mc_eval"])
-            rows.append((i, seed, train_risk, bound, test_error))
+        certificates = [adaptation_certificate(model, prior, task, train_cfg,
+                                               mc_eval=values["mc_eval"], rng=rng)
+                        for task, rng, (model, prior) in zip(tasks, rngs, adapted)]
+        oracle = true_risks_mc(tasks, [model for model, _ in adapted], LossSpec("zero_one"),
+                               values["eval_points"],
+                               [stream(seed, "adapt-eval", i) for i in range(len(tasks))],
+                               mc_samples=values["mc_eval"])
+        rows = [(i, seed, train_risk, bound, test_error)
+                for i, ((train_risk, bound), (test_error, _))
+                in enumerate(zip(certificates, oracle))]
         errors = [r[4] for r in rows]
         bounds_col = [r[3] for r in rows]
         trailers = [

@@ -8,13 +8,16 @@ drawn label permutation, or by a permutation of a fixed coordinate
 subset. The oracle estimates the unobservable true risk of a stochastic
 model on a task by fresh sampling.
 
-One oracle call draws the B = n_eval inputs first and the K = mc_samples
+The oracle draws a task's B = n_eval inputs first and its K = mc_samples
 weight vectors second, from the same generator. A clipped loss is computed
 in place in the K x B buffer of linear scores (320 KB at K = B = 200); the
 logistic loss repeats ``diff.softplus``'s float operations and holds one
 more K x B scratch buffer for its relu. The 0-1 loss is one new K x B
 array. For mlp1 the forward pass holds one K x B x hidden buffer and one
-K x B x classes buffer of logits.
+K x B x classes buffer of logits. One oracle call makes these buffers once
+and reuses them for each of its tasks, so scoring many tasks in one call
+does not fault fresh pages in per task (arrays this large are
+memory-mapped anew by the allocator); they are freed when the call returns.
 """
 
 from __future__ import annotations
@@ -167,22 +170,41 @@ def sample_tasks(spec, n: int, m: int, rng: np.random.Generator) -> list[Task]:
     return tasks
 
 
-def true_risk_mc(task: Task, model: StochasticModel, loss: LossSpec,
-                 n_eval: int, rng: np.random.Generator,
-                 mc_samples: int = 1000) -> tuple[float, float]:
-    """Monte-Carlo estimate of the true risk, with its standard error.
+def true_risks_mc(tasks: list[Task], models: list[StochasticModel], loss: LossSpec,
+                  n_eval: int, rngs: list[np.random.Generator], *,
+                  mc_samples: int) -> list[tuple[float, float]]:
+    """Monte-Carlo estimate of the true risk of ``models[i]`` on
+    ``tasks[i]``, with its standard error, for every task.
 
     Averages the loss over n_eval fresh samples and mc_samples posterior
     weight draws. The reported standard error combines both noise sources
     (sample spread at fixed weights, weight spread at fixed samples).
+    Task i draws its samples, then its weights, from ``rngs[i]``; one
+    generator passed for every task is drawn from task after task. The
+    tasks share one set of loss buffers, freed when the call returns.
     """
     if n_eval < 1 or mc_samples < 1:
         raise ValueError("n_eval and mc_samples must be >= 1")
-    x, y = task.draw(n_eval, rng)
-    vals = _mc_losses(model, x, y, loss, mc_samples, rng)
-    per_sample = vals.mean(axis=0)
-    per_draw = vals.mean(axis=1)
-    risk = float(per_sample.mean())
-    var_x = float(per_sample.var(ddof=1)) / n_eval if n_eval > 1 else 0.0
-    var_w = float(per_draw.var(ddof=1)) / mc_samples if mc_samples > 1 else 0.0
-    return risk, float(np.sqrt(var_x + var_w))
+    if not len(tasks) == len(models) == len(rngs):
+        raise ValueError("need one model and one generator per task")
+    buffers = {}
+    estimates = []
+    for task, model, rng in zip(tasks, models, rngs):
+        x, y = task.draw(n_eval, rng)
+        vals = _mc_losses(model, x, y, loss, mc_samples, rng, buffers)
+        per_sample = vals.mean(axis=0)
+        per_draw = vals.mean(axis=1)
+        risk = float(per_sample.mean())
+        var_x = float(per_sample.var(ddof=1)) / n_eval if n_eval > 1 else 0.0
+        var_w = float(per_draw.var(ddof=1)) / mc_samples if mc_samples > 1 else 0.0
+        estimates.append((risk, float(np.sqrt(var_x + var_w))))
+    return estimates
+
+
+def true_risk_mc(task: Task, model: StochasticModel, loss: LossSpec,
+                 n_eval: int, rng: np.random.Generator,
+                 mc_samples: int = 1000) -> tuple[float, float]:
+    """:func:`true_risks_mc` for one task: the risk estimate and its
+    standard error."""
+    [estimate] = true_risks_mc([task], [model], loss, n_eval, [rng], mc_samples=mc_samples)
+    return estimate

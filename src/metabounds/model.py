@@ -124,23 +124,38 @@ class LossSpec:
             raise ValueError("clip_max must be positive and finite")
 
 
-def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _buffer(buffers: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 array ``buffers[name]`` of ``shape``, made on first use
+    and made again when the shape asked for changes."""
+    buf = buffers.get(name)
+    if buf is None or buf.shape != shape:
+        buf = buffers[name] = np.empty(shape)
+    return buf
+
+
+def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray,
+                 buffers: dict | None = None) -> np.ndarray:
     """Scores for a batch of inputs under one weight vector or a stack of them.
 
     flat_w is (d,) or (K, d). Returns (B,) raw scores for linear and (B, C)
     logits for mlp1, with a leading K axis when K weight vectors are given.
-    The result is always a new array, so the caller may overwrite it.
+    The result is a new array, so the caller may overwrite it; with
+    ``buffers`` it is ``buffers["scores"]`` instead, and the mlp1 hidden
+    layer ``buffers["hidden"]``, reused by the next call of the same shapes.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"inputs must be (B, {arch.input_dim}), got {x.shape}")
+    buffers = {} if buffers is None else buffers
+    flat_w = np.asarray(flat_w)
     blocks = split_flat(arch, flat_w)
+    lead = flat_w.shape[:-1] + (x.shape[0],)
     if arch.kind == "linear":
-        return blocks["w"] @ x.T
-    h = x @ blocks["w1"]
+        return np.matmul(blocks["w"], x.T, out=_buffer(buffers, "scores", lead))
+    h = np.matmul(x, blocks["w1"], out=_buffer(buffers, "hidden", lead + (arch.hidden_dim,)))
     h += blocks["b1"][..., None, :]
     np.tanh(h, out=h)
-    out = h @ blocks["w2"]
+    out = np.matmul(h, blocks["w2"], out=_buffer(buffers, "scores", lead + (arch.num_classes,)))
     out += blocks["b2"][..., None, :]
     return out
 
@@ -163,11 +178,11 @@ def loss_values(loss: LossSpec, arch: ModelArchitecture,
     y = np.asarray(y)
     if loss.kind == "zero_one":
         return (predicted_labels(arch, scores) != y).astype(np.float64)
-    return _clipped_loss_in_place(loss, arch, np.array(scores, dtype=np.float64), y)
+    return _clipped_loss_in_place(loss, arch, np.array(scores, dtype=np.float64), y, {})
 
 
 def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
-                           s: np.ndarray, y: np.ndarray) -> np.ndarray:
+                           s: np.ndarray, y: np.ndarray, buffers: dict) -> np.ndarray:
     """The clipped logistic or cross-entropy loss of the float64 scores s,
     which this overwrites: the logistic losses are s itself, cross-entropy
     leaves the exponentials of its shifted logits in s.
@@ -175,14 +190,14 @@ def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
     The logistic branch repeats ``diff.softplus``'s float operations,
     relu(t) + log(exp(-|t|) + 1), so before the clip its losses equal that
     node's values bit for bit; it holds one scratch array of s's shape for
-    the relu.
+    the relu, ``buffers["relu"]``.
     """
     if loss.kind == "logistic_clipped":
         if arch.kind != "linear":
             raise ValueError("logistic loss applies to the linear architecture")
         # class-0 logit is the score, class-1 logit is 0
         s *= 2.0 * y - 1.0
-        relu = np.maximum(s, 0.0)
+        relu = np.maximum(s, 0.0, out=_buffer(buffers, "relu", s.shape))
         np.abs(s, out=s)
         s *= -1.0
         np.exp(s, out=s)
@@ -204,21 +219,23 @@ def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
 
 
 def _mc_losses(model: StochasticModel, x: np.ndarray, y: np.ndarray,
-               loss: LossSpec, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
+               loss: LossSpec, mc_samples: int, rng: np.random.Generator,
+               buffers: dict) -> np.ndarray:
     """(K, B) losses of K = mc_samples fresh posterior draws on the B inputs.
 
     The draws are mean + std * N(0, 1) of shape (K, d), taken from rng here.
-    The scores are made here, so a clipped loss overwrites them: one call
-    holds one K x B buffer, plus one K x B scratch buffer for the logistic
-    relu (for mlp1 one K x B x hidden buffer and one K x B x classes
-    buffer).
+    The scores go into ``buffers``, so a clipped loss overwrites them: one
+    K x B buffer, plus one K x B scratch buffer for the logistic relu (for
+    mlp1 one K x B x hidden buffer and one K x B x classes buffer). A
+    clipped loss is returned in the scores buffer, so it is valid until the
+    next call with the same ``buffers``.
     """
     post = model.posterior
     draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))
-    scores = scores_batch(model.arch, draws, x)
+    scores = scores_batch(model.arch, draws, x, buffers)
     if loss.kind == "zero_one":
         return loss_values(loss, model.arch, scores, y)
-    return _clipped_loss_in_place(loss, model.arch, scores, np.asarray(y))
+    return _clipped_loss_in_place(loss, model.arch, scores, np.asarray(y), buffers)
 
 
 def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
@@ -230,7 +247,7 @@ def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
         raise ValueError("dataset must be nonempty")
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
-    return float(_mc_losses(model, x, y, loss, mc_samples, rng).mean())
+    return float(_mc_losses(model, x, y, loss, mc_samples, rng, {}).mean())
 
 
 def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGaussian:

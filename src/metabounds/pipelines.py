@@ -13,7 +13,8 @@ row shape and the CLI can mix them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .bounds import (
     theorem1_bound,
     theorem2_bound,
 )
-from .env import LinearEnvSpec, Task, sample_tasks, true_risk_mc
+from .env import LinearEnvSpec, Task, sample_tasks, true_risks_mc
+from .env import true_risk_mc  # noqa: F401 - bench/tracer.py wraps it on this module
 from .gauss import (
     DiagonalGaussian,
     expected_kl_arrays,
@@ -77,7 +79,13 @@ RISK_DRAWS = 2000
 
 @dataclass(frozen=True)
 class PipelinePoint:
-    """One evaluated sweep coordinate, ready to become a result row."""
+    """One evaluated sweep coordinate, ready to become a result row.
+
+    ``meta_train_loss`` means different things in the two pipelines: the
+    trained one writes the last epoch's mean training objective, the
+    certificate it minimized (the empirical risk if no epoch ran); the
+    closed form writes the empirical risk.
+    """
 
     n: int
     m: int
@@ -240,21 +248,49 @@ def prior_mean_point(spec: LinearEnvSpec, tasks: list[Task], seed: int,
 
 @dataclass(frozen=True)
 class TrainedSystem:
-    """Output of the two-prior learner together with per-task adapted models."""
+    """Output of the two-prior learner: the posteriors its adaptation rule
+    gives each training task, which the certificate prices, and each
+    held-out task it was handed, which the oracle scores."""
 
     rho: MetaPosterior
     task_models: list[StochasticModel]
     trace_objectives: tuple[float, ...]
+    held_out_models: list[StochasticModel] = field(default_factory=list)
 
 
-def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig) -> TrainedSystem:
-    """Train the meta-posterior, then run its adaptation rule on each
-    training task for the stage-2 epoch count, the effort a fresh task
-    receives, to obtain the posteriors the certificate prices."""
+def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig, *,
+                         held_out: Sequence[Task] = (),
+                         held_out_rngs: Sequence[np.random.Generator] = ()) -> TrainedSystem:
+    """Train the meta-posterior, then run its adaptation rule for the
+    stage-2 epoch count, the effort a fresh task receives, on each training
+    task and each held-out task.
+
+    Training task i draws from the ``task-posterior`` stream i of
+    ``cfg.seed``, held-out task j from ``held_out_rngs[j]``; all rows are
+    adapted in one stacked pass, training rows first, each exactly as it
+    would be alone.  The held-out tasks must share the training tasks'
+    sample count.  A divergence names the task a separate pass would: a
+    training task first, or else held-out task j as j.
+    """
+    if len(held_out_rngs) != len(held_out):
+        raise ValueError("need exactly one generator per held-out task")
+    n = len(tasks)
     rho, trace = train_meta(tasks, cfg)
-    adapted = adapt_many(rho, tasks, cfg, adapt_epochs=cfg.epochs_stage2,
-                         rngs=[stream(cfg.seed, "task-posterior", i) for i in range(len(tasks))])
-    return TrainedSystem(rho, [model for model, _ in adapted], tuple(trace.objectives))
+
+    def training_rngs():
+        return [stream(cfg.seed, "task-posterior", i) for i in range(n)]
+
+    try:
+        adapted = adapt_many(rho, [*tasks, *held_out], cfg, adapt_epochs=cfg.epochs_stage2,
+                             rngs=training_rngs() + list(held_out_rngs))
+    except TrainingDiverged as exc:
+        if exc.task is None or exc.task < n:
+            raise
+        # a held-out row failed first; the training rows alone may still fail later
+        adapt_many(rho, tasks, cfg, adapt_epochs=cfg.epochs_stage2, rngs=training_rngs())
+        raise TrainingDiverged(exc.message, exc.trace, task=exc.task - n) from None
+    models = [model for model, _ in adapted]
+    return TrainedSystem(rho, models[:n], tuple(trace.objectives), models[n:])
 
 
 def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
@@ -295,19 +331,18 @@ def two_prior_point(spec: LinearEnvSpec, tasks: list[Task], seed: int, cfg: Trai
     """Evaluate the trained pipeline on a fixed set of training tasks.
 
     Fresh tasks from the same environment measure the oracle test loss: each
-    is adapted with the trained rule and its resulting model scored on newly
-    drawn points.
+    is adapted with the trained rule, in the pass that adapts the training
+    tasks, and its resulting model scored on newly drawn points.
     """
-    system = fit_two_prior_system(tasks, cfg)
-    breakdown = trained_bound_breakdown(system, tasks, cfg)
     test_rng = stream(seed, "trained-test")
     fresh = sample_tasks(spec, eval_tasks, tasks[0].m, test_rng)
-    adapted = adapt_many(system.rho, fresh, cfg, adapt_epochs=cfg.epochs_stage2,
-                         rngs=[stream(seed, "trained-test-adapt", i) for i in range(len(fresh))])
-    test_risks = [
-        true_risk_mc(task, model, cfg.loss, eval_points, test_rng, mc_samples=mc_eval)[0]
-        for task, (model, _) in zip(fresh, adapted)
-    ]
+    system = fit_two_prior_system(
+        tasks, cfg, held_out=fresh,
+        held_out_rngs=[stream(seed, "trained-test-adapt", i) for i in range(len(fresh))])
+    breakdown = trained_bound_breakdown(system, tasks, cfg)
+    test_risks = [risk for risk, _ in true_risks_mc(fresh, system.held_out_models, cfg.loss,
+                                                    eval_points, [test_rng] * len(fresh),
+                                                    mc_samples=mc_eval)]
     trace = system.trace_objectives
     train_loss = trace[-1] if trace else breakdown.empirical_multitask_risk
     return PipelinePoint(n=len(tasks), m=tasks[0].m, d=spec.d, seed=seed,

@@ -18,6 +18,8 @@ PACKAGE = "metabounds"
 
 ALLOWED = {
     "metalearn.adapt": "the benchmark adapts and certifies single tasks through it",
+    "env.true_risk_mc": "the benchmark's meta-mlp1 item scores single tasks through it; it "
+                        "goes together with metalearn.adapt",
     "metalearn.adaptation_objective": "criterion 3 gradchecks the adaptation certificate "
                                       "through it",
     "metalearn.meta_objective": "criterion 3 gradchecks the meta-level certificate through it",

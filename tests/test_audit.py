@@ -13,10 +13,11 @@ from metabounds.audit import (
     audit_bound_validity,
     quadrature_kl_1d,
 )
-from metabounds.env import LinearEnvSpec
+from metabounds.env import LinearEnvSpec, sample_tasks, true_risk_mc
 from metabounds.gauss import DiagonalGaussian, kl_diag_gaussian
-from metabounds.metalearn import TrainConfig
+from metabounds.metalearn import TrainConfig, adapt_many
 from metabounds.model import LossSpec, ModelArchitecture
+from metabounds.pipelines import fit_two_prior_system, trained_bound_breakdown
 from metabounds.rng import stream
 
 
@@ -118,6 +119,39 @@ class TestAuditor:
         with pytest.raises(ValueError, match="at least 50"):
             audit_bound_validity(LinearEnvSpec(d=2), 2, 5, _light_cfg(), 10,
                                  np.random.default_rng(0))
+
+
+def _two_pass_trial(env_spec, n, m, cfg, index, seed, eval_tasks, eval_points, mc_eval):
+    """An audit trial as two adaptation passes and one oracle call per
+    held-out task: the reference the one-pass trial must equal."""
+    trial_cfg = replace(cfg, seed=seed)
+    tasks = sample_tasks(env_spec, n, m, stream(seed, "audit-tasks"))
+    system = fit_two_prior_system(tasks, trial_cfg)
+    bound = trained_bound_breakdown(system, tasks, trial_cfg).bound_thm2
+    eval_rng = stream(seed, "audit-eval")
+    fresh = sample_tasks(env_spec, eval_tasks, m, eval_rng)
+    adapted = adapt_many(system.rho, fresh, trial_cfg, adapt_epochs=cfg.epochs_stage2,
+                         rngs=[stream(seed, "audit-adapt", i) for i in range(len(fresh))])
+    risks = [true_risk_mc(task, model, cfg.loss, eval_points, eval_rng, mc_samples=mc_eval)[0]
+             for task, (model, _) in zip(fresh, adapted)]
+    est = float(np.mean(risks))
+    se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
+    return AuditRecord(index, seed, bound, est, se, bound - est, bool(est > bound + 3.0 * se))
+
+
+class TestOneTrial:
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_equals_two_adaptation_passes_and_per_task_oracle_calls(self, d):
+        """The criterion-5 trial at each seed gives the record, by ==, that
+        it gave with the held-out tasks adapted in a pass of their own and
+        scored one oracle call at a time."""
+        cfg = TrainConfig(arch=ModelArchitecture("linear", input_dim=d),
+                          loss=LossSpec("logistic_clipped"),
+                          epochs_stage1=20, epochs_stage2=20, seed=0)
+        spec = LinearEnvSpec(d=d)
+        for k, seed in enumerate((3, 31, 314)):
+            args = (spec, 5, 5, cfg, k, seed, 20, 200, 200)
+            assert audit._audit_trial(*args) == _two_pass_trial(*args)
 
 
 def test_negative_control_flags_the_empirical_risk_alone(monkeypatch):

@@ -35,6 +35,8 @@ from metabounds.metalearn import (
 )
 from metabounds.rng import stream
 
+from host_kernels import kernel_report
+
 
 def _write(tmp_path, text, name="conf.ini"):
     path = tmp_path / name
@@ -268,7 +270,7 @@ def test_sweep_body_matches_its_golden_hash(tmp_path, name, jobs):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--config", path, "--out", str(out), "--jobs", jobs]) == 0
     body = "\n".join(_data_lines(out))
-    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    assert hashlib.sha256(body.encode()).hexdigest() == digest, f"ran on {kernel_report()}"
 
 
 def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):

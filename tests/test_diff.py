@@ -252,26 +252,30 @@ class TestLazyGradients:
 class TestStackedOps:
     """Finite-difference checks of the ops that carry a task axis."""
 
-    rng = np.random.default_rng(101)
+    @pytest.fixture
+    def rng(self):
+        """A generator of the test's own, so that adding, removing, reordering
+        or selecting tests moves no other test's points."""
+        return np.random.default_rng(101)
 
-    def test_broadcasting_add_sub_mul(self):
+    def test_broadcasting_add_sub_mul(self, rng):
         def build(ps):
             tape = Tape()
             a, b, c = (tape.tensor(p) for p in ps)
             out = diff.sum(diff.tanh((a + b) * c - b) * (a - c))
             return out, [a, b, c]
 
-        points = [self.rng.normal(size=(3, 1, 4)), self.rng.normal(size=(4,)),
-                  self.rng.normal(size=(1, 2, 1))]
+        points = [rng.normal(size=(3, 1, 4)), rng.normal(size=(4,)),
+                  rng.normal(size=(1, 2, 1))]
         assert gradcheck(build, points) <= 1e-6
 
-    def test_batched_matmul(self):
+    def test_batched_matmul(self, rng):
         def build(ps):
             tape = Tape()
             a, b = tape.tensor(ps[0]), tape.tensor(ps[1])
             return diff.sum(diff.tanh(diff.matmul(a, b))), [a, b]
 
-        points = [self.rng.normal(size=(3, 1, 5, 2)), self.rng.normal(size=(3, 4, 2, 6))]
+        points = [rng.normal(size=(3, 1, 5, 2)), rng.normal(size=(3, 4, 2, 6))]
         assert gradcheck(build, points) <= 1e-6
         tape = Tape()
         out = diff.matmul(tape.tensor(points[0]), tape.tensor(points[1]))
@@ -282,7 +286,7 @@ class TestStackedOps:
         with pytest.raises(ValueError):
             diff.matmul(tape.tensor(np.ones((2, 3, 4))), tape.tensor(np.ones((2, 3, 4))))
 
-    def test_axis_sum_and_mean(self):
+    def test_axis_sum_and_mean(self, rng):
         def build(ps):
             tape = Tape()
             a = tape.tensor(ps[0])
@@ -290,13 +294,13 @@ class TestStackedOps:
             cols = diff.mean(a * a, axis=(0, 2))
             return diff.sum(diff.tanh(rows)) + diff.sum(cols * cols), [a]
 
-        assert gradcheck(build, [self.rng.normal(size=(2, 3, 4))]) <= 1e-6
+        assert gradcheck(build, [rng.normal(size=(2, 3, 4))]) <= 1e-6
         tape = Tape()
         a = tape.tensor(np.arange(24.0).reshape(2, 3, 4))
         np.testing.assert_array_equal(diff.mean(a, axis=(0, 2)).value,
                                       np.arange(24.0).reshape(2, 3, 4).mean(axis=(0, 2)))
 
-    def test_slice_with_new_axis_and_reshape(self):
+    def test_slice_with_new_axis_and_reshape(self, rng):
         def build(ps):
             tape = Tape()
             a = tape.tensor(ps[0])
@@ -304,14 +308,14 @@ class TestStackedOps:
             tail = diff.slice(a, (Ellipsis, slice(6, None)))
             return diff.sum(diff.tanh(head)) + diff.sum(tail * tail), [a]
 
-        assert gradcheck(build, [self.rng.normal(size=(3, 8))]) <= 1e-6
+        assert gradcheck(build, [rng.normal(size=(3, 8))]) <= 1e-6
         tape = Tape()
         a = tape.tensor(np.arange(8.0).reshape(2, 4))
         part = diff.slice(a, (slice(None), None, slice(1, 3)))
         assert part.shape == (2, 1, 2)
         np.testing.assert_array_equal(part.value[:, 0], [[1.0, 2.0], [5.0, 6.0]])
 
-    def test_batched_softmax_cross_entropy(self):
+    def test_batched_softmax_cross_entropy(self, rng):
         labels = np.array([[0, 2, 1, 1], [2, 2, 0, 1]])[:, None, :]
 
         def build(ps):
@@ -319,7 +323,7 @@ class TestStackedOps:
             logits = tape.tensor(ps[0])
             return diff.sum(diff.softmax_cross_entropy(logits, labels)), [logits]
 
-        logits = self.rng.normal(size=(2, 3, 4, 3))
+        logits = rng.normal(size=(2, 3, 4, 3))
         assert gradcheck(build, [logits]) <= 1e-6
         tape = Tape()
         batched = diff.softmax_cross_entropy(tape.tensor(logits), labels).value

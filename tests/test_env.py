@@ -12,6 +12,7 @@ from metabounds.env import (
     Task,
     sample_tasks,
     true_risk_mc,
+    true_risks_mc,
 )
 from metabounds.gauss import DiagonalGaussian
 from metabounds.model import (
@@ -23,6 +24,8 @@ from metabounds.model import (
     mc_empirical_risk,
     scores_batch,
 )
+
+from host_kernels import kernel_report
 
 LINEAR2 = ModelArchitecture("linear", 2)
 
@@ -171,16 +174,26 @@ ORACLE_CASES = [
 ]
 
 
-def _oracle_setup(arch):
-    """A task of the architecture's environment and a spread-out posterior."""
+def _oracle_tasks(arch, count):
+    """count tasks of the architecture's environment, each with a
+    spread-out posterior of its own."""
     if arch.kind == "linear":
         spec = LinearEnvSpec(2)
     else:
         spec = PermutedEnvSpec(base=BlobsSpec(num_points=40, dim=3, num_classes=4, seed=3))
-    task = sample_tasks(spec, 1, 12, np.random.default_rng(5))[0]
-    post = glorot_init(arch, np.random.default_rng(6))
-    model = StochasticModel(arch, DiagonalGaussian(post.mean, np.full(arch.param_count, -1.0)))
-    return task, model
+    tasks = sample_tasks(spec, count, 12, np.random.default_rng(5))
+    models = []
+    for i in range(count):
+        post = glorot_init(arch, np.random.default_rng(6 + i))
+        models.append(StochasticModel(arch, DiagonalGaussian(post.mean,
+                                                             np.full(arch.param_count, -1.0))))
+    return tasks, models
+
+
+def _oracle_setup(arch):
+    """A task of the architecture's environment and a spread-out posterior."""
+    tasks, models = _oracle_tasks(arch, 1)
+    return tasks[0], models[0]
 
 
 class TestVectorizedOracles:
@@ -225,6 +238,48 @@ class TestVectorizedOracles:
         assert abs(got - float(np.mean(per_draw))) <= 1e-12
 
 
+class TestManyTaskOracle:
+    """One oracle call over several tasks is a loop of one-task calls."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-generator", "per-task"])
+    @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
+    def test_equals_one_call_per_task_bit_for_bit(self, arch, kind, shared):
+        tasks, models = _oracle_tasks(arch, 3)
+        loss = LossSpec(kind)
+
+        def rngs():
+            if shared:
+                return [np.random.default_rng(8)] * len(tasks)
+            return [np.random.default_rng(20 + i) for i in range(len(tasks))]
+
+        together = true_risks_mc(tasks, models, loss, 50, rngs(), mc_samples=30)
+        alone = [true_risk_mc(task, model, loss, 50, rng, mc_samples=30)
+                 for task, model, rng in zip(tasks, models, rngs())]
+        assert together == alone
+
+    def test_tasks_of_two_architectures_share_a_call(self):
+        (lin,), (lin_model,) = _oracle_tasks(LINEAR2, 1)
+        (mlp,), (mlp_model,) = _oracle_tasks(MLP3, 1)
+        loss = LossSpec("zero_one")
+        together = true_risks_mc([lin, mlp, lin], [lin_model, mlp_model, lin_model], loss, 40,
+                                 [np.random.default_rng(9 + i) for i in range(3)],
+                                 mc_samples=20)
+        alone = [true_risk_mc(task, model, loss, 40, np.random.default_rng(9 + i),
+                              mc_samples=20)
+                 for i, (task, model) in enumerate([(lin, lin_model), (mlp, mlp_model),
+                                                    (lin, lin_model)])]
+        assert together == alone
+
+    def test_rejects_a_missing_model_or_generator(self):
+        tasks, models = _oracle_tasks(LINEAR2, 2)
+        loss = LossSpec("zero_one")
+        with pytest.raises(ValueError, match="one model and one generator"):
+            true_risks_mc(tasks, models[:1], loss, 5, [np.random.default_rng(0)] * 2,
+                          mc_samples=5)
+        with pytest.raises(ValueError, match="one model and one generator"):
+            true_risks_mc(tasks, models, loss, 5, [np.random.default_rng(0)], mc_samples=5)
+
+
 class TestOraclesWriteIntoNoCallerArray:
     """The losses are computed in place, but only in buffers the oracles make."""
 
@@ -251,6 +306,8 @@ class TestOraclesWriteIntoNoCallerArray:
         loss_values(loss, arch, scores, task.train_y)
         mc_empirical_risk(model, task.train_x, task.train_y, loss, 5, np.random.default_rng(8))
         true_risk_mc(task, model, loss, 9, np.random.default_rng(9), mc_samples=5)
+        true_risks_mc([task, task], [model, model], loss, 9, [np.random.default_rng(10)] * 2,
+                      mc_samples=5)
         for after, kept in zip(inputs, before):
             np.testing.assert_array_equal(after, kept)
 
@@ -288,4 +345,5 @@ def _oracle_digest(arch, kind):
 
 @pytest.mark.parametrize("arch,kind", ORACLE_CASES, ids=lambda v: getattr(v, "kind", v))
 def test_oracles_are_bit_identical_to_their_recorded_digest(arch, kind):
-    assert _oracle_digest(arch, kind) == ORACLE_DIGESTS[f"{arch.kind}-{kind}"]
+    assert _oracle_digest(arch, kind) == ORACLE_DIGESTS[f"{arch.kind}-{kind}"], \
+        f"ran on {kernel_report()}"

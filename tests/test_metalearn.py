@@ -51,6 +51,8 @@ from metabounds.model import (
 )
 from metabounds.rng import stream
 
+from host_kernels import kernel_report
+
 LINEAR = ModelArchitecture("linear", input_dim=2)
 LOGISTIC = LossSpec("logistic_clipped")
 
@@ -731,7 +733,7 @@ def _training_digest(arch_kind, mc_train, batch):
 
 @pytest.mark.parametrize("key", list(TRAINING_DIGESTS), ids=lambda k: f"{k[0]}-mc{k[1]}-b{k[2]}")
 def test_training_is_bit_identical_to_its_recorded_digest(key):
-    assert _training_digest(*key) == TRAINING_DIGESTS[key]
+    assert _training_digest(*key) == TRAINING_DIGESTS[key], f"ran on {kernel_report()}"
 
 
 # sha256 of the posteriors (means, then log-variances, task by task) that
@@ -774,7 +776,7 @@ def _adapt_digest(arch_kind, mc_train):
 
 @pytest.mark.parametrize("key", list(ADAPT_DIGESTS), ids=lambda k: f"{k[0]}-mc{k[1]}")
 def test_adaptation_is_bit_identical_to_its_recorded_digest(key):
-    assert _adapt_digest(*key) == ADAPT_DIGESTS[key]
+    assert _adapt_digest(*key) == ADAPT_DIGESTS[key], f"ran on {kernel_report()}"
 
 
 class TestAdapt:

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from metabounds.env import LinearEnvSpec, sample_tasks
-from metabounds.metalearn import MetaPosterior, TrainConfig, TrainingDiverged
+from metabounds import audit, env, metalearn, pipelines
+from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
+from metabounds.metalearn import (
+    MetaPosterior,
+    TrainConfig,
+    TrainingDiverged,
+    TrainingTrace,
+    adapt_many,
+)
 from metabounds.model import LossSpec, ModelArchitecture
 from metabounds.pipelines import (
     PRIOR_STD,
@@ -246,3 +253,112 @@ class TestTrainedPipeline:
         assert all(math.isfinite(v) for v in values)
         assert point.bound_thm2 >= point.empirical_multitask_risk
         assert point.n == 2 and point.m == 6 and point.d == 2
+
+
+class TestOnePassPerEvaluation:
+    """A trained evaluation adapts its training and held-out tasks in one
+    stacked pass and scores its held-out tasks in one oracle call."""
+
+    MLP = ModelArchitecture("mlp1", input_dim=3, hidden_dim=2, num_classes=3)
+    BLOBS = PermutedEnvSpec(base=BlobsSpec(num_points=60, dim=3, num_classes=3,
+                                           center_scale=2.5, seed=0))
+
+    @pytest.mark.parametrize("kind,n,m,batch_size,mc_train", [
+        ("linear-d2", 3, 8, 128, 1),
+        ("linear-d5", 4, 9, 4, 3),
+        ("mlp1", 3, 10, 4, 2),
+    ])
+    def test_held_out_rows_equal_a_pass_of_their_own(self, kind, n, m, batch_size, mc_train):
+        if kind == "mlp1":
+            spec = self.BLOBS
+            cfg = _cfg(seed=29, arch=self.MLP, loss=LossSpec("cross_entropy_clipped"),
+                       learning_rate=0.1, batch_size=batch_size, mc_train=mc_train)
+        else:
+            spec = LinearEnvSpec(d=int(kind[-1]))
+            cfg = _cfg(seed=29, arch=ModelArchitecture("linear", input_dim=spec.d),
+                       batch_size=batch_size, mc_train=mc_train)
+        tasks = sample_tasks(spec, n, m, stream(29, "tasks"))
+        fresh = sample_tasks(spec, 5, m, stream(31, "tasks"))
+
+        def rngs():
+            return [stream(37, "held-out", i) for i in range(len(fresh))]
+
+        merged = fit_two_prior_system(tasks, cfg, held_out=fresh, held_out_rngs=rngs())
+        alone = fit_two_prior_system(tasks, cfg)
+        apart = [model for model, _ in adapt_many(alone.rho, fresh, cfg,
+                                                  adapt_epochs=cfg.epochs_stage2, rngs=rngs())]
+        assert alone.held_out_models == []
+        for got, want in zip(merged.task_models + merged.held_out_models,
+                             alone.task_models + apart, strict=True):
+            np.testing.assert_array_equal(got.posterior.mean, want.posterior.mean)
+            np.testing.assert_array_equal(got.posterior.log_var, want.posterior.log_var)
+
+    @staticmethod
+    def _count(monkeypatch, names):
+        """Count the calls of each function in ``names`` through every
+        module that holds it."""
+        calls = dict.fromkeys(names, 0)
+        for module in (env, metalearn, pipelines, audit):
+            for name in names:
+                if hasattr(module, name):
+                    real = getattr(module, name)
+
+                    def wrapped(*args, _real=real, _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _real(*args, **kwargs)
+                    monkeypatch.setattr(module, name, wrapped)
+        return calls
+
+    NAMES = ("adapt_many", "true_risks_mc", "true_risk_mc")
+
+    def test_audit_trial_adapts_once_and_calls_the_oracle_once(self, monkeypatch):
+        calls = self._count(monkeypatch, self.NAMES)
+        audit._audit_trial(SPEC, 3, 5, _cfg(), 0, 7, 20, 50, 20)
+        assert calls == {"adapt_many": 1, "true_risks_mc": 1, "true_risk_mc": 0}
+
+    def test_two_prior_point_adapts_once_and_calls_the_oracle_once(self, monkeypatch):
+        calls = self._count(monkeypatch, self.NAMES)
+        two_prior_point(SPEC, _tasks(2, 6, seed=23), seed=23, cfg=_cfg(seed=23),
+                        eval_tasks=3, eval_points=50, mc_eval=20)
+        assert calls == {"adapt_many": 1, "true_risks_mc": 1, "true_risk_mc": 0}
+
+    def _diverging(self, monkeypatch, merged_task, training_task):
+        """adapt_many failing at ``merged_task`` on the merged rows and at
+        ``training_task`` (None: not at all) on the training rows alone."""
+        real = pipelines.adapt_many
+
+        def fake(rho, tasks, cfg, *, adapt_epochs, rngs):
+            if len(tasks) > 2:
+                raise TrainingDiverged("merged", TrainingTrace(), task=merged_task)
+            if training_task is not None:
+                raise TrainingDiverged("training", TrainingTrace(), task=training_task)
+            return real(rho, tasks, cfg, adapt_epochs=adapt_epochs, rngs=rngs)
+        monkeypatch.setattr(pipelines, "adapt_many", fake)
+
+    def _fit(self):
+        tasks, fresh = _tasks(2, 6, seed=41), _tasks(3, 6, seed=43)
+        return fit_two_prior_system(tasks, _cfg(seed=41), held_out=fresh,
+                                    held_out_rngs=[stream(47, "adapt", i) for i in range(3)])
+
+    def test_held_out_divergence_names_the_held_out_index(self, monkeypatch):
+        self._diverging(monkeypatch, merged_task=3, training_task=None)
+        with pytest.raises(TrainingDiverged, match="^task 1: merged$") as caught:
+            self._fit()
+        assert caught.value.task == 1
+
+    def test_training_divergence_comes_before_a_held_out_one(self, monkeypatch):
+        """A training row that fails only after a held-out row did is still
+        the one named, as when the training rows were adapted first."""
+        self._diverging(monkeypatch, merged_task=4, training_task=1)
+        with pytest.raises(TrainingDiverged, match="^task 1: training$"):
+            self._fit()
+
+    def test_training_divergence_in_the_merged_pass_is_named_as_it_is(self, monkeypatch):
+        self._diverging(monkeypatch, merged_task=0, training_task=None)
+        with pytest.raises(TrainingDiverged, match="^task 0: merged$"):
+            self._fit()
+
+    def test_rejects_a_generator_count_mismatch(self):
+        with pytest.raises(ValueError, match="one generator per held-out task"):
+            fit_two_prior_system(_tasks(2, 6, seed=41), _cfg(), held_out=_tasks(2, 6, seed=43),
+                                 held_out_rngs=[stream(47, "adapt", 0)])
