@@ -168,7 +168,6 @@ _TRAIN_KEYS = {
     "kappa_pi": (_to_float, _TRAIN["kappa_pi"]),
     "kappa_rho": (_to_float, _TRAIN["kappa_rho"]),
     "mc_train": (_int(1), _TRAIN["mc_train"]),
-    "optimizer": (_choice("adam", "sgd"), _TRAIN["optimizer"]),
 }
 
 # Keys selecting and shaping the task environment.

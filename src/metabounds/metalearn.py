@@ -104,7 +104,6 @@ class TrainConfig:
     kappa_pi: float = 100.0
     kappa_rho: float = 1e-3
     mc_train: int = 1
-    optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -122,8 +121,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive with a finite, nonzero square")
         if self.mc_train < 1:
             raise ValueError("mc_train must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss.kind == "zero_one":
             raise ValueError("training requires a differentiable loss")
 
@@ -399,75 +396,51 @@ class _Adam:
             params[key] -= self.lr * step
 
 
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: dict, grads: dict) -> None:
-        for key, g in grads.items():
-            params[key] -= self.lr * g
-
-
-def _make_optimizer(cfg: TrainConfig):
-    return _Adam(cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
-
-
-def _minibatches(x: np.ndarray, y: np.ndarray, perms: np.ndarray, batch_size: int):
-    """One epoch of stacked minibatches.
-
-    perms holds one shuffled order of sample indices per task; step j takes
-    chunk j of every task's order, so each task visits each sample once.
-    """
-    rows = np.arange(perms.shape[0])[:, None]
-    for j in range(0, perms.shape[1], batch_size):
-        idx = perms[:, j:j + batch_size]
-        yield x[rows, idx], y[rows, idx]
-
-
-def _epoch_mean(per_step: list):
-    """Mean over an epoch's steps of their objective values, as np.mean
-    computes it: the values' sum divided by their count."""
-    return np.add.reduce(per_step, axis=0) / len(per_step)
-
-
-def _check_finite(values: np.ndarray, traces: list, message: str) -> None:
+def _check_finite(values: np.ndarray, traces: list, message: str,
+                  name_task: bool = True) -> None:
     """Raise TrainingDiverged for the first task whose row of ``values``
-    holds a non-finite entry, with that task's trace."""
+    holds a non-finite entry, with that task's trace; the task is named
+    when ``name_task``."""
     if np.isfinite(values).all():
         return
     task = int(np.argmin(np.isfinite(values.reshape(len(traces), -1)).all(axis=1)))
-    raise TrainingDiverged(message, traces[task], task=task)
+    raise TrainingDiverged(message, traces[task], task=task if name_task else None)
 
 
-def _stage_loop(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict,
-                theta0: np.ndarray | None, epochs: int, rng: np.random.Generator,
-                trace: TrainingTrace) -> None:
-    """One training stage over ``params["theta"]`` and ``params["q"]``.
+def _descend(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict, rngs,
+             epochs: int, objective, traces: list, *, name_task: bool = True) -> None:
+    """Minibatch Adam descent on ``params``: the loop that both stages of
+    meta-training and adaptation run.
 
-    With ``theta0`` None the two prior components are tied to
-    ``params["theta"]``; otherwise ``theta0`` is the frozen initialization
-    center and ``params["theta"]`` the regularization center.
+    Each epoch task i draws its sample order from ``rngs[i]``.  Each step
+    puts one leaf per ``params`` entry on a fresh tape;
+    ``objective(leaves, xb, yb)`` returns the node to differentiate and one
+    value per trace.  Those values, and the parameters after the step, must
+    stay finite (see :func:`_check_finite`).  Each epoch appends the mean of
+    its steps' values to each trace, as np.mean computes it.
     """
-    n, m = y.shape
-    opt = _make_optimizer(cfg)
+    m = y.shape[1]
+    rows = np.arange(len(rngs))[:, None]
+    opt = _Adam(cfg.learning_rate)
     for _ in range(epochs):
-        perms = np.array([rng.permutation(m) for _ in range(n)])
+        # step j takes chunk j of every task's order, so each task visits
+        # each sample once
+        perms = np.array([rng.permutation(m) for rng in rngs])
         per_step = []
-        for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
+        for j in range(0, m, cfg.batch_size):
+            idx = perms[:, j:j + cfg.batch_size]
+            xb, yb = x[rows, idx], y[rows, idx]
             with diff.Tape() as tape:
-                theta1 = tape.tensor(params["theta"])
-                q = tape.tensor(params["q"])
-                value = _meta_certificate(cfg, m, theta1 if theta0 is None else theta0,
-                                          theta1, q, xb, yb, rng)
-                current = float(value.value)
-                if not math.isfinite(current):
-                    raise TrainingDiverged("objective became non-finite", trace)
-                diff.backward(value)
-                opt.step(params, {"theta": theta1.grad, "q": q.grad})
-            if not (np.isfinite(params["theta"]).all() and np.isfinite(params["q"]).all()):
-                raise TrainingDiverged("parameters became non-finite", trace)
-            per_step.append(current)
-        trace.objectives.append(float(_epoch_mean(per_step)))
+                leaves = {key: tape.tensor(value) for key, value in params.items()}
+                node, values = objective(leaves, xb, yb)
+                _check_finite(values, traces, "objective became non-finite", name_task)
+                diff.backward(node)
+                opt.step(params, {key: leaf.grad for key, leaf in leaves.items()})
+            for value in params.values():
+                _check_finite(value, traces, "parameters became non-finite", name_task)
+            per_step.append(values)
+        for trace, value in zip(traces, np.add.reduce(per_step, axis=0) / len(per_step)):
+            trace.objectives.append(float(value))
 
 
 def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrace]:
@@ -486,16 +459,29 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
     arch = cfg.arch
     d = arch.param_count
     n = len(env_tasks)
-    _shared_sample_count(env_tasks)
+    m = _shared_sample_count(env_tasks)
     x, y = _stacked_data(env_tasks)
     trace = TrainingTrace()
+
+    def stage(params: dict, theta0: np.ndarray | None, epochs: int, name: str) -> None:
+        # with theta0 None the two components are tied to params["theta"];
+        # otherwise theta0 is the frozen initialization center
+        rng = stream(cfg.seed, name)
+
+        def objective(leaves, xb, yb):
+            theta1 = leaves["theta"]
+            value = _meta_certificate(cfg, m, theta1 if theta0 is None else theta0, theta1,
+                                      leaves["q"], xb, yb, rng)
+            return value, value.value.reshape(1)
+
+        _descend(cfg, x, y, params, [rng] * n, epochs, objective, [trace], name_task=False)
 
     params = {
         "theta": _flat(glorot_init(arch, stream(cfg.seed, "init", "prior"))),
         "q": np.stack([_flat(glorot_init(arch, stream(cfg.seed, "init", f"task{i}")))
                        for i in range(n)]),
     }
-    _stage_loop(cfg, x, y, params, None, cfg.epochs_stage1, stream(cfg.seed, "stage1"), trace)
+    stage(params, None, cfg.epochs_stage1, "stage1")
     trace.stage_boundary = len(trace.objectives)
 
     theta0 = params["theta"]
@@ -508,8 +494,7 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
                 for i in range(n)
             ]),
         }
-        _stage_loop(cfg, x, y, stage2, theta0, cfg.epochs_stage2,
-                    stream(cfg.seed, "stage2"), trace)
+        stage(stage2, theta0, cfg.epochs_stage2, "stage2")
         theta1 = stage2["theta"]
 
     return MetaPosterior(theta0, theta1, cfg.kappa_rho), trace
@@ -551,24 +536,13 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     traces = [TrainingTrace() for _ in tasks]
     _check_finite(np.concatenate([params["q"], prior], axis=1), traces,
                   "sampled initialization or prior is non-finite")
-    opt = _make_optimizer(cfg)
 
-    for _ in range(adapt_epochs):
-        perms = np.array([rng.permutation(m) for rng in rngs])
-        per_step = []
-        for xb, yb in _minibatches(x, y, perms, cfg.batch_size):
-            eps = np.array([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
-            with diff.Tape() as tape:
-                q = tape.tensor(params["q"])
-                values = _adaptation_certificates(cfg, m, q, prior, xb, yb, eps)
-                _check_finite(values.value, traces, "adaptation objective became non-finite")
-                diff.backward(diff.sum(values))
-                opt.step(params, {"q": q.grad})
-            _check_finite(params["q"], traces, "parameters became non-finite")
-            per_step.append(values.value)
-        for trace, value in zip(traces, _epoch_mean(per_step)):
-            trace.objectives.append(float(value))
+    def objective(leaves, xb, yb):
+        eps = np.array([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
+        values = _adaptation_certificates(cfg, m, leaves["q"], prior, xb, yb, eps)
+        return diff.sum(values), values.value
 
+    _descend(cfg, x, y, params, rngs, adapt_epochs, objective, traces)
     return [(StochasticModel(arch, DiagonalGaussian(row[:d], row[d:])),
              DiagonalGaussian(prior_row[:d], prior_row[d:]))
             for row, prior_row in zip(params["q"], prior)]

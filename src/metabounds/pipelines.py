@@ -140,12 +140,6 @@ def _certificate(er: float, kl_rho_pi: float, kl_hyper: float, task_kls: np.ndar
     )
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``v`` (..., k), rounded as
-    ``np.linalg.norm`` rounds one row alone: a dot product, then a root."""
-    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def signed_mean_direction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unit vector pointing toward the halfspace labeled 1, per task.
 
@@ -156,7 +150,8 @@ def signed_mean_direction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     expectation.  A task whose signed mean vanishes gets the first axis.
     """
     v = -np.mean((2.0 * y[..., None] - 1.0) * x, axis=-2)
-    norm = _row_norms(v)[..., None]
+    # a sum of squares, not a BLAS dot product (see gaussian_sign_risk)
+    norm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     degenerate = norm < 1e-12
     first_axis = np.eye(1, v.shape[-1])[0]
     return np.where(degenerate, first_axis, v / np.where(degenerate, 1.0, norm))
@@ -177,9 +172,11 @@ def gaussian_sign_risk(w_mean: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
     misclassification probability is a normal tail whose argument is the
     scaled margin.
     """
+    # norms and scores multiply and sum rather than call BLAS, which picks
+    # its kernel, and so its rounding, per CPU
     norms = np.linalg.norm(x, axis=-1)
     norms = np.where(norms < 1e-12, 1e-12, norms)
-    z = (x @ w_mean[..., :, None])[..., 0] / (PRIOR_STD * norms)
+    z = np.add.reduce(x * w_mean[..., None, :], axis=-1) / (PRIOR_STD * norms)
     signed = z * (2.0 * y - 1.0)
     # numpy has no erf, and math.erf is fastest on Python floats
     erfs = np.fromiter(map(math.erf, (signed / math.sqrt(2.0)).ravel().tolist()),

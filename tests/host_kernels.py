@@ -5,7 +5,8 @@ dispatch level and the OpenBLAS core chosen at run time for the CPU. On a
 host that runs other kernels a digest can fail on correct code, so each
 guard names both, and such a failure can be told apart from a regression.
 The recorded digests pass under numpy SIMD AVX512_SPR with OpenBLAS core
-SkylakeX (numpy 2.4 on x86-64).
+SkylakeX (numpy 2.4 on x86-64). The closed-form golden body calls no BLAS
+and also holds under the settings of :func:`forced_kernel_settings`.
 """
 
 import ctypes
@@ -15,17 +16,24 @@ import os
 import numpy as np
 
 
-def _simd_level() -> str:
-    """The highest dispatch target numpy enabled on this CPU, or its
-    baseline when it enabled none."""
+def _simd_targets() -> tuple[list, list, dict]:
+    """numpy's baseline targets, the dispatch targets it enabled on this
+    CPU, and the CPU features it detected."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:
-        return "unknown"
+        return [], [], {}
     features = getattr(umath, "__cpu_features__", {})
     enabled = [name for name in getattr(umath, "__cpu_dispatch__", ())
                if features.get(name)]
-    levels = enabled or list(getattr(umath, "__cpu_baseline__", ()))
+    return list(getattr(umath, "__cpu_baseline__", ())), enabled, features
+
+
+def _simd_level() -> str:
+    """The highest dispatch target numpy enabled on this CPU, or its
+    baseline when it enabled none."""
+    baseline, enabled, _ = _simd_targets()
+    levels = enabled or baseline
     return levels[-1] if levels else "unknown"
 
 
@@ -46,3 +54,33 @@ def _openblas_core() -> str:
 def kernel_report() -> str:
     """For example ``numpy SIMD AVX512_SPR, OpenBLAS core SkylakeX``."""
     return f"numpy SIMD {_simd_level()}, OpenBLAS core {_openblas_core()}"
+
+
+# x86-64 OpenBLAS cores that a child process is forced onto, and the CPU
+# features each needs.
+_OTHER_CORES = {"Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",)}
+
+
+def forced_kernel_settings() -> dict:
+    """Kernels that a child process runs on when given the environment
+    variables alone, by name: ``(variables, shown, skip)``.
+
+    ``shown`` is the part of :func:`kernel_report` that the child must then
+    print, and ``skip`` is why this host cannot take the setting, or None.
+    The numpy setting disables every dispatch target the host enabled, which
+    leaves numpy on its X86_V2 baseline.
+    """
+    baseline, enabled, features = _simd_targets()
+    core = _openblas_core()
+    settings = {}
+    for name, needs in _OTHER_CORES.items():
+        missing = [feature for feature in needs if not features.get(feature)]
+        skip = (f"the CPU lacks {', '.join(missing)}" if missing
+                else "the bundled OpenBLAS does not report its core" if core == "unknown"
+                else None)
+        settings[f"openblas-{name.lower()}"] = (
+            {"OPENBLAS_CORETYPE": name}, f"OpenBLAS core {name}", skip)
+    skip = None if baseline[-1:] == ["X86_V2"] else f"numpy's SIMD baseline is {baseline}"
+    settings["numpy-x86-v2"] = (
+        {"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}, "numpy SIMD X86_V2", skip)
+    return settings

@@ -35,7 +35,7 @@ from metabounds.metalearn import (
 )
 from metabounds.rng import stream
 
-from host_kernels import kernel_report
+from host_kernels import forced_kernel_settings, kernel_report
 
 
 def _write(tmp_path, text, name="conf.ini"):
@@ -251,11 +251,13 @@ README_SWEEP = """\
 # sha256 of the CSV bodies (the lines outside '#' comments, joined by
 # newlines) at seed 0, recorded when each sweep row was priced on its own;
 # "two_prior" re-recorded when its expected task divergence became exact,
-# and again when training took that expectation exactly too.
+# and again when training took that expectation exactly too; "readme"
+# re-recorded when the closed-form pricing stopped calling BLAS, whose
+# matmul kernel, and so its rounding, OpenBLAS picks per CPU.
 # Bit-exact floats: recorded with numpy 2.4 and OpenBLAS on x86-64.
 GOLDEN_BODIES = {
     "readme": (README_SWEEP,
-               "7fa918c9b2b81c5a9e8ea998605450dd3168dc2763540fc0c7d303e1b4d84722"),
+               "7e4bba0512d966c28245edac2d8e885031280ee17d7e3e48fe5e0950870b466a"),
     "two_prior": (TWO_PRIOR_SMALL,
                   "d261b15d5d33fbf9e5de7b5c3cca14e60c0a95353c63bd758a5a6c86243616cf"),
 }
@@ -271,6 +273,40 @@ def test_sweep_body_matches_its_golden_hash(tmp_path, name, jobs):
         assert main(["sweep", "--config", path, "--out", str(out), "--jobs", jobs]) == 0
     body = "\n".join(_data_lines(out))
     assert hashlib.sha256(body.encode()).hexdigest() == digest, f"ran on {kernel_report()}"
+
+
+# Runs the CLI with the given arguments, then prints the kernels it ran on.
+_REPORTING_CHILD = """\
+import sys
+from host_kernels import kernel_report
+from metabounds.cli import main
+code = main(sys.argv[1:])
+print(kernel_report())
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("setting", sorted(forced_kernel_settings()))
+def test_closed_form_golden_holds_under_other_kernels(tmp_path, setting):
+    """The closed-form golden body, re-run in a child process that the
+    environment alone puts on other OpenBLAS or numpy SIMD kernels."""
+    variables, shown, skip = forced_kernel_settings()[setting]
+    if skip is not None:
+        pytest.skip(skip)
+    text, digest = GOLDEN_BODIES["readme"]
+    out = tmp_path / "sweep.csv"
+    path = _write(tmp_path, text)
+    env = {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _REPORTING_CHILD, "sweep", "--config", path,
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = done.stdout.splitlines()[-1]
+    assert shown in report, report
+    body = "\n".join(_data_lines(out))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest, f"ran on {report}"
 
 
 def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):
@@ -391,7 +427,6 @@ class TestTrainAdaptRoundTrip:
             m = 6
             epochs_stage1 = 6
             epochs_stage2 = 0
-            optimizer = sgd
             learning_rate = 1e8
             out = {artifact}
             """,
@@ -502,6 +537,8 @@ BOUNDARY_CASES = [
     ("train", {"input_dim": "2"}, 2),
     ("train", {"num_classes": "2"}, 2),
     ("train", {"loss": "logistic_clipped"}, 2),
+    ("train", {"optimizer": "adam"}, 2),
+    ("train", {"optimizer": "sgd"}, 2),
     ("train", {"learning_rate": "1e300"}, 3),
     ("train", {"kappa_rho": "1e300"}, 2),
     # exp(kappa_rho**2 / 2) overflows the expected task divergence
@@ -624,7 +661,6 @@ _TRAIN_DRAWS = {
     "kappa_pi": _FLOAT,
     "kappa_rho": _FLOAT,
     "mc_train": _SMALL_INT,
-    "optimizer": _choices("adam", "sgd"),
 }
 _ENV_DRAWS = {
     "env": (["linear", "permuted"], ["blobs"]),

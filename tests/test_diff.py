@@ -337,12 +337,14 @@ class TestConstantOperands:
     """A constant operand (a number or an ndarray) is no node: it is not a
     parent and gets no adjoint."""
 
-    rng = np.random.default_rng(103)
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(103)
 
     @pytest.mark.parametrize("op", [diff.add, diff.sub, diff.mul], ids=["add", "sub", "mul"])
     @pytest.mark.parametrize("constant_first", [False, True], ids=["right", "left"])
-    def test_broadcasting_constant_on_either_side(self, op, constant_first):
-        const = self.rng.normal(size=(3, 1, 4))
+    def test_broadcasting_constant_on_either_side(self, rng, op, constant_first):
+        const = rng.normal(size=(3, 1, 4))
 
         def apply(t):
             return op(const, t) if constant_first else op(t, const)
@@ -352,7 +354,7 @@ class TestConstantOperands:
             a = tape.tensor(ps[0])
             return diff.sum(diff.tanh(apply(a))), [a]
 
-        point = self.rng.normal(size=(2, 1))
+        point = rng.normal(size=(2, 1))
         assert gradcheck(build, [point]) <= 1e-6
         tape = Tape()
         a = tape.tensor(point)
@@ -363,9 +365,9 @@ class TestConstantOperands:
         assert np.array_equal(out.value, expected.value)
 
     @pytest.mark.parametrize("constant_first", [False, True], ids=["right", "left"])
-    def test_matmul_with_a_broadcasting_constant(self, constant_first):
-        left = self.rng.normal(size=(3, 1, 5, 2))
-        right = self.rng.normal(size=(3, 4, 2, 6))
+    def test_matmul_with_a_broadcasting_constant(self, rng, constant_first):
+        left = rng.normal(size=(3, 1, 5, 2))
+        right = rng.normal(size=(3, 4, 2, 6))
 
         def apply(t):
             return diff.matmul(left, t) if constant_first else diff.matmul(t, right)
@@ -418,31 +420,34 @@ class TestReparam:
     """reparam takes the stacked (2d,) or (n, 2d) posterior, as gaussian_kl
     does, against (..., K, d) noise."""
 
-    rng = np.random.default_rng(107)
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(107)
+
     # (rows of the posterior, noise shape) with d = 2: one Gaussian or three
     # stacked rows, each with a single draw and with several
     LAYOUTS = [((), (1, 2)), ((), (4, 2)), ((3,), (3, 1, 2)), ((3,), (3, 4, 2))]
 
-    def _row(self, lead):
-        return np.concatenate([self.rng.normal(size=lead + (2,)),
-                               self.rng.normal(-1.0, 0.5, lead + (2,))], axis=-1)
+    def _row(self, rng, lead):
+        return np.concatenate([rng.normal(size=lead + (2,)),
+                               rng.normal(-1.0, 0.5, lead + (2,))], axis=-1)
 
-    def test_gradcheck(self):
+    def test_gradcheck(self, rng):
         for lead, noise_shape in self.LAYOUTS:
-            eps = self.rng.standard_normal(noise_shape)
+            eps = rng.standard_normal(noise_shape)
 
             def build(ps):
                 tape = Tape()
                 q = tape.tensor(ps[0])
                 return diff.sum(diff.tanh(diff.reparam(q, eps))), [q]
 
-            assert gradcheck(build, [self._row(lead)]) <= 1e-6
+            assert gradcheck(build, [self._row(rng, lead)]) <= 1e-6
 
-    def test_matches_the_four_op_chain_bit_for_bit(self):
+    def test_matches_the_four_op_chain_bit_for_bit(self, rng):
         for lead, noise_shape in self.LAYOUTS:
-            q_v = self._row(lead)
-            eps = self.rng.standard_normal(noise_shape)
-            weights = self.rng.normal(size=noise_shape)
+            q_v = self._row(rng, lead)
+            eps = rng.standard_normal(noise_shape)
+            weights = rng.normal(size=noise_shape)
 
             def run(draw):
                 tape = Tape()
@@ -501,19 +506,21 @@ class TestFusedOps:
     """Each fused op is its elementwise chain as one node: same gradient, and
     the same floats, value and adjoints, as the chain."""
 
-    rng = np.random.default_rng(113)
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(113)
 
-    def _kl_prior(self, prior_kind, n, d):
+    def _kl_prior(self, rng, prior_kind, n, d):
         if prior_kind == "row":
-            return self.rng.normal(-0.5, 0.5, 2 * d)
-        return self.rng.normal(-0.5, 0.5, (n, 2 * d))
+            return rng.normal(-0.5, 0.5, 2 * d)
+        return rng.normal(-0.5, 0.5, (n, 2 * d))
 
     @pytest.mark.parametrize("prior_kind", ["row", "stacked"])
     @pytest.mark.parametrize("prior_is_node", [True, False], ids=["node", "constant"])
-    def test_gaussian_kl_gradcheck(self, prior_kind, prior_is_node):
+    def test_gaussian_kl_gradcheck(self, rng, prior_kind, prior_is_node):
         n, d = 3, 2
-        p_value = self._kl_prior(prior_kind, n, d)
-        weights = self.rng.normal(size=n)
+        p_value = self._kl_prior(rng, prior_kind, n, d)
+        weights = rng.normal(size=n)
 
         def build(ps):
             tape = Tape()
@@ -522,16 +529,16 @@ class TestFusedOps:
             out = diff.sum(diff.gaussian_kl(q, p) * weights)
             return out, [q, p] if prior_is_node else [q]
 
-        points = [self.rng.normal(-0.5, 0.5, (n, 2 * d))]
+        points = [rng.normal(-0.5, 0.5, (n, 2 * d))]
         if prior_is_node:
             points.append(p_value)
         assert gradcheck(build, points) <= 1e-6
 
-    def test_gaussian_kl_is_the_closed_form(self):
+    def test_gaussian_kl_is_the_closed_form(self, rng):
         from metabounds.gauss import DiagonalGaussian, kl_diag_gaussian
 
-        q = self.rng.normal(size=(2, 6))
-        p = self.rng.normal(size=6)
+        q = rng.normal(size=(2, 6))
+        p = rng.normal(size=6)
         value = diff.gaussian_kl(Tape().tensor(q), p).value
         for row, kl in zip(q, value):
             expected = kl_diag_gaussian(DiagonalGaussian(row[:3], row[3:]),
@@ -540,11 +547,11 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("prior_kind", ["row", "stacked"])
     @pytest.mark.parametrize("prior_is_node", [True, False], ids=["node", "constant"])
-    def test_gaussian_kl_equals_its_chain(self, prior_kind, prior_is_node):
+    def test_gaussian_kl_equals_its_chain(self, rng, prior_kind, prior_is_node):
         n, d = 10, 3
-        q_value = self.rng.normal(-0.5, 0.5, (n, 2 * d))
-        p_value = self._kl_prior(prior_kind, n, d)
-        weights = self.rng.normal(size=n)
+        q_value = rng.normal(-0.5, 0.5, (n, 2 * d))
+        p_value = self._kl_prior(rng, prior_kind, n, d)
+        weights = rng.normal(size=n)
 
         def run(kl):
             tape = Tape()
@@ -575,12 +582,12 @@ class TestFusedOps:
 
         assert gradcheck(build, [np.array([0.0, -0.0])]) <= 1e-6
 
-    def test_softplus_equals_its_chain(self):
+    def test_softplus_equals_its_chain(self, rng):
         """Bit for bit off zero; at +-0 the adjoint is the derivative 1/2,
         where the chain's relu subgradient gives 0."""
         t_value = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, -800.0, 800.0, 40.0, -40.0],
-                                  self.rng.normal(0.0, 3.0, 9)])
-        weights = self.rng.normal(size=t_value.size)
+                                  rng.normal(0.0, 3.0, 9)])
+        weights = rng.normal(size=t_value.size)
 
         def run(op):
             tape = Tape()
@@ -605,11 +612,11 @@ class TestFusedOps:
 
         assert gradcheck(build, [np.array([0.2, 1.5, 2.9, 3.4])]) <= 1e-6
 
-    def test_clip_rescale_equals_its_chain(self):
+    def test_clip_rescale_equals_its_chain(self, rng):
         c = 3.0
         raw_value = np.concatenate([[c, np.nextafter(c, 0.0), np.nextafter(c, 9.0), 0.0, 1e3],
-                                    self.rng.uniform(0.0, 2.0 * c, 60)])
-        weights = self.rng.normal(size=raw_value.size)
+                                    rng.uniform(0.0, 2.0 * c, 60)])
+        weights = rng.normal(size=raw_value.size)
 
         def run(op):
             tape = Tape()

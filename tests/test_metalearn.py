@@ -559,10 +559,24 @@ class TestTrainMeta:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_trace(self):
         tasks = _toy_tasks(2, 8, seed=29)
-        cfg = _cfg(optimizer="sgd", learning_rate=1e8, epochs_stage1=6, epochs_stage2=0)
+        cfg = _cfg(learning_rate=1e8, epochs_stage1=6, epochs_stage2=0)
         with pytest.raises(TrainingDiverged) as excinfo:
             train_meta(tasks, cfg)
         assert isinstance(excinfo.value.trace.objectives, list)
+        assert excinfo.value.task is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage_two_divergence_keeps_the_stage_one_epochs(self):
+        # one epoch at this rate leaves finite stage-one parameters whose
+        # log-variances overflow the first stage-two step
+        tasks = _toy_tasks(2, 8, seed=29)
+        cfg = _cfg(learning_rate=1e8, epochs_stage1=1, epochs_stage2=3)
+        with pytest.raises(TrainingDiverged) as excinfo:
+            train_meta(tasks, cfg)
+        failed = excinfo.value
+        assert failed.task is None
+        assert failed.trace.stage_boundary == len(failed.trace.objectives) == 1
+        assert math.isfinite(failed.trace.objectives[0])
 
     def test_rejects_empty_task_list(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -673,7 +687,7 @@ class TestStepTapes:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverging_step_leaves_no_cyclic_garbage(self):
-        cfg = _cfg(optimizer="sgd", learning_rate=1e8, epochs_stage1=6, epochs_stage2=0)
+        cfg = _cfg(learning_rate=1e8, epochs_stage1=6, epochs_stage2=0)
         with _cyclic_tape_garbage() as leaked:
             try:
                 train_meta(_toy_tasks(2, 8, seed=29), cfg)
@@ -914,7 +928,7 @@ class TestAdaptMany:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_task_and_keeps_its_epochs(self):
         tasks = _toy_tasks(3, 8, seed=0)
-        cfg = _cfg(optimizer="sgd", learning_rate=1e6, seed=1)
+        cfg = _cfg(learning_rate=1e6, seed=1)
         rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         rngs = [stream(1, "diverge", i) for i in range(3)]
         with pytest.raises(TrainingDiverged) as excinfo:
@@ -936,7 +950,7 @@ class TestAdaptMany:
     def test_divergence_survives_pickling(self):
         # worker processes send it back to the parent by pickle
         tasks = _toy_tasks(3, 8, seed=0)
-        cfg = _cfg(optimizer="sgd", learning_rate=1e6, seed=1)
+        cfg = _cfg(learning_rate=1e6, seed=1)
         rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         rngs = [stream(1, "diverge", i) for i in range(3)]
         with pytest.raises(TrainingDiverged) as excinfo:
@@ -1062,10 +1076,6 @@ class TestTrainConfig:
     def test_rejects_nondifferentiable_loss(self):
         with pytest.raises(ValueError, match="differentiable"):
             _cfg(loss=LossSpec("zero_one"))
-
-    def test_rejects_unknown_optimizer(self):
-        with pytest.raises(ValueError, match="optimizer"):
-            _cfg(optimizer="rmsprop")
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):

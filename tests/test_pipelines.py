@@ -78,7 +78,7 @@ class TestRuleComponents:
 def _reference_direction(x, y):
     """The rule's direction on one task, computed row by row."""
     v = -np.mean((2.0 * y[:, None] - 1.0) * x, axis=0)
-    norm = float(np.linalg.norm(v))
+    norm = float(np.sqrt(np.sum(v * v)))
     if norm < 1e-12:
         v = np.zeros(x.shape[1])
         v[0] = 1.0
@@ -90,7 +90,7 @@ def _reference_sign_risk(w_mean, x, y):
     """The sign risk on one task, with one erf call per point."""
     norms = np.linalg.norm(x, axis=1)
     norms = np.where(norms < 1e-12, 1e-12, norms)
-    z = (x @ w_mean) / (PRIOR_STD * norms)
+    z = np.sum(x * w_mean, axis=1) / (PRIOR_STD * norms)
     signed = z * (2.0 * y - 1.0)
     return float(np.mean([0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) for t in signed]))
 
