@@ -10,14 +10,17 @@ oracle.
 
 The cost of a step is Python overhead per node, not flops: the arrays are
 tiny. So the certificates' hot chains are fused into single nodes: the
-reparametrized draw ``reparam``, the diagonal-Gaussian divergence
-``gaussian_kl``, the logistic ``softplus`` and the clipped, rescaled loss
-``clip_rescale`` here, and each certificate's arithmetic in ``metalearn``.
-A diagonal Gaussian enters both of its nodes in one layout, a stacked row
-of d means then d log-variances, so no step slices off the halves as nodes
-of their own. Each fused node repeats, in the same order, the float
-operations of the elementwise chain it stands for, adjoint accumulation
-included, so a fused tape and the chain agree bit for bit. For the same
+diagonal-Gaussian divergence ``gaussian_kl`` here, the Monte-Carlo risk
+``model.taped_mc_risk`` (reparametrized draws, forward pass, loss, clip and
+mean), and each certificate's arithmetic in ``metalearn``. A diagonal
+Gaussian enters both of its nodes in one layout, a stacked row of d means
+then d log-variances, so no step slices off the halves as nodes of their
+own. Each fused node repeats, in the same order, the float operations of
+the chain of ops it stands for, adjoint accumulation included, so a fused
+tape and the chain agree bit for bit. The ops of those chains that no
+training step calls any more (``reparam``, ``slice``, ``tanh``,
+``softplus``, ``softmax_cross_entropy``, ``clip_rescale``, ``mean``) stay
+here: the tests build the reference chains from them. For the same
 reason the ops reduce with ufunc methods (``np.add.reduce`` rather than
 ``ndarray.sum``) and read ``.shape`` rather than ``np.shape``: numpy's
 Python-level wrappers would add Python calls per node for the same floats.
@@ -156,9 +159,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.add.reduce(g, axis=axes, keepdims=True) if axes else g
 
 
-def _constant(value):
+def constant(value):
     """A constant operand: a number as a float, anything else as a finite
-    float64 array (not copied)."""
+    float64 array (not copied). Raises ValueError on a non-finite entry.
+    Nodes built outside this module check their constants with it too."""
     if isinstance(value, (int, float)):
         return float(value)
     return _finite(np.asarray(value, dtype=np.float64))
@@ -171,10 +175,10 @@ def _operands(a, b):
         if isinstance(b, Tensor):
             _same_tape(a, b)
             return a.value, b.value
-        return a.value, _constant(b)
+        return a.value, constant(b)
     if not isinstance(b, Tensor):
         raise TypeError("at least one operand must be a Tensor")
-    return _constant(a), b.value
+    return constant(a), b.value
 
 
 def _node(a, b, value, vjp_a, vjp_b) -> Tensor:
@@ -224,7 +228,7 @@ def reparam(q: Tensor, eps) -> Tensor:
     exp, mul and add on the two (..., 1, d) halves sliced off q, so both
     agree with it bit for bit.
     """
-    eps = _constant(eps)
+    eps = constant(eps)
     d = q.shape[-1] // 2
     rows = q.value[..., None, :]
     mean, log_var = rows[..., :d], rows[..., d:]
@@ -249,7 +253,7 @@ def gaussian_kl(q: Tensor, p) -> Tensor:
     prior_is_node = isinstance(p, Tensor)
     if prior_is_node:
         _same_tape(q, p)
-    pv = p.value if prior_is_node else _constant(p)
+    pv = p.value if prior_is_node else constant(p)
     d = q.shape[-1] // 2
     q_mean, q_lv = q.value[..., :d], q.value[..., d:]
     p_mean, p_lv = pv[..., :d], pv[..., d:]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,16 @@ def _adaptation_certificate_node(cfg: TrainConfig, m: int, risk, kl):
                        lambda g: (g, g * 0.5 / root * scale))
 
 
+@lru_cache(maxsize=None)
+def _log_variance_shift(d: int, kappa_rho: float) -> np.ndarray:
+    """The read-only (2d,) row that lowers a prior's log-variances by
+    kappa_rho**2 / 2 and leaves its means: d zeros, then d times that
+    amount. Made once per weight count and spread."""
+    shift = np.concatenate([np.zeros(d), np.full(d, 0.5 * kappa_rho**2)])
+    shift.flags.writeable = False
+    return shift
+
+
 def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
                       rng: np.random.Generator):
     """The two-level certificate on one tape.
@@ -278,7 +289,7 @@ def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     """
     n, width = q.shape
     d = width // 2
-    p = theta1 - np.concatenate([np.zeros(d), np.full(d, 0.5 * cfg.kappa_rho**2)])
+    p = theta1 - _log_variance_shift(d, cfg.kappa_rho)
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     return _meta_certificate_node(cfg, m, theta0, theta1, risk, diff.gaussian_kl(q, p))
@@ -307,7 +318,15 @@ def _shared_sample_count(tasks) -> int:
 
 
 def _stacked_data(tasks) -> tuple[np.ndarray, np.ndarray]:
-    return np.stack([t.train_x for t in tasks]), np.stack([t.train_y for t in tasks])
+    """The tasks' training inputs and labels, stacked with a row per task.
+
+    The risk node takes the data unchecked, so it is checked here, once per
+    run: a non-finite entry raises ValueError.
+    """
+    x, y = np.stack([t.train_x for t in tasks]), np.stack([t.train_y for t in tasks])
+    diff.constant(x)
+    diff.constant(y)
+    return x, y
 
 
 def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
@@ -369,7 +388,7 @@ def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: 
         leaves_out["q"] = q
     eps = rng.standard_normal((1, cfg.mc_train, arch.param_count))
     values = _adaptation_certificates(cfg, task.m, q, _flat(prior)[None],
-                                      task.train_x[None], task.train_y[None], eps)
+                                      *_stacked_data([task]), eps)
     return diff.sum(values)
 
 

@@ -272,58 +272,111 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
     return DiagonalGaussian(mean, log_var)
 
 
-# Tape-side builders. These mirror the numpy paths above but take the
-# posterior parameters as nodes so that bound objectives are differentiable
-# through them (pathwise, with the noise draws held fixed per step); data and
-# noise enter as constant arrays. Weight draws carry a draw axis in front of
-# the flat weight vector, and optionally a task axis in front of that, so one
-# tape serves every task and every draw.
+# The tape-side risk. It mirrors the numpy path above but takes the
+# posterior parameters as a node, so that bound objectives are differentiable
+# through them (pathwise, with the noise draws held fixed per step). Weight
+# draws carry a draw axis in front of the flat weight vector, and optionally
+# a task axis in front of that, so one tape serves every task and every draw.
 
 
-def taped_scores(arch: ModelArchitecture, draws, x: np.ndarray):
-    """Forward pass with the flat weight draws as a node; x enters as a
-    constant.
-
-    draws is (..., K, d) for K draws; x is (B, in), or (n, B, in) when the
-    draws carry a leading task axis of n. Returns (..., K, B) scores for
-    linear and (..., K, B, C) logits for mlp1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if arch.kind == "linear":
-        # the one block is the whole vector; x contiguous, so that BLAS sums
-        # in the same order as for a copied leaf
-        return diff.matmul(draws, np.ascontiguousarray(np.swapaxes(x, -1, -2)))
-    lead = draws.shape[:-1]
-    # biases are cut to (..., K, 1, width), broadcasting over the samples
-    w1, b1, w2, b2 = (diff.slice(draws, (Ellipsis, span), lead + (1,) * (2 - len(shape)) + shape)
-                      for _, span, shape in block_layout(arch))
-    h = diff.tanh(diff.matmul(x[..., None, :, :], w1) + b1)
-    return diff.matmul(h, w2) + b2
-
-
-def taped_loss(arch: ModelArchitecture, loss: LossSpec, scores, y: np.ndarray):
-    """Mean clipped loss over the draw and sample axes of the scores from
-    taped_scores: a scalar node, or one entry per task when the scores carry
-    a task axis (then y is (n, B)). zero_one has no usable gradient and is
-    rejected here."""
-    y = np.asarray(y)[..., None, :]
-    if loss.kind == "logistic_clipped":
-        raw = diff.softplus(scores * (2.0 * y - 1.0))
-    elif loss.kind == "cross_entropy_clipped":
-        raw = diff.softmax_cross_entropy(scores, y)
-    else:
-        raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
-    return diff.mean(diff.clip_rescale(raw, loss.clip_max), axis=(-2, -1))
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """Adjoint of an operand broadcast along the second-to-last axis: g summed
+    over that axis, kept, as ``diff`` unbroadcasts it; g itself when that axis
+    has length 1."""
+    return g if g.shape[-2] == 1 else np.add.reduce(g, axis=(g.ndim - 2,), keepdims=True)
 
 
 def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
                   loss: LossSpec, eps: np.ndarray):
-    """Empirical risk averaged over fixed reparametrization draws.
+    """Empirical risk averaged over fixed reparametrization draws, as one
+    node whose only parent is q.
 
     q is the stacked posterior node, d weight means then d log-variances:
-    (2d,) for one task with eps (K, d) for K draws, or (n, 2d) for n stacked
-    tasks with eps (n, K, d), x (n, B, in), y (n, B) and one risk per task
-    as the result. The draws are one ``diff.reparam`` node; all draws share
-    one tape pass.
+    (2d,) for one task with eps (K, d) for K draws, x (B, in) and y (B,); or
+    (n, 2d) for n stacked tasks with eps (n, K, d), x (n, B, in), y (n, B)
+    and one risk per task as the result. eps must be finite and is checked;
+    x and y must be too, but a training run checks its data once, not here.
+    zero_one has no usable gradient and is rejected.
+
+    Value and adjoint repeat, in the same order, the float operations of the
+    chain ``diff.reparam``, the forward pass (``draws @ x^T`` with x^T
+    contiguous, or ``tanh(x @ w1 + b1) @ w2 + b2`` on the four blocks
+    ``diff.slice`` cuts from the draws), ``diff.softplus`` of the scores
+    times ``2y - 1`` or ``diff.softmax_cross_entropy``, ``diff.clip_rescale``
+    and ``diff.mean`` over the draw and sample axes, so node and chain agree
+    bit for bit. The chain added the four blocks' adjoints, each zero-filled
+    to the draws' shape; here they tile one array, each entry plus 0.0 as in
+    that sum.
     """
-    return taped_loss(arch, loss, taped_scores(arch, diff.reparam(q, eps), x), y)
+    if loss.kind not in ("logistic_clipped", "cross_entropy_clipped"):
+        raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
+    eps = diff.constant(eps)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    d = arch.param_count
+    if not (q.shape[-1] == 2 * d and eps.ndim == x.ndim == len(q.shape) + 1
+            and eps.shape[:-2] == x.shape[:-2] == q.shape[:-1] and eps.shape[-1] == d
+            and x.shape[-1] == arch.input_dim and y.shape == x.shape[:-1]):
+        raise ValueError(f"shapes do not match: q {q.shape}, eps {eps.shape}, "
+                         f"x {x.shape}, y {y.shape}")
+    rows = q.value[..., None, :]
+    std = np.exp(rows[..., d:] * 0.5)
+    draws = rows[..., :d] + std * eps
+    labels = y[..., None, :]
+    if arch.kind == "linear":
+        # x^T contiguous, so that BLAS sums in the same order as for a copied leaf
+        xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+        signs = 2.0 * labels - 1.0
+        # the class-0 logit is the score, the class-1 logit is 0
+        t = (draws @ xt) * signs
+        pos = t > 0.0
+        relu_t = np.maximum(t, 0.0)
+        neg_t = t * -1.0
+        neg = neg_t > 0.0
+        shrink = np.exp((relu_t + np.where(neg, neg_t, 0.0)) * -1.0)
+        one_plus = shrink + 1.0
+        raw = relu_t + np.log(one_plus)
+    else:
+        if (np.minimum.reduce(y, axis=None) < 0
+                or np.maximum.reduce(y, axis=None) >= arch.num_classes):
+            raise ValueError("label out of range")
+        lead = draws.shape[:-1]
+        w1, b1, w2, b2 = (draws[..., span].reshape(lead + (1,) * (2 - len(shape)) + shape)
+                          for _, span, shape in block_layout(arch))
+        xs = x[..., None, :, :]
+        h = np.tanh(xs @ w1 + b1)
+        logits = h @ w2 + b2
+        shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+        lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+        onehot = labels[..., None] == np.arange(arch.num_classes)
+        # one term per row is not zero, so the sum is the label's entry exactly
+        raw = lse - np.add.reduce(np.where(onehot, shifted, 0.0), axis=-1)
+        residual = np.exp(shifted - lse[..., None]) - onehot
+    c = loss.clip_max
+    scale = 1.0 / c
+    gap = raw * -1.0 + c
+    below = gap > 0.0
+    clipped = (np.where(below, gap, 0.0) * -1.0 + c) * scale
+    total = np.add.reduce(clipped, axis=(-2, -1))
+    count = clipped.size // total.size
+
+    def vjp(g):
+        g_raw = (g / count * scale * -1.0)[..., None, None] * below * -1.0
+        if arch.kind == "linear":
+            g_abs = g_raw / one_plus * shrink * -1.0
+            g_t = np.where(t == 0.0, g_raw * 0.5,
+                           g_raw * pos + g_abs * neg * -1.0 + g_abs * pos)
+            g_draws = (g_t * signs) @ xt.swapaxes(-1, -2)
+        else:
+            g_logits = residual * g_raw[..., None]
+            g_z = g_logits @ w2.swapaxes(-1, -2) * (1.0 - h * h)
+            g_blocks = (xs.swapaxes(-1, -2) @ g_z, _row_sum(g_z),
+                        h.swapaxes(-1, -2) @ g_logits, _row_sum(g_logits))
+            g_draws = np.empty(draws.shape)
+            for (_, span, _), g_block in zip(block_layout(arch), g_blocks):
+                out = g_draws[..., span]
+                np.add(g_block.reshape(out.shape), 0.0, out=out)
+        return (np.concatenate([_row_sum(g_draws), _row_sum(g_draws * eps) * std * 0.5],
+                               axis=-1).reshape(q.shape),)
+
+    return diff.Tensor(q.tape, np.asarray(total / count), (q,), vjp)

@@ -16,6 +16,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "metabounds"
 PACKAGE = "metabounds"
 
+RISK_CHAIN = "the reference chain of model.taped_mc_risk in tests/test_model.py is built from it"
+
 ALLOWED = {
     "metalearn.adapt": "the benchmark adapts and certifies single tasks through it",
     "env.true_risk_mc": "the benchmark's meta-mlp1 item scores single tasks through it; it "
@@ -29,6 +31,12 @@ ALLOWED = {
     "diff.exp": "criterion 3 builds the single-task certificate's divergence from it",
     "diff.sqrt": "criterion 3 builds the single-task certificate's square-root term from it",
     "diff.log": "the softplus reference chain in tests/test_diff.py is built from it",
+    "diff.reparam": RISK_CHAIN,
+    "diff.slice": RISK_CHAIN,
+    "diff.tanh": RISK_CHAIN,
+    "diff.softplus": RISK_CHAIN,
+    "diff.softmax_cross_entropy": RISK_CHAIN,
+    "diff.clip_rescale": RISK_CHAIN,
     "gauss.expected_kl_under_gaussian_mean": "criterion 2 checks the expected divergence "
                                              "against Monte Carlo through it; the sweep prices "
                                              "its array form",

@@ -5,7 +5,7 @@ import gc
 import hashlib
 import math
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -637,6 +637,40 @@ def _cyclic_tape_garbage():
             gc.enable()
 
 
+class TestRunData:
+    """A run checks its stacked data once, before its first step; the
+    public objectives check theirs on every call."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_input_stops_a_run_before_its_first_backward_pass(self, monkeypatch):
+        tasks = _toy_tasks(2, 8, seed=31)
+        bad_x = tasks[1].train_x.copy()
+        # a row that no task's first minibatch of 2 holds, in either run
+        bad_x[5, 0] = np.nan
+        tasks[1] = replace(tasks[1], train_x=bad_x)
+        cfg = _cfg(batch_size=2)
+        passes = []
+        real_backward = diff.backward
+
+        def counting_backward(out):
+            passes.append(out.idx)
+            real_backward(out)
+
+        monkeypatch.setattr(diff, "backward", counting_backward)
+        with pytest.raises(ValueError, match="finite"):
+            train_meta(tasks, cfg)
+        rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
+        with pytest.raises(ValueError, match="finite"):
+            adapt_many(rho, tasks, cfg, adapt_epochs=1,
+                       rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+        assert passes == []
+        model = StochasticModel(LINEAR, glorot_init(LINEAR, stream(2, "q")))
+        with pytest.raises(ValueError, match="finite"):
+            meta_objective(rho, [model, model], tasks, cfg)
+        with pytest.raises(ValueError, match="finite"):
+            adaptation_objective(model, isotropic(np.zeros(2), 1.0), tasks[1], cfg)
+
+
 def _step_setup(arch):
     if arch.kind == "linear":
         return _toy_tasks(3, 8, seed=2), _cfg(epochs_stage1=1, epochs_stage2=1)
@@ -649,7 +683,7 @@ class TestStepTapes:
     and freed by reference counting when the step ends."""
 
     @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
-                             [(LINEAR, (11, 11), 10), (MLP, (18, 18), 17)],
+                             [(LINEAR, (6, 6), 5), (MLP, (6, 6), 5)],
                              ids=["linear", "mlp1"])
     def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
         steps = []

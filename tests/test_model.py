@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from metabounds import diff
-from metabounds.diff import Tape, gradcheck
+from metabounds.diff import Tape, backward, gradcheck
 from metabounds.gauss import DiagonalGaussian, isotropic
 from metabounds.model import (
     LossSpec,
     ModelArchitecture,
     StochasticModel,
+    block_layout,
     glorot_init,
     join_flat,
     loss_values,
@@ -17,7 +18,6 @@ from metabounds.model import (
     predicted_labels,
     scores_batch,
     split_flat,
-    taped_loss,
     taped_mc_risk,
 )
 
@@ -273,7 +273,117 @@ class TestTapedRisk:
         assert gradcheck(build, points) <= 1e-4
 
     def test_zero_one_rejected_on_tape(self):
-        tape = Tape()
-        s = tape.tensor(np.array([0.5]))
-        with pytest.raises(ValueError):
-            taped_loss(LINEAR2, LossSpec("zero_one"), s, np.array([0]))
+        q = Tape().tensor(np.zeros(4))
+        with pytest.raises(ValueError, match="not differentiable"):
+            taped_mc_risk(LINEAR2, q, np.ones((1, 2)), np.array([0]), LossSpec("zero_one"),
+                          np.zeros((1, 2)))
+
+    def test_rejects_mismatched_shapes(self):
+        loss = LossSpec("logistic_clipped")
+        single, stacked = Tape().tensor(np.zeros(4)), Tape().tensor(np.zeros((2, 4)))
+        x, y = np.ones((3, 2)), np.zeros(3, dtype=np.int64)
+        for q, x, y, eps in ((single, x, y, np.zeros(2)), (single, x, y, np.zeros((1, 3))),
+                             (single, np.ones((3, 5)), y, np.zeros((1, 2))),
+                             (single, x, y[:2], np.zeros((1, 2))),
+                             (stacked, x, y, np.zeros((1, 2))),
+                             (stacked, x[None], y[None], np.zeros((2, 1, 2)))):
+            with pytest.raises(ValueError, match="shapes"):
+                taped_mc_risk(LINEAR2, q, x, y, loss, eps)
+
+    def test_nonfinite_noise_is_rejected(self):
+        q = Tape().tensor(np.zeros(4))
+        with pytest.raises(ValueError, match="finite"):
+            taped_mc_risk(LINEAR2, q, np.ones((1, 2)), np.array([0]),
+                          LossSpec("logistic_clipped"), np.array([[0.0, np.nan]]))
+
+
+def _chain_mc_risk(arch, loss, q, x, y, eps):
+    """The chain of diff ops that taped_mc_risk stands for, kept as the
+    reference of its one node: reparametrized draws, the forward pass on them
+    (for mlp1 on the four blocks sliced from the draws), the logistic or
+    cross-entropy loss, clip and rescale, and the mean over draws and
+    samples. Returns the risk and the score and raw-loss nodes."""
+    draws = diff.reparam(q, eps)
+    if arch.kind == "linear":
+        scores = diff.matmul(draws, np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+    else:
+        lead = draws.shape[:-1]
+        # biases are cut to (..., K, 1, width), broadcasting over the samples
+        w1, b1, w2, b2 = (diff.slice(draws, (Ellipsis, span),
+                                     lead + (1,) * (2 - len(shape)) + shape)
+                          for _, span, shape in block_layout(arch))
+        h = diff.tanh(diff.matmul(x[..., None, :, :], w1) + b1)
+        scores = diff.matmul(h, w2) + b2
+    y = np.asarray(y)[..., None, :]
+    if loss.kind == "logistic_clipped":
+        raw = diff.softplus(scores * (2.0 * y - 1.0))
+    else:
+        raw = diff.softmax_cross_entropy(scores, y)
+    return diff.mean(diff.clip_rescale(raw, loss.clip_max), axis=(-2, -1)), scores, raw
+
+
+class TestRiskNode:
+    """taped_mc_risk is one node, child of q alone. Its value and the adjoint
+    it hands q equal, bit for bit, those of the chain of diff ops it stands
+    for, on points where losses lie both below and above clip_max (adjoint
+    0) and, for linear, a score of a nonzero input is exactly 0 (softplus's
+    adjoint there is 1/2)."""
+
+    @pytest.mark.parametrize("mc_train", [1, 3])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["row", "rows"])
+    @pytest.mark.parametrize("arch, loss", [
+        (LINEAR2, LossSpec("logistic_clipped")),
+        (MLP, LossSpec("cross_entropy_clipped", clip_max=1.5)),
+    ], ids=["linear", "mlp1"])
+    def test_equals_its_chain(self, arch, loss, stacked, mc_train):
+        rng = np.random.default_rng(127)
+        lead = (3,) if stacked else ()
+        d = arch.param_count
+        q_value = np.concatenate([rng.normal(0.0, 1.5, lead + (d,)),
+                                  rng.uniform(-3.0, -1.0, lead + (d,))], axis=-1)
+        eps = rng.standard_normal(lead + (mc_train, d))
+        # each task's full sample of 8, of which the step sees a minibatch of
+        # 5. It holds a large input under two labels, so that some losses
+        # pass clip_max, and for linear the input (1, 1), which the first
+        # draw, (w, -w), scores exactly 0
+        x = rng.uniform(-1.0, 1.0, lead + (8, arch.input_dim))
+        x[..., 2, :] *= 40.0
+        if arch.kind == "linear":
+            q_value[..., 1], q_value[..., 3] = -q_value[..., 0], q_value[..., 2]
+            eps[..., 0, 1] = -eps[..., 0, 0]
+            x[..., 1, :] = 1.0
+        x[..., 4, :] = x[..., 2, :]
+        y = rng.integers(0, arch.num_classes, lead + (8,))
+        y[..., 4] = (y[..., 2] + 1) % arch.num_classes
+        batch = np.array([6, 1, 3, 2, 4])
+        x, y = x[..., batch, :], y[..., batch]
+        weights = rng.uniform(0.5, 2.0, lead)
+
+        def run(risk_of):
+            tape = Tape()
+            q = tape.tensor(q_value)
+            risk = risk_of(q)
+            backward(diff.sum(risk * weights))
+            return risk.value, q.grad
+
+        def fused(q):
+            risk = taped_mc_risk(arch, q, x, y, loss, eps)
+            assert risk.parents == (q,) and q.tape.nodes == [q, risk]
+            return risk
+
+        nodes = {}
+
+        def chain(q):
+            risk, nodes["scores"], nodes["raw"] = _chain_mc_risk(arch, loss, q, x, y, eps)
+            return risk
+
+        fused_value, fused_grad = run(fused)
+        chain_value, chain_grad = run(chain)
+        assert fused_value.shape == lead
+        assert np.array_equal(fused_value, chain_value)
+        assert np.array_equal(fused_grad, chain_grad)
+        assert np.any(fused_grad != 0.0)
+        if arch.kind == "linear":
+            assert np.any(nodes["scores"].value == 0.0)
+        raw = nodes["raw"].value
+        assert np.any(raw > loss.clip_max) and np.any(raw < loss.clip_max)
