@@ -3,6 +3,8 @@
 Everything in this module is pure arithmetic on numbers that training code has
 already produced: empirical risks, KL divergences, sample counts.  The
 functions turn those numbers into high-probability upper bounds on true risk.
+The two-level certificates take the complexity of each learning algorithm
+drawn from the meta-posterior as a plain ``(kl_hyper, sum_task_kl)`` pair.
 
 The discrete system at the bottom exists so the chain-rule decomposition the
 two-level certificates rely on can be verified by brute-force enumeration on
@@ -19,7 +21,6 @@ from statistics import fmean
 import numpy as np
 
 __all__ = [
-    "AlgorithmComplexity",
     "MetaBoundInput",
     "DiscreteMetaSystem",
     "adaptation_bound",
@@ -58,9 +59,12 @@ def _check_count(value: int, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class AlgorithmComplexity:
-    """Complexity pair attached to one sampled base algorithm.
+class MetaBoundInput:
+    """Inputs for the two-level transfer-risk certificates.
 
+    ``per_algorithm_complexity`` holds one ``(kl_hyper, sum_task_kl)`` pair
+    of floats per algorithm sampled from the meta-posterior; the list
+    estimates the expectation over algorithms, so it must be nonempty.
     ``kl_hyper`` is the divergence of the algorithm's prior distribution from
     its reference (algorithm-specific or shared, depending on which
     certificate consumes the pair).  ``sum_task_kl`` is the expected sum over
@@ -68,46 +72,22 @@ class AlgorithmComplexity:
     from the algorithm's prior distribution.
     """
 
-    kl_hyper: float
-    sum_task_kl: float
-
-    def __post_init__(self) -> None:
-        _check_kl(self.kl_hyper, "kl_hyper")
-        _check_kl(self.sum_task_kl, "sum_task_kl")
-
-    @property
-    def total(self) -> float:
-        return self.kl_hyper + self.sum_task_kl
-
-
-@dataclass(frozen=True)
-class MetaBoundInput:
-    """Inputs for the two-level transfer-risk certificates.
-
-    ``per_algorithm_complexity`` holds one :class:`AlgorithmComplexity` per
-    algorithm sampled from the meta-posterior; plain ``(kl_hyper,
-    sum_task_kl)`` pairs are accepted and wrapped.  The list estimates the
-    expectation over algorithms, so it must be nonempty.
-    """
-
     empirical_multitask_risk: float
     kl_rho_pi: float
-    per_algorithm_complexity: tuple[AlgorithmComplexity, ...]
+    per_algorithm_complexity: tuple[tuple[float, float], ...]
     n: int
     m: int
     delta: float
 
     def __post_init__(self) -> None:
-        entries = []
-        for item in self.per_algorithm_complexity:
-            if isinstance(item, AlgorithmComplexity):
-                entries.append(item)
-            else:
-                kl_hyper, sum_task_kl = item
-                entries.append(AlgorithmComplexity(float(kl_hyper), float(sum_task_kl)))
+        entries = tuple((float(kl_hyper), float(sum_task_kl))
+                        for kl_hyper, sum_task_kl in self.per_algorithm_complexity)
         if not entries:
             raise ValueError("per_algorithm_complexity must hold at least one sampled algorithm")
-        object.__setattr__(self, "per_algorithm_complexity", tuple(entries))
+        for kl_hyper, sum_task_kl in entries:
+            _check_kl(kl_hyper, "kl_hyper")
+            _check_kl(sum_task_kl, "sum_task_kl")
+        object.__setattr__(self, "per_algorithm_complexity", entries)
         _check_risk(self.empirical_multitask_risk, "empirical_multitask_risk")
         _check_kl(self.kl_rho_pi, "kl_rho_pi")
         _check_count(self.n, "n")
@@ -167,7 +147,8 @@ def theorem1_bound(inp: MetaBoundInput) -> float:
     the meta-level divergence, so heavy-tailed complexity across algorithms is
     penalized at its mean.
     """
-    mean_total = fmean(c.total for c in inp.per_algorithm_complexity)
+    mean_total = fmean(kl_hyper + sum_task_kl
+                       for kl_hyper, sum_task_kl in inp.per_algorithm_complexity)
     return (
         inp.empirical_multitask_risk
         + task_level_term(inp.kl_rho_pi, inp.n, inp.delta)
@@ -185,8 +166,8 @@ def theorem2_bound(inp: MetaBoundInput) -> float:
     same inputs.
     """
     mean_sqrt = fmean(
-        multitask_sqrt_term(c.total, inp.n, inp.m, inp.delta)
-        for c in inp.per_algorithm_complexity
+        multitask_sqrt_term(kl_hyper + sum_task_kl, inp.n, inp.m, inp.delta)
+        for kl_hyper, sum_task_kl in inp.per_algorithm_complexity
     )
     return (
         inp.empirical_multitask_risk

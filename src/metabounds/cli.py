@@ -46,7 +46,7 @@ from .metalearn import (
     save_meta_posterior,
     train_meta,
 )
-from .model import LossSpec, ModelArchitecture
+from .model import CLIPPED_LOSS, LossSpec, ModelArchitecture
 from .pipelines import PipelinePoint, prior_mean_point, rule_test_loss, two_prior_point
 from .rng import spawn_seed, stream
 
@@ -319,9 +319,6 @@ def load_config(path: str | Path, command: str,
     return ExperimentConfig(command, values)
 
 
-_TRAINING_LOSS = {"linear": "logistic_clipped", "mlp1": "cross_entropy_clipped"}
-
-
 def _train_config(values: dict, spec) -> TrainConfig:
     """Training settings for tasks of ``spec``: the model's input size and
     class count are the env's, its loss the one its architecture trains.
@@ -334,7 +331,7 @@ def _train_config(values: dict, spec) -> TrainConfig:
     kind = values["arch"]
     arch = ModelArchitecture(kind, input_dim=input_dim, num_classes=num_classes,
                              hidden_dim=values["hidden_dim"] if kind == "mlp1" else None)
-    loss = LossSpec(_TRAINING_LOSS[kind], clip_max=values["clip_max"])
+    loss = LossSpec(CLIPPED_LOSS[kind], clip_max=values["clip_max"])
     return TrainConfig(arch=arch, loss=loss,
                        **{key: values[key] for key in _TRAIN if key in values})
 
@@ -419,8 +416,7 @@ def _sweep_unit(args):
     if values["pipeline"] == "prior_mean":
         test_loss = rule_test_loss(spec, m, seed, eval_tasks=values["eval_tasks"],
                                    eval_points=values["eval_points"])
-        points = [prior_mean_point(spec, pool[:n], seed, values["delta"],
-                                   meta_test_loss=test_loss)
+        points = [prior_mean_point(pool[:n], seed, values["delta"], meta_test_loss=test_loss)
                   for n in ns]
     else:
         points = [two_prior_point(spec, pool[:n], seed, replace(train_cfg, seed=seed),

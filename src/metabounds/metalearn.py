@@ -34,6 +34,7 @@ from .model import (
     LossSpec,
     ModelArchitecture,
     StochasticModel,
+    _check_clipped_loss,
     glorot_init,
     mc_empirical_risk,
     taped_mc_risk,
@@ -124,6 +125,7 @@ class TrainConfig:
             raise ValueError("mc_train must be positive")
         if self.loss.kind == "zero_one":
             raise ValueError("training requires a differentiable loss")
+        _check_clipped_loss(self.arch, self.loss)
 
 
 @dataclass

@@ -71,29 +71,6 @@ def block_layout(arch: ModelArchitecture) -> tuple[tuple[str, slice, tuple[int, 
     return tuple(out)
 
 
-def split_flat(arch: ModelArchitecture, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Cut flat parameter vectors into the architecture's named blocks.
-
-    The last axis of ``flat`` is the flat vector; any leading axes (draws,
-    tasks) are kept in front of each block's shape.
-    """
-    flat = np.asarray(flat)
-    if flat.ndim < 1 or flat.shape[-1] != arch.param_count:
-        raise ValueError(
-            f"expected flat vector of length {arch.param_count}, got {flat.shape}"
-        )
-    lead = flat.shape[:-1]
-    return {name: flat[..., span].reshape(lead + shape)
-            for name, span, shape in block_layout(arch)}
-
-
-def join_flat(arch: ModelArchitecture, blocks: dict[str, np.ndarray]) -> np.ndarray:
-    """Inverse of split_flat."""
-    return np.concatenate(
-        [np.asarray(blocks[name]).ravel() for name, _ in arch.layer_shapes()]
-    )
-
-
 @dataclass(frozen=True)
 class StochasticModel:
     """An architecture together with a posterior over its flat weights."""
@@ -124,6 +101,17 @@ class LossSpec:
             raise ValueError("clip_max must be positive and finite")
 
 
+# The one clipped loss each architecture's scores take, and so the loss it
+# trains with: logistic for a linear score, cross-entropy for mlp1 logits.
+CLIPPED_LOSS = {"linear": "logistic_clipped", "mlp1": "cross_entropy_clipped"}
+
+
+def _check_clipped_loss(arch: ModelArchitecture, loss: LossSpec) -> None:
+    if loss.kind != CLIPPED_LOSS[arch.kind]:
+        raise ValueError(f"the {arch.kind} architecture takes the {CLIPPED_LOSS[arch.kind]} "
+                         f"loss, not {loss.kind}")
+
+
 def _buffer(buffers: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """The float64 array ``buffers[name]`` of ``shape``, made on first use
     and made again when the shape asked for changes."""
@@ -148,15 +136,18 @@ def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray,
         raise ValueError(f"inputs must be (B, {arch.input_dim}), got {x.shape}")
     buffers = {} if buffers is None else buffers
     flat_w = np.asarray(flat_w)
-    blocks = split_flat(arch, flat_w)
+    if flat_w.ndim < 1 or flat_w.shape[-1] != arch.param_count:
+        raise ValueError(f"expected flat vector of length {arch.param_count}, got {flat_w.shape}")
     lead = flat_w.shape[:-1] + (x.shape[0],)
     if arch.kind == "linear":
-        return np.matmul(blocks["w"], x.T, out=_buffer(buffers, "scores", lead))
-    h = np.matmul(x, blocks["w1"], out=_buffer(buffers, "hidden", lead + (arch.hidden_dim,)))
-    h += blocks["b1"][..., None, :]
+        return np.matmul(flat_w, x.T, out=_buffer(buffers, "scores", lead))
+    w1, b1, w2, b2 = (flat_w[..., span].reshape(flat_w.shape[:-1] + shape)
+                      for _, span, shape in block_layout(arch))
+    h = np.matmul(x, w1, out=_buffer(buffers, "hidden", lead + (arch.hidden_dim,)))
+    h += b1[..., None, :]
     np.tanh(h, out=h)
-    out = np.matmul(h, blocks["w2"], out=_buffer(buffers, "scores", lead + (arch.num_classes,)))
-    out += blocks["b2"][..., None, :]
+    out = np.matmul(h, w2, out=_buffer(buffers, "scores", lead + (arch.num_classes,)))
+    out += b2[..., None, :]
     return out
 
 
@@ -192,9 +183,8 @@ def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
     node's values bit for bit; it holds one scratch array of s's shape for
     the relu, ``buffers["relu"]``.
     """
+    _check_clipped_loss(arch, loss)
     if loss.kind == "logistic_clipped":
-        if arch.kind != "linear":
-            raise ValueError("logistic loss applies to the linear architecture")
         # class-0 logit is the score, class-1 logit is 0
         s *= 2.0 * y - 1.0
         relu = np.maximum(s, 0.0, out=_buffer(buffers, "relu", s.shape))
@@ -205,7 +195,7 @@ def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
         raw = np.log(s, out=s)
         raw += relu
     else:
-        if arch.kind != "mlp1" or s.ndim < 2:
+        if s.ndim < 2:
             raise ValueError("cross-entropy expects logit rows")
         s -= s.max(axis=-1, keepdims=True)
         labels = np.broadcast_to(y, s.shape[:-1])[..., None]
@@ -257,17 +247,14 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
     fan_out)); biases start at zero. Every log-variance is an independent
     N(-10, 0.1^2) draw, i.e. initial per-weight variance near 4.5e-5.
     """
-    means = {}
-    for name, shape in arch.layer_shapes():
+    mean = np.zeros(arch.param_count)
+    for _, span, shape in block_layout(arch):
         if len(shape) == 2:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            means[name] = rng.uniform(-limit, limit, size=shape)
+            mean[span] = rng.uniform(-limit, limit, size=shape).ravel()
         elif arch.kind == "linear":
             limit = np.sqrt(6.0 / (shape[0] + 1))
-            means[name] = rng.uniform(-limit, limit, size=shape)
-        else:
-            means[name] = np.zeros(shape)
-    mean = join_flat(arch, means)
+            mean[span] = rng.uniform(-limit, limit, size=shape)
     log_var = rng.normal(-10.0, 0.1, size=arch.param_count)
     return DiagonalGaussian(mean, log_var)
 
@@ -296,7 +283,8 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     (n, 2d) for n stacked tasks with eps (n, K, d), x (n, B, in), y (n, B)
     and one risk per task as the result. eps must be finite and is checked;
     x and y must be too, but a training run checks its data once, not here.
-    zero_one has no usable gradient and is rejected.
+    zero_one has no usable gradient and is rejected, as is a clipped loss
+    that is not ``CLIPPED_LOSS[arch.kind]``.
 
     Value and adjoint repeat, in the same order, the float operations of the
     chain ``diff.reparam``, the forward pass (``draws @ x^T`` with x^T
@@ -308,8 +296,9 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     to the draws' shape; here they tile one array, each entry plus 0.0 as in
     that sum.
     """
-    if loss.kind not in ("logistic_clipped", "cross_entropy_clipped"):
+    if loss.kind == "zero_one":
         raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
+    _check_clipped_loss(arch, loss)
     eps = diff.constant(eps)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)

@@ -204,10 +204,8 @@ def rule_test_loss(spec: LinearEnvSpec, m: int, seed: int, *, eval_tasks: int = 
     return float(np.mean(test_risks))
 
 
-def prior_mean_point(spec: LinearEnvSpec, tasks: list[Task], seed: int,
-                     delta: float, *, eval_tasks: int = 20,
-                     eval_points: int = 400,
-                     meta_test_loss: float | None = None) -> PipelinePoint:
+def prior_mean_point(tasks: list[Task], seed: int, delta: float, *,
+                     meta_test_loss: float) -> PipelinePoint:
     """Evaluate the closed-form pipeline on a fixed set of training tasks,
     which share one sample count.
 
@@ -215,17 +213,17 @@ def prior_mean_point(spec: LinearEnvSpec, tasks: list[Task], seed: int,
     both theorem bounds coincide.  The hyper-posterior over the prior mean is
     the conjugate Gaussian posterior given the fitted weights, treating each
     as a noisy observation of a common center at the prior spread.  All
-    tasks are priced together along a task axis.  ``meta_test_loss``, when
-    given, is :func:`rule_test_loss` of the same spec, m, seed and eval
-    sizes, and replaces computing it here.
+    tasks are priced together along a task axis.  ``meta_test_loss`` is the
+    rule's held-out loss, :func:`rule_test_loss` of the tasks' environment,
+    sample count and seed.
     """
     if not tasks:
         raise ValueError("at least one training task is required")
     n = len(tasks)
     m = tasks[0].m
-    d = spec.d
     x = np.stack([t.train_x for t in tasks])
     y = np.stack([t.train_y for t in tasks])
+    d = x.shape[-1]
     weights = rule_weight(x, y)
     er = float(np.mean(gaussian_sign_risk(weights, x, y)))
 
@@ -235,9 +233,6 @@ def prior_mean_point(spec: LinearEnvSpec, tasks: list[Task], seed: int,
     hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
     kl_hyper = kl_diag_gaussian(hyper, isotropic(np.zeros(d), HYPER_PRIOR_STD**2))
     task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper, prior_var)
-    if meta_test_loss is None:
-        meta_test_loss = rule_test_loss(spec, m, seed, eval_tasks=eval_tasks,
-                                        eval_points=eval_points)
     breakdown = _certificate(er, 0.0, kl_hyper, task_kls, n, m, delta)
     return PipelinePoint(n=n, m=m, d=d, seed=seed, meta_test_loss=meta_test_loss,
                          meta_train_loss=er, **vars(breakdown))

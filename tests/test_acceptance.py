@@ -50,7 +50,7 @@ from metabounds.metalearn import (
     train_meta,
 )
 from metabounds.model import LossSpec, ModelArchitecture, StochasticModel, taped_mc_risk
-from metabounds.pipelines import prior_mean_point
+from metabounds.pipelines import prior_mean_point, rule_test_loss
 from metabounds.rng import spawn_seed, stream
 
 LINEAR = ModelArchitecture("linear", input_dim=2, num_classes=2)
@@ -240,9 +240,11 @@ def test_criterion_6_bound_decreases_with_more_tasks(capsys):
     for s in range(5):
         seed = spawn_seed(0, "sweep", s, 2, 5)
         pool = sample_tasks(spec, max(counts), 5, stream(seed, "tasks", 2, 5))
-        curves.append(
-            [prior_mean_point(spec, pool[:n], seed, 0.1).bound_thm2 for n in counts]
-        )
+        test_loss = rule_test_loss(spec, 5, seed)
+        curves.append([
+            prior_mean_point(pool[:n], seed, 0.1, meta_test_loss=test_loss).bound_thm2
+            for n in counts
+        ])
     means = np.mean(curves, axis=0)
     elapsed = time.monotonic() - t0
     nonincreasing = all(means[i + 1] <= means[i] + 1e-9 for i in range(len(counts) - 1))

@@ -5,8 +5,11 @@ used by other code in ``src/``, or be named in ``ALLOWED`` with the reason
 it stays: the acceptance criteria's entry points and oracles. A use is a
 reference outside the definition's own body that resolves to it: an
 attribute of an alias of its module (``diff.exp``, but not ``np.exp``), or a
-bare name in its own module or in a module that imports it from there. An
-import or an ``__all__`` entry alone is not a use.
+bare name in its own module or in a module that imports it from there. A
+bare name that an enclosing function, lambda or comprehension binds itself
+(a parameter, an assignment target, a loop variable) resolves to that local
+binding, not to a module definition. An import or an ``__all__`` entry alone
+is not a use.
 """
 
 import ast
@@ -31,6 +34,7 @@ ALLOWED = {
     "diff.exp": "criterion 3 builds the single-task certificate's divergence from it",
     "diff.sqrt": "criterion 3 builds the single-task certificate's square-root term from it",
     "diff.log": "the softplus reference chain in tests/test_diff.py is built from it",
+    "diff.mean": RISK_CHAIN,
     "diff.reparam": RISK_CHAIN,
     "diff.slice": RISK_CHAIN,
     "diff.tanh": RISK_CHAIN,
@@ -83,6 +87,61 @@ def _names_in_scope(tree: ast.Module) -> tuple[dict, dict]:
     return modules, names
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.Lambda)
+_SCOPES = _FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_names(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds itself: its
+    parameters and whatever its own code, outside nested scopes, assigns,
+    loops over, catches or defines. (An import inside a function still
+    refers to what it imports; ``_names_in_scope`` resolves it.)"""
+    names = set()
+    if isinstance(scope, _FUNCTIONS):
+        args = scope.args
+        names.update(a.arg for a in args.posonlyargs + args.args + args.kwonlyargs)
+        names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    stack = _scope_body(scope)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _scope_body(scope: ast.AST) -> list[ast.AST]:
+    """The parts of a scope that run inside it: a function's body, or all of
+    a comprehension (a function's defaults and decorators run outside)."""
+    if isinstance(scope, _FUNCTIONS):
+        return list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    return list(ast.iter_child_nodes(scope))
+
+
+def _local_reads(tree: ast.Module) -> set[int]:
+    """ids of the bare names that resolve to a binding of an enclosing
+    function, lambda or comprehension."""
+    local = set()
+
+    def walk(node: ast.AST, bound: frozenset) -> None:
+        if isinstance(node, ast.Name) and node.id in bound:
+            local.add(id(node))
+        inner, body = bound, set()
+        if isinstance(node, _SCOPES):
+            inner = bound | _bound_names(node)
+            body = {id(part) for part in _scope_body(node)}
+        for child in ast.iter_child_nodes(node):
+            walk(child, inner if id(child) in body else bound)
+
+    walk(tree, frozenset())
+    return local
+
+
 def _public_definitions_and_uses(sources: dict[str, str]):
     """Public top-level definitions as ``module.name`` and how often each is
     used, from the source text of each module."""
@@ -98,8 +157,11 @@ def _public_definitions_and_uses(sources: dict[str, str]):
                     definitions.add(f"{module}.{node.name}")
                 for sub in ast.walk(node):
                     owner[id(sub)] = f"{module}.{node.name}"
+        local = _local_reads(tree)
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Name):
+                if id(sub) in local:
+                    continue
                 target = names.get(sub.id, f"{module}.{sub.id}")
             elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
                     and sub.value.id in modules:
@@ -127,6 +189,35 @@ def test_allow_list_names_only_unused_definitions():
     assert stale == []
 
 
+def test_all_lists_the_public_functions_and_classes_and_only_bound_names():
+    """Where a module defines ``__all__``, it names every public top-level
+    function and class, and every name in it is bound at the top level (by a
+    definition, an assignment or an import), so no deleted name lingers."""
+    checked = []
+    for module, text in sorted(_package_sources().items()):
+        exported, public, bound = None, set(), set()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+                if not node.name.startswith("_"):
+                    public.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                bound.update(names)
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        if exported is None:
+            continue
+        checked.append(module)
+        assert len(set(exported)) == len(exported), module
+        assert sorted(public - set(exported)) == [], module
+        assert sorted(set(exported) - bound) == [], module
+    assert {"__init__", "bounds", "metalearn", "pipelines"} <= set(checked)
+
+
 def test_a_same_named_attribute_of_another_module_is_no_use():
     sources = {
         "diff": "import numpy as np\n"
@@ -143,3 +234,17 @@ def test_a_same_named_attribute_of_another_module_is_no_use():
     definitions, uses = _public_definitions_and_uses(sources)
     unused = sorted(name for name in definitions if not uses[name])
     assert unused == ["diff.exp", "model.score"]
+
+
+def test_a_same_named_parameter_or_local_is_no_use():
+    sources = {
+        "diff": "def mean(a):\n    return a\n"
+                "def total(a):\n    return a\n"
+                "def spread(a):\n    return max(a) - min(a)\n"
+                "def centered(a, mean):\n"
+                "    total = a - mean\n"
+                "    return [spread(x) for total in [total] for x in total]\n",
+    }
+    definitions, uses = _public_definitions_and_uses(sources)
+    unused = sorted(name for name in definitions if not uses[name])
+    assert unused == ["diff.centered", "diff.mean", "diff.total"]

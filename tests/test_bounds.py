@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metabounds.bounds import (
-    AlgorithmComplexity,
     DiscreteMetaSystem,
     MetaBoundInput,
     adaptation_bound,
@@ -109,10 +108,10 @@ class TestTheorem1Bound:
         collapsed = 0.0 + task_level_term(0.0, 10, 0.1) + multitask_sqrt_term(3.0, 10, 5, 0.1)
         np.testing.assert_allclose(with_pair, collapsed, rtol=1e-12)
 
-    def test_plain_pairs_are_wrapped(self):
-        inp = _meta_input(pairs=[(1.0, 2.0)])
-        assert isinstance(inp.per_algorithm_complexity[0], AlgorithmComplexity)
-        assert inp.per_algorithm_complexity[0].total == 3.0
+    def test_pairs_are_normalized_to_float_tuples(self):
+        inp = _meta_input(pairs=[[1, np.float64(2.0)]])
+        assert inp.per_algorithm_complexity == ((1.0, 2.0),)
+        assert all(type(v) is float for v in inp.per_algorithm_complexity[0])
 
     def test_rejects_empty_complexity_list(self):
         with pytest.raises(ValueError):
@@ -195,7 +194,8 @@ class TestBoundProperties:
     @settings(max_examples=100, deadline=None)
     def test_nondecreasing_in_task_complexity(self, inp, bump):
         bumped_pairs = [
-            (c.kl_hyper, c.sum_task_kl + bump) for c in inp.per_algorithm_complexity
+            (kl_hyper, sum_task_kl + bump)
+            for kl_hyper, sum_task_kl in inp.per_algorithm_complexity
         ]
         bumped = _meta_input(
             inp.empirical_multitask_risk,

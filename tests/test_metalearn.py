@@ -292,10 +292,8 @@ class TestMetaObjective:
         loss = LossSpec("cross_entropy_clipped")
         tasks = _toy_tasks(1, 5, seed=9)
         cfg = _cfg(arch=arch, loss=loss, mc_train=1)
-        names = [name for name, _ in arch.layer_shapes()]
-        shapes = [shape for _, shape in arch.layer_shapes()]
         d = arch.param_count
-        from metabounds.model import join_flat
+        from metabounds.model import block_layout
 
         theta0 = np.concatenate([np.zeros(d), np.full(d, -2.0)])
 
@@ -312,9 +310,12 @@ class TestMetaObjective:
 
         def row():
             # the weight means block by block, then the log-variances
-            means = {nm: trial_rng.normal(0, 0.4, s) for nm, s in zip(names, shapes)}
-            log_vars = {nm: trial_rng.uniform(-3, -1, s) for nm, s in zip(names, shapes)}
-            return np.concatenate([join_flat(arch, means), join_flat(arch, log_vars)])
+            means, log_vars = np.empty(d), np.empty(d)
+            for _, span, shape in block_layout(arch):
+                means[span] = trial_rng.normal(0, 0.4, shape).ravel()
+            for _, span, shape in block_layout(arch):
+                log_vars[span] = trial_rng.uniform(-3, -1, shape).ravel()
+            return np.concatenate([means, log_vars])
 
         assert gradcheck(build, [row(), row()[None]]) <= 1e-4
 
@@ -1110,6 +1111,11 @@ class TestTrainConfig:
     def test_rejects_nondifferentiable_loss(self):
         with pytest.raises(ValueError, match="differentiable"):
             _cfg(loss=LossSpec("zero_one"))
+
+    @pytest.mark.parametrize("arch, loss", [(MLP, LOGISTIC), (LINEAR, CROSS_ENTROPY)])
+    def test_rejects_a_loss_its_architecture_does_not_take(self, arch, loss):
+        with pytest.raises(ValueError, match=f"the {arch.kind} architecture takes"):
+            _cfg(arch=arch, loss=loss)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):

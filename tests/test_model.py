@@ -1,5 +1,7 @@
 """Tests for stochastic models, bounded losses, and Monte-Carlo risk."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,10 @@ from metabounds.model import (
     StochasticModel,
     block_layout,
     glorot_init,
-    join_flat,
     loss_values,
     mc_empirical_risk,
     predicted_labels,
     scores_batch,
-    split_flat,
     taped_mc_risk,
 )
 
@@ -43,9 +43,16 @@ class TestArchitecture:
         assert LINEAR2.param_count == 2
         assert MLP.param_count == 3 * 5 + 5 + 5 * 4 + 4
 
-    def test_split_join_roundtrip(self):
-        flat = np.arange(MLP.param_count, dtype=float)
-        np.testing.assert_array_equal(join_flat(MLP, split_flat(MLP, flat)), flat)
+    def test_block_layout_tiles_the_flat_vector(self):
+        """The spans follow each other from 0 to param_count, one per named
+        block in layer_shapes() order, each as long as its shape's size."""
+        layout = block_layout(MLP)
+        assert [(name, shape) for name, _, shape in layout] == MLP.layer_shapes()
+        pos = 0
+        for _, span, shape in layout:
+            assert (span.start, span.stop, span.step) == (pos, pos + math.prod(shape), None)
+            pos = span.stop
+        assert pos == MLP.param_count
 
     def test_posterior_dimension_checked(self):
         with pytest.raises(ValueError):
@@ -277,6 +284,15 @@ class TestTapedRisk:
         with pytest.raises(ValueError, match="not differentiable"):
             taped_mc_risk(LINEAR2, q, np.ones((1, 2)), np.array([0]), LossSpec("zero_one"),
                           np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("arch, kind", [(MLP, "logistic_clipped"),
+                                            (LINEAR2, "cross_entropy_clipped")])
+    def test_a_loss_the_architecture_does_not_take_is_rejected_on_tape(self, arch, kind):
+        d = arch.param_count
+        q = Tape().tensor(np.zeros(2 * d))
+        with pytest.raises(ValueError, match=f"the {arch.kind} architecture takes"):
+            taped_mc_risk(arch, q, np.ones((1, arch.input_dim)), np.array([0]), LossSpec(kind),
+                          np.zeros((1, d)))
 
     def test_rejects_mismatched_shapes(self):
         loss = LossSpec("logistic_clipped")

@@ -167,39 +167,37 @@ class TestRuleTestLoss:
             risks.append(_reference_sign_risk(w, xe, ye))
         assert rule_test_loss(spec, 7, 41, eval_tasks=6, eval_points=50) == float(np.mean(risks))
 
-    def test_shared_loss_gives_the_same_point(self):
-        tasks = _tasks(6, 5, seed=43)
-        shared = rule_test_loss(SPEC, 5, 43, eval_tasks=4, eval_points=30)
-        alone = prior_mean_point(SPEC, tasks, 43, 0.1, eval_tasks=4, eval_points=30)
-        assert prior_mean_point(SPEC, tasks, 43, 0.1, meta_test_loss=shared) == alone
-
 
 class TestPriorMeanPoint:
     def test_components_recombine_and_bounds_coincide(self):
-        point = prior_mean_point(SPEC, _tasks(5, 5, seed=7), seed=7, delta=0.1)
+        point = prior_mean_point(_tasks(5, 5, seed=7), seed=7, delta=0.1,
+                                 meta_test_loss=rule_test_loss(SPEC, 5, 7))
         recombined = (point.empirical_multitask_risk + point.task_level_term
                       + point.multitask_term)
         assert abs(recombined - point.bound_thm2) <= 1e-12
         assert point.bound_thm1 == point.bound_thm2
 
     def test_deterministic(self):
-        a = prior_mean_point(SPEC, _tasks(4, 5, seed=9), seed=9, delta=0.1)
-        b = prior_mean_point(SPEC, _tasks(4, 5, seed=9), seed=9, delta=0.1)
+        test_loss = rule_test_loss(SPEC, 5, 9)
+        a = prior_mean_point(_tasks(4, 5, seed=9), seed=9, delta=0.1, meta_test_loss=test_loss)
+        b = prior_mean_point(_tasks(4, 5, seed=9), seed=9, delta=0.1, meta_test_loss=test_loss)
         assert a == b
 
     def test_bound_shrinks_from_few_to_many_tasks(self):
         pool = _tasks(50, 5, seed=11)
-        small = prior_mean_point(SPEC, pool[:5], seed=11, delta=0.1)
-        large = prior_mean_point(SPEC, pool, seed=11, delta=0.1)
+        test_loss = rule_test_loss(SPEC, 5, 11)
+        small = prior_mean_point(pool[:5], seed=11, delta=0.1, meta_test_loss=test_loss)
+        large = prior_mean_point(pool, seed=11, delta=0.1, meta_test_loss=test_loss)
         assert large.bound_thm2 < small.bound_thm2
 
     def test_rule_generalizes_better_than_chance(self):
-        point = prior_mean_point(SPEC, _tasks(10, 5, seed=13), seed=13, delta=0.1)
+        point = prior_mean_point(_tasks(10, 5, seed=13), seed=13, delta=0.1,
+                                 meta_test_loss=rule_test_loss(SPEC, 5, 13))
         assert 0.0 < point.meta_test_loss < 0.5
 
     def test_rejects_empty_task_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            prior_mean_point(SPEC, [], seed=0, delta=0.1)
+            prior_mean_point([], seed=0, delta=0.1, meta_test_loss=0.0)
 
 
 def _cfg(seed=0, **overrides):
