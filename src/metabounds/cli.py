@@ -29,7 +29,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, astuple, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +361,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row(record) -> tuple:
+    """A result record's fields as a CSV row; unlike ``astuple``, this copies
+    no field."""
+    return tuple(getattr(record, f.name) for f in fields(record))
+
+
 def write_csv(path: str | Path, columns: list[str], rows: list[tuple],
               config_hash: str, seed: int,
               trailers: list[str] | None = None) -> None:
@@ -416,8 +422,7 @@ def _sweep_unit(args):
     if values["pipeline"] == "prior_mean":
         test_loss = rule_test_loss(spec, m, seed, eval_tasks=values["eval_tasks"],
                                    eval_points=values["eval_points"])
-        points = [prior_mean_point(pool[:n], seed, values["delta"], meta_test_loss=test_loss)
-                  for n in ns]
+        points = prior_mean_point(pool, ns, seed, values["delta"], meta_test_loss=test_loss)
     else:
         points = [two_prior_point(spec, pool[:n], seed, replace(train_cfg, seed=seed),
                                   eval_tasks=values["eval_tasks"],
@@ -453,7 +458,7 @@ def cmd_sweep(cfg: ExperimentConfig):
                 priced = list(pool.map(_sweep_unit, units))
         else:
             priced = [_sweep_unit(u) for u in units]
-        rows = [astuple(point) for points, _ in priced for point in points]
+        rows = [_row(point) for points, _ in priced for point in points]
         total = sum(seconds for _, seconds in priced)
         write_csv(values["out"], RESULT_COLUMNS, rows, cfg.config_hash, root,
                   trailers=[f"# wall_time {total:.3f}"])
@@ -555,7 +560,7 @@ def cmd_audit(cfg: ExperimentConfig):
             f"# vacuous {report.vacuous_trials}/{report.trials}",
             "# margin q25={} q50={} q75={}".format(*map(_fmt, report.margin_quartiles)),
         ]
-        write_csv(values["out"], AUDIT_COLUMNS, [astuple(r) for r in report.records],
+        write_csv(values["out"], AUDIT_COLUMNS, [_row(r) for r in report.records],
                   cfg.config_hash, seed, trailers=trailers)
         print(f"audit: {report.violations}/{report.trials} violations "
               f"(delta={report.delta})")

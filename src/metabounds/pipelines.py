@@ -53,6 +53,7 @@ __all__ = [
     "PRIOR_STD",
     "HYPER_PRIOR_STD",
     "RISK_DRAWS",
+    "SCORE_POINT_BUDGET",
     "PipelinePoint",
     "signed_mean_direction",
     "rule_weight",
@@ -75,6 +76,9 @@ HYPER_PRIOR_STD = 20.0
 
 # Weight draws per training task behind the trained pipeline's empirical risk.
 RISK_DRAWS = 2000
+
+# Most held-out points :func:`rule_test_loss` scores in one stacked call.
+SCORE_POINT_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -192,50 +196,71 @@ def rule_test_loss(spec: LinearEnvSpec, m: int, seed: int, *, eval_tasks: int = 
 
     It depends on the seed, d and m only, not on any training task, so a
     sweep computes it once per (seed, d, m) and hands it to
-    :func:`prior_mean_point` for every task count.  Tasks are scored one at
-    a time, so only one task's points are held at once.
+    :func:`prior_mean_point`.  Tasks are scored in stacked batches of as
+    many as fit in ``SCORE_POINT_BUDGET`` points, one task per batch if its
+    points alone exceed it, so at most max(``SCORE_POINT_BUDGET``,
+    ``eval_points``) held-out points are held at once; each task's risk is
+    the one a call on that task alone gives.
     """
     test_rng = stream(seed, "rule-test")
     fresh = sample_tasks(spec, eval_tasks, m, test_rng)
+    per_call = max(1, SCORE_POINT_BUDGET // eval_points)
     test_risks = []
-    for task in fresh:
-        xe, ye = task.draw(eval_points, test_rng)
-        test_risks.append(gaussian_sign_risk(rule_weight(task.train_x, task.train_y), xe, ye))
-    return float(np.mean(test_risks))
+    for start in range(0, eval_tasks, per_call):
+        batch = fresh[start:start + per_call]
+        drawn = [task.draw(eval_points, test_rng) for task in batch]
+        weights = rule_weight(np.stack([t.train_x for t in batch]),
+                              np.stack([t.train_y for t in batch]))
+        test_risks.append(gaussian_sign_risk(weights, np.stack([xe for xe, _ in drawn]),
+                                             np.stack([ye for _, ye in drawn])))
+    return float(np.mean(np.concatenate(test_risks)))
 
 
-def prior_mean_point(tasks: list[Task], seed: int, delta: float, *,
-                     meta_test_loss: float) -> PipelinePoint:
-    """Evaluate the closed-form pipeline on a fixed set of training tasks,
-    which share one sample count.
+def prior_mean_point(pool: list[Task], ns: Sequence[int], seed: int, delta: float, *,
+                     meta_test_loss: float) -> list[PipelinePoint]:
+    """Evaluate the closed-form pipeline on the first n tasks of ``pool``,
+    which share one sample count, for each n in ``ns``; one point per n, in
+    ``ns`` order.
 
     The rule is a point mass, so the algorithm-level divergence vanishes and
     both theorem bounds coincide.  The hyper-posterior over the prior mean is
     the conjugate Gaussian posterior given the fitted weights, treating each
-    as a noisy observation of a common center at the prior spread.  All
-    tasks are priced together along a task axis.  ``meta_test_loss`` is the
-    rule's held-out loss, :func:`rule_test_loss` of the tasks' environment,
-    sample count and seed.
+    as a noisy observation of a common center at the prior spread.  A task's
+    fitted weight and sign risk do not depend on n, so the rule is fitted
+    and priced once, along a task axis, on ``pool[:max(ns)]``, and each n
+    reads the prefixes of those arrays.  ``meta_test_loss`` is the rule's
+    held-out loss, :func:`rule_test_loss` of the pool's environment, sample
+    count and seed.
     """
-    if not tasks:
+    if not pool:
         raise ValueError("at least one training task is required")
-    n = len(tasks)
-    m = tasks[0].m
+    if not ns:
+        raise ValueError("at least one task count is required")
+    if any(not 1 <= n <= len(pool) for n in ns):
+        raise ValueError(f"task counts must lie in [1, {len(pool)}], got {list(ns)}")
+    m = pool[0].m
+    tasks = pool[:max(ns)]
     x = np.stack([t.train_x for t in tasks])
     y = np.stack([t.train_y for t in tasks])
     d = x.shape[-1]
     weights = rule_weight(x, y)
-    er = float(np.mean(gaussian_sign_risk(weights, x, y)))
+    risks = gaussian_sign_risk(weights, x, y)
 
     prior_var = PRIOR_STD**2
-    s2 = 1.0 / (1.0 / HYPER_PRIOR_STD**2 + n / prior_var)
-    center = s2 * np.sum(weights, axis=0) / prior_var
-    hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
-    kl_hyper = kl_diag_gaussian(hyper, isotropic(np.zeros(d), HYPER_PRIOR_STD**2))
-    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper, prior_var)
-    breakdown = _certificate(er, 0.0, kl_hyper, task_kls, n, m, delta)
-    return PipelinePoint(n=n, m=m, d=d, seed=seed, meta_test_loss=meta_test_loss,
-                         meta_train_loss=er, **vars(breakdown))
+    prior_log_var = np.full(d, math.log(prior_var))
+    hyper_prior = isotropic(np.zeros(d), HYPER_PRIOR_STD**2)
+    points = []
+    for n in ns:
+        er = float(np.mean(risks[:n]))
+        s2 = 1.0 / (1.0 / HYPER_PRIOR_STD**2 + n / prior_var)
+        center = s2 * np.sum(weights[:n], axis=0) / prior_var
+        hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
+        kl_hyper = kl_diag_gaussian(hyper, hyper_prior)
+        task_kls = expected_kl_arrays(weights[:n], prior_log_var, hyper, prior_var)
+        breakdown = _certificate(er, 0.0, kl_hyper, task_kls, n, m, delta)
+        points.append(PipelinePoint(n=n, m=m, d=d, seed=seed, meta_test_loss=meta_test_loss,
+                                    meta_train_loss=er, **vars(breakdown)))
+    return points
 
 
 @dataclass(frozen=True)

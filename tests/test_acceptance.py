@@ -242,8 +242,8 @@ def test_criterion_6_bound_decreases_with_more_tasks(capsys):
         pool = sample_tasks(spec, max(counts), 5, stream(seed, "tasks", 2, 5))
         test_loss = rule_test_loss(spec, 5, seed)
         curves.append([
-            prior_mean_point(pool[:n], seed, 0.1, meta_test_loss=test_loss).bound_thm2
-            for n in counts
+            point.bound_thm2
+            for point in prior_mean_point(pool, counts, seed, 0.1, meta_test_loss=test_loss)
         ])
     means = np.mean(curves, axis=0)
     elapsed = time.monotonic() - t0

@@ -248,18 +248,31 @@ README_SWEEP = """\
     seeds = 5
     """
 
+# Several (d, m) groups whose task counts are listed out of order.
+UNSORTED_SWEEP = """\
+    [sweep]
+    pipeline = prior_mean
+    d_list = 2, 5
+    m_list = 5, 20
+    n_list = 10, 2, 50
+    seeds = 2
+    """
+
 # sha256 of the CSV bodies (the lines outside '#' comments, joined by
 # newlines) at seed 0, recorded when each sweep row was priced on its own;
 # "two_prior" re-recorded when its expected task divergence became exact,
 # and again when training took that expectation exactly too; "readme"
 # re-recorded when the closed-form pricing stopped calling BLAS, whose
-# matmul kernel, and so its rounding, OpenBLAS picks per CPU.
+# matmul kernel, and so its rounding, OpenBLAS picks per CPU; "unsorted"
+# recorded while each row still re-fitted and re-priced its own prefix.
 # Bit-exact floats: recorded with numpy 2.4 and OpenBLAS on x86-64.
 GOLDEN_BODIES = {
     "readme": (README_SWEEP,
                "7e4bba0512d966c28245edac2d8e885031280ee17d7e3e48fe5e0950870b466a"),
     "two_prior": (TWO_PRIOR_SMALL,
                   "d261b15d5d33fbf9e5de7b5c3cca14e60c0a95353c63bd758a5a6c86243616cf"),
+    "unsorted": (UNSORTED_SWEEP,
+                 "6e33dacb5ef783022c3bc5270f3a69460f6f53f71196efbc492595a9a44cf583"),
 }
 
 
@@ -326,9 +339,9 @@ def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv")]) == 0
     assert len(_data_lines(tmp_path / "sweep.csv")) == 26
-    # one pool and one held-out set per seed; one training batch per row,
-    # and the 20 held-out tasks of each seed one at a time
-    assert calls == {"pool": 5, "held_out": 5, "sign_risk": 25 + 5 * 20}
+    # one pool and one held-out set per seed; per seed, one training batch
+    # priced for all five task counts and the 20 held-out tasks in one call
+    assert calls == {"pool": 5, "held_out": 5, "sign_risk": 5 + 5}
 
 
 TRAIN_SMALL = """\

@@ -1,12 +1,14 @@
 """Tests for the closed-form and trained evaluation pipelines."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from metabounds import audit, env, metalearn, pipelines
 from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
+from metabounds.gauss import DiagonalGaussian, expected_kl_arrays, isotropic, kl_diag_gaussian
 from metabounds.metalearn import (
     MetaPosterior,
     TrainConfig,
@@ -18,6 +20,7 @@ from metabounds.model import LossSpec, ModelArchitecture
 from metabounds.pipelines import (
     PRIOR_STD,
     RULE_RADIUS,
+    PipelinePoint,
     TrainedSystem,
     fit_two_prior_system,
     gaussian_sign_risk,
@@ -156,22 +159,66 @@ class TestBatchedRule:
                               gaussian_sign_risk(w4.reshape(30, 2), x[:30], y[:30]))
 
 
+def _reference_rule_test_loss(spec, m, seed, eval_tasks, eval_points):
+    """The rule's held-out loss, one task at a time."""
+    rng = stream(seed, "rule-test")
+    risks = []
+    for task in sample_tasks(spec, eval_tasks, m, rng):
+        w = RULE_RADIUS * _reference_direction(task.train_x, task.train_y)
+        xe, ye = task.draw(eval_points, rng)
+        risks.append(_reference_sign_risk(w, xe, ye))
+    return float(np.mean(risks))
+
+
 class TestRuleTestLoss:
     def test_equals_the_per_task_loop(self):
+        for d in (2, 3, 5):
+            spec = LinearEnvSpec(d=d)
+            for eval_tasks in (1, 6, 20):
+                assert (rule_test_loss(spec, 7, 41, eval_tasks=eval_tasks, eval_points=50)
+                        == _reference_rule_test_loss(spec, 7, 41, eval_tasks, 50)), (d, eval_tasks)
+
+    @pytest.mark.parametrize("budget, calls", [(200, 2), (10, 6)],
+                             ids=["four_then_two_tasks", "budget_below_one_task"])
+    def test_a_small_point_budget_splits_the_tasks(self, monkeypatch, budget, calls):
+        counted = []
+
+        def counting(*args):
+            counted.append(args[1].shape[0])
+            return gaussian_sign_risk(*args)
+
+        monkeypatch.setattr(pipelines, "SCORE_POINT_BUDGET", budget)
+        monkeypatch.setattr(pipelines, "gaussian_sign_risk", counting)
         spec = LinearEnvSpec(d=3)
-        rng = stream(41, "rule-test")
-        risks = []
-        for task in sample_tasks(spec, 6, 7, rng):
-            w = RULE_RADIUS * _reference_direction(task.train_x, task.train_y)
-            xe, ye = task.draw(50, rng)
-            risks.append(_reference_sign_risk(w, xe, ye))
-        assert rule_test_loss(spec, 7, 41, eval_tasks=6, eval_points=50) == float(np.mean(risks))
+        assert (rule_test_loss(spec, 7, 41, eval_tasks=6, eval_points=50)
+                == _reference_rule_test_loss(spec, 7, 41, 6, 50))
+        assert len(counted) == calls
+        assert max(counted) * 50 <= max(budget, 50)
+
+
+def _per_row_point(tasks, seed, delta, meta_test_loss):
+    """The closed-form point of one prefix, fitted and priced on its own."""
+    n = len(tasks)
+    x = np.stack([t.train_x for t in tasks])
+    y = np.stack([t.train_y for t in tasks])
+    d = x.shape[-1]
+    weights = rule_weight(x, y)
+    er = float(np.mean(gaussian_sign_risk(weights, x, y)))
+    prior_var = PRIOR_STD**2
+    s2 = 1.0 / (1.0 / pipelines.HYPER_PRIOR_STD**2 + n / prior_var)
+    center = s2 * np.sum(weights, axis=0) / prior_var
+    hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
+    kl_hyper = kl_diag_gaussian(hyper, isotropic(np.zeros(d), pipelines.HYPER_PRIOR_STD**2))
+    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper, prior_var)
+    breakdown = pipelines._certificate(er, 0.0, kl_hyper, task_kls, n, tasks[0].m, delta)
+    return PipelinePoint(n=n, m=tasks[0].m, d=d, seed=seed, meta_test_loss=meta_test_loss,
+                         meta_train_loss=er, **vars(breakdown))
 
 
 class TestPriorMeanPoint:
     def test_components_recombine_and_bounds_coincide(self):
-        point = prior_mean_point(_tasks(5, 5, seed=7), seed=7, delta=0.1,
-                                 meta_test_loss=rule_test_loss(SPEC, 5, 7))
+        [point] = prior_mean_point(_tasks(5, 5, seed=7), [5], seed=7, delta=0.1,
+                                   meta_test_loss=rule_test_loss(SPEC, 5, 7))
         recombined = (point.empirical_multitask_risk + point.task_level_term
                       + point.multitask_term)
         assert abs(recombined - point.bound_thm2) <= 1e-12
@@ -179,25 +226,49 @@ class TestPriorMeanPoint:
 
     def test_deterministic(self):
         test_loss = rule_test_loss(SPEC, 5, 9)
-        a = prior_mean_point(_tasks(4, 5, seed=9), seed=9, delta=0.1, meta_test_loss=test_loss)
-        b = prior_mean_point(_tasks(4, 5, seed=9), seed=9, delta=0.1, meta_test_loss=test_loss)
+        a = prior_mean_point(_tasks(4, 5, seed=9), [4], seed=9, delta=0.1,
+                             meta_test_loss=test_loss)
+        b = prior_mean_point(_tasks(4, 5, seed=9), [4], seed=9, delta=0.1,
+                             meta_test_loss=test_loss)
         assert a == b
 
     def test_bound_shrinks_from_few_to_many_tasks(self):
         pool = _tasks(50, 5, seed=11)
         test_loss = rule_test_loss(SPEC, 5, 11)
-        small = prior_mean_point(pool[:5], seed=11, delta=0.1, meta_test_loss=test_loss)
-        large = prior_mean_point(pool, seed=11, delta=0.1, meta_test_loss=test_loss)
+        small, large = prior_mean_point(pool, [5, 50], seed=11, delta=0.1,
+                                        meta_test_loss=test_loss)
         assert large.bound_thm2 < small.bound_thm2
 
     def test_rule_generalizes_better_than_chance(self):
-        point = prior_mean_point(_tasks(10, 5, seed=13), seed=13, delta=0.1,
-                                 meta_test_loss=rule_test_loss(SPEC, 5, 13))
+        [point] = prior_mean_point(_tasks(10, 5, seed=13), [10], seed=13, delta=0.1,
+                                   meta_test_loss=rule_test_loss(SPEC, 5, 13))
         assert 0.0 < point.meta_test_loss < 0.5
 
     def test_rejects_empty_task_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            prior_mean_point([], seed=0, delta=0.1, meta_test_loss=0.0)
+            prior_mean_point([], [1], seed=0, delta=0.1, meta_test_loss=0.0)
+
+    def test_rejects_empty_task_counts(self):
+        with pytest.raises(ValueError, match="at least one task count"):
+            prior_mean_point(_tasks(3, 5, seed=0), [], seed=0, delta=0.1, meta_test_loss=0.0)
+
+    @pytest.mark.parametrize("n", [0, -1, 4])
+    def test_rejects_a_count_outside_the_pool(self, n):
+        with pytest.raises(ValueError, match=r"\[1, 3\]"):
+            prior_mean_point(_tasks(3, 5, seed=0), [2, n], seed=0, delta=0.1,
+                             meta_test_loss=0.0)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_pool_pricing_equals_each_prefix_priced_alone(self, d):
+        spec = LinearEnvSpec(d=d)
+        pool = sample_tasks(spec, 12, 5, stream(17, "tasks"))
+        ns = (12, 1, 5, 5, 3)
+        points = prior_mean_point(pool, ns, seed=17, delta=0.1, meta_test_loss=0.25)
+        assert [p.n for p in points] == list(ns)
+        for n, point in zip(ns, points):
+            alone = _per_row_point(pool[:n], 17, 0.1, 0.25)
+            for f in fields(PipelinePoint):
+                assert getattr(point, f.name) == getattr(alone, f.name), (n, f.name)
 
 
 def _cfg(seed=0, **overrides):
