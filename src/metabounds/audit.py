@@ -1,10 +1,9 @@
-"""Independent verification oracles and the bound-validity auditor.
+"""The bound-validity auditor.
 
-The quadrature oracle checks the closed-form Gaussian KLs against direct
-numerical integration. The auditor statistically tests the high-probability
-guarantee itself: it reruns a full learning pipeline on freshly sampled
-training tasks many times and counts how often the certified bound is
-violated by the true (oracle-estimated) transfer risk.
+The auditor statistically tests the high-probability guarantee of the
+certificate: it reruns a full learning pipeline on freshly sampled training
+tasks many times and counts how often the certified bound is violated by
+the true (oracle-estimated) transfer risk.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from .bounds import kl_decomposition_check  # noqa: F401 - bench/tracer.py wraps it on this module
 from .env import sample_tasks, true_risks_mc
 from .env import true_risk_mc  # noqa: F401 - bench/tracer.py wraps it on this module
-from .gauss import DiagonalGaussian
 from .metalearn import TrainConfig
 from .metalearn import adapt  # noqa: F401 - bench/tracer.py wraps it on this module
 from .pipelines import fit_two_prior_system, trained_bound_breakdown
@@ -28,33 +26,6 @@ from .rng import spawn_seed, stream
 # rate and its standard errors meaning.
 MIN_TRIALS = 50
 MIN_EVAL_TASKS = 20
-
-
-def quadrature_kl_1d(
-    q: DiagonalGaussian, p: DiagonalGaussian, grid: int = 100_000
-) -> float:
-    """Trapezoidal estimate of KL(q || p) for 1-d Gaussians.
-
-    Integrates q(x) log(q(x)/p(x)) over a window of 12 combined standard
-    deviations around both means, which keeps the truncated tail mass far
-    below the 1e-6 agreement tolerance used in tests.
-    """
-    if q.dim != 1 or p.dim != 1:
-        raise ValueError("quadrature oracle is 1-d only")
-    mq, sq = float(q.mean[0]), float(q.std[0])
-    mp_, sp = float(p.mean[0]), float(p.std[0])
-    span = 12.0 * (sq + sp)
-    lo = min(mq, mp_) - span
-    hi = max(mq, mp_) + span
-    x = np.linspace(lo, hi, int(grid))
-    # log q - log p, written out to avoid under/overflow in the densities
-    log_ratio = (
-        np.log(sp / sq)
-        - 0.5 * ((x - mq) / sq) ** 2
-        + 0.5 * ((x - mp_) / sp) ** 2
-    )
-    dens_q = np.exp(-0.5 * ((x - mq) / sq) ** 2) / (sq * np.sqrt(2.0 * np.pi))
-    return float(np.trapezoid(dens_q * log_ratio, x))
 
 
 @dataclass(frozen=True)

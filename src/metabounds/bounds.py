@@ -1,4 +1,4 @@
-"""Risk certificates, the lambda machinery behind them, and an exact checker.
+"""Risk certificates and an exact checker of the decomposition behind them.
 
 Everything in this module is pure arithmetic on numbers that training code has
 already produced: empirical risks, KL divergences, sample counts.  The
@@ -30,11 +30,7 @@ __all__ = [
     "multitask_sqrt_term",
     "theorem1_bound",
     "theorem2_bound",
-    "lemma2_lambda_form",
-    "lemma2_grid_minimum",
-    "lambda_star",
     "kl_decomposition_check",
-    "random_discrete_system",
 ]
 
 
@@ -174,65 +170,6 @@ def theorem2_bound(inp: MetaBoundInput) -> float:
         + task_level_term(inp.kl_rho_pi, inp.n, inp.delta)
         + mean_sqrt
     )
-
-
-def lemma2_lambda_form(kl_joint: float, lam: float, n: int, m: int, delta: float) -> float:
-    """Gap bound on the multi-task risk at a fixed trade-off parameter.
-
-    This is the quantity the square-root certificates are distilled from:
-    divergence and confidence slack scaled by ``1 / lam`` plus a moment term
-    growing linearly in ``lam``.
-    """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    _check_kl(kl_joint, "kl_joint")
-    _check_count(n, "n")
-    _check_count(m, "m")
-    _check_delta(delta)
-    return (kl_joint + math.log(2.0 / delta)) / lam + lam / (8.0 * n * m)
-
-
-def lambda_star(kl_joint: float, n: int, m: int, delta: float) -> tuple[float, bool]:
-    """Optimal trade-off parameter and whether it overshoots the usable grid.
-
-    Returns ``(value, clipped)``.  The grid of certifiable values stops at
-    ``4 * n * m``; when the optimum lies beyond it the resulting certificate
-    is vacuous (exceeds 1) and the flag is set.
-    """
-    _check_kl(kl_joint, "kl_joint")
-    _check_count(n, "n")
-    _check_count(m, "m")
-    _check_delta(delta)
-    nm = float(n) * float(m)
-    star = math.sqrt(8.0 * nm * (kl_joint + math.log(8.0 * nm / delta)) + 1.0)
-    return star, star > 4.0 * nm
-
-
-def lemma2_grid_minimum(kl_joint: float, n: int, m: int, delta: float) -> float:
-    """Exact minimum of the union-bound gap expression over the integer grid.
-
-    The grid is ``{1, ..., 4 n m}`` and each grid point pays the union-bound
-    confidence ``delta / (4 n m)``, which folds into a ``log(8 n m / delta)``
-    slack.  The expression is convex in ``lam``, so the integer minimizer is a
-    neighbour of the unconstrained one and no scan is needed.
-    """
-    _check_kl(kl_joint, "kl_joint")
-    _check_count(n, "n")
-    _check_count(m, "m")
-    _check_delta(delta)
-    nm = float(n) * float(m)
-    cap = int(4 * n * m)
-    slack = kl_joint + math.log(8.0 * nm / delta)
-
-    def value(lam: float) -> float:
-        return slack / lam + lam / (8.0 * nm)
-
-    smooth = math.sqrt(8.0 * nm * slack)
-    candidates = {1, cap}
-    for near in (math.floor(smooth), math.ceil(smooth)):
-        if 1 <= near <= cap:
-            candidates.add(int(near))
-    return min(value(float(c)) for c in candidates)
 
 
 def _as_table(value: np.ndarray, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -382,32 +319,3 @@ def kl_decomposition_check(system: DiscreteMetaSystem) -> tuple[float, float, fl
     rhs = math.fsum(rhs_terms)
 
     return lhs, rhs, abs(lhs - rhs)
-
-
-def random_discrete_system(
-    rng: np.random.Generator,
-    *,
-    num_algorithms: int = 2,
-    num_priors: int = 2,
-    num_models: int = 3,
-    num_tasks: int = 2,
-) -> DiscreteMetaSystem:
-    """Draw a fully-supported random system with small-integer ratio tables.
-
-    Entries are integers from 1 to 10 normalized per distribution, so every
-    outcome has positive probability and the enumeration in
-    :func:`kl_decomposition_check` never hits a support violation.
-    """
-
-    def table(*shape: int) -> np.ndarray:
-        raw = rng.integers(1, 11, size=shape).astype(float)
-        return raw / raw.sum(axis=-1, keepdims=True)
-
-    return DiscreteMetaSystem(
-        rho=table(num_algorithms),
-        pi=table(num_algorithms),
-        hyper_posterior=table(num_algorithms, num_priors),
-        hyper_prior=table(num_algorithms, num_priors),
-        task_posteriors=table(num_algorithms, num_tasks, num_models),
-        prior_models=table(num_priors, num_models),
-    )

@@ -11,9 +11,9 @@ model on a task by fresh sampling.
 The oracle draws a task's B = n_eval inputs first and its K = mc_samples
 weight vectors second, from the same generator. A clipped loss is computed
 in place in the K x B buffer of linear scores (320 KB at K = B = 200); the
-logistic loss repeats ``diff.softplus``'s float operations and holds one
-more K x B scratch buffer for its relu. The 0-1 loss is one new K x B
-array. For mlp1 the forward pass holds one K x B x hidden buffer and one
+logistic loss repeats the float operations of the reference ``softplus``
+in ``tests/oracles.py`` and holds one more K x B scratch buffer for its
+relu. The 0-1 loss is one new K x B array. For mlp1 the forward pass holds one K x B x hidden buffer and one
 K x B x classes buffer of logits. One oracle call makes these buffers once
 and reuses them for each of its tasks, so scoring many tasks in one call
 does not fault fresh pages in per task (arrays this large are

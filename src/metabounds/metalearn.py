@@ -188,11 +188,12 @@ def meta_kl(rho: MetaPosterior, kappa_pi: float) -> float:
 #
 # A certificate's arithmetic on the per-task risks and divergences is one
 # node. Its value and adjoints repeat, in the same order, the float
-# operations of the chain of diff ops that spells the certificate out (sums,
-# sums of squares, scalings, square roots), adjoint accumulation included,
-# so training follows the chain's path bit for bit. Like diff.sqrt, the
-# nodes reject a nonpositive square-root argument and let NaN through to the
-# training loops' finiteness checks.
+# operations of the chain of elementary ops that spells the certificate out
+# (sums, sums of squares, scalings, square roots), adjoint accumulation
+# included, so training follows the chain's path bit for bit; the tests
+# build that reference chain from the ops in tests/oracles.py. Like that
+# chain's sqrt, the nodes reject a nonpositive square-root argument and let
+# NaN through to the training loops' finiteness checks.
 
 
 def _check_sqrt_args(*args) -> None:
@@ -291,7 +292,10 @@ def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     """
     n, width = q.shape
     d = width // 2
-    p = theta1 - _log_variance_shift(d, cfg.kappa_rho)
+    # theta1 minus the shift; the adjoint gaussian_kl hands p is (2d,), as
+    # theta1 is, so it passes through unchanged
+    p = diff.Tensor(theta1.tape, theta1.value - _log_variance_shift(d, cfg.kappa_rho),
+                    (theta1,), lambda g: (g,))
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     return _meta_certificate_node(cfg, m, theta0, theta1, risk, diff.gaussian_kl(q, p))
@@ -302,7 +306,8 @@ def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
     """Single-task certificates of stacked posteriors against fixed priors.
 
     q is the (n, 2d) posterior node and prior the (n, 2d) array of prior
-    parameters; returns one certificate per task, (n,).
+    parameters, which the caller has checked to be finite (gaussian_kl takes
+    it unchecked); returns one certificate per task, (n,).
     """
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     return _adaptation_certificate_node(cfg, m, risk, diff.gaussian_kl(q, prior))

@@ -178,10 +178,10 @@ def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
     which this overwrites: the logistic losses are s itself, cross-entropy
     leaves the exponentials of its shifted logits in s.
 
-    The logistic branch repeats ``diff.softplus``'s float operations,
-    relu(t) + log(exp(-|t|) + 1), so before the clip its losses equal that
-    node's values bit for bit; it holds one scratch array of s's shape for
-    the relu, ``buffers["relu"]``.
+    The logistic branch repeats the float operations of the reference
+    ``softplus`` in ``tests/oracles.py``, relu(t) + log(exp(-|t|) + 1), so
+    before the clip its losses equal that op's values bit for bit; it holds
+    one scratch array of s's shape for the relu, ``buffers["relu"]``.
     """
     _check_clipped_loss(arch, loss)
     if loss.kind == "logistic_clipped":
@@ -287,14 +287,14 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     that is not ``CLIPPED_LOSS[arch.kind]``.
 
     Value and adjoint repeat, in the same order, the float operations of the
-    chain ``diff.reparam``, the forward pass (``draws @ x^T`` with x^T
-    contiguous, or ``tanh(x @ w1 + b1) @ w2 + b2`` on the four blocks
-    ``diff.slice`` cuts from the draws), ``diff.softplus`` of the scores
-    times ``2y - 1`` or ``diff.softmax_cross_entropy``, ``diff.clip_rescale``
-    and ``diff.mean`` over the draw and sample axes, so node and chain agree
-    bit for bit. The chain added the four blocks' adjoints, each zero-filled
-    to the draws' shape; here they tile one array, each entry plus 0.0 as in
-    that sum.
+    chain of reference ops in ``tests/oracles.py``: ``reparam``, the forward
+    pass (``draws @ x^T`` with x^T contiguous, or ``tanh(x @ w1 + b1) @ w2 +
+    b2`` on the four blocks ``slice`` cuts from the draws), ``softplus`` of
+    the scores times ``2y - 1`` or ``softmax_cross_entropy``,
+    ``clip_rescale`` and ``mean`` over the draw and sample axes, so node and
+    chain agree bit for bit. The chain adds the four blocks' adjoints, each
+    zero-filled to the draws' shape; here they tile one array, each entry
+    plus 0.0 as in that sum.
     """
     if loss.kind == "zero_one":
         raise ValueError(f"loss kind {loss.kind!r} is not differentiable")

@@ -67,8 +67,11 @@ def forced_kernel_settings() -> dict:
 
     ``shown`` is the part of :func:`kernel_report` that the child must then
     print, and ``skip`` is why this host cannot take the setting, or None.
-    The numpy setting disables every dispatch target the host enabled, which
-    leaves numpy on its X86_V2 baseline.
+    The numpy setting disables every dispatch target this process enabled,
+    together with those its own ``NPY_DISABLE_CPU_FEATURES`` already
+    disabled, which leaves numpy on its X86_V2 baseline. (A process that is
+    itself capped enabled none, so without its own list the child would
+    disable nothing.)
     """
     baseline, enabled, features = _simd_targets()
     core = _openblas_core()
@@ -81,6 +84,8 @@ def forced_kernel_settings() -> dict:
         settings[f"openblas-{name.lower()}"] = (
             {"OPENBLAS_CORETYPE": name}, f"OpenBLAS core {name}", skip)
     skip = None if baseline[-1:] == ["X86_V2"] else f"numpy's SIMD baseline is {baseline}"
+    capped = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    disabled = " ".join(dict.fromkeys(capped + enabled))
     settings["numpy-x86-v2"] = (
-        {"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}, "numpy SIMD X86_V2", skip)
+        {"NPY_DISABLE_CPU_FEATURES": disabled}, "numpy SIMD X86_V2", skip)
     return settings

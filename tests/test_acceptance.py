@@ -15,19 +15,15 @@ import numpy as np
 import pytest
 
 from metabounds import diff
-from metabounds.audit import audit_bound_validity, quadrature_kl_1d
+from metabounds.audit import audit_bound_validity
 from metabounds.bounds import (
     MetaBoundInput,
     kl_decomposition_check,
-    lambda_star,
-    lemma2_grid_minimum,
     multitask_sqrt_term,
-    random_discrete_system,
     theorem1_bound,
     theorem2_bound,
 )
 from metabounds.cli import main
-from metabounds.diff import gradcheck
 from metabounds.env import (
     BlobsSpec,
     LinearEnvSpec,
@@ -52,6 +48,15 @@ from metabounds.metalearn import (
 from metabounds.model import LossSpec, ModelArchitecture, StochasticModel, taped_mc_risk
 from metabounds.pipelines import prior_mean_point, rule_test_loss
 from metabounds.rng import spawn_seed, stream
+
+import oracles as ops
+from oracles import (
+    gradcheck,
+    lambda_star,
+    lemma2_grid_minimum,
+    quadrature_kl_1d,
+    random_discrete_system,
+)
 
 LINEAR = ModelArchitecture("linear", input_dim=2, num_classes=2)
 LOGISTIC = LossSpec("logistic_clipped")
@@ -124,23 +129,26 @@ def test_criterion_3_objective_gradients(capsys):
     prior = DiagonalGaussian(np.array([0.2, -0.1]), np.array([-2.0, -1.5]))
     eps = np.random.default_rng(77).standard_normal(2)
 
-    # Single-task certificate built from the public autodiff pieces: risk term
-    # plus the square-root slack with the 2*sqrt(m) confidence constant.
+    # Single-task certificate built from the reference ops of tests/oracles.py:
+    # risk term plus the square-root slack with the 2*sqrt(m) confidence
+    # constant.
     task = tasks[0]
 
     def build_single(ps):
         tape = diff.Tape()
         q = tape.tensor(ps[0])
-        qm = diff.slice(q, slice(0, 2))
-        qlv = diff.slice(q, slice(2, 4))
+        qm = ops.slice(q, slice(0, 2))
+        qlv = ops.slice(q, slice(2, 4))
         pm = tape.tensor(prior.mean)
         plv = tape.tensor(prior.log_var)
         risk = taped_mc_risk(LINEAR, q, task.train_x, task.train_y, LOGISTIC, eps[None])
-        dm = qm - pm
-        kl = (diff.sum(diff.exp(qlv - plv)) + diff.sum(dm * dm * diff.exp(-plv))
-              - float(prior.dim) + diff.sum(plv) - diff.sum(qlv)) * 0.5
-        slack = kl + math.log(2.0 * math.sqrt(task.m) / cfg.delta)
-        return risk + diff.sqrt(slack * (1.0 / (2.0 * task.m))), [q]
+        dm = ops.sub(qm, pm)
+        kl = ops.mul(ops.sub(ops.add(ops.sub(ops.add(
+            diff.sum(ops.exp(ops.sub(qlv, plv))),
+            diff.sum(ops.mul(ops.mul(dm, dm), ops.exp(ops.mul(plv, -1.0))))),
+            float(prior.dim)), diff.sum(plv)), diff.sum(qlv)), 0.5)
+        slack = ops.add(kl, math.log(2.0 * math.sqrt(task.m) / cfg.delta))
+        return ops.add(risk, ops.sqrt(ops.mul(slack, 1.0 / (2.0 * task.m)))), [q]
 
     # The public objectives build a training step's tape: the posterior is
     # one leaf, and a meta point is the theta1 leaf plus one stacked leaf of

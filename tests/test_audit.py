@@ -1,4 +1,5 @@
-"""Tests for the quadrature oracle and the bound-validity auditor."""
+"""Tests for the bound-validity auditor and the quadrature oracle of
+tests/oracles.py."""
 
 import math
 from dataclasses import replace
@@ -11,7 +12,6 @@ from metabounds.audit import (
     AuditRecord,
     AuditReport,
     audit_bound_validity,
-    quadrature_kl_1d,
 )
 from metabounds.env import LinearEnvSpec, sample_tasks, true_risk_mc
 from metabounds.gauss import DiagonalGaussian, kl_diag_gaussian
@@ -19,6 +19,8 @@ from metabounds.metalearn import TrainConfig, adapt_many
 from metabounds.model import LossSpec, ModelArchitecture
 from metabounds.pipelines import fit_two_prior_system, trained_bound_breakdown
 from metabounds.rng import stream
+
+from oracles import quadrature_kl_1d
 
 
 def _g(mean, var):

@@ -1,4 +1,5 @@
-"""Tests for the certificate evaluators and the discrete decomposition check.
+"""Tests for the certificate evaluators, the discrete decomposition check and
+the trade-off parameter oracles of tests/oracles.py.
 
 Closed-form reference values were computed by hand from the defining
 expressions (logs and square roots on a calculator, kept to full double
@@ -17,15 +18,13 @@ from metabounds.bounds import (
     MetaBoundInput,
     adaptation_bound,
     kl_decomposition_check,
-    lambda_star,
-    lemma2_grid_minimum,
-    lemma2_lambda_form,
     multitask_sqrt_term,
-    random_discrete_system,
     task_level_term,
     theorem1_bound,
     theorem2_bound,
 )
+
+from oracles import lambda_star, lemma2_grid_minimum, lemma2_lambda_form, random_discrete_system
 
 
 class TestAdaptationBound:

@@ -322,6 +322,30 @@ def test_closed_form_golden_holds_under_other_kernels(tmp_path, setting):
     assert hashlib.sha256(body.encode()).hexdigest() == digest, f"ran on {report}"
 
 
+_CAP_CHILD = """\
+from host_kernels import forced_kernel_settings
+print(forced_kernel_settings()["numpy-x86-v2"][0]["NPY_DISABLE_CPU_FEATURES"])
+"""
+
+
+def test_a_capped_process_hands_its_cap_on():
+    """forced_kernel_settings() in a process whose numpy is already capped at
+    X86_V2 still disables the capped targets, so the child it sets up runs
+    on X86_V2 too."""
+    variables, _, skip = forced_kernel_settings()["numpy-x86-v2"]
+    if skip is not None:
+        pytest.skip(skip)
+    capped = variables["NPY_DISABLE_CPU_FEATURES"].split()
+    if not capped:
+        pytest.skip("numpy enabled no dispatch target on this CPU")
+    env = {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _CAP_CHILD],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert set(capped) <= set(done.stdout.split()), done.stdout
+
+
 def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):
     calls = {"pool": 0, "held_out": 0, "sign_risk": 0}
 

@@ -316,7 +316,7 @@ class TestOraclesWriteIntoNoCallerArray:
 # mc_samples) = (50, 30), (1, 30) and (50, 1), followed by mc_empirical_risk on
 # the training set at mc_samples 40 and 1, per oracle case. Recorded before
 # the Monte-Carlo risks were computed in one owned buffer; the logistic one was
-# re-recorded when its loss took diff.softplus's float operations in place of
+# re-recorded when its loss took softplus's float operations (tests/oracles.py) in place of
 # np.logaddexp (within an ulp, see test_model.TestLogisticKernel). Any change to
 # the oracles' floats moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
 ORACLE_DIGESTS = {

@@ -18,7 +18,7 @@ from metabounds.bounds import (
     theorem1_bound,
 )
 from metabounds import diff, metalearn
-from metabounds.diff import backward, gradcheck
+from metabounds.diff import backward
 from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
 from metabounds.gauss import (
     DiagonalGaussian,
@@ -52,6 +52,8 @@ from metabounds.model import (
 from metabounds.rng import stream
 
 from host_kernels import kernel_report
+import oracles as ops
+from oracles import gradcheck
 
 LINEAR = ModelArchitecture("linear", input_dim=2)
 LOGISTIC = LossSpec("logistic_clipped")
@@ -347,41 +349,46 @@ class TestMetaObjective:
 
 
 def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
-    """metalearn._meta_certificate spelled out as a chain of diff ops, kept
-    as the reference of its one-node arithmetic: the divergence from theta1
-    with its log-variances lowered by kappa_rho**2 / 2, plus n times the
-    spread term of the expectation over regularization priors. Returns the
+    """metalearn._meta_certificate spelled out as a chain of reference ops,
+    kept as the reference of its one-node arithmetic: the divergence from
+    theta1 with its log-variances lowered by kappa_rho**2 / 2, plus n times
+    the spread term of the expectation over regularization priors. Returns the
     certificate and its risk and divergence nodes."""
     n, width = q.shape
     d = width // 2
     half = 0.5 * cfg.kappa_rho**2
-    p = theta1 - np.concatenate([np.zeros(d), np.full(d, half)])
+    p = ops.sub(theta1, np.concatenate([np.zeros(d), np.full(d, half)]))
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = diff.gaussian_kl(q, p)
     kl_sum = diff.sum(kl)
-    spread = diff.sum(diff.exp(half - diff.slice(theta1, np.s_[d:])) + 0.5) * (half * n)
+    spread = ops.mul(diff.sum(ops.add(ops.exp(ops.sub(half, ops.slice(theta1, np.s_[d:]))), 0.5)),
+                     half * n)
 
     def sum_squares(theta):
-        return diff.sum(theta * theta) if isinstance(theta, diff.Tensor) else np.sum(theta * theta)
+        if isinstance(theta, diff.Tensor):
+            return diff.sum(ops.mul(theta, theta))
+        return np.sum(theta * theta)
 
-    squares = sum_squares(theta0) + sum_squares(theta1)
+    squares = ops.add(sum_squares(theta0), sum_squares(theta1))
     scale, shift = metalearn._meta_kl_coefficients(d, cfg.kappa_rho, cfg.kappa_pi)
-    mkl = squares * scale + shift
-    empirical = diff.sum(risk) * (1.0 / n)
-    task_term = diff.sqrt((mkl + task_level_slack(n, cfg.delta)) * (1.0 / (2.0 * n)))
-    multi_term = diff.sqrt((mkl + kl_sum + spread + multitask_slack(n, m, cfg.delta))
-                           * (1.0 / (2.0 * n * m)))
-    return empirical + task_term + multi_term, risk, kl
+    mkl = ops.add(ops.mul(squares, scale), shift)
+    empirical = ops.mul(diff.sum(risk), 1.0 / n)
+    task_term = ops.sqrt(ops.mul(ops.add(mkl, task_level_slack(n, cfg.delta)), 1.0 / (2.0 * n)))
+    multi_term = ops.sqrt(ops.mul(
+        ops.add(ops.add(ops.add(mkl, kl_sum), spread), multitask_slack(n, m, cfg.delta)),
+        1.0 / (2.0 * n * m)))
+    return ops.add(ops.add(empirical, task_term), multi_term), risk, kl
 
 
 def _chain_adaptation_certificates(cfg, m, q, prior, x, y, eps):
-    """metalearn._adaptation_certificates as a chain of diff ops, kept as the
-    reference of its one-node arithmetic. Returns the (n,) certificates and
-    their risk and divergence nodes."""
+    """metalearn._adaptation_certificates as a chain of reference ops, kept as
+    the reference of its one-node arithmetic. Returns the (n,) certificates
+    and their risk and divergence nodes."""
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = diff.gaussian_kl(q, prior)
-    return risk + diff.sqrt((kl + multitask_slack(1, m, cfg.delta)) * (1.0 / (2.0 * m))), risk, kl
+    root = ops.sqrt(ops.mul(ops.add(kl, multitask_slack(1, m, cfg.delta)), 1.0 / (2.0 * m)))
+    return ops.add(risk, root), risk, kl
 
 
 def _fused(certificate):
@@ -418,9 +425,9 @@ def _certificate_setup(arch, n, seed):
 
 class TestCertificateNodes:
     """Each certificate's arithmetic is one node. Its value and the adjoints
-    it hands on equal, bit for bit, those of the chain of diff ops it stands
-    for; a reordered float operation changes the last bit at some of the
-    points compared."""
+    it hands on equal, bit for bit, those of the chain of reference ops it
+    stands for; a reordered float operation changes the last bit at some of
+    the points compared."""
 
     @pytest.mark.parametrize("form", ["tied", "frozen"])
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
@@ -459,7 +466,7 @@ class TestCertificateNodes:
             tape = diff.Tape()
             q = tape.tensor(q_value)
             out, risk, kl = certificates(cfg, 6, q, prior, x, y, eps)
-            backward(diff.sum(out * weights))
+            backward(diff.sum(ops.mul(out, weights)))
             return out.value, risk.grad, kl.grad, q.grad
 
         fused = run(_fused(metalearn._adaptation_certificates))
@@ -495,7 +502,7 @@ class TestCertificateNodes:
             tape = diff.Tape()
             risk, kl = tape.tensor(ps[0]), tape.tensor(ps[1])
             node = metalearn._adaptation_certificate_node(cfg, 9, risk, kl)
-            return diff.sum(node * weights), [risk, kl]
+            return diff.sum(ops.mul(node, weights)), [risk, kl]
 
         assert gradcheck(build, [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3)]) <= 1e-6
 
@@ -514,7 +521,7 @@ class TestCertificateNodes:
         cfg = _cfg()
         tape = diff.Tape()
         risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
-        nan_kl = tape.tensor(np.array([0.0, 1.0])) * np.inf
+        nan_kl = ops.mul(tape.tensor(np.array([0.0, 1.0])), np.inf)
         assert np.isnan(metalearn._meta_certificate_node(cfg, 7, theta, theta, risk, nan_kl).value)
         values = metalearn._adaptation_certificate_node(cfg, 7, risk, nan_kl).value
         assert np.isnan(values[0]) and values[1] == np.inf
@@ -719,6 +726,29 @@ class TestStepTapes:
             adapt_many(rho, tasks, cfg, adapt_epochs=2,
                        rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
         assert leaked == []
+
+    def test_finiteness_checks_per_step(self, monkeypatch):
+        """A run checks its data once. Then a meta step checks its two
+        leaves and its weight noise, and an adapt step its one leaf and its
+        noise: the fixed priors an adapt step measures against were checked
+        once, before the first step."""
+        checked = []
+        real_finite = diff._finite
+
+        def counting_finite(arr):
+            checked.append(arr.shape)
+            return real_finite(arr)
+
+        monkeypatch.setattr(diff, "_finite", counting_finite)
+        tasks, cfg = _step_setup(LINEAR)
+        # one step per epoch; a stage of one epoch each
+        rho, _ = train_meta(tasks, cfg)
+        assert len(checked) == 2 + 2 * 3
+        for epochs in (1, 2):
+            checked.clear()
+            adapt_many(rho, tasks, cfg, adapt_epochs=epochs,
+                       rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+            assert len(checked) == 2 + epochs * 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverging_step_leaves_no_cyclic_garbage(self):
@@ -1021,6 +1051,26 @@ class TestAdaptMany:
         with pytest.raises(TrainingDiverged, match="non-finite"):
             adapt_many(rho, _toy_tasks(2, 6), _cfg(), adapt_epochs=1,
                        rngs=[stream(2, "adapt", i) for i in range(2)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_prior_stops_the_run_before_its_first_step(self, monkeypatch):
+        """The divergence node takes the prior rows unchecked on every step,
+        so adapt_many checks them once, before the first backward pass."""
+        passes = []
+        real_backward = diff.backward
+
+        def counting_backward(out):
+            passes.append(out.idx)
+            real_backward(out)
+
+        monkeypatch.setattr(diff, "backward", counting_backward)
+        # the initializations stay finite; the priors near the largest float
+        # overflow
+        rho = MetaPosterior(np.zeros(4), np.full(4, 1.79e308), 1e307)
+        with pytest.raises(TrainingDiverged, match="sampled initialization or prior"):
+            adapt_many(rho, _toy_tasks(2, 6), _cfg(), adapt_epochs=1,
+                       rngs=[stream(2, "adapt", i) for i in range(2)])
+        assert passes == []
 
     def test_rejects_generator_count_mismatch(self):
         tasks = _toy_tasks(2, 6)

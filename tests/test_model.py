@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metabounds import diff
-from metabounds.diff import Tape, backward, gradcheck
+from metabounds.diff import Tape, backward
 from metabounds.gauss import DiagonalGaussian, isotropic
 from metabounds.model import (
     LossSpec,
@@ -20,6 +20,9 @@ from metabounds.model import (
     scores_batch,
     taped_mc_risk,
 )
+
+import oracles as ops
+from oracles import gradcheck
 
 LINEAR2 = ModelArchitecture("linear", 2)
 MLP = ModelArchitecture("mlp1", 3, num_classes=4, hidden_dim=5)
@@ -128,8 +131,8 @@ def _kernel_scores():
 
 
 class TestLogisticKernel:
-    """The oracles' clipped logistic loss, computed with diff.softplus's
-    float operations in place of np.logaddexp. Label 1 scores the loss of
+    """The oracles' clipped logistic loss, computed with the reference
+    softplus's float operations in place of np.logaddexp. Label 1 scores the loss of
     t = s, label 0 that of t = -s."""
 
     @pytest.mark.parametrize("label", [0, 1])
@@ -145,7 +148,7 @@ class TestLogisticKernel:
         t = _kernel_scores()
         finite = t[np.isfinite(t)]
         with Tape() as tape:
-            softplus = diff.softplus(tape.tensor(finite)).value
+            softplus = ops.softplus(tape.tensor(finite)).value
         # dividing by a power of two is exact where the quotient stays
         # normal; softplus is 0 or at least 2.2e-16, so each clip recovers
         # the unclipped losses in its range bit for bit
@@ -314,36 +317,36 @@ class TestTapedRisk:
 
 
 def _chain_mc_risk(arch, loss, q, x, y, eps):
-    """The chain of diff ops that taped_mc_risk stands for, kept as the
+    """The chain of reference ops that taped_mc_risk stands for, kept as the
     reference of its one node: reparametrized draws, the forward pass on them
     (for mlp1 on the four blocks sliced from the draws), the logistic or
     cross-entropy loss, clip and rescale, and the mean over draws and
     samples. Returns the risk and the score and raw-loss nodes."""
-    draws = diff.reparam(q, eps)
+    draws = ops.reparam(q, eps)
     if arch.kind == "linear":
-        scores = diff.matmul(draws, np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+        scores = ops.matmul(draws, np.ascontiguousarray(np.swapaxes(x, -1, -2)))
     else:
         lead = draws.shape[:-1]
         # biases are cut to (..., K, 1, width), broadcasting over the samples
-        w1, b1, w2, b2 = (diff.slice(draws, (Ellipsis, span),
-                                     lead + (1,) * (2 - len(shape)) + shape)
+        w1, b1, w2, b2 = (ops.slice(draws, (Ellipsis, span),
+                                    lead + (1,) * (2 - len(shape)) + shape)
                           for _, span, shape in block_layout(arch))
-        h = diff.tanh(diff.matmul(x[..., None, :, :], w1) + b1)
-        scores = diff.matmul(h, w2) + b2
+        h = ops.tanh(ops.add(ops.matmul(x[..., None, :, :], w1), b1))
+        scores = ops.add(ops.matmul(h, w2), b2)
     y = np.asarray(y)[..., None, :]
     if loss.kind == "logistic_clipped":
-        raw = diff.softplus(scores * (2.0 * y - 1.0))
+        raw = ops.softplus(ops.mul(scores, 2.0 * y - 1.0))
     else:
-        raw = diff.softmax_cross_entropy(scores, y)
-    return diff.mean(diff.clip_rescale(raw, loss.clip_max), axis=(-2, -1)), scores, raw
+        raw = ops.softmax_cross_entropy(scores, y)
+    return ops.mean(ops.clip_rescale(raw, loss.clip_max), axis=(-2, -1)), scores, raw
 
 
 class TestRiskNode:
     """taped_mc_risk is one node, child of q alone. Its value and the adjoint
-    it hands q equal, bit for bit, those of the chain of diff ops it stands
-    for, on points where losses lie both below and above clip_max (adjoint
-    0) and, for linear, a score of a nonzero input is exactly 0 (softplus's
-    adjoint there is 1/2)."""
+    it hands q equal, bit for bit, those of the chain of reference ops it
+    stands for, on points where losses lie both below and above clip_max
+    (adjoint 0) and, for linear, a score of a nonzero input is exactly 0
+    (softplus's adjoint there is 1/2)."""
 
     @pytest.mark.parametrize("mc_train", [1, 3])
     @pytest.mark.parametrize("stacked", [False, True], ids=["row", "rows"])
@@ -379,7 +382,7 @@ class TestRiskNode:
             tape = Tape()
             q = tape.tensor(q_value)
             risk = risk_of(q)
-            backward(diff.sum(risk * weights))
+            backward(diff.sum(ops.mul(risk, weights)))
             return risk.value, q.grad
 
         def fused(q):
