@@ -79,7 +79,10 @@ def _audit_trial(env_spec, n: int, m: int, cfg: TrainConfig, index: int,
 
     The held-out tasks are adapted in the pass that adapts the training
     tasks, each on its own ``audit-adapt`` stream, and scored in one oracle
-    call that draws from the ``audit-eval`` stream after their sampling.
+    call that draws from the ``audit-eval`` stream after their sampling:
+    ``eval_points`` points per task, and for an mlp1 model ``mc_eval``
+    weight draws after them. A linear model takes no weight draws (see
+    :func:`~metabounds.env.true_risks_mc`).
     """
     trial_cfg = replace(cfg, seed=seed)
     tasks = sample_tasks(env_spec, n, m, stream(seed, "audit-tasks"))

@@ -120,12 +120,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.add.reduce(g, axis=axes, keepdims=True) if axes else g
 
 
-def constant(value):
-    """A constant operand: a number as a float, anything else as a finite
-    float64 array (not copied). Raises ValueError on a non-finite entry.
-    Nodes built outside this module check their constants with it too."""
-    if isinstance(value, (int, float)):
-        return float(value)
+def constant(value) -> np.ndarray:
+    """A constant operand as a finite float64 array (not copied). Raises
+    ValueError on a non-finite entry. Nodes built outside this module check
+    their constants with it too."""
     return _finite(np.asarray(value, dtype=np.float64))
 
 

@@ -8,25 +8,39 @@ drawn label permutation, or by a permutation of a fixed coordinate
 subset. The oracle estimates the unobservable true risk of a stochastic
 model on a task by fresh sampling.
 
-The oracle draws a task's B = n_eval inputs first and its K = mc_samples
-weight vectors second, from the same generator. A clipped loss is computed
-in place in the K x B buffer of linear scores (320 KB at K = B = 200); the
-logistic loss repeats the float operations of the reference ``softplus``
-in ``tests/oracles.py`` and holds one more K x B scratch buffer for its
-relu. The 0-1 loss is one new K x B array. For mlp1 the forward pass holds one K x B x hidden buffer and one
-K x B x classes buffer of logits. One oracle call makes these buffers once
-and reuses them for each of its tasks, so scoring many tasks in one call
-does not fault fresh pages in per task (arrays this large are
-memory-mapped anew by the allocator); they are freed when the call returns.
+The oracle draws a task's B = n_eval inputs from its generator. For a
+linear model it then needs no weight draws: under a diagonal Gaussian
+posterior N(mu, diag sigma^2) the score of a point x is Gaussian,
+N(mu.x, sum_j sigma_j^2 x_j^2), so the expected loss over the weights is a
+one-dimensional integral per point. The 0-1 risk is then an exact normal
+tail, and the clipped logistic risk a fixed Gauss-Hermite sum over
+``QUADRATURE_NODES`` scores per point, held in one nodes x B buffer (with
+the logistic loss's relu scratch buffer of the same shape). For mlp1 the
+oracle draws K = mc_samples weight vectors after the inputs; its forward
+pass holds one K x B x hidden buffer and one K x B x classes buffer of
+logits. One oracle call makes these buffers once and reuses them for each
+of its tasks; they are freed when the call returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .model import LossSpec, StochasticModel, _mc_losses
+from .gauss import normal_cdf
+from .model import (LossSpec, StochasticModel, _buffer, _clipped_loss_in_place, _mc_losses,
+                    predicted_labels, scores_batch)
+
+# Gauss-Hermite nodes per point behind the linear oracle's clipped logistic
+# risk. The clip's kink limits the rule: against a 200,001-point trapezoid
+# reference over 400 points spread around the kink, the worst point is off
+# by 2.3e-5, 2.3e-3 and 2.4e-2 at score sd 0.01, 1 and 10, and their mean
+# by at most 1.0e-6 (tests/test_env.py). Audited posteriors have score sd
+# about 0.005.
+QUADRATURE_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -170,17 +184,80 @@ def sample_tasks(spec, n: int, m: int, rng: np.random.Generator) -> list[Task]:
     return tasks
 
 
+@lru_cache(maxsize=None)
+def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points z_i and weights w_i, both read-only, of the Gauss-Hermite rule
+    E f(Z) ~ sum_i w_i f(z_i) for Z ~ N(0, 1), exact for polynomials of
+    degree below 2 * nodes.
+
+    The points are the roots of p_nodes, the orthonormal Hermite polynomial
+    of that degree, bracketed by sign changes on a grid and polished by
+    Newton's method with p_n' = sqrt(n) p_(n-1); the weights are the
+    Christoffel numbers 1 / sum_(k < nodes) p_k(z_i)^2. Unlike
+    numpy.polynomial's hermgauss, this imports nothing and calls no
+    eigenvalue solver, which would cost the process memory.
+    """
+    def hermite(z):
+        """p_(nodes-1)(z), p_nodes(z) and sum_(k < nodes) p_k(z)^2, by the
+        three-term recurrence."""
+        prev, cur, squares = np.zeros_like(z), np.ones_like(z), np.zeros_like(z)
+        for k in range(nodes):
+            squares += cur * cur
+            prev, cur = cur, (z * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+        return prev, cur, squares
+
+    # the roots lie within sqrt(4 nodes + 2) of 0 and at least 1 / sqrt(nodes)
+    # apart, so each grid cell holds at most one, and Newton converges from
+    # the cells' midpoints in a few steps
+    reach = 2.0 * math.sqrt(nodes) + 1.0
+    grid = np.linspace(-reach, reach, 20 * nodes + 1)
+    top = hermite(grid)[1]
+    left = np.flatnonzero(np.signbit(top[:-1]) != np.signbit(top[1:]))
+    points = 0.5 * (grid[left] + grid[left + 1])
+    for _ in range(6):
+        below, top, _ = hermite(points)
+        points = points - top / (math.sqrt(nodes) * below)
+    weights = 1.0 / hermite(points)[2]
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
+
+
+def _linear_point_risks(model: StochasticModel, x: np.ndarray, y: np.ndarray,
+                        loss: LossSpec, buffers: dict) -> np.ndarray:
+    """(B,) expected losses of a linear model on its B points, over the
+    weights: the score of x is N(m, sd^2) with m = mu.x and sd^2 =
+    sum_j sigma_j^2 x_j^2. The 0-1 loss is the normal tail Phi((2y - 1) m / sd),
+    or the 0-1 loss of m where sd is 0; a clipped loss is the weighted sum
+    of its values at the Gauss-Hermite scores m + sd * z_i."""
+    post = model.posterior
+    mean = scores_batch(model.arch, post.mean, x)
+    sd = np.sqrt(scores_batch(model.arch, post.var, x * x))
+    if loss.kind == "zero_one":
+        spread = sd > 0.0
+        tail = normal_cdf(mean / np.where(spread, sd, 1.0) * (2.0 * y - 1.0))
+        return np.where(spread, tail, predicted_labels(model.arch, mean) != y)
+    points, weights = _normal_rule(QUADRATURE_NODES)
+    grid = np.multiply(points[:, None], sd, out=_buffer(buffers, "grid", (len(points), len(x))))
+    grid += mean
+    losses = _clipped_loss_in_place(loss, model.arch, grid, y, buffers)
+    losses *= weights[:, None]
+    return np.add.reduce(losses, axis=0)
+
+
 def true_risks_mc(tasks: list[Task], models: list[StochasticModel], loss: LossSpec,
                   n_eval: int, rngs: list[np.random.Generator], *,
                   mc_samples: int) -> list[tuple[float, float]]:
-    """Monte-Carlo estimate of the true risk of ``models[i]`` on
-    ``tasks[i]``, with its standard error, for every task.
+    """Estimate of the true risk of ``models[i]`` on ``tasks[i]``, with its
+    standard error, for every task.
 
-    Averages the loss over n_eval fresh samples and mc_samples posterior
-    weight draws. The reported standard error combines both noise sources
-    (sample spread at fixed weights, weight spread at fixed samples).
-    Task i draws its samples, then its weights, from ``rngs[i]``; one
-    generator passed for every task is drawn from task after task. The
+    Averages the loss over n_eval fresh samples. Over the weights, a linear
+    model's loss is exact (0-1) or a ``QUADRATURE_NODES``-point quadrature
+    (clipped logistic) per sample, so the standard error is the sample
+    spread alone. An mlp1 model's loss is averaged over mc_samples
+    posterior weight draws, and its standard error combines both noise
+    sources (sample spread at fixed weights, weight spread at fixed
+    samples). Task i draws its samples, then any weights, from ``rngs[i]``;
+    one generator passed for every task is drawn from task after task. The
     tasks share one set of loss buffers, freed when the call returns.
     """
     if n_eval < 1 or mc_samples < 1:
@@ -191,12 +268,16 @@ def true_risks_mc(tasks: list[Task], models: list[StochasticModel], loss: LossSp
     estimates = []
     for task, model, rng in zip(tasks, models, rngs):
         x, y = task.draw(n_eval, rng)
-        vals = _mc_losses(model, x, y, loss, mc_samples, rng, buffers)
-        per_sample = vals.mean(axis=0)
-        per_draw = vals.mean(axis=1)
+        var_w = 0.0
+        if model.arch.kind == "linear":
+            per_sample = _linear_point_risks(model, x, y, loss, buffers)
+        else:
+            vals = _mc_losses(model, x, y, loss, mc_samples, rng, buffers)
+            per_sample = vals.mean(axis=0)
+            if mc_samples > 1:
+                var_w = float(vals.mean(axis=1).var(ddof=1)) / mc_samples
         risk = float(per_sample.mean())
         var_x = float(per_sample.var(ddof=1)) / n_eval if n_eval > 1 else 0.0
-        var_w = float(per_draw.var(ddof=1)) / mc_samples if mc_samples > 1 else 0.0
         estimates.append((risk, float(np.sqrt(var_x + var_w))))
     return estimates
 

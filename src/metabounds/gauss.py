@@ -8,6 +8,7 @@ optimization of them is unconstrained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,15 @@ class DiagonalGaussian:
     @property
     def std(self) -> np.ndarray:
         return np.exp(0.5 * self.log_var)
+
+
+def normal_cdf(z: np.ndarray) -> np.ndarray:
+    """The standard normal distribution function Phi(z) = (1 + erf(z / sqrt 2)) / 2,
+    elementwise, of a float array of any shape."""
+    # numpy has no erf, and math.erf is fastest on Python floats
+    erfs = np.fromiter(map(math.erf, (z / math.sqrt(2.0)).ravel().tolist()),
+                       dtype=np.float64, count=z.size)
+    return 0.5 * (1.0 + erfs.reshape(z.shape))
 
 
 def isotropic(mean: np.ndarray, variance: float) -> DiagonalGaussian:

@@ -34,6 +34,7 @@ from .gauss import (
     expected_kl_under_gaussian_mean,  # noqa: F401 - bench/tracer.py wraps it on this module
     isotropic,
     kl_diag_gaussian,
+    normal_cdf,
 )
 from .metalearn import (
     MetaPosterior,
@@ -181,11 +182,7 @@ def gaussian_sign_risk(w_mean: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
     norms = np.linalg.norm(x, axis=-1)
     norms = np.where(norms < 1e-12, 1e-12, norms)
     z = np.add.reduce(x * w_mean[..., None, :], axis=-1) / (PRIOR_STD * norms)
-    signed = z * (2.0 * y - 1.0)
-    # numpy has no erf, and math.erf is fastest on Python floats
-    erfs = np.fromiter(map(math.erf, (signed / math.sqrt(2.0)).ravel().tolist()),
-                       dtype=np.float64, count=signed.size)
-    return np.mean(0.5 * (1.0 + erfs.reshape(signed.shape)), axis=-1)
+    return np.mean(normal_cdf(z * (2.0 * y - 1.0)), axis=-1)
 
 
 def rule_test_loss(spec: LinearEnvSpec, m: int, seed: int, *, eval_tasks: int = 20,
@@ -349,7 +346,8 @@ def two_prior_point(spec: LinearEnvSpec, tasks: list[Task], seed: int, cfg: Trai
 
     Fresh tasks from the same environment measure the oracle test loss: each
     is adapted with the trained rule, in the pass that adapts the training
-    tasks, and its resulting model scored on newly drawn points.
+    tasks, and its resulting model scored on newly drawn points, its loss
+    averaged over the weights without draws (see :func:`true_risks_mc`).
     """
     test_rng = stream(seed, "trained-test")
     fresh = sample_tasks(spec, eval_tasks, tasks[0].m, test_rng)

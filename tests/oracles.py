@@ -35,6 +35,14 @@ from metabounds.diff import Tensor, _same_tape, _spread, _unbroadcast, backward,
 from metabounds.gauss import DiagonalGaussian
 
 
+def _constant(value):
+    """A constant operand: a number as a float, anything else as
+    ``diff.constant`` checks it."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    return constant(value)
+
+
 def _operands(a, b):
     """Values of a binary op's operands: Tensors on one tape, or one Tensor
     and one constant."""
@@ -42,10 +50,10 @@ def _operands(a, b):
         if isinstance(b, Tensor):
             _same_tape(a, b)
             return a.value, b.value
-        return a.value, constant(b)
+        return a.value, _constant(b)
     if not isinstance(b, Tensor):
         raise TypeError("at least one operand must be a Tensor")
-    return constant(a), b.value
+    return _constant(a), b.value
 
 
 def _node(a, b, value, vjp_a, vjp_b) -> Tensor:

@@ -261,16 +261,19 @@ UNSORTED_SWEEP = """\
 # sha256 of the CSV bodies (the lines outside '#' comments, joined by
 # newlines) at seed 0, recorded when each sweep row was priced on its own;
 # "two_prior" re-recorded when its expected task divergence became exact,
-# and again when training took that expectation exactly too; "readme"
-# re-recorded when the closed-form pricing stopped calling BLAS, whose
-# matmul kernel, and so its rounding, OpenBLAS picks per CPU; "unsorted"
-# recorded while each row still re-fitted and re-priced its own prefix.
+# again when training took that expectation exactly too, and again when the
+# linear oracle behind its meta_test_loss column took the expectation over
+# the weights per point in place of mc_eval weight draws (no other column
+# moved); "readme" re-recorded when the closed-form pricing stopped calling
+# BLAS, whose matmul kernel, and so its rounding, OpenBLAS picks per CPU;
+# "unsorted" recorded while each row still re-fitted and re-priced its own
+# prefix.
 # Bit-exact floats: recorded with numpy 2.4 and OpenBLAS on x86-64.
 GOLDEN_BODIES = {
     "readme": (README_SWEEP,
                "7e4bba0512d966c28245edac2d8e885031280ee17d7e3e48fe5e0950870b466a"),
     "two_prior": (TWO_PRIOR_SMALL,
-                  "d261b15d5d33fbf9e5de7b5c3cca14e60c0a95353c63bd758a5a6c86243616cf"),
+                  "c781d2f08d645ed35a54b74eb3efdab92a41a414de52870f7b31cb4c62f696fe"),
     "unsorted": (UNSORTED_SWEEP,
                  "6e33dacb5ef783022c3bc5270f3a69460f6f53f71196efbc492595a9a44cf583"),
 }

@@ -1,15 +1,19 @@
 """Tests for synthetic task environments and the true-risk oracle."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from metabounds.env import (
     BlobsSpec,
     LinearEnvSpec,
     PermutedEnvSpec,
     Task,
+    _linear_point_risks,
+    _normal_rule,
     sample_tasks,
     true_risk_mc,
     true_risks_mc,
@@ -147,8 +151,10 @@ class TestTrueRiskOracle:
 
     def test_standard_error_reported(self):
         task = self._task_with_w_star([10.0, 10.0])
+        # a zero mean would put every point's exact risk at 0.5, and so the
+        # standard error, the points' spread alone, at 0
         model = StochasticModel(LINEAR2,
-                                DiagonalGaussian(np.zeros(2), np.zeros(2)))
+                                DiagonalGaussian(np.array([1.0, -1.0]), np.zeros(2)))
         risk, se = true_risk_mc(task, model, LossSpec("zero_one"), 500,
                                 np.random.default_rng(4), mc_samples=64)
         assert 0.0 < se < 0.1
@@ -197,10 +203,15 @@ def _oracle_setup(arch):
 
 
 class TestVectorizedOracles:
-    """The draw-batched oracles against the one-draw-at-a-time formulas."""
+    """The batched oracles against formulas evaluated one point or one draw
+    at a time."""
 
     @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
     def test_true_risk_matches_per_draw_loop(self, arch, kind):
+        """mlp1 against a loop over weight draws; linear, whose oracle
+        takes the expectation over the weights per point, against a loop
+        over points: the exact normal tail for 0-1, the 32-node
+        Gauss-Hermite sum for the clipped logistic loss."""
         task, model = _oracle_setup(arch)
         loss = LossSpec(kind)
         n_eval, mc = 50, 30
@@ -209,16 +220,31 @@ class TestVectorizedOracles:
         rng = np.random.default_rng(8)
         x, y = task.draw(n_eval, rng)
         post = model.posterior
-        draws = post.mean + post.std * rng.standard_normal((mc, post.dim))
-        per_sample = np.zeros(n_eval)
-        per_draw = np.zeros(mc)
-        for k in range(mc):
-            vals = loss_values(loss, arch, scores_batch(arch, draws[k], x), y)
-            per_sample += vals
-            per_draw[k] = vals.mean()
-        per_sample /= mc
-        risk = per_sample.mean()
-        se = np.sqrt(per_sample.var(ddof=1) / n_eval + per_draw.var(ddof=1) / mc)
+        if arch.kind == "linear":
+            nodes, weights = hermgauss(32)
+            per_point = np.zeros(n_eval)
+            for j in range(n_eval):
+                mean = float(np.dot(post.mean, x[j]))
+                sd = math.sqrt(float(np.dot(post.var, x[j] * x[j])))
+                if kind == "zero_one":
+                    z = (2 * y[j] - 1) * mean / sd
+                    per_point[j] = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+                else:
+                    vals = loss_values(loss, arch, mean + math.sqrt(2.0) * sd * nodes, y[j])
+                    per_point[j] = float(np.dot(weights, vals)) / math.sqrt(math.pi)
+            risk = per_point.mean()
+            se = np.sqrt(per_point.var(ddof=1) / n_eval)
+        else:
+            draws = post.mean + post.std * rng.standard_normal((mc, post.dim))
+            per_sample = np.zeros(n_eval)
+            per_draw = np.zeros(mc)
+            for k in range(mc):
+                vals = loss_values(loss, arch, scores_batch(arch, draws[k], x), y)
+                per_sample += vals
+                per_draw[k] = vals.mean()
+            per_sample /= mc
+            risk = per_sample.mean()
+            se = np.sqrt(per_sample.var(ddof=1) / n_eval + per_draw.var(ddof=1) / mc)
         assert abs(got[0] - risk) <= 1e-12
         assert abs(got[1] - se) <= 1e-12
         assert got[1] > 0.0
@@ -236,6 +262,78 @@ class TestVectorizedOracles:
             for w in draws
         ]
         assert abs(got - float(np.mean(per_draw))) <= 1e-12
+
+
+class TestLinearOracleOverWeights:
+    """The linear oracle's expectation over the weights, point by point."""
+
+    # the signed score at which the logistic loss reaches clip_max = 4
+    KINK = math.log(math.expm1(4.0))
+
+    def test_normal_rule_is_numpys_gauss_hermite_rule(self):
+        """The rule, found by root bracketing and Newton steps, is numpy's
+        ``hermgauss`` (an eigenvalue solve) rescaled to N(0, 1)."""
+        for nodes in (1, 2, 5, 32, 64):
+            points, weights = _normal_rule(nodes)
+            t, w = hermgauss(nodes)
+            np.testing.assert_allclose(points, math.sqrt(2.0) * t, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(weights, w / math.sqrt(math.pi), rtol=1e-12)
+
+    @pytest.mark.parametrize("sd,max_tol,mean_tol", [(0.01, 2.5e-5, 2e-9),
+                                                     (1.0, 2.5e-3, 2e-7),
+                                                     (10.0, 2.5e-2, 2e-6)])
+    def test_logistic_quadrature_against_a_trapezoid_reference(self, sd, max_tol, mean_tol):
+        """400 points whose score means lie -8, -7.96, ..., 7.96 score sds
+        from the clip's kink, against a 200,001-point trapezoid rule over
+        +-10 sds. The tolerances sit just above the measured worst point
+        (2.3e-5, 2.3e-3, 2.4e-2) and error of the mean (1.0e-9, 1.0e-7,
+        1.0e-6); the rule's error grows with sd because the kink is not
+        smooth."""
+        loss = LossSpec("logistic_clipped")
+        step = 1e-4  # the reference's step in sds
+        offsets = np.arange(400) * 400 - 80_000  # each mean's distance from the kink, in steps
+        mean = self.KINK + sd * step * offsets
+        # x = (mean, 1) under weights N((1, 0), diag(0, sd^2)); exp(-800) is 0.0
+        model = StochasticModel(LINEAR2, DiagonalGaussian(np.array([1.0, 0.0]),
+                                                          np.array([-800.0, 2.0 * math.log(sd)])))
+        x = np.stack([mean, np.ones(400)], axis=1)
+        got = _linear_point_risks(model, x, np.ones(400, dtype=np.int64), loss, {})
+
+        z = np.linspace(-10.0, 10.0, 200_001)
+        weights = np.exp(-0.5 * z * z) * (step / math.sqrt(2.0 * math.pi))
+        weights[[0, -1]] *= 0.5
+        # one grid of scores holds every point's trapezoid nodes
+        grid = self.KINK + sd * step * np.arange(offsets[0] - 100_000, offsets[-1] + 100_001)
+        losses = loss_values(loss, LINEAR2, grid, 1)
+        ref = np.array([losses[o - offsets[0]:o - offsets[0] + z.size] @ weights
+                        for o in offsets])
+        assert np.abs(got - ref).max() <= max_tol
+        assert abs(float(np.mean(got - ref))) <= mean_tol
+
+    def test_zero_one_without_score_spread_is_the_mean_scores_loss(self):
+        """Where a point's score has sd 0 the 0-1 risk is that of the mean
+        weights, not a normal tail of 0/0."""
+        task = sample_tasks(LinearEnvSpec(2), 1, 1, np.random.default_rng(0))[0]
+        w = np.array([1.0, -2.0])
+        # exp(-800) is 0.0: every score has sd 0
+        model = StochasticModel(LINEAR2, DiagonalGaussian(w, np.full(2, -800.0)))
+        risk, se = true_risk_mc(task, model, LossSpec("zero_one"), 300,
+                                np.random.default_rng(1), mc_samples=7)
+        x, y = task.draw(300, np.random.default_rng(1))
+        wrong = loss_values(LossSpec("zero_one"), LINEAR2, x @ w, y)
+        assert risk == wrong.mean()
+        assert abs(se - np.sqrt(wrong.var(ddof=1) / 300)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["zero_one", "logistic_clipped"])
+    def test_draws_only_the_points(self, kind):
+        """A linear oracle call takes the points from its generator and no
+        weights, so the generator ends where drawing the points leaves it."""
+        (task,), (model,) = _oracle_tasks(LINEAR2, 1)
+        rng = np.random.default_rng(13)
+        true_risk_mc(task, model, LossSpec(kind), 40, rng, mc_samples=200)
+        points_only = np.random.default_rng(13)
+        task.draw(40, points_only)
+        assert rng.bit_generator.state == points_only.bit_generator.state
 
 
 class TestManyTaskOracle:
@@ -317,13 +415,16 @@ class TestOraclesWriteIntoNoCallerArray:
 # the training set at mc_samples 40 and 1, per oracle case. Recorded before
 # the Monte-Carlo risks were computed in one owned buffer; the logistic one was
 # re-recorded when its loss took softplus's float operations (tests/oracles.py) in place of
-# np.logaddexp (within an ulp, see test_model.TestLogisticKernel). Any change to
-# the oracles' floats moves them. Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
+# np.logaddexp (within an ulp, see test_model.TestLogisticKernel). Both linear
+# ones were re-recorded when the linear oracle took its expectation over the
+# weights per point (the exact normal tail, the 32-node Gauss-Hermite sum) in
+# place of weight draws. Any change to the oracles' floats moves them.
+# Bit-exact floats: numpy 2.4 and OpenBLAS on x86-64.
 ORACLE_DIGESTS = {
     "linear-zero_one":
-        "ede53babede997ebaa628fef15628a5b8ec56139dc85ad20426d428a7aec936d",
+        "57a09646c52b52f6f57c2e23fbb7147862ee2213662c46c02c9a937bc6c1fbc7",
     "linear-logistic_clipped":
-        "391649a0fe8013463e124aafd5e59b948b7d4e83369b50920bd5e85c9be367cd",
+        "e09585bc3f50df15c2c8c685e44f12c9b4f303899fd191caa7434260235b3f2a",
     "mlp1-zero_one":
         "33f81ecd464a72dc67aba1441d4bdd3e6d7e57e4a6c11c0c83b41a9fc91da0ec",
     "mlp1-cross_entropy_clipped":
