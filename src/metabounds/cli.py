@@ -194,7 +194,6 @@ SCHEMAS: dict[str, dict] = {
         "seeds": (_int(1), 5),
         "eval_tasks": (_int(1), 20),
         "eval_points": (_int(1), 400),
-        "mc_eval": (_int(1), 200),
         "seed": (_int(0), 0),
         "jobs": (_int(1), 1),
         "out": (_to_str, "sweep.csv"),
@@ -250,7 +249,7 @@ SCHEMAS: dict[str, dict] = {
 
 # Sweep keys that only the trained pipeline reads; a closed-form sweep
 # rejects them like unknown keys.
-_TWO_PRIOR_KEYS = frozenset(_TRAIN_KEYS) - {"delta"} | {"mc_eval"}
+_TWO_PRIOR_KEYS = frozenset(_TRAIN_KEYS) - {"delta"}
 
 
 def _schema(command: str, raw_values: dict) -> dict:
@@ -426,8 +425,7 @@ def _sweep_unit(args):
     else:
         points = [two_prior_point(spec, pool[:n], seed, replace(train_cfg, seed=seed),
                                   eval_tasks=values["eval_tasks"],
-                                  eval_points=values["eval_points"],
-                                  mc_eval=values["mc_eval"])
+                                  eval_points=values["eval_points"])
                   for n in ns]
     return points, time.perf_counter() - start
 

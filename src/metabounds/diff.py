@@ -148,47 +148,29 @@ def gaussian_kl(q: Tensor, p) -> Tensor:
     p_mean, p_lv = pv[..., :d], pv[..., d:]
     dlv = q_lv - p_lv
     dm = q_mean - p_mean
-    inv_var = np.exp(p_lv * -1.0)
+    inv_var = np.exp(-p_lv)
     e = np.exp(dlv)
     sq = dm * dm
     per_weight = e + sq * inv_var - dlv + (-1.0)
     value = np.add.reduce(per_weight, axis=-1) * 0.5
 
     def vjp(g):
-        g = _spread(g * 0.5, -1, per_weight.shape)
+        # the chain spreads g * 0.5 across each row; broadcasting gives each
+        # entry the same floats, and g_dm + g_dm those of its two equal terms
+        g = (g * 0.5)[..., None]
         g_sq = g * inv_var
-        g_dm = g_sq * dm + g_sq * dm
+        g_dm = g_sq * dm
+        g_dm = g_dm + g_dm
         g_dlv = -g + g * e
         g_q = np.concatenate([_unbroadcast(g_dm, q_mean.shape),
                               _unbroadcast(g_dlv, q_lv.shape)], axis=-1)
         if not prior_is_node:
             return (g_q,)
         g_inv = _unbroadcast(g * sq, inv_var.shape)
-        g_p_lv = g_inv * inv_var * -1.0 + _unbroadcast(-g_dlv, p_lv.shape)
+        g_p_lv = _unbroadcast(-g_dlv, p_lv.shape) - g_inv * inv_var
         return g_q, np.concatenate([_unbroadcast(-g_dm, p_mean.shape), g_p_lv], axis=-1)
 
     return Tensor(q.tape, value, (q, p) if prior_is_node else (q,), vjp)
-
-
-def _spread(g: np.ndarray, axis, shape: tuple) -> np.ndarray:
-    """Copy the adjoint of a reduction over ``axis`` (None for all axes) back
-    across the reduced axes of an operand of ``shape``."""
-    full = np.empty(shape)
-    if axis is None:
-        full[...] = g
-        return full
-    kept = list(shape)
-    for ax in (axis,) if isinstance(axis, int) else axis:
-        kept[ax] = 1
-    full[...] = g.reshape(kept)
-    return full
-
-
-def sum(a: Tensor, axis=None):  # noqa: A001 - named for the op it records
-    """Sum over ``axis`` (an int or a tuple of ints), or of all entries as a
-    scalar."""
-    return Tensor(a.tape, np.asarray(np.add.reduce(a.value, axis=axis)), (a,),
-                  lambda g: (_spread(g, axis, a.shape),))
 
 
 def backward(out: Tensor) -> None:

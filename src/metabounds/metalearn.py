@@ -255,15 +255,21 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
 
 
 def _adaptation_certificate_node(cfg: TrainConfig, m: int, risk, kl):
-    """Single-task certificates of (n,) risks and divergences as one node:
-    the chain ``risk + sqrt((kl + multitask_slack) * (1/(2m)))``, one value
-    per task."""
+    """Single-task certificates of (n,) risks and divergences, summed as one
+    scalar node: the chain ``sum(risk + sqrt((kl + multitask_slack) *
+    (1/(2m))))``. Returns the node and the (n,) certificates it sums."""
     scale = 1.0 / (2.0 * m)
     arg = (kl.value + multitask_slack(1, m, cfg.delta)) * scale
     _check_sqrt_args(arg)
     root = np.sqrt(arg)
-    return diff.Tensor(risk.tape, risk.value + root, (risk, kl),
-                       lambda g: (g, g * 0.5 / root * scale))
+    values = risk.value + root
+
+    def vjp(g):
+        g = np.full(values.shape, g)
+        return g, g * 0.5 / root * scale
+
+    return (diff.Tensor(risk.tape, np.asarray(np.add.reduce(values, axis=None)), (risk, kl), vjp),
+            values)
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +313,8 @@ def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
 
     q is the (n, 2d) posterior node and prior the (n, 2d) array of prior
     parameters, which the caller has checked to be finite (gaussian_kl takes
-    it unchecked); returns one certificate per task, (n,).
+    it unchecked). Returns the scalar node of their sum, which each row's
+    gradient sees as its own task's certificate, and the (n,) certificates.
     """
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     return _adaptation_certificate_node(cfg, m, risk, diff.gaussian_kl(q, prior))
@@ -324,15 +331,19 @@ def _shared_sample_count(tasks) -> int:
     return counts.pop()
 
 
-def _stacked_data(tasks) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_data(tasks, arch: ModelArchitecture) -> tuple[np.ndarray, np.ndarray]:
     """The tasks' training inputs and labels, stacked with a row per task.
 
     The risk node takes the data unchecked, so it is checked here, once per
-    run: a non-finite entry raises ValueError.
+    run: a non-finite entry, or a label outside the architecture's classes,
+    raises ValueError.
     """
     x, y = np.stack([t.train_x for t in tasks]), np.stack([t.train_y for t in tasks])
     diff.constant(x)
     diff.constant(y)
+    if (np.minimum.reduce(y, axis=None) < 0
+            or np.maximum.reduce(y, axis=None) >= arch.num_classes):
+        raise ValueError("label out of range")
     return x, y
 
 
@@ -372,7 +383,7 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     q = tape.tensor(np.stack([_flat(mdl.posterior) for mdl in task_posteriors]))
     if leaves_out is not None:
         leaves_out.update(theta1=theta1, q=q)
-    return _meta_certificate(cfg, m, rho.theta0, theta1, q, *_stacked_data(tasks), rng)
+    return _meta_certificate(cfg, m, rho.theta0, theta1, q, *_stacked_data(tasks, arch), rng)
 
 
 def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: Task,
@@ -394,32 +405,39 @@ def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: 
     if leaves_out is not None:
         leaves_out["q"] = q
     eps = rng.standard_normal((1, cfg.mc_train, arch.param_count))
-    values = _adaptation_certificates(cfg, task.m, q, _flat(prior)[None],
-                                      *_stacked_data([task]), eps)
-    return diff.sum(values)
+    node, _ = _adaptation_certificates(cfg, task.m, q, _flat(prior)[None],
+                                       *_stacked_data([task], arch), eps)
+    return node
 
 
 class _Adam:
-    """Moment-tracking update rule; state is keyed like the parameter dict."""
+    """Moment-tracking update rule on one flat parameter vector."""
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, size: int):
         self.lr = lr
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - 0.9**self.t
         bc2 = 1.0 - 0.999**self.t
-        for key, g in grads.items():
-            if key not in self.m:
-                self.m[key] = np.zeros_like(g)
-                self.v[key] = np.zeros_like(g)
-            self.m[key] = 0.9 * self.m[key] + 0.1 * g
-            self.v[key] = 0.999 * self.v[key] + 0.001 * (g * g)
-            step = (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + 1e-8)
-            params[key] -= self.lr * step
+        self.m = 0.9 * self.m + 0.1 * grad
+        self.v = 0.999 * self.v + 0.001 * (grad * grad)
+        step = (self.m / bc1) / (np.sqrt(self.v / bc2) + 1e-8)
+        params -= self.lr * step
+
+
+def _packed(**arrays) -> tuple[np.ndarray, dict]:
+    """One flat float64 vector holding ``arrays`` in order, and a view of it
+    per array, of that array's shape: the parameters a run descends."""
+    flat = np.concatenate([np.ravel(a) for a in arrays.values()])
+    views, start = {}, 0
+    for key, a in arrays.items():
+        views[key] = flat[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return flat, views
 
 
 def _check_finite(values: np.ndarray, traces: list, message: str,
@@ -433,21 +451,25 @@ def _check_finite(values: np.ndarray, traces: list, message: str,
     raise TrainingDiverged(message, traces[task], task=task if name_task else None)
 
 
-def _descend(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict, rngs,
-             epochs: int, objective, traces: list, *, name_task: bool = True) -> None:
-    """Minibatch Adam descent on ``params``: the loop that both stages of
-    meta-training and adaptation run.
+def _descend(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, flat: np.ndarray,
+             params: dict, rngs, epochs: int, objective, traces: list, *,
+             name_task: bool = True) -> None:
+    """Minibatch Adam descent on ``flat``, of which ``params`` are the views
+    that :func:`_packed` made: the loop that both stages of meta-training
+    and adaptation run.
 
     Each epoch task i draws its sample order from ``rngs[i]``.  Each step
-    puts one leaf per ``params`` entry on a fresh tape;
-    ``objective(leaves, xb, yb)`` returns the node to differentiate and one
-    value per trace.  Those values, and the parameters after the step, must
-    stay finite (see :func:`_check_finite`).  Each epoch appends the mean of
-    its steps' values to each trace, as np.mean computes it.
+    puts one leaf per ``params`` entry on a fresh tape, holding the view
+    itself, neither copied nor checked: the parameters start finite, and
+    every step checks them after its update.  ``objective(leaves, xb, yb)``
+    returns the node to differentiate and one value per trace.  Those
+    values, and the parameters after the step, must stay finite (see
+    :func:`_check_finite`).  Each epoch appends the mean of its steps'
+    values to each trace, as np.mean computes it.
     """
     m = y.shape[1]
     rows = np.arange(len(rngs))[:, None]
-    opt = _Adam(cfg.learning_rate)
+    opt = _Adam(cfg.learning_rate, flat.size)
     for _ in range(epochs):
         # step j takes chunk j of every task's order, so each task visits
         # each sample once
@@ -457,13 +479,14 @@ def _descend(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, params: dict, rngs,
             idx = perms[:, j:j + cfg.batch_size]
             xb, yb = x[rows, idx], y[rows, idx]
             with diff.Tape() as tape:
-                leaves = {key: tape.tensor(value) for key, value in params.items()}
+                leaves = {key: diff.Tensor(tape, value, (), None)
+                          for key, value in params.items()}
                 node, values = objective(leaves, xb, yb)
                 _check_finite(values, traces, "objective became non-finite", name_task)
                 diff.backward(node)
-                opt.step(params, {key: leaf.grad for key, leaf in leaves.items()})
-            for value in params.values():
-                _check_finite(value, traces, "parameters became non-finite", name_task)
+                opt.step(flat, np.concatenate([leaf.grad for leaf in leaves.values()],
+                                              axis=None))
+            _check_finite(flat, traces, "parameters became non-finite", name_task)
             per_step.append(values)
         for trace, value in zip(traces, np.add.reduce(per_step, axis=0) / len(per_step)):
             trace.objectives.append(float(value))
@@ -486,10 +509,11 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
     d = arch.param_count
     n = len(env_tasks)
     m = _shared_sample_count(env_tasks)
-    x, y = _stacked_data(env_tasks)
+    x, y = _stacked_data(env_tasks, arch)
     trace = TrainingTrace()
 
-    def stage(params: dict, theta0: np.ndarray | None, epochs: int, name: str) -> None:
+    def stage(flat: np.ndarray, params: dict, theta0: np.ndarray | None, epochs: int,
+              name: str) -> None:
         # with theta0 None the two components are tied to params["theta"];
         # otherwise theta0 is the frozen initialization center
         rng = stream(cfg.seed, name)
@@ -500,27 +524,28 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
                                       leaves["q"], xb, yb, rng)
             return value, value.value.reshape(1)
 
-        _descend(cfg, x, y, params, [rng] * n, epochs, objective, [trace], name_task=False)
+        _descend(cfg, x, y, flat, params, [rng] * n, epochs, objective, [trace],
+                 name_task=False)
 
-    params = {
-        "theta": _flat(glorot_init(arch, stream(cfg.seed, "init", "prior"))),
-        "q": np.stack([_flat(glorot_init(arch, stream(cfg.seed, "init", f"task{i}")))
-                       for i in range(n)]),
-    }
-    stage(params, None, cfg.epochs_stage1, "stage1")
+    flat, params = _packed(
+        theta=_flat(glorot_init(arch, stream(cfg.seed, "init", "prior"))),
+        q=np.stack([_flat(glorot_init(arch, stream(cfg.seed, "init", f"task{i}")))
+                    for i in range(n)]),
+    )
+    stage(flat, params, None, cfg.epochs_stage1, "stage1")
     trace.stage_boundary = len(trace.objectives)
 
     theta0 = params["theta"]
     theta1 = theta0
     if cfg.epochs_stage2 > 0:
-        stage2 = {
-            "theta": theta0.copy(),
-            "q": np.stack([
+        flat, stage2 = _packed(
+            theta=theta0,
+            q=np.stack([
                 theta0 + cfg.kappa_rho * stream(cfg.seed, "reinit", f"task{i}").standard_normal(2 * d)
                 for i in range(n)
             ]),
-        }
-        stage(stage2, theta0, cfg.epochs_stage2, "stage2")
+        )
+        stage(flat, stage2, theta0, cfg.epochs_stage2, "stage2")
         theta1 = stage2["theta"]
 
     return MetaPosterior(theta0, theta1, cfg.kappa_rho), trace
@@ -556,19 +581,18 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     for rng in rngs:
         starts.append(rho.theta0 + rho.kappa_rho * rng.standard_normal(2 * d))
         priors.append(rho.theta1 + rho.kappa_rho * rng.standard_normal(2 * d))
-    params = {"q": np.stack(starts)}
+    flat, params = _packed(q=np.stack(starts))
     prior = np.stack(priors)
-    x, y = _stacked_data(tasks)
+    x, y = _stacked_data(tasks, arch)
     traces = [TrainingTrace() for _ in tasks]
     _check_finite(np.concatenate([params["q"], prior], axis=1), traces,
                   "sampled initialization or prior is non-finite")
 
     def objective(leaves, xb, yb):
         eps = np.array([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
-        values = _adaptation_certificates(cfg, m, leaves["q"], prior, xb, yb, eps)
-        return diff.sum(values), values.value
+        return _adaptation_certificates(cfg, m, leaves["q"], prior, xb, yb, eps)
 
-    _descend(cfg, x, y, params, rngs, adapt_epochs, objective, traces)
+    _descend(cfg, x, y, flat, params, rngs, adapt_epochs, objective, traces)
     return [(StochasticModel(arch, DiagonalGaussian(row[:d], row[d:])),
              DiagonalGaussian(prior_row[:d], prior_row[d:]))
             for row, prior_row in zip(params["q"], prior)]

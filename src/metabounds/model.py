@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class ModelArchitecture:
             ("b2", (c,)),
         ]
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return sum(math.prod(s) for _, s in self.layer_shapes())
 
@@ -151,6 +151,23 @@ def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray,
     return out
 
 
+def _class_max(z: np.ndarray) -> np.ndarray:
+    """Maximum over the last (class) axis, one ``np.maximum`` per class.
+
+    numpy reduces a short last axis with one inner loop per row, which on a
+    training step's logits costs several times these column calls. The
+    result equals ``np.maximum.reduce(z, axis=-1)`` bit for bit, except that
+    from 9 classes on a maximum tied between -0.0 and +0.0 may take the other
+    sign; the losses only subtract it and exponentiate, where that sign
+    vanishes. Class sums stay ``np.add.reduce``: column sums round
+    differently from 8 classes on.
+    """
+    out = z[..., 0]
+    for c in range(1, z.shape[-1]):
+        out = np.maximum(out, z[..., c])
+    return out
+
+
 def predicted_labels(arch: ModelArchitecture, scores: np.ndarray) -> np.ndarray:
     """Decision rule on raw scores: sign test for linear, argmax for mlp1."""
     if arch.kind == "linear":
@@ -197,10 +214,10 @@ def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
     else:
         if s.ndim < 2:
             raise ValueError("cross-entropy expects logit rows")
-        s -= s.max(axis=-1, keepdims=True)
+        s -= _class_max(s)[..., None]
         labels = np.broadcast_to(y, s.shape[:-1])[..., None]
         picked = np.take_along_axis(s, labels, axis=-1)[..., 0]
-        raw = np.exp(s, out=s).sum(axis=-1)
+        raw = np.add.reduce(np.exp(s, out=s), axis=-1)
         np.log(raw, out=raw)
         raw -= picked
     np.minimum(raw, loss.clip_max, out=raw)
@@ -282,7 +299,8 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     (2d,) for one task with eps (K, d) for K draws, x (B, in) and y (B,); or
     (n, 2d) for n stacked tasks with eps (n, K, d), x (n, B, in), y (n, B)
     and one risk per task as the result. eps must be finite and is checked;
-    x and y must be too, but a training run checks its data once, not here.
+    x and y must be too, and y must hold class indices in [0, C), but a
+    training run checks its data once, not here.
     zero_one has no usable gradient and is rejected, as is a clipped loss
     that is not ``CLIPPED_LOSS[arch.kind]``.
 
@@ -319,23 +337,20 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
         # the class-0 logit is the score, the class-1 logit is 0
         t = (draws @ xt) * signs
         pos = t > 0.0
+        neg = t < 0.0
         relu_t = np.maximum(t, 0.0)
-        neg_t = t * -1.0
-        neg = neg_t > 0.0
-        shrink = np.exp((relu_t + np.where(neg, neg_t, 0.0)) * -1.0)
+        # abs(t) is the reference's relu(t) + relu(-t), bit for bit
+        shrink = np.exp(np.negative(np.abs(t)))
         one_plus = shrink + 1.0
         raw = relu_t + np.log(one_plus)
     else:
-        if (np.minimum.reduce(y, axis=None) < 0
-                or np.maximum.reduce(y, axis=None) >= arch.num_classes):
-            raise ValueError("label out of range")
         lead = draws.shape[:-1]
         w1, b1, w2, b2 = (draws[..., span].reshape(lead + (1,) * (2 - len(shape)) + shape)
                           for _, span, shape in block_layout(arch))
         xs = x[..., None, :, :]
         h = np.tanh(xs @ w1 + b1)
         logits = h @ w2 + b2
-        shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+        shifted = logits - _class_max(logits)[..., None]
         lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
         onehot = labels[..., None] == np.arange(arch.num_classes)
         # one term per row is not zero, so the sum is the label's entry exactly
@@ -343,14 +358,15 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
         residual = np.exp(shifted - lse[..., None]) - onehot
     c = loss.clip_max
     scale = 1.0 / c
-    gap = raw * -1.0 + c
+    # c - v is the reference's v * -1 + c, bit for bit
+    gap = c - raw
     below = gap > 0.0
-    clipped = (np.where(below, gap, 0.0) * -1.0 + c) * scale
+    clipped = (c - np.where(below, gap, 0.0)) * scale
     total = np.add.reduce(clipped, axis=(-2, -1))
     count = clipped.size // total.size
 
     def vjp(g):
-        g_raw = (g / count * scale * -1.0)[..., None, None] * below * -1.0
+        g_raw = (g / count * scale)[..., None, None] * below
         if arch.kind == "linear":
             g_abs = g_raw / one_plus * shrink * -1.0
             g_t = np.where(t == 0.0, g_raw * 0.5,
@@ -361,10 +377,9 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
             g_z = g_logits @ w2.swapaxes(-1, -2) * (1.0 - h * h)
             g_blocks = (xs.swapaxes(-1, -2) @ g_z, _row_sum(g_z),
                         h.swapaxes(-1, -2) @ g_logits, _row_sum(g_logits))
-            g_draws = np.empty(draws.shape)
-            for (_, span, _), g_block in zip(block_layout(arch), g_blocks):
-                out = g_draws[..., span]
-                np.add(g_block.reshape(out.shape), 0.0, out=out)
+            g_draws = np.concatenate([g_block.reshape(lead + (-1,)) for g_block in g_blocks],
+                                     axis=-1)
+            g_draws += 0.0
         return (np.concatenate([_row_sum(g_draws), _row_sum(g_draws * eps) * std * 0.5],
                                axis=-1).reshape(q.shape),)
 

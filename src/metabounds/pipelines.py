@@ -340,8 +340,7 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
 
 
 def two_prior_point(spec: LinearEnvSpec, tasks: list[Task], seed: int, cfg: TrainConfig, *,
-                    eval_tasks: int = 20, eval_points: int = 400,
-                    mc_eval: int = 200) -> PipelinePoint:
+                    eval_tasks: int = 20, eval_points: int = 400) -> PipelinePoint:
     """Evaluate the trained pipeline on a fixed set of training tasks.
 
     Fresh tasks from the same environment measure the oracle test loss: each
@@ -355,9 +354,10 @@ def two_prior_point(spec: LinearEnvSpec, tasks: list[Task], seed: int, cfg: Trai
         tasks, cfg, held_out=fresh,
         held_out_rngs=[stream(seed, "trained-test-adapt", i) for i in range(len(fresh))])
     breakdown = trained_bound_breakdown(system, tasks, cfg)
+    # the models are linear, which the oracle scores without weight draws
     test_risks = [risk for risk, _ in true_risks_mc(fresh, system.held_out_models, cfg.loss,
                                                     eval_points, [test_rng] * len(fresh),
-                                                    mc_samples=mc_eval)]
+                                                    mc_samples=1)]
     trace = system.trace_objectives
     train_loss = trace[-1] if trace else breakdown.empirical_multitask_risk
     return PipelinePoint(n=len(tasks), m=tasks[0].m, d=spec.d, seed=seed,

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from metabounds.bounds import DiscreteMetaSystem, _check_count, _check_delta, _check_kl
-from metabounds.diff import Tensor, _same_tape, _spread, _unbroadcast, backward, constant
+from metabounds.diff import Tensor, _same_tape, _unbroadcast, backward, constant
 from metabounds.gauss import DiagonalGaussian
 
 
@@ -175,6 +175,27 @@ def matmul(a, b):
     return _node(a, b, value,
                  lambda g: _unbroadcast(g @ bv.swapaxes(-1, -2), sa),
                  lambda g: _unbroadcast(av.swapaxes(-1, -2) @ g, sb))
+
+
+def _spread(g: np.ndarray, axis, shape: tuple) -> np.ndarray:
+    """Copy the adjoint of a reduction over ``axis`` (None for all axes) back
+    across the reduced axes of an operand of ``shape``."""
+    full = np.empty(shape)
+    if axis is None:
+        full[...] = g
+        return full
+    kept = list(shape)
+    for ax in (axis,) if isinstance(axis, int) else axis:
+        kept[ax] = 1
+    full[...] = g.reshape(kept)
+    return full
+
+
+def sum(a: Tensor, axis=None):  # noqa: A001 - named for the op it records
+    """Sum over ``axis`` (an int or a tuple of ints), or of all entries as a
+    scalar."""
+    return Tensor(a.tape, np.asarray(np.add.reduce(a.value, axis=axis)), (a,),
+                  lambda g: (_spread(g, axis, a.shape),))
 
 
 def mean(a: Tensor, axis=None):

@@ -144,9 +144,9 @@ def test_criterion_3_objective_gradients(capsys):
         risk = taped_mc_risk(LINEAR, q, task.train_x, task.train_y, LOGISTIC, eps[None])
         dm = ops.sub(qm, pm)
         kl = ops.mul(ops.sub(ops.add(ops.sub(ops.add(
-            diff.sum(ops.exp(ops.sub(qlv, plv))),
-            diff.sum(ops.mul(ops.mul(dm, dm), ops.exp(ops.mul(plv, -1.0))))),
-            float(prior.dim)), diff.sum(plv)), diff.sum(qlv)), 0.5)
+            ops.sum(ops.exp(ops.sub(qlv, plv))),
+            ops.sum(ops.mul(ops.mul(dm, dm), ops.exp(ops.mul(plv, -1.0))))),
+            float(prior.dim)), ops.sum(plv)), ops.sum(qlv)), 0.5)
         slack = ops.add(kl, math.log(2.0 * math.sqrt(task.m) / cfg.delta))
         return ops.add(risk, ops.sqrt(ops.mul(slack, 1.0 / (2.0 * task.m)))), [q]
 

@@ -182,7 +182,6 @@ TWO_PRIOR_SMALL = """\
     epochs_stage2 = 2
     eval_tasks = 3
     eval_points = 20
-    mc_eval = 10
     """
 
 
@@ -534,7 +533,7 @@ CHEAP = {
     "bound": {"n": "10", "m": "5"},
 }
 # Added for a sweep with pipeline = two_prior, the only one that reads them.
-CHEAP_TWO_PRIOR = {"epochs_stage1": "2", "epochs_stage2": "2", "mc_eval": "10"}
+CHEAP_TWO_PRIOR = {"epochs_stage1": "2", "epochs_stage2": "2"}
 
 
 def _run(command, overrides, workdir):
@@ -599,6 +598,7 @@ BOUNDARY_CASES = [
     ("adapt", {"epochs_stage2": "7"}, 2),
     ("sweep", {"kappa_pi": "5"}, 2),
     ("sweep", {"mc_eval": "3"}, 2),
+    ("sweep", {"pipeline": "two_prior", "mc_eval": "3"}, 2),
     ("sweep", {"arch": "mlp1"}, 2),
     ("sweep", {"pipeline": "prior_mean", "epochs_stage1": "2"}, 2),
     ("bound", {"pairs": "0.5:1.0", "kl_hyper": "300"}, 2),
@@ -714,7 +714,7 @@ _ENV_DRAWS = {
     "permute_mode": _choices("permute_labels", "shuffle_features"),
     "num_shuffled": _SMALL_INT,
 }
-_TWO_PRIOR_ONLY = frozenset(_TRAIN_DRAWS) - {"delta"} | {"mc_eval"}
+_TWO_PRIOR_ONLY = frozenset(_TRAIN_DRAWS) - {"delta"}
 _DRAWS = {
     "sweep": {
         **_TRAIN_DRAWS,
@@ -725,7 +725,6 @@ _DRAWS = {
         "seeds": (["1", "2"], ["0", "-1"]),
         "eval_tasks": _SMALL_INT,
         "eval_points": _SMALL_INT,
-        "mc_eval": _SMALL_INT,
         "seed": _SEED,
         "jobs": _JOBS,
     },

@@ -82,13 +82,13 @@ class TestBackward:
     def test_sum_of_clip_rescale_subgradient(self):
         tape = Tape()
         x = tape.tensor(np.array([-1.0, 2.0, 5.0]))
-        backward(diff.sum(ops.clip_rescale(x, 4.0)))
+        backward(ops.sum(ops.clip_rescale(x, 4.0)))
         np.testing.assert_array_equal(x.grad, [0.25, 0.25, 0.0])
 
     def test_clip_rescale_subgradient_at_the_clip_is_zero(self):
         tape = Tape()
         x = tape.tensor(np.array([4.0]))
-        backward(diff.sum(ops.clip_rescale(x, 4.0)))
+        backward(ops.sum(ops.clip_rescale(x, 4.0)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_rejects_nonscalar_output(self):
@@ -112,7 +112,7 @@ class TestBackward:
             a, b = float(rng.normal()), float(rng.normal())
 
             def f_of(x):
-                return diff.sum(ops.mul(ops.tanh(x), x))
+                return ops.sum(ops.mul(ops.tanh(x), x))
 
             def g_of(x):
                 return ops.mean(ops.mul(x, x))
@@ -137,7 +137,7 @@ class TestBackward:
             tape = Tape()
             x = tape.tensor(np.array([0.3, -0.7, 1.1]))
             w = tape.tensor(np.array([[0.2, -0.1, 0.5]]))
-            out = diff.sum(ops.tanh(ops.matmul(w, x)))
+            out = ops.sum(ops.tanh(ops.matmul(w, x)))
             backward(out)
             return x.grad, w.grad
 
@@ -151,7 +151,7 @@ class TestGradcheck:
         def build(ps):
             tape = Tape()
             x = tape.tensor(ps[0])
-            return diff.sum(ops.mul(x, x)), [x]
+            return ops.sum(ops.mul(x, x)), [x]
 
         err = gradcheck(build, [np.array([1.0, -2.0, 0.5])])
         assert err <= 1e-9
@@ -191,7 +191,7 @@ class TestGradcheck:
                                             ops.mul(ops.mul(delta, delta),
                                                     ops.exp(ops.mul(plv, -1.0)))),
                                     1.0), dlv)
-            return ops.mul(diff.sum(terms), 0.5), [q_mean, q_log_var]
+            return ops.mul(ops.sum(terms), 0.5), [q_mean, q_log_var]
 
         err = gradcheck(build, [rng.normal(size=4), rng.normal(size=4)])
         assert err <= 1e-5
@@ -226,7 +226,7 @@ class TestLazyGradients:
         x = tape.tensor(np.array([1.0, 2.0]))
         unused = tape.tensor(np.ones((2, 3)))
         side = ops.exp(unused)
-        backward(diff.sum(ops.mul(x, x)))
+        backward(ops.sum(ops.mul(x, x)))
         np.testing.assert_array_equal(unused.grad, np.zeros((2, 3)))
         np.testing.assert_array_equal(side.grad, np.zeros((2, 3)))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
@@ -235,8 +235,8 @@ class TestLazyGradients:
         tape = Tape()
         x = tape.tensor(np.array([1.0, 2.0]))
         y = tape.tensor(np.array([3.0, 5.0]))
-        first = diff.sum(ops.mul(x, y))
-        second = diff.sum(ops.mul(x, x))
+        first = ops.sum(ops.mul(x, y))
+        second = ops.sum(ops.mul(x, x))
         backward(first)
         np.testing.assert_array_equal(y.grad, [1.0, 2.0])
         backward(second)
@@ -250,7 +250,7 @@ class TestLazyGradients:
         x = tape.tensor(np.array([1.0, -2.0]))
         y = tape.tensor(np.array([0.5, 3.0]))
         u = ops.add(x, y)
-        backward(ops.add(diff.sum(ops.mul(u, u)), diff.sum(x)))
+        backward(ops.add(ops.sum(ops.mul(u, u)), ops.sum(x)))
         np.testing.assert_array_equal(y.grad, 2.0 * u.value)
         np.testing.assert_array_equal(x.grad, 2.0 * u.value + 1.0)
 
@@ -268,7 +268,7 @@ class TestStackedOps:
         def build(ps):
             tape = Tape()
             a, b, c = (tape.tensor(p) for p in ps)
-            out = diff.sum(ops.mul(ops.tanh(ops.sub(ops.mul(ops.add(a, b), c), b)), ops.sub(a, c)))
+            out = ops.sum(ops.mul(ops.tanh(ops.sub(ops.mul(ops.add(a, b), c), b)), ops.sub(a, c)))
             return out, [a, b, c]
 
         points = [rng.normal(size=(3, 1, 4)), rng.normal(size=(4,)),
@@ -279,7 +279,7 @@ class TestStackedOps:
         def build(ps):
             tape = Tape()
             a, b = tape.tensor(ps[0]), tape.tensor(ps[1])
-            return diff.sum(ops.tanh(ops.matmul(a, b))), [a, b]
+            return ops.sum(ops.tanh(ops.matmul(a, b))), [a, b]
 
         points = [rng.normal(size=(3, 1, 5, 2)), rng.normal(size=(3, 4, 2, 6))]
         assert gradcheck(build, points) <= 1e-6
@@ -296,9 +296,9 @@ class TestStackedOps:
         def build(ps):
             tape = Tape()
             a = tape.tensor(ps[0])
-            rows = diff.sum(ops.exp(ops.mul(a, 0.3)), axis=-1)
+            rows = ops.sum(ops.exp(ops.mul(a, 0.3)), axis=-1)
             cols = ops.mean(ops.mul(a, a), axis=(0, 2))
-            return ops.add(diff.sum(ops.tanh(rows)), diff.sum(ops.mul(cols, cols))), [a]
+            return ops.add(ops.sum(ops.tanh(rows)), ops.sum(ops.mul(cols, cols))), [a]
 
         assert gradcheck(build, [rng.normal(size=(2, 3, 4))]) <= 1e-6
         tape = Tape()
@@ -312,7 +312,7 @@ class TestStackedOps:
             a = tape.tensor(ps[0])
             head = ops.slice(a, (slice(None), None, slice(0, 6)), (3, 1, 2, 3))
             tail = ops.slice(a, (Ellipsis, slice(6, None)))
-            return ops.add(diff.sum(ops.tanh(head)), diff.sum(ops.mul(tail, tail))), [a]
+            return ops.add(ops.sum(ops.tanh(head)), ops.sum(ops.mul(tail, tail))), [a]
 
         assert gradcheck(build, [rng.normal(size=(3, 8))]) <= 1e-6
         tape = Tape()
@@ -327,7 +327,7 @@ class TestStackedOps:
         def build(ps):
             tape = Tape()
             logits = tape.tensor(ps[0])
-            return diff.sum(ops.softmax_cross_entropy(logits, labels)), [logits]
+            return ops.sum(ops.softmax_cross_entropy(logits, labels)), [logits]
 
         logits = rng.normal(size=(2, 3, 4, 3))
         assert gradcheck(build, [logits]) <= 1e-6
@@ -358,7 +358,7 @@ class TestConstantOperands:
         def build(ps):
             tape = Tape()
             a = tape.tensor(ps[0])
-            return diff.sum(ops.tanh(apply(a))), [a]
+            return ops.sum(ops.tanh(apply(a))), [a]
 
         point = rng.normal(size=(2, 1))
         assert gradcheck(build, [point]) <= 1e-6
@@ -381,7 +381,7 @@ class TestConstantOperands:
         def build(ps):
             tape = Tape()
             a = tape.tensor(ps[0])
-            return diff.sum(ops.tanh(apply(a))), [a]
+            return ops.sum(ops.tanh(apply(a))), [a]
 
         point = right if constant_first else left
         assert gradcheck(build, [point]) <= 1e-6
@@ -429,7 +429,7 @@ class TestReparam:
             def build(ps):
                 tape = Tape()
                 q = tape.tensor(ps[0])
-                return diff.sum(ops.tanh(ops.reparam(q, eps))), [q]
+                return ops.sum(ops.tanh(ops.reparam(q, eps))), [q]
 
             assert gradcheck(build, [self._row(rng, lead)]) <= 1e-6
 
@@ -443,7 +443,7 @@ class TestReparam:
                 tape = Tape()
                 q = tape.tensor(q_v)
                 w = draw(q)
-                backward(diff.sum(ops.mul(ops.tanh(w), weights)))
+                backward(ops.sum(ops.mul(ops.tanh(w), weights)))
                 return w.value, q.grad, len(tape.nodes)
 
             def chain(q):
@@ -481,7 +481,7 @@ def _chain_kl(q, p):
     dm = ops.sub(q_mean, p_mean)
     per_weight = ops.add(ops.sub(ops.add(ops.exp(dlv), ops.mul(ops.mul(dm, dm), inv_var)), dlv),
                          -1.0)
-    return ops.mul(diff.sum(per_weight, axis=-1), 0.5)
+    return ops.mul(ops.sum(per_weight, axis=-1), 0.5)
 
 
 def _chain_softplus(t):
@@ -517,7 +517,7 @@ class TestFusedOps:
             tape = Tape()
             q = tape.tensor(ps[0])
             p = tape.tensor(ps[1]) if prior_is_node else p_value
-            out = diff.sum(ops.mul(diff.gaussian_kl(q, p), weights))
+            out = ops.sum(ops.mul(diff.gaussian_kl(q, p), weights))
             return out, [q, p] if prior_is_node else [q]
 
         points = [rng.normal(-0.5, 0.5, (n, 2 * d))]
@@ -550,7 +550,7 @@ class TestFusedOps:
             p = tape.tensor(p_value) if prior_is_node else p_value
             # q feeds a second consumer, as in the certificates
             out = kl(q, p)
-            backward(ops.add(diff.sum(ops.mul(out, weights)), diff.sum(ops.mul(q, q))))
+            backward(ops.add(ops.sum(ops.mul(out, weights)), ops.sum(ops.mul(q, q))))
             return out.value, q.grad, p.grad if prior_is_node else None
 
         fused, chain = run(diff.gaussian_kl), run(_chain_kl)
@@ -561,7 +561,7 @@ class TestFusedOps:
         def build(ps):
             tape = Tape()
             t = tape.tensor(ps[0])
-            return diff.sum(ops.mul(ops.softplus(t), np.arange(1.0, 7.0))), [t]
+            return ops.sum(ops.mul(ops.softplus(t), np.arange(1.0, 7.0))), [t]
 
         assert gradcheck(build, [np.array([-6.0, -2.0, -0.3, 0.4, 3.0, 6.0])]) <= 1e-6
 
@@ -569,7 +569,7 @@ class TestFusedOps:
         def build(ps):
             tape = Tape()
             t = tape.tensor(ps[0])
-            return diff.sum(ops.mul(ops.softplus(t), np.array([1.0, -3.0]))), [t]
+            return ops.sum(ops.mul(ops.softplus(t), np.array([1.0, -3.0]))), [t]
 
         assert gradcheck(build, [np.array([0.0, -0.0])]) <= 1e-6
 
@@ -584,7 +584,7 @@ class TestFusedOps:
             tape = Tape()
             t = tape.tensor(t_value)
             out = op(t)
-            backward(diff.sum(ops.mul(out, weights)))
+            backward(ops.sum(ops.mul(out, weights)))
             return out.value, t.grad
 
         fused, chain = run(ops.softplus), run(_chain_softplus)
@@ -599,7 +599,7 @@ class TestFusedOps:
         def build(ps):
             tape = Tape()
             raw = tape.tensor(ps[0])
-            return diff.sum(ops.mul(ops.clip_rescale(raw, 3.0), np.arange(1.0, 5.0))), [raw]
+            return ops.sum(ops.mul(ops.clip_rescale(raw, 3.0), np.arange(1.0, 5.0))), [raw]
 
         assert gradcheck(build, [np.array([0.2, 1.5, 2.9, 3.4])]) <= 1e-6
 
@@ -613,7 +613,7 @@ class TestFusedOps:
             tape = Tape()
             raw = tape.tensor(raw_value)
             out = op(raw, c)
-            backward(diff.sum(ops.mul(out, weights)))
+            backward(ops.sum(ops.mul(out, weights)))
             return out.value, raw.grad
 
         fused, chain = run(ops.clip_rescale), run(_chain_clip_rescale)
@@ -626,7 +626,7 @@ class TestTapeLifetime:
     def test_leaving_the_block_closes_the_tape(self):
         with Tape() as tape:
             x = tape.tensor(np.array([1.0, 2.0]))
-            y = diff.sum(ops.mul(x, x))
+            y = ops.sum(ops.mul(x, x))
             backward(y)
             assert len(tape.nodes) == 3 and tape.nodes[0] is x and tape.nodes[2] is y
         assert tape.nodes is None

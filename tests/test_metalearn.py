@@ -361,19 +361,19 @@ def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = diff.gaussian_kl(q, p)
-    kl_sum = diff.sum(kl)
-    spread = ops.mul(diff.sum(ops.add(ops.exp(ops.sub(half, ops.slice(theta1, np.s_[d:]))), 0.5)),
+    kl_sum = ops.sum(kl)
+    spread = ops.mul(ops.sum(ops.add(ops.exp(ops.sub(half, ops.slice(theta1, np.s_[d:]))), 0.5)),
                      half * n)
 
     def sum_squares(theta):
         if isinstance(theta, diff.Tensor):
-            return diff.sum(ops.mul(theta, theta))
+            return ops.sum(ops.mul(theta, theta))
         return np.sum(theta * theta)
 
     squares = ops.add(sum_squares(theta0), sum_squares(theta1))
     scale, shift = metalearn._meta_kl_coefficients(d, cfg.kappa_rho, cfg.kappa_pi)
     mkl = ops.add(ops.mul(squares, scale), shift)
-    empirical = ops.mul(diff.sum(risk), 1.0 / n)
+    empirical = ops.mul(ops.sum(risk), 1.0 / n)
     task_term = ops.sqrt(ops.mul(ops.add(mkl, task_level_slack(n, cfg.delta)), 1.0 / (2.0 * n)))
     multi_term = ops.sqrt(ops.mul(
         ops.add(ops.add(ops.add(mkl, kl_sum), spread), multitask_slack(n, m, cfg.delta)),
@@ -383,12 +383,13 @@ def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
 
 def _chain_adaptation_certificates(cfg, m, q, prior, x, y, eps):
     """metalearn._adaptation_certificates as a chain of reference ops, kept as
-    the reference of its one-node arithmetic. Returns the (n,) certificates
-    and their risk and divergence nodes."""
+    the reference of its one-node arithmetic. Returns the summed certificates,
+    the (n,) certificates, and their risk and divergence nodes."""
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = diff.gaussian_kl(q, prior)
     root = ops.sqrt(ops.mul(ops.add(kl, multitask_slack(1, m, cfg.delta)), 1.0 / (2.0 * m)))
-    return ops.add(risk, root), risk, kl
+    values = ops.add(risk, root)
+    return ops.sum(values), values.value, risk, kl
 
 
 def _fused(certificate):
@@ -398,6 +399,14 @@ def _fused(certificate):
         out = certificate(*args)
         return out, out.parents[0], out.parents[1]
     return build
+
+
+def _fused_adaptation(*args):
+    """metalearn._adaptation_certificates, returning its summed node, the
+    (n,) certificates and the node's risk and divergence inputs as the
+    reference chain does."""
+    out, values = metalearn._adaptation_certificates(*args)
+    return out, values, out.parents[0], out.parents[1]
 
 
 def _certificate_setup(arch, n, seed):
@@ -414,7 +423,7 @@ def _certificate_setup(arch, n, seed):
     else:
         tasks = sample_tasks(BLOBS, n, 6, stream(seed, "tasks"))
         cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, mc_train=2, kappa_pi=3.0, kappa_rho=0.3)
-    x, y = metalearn._stacked_data(tasks)
+    x, y = metalearn._stacked_data(tasks, cfg.arch)
 
     def rows(*lead):
         return np.concatenate([rng.normal(0.0, 0.5, lead + (width // 2,)),
@@ -460,17 +469,17 @@ class TestCertificateNodes:
         cfg, x, y, rows = _certificate_setup(arch, n, seed=73 + seed)
         q_value, prior = rows(n), rows(n)
         eps = np.random.default_rng(seed).standard_normal((n, cfg.mc_train, arch.param_count))
-        weights = np.random.default_rng(seed).uniform(0.5, 2.0, n)
 
         def run(certificates):
             tape = diff.Tape()
             q = tape.tensor(q_value)
-            out, risk, kl = certificates(cfg, 6, q, prior, x, y, eps)
-            backward(diff.sum(ops.mul(out, weights)))
-            return out.value, risk.grad, kl.grad, q.grad
+            out, values, risk, kl = certificates(cfg, 6, q, prior, x, y, eps)
+            backward(out)
+            return out.value, values, risk.grad, kl.grad, q.grad
 
-        fused = run(_fused(metalearn._adaptation_certificates))
+        fused = run(_fused_adaptation)
         chain = run(_chain_adaptation_certificates)
+        assert fused[0].shape == ()
         for a, b in zip(fused, chain):
             assert np.any(a != 0.0)
             assert np.array_equal(a, b)
@@ -496,13 +505,12 @@ class TestCertificateNodes:
     def test_adaptation_certificate_node_gradcheck(self):
         cfg = _cfg()
         rng = np.random.default_rng(97)
-        weights = rng.uniform(0.5, 2.0, 3)
 
         def build(ps):
             tape = diff.Tape()
             risk, kl = tape.tensor(ps[0]), tape.tensor(ps[1])
-            node = metalearn._adaptation_certificate_node(cfg, 9, risk, kl)
-            return diff.sum(ops.mul(node, weights)), [risk, kl]
+            node, _ = metalearn._adaptation_certificate_node(cfg, 9, risk, kl)
+            return node, [risk, kl]
 
         assert gradcheck(build, [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3)]) <= 1e-6
 
@@ -523,8 +531,8 @@ class TestCertificateNodes:
         risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
         nan_kl = ops.mul(tape.tensor(np.array([0.0, 1.0])), np.inf)
         assert np.isnan(metalearn._meta_certificate_node(cfg, 7, theta, theta, risk, nan_kl).value)
-        values = metalearn._adaptation_certificate_node(cfg, 7, risk, nan_kl).value
-        assert np.isnan(values[0]) and values[1] == np.inf
+        node, values = metalearn._adaptation_certificate_node(cfg, 7, risk, nan_kl)
+        assert np.isnan(node.value) and np.isnan(values[0]) and values[1] == np.inf
 
 
 class TestTrainMeta:
@@ -679,6 +687,37 @@ class TestRunData:
             adaptation_objective(model, isotropic(np.zeros(2), 1.0), tasks[1], cfg)
 
 
+    @pytest.mark.parametrize("arch, label", [(LINEAR, 2), (LINEAR, -1), (MLP, 3), (MLP, -1)],
+                             ids=["linear-2", "linear-neg", "mlp1-3", "mlp1-neg"])
+    def test_an_out_of_range_label_stops_a_run_before_its_first_backward_pass(
+            self, monkeypatch, arch, label):
+        if arch.kind == "linear":
+            tasks, cfg = _toy_tasks(2, 8, seed=31), _cfg(batch_size=2)
+        else:
+            tasks = sample_tasks(BLOBS, 2, 8, stream(31, "tasks"))
+            cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, batch_size=2)
+        bad_y = tasks[1].train_y.copy()
+        # a row that no task's first minibatch of 2 holds, in either run
+        bad_y[5] = label
+        tasks[1] = replace(tasks[1], train_y=bad_y)
+        passes = []
+        real_backward = diff.backward
+
+        def counting_backward(out):
+            passes.append(out.idx)
+            real_backward(out)
+
+        monkeypatch.setattr(diff, "backward", counting_backward)
+        with pytest.raises(ValueError, match="label out of range"):
+            train_meta(tasks, cfg)
+        d = arch.param_count
+        rho = MetaPosterior(np.zeros(2 * d), np.zeros(2 * d), 1e-3)
+        with pytest.raises(ValueError, match="label out of range"):
+            adapt_many(rho, tasks, cfg, adapt_epochs=1,
+                       rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+        assert passes == []
+
+
 def _step_setup(arch):
     if arch.kind == "linear":
         return _toy_tasks(3, 8, seed=2), _cfg(epochs_stage1=1, epochs_stage2=1)
@@ -691,7 +730,7 @@ class TestStepTapes:
     and freed by reference counting when the step ends."""
 
     @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
-                             [(LINEAR, (6, 6), 5), (MLP, (6, 6), 5)],
+                             [(LINEAR, (6, 6), 4), (MLP, (6, 6), 4)],
                              ids=["linear", "mlp1"])
     def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
         steps = []
@@ -728,10 +767,10 @@ class TestStepTapes:
         assert leaked == []
 
     def test_finiteness_checks_per_step(self, monkeypatch):
-        """A run checks its data once. Then a meta step checks its two
-        leaves and its weight noise, and an adapt step its one leaf and its
-        noise: the fixed priors an adapt step measures against were checked
-        once, before the first step."""
+        """A run checks its data once. Then a step checks only its weight
+        noise: its leaves hold the parameters that the previous step's check
+        found finite, and the fixed priors an adapt step measures against
+        were checked once, before the first step."""
         checked = []
         real_finite = diff._finite
 
@@ -743,12 +782,12 @@ class TestStepTapes:
         tasks, cfg = _step_setup(LINEAR)
         # one step per epoch; a stage of one epoch each
         rho, _ = train_meta(tasks, cfg)
-        assert len(checked) == 2 + 2 * 3
+        assert len(checked) == 2 + 2 * 1
         for epochs in (1, 2):
             checked.clear()
             adapt_many(rho, tasks, cfg, adapt_epochs=epochs,
                        rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
-            assert len(checked) == 2 + epochs * 2
+            assert len(checked) == 2 + epochs * 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverging_step_leaves_no_cyclic_garbage(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from metabounds import diff
+from metabounds import diff, model
 from metabounds.diff import Tape, backward
 from metabounds.gauss import DiagonalGaussian, isotropic
 from metabounds.model import (
@@ -238,6 +238,39 @@ class TestGlorotInit:
         np.testing.assert_array_equal(a.log_var, b.log_var)
 
 
+class TestClassMax:
+    """The cross-entropy losses subtract each row's largest logit, taken as
+    one np.maximum per class: numpy reduces a short last axis with one inner
+    loop per row. Class *sums* stay np.add.reduce, because column sums round
+    differently from it from 8 classes on (numpy 2.4)."""
+
+    @pytest.mark.parametrize("classes", range(2, 17))
+    @pytest.mark.parametrize("lead", [(10, 1, 64), (50, 400)], ids=["step", "oracle"])
+    def test_equals_the_reduction_bit_for_bit(self, classes, lead):
+        rng = np.random.default_rng(classes)
+        # small integers tie often, at zero too; every other row is continuous
+        z = rng.integers(-3, 4, lead + (classes,)).astype(np.float64)
+        z[..., ::2, :] += rng.normal(size=z[..., ::2, :].shape)
+        expected = np.maximum.reduce(z, axis=-1)
+        assert np.any(np.add.reduce(z == expected[..., None], axis=-1) > 1)
+        assert model._class_max(z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("classes", range(2, 17))
+    def test_a_maximum_tied_between_signed_zeros_moves_no_loss(self, classes, monkeypatch):
+        """The reduction may give such a maximum the other sign (with numpy
+        2.4 on AVX-512, from 9 classes on); the losses only subtract it and
+        exponentiate."""
+        rng = np.random.default_rng(classes)
+        z = rng.choice([-0.0, 0.0, -1.0], size=(10, 1, 64, classes))
+        y = rng.integers(0, classes, 64)
+        assert np.array_equal(model._class_max(z), np.maximum.reduce(z, axis=-1))
+        arch = ModelArchitecture("mlp1", 1, num_classes=classes, hidden_dim=1)
+        loss = LossSpec("cross_entropy_clipped")
+        losses = loss_values(loss, arch, z, y)
+        monkeypatch.setattr(model, "_class_max", lambda s: np.maximum.reduce(s, axis=-1))
+        assert loss_values(loss, arch, z, y).tobytes() == losses.tobytes()
+
+
 class TestTapedRisk:
     def _build_for(self, arch, loss, x, y, seed):
         rng = np.random.default_rng(seed)
@@ -382,7 +415,7 @@ class TestRiskNode:
             tape = Tape()
             q = tape.tensor(q_value)
             risk = risk_of(q)
-            backward(diff.sum(ops.mul(risk, weights)))
+            backward(ops.sum(ops.mul(risk, weights)))
             return risk.value, q.grad
 
         def fused(q):

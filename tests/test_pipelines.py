@@ -316,7 +316,7 @@ class TestTrainedPipeline:
     def test_point_fields_are_finite_and_ordered(self):
         tasks = _tasks(2, 6, seed=23)
         point = two_prior_point(SPEC, tasks, seed=23, cfg=_cfg(seed=23),
-                                eval_tasks=3, eval_points=50, mc_eval=20)
+                                eval_tasks=3, eval_points=50)
         values = [point.empirical_multitask_risk, point.bound_thm1,
                   point.bound_thm2, point.meta_test_loss, point.meta_train_loss]
         assert all(math.isfinite(v) for v in values)
@@ -388,7 +388,7 @@ class TestOnePassPerEvaluation:
     def test_two_prior_point_adapts_once_and_calls_the_oracle_once(self, monkeypatch):
         calls = self._count(monkeypatch, self.NAMES)
         two_prior_point(SPEC, _tasks(2, 6, seed=23), seed=23, cfg=_cfg(seed=23),
-                        eval_tasks=3, eval_points=50, mc_eval=20)
+                        eval_tasks=3, eval_points=50)
         assert calls == {"adapt_many": 1, "true_risks_mc": 1, "true_risk_mc": 0}
 
     def _diverging(self, monkeypatch, merged_task, training_task):
