@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -601,7 +602,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs about a millisecond per call."""
     parser = argparse.ArgumentParser(
         prog="metabounds",
         description="PAC-Bayesian meta-learning bounds: sweeps, training, auditing.",

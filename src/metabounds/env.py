@@ -136,11 +136,24 @@ class Task:
         return _draw(self.spec, self.latent, k, rng)
 
 
+def _sign_labels(x: np.ndarray, latents: np.ndarray) -> np.ndarray:
+    """The sign-test labels 1(w*.x <= 0) of inputs (..., k, d) under latents
+    w* (..., d): one matmul, the same gemv call per task as ``x @ latent``."""
+    return (np.matmul(x, latents[..., None])[..., 0] <= 0.0).astype(np.int64)
+
+
+def draw_linear(latents: np.ndarray, k: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k fresh points (..., k, d) and labels (..., k) per linear task of
+    latent (..., d), from one uniform call: the floats that drawing task
+    after task gives."""
+    x = rng.uniform(-1.0, 1.0, size=latents.shape[:-1] + (k, latents.shape[-1]))
+    return x, _sign_labels(x, latents)
+
+
 def _draw(spec, latent, k, rng):
     if isinstance(spec, LinearEnvSpec):
-        x = rng.uniform(-1.0, 1.0, size=(k, spec.d))
-        y = (x @ latent <= 0.0).astype(np.int64)
-        return x, y
+        return draw_linear(latent, k, rng)
     if isinstance(spec, PermutedEnvSpec):
         base_x, base_y = _base_cache(spec.base)
         idx = rng.integers(0, base_x.shape[0], size=k)
@@ -164,23 +177,29 @@ def _base_cache(base: BlobsSpec):
 
 
 def sample_tasks(spec, n: int, m: int, rng: np.random.Generator) -> list[Task]:
-    """Draw n independent tasks with m training samples each."""
+    """Draw n independent tasks with m training samples each.
+
+    Task after task draws its latent, then its inputs. A linear environment
+    then maps all latents and labels all inputs at once, on stacked arrays.
+    """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    if isinstance(spec, LinearEnvSpec):
+        noise = np.empty((n, spec.d))
+        x = np.empty((n, m, spec.d))
+        for i in range(n):
+            rng.standard_normal(out=noise[i])
+            x[i] = rng.uniform(-1.0, 1.0, size=(m, spec.d))
+        latents = spec.mu_tau + spec.sigma_tau * noise
+        y = _sign_labels(x, latents)
+        return [Task(spec, latents[i], x[i], y[i]) for i in range(n)]
+    if not isinstance(spec, PermutedEnvSpec):
+        raise ValueError(f"invalid environment spec {type(spec).__name__}")
+    size = spec.base.num_classes if spec.mode == "permute_labels" else spec.num_shuffled
     tasks = []
     for _ in range(n):
-        if isinstance(spec, LinearEnvSpec):
-            latent = spec.mu_tau + spec.sigma_tau * rng.standard_normal(spec.d)
-        elif isinstance(spec, PermutedEnvSpec):
-            if spec.mode == "permute_labels":
-                size = spec.base.num_classes
-            else:
-                size = spec.num_shuffled
-            latent = rng.permutation(size).astype(np.float64)
-        else:
-            raise ValueError(f"invalid environment spec {type(spec).__name__}")
-        x, y = _draw(spec, latent, m, rng)
-        tasks.append(Task(spec, latent, x, y))
+        latent = rng.permutation(size).astype(np.float64)
+        tasks.append(Task(spec, latent, *_draw(spec, latent, m, rng)))
     return tasks
 
 

@@ -353,8 +353,12 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
         shifted = logits - _class_max(logits)[..., None]
         lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
         onehot = labels[..., None] == np.arange(arch.num_classes)
-        # one term per row is not zero, so the sum is the label's entry exactly
-        raw = lse - np.add.reduce(np.where(onehot, shifted, 0.0), axis=-1)
+        # the label's entry, one class column at a time (see _class_max); the
+        # run checked every label before its first step
+        picked = shifted[..., 0].copy()
+        for k in range(1, arch.num_classes):
+            np.copyto(picked, shifted[..., k], where=onehot[..., k])
+        raw = lse - picked
         residual = np.exp(shifted - lse[..., None]) - onehot
     c = loss.clip_max
     scale = 1.0 / c

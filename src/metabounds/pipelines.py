@@ -25,7 +25,7 @@ from .bounds import (
     theorem1_bound,
     theorem2_bound,
 )
-from .env import LinearEnvSpec, Task, sample_tasks, true_risks_mc
+from .env import LinearEnvSpec, Task, draw_linear, sample_tasks, true_risks_mc
 from .env import true_risk_mc  # noqa: F401 - bench/tracer.py wraps it on this module
 from .gauss import (
     DiagonalGaussian,
@@ -168,6 +168,15 @@ def rule_weight(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return RULE_RADIUS * signed_mean_direction(x, y)
 
 
+def _column_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j], accumulated column after column: numpy
+    reduces a short last axis with one inner loop per row."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
 def gaussian_sign_risk(w_mean: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact expected 0-1 risk of sign prediction under isotropic weight noise.
 
@@ -177,11 +186,12 @@ def gaussian_sign_risk(w_mean: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
     misclassification probability is a normal tail whose argument is the
     scaled margin.
     """
-    # norms and scores multiply and sum rather than call BLAS, which picks
-    # its kernel, and so its rounding, per CPU
-    norms = np.linalg.norm(x, axis=-1)
+    # norms and scores are column sums over d rather than BLAS calls, which
+    # pick their kernel, and so their rounding, per CPU; for d < 8 they equal
+    # a per-row np.add.reduce bit for bit
+    norms = np.sqrt(_column_sum(x, x))
     norms = np.where(norms < 1e-12, 1e-12, norms)
-    z = np.add.reduce(x * w_mean[..., None, :], axis=-1) / (PRIOR_STD * norms)
+    z = _column_sum(x, w_mean[..., None, :]) / (PRIOR_STD * norms)
     return np.mean(normal_cdf(z * (2.0 * y - 1.0)), axis=-1)
 
 
@@ -197,7 +207,8 @@ def rule_test_loss(spec: LinearEnvSpec, m: int, seed: int, *, eval_tasks: int = 
     many as fit in ``SCORE_POINT_BUDGET`` points, one task per batch if its
     points alone exceed it, so at most max(``SCORE_POINT_BUDGET``,
     ``eval_points``) held-out points are held at once; each task's risk is
-    the one a call on that task alone gives.
+    the one a call on that task alone gives. A batch draws its points in one
+    call, the floats that drawing them task after task gives.
     """
     test_rng = stream(seed, "rule-test")
     fresh = sample_tasks(spec, eval_tasks, m, test_rng)
@@ -205,11 +216,10 @@ def rule_test_loss(spec: LinearEnvSpec, m: int, seed: int, *, eval_tasks: int = 
     test_risks = []
     for start in range(0, eval_tasks, per_call):
         batch = fresh[start:start + per_call]
-        drawn = [task.draw(eval_points, test_rng) for task in batch]
+        x, y = draw_linear(np.stack([t.latent for t in batch]), eval_points, test_rng)
         weights = rule_weight(np.stack([t.train_x for t in batch]),
                               np.stack([t.train_y for t in batch]))
-        test_risks.append(gaussian_sign_risk(weights, np.stack([xe for xe, _ in drawn]),
-                                             np.stack([ye for _, ye in drawn])))
+        test_risks.append(gaussian_sign_risk(weights, x, y))
     return float(np.mean(np.concatenate(test_risks)))
 
 

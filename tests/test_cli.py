@@ -290,6 +290,44 @@ def test_sweep_body_matches_its_golden_hash(tmp_path, name, jobs):
     assert hashlib.sha256(body.encode()).hexdigest() == digest, f"ran on {kernel_report()}"
 
 
+def test_the_cached_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """main reuses one parser per process. Flags given to one call do not
+    reach the next, and neither does an argparse exit between two calls."""
+    assert cli._build_parser() is cli._build_parser()
+    text, digest = GOLDEN_BODIES["readme"]
+    own_out = tmp_path / "own.csv"
+    path = _write(tmp_path, textwrap.dedent(text) + f"seed = 0\njobs = 1\nout = {own_out}\n")
+    pools = []
+    real_pool = cli.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", counting_pool)
+
+    def golden_run():
+        assert main(["sweep", "--config", path]) == 0
+        assert "# seed 0" in own_out.read_text().splitlines()
+        body = "\n".join(_data_lines(own_out))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, f"ran on {kernel_report()}"
+
+    flagged = tmp_path / "a.csv"
+    assert main(["sweep", "--config", path, "--seed", "7", "--out", str(flagged),
+                 "--jobs", "2"]) == 0
+    assert "# seed 7" in flagged.read_text().splitlines()
+    assert pools == [2] and not own_out.exists()
+    golden_run()
+    assert pools == [2]
+    own_out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    golden_run()
+    assert pools == [2]
+
+
 # Runs the CLI with the given arguments, then prints the kernels it ran on.
 _REPORTING_CHILD = """\
 import sys

@@ -14,6 +14,7 @@ from metabounds.env import (
     Task,
     _linear_point_risks,
     _normal_rule,
+    draw_linear,
     sample_tasks,
     true_risk_mc,
     true_risks_mc,
@@ -78,6 +79,53 @@ class TestLinearEnv:
             LinearEnvSpec(2, sigma_tau=-1.0)
         with pytest.raises(ValueError):
             sample_tasks(LinearEnvSpec(2), 0, 5, np.random.default_rng(0))
+
+
+def _per_task_linear_tasks(spec, n, m, rng):
+    """(latent, x, y) of n linear tasks, drawn and labelled task by task."""
+    tasks = []
+    for _ in range(n):
+        latent = spec.mu_tau + spec.sigma_tau * rng.standard_normal(spec.d)
+        x = rng.uniform(-1.0, 1.0, size=(m, spec.d))
+        tasks.append((latent, x, (x @ latent <= 0.0).astype(np.int64)))
+    return tasks
+
+
+class TestStackedLinearSampling:
+    """Stacking the latents' map and the labels changes no bit of what a
+    per-task loop draws, and leaves the generator where the loop leaves it."""
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("m", [1, 5, 400])
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    def test_tasks_equal_a_per_task_loop(self, d, m, n):
+        spec = LinearEnvSpec(d)
+        got_rng, ref_rng = np.random.default_rng([d, m, n]), np.random.default_rng([d, m, n])
+        tasks = sample_tasks(spec, n, m, got_rng)
+        reference = _per_task_linear_tasks(spec, n, m, ref_rng)
+        assert len(tasks) == n
+        for task, (latent, x, y) in zip(tasks, reference):
+            assert task.latent.shape == (d,) and task.train_x.shape == (m, d)
+            assert task.train_y.dtype == np.int64 and task.train_y.shape == (m,)
+            assert np.array_equal(task.latent, latent)
+            assert np.array_equal(task.train_x, x)
+            assert np.array_equal(task.train_y, y)
+        assert np.array_equal(got_rng.standard_normal(3), ref_rng.standard_normal(3))
+
+    @pytest.mark.parametrize("k", [1, 5, 400])
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    def test_one_call_held_out_draw_equals_task_draws_in_sequence(self, d, k):
+        tasks = sample_tasks(LinearEnvSpec(d), 7, 5, np.random.default_rng(d))
+        got_rng, seq_rng, ref_rng = (np.random.default_rng([d, k]) for _ in range(3))
+        x, y = draw_linear(np.stack([t.latent for t in tasks]), k, got_rng)
+        assert x.shape == (7, k, d) and y.shape == (7, k) and y.dtype == np.int64
+        for i, task in enumerate(tasks):
+            xs, ys = task.draw(k, seq_rng)
+            xr = ref_rng.uniform(-1.0, 1.0, size=(k, d))
+            assert np.array_equal(x[i], xs) and np.array_equal(y[i], ys)
+            assert np.array_equal(x[i], xr)
+            assert np.array_equal(y[i], (xr @ task.latent <= 0.0).astype(np.int64))
+        assert got_rng.random() == seq_rng.random() == ref_rng.random()
 
 
 class TestPermutedEnv:

@@ -8,7 +8,13 @@ import pytest
 
 from metabounds import audit, env, metalearn, pipelines
 from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
-from metabounds.gauss import DiagonalGaussian, expected_kl_arrays, isotropic, kl_diag_gaussian
+from metabounds.gauss import (
+    DiagonalGaussian,
+    expected_kl_arrays,
+    isotropic,
+    kl_diag_gaussian,
+    normal_cdf,
+)
 from metabounds.metalearn import (
     MetaPosterior,
     TrainConfig,
@@ -157,6 +163,52 @@ class TestBatchedRule:
         assert np.array_equal(w4.reshape(30, 2), rule_weight(x[:30], y[:30]))
         assert np.array_equal(gaussian_sign_risk(w4, x4, y4).ravel(),
                               gaussian_sign_risk(w4.reshape(30, 2), x[:30], y[:30]))
+
+
+def _reduce_sign_risk(w_mean, x, y):
+    """The sign risk with its sums over d as per-row reductions."""
+    norms = np.linalg.norm(x, axis=-1)
+    norms = np.where(norms < 1e-12, 1e-12, norms)
+    z = np.add.reduce(x * w_mean[..., None, :], axis=-1) / (PRIOR_STD * norms)
+    return np.mean(normal_cdf(z * (2.0 * y - 1.0)), axis=-1)
+
+
+def _column_loop_sign_risk(w_mean, x, y):
+    """The sign risk with its sums over d taken column by column, in order."""
+    squares = x[..., 0] * x[..., 0]
+    scores = x[..., 0] * w_mean[..., None, 0]
+    for j in range(1, x.shape[-1]):
+        squares = squares + x[..., j] * x[..., j]
+        scores = scores + x[..., j] * w_mean[..., None, j]
+    norms = np.sqrt(squares)
+    norms = np.where(norms < 1e-12, 1e-12, norms)
+    z = scores / (PRIOR_STD * norms)
+    return np.mean(normal_cdf(z * (2.0 * y - 1.0)), axis=-1)
+
+
+class TestSignRiskSumOrder:
+    """The sums over d add column after column. Below 8 columns that is the
+    order of a per-row np.add.reduce; from 8 on numpy's pairwise sum rounds
+    differently, and the column order is what is pinned."""
+
+    @staticmethod
+    def _batch(d):
+        rng = np.random.default_rng(d)
+        tasks = sample_tasks(LinearEnvSpec(d=d), 20, 5, rng)
+        x = np.stack([t.train_x for t in tasks])
+        w = rule_weight(x, np.stack([t.train_y for t in tasks]))
+        held_out, labels = env.draw_linear(np.stack([t.latent for t in tasks]), 400, rng)
+        return w, held_out, labels
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equals_a_per_row_reduction_below_eight_columns(self, d):
+        w, x, y = self._batch(d)
+        assert np.array_equal(gaussian_sign_risk(w, x, y), _reduce_sign_risk(w, x, y))
+
+    @pytest.mark.parametrize("d", [8, 9, 16])
+    def test_equals_a_column_loop_from_eight_columns(self, d):
+        w, x, y = self._batch(d)
+        assert np.array_equal(gaussian_sign_risk(w, x, y), _column_loop_sign_risk(w, x, y))
 
 
 def _reference_rule_test_loss(spec, m, seed, eval_tasks, eval_points):
