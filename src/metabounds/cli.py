@@ -25,9 +25,7 @@ import configparser
 import functools
 import hashlib
 import math
-import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -41,6 +39,7 @@ from .env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks, true_r
 from .metalearn import (
     TrainConfig,
     TrainingDiverged,
+    _write_atomic,
     adapt_many,
     adaptation_certificate,
     load_meta_posterior,
@@ -283,7 +282,8 @@ def load_config(path: str | Path, command: str,
 
     overrides (from command-line flags) replace file values after parsing
     but before required-key checking, so --seed works with or without a
-    seed line in the file; they are checked like file values.
+    seed line in the file; they are checked like file values, and a key
+    the section does not take is unknown.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -296,13 +296,12 @@ def load_config(path: str | Path, command: str,
         if section not in SCHEMAS:
             raise ConfigError(f"unknown section [{section}]")
     raw_values = dict(parser.items(command)) if parser.has_section(command) else {}
+    raw_values.update((key, str(value)) for key, value in (overrides or {}).items())
     schema = _schema(command, raw_values)
     for key in raw_values:
         if key not in schema:
             hint = " (read only with pipeline = two_prior)" if key in SCHEMAS[command] else ""
             raise ConfigError(f"unknown key {key!r} in section [{command}]{hint}")
-    raw_values.update((key, str(value)) for key, value in (overrides or {}).items()
-                      if key in schema)
     values = {key: default for key, (_, default) in schema.items()}
     for key, raw in raw_values.items():
         try:
@@ -376,7 +375,6 @@ def write_csv(path: str | Path, columns: list[str], rows: list[tuple],
     only in '#'-prefixed trailers (wall-time, write timestamp), so repeated
     runs agree byte for byte outside the comments.
     """
-    path = Path(path)
     lines = [
         f"# metabounds-csv {CSV_VERSION}",
         f"# columns {','.join(columns)}",
@@ -390,17 +388,7 @@ def write_csv(path: str | Path, columns: list[str], rows: list[tuple],
         lines.append(",".join(_fmt(v) for v in row))
     lines.extend(trailers or [])
     lines.append(f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    payload = "\n".join(lines) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +590,14 @@ COMMANDS = {
 }
 
 
+# Config keys that a command-line flag of the same name overrides.
+_OVERRIDES = {
+    "seed": {"type": int, "help": "root seed, overriding the config file"},
+    "out": {"help": "output path, overriding the config file"},
+    "jobs": {"type": int, "help": "worker processes, overriding the config file"},
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
@@ -614,19 +610,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="root seed, overriding the config file")
-        p.add_argument("--out", default=None,
-                       help="output path, overriding the config file")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for parallel sections")
+        # a command takes the flag of each config key it reads, so a flag it
+        # would ignore is rejected like an unknown one
+        for key, options in _OVERRIDES.items():
+            if key in SCHEMAS[name]:
+                p.add_argument(f"--{key}", **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in ("seed", "out", "jobs")
-                 if getattr(args, key) is not None}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _OVERRIDES and value is not None}
     # the finiteness checks turn every overflow into exit 3, so numpy's own
     # warnings would only put lines before the documented one; forked
     # workers inherit this state

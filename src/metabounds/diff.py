@@ -6,15 +6,16 @@ that list. Everything is float64.
 
 The cost of a step is Python overhead per node, not flops: the arrays are
 tiny. So the certificates' hot chains are fused into single nodes: the
-diagonal-Gaussian divergence ``gaussian_kl`` here, the Monte-Carlo risk
-``model.taped_mc_risk`` (reparametrized draws, forward pass, loss, clip and
-mean), and each certificate's arithmetic in ``metalearn``. A diagonal
-Gaussian enters both of its nodes in one layout, a stacked row of d means
-then d log-variances, so no step slices off the halves as nodes of their
-own. Each fused node repeats, in the same order, the float operations of
-the chain of elementary ops it stands for, adjoint accumulation included,
-so a fused tape and the chain agree bit for bit. The tests build those
-reference chains from the elementary ops in ``tests/oracles.py``. For the
+Monte-Carlo risk ``model.taped_mc_risk`` (reparametrized draws, forward
+pass, loss, clip and mean), and each certificate of ``metalearn``, whose
+node also takes the Gaussian divergence of the task posteriors from their
+prior. A diagonal Gaussian enters both of its nodes in one layout, a
+stacked row of d means then d log-variances, so no step slices off the
+halves as nodes of their own. Each fused node repeats, in the same order,
+the float operations of the chain of elementary ops it stands for, adjoint
+accumulation included, so a fused tape and the chain agree bit for bit.
+The tests build those reference chains from the elementary ops in
+``tests/oracles.py``. For the
 same reason the nodes reduce with ufunc methods (``np.add.reduce`` rather
 than ``ndarray.sum``) and read ``.shape`` rather than ``np.shape``: numpy's
 Python-level wrappers would add Python calls per node for the same floats.
@@ -100,77 +101,11 @@ class Tensor:
         return np.zeros_like(self.value) if g is None else g
 
 
-def _same_tape(*tensors: Tensor) -> Tape:
-    tape = tensors[0].tape
-    for t in tensors[1:]:
-        if t.tape is not tape:
-            raise ValueError("operands live on different tapes")
-    return tape
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum an adjoint over the axes along which an operand of ``shape`` was
-    broadcast, so it comes back in the operand's own shape."""
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    if lead:
-        g = np.add.reduce(g, axis=tuple(range(lead)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    return np.add.reduce(g, axis=axes, keepdims=True) if axes else g
-
-
 def constant(value) -> np.ndarray:
     """A constant operand as a finite float64 array (not copied). Raises
     ValueError on a non-finite entry. Nodes built outside this module check
     their constants with it too."""
     return _finite(np.asarray(value, dtype=np.float64))
-
-
-def gaussian_kl(q: Tensor, p) -> Tensor:
-    """KL of diagonal Gaussians, one value per row: (..., 2d) -> (...).
-
-    Each row of q, and of p, holds d means then d log-variances; p is a node
-    or a constant float64 array and broadcasts against q, so a (2d,) prior
-    serves every row of an (n, 2d) posterior. A constant prior is taken as
-    it is: its caller has checked it to be finite once, before a run's
-    first step, not on every step. Value and adjoints repeat, in the same
-    order, the float operations of the 12-op chain
-    ``sum(exp(dlv) + dm * dm * exp(-p_lv) - dlv + (-1), axis=-1) * 0.5``
-    with ``dlv = q_lv - p_lv`` and ``dm = q_mean - p_mean``.
-    """
-    prior_is_node = isinstance(p, Tensor)
-    if prior_is_node:
-        _same_tape(q, p)
-    pv = p.value if prior_is_node else p
-    d = q.shape[-1] // 2
-    q_mean, q_lv = q.value[..., :d], q.value[..., d:]
-    p_mean, p_lv = pv[..., :d], pv[..., d:]
-    dlv = q_lv - p_lv
-    dm = q_mean - p_mean
-    inv_var = np.exp(-p_lv)
-    e = np.exp(dlv)
-    sq = dm * dm
-    per_weight = e + sq * inv_var - dlv + (-1.0)
-    value = np.add.reduce(per_weight, axis=-1) * 0.5
-
-    def vjp(g):
-        # the chain spreads g * 0.5 across each row; broadcasting gives each
-        # entry the same floats, and g_dm + g_dm those of its two equal terms
-        g = (g * 0.5)[..., None]
-        g_sq = g * inv_var
-        g_dm = g_sq * dm
-        g_dm = g_dm + g_dm
-        g_dlv = -g + g * e
-        g_q = np.concatenate([_unbroadcast(g_dm, q_mean.shape),
-                              _unbroadcast(g_dlv, q_lv.shape)], axis=-1)
-        if not prior_is_node:
-            return (g_q,)
-        g_inv = _unbroadcast(g * sq, inv_var.shape)
-        g_p_lv = _unbroadcast(-g_dlv, p_lv.shape) - g_inv * inv_var
-        return g_q, np.concatenate([_unbroadcast(-g_dm, p_mean.shape), g_p_lv], axis=-1)
-
-    return Tensor(q.tape, value, (q, p) if prior_is_node else (q,), vjp)
 
 
 def backward(out: Tensor) -> None:

@@ -20,8 +20,9 @@ one tape as a single leaf and the tape's size depends on the layers, not on
 from __future__ import annotations
 
 import math
+import os
+import uuid
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +187,17 @@ def meta_kl(rho: MetaPosterior, kappa_pi: float) -> float:
 # by training and, on the same tape, by the public objective functions that
 # gradcheck it.
 #
-# A certificate's arithmetic on the per-task risks and divergences is one
-# node. Its value and adjoints repeat, in the same order, the float
-# operations of the chain of elementary ops that spells the certificate out
-# (sums, sums of squares, scalings, square roots), adjoint accumulation
-# included, so training follows the chain's path bit for bit; the tests
-# build that reference chain from the ops in tests/oracles.py. Like that
-# chain's sqrt, the nodes reject a nonpositive square-root argument and let
-# NaN through to the training loops' finiteness checks.
+# A certificate's arithmetic on the per-task risks, and the divergence of
+# the task posteriors from their prior, is one node. Its value and adjoints
+# repeat, in the same order, the float operations of the chain of
+# elementary ops that spells the certificate out (the divergence, sums,
+# sums of squares, scalings, square roots), adjoint accumulation included,
+# so training follows the chain's path bit for bit; the tests build that
+# reference chain from the ops in tests/oracles.py. A node hands q the
+# divergence's adjoint, to which backward then adds the risk node's, the
+# order in which the chain accumulates them. Like that chain's sqrt,
+# the nodes reject a nonpositive square-root argument and let NaN through
+# to the training loops' finiteness checks.
 
 
 def _check_sqrt_args(*args) -> None:
@@ -202,20 +206,64 @@ def _check_sqrt_args(*args) -> None:
             raise ValueError("sqrt requires strictly positive input")
 
 
-def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
-    """The two-level certificate of the (n,) risks and divergences as one
-    node: their mean risk plus the task-level and multitask square-root terms.
+def _gaussian_kl(q: np.ndarray, p: np.ndarray):
+    """KL of diagonal Gaussians, one value per row of the (n, 2d) array q.
+
+    Each row of q, and of p, holds d means then d log-variances; p is one
+    (2d,) row that serves every row of q, or an (n, 2d) row per row. p is
+    taken as it is: its caller has checked it to be finite. Returns the (n,)
+    values and their vjp. ``vjp(g)`` gives q's adjoint and a function of no
+    arguments that gives p's, so that a certificate whose prior is constant
+    never computes it. Value and adjoints repeat, in the same order, the
+    float operations of the 12-op chain
+    ``sum(exp(dlv) + dm * dm * exp(-p_lv) - dlv + (-1), axis=-1) * 0.5``
+    with ``dlv = q_lv - p_lv`` and ``dm = q_mean - p_mean``.
+    """
+    d = q.shape[1] // 2
+    p_mean, p_lv = p[..., :d], p[..., d:]
+    dlv = q[:, d:] - p_lv
+    dm = q[:, :d] - p_mean
+    inv_var = np.exp(-p_lv)
+    e = np.exp(dlv)
+    sq = dm * dm
+    value = np.add.reduce(e + sq * inv_var - dlv + (-1.0), axis=-1) * 0.5
+
+    def vjp(g):
+        # the chain spreads g * 0.5 across each row; broadcasting gives each
+        # entry the same floats, and g_dm + g_dm those of its two equal terms
+        g = (g * 0.5)[:, None]
+        g_dm = g * inv_var * dm
+        g_dm = g_dm + g_dm
+        g_dlv = -g + g * e
+
+        def prior_adjoint():
+            g_mean, g_lv, g_inv = -g_dm, -g_dlv, g * sq
+            if p.ndim == 1:
+                # one row serves every task, so its adjoint sums theirs
+                g_mean, g_lv, g_inv = (np.add.reduce(a, axis=0) for a in (g_mean, g_lv, g_inv))
+            return np.concatenate([g_mean, g_lv - g_inv * inv_var], axis=-1)
+
+        return np.concatenate([g_dm, g_dlv], axis=1), prior_adjoint
+
+    return value, vjp
+
+
+def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, q, risk):
+    """The two-level certificate of the (n, 2d) task posteriors q and their
+    (n,) risks as one node: the mean risk plus the task-level and multitask
+    square-root terms.
 
     theta1 is a node; theta0 is the same node (tied) or a constant array
-    (frozen). kl holds each task's divergence from N(a, exp(b - h)), where
-    theta1 = (a, b) and h = kappa_rho**2 / 2; adding n spread terms
-    h * sum(exp(h - b) + 1/2) turns their sum into the expected divergence
-    from regularization priors drawn from N(theta1, kappa_rho**2 I)
-    (gauss.expected_kl_fixed_spread_arrays). The node stands for the chain
+    (frozen). Each task's divergence is its expectation over regularization
+    priors drawn from N(theta1, kappa_rho**2 I), in the closed form that
+    prices the trained certificate (gauss.expected_kl_fixed_spread_arrays):
+    the KL from N(a, exp(b - h)), where theta1 = (a, b) and
+    h = kappa_rho**2 / 2, plus n spread terms h * sum(exp(h - b) + 1/2).
+    The node stands for the chain
     ``sum(risk) * (1/n) + sqrt((mkl + task_level_slack) * (1/(2n)))
     + sqrt((mkl + sum(kl) + spread + multitask_slack) * (1/(2nm)))`` with
-    ``spread = sum(exp(h - b) + 0.5) * (h * n)``, b sliced from theta1
-    before the meta-KL
+    ``kl`` the KL of q from ``theta1 - (0, h)``, ``spread = sum(exp(h - b)
+    + 0.5) * (h * n)``, b sliced from theta1 before the meta-KL
     ``mkl = (sum(theta0 * theta0) + sum(theta1 * theta1)) * scale + shift``.
     """
     n = risk.shape[0]
@@ -223,6 +271,7 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
     t1 = theta1.value
     d = t1.shape[0] // 2
     half = 0.5 * cfg.kappa_rho**2
+    kl, kl_vjp = _gaussian_kl(q.value, np.concatenate([t1[:d], t1[d:] - half]))
     inv_var = np.exp(half - t1[d:])
     spread = np.add.reduce(inv_var + 0.5, axis=None) * (half * n)
     sq1 = np.add.reduce(t1 * t1, axis=None)
@@ -232,7 +281,7 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
     task_scale = 1.0 / (2.0 * n)
     multi_scale = 1.0 / (2.0 * n * m)
     task_arg = (mkl + task_level_slack(n, cfg.delta)) * task_scale
-    multi_arg = (mkl + np.add.reduce(kl.value, axis=None) + spread
+    multi_arg = (mkl + np.add.reduce(kl, axis=None) + spread
                  + multitask_slack(n, m, cfg.delta)) * multi_scale
     _check_sqrt_args(task_arg, multi_arg)
     task_term = np.sqrt(task_arg)
@@ -243,43 +292,38 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, risk, kl):
         g_multi = g * 0.5 / multi_term * multi_scale
         # the chain reaches mkl through the multitask term first
         g_squares = (g_multi + g * 0.5 / task_term * task_scale) * scale
-        g_risk, g_kl = np.full(n, g * (1.0 / n)), np.full(n, g_multi)
+        g_q, g_prior = kl_vjp(np.full(n, g_multi))
         # each sum of squares hands its center two equal adjoints; the chain
-        # accumulates theta1's pair, then the tied theta0's, then the spread's
+        # accumulates theta1's pair, then the tied theta0's, then the
+        # spread's, and last the divergence's, through the shifted prior
         g1 = g_squares * t1
         g_theta = (g1 + g1 + g1 + g1) if tied else (g1 + g1)
         g_theta[d:] -= g_multi * (half * n) * inv_var
-        return g_risk, g_kl, g_theta
+        return np.full(n, g * (1.0 / n)), g_q, g_theta + g_prior()
 
-    return diff.Tensor(risk.tape, value, (risk, kl, theta1), vjp)
+    return diff.Tensor(risk.tape, value, (risk, q, theta1), vjp)
 
 
-def _adaptation_certificate_node(cfg: TrainConfig, m: int, risk, kl):
-    """Single-task certificates of (n,) risks and divergences, summed as one
-    scalar node: the chain ``sum(risk + sqrt((kl + multitask_slack) *
-    (1/(2m))))``. Returns the node and the (n,) certificates it sums."""
+def _adaptation_certificate_node(cfg: TrainConfig, m: int, q, prior: np.ndarray, risk):
+    """Single-task certificates of the (n, 2d) posteriors q against the
+    fixed (n, 2d) priors, given their (n,) risks, summed as one scalar node:
+    the chain ``sum(risk + sqrt((kl + multitask_slack) * (1/(2m))))`` with
+    ``kl`` the KL of q from the priors. Returns the node and the (n,)
+    certificates it sums."""
+    kl, kl_vjp = _gaussian_kl(q.value, prior)
     scale = 1.0 / (2.0 * m)
-    arg = (kl.value + multitask_slack(1, m, cfg.delta)) * scale
+    arg = (kl + multitask_slack(1, m, cfg.delta)) * scale
     _check_sqrt_args(arg)
     root = np.sqrt(arg)
     values = risk.value + root
 
     def vjp(g):
         g = np.full(values.shape, g)
-        return g, g * 0.5 / root * scale
+        g_q, _ = kl_vjp(g * 0.5 / root * scale)
+        return g, g_q
 
-    return (diff.Tensor(risk.tape, np.asarray(np.add.reduce(values, axis=None)), (risk, kl), vjp),
+    return (diff.Tensor(risk.tape, np.asarray(np.add.reduce(values, axis=None)), (risk, q), vjp),
             values)
-
-
-@lru_cache(maxsize=None)
-def _log_variance_shift(d: int, kappa_rho: float) -> np.ndarray:
-    """The read-only (2d,) row that lowers a prior's log-variances by
-    kappa_rho**2 / 2 and leaves its means: d zeros, then d times that
-    amount. Made once per weight count and spread."""
-    shift = np.concatenate([np.zeros(d), np.full(d, 0.5 * kappa_rho**2)])
-    shift.flags.writeable = False
-    return shift
 
 
 def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
@@ -290,21 +334,12 @@ def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
     (tied) or a constant array (frozen); q is the (n, 2d) task-posterior
     node, x and y one minibatch per task.  ``m`` is each task's full sample
     count, which sets the slack constants whatever the minibatch size.
-    Each task's divergence is its expectation over regularization priors
-    drawn from N(theta1, kappa_rho**2 I), in the closed form that prices the
-    trained certificate: the KL from theta1 with its log-variances lowered
-    by kappa_rho**2 / 2, plus a spread term the certificate node adds.
     Draws every task's weight noise, and nothing else, from rng.
     """
     n, width = q.shape
-    d = width // 2
-    # theta1 minus the shift; the adjoint gaussian_kl hands p is (2d,), as
-    # theta1 is, so it passes through unchanged
-    p = diff.Tensor(theta1.tape, theta1.value - _log_variance_shift(d, cfg.kappa_rho),
-                    (theta1,), lambda g: (g,))
-    eps = rng.standard_normal((n, cfg.mc_train, d))
+    eps = rng.standard_normal((n, cfg.mc_train, width // 2))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
-    return _meta_certificate_node(cfg, m, theta0, theta1, risk, diff.gaussian_kl(q, p))
+    return _meta_certificate_node(cfg, m, theta0, theta1, q, risk)
 
 
 def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
@@ -312,12 +347,13 @@ def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
     """Single-task certificates of stacked posteriors against fixed priors.
 
     q is the (n, 2d) posterior node and prior the (n, 2d) array of prior
-    parameters, which the caller has checked to be finite (gaussian_kl takes
-    it unchecked). Returns the scalar node of their sum, which each row's
-    gradient sees as its own task's certificate, and the (n,) certificates.
+    parameters, which the caller has checked to be finite (the divergence
+    takes it unchecked). Returns the scalar node of their sum, which each
+    row's gradient sees as its own task's certificate, and the (n,)
+    certificates.
     """
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
-    return _adaptation_certificate_node(cfg, m, risk, diff.gaussian_kl(q, prior))
+    return _adaptation_certificate_node(cfg, m, q, prior, risk)
 
 
 def _flat(dist: DiagonalGaussian) -> np.ndarray:
@@ -655,15 +691,31 @@ _ARTIFACT_VERSION = 1
 
 
 def save_meta_posterior(rho: MetaPosterior, path) -> None:
-    """Write the meta-posterior as plain text; round-trips bit-exactly."""
+    """Write the meta-posterior as plain text, atomically; round-trips
+    bit-exactly."""
     lines = [
         f"{_ARTIFACT_TAG} {_ARTIFACT_VERSION} {rho.theta0.size} {rho.kappa_rho:.17g}"
     ]
     for vec in (rho.theta0, rho.theta1):
         lines.append(" ".join(format(v, ".17g") for v in vec))
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write text to path through a new file beside it and one rename, so
+    that path holds its old content or all of the new, never part. Makes
+    missing parent directories and leaves no temporary file; the file gets
+    the mode the umask gives any new file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_meta_posterior(path) -> MetaPosterior:

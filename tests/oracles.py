@@ -3,10 +3,10 @@
 Nothing here runs in a CLI command or a training step:
 
 - the elementary tape ops on ``metabounds.diff`` nodes, from which the tests
-  spell out the chains that each fused node (``diff.gaussian_kl``,
-  ``model.taped_mc_risk`` and the certificate nodes of ``metalearn``)
-  stands for and must equal bit for bit, and criterion 3's hand-built
-  single-task certificate;
+  spell out the chains that each fused node (``model.taped_mc_risk`` and
+  the certificate nodes of ``metalearn``, Gaussian divergence included:
+  ``kl_chain``) stands for and must equal bit for bit, and criterion 3's
+  hand-built single-task certificate;
 - ``gradcheck``, the finite-difference oracle of criterion 3;
 - the trade-off parameter machinery of criterion 8: ``lemma2_lambda_form``,
   ``lambda_star`` and ``lemma2_grid_minimum``;
@@ -31,8 +31,28 @@ from typing import Callable, Sequence
 import numpy as np
 
 from metabounds.bounds import DiscreteMetaSystem, _check_count, _check_delta, _check_kl
-from metabounds.diff import Tensor, _same_tape, _unbroadcast, backward, constant
+from metabounds.diff import Tensor, backward, constant
 from metabounds.gauss import DiagonalGaussian
+
+
+def _same_tape(*tensors: Tensor):
+    tape = tensors[0].tape
+    for t in tensors[1:]:
+        if t.tape is not tape:
+            raise ValueError("operands live on different tapes")
+    return tape
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum an adjoint over the axes along which an operand of ``shape`` was
+    broadcast, so it comes back in the operand's own shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = np.add.reduce(g, axis=tuple(range(lead)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    return np.add.reduce(g, axis=axes, keepdims=True) if axes else g
 
 
 def _constant(value):
@@ -94,7 +114,7 @@ def mul(a, b):
 def reparam(q: Tensor, eps) -> Tensor:
     """Reparametrized draws from a diagonal Gaussian as one node.
 
-    q is laid out as for gaussian_kl: d means then d log-variances, (2d,)
+    q is laid out as for kl_chain: d means then d log-variances, (2d,)
     for one Gaussian or (n, 2d) for a row per task. eps is constant
     (..., K, d) noise for K draws, against which each row broadcasts with a
     draw axis in front of its halves: the result is the (..., K, d) draws
@@ -278,6 +298,29 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray):
     residual = np.exp(shifted - lse[..., None]) - onehot
 
     return Tensor(logits.tape, losses, (logits,), lambda g: (residual * g[..., None],))
+
+
+def kl_chain(q: Tensor, p) -> Tensor:
+    """KL of diagonal Gaussians, one value per row, as the 12-op chain
+    ``sum(exp(dlv) + dm * dm * exp(-p_lv) - dlv + (-1), axis=-1) * 0.5``
+    with ``dlv = q_lv - p_lv`` and ``dm = q_mean - p_mean``: the reference of
+    the divergence that each certificate node of ``metalearn`` takes in.
+
+    Each row of q, and of p, holds d means then d log-variances; p is a node
+    or a constant array and broadcasts against q.
+    """
+    d = q.shape[-1] // 2
+    q_mean, q_lv = slice(q, np.s_[..., :d]), slice(q, np.s_[..., d:])
+    if isinstance(p, Tensor):
+        p_mean, p_lv = slice(p, np.s_[..., :d]), slice(p, np.s_[..., d:])
+        inv_var = exp(mul(p_lv, -1.0))
+    else:
+        p_mean, p_lv = p[..., :d], p[..., d:]
+        inv_var = np.exp(-p_lv)
+    dlv = sub(q_lv, p_lv)
+    dm = sub(q_mean, p_mean)
+    per_weight = add(sub(add(exp(dlv), mul(mul(dm, dm), inv_var)), dlv), -1.0)
+    return mul(sum(per_weight, axis=-1), 0.5)
 
 
 def gradcheck(build: Callable[[Sequence[np.ndarray]],

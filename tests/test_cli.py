@@ -124,6 +124,12 @@ class TestCsvWriter:
             write_csv(target, ["a", "b"], [(1,)], "h", 0)
         assert not target.exists()
 
+    def test_mode_is_that_of_any_new_file(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x\n")
+        write_csv(tmp_path / "out.csv", ["a"], [(1,)], "h", 0)
+        assert (tmp_path / "out.csv").stat().st_mode == plain.stat().st_mode
+
     def test_creates_parent_directories(self, tmp_path):
         target = tmp_path / "deep" / "nested" / "out.csv"
         write_csv(target, ["a"], [(1,)], "h", 0)
@@ -547,6 +553,10 @@ class TestCmdAudit:
         assert f"\n# vacuous {int(np.sum(bounds >= 1.0))}/50\n" in text
         q25, q50, q75 = (repr(float(q)) for q in np.percentile(margins, (25, 50, 75)))
         assert f"\n# margin q25={q25} q50={q50} q75={q75}\n" in text
+        # --jobs spreads the trials over processes and leaves the body
+        spread = tmp_path / "spread.csv"
+        assert main(["audit", "--config", path, "--jobs", "2", "--out", str(spread)]) == 0
+        assert _data_lines(spread) == body
 
 
 AUDIT_HEADER = "trial_index,seed,bound,true_risk_est,true_risk_se,margin,violated"
@@ -682,6 +692,36 @@ def test_overrides_are_checked_like_file_values(tmp_path):
     path = _write(tmp_path, "[sweep]\n")
     with pytest.raises(ConfigError, match="jobs"):
         load_config(path, "sweep", overrides={"jobs": 0})
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("bound", "--jobs", "0"),
+    ("bound", "--seed", "-3"),
+    ("train", "--jobs", "0"),
+])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag, value):
+    """bound reads no seed and no jobs, train no jobs: such a flag is
+    rejected like an unknown one, before the config is read."""
+    path = _write(tmp_path, "[bound]\nn = 10\nm = 5\n\n[train]\nn = 2\nm = 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_each_command_takes_the_flags_of_its_keys():
+    parser = cli._build_parser()
+    for command, schema in SCHEMAS.items():
+        for key in ("seed", "out", "jobs"):
+            argv = [command, "--config", "c.ini", f"--{key}", "1"]
+            if key in schema:
+                assert getattr(parser.parse_args(argv), key) is not None
+            else:
+                with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+                    parser.parse_args(argv)
+    for command in ("sweep", "audit"):
+        assert parser.parse_args([command, "--config", "c.ini", "--jobs", "2"]).jobs == 2
 
 
 def test_unreadable_posterior_is_a_config_error(tmp_path, monkeypatch):

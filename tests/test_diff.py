@@ -407,8 +407,8 @@ class TestConstantOperands:
 
 
 class TestReparam:
-    """reparam takes the stacked (2d,) or (n, 2d) posterior, as gaussian_kl
-    does, against (..., K, d) noise."""
+    """reparam takes the stacked (2d,) or (n, 2d) posterior, as the risk
+    node does, against (..., K, d) noise."""
 
     @pytest.fixture
     def rng(self):
@@ -467,23 +467,6 @@ def _relu(a):
     return diff.Tensor(a.tape, np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
-def _chain_kl(q, p):
-    """The per-row Gaussian KL as the elementwise chain gaussian_kl fuses."""
-    d = q.shape[-1] // 2
-    q_mean, q_lv = ops.slice(q, (Ellipsis, slice(None, d))), ops.slice(q, (Ellipsis, slice(d, None)))
-    if isinstance(p, diff.Tensor):
-        p_mean, p_lv = ops.slice(p, (Ellipsis, slice(None, d))), ops.slice(p, (Ellipsis, slice(d, None)))
-        inv_var = ops.exp(ops.mul(p_lv, -1.0))
-    else:
-        p_mean, p_lv = p[..., :d], p[..., d:]
-        inv_var = np.exp(-p_lv)
-    dlv = ops.sub(q_lv, p_lv)
-    dm = ops.sub(q_mean, p_mean)
-    per_weight = ops.add(ops.sub(ops.add(ops.exp(dlv), ops.mul(ops.mul(dm, dm), inv_var)), dlv),
-                         -1.0)
-    return ops.mul(ops.sum(per_weight, axis=-1), 0.5)
-
-
 def _chain_softplus(t):
     abs_t = ops.add(_relu(t), _relu(ops.mul(t, -1.0)))
     return ops.add(_relu(t), ops.log(ops.add(ops.exp(ops.mul(abs_t, -1.0)), 1.0)))
@@ -500,62 +483,6 @@ class TestFusedOps:
     @pytest.fixture
     def rng(self):
         return np.random.default_rng(113)
-
-    def _kl_prior(self, rng, prior_kind, n, d):
-        if prior_kind == "row":
-            return rng.normal(-0.5, 0.5, 2 * d)
-        return rng.normal(-0.5, 0.5, (n, 2 * d))
-
-    @pytest.mark.parametrize("prior_kind", ["row", "stacked"])
-    @pytest.mark.parametrize("prior_is_node", [True, False], ids=["node", "constant"])
-    def test_gaussian_kl_gradcheck(self, rng, prior_kind, prior_is_node):
-        n, d = 3, 2
-        p_value = self._kl_prior(rng, prior_kind, n, d)
-        weights = rng.normal(size=n)
-
-        def build(ps):
-            tape = Tape()
-            q = tape.tensor(ps[0])
-            p = tape.tensor(ps[1]) if prior_is_node else p_value
-            out = ops.sum(ops.mul(diff.gaussian_kl(q, p), weights))
-            return out, [q, p] if prior_is_node else [q]
-
-        points = [rng.normal(-0.5, 0.5, (n, 2 * d))]
-        if prior_is_node:
-            points.append(p_value)
-        assert gradcheck(build, points) <= 1e-6
-
-    def test_gaussian_kl_is_the_closed_form(self, rng):
-        from metabounds.gauss import DiagonalGaussian, kl_diag_gaussian
-
-        q = rng.normal(size=(2, 6))
-        p = rng.normal(size=6)
-        value = diff.gaussian_kl(Tape().tensor(q), p).value
-        for row, kl in zip(q, value):
-            expected = kl_diag_gaussian(DiagonalGaussian(row[:3], row[3:]),
-                                        DiagonalGaussian(p[:3], p[3:]))
-            assert abs(kl - expected) <= 1e-12
-
-    @pytest.mark.parametrize("prior_kind", ["row", "stacked"])
-    @pytest.mark.parametrize("prior_is_node", [True, False], ids=["node", "constant"])
-    def test_gaussian_kl_equals_its_chain(self, rng, prior_kind, prior_is_node):
-        n, d = 10, 3
-        q_value = rng.normal(-0.5, 0.5, (n, 2 * d))
-        p_value = self._kl_prior(rng, prior_kind, n, d)
-        weights = rng.normal(size=n)
-
-        def run(kl):
-            tape = Tape()
-            q = tape.tensor(q_value)
-            p = tape.tensor(p_value) if prior_is_node else p_value
-            # q feeds a second consumer, as in the certificates
-            out = kl(q, p)
-            backward(ops.add(ops.sum(ops.mul(out, weights)), ops.sum(ops.mul(q, q))))
-            return out.value, q.grad, p.grad if prior_is_node else None
-
-        fused, chain = run(diff.gaussian_kl), run(_chain_kl)
-        for a, b in zip(fused, chain):
-            assert np.array_equal(a, b)
 
     def test_softplus_gradcheck(self):
         def build(ps):

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import hashlib
 import math
+import os
 import pickle
 from dataclasses import fields, replace
 
@@ -353,15 +354,14 @@ def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
     kept as the reference of its one-node arithmetic: the divergence from
     theta1 with its log-variances lowered by kappa_rho**2 / 2, plus n times
     the spread term of the expectation over regularization priors. Returns the
-    certificate and its risk and divergence nodes."""
+    certificate and its risk node."""
     n, width = q.shape
     d = width // 2
     half = 0.5 * cfg.kappa_rho**2
     p = ops.sub(theta1, np.concatenate([np.zeros(d), np.full(d, half)]))
     eps = rng.standard_normal((n, cfg.mc_train, d))
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
-    kl = diff.gaussian_kl(q, p)
-    kl_sum = ops.sum(kl)
+    kl_sum = ops.sum(ops.kl_chain(q, p))
     spread = ops.mul(ops.sum(ops.add(ops.exp(ops.sub(half, ops.slice(theta1, np.s_[d:]))), 0.5)),
                      half * n)
 
@@ -378,35 +378,33 @@ def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
     multi_term = ops.sqrt(ops.mul(
         ops.add(ops.add(ops.add(mkl, kl_sum), spread), multitask_slack(n, m, cfg.delta)),
         1.0 / (2.0 * n * m)))
-    return ops.add(ops.add(empirical, task_term), multi_term), risk, kl
+    return ops.add(ops.add(empirical, task_term), multi_term), risk
 
 
 def _chain_adaptation_certificates(cfg, m, q, prior, x, y, eps):
     """metalearn._adaptation_certificates as a chain of reference ops, kept as
     the reference of its one-node arithmetic. Returns the summed certificates,
-    the (n,) certificates, and their risk and divergence nodes."""
+    the (n,) certificates and their risk node."""
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
-    kl = diff.gaussian_kl(q, prior)
+    kl = ops.kl_chain(q, prior)
     root = ops.sqrt(ops.mul(ops.add(kl, multitask_slack(1, m, cfg.delta)), 1.0 / (2.0 * m)))
     values = ops.add(risk, root)
-    return ops.sum(values), values.value, risk, kl
+    return ops.sum(values), values.value, risk
 
 
-def _fused(certificate):
-    """A certificate builder of metalearn, returning its node and the node's
-    risk and divergence inputs as the reference chains do."""
-    def build(*args):
-        out = certificate(*args)
-        return out, out.parents[0], out.parents[1]
-    return build
+def _fused_meta(*args):
+    """metalearn._meta_certificate, returning its node and the node's risk
+    input as the reference chain does."""
+    out = metalearn._meta_certificate(*args)
+    return out, out.parents[0]
 
 
 def _fused_adaptation(*args):
     """metalearn._adaptation_certificates, returning its summed node, the
-    (n,) certificates and the node's risk and divergence inputs as the
-    reference chain does."""
+    (n,) certificates and the node's risk input as the reference chain
+    does."""
     out, values = metalearn._adaptation_certificates(*args)
-    return out, values, out.parents[0], out.parents[1]
+    return out, values, out.parents[0]
 
 
 def _certificate_setup(arch, n, seed):
@@ -432,11 +430,49 @@ def _certificate_setup(arch, n, seed):
     return cfg, x, y, rows
 
 
+class TestGaussianKl:
+    """The divergence the certificate nodes take in: its value and both
+    adjoints equal, bit for bit, those of the 12-op reference chain."""
+
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(113)
+
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("prior_kind", ["row", "stacked"])
+    def test_equals_its_chain(self, rng, prior_kind, n):
+        d = 3
+        q_value = rng.normal(-0.5, 0.5, (n, 2 * d))
+        p_value = rng.normal(-0.5, 0.5, (2 * d,) if prior_kind == "row" else (n, 2 * d))
+        weights = rng.normal(size=n)
+        tape = diff.Tape()
+        q, p = tape.tensor(q_value), tape.tensor(p_value)
+        chain = ops.kl_chain(q, p)
+        backward(ops.sum(ops.mul(chain, weights)))
+
+        value, vjp = metalearn._gaussian_kl(q_value, p_value)
+        g_q, g_p = vjp(weights)
+        assert g_q.shape == q_value.shape and g_p().shape == p_value.shape
+        for a, b in ((value, chain.value), (g_q, q.grad), (g_p(), p.grad)):
+            assert np.any(a != 0.0)
+            assert np.array_equal(a, b)
+
+    def test_is_the_closed_form(self, rng):
+        q = rng.normal(size=(2, 6))
+        p = rng.normal(size=6)
+        value, _ = metalearn._gaussian_kl(q, p)
+        for row, kl in zip(q, value):
+            expected = kl_diag_gaussian(DiagonalGaussian(row[:3], row[3:]),
+                                        DiagonalGaussian(p[:3], p[3:]))
+            assert abs(kl - expected) <= 1e-12
+
+
 class TestCertificateNodes:
-    """Each certificate's arithmetic is one node. Its value and the adjoints
-    it hands on equal, bit for bit, those of the chain of reference ops it
-    stands for; a reordered float operation changes the last bit at some of
-    the points compared."""
+    """Each certificate, with the divergence of the task posteriors from
+    their prior, is one node. Its value and the adjoints it hands on equal,
+    bit for bit, those of the chain of reference ops it stands for; a
+    reordered float operation changes the last bit at some of the points
+    compared."""
 
     @pytest.mark.parametrize("form", ["tied", "frozen"])
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
@@ -450,12 +486,12 @@ class TestCertificateNodes:
             theta1 = tape.tensor(theta1_value)
             theta0 = theta1 if form == "tied" else theta0_value
             q = tape.tensor(q_value)
-            out, risk, kl = certificate(cfg, 6, theta0, theta1, q, x, y,
-                                        np.random.default_rng(seed))
+            out, risk = certificate(cfg, 6, theta0, theta1, q, x, y,
+                                    np.random.default_rng(seed))
             backward(out)
-            return out.value, risk.grad, kl.grad, theta1.grad, q.grad
+            return out.value, risk.grad, theta1.grad, q.grad
 
-        fused = run(_fused(metalearn._meta_certificate))
+        fused = run(_fused_meta)
         chain = run(_chain_meta_certificate)
         assert len(fused) == len(chain)
         for a, b in zip(fused, chain):
@@ -473,9 +509,9 @@ class TestCertificateNodes:
         def run(certificates):
             tape = diff.Tape()
             q = tape.tensor(q_value)
-            out, values, risk, kl = certificates(cfg, 6, q, prior, x, y, eps)
+            out, values, risk = certificates(cfg, 6, q, prior, x, y, eps)
             backward(out)
-            return out.value, values, risk.grad, kl.grad, q.grad
+            return out.value, values, risk.grad, q.grad
 
         fused = run(_fused_adaptation)
         chain = run(_chain_adaptation_certificates)
@@ -488,50 +524,59 @@ class TestCertificateNodes:
     def test_meta_certificate_node_gradcheck(self, form):
         rng = np.random.default_rng(89)
         frozen = rng.normal(0.0, 0.5, 4)
-        points = [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3), rng.normal(0.0, 0.5, 4)]
+        points = [rng.normal(0.0, 0.5, 4),
+                  np.concatenate([rng.normal(0.0, 0.5, (3, 2)), rng.uniform(-2.0, 0.0, (3, 2))],
+                                 axis=1),
+                  rng.uniform(0.1, 0.9, 3)]
         # at the wider spread the spread term's adjoint is material
         for kappa_rho in (1e-3, 0.5):
             cfg = _cfg(kappa_pi=2.0, kappa_rho=kappa_rho)
 
             def build(ps):
                 tape = diff.Tape()
-                risk, kl, theta1 = (tape.tensor(v) for v in ps)
+                theta1, q, risk = (tape.tensor(v) for v in ps)
                 theta0 = theta1 if form == "tied" else frozen
-                return (metalearn._meta_certificate_node(cfg, 7, theta0, theta1, risk, kl),
-                        [risk, kl, theta1])
+                return (metalearn._meta_certificate_node(cfg, 7, theta0, theta1, q, risk),
+                        [theta1, q, risk])
 
             assert gradcheck(build, points) <= 1e-6
 
     def test_adaptation_certificate_node_gradcheck(self):
         cfg = _cfg()
         rng = np.random.default_rng(97)
+        prior = rng.normal(-0.5, 0.5, (3, 4))
 
         def build(ps):
             tape = diff.Tape()
-            risk, kl = tape.tensor(ps[0]), tape.tensor(ps[1])
-            node, _ = metalearn._adaptation_certificate_node(cfg, 9, risk, kl)
-            return node, [risk, kl]
+            q, risk = tape.tensor(ps[0]), tape.tensor(ps[1])
+            node, _ = metalearn._adaptation_certificate_node(cfg, 9, q, prior, risk)
+            return node, [q, risk]
 
-        assert gradcheck(build, [rng.uniform(0.1, 0.9, 3), rng.uniform(0.5, 3.0, 3)]) <= 1e-6
+        assert gradcheck(build, [rng.normal(-0.5, 0.5, (3, 4)), rng.uniform(0.1, 0.9, 3)]) <= 1e-6
 
     def test_nonpositive_square_root_argument_is_rejected(self):
-        cfg = _cfg()
+        """A valid config keeps both arguments positive; a delta past 1,
+        which TrainConfig rejects, makes the slacks negative."""
+        cfg = _cfg(kappa_pi=1e-3, kappa_rho=1e-3)
+        object.__setattr__(cfg, "delta", 1e3)
         tape = diff.Tape()
         risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
-        very_negative = tape.tensor(np.array([0.5, -1e9]))
+        q = tape.tensor(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="sqrt"):
-            metalearn._meta_certificate_node(cfg, 7, theta, theta, risk, very_negative)
+            metalearn._meta_certificate_node(cfg, 7, theta, theta, q, risk)
         with pytest.raises(ValueError, match="sqrt"):
-            metalearn._adaptation_certificate_node(cfg, 7, risk, very_negative)
+            metalearn._adaptation_certificate_node(cfg, 7, q, np.zeros((2, 4)), risk)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_passes_through_to_the_finiteness_checks(self):
         cfg = _cfg()
         tape = diff.Tape()
         risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
-        nan_kl = ops.mul(tape.tensor(np.array([0.0, 1.0])), np.inf)
-        assert np.isnan(metalearn._meta_certificate_node(cfg, 7, theta, theta, risk, nan_kl).value)
-        node, values = metalearn._adaptation_certificate_node(cfg, 7, risk, nan_kl)
+        # a leaf that skips the finiteness check: row 0 reads NaN, row 1 inf
+        q = diff.Tensor(tape, np.array([[np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]),
+                        (), None)
+        assert np.isnan(metalearn._meta_certificate_node(cfg, 7, theta, theta, q, risk).value)
+        node, values = metalearn._adaptation_certificate_node(cfg, 7, q, np.zeros((2, 4)), risk)
         assert np.isnan(node.value) and np.isnan(values[0]) and values[1] == np.inf
 
 
@@ -730,7 +775,7 @@ class TestStepTapes:
     and freed by reference counting when the step ends."""
 
     @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
-                             [(LINEAR, (6, 6), 4), (MLP, (6, 6), 4)],
+                             [(LINEAR, (4, 4), 3), (MLP, (4, 4), 3)],
                              ids=["linear", "mlp1"])
     def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
         steps = []
@@ -1176,6 +1221,22 @@ class TestSerialization:
         assert np.array_equal(back.theta0, rho.theta0)
         assert np.array_equal(back.theta1, rho.theta1)
         assert back.kappa_rho == rho.kappa_rho
+
+    def test_a_failed_write_keeps_the_old_artifact(self, tmp_path, monkeypatch):
+        """The artifact is replaced by one rename: when it fails, the old
+        file stays whole and no temporary file is left behind."""
+        path = tmp_path / "posterior.txt"
+        save_meta_posterior(MetaPosterior(np.zeros(4), np.ones(4), 1e-3), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="No space"):
+            save_meta_posterior(MetaPosterior(np.ones(4), np.zeros(4), 0.5), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["posterior.txt"]
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "posterior.txt"
