@@ -14,12 +14,9 @@ posterior N(mu, diag sigma^2) the score of a point x is Gaussian,
 N(mu.x, sum_j sigma_j^2 x_j^2), so the expected loss over the weights is a
 one-dimensional integral per point. The 0-1 risk is then an exact normal
 tail, and the clipped logistic risk a fixed Gauss-Hermite sum over
-``QUADRATURE_NODES`` scores per point, held in one nodes x B buffer (with
-the logistic loss's relu scratch buffer of the same shape). For mlp1 the
-oracle draws K = mc_samples weight vectors after the inputs; its forward
-pass holds one K x B x hidden buffer and one K x B x classes buffer of
-logits. One oracle call makes these buffers once and reuses them for each
-of its tasks; they are freed when the call returns.
+``QUADRATURE_NODES`` scores per point. For mlp1 the oracle draws K =
+mc_samples weight vectors after the inputs. Both price the clipped loss of
+the training risk node (``model.loss_values``).
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gauss import normal_cdf
-from .model import (LossSpec, StochasticModel, _buffer, _clipped_loss_in_place, _mc_losses,
+from .model import (LossSpec, StochasticModel, _check_labels, _clipped_loss, _mc_losses,
                     predicted_labels, scores_batch)
 
 # Gauss-Hermite nodes per point behind the linear oracle's clipped logistic
@@ -242,12 +239,14 @@ def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _linear_point_risks(model: StochasticModel, x: np.ndarray, y: np.ndarray,
-                        loss: LossSpec, buffers: dict) -> np.ndarray:
+                        loss: LossSpec) -> np.ndarray:
     """(B,) expected losses of a linear model on its B points, over the
     weights: the score of x is N(m, sd^2) with m = mu.x and sd^2 =
     sum_j sigma_j^2 x_j^2. The 0-1 loss is the normal tail Phi((2y - 1) m / sd),
     or the 0-1 loss of m where sd is 0; a clipped loss is the weighted sum
-    of its values at the Gauss-Hermite scores m + sd * z_i."""
+    of its values at the Gauss-Hermite scores m + sd * z_i. y must hold
+    labels in {0, 1}."""
+    _check_labels(model.arch, y)
     post = model.posterior
     mean = scores_batch(model.arch, post.mean, x)
     sd = np.sqrt(scores_batch(model.arch, post.var, x * x))
@@ -256,9 +255,7 @@ def _linear_point_risks(model: StochasticModel, x: np.ndarray, y: np.ndarray,
         tail = normal_cdf(mean / np.where(spread, sd, 1.0) * (2.0 * y - 1.0))
         return np.where(spread, tail, predicted_labels(model.arch, mean) != y)
     points, weights = _normal_rule(QUADRATURE_NODES)
-    grid = np.multiply(points[:, None], sd, out=_buffer(buffers, "grid", (len(points), len(x))))
-    grid += mean
-    losses = _clipped_loss_in_place(loss, model.arch, grid, y, buffers)
+    losses, _ = _clipped_loss(loss, model.arch, points[:, None] * sd + mean, y)
     losses *= weights[:, None]
     return np.add.reduce(losses, axis=0)
 
@@ -276,22 +273,21 @@ def true_risks_mc(tasks: list[Task], models: list[StochasticModel], loss: LossSp
     posterior weight draws, and its standard error combines both noise
     sources (sample spread at fixed weights, weight spread at fixed
     samples). Task i draws its samples, then any weights, from ``rngs[i]``;
-    one generator passed for every task is drawn from task after task. The
-    tasks share one set of loss buffers, freed when the call returns.
+    one generator passed for every task is drawn from task after task. A
+    label outside the model's classes raises ValueError.
     """
     if n_eval < 1 or mc_samples < 1:
         raise ValueError("n_eval and mc_samples must be >= 1")
     if not len(tasks) == len(models) == len(rngs):
         raise ValueError("need one model and one generator per task")
-    buffers = {}
     estimates = []
     for task, model, rng in zip(tasks, models, rngs):
         x, y = task.draw(n_eval, rng)
         var_w = 0.0
         if model.arch.kind == "linear":
-            per_sample = _linear_point_risks(model, x, y, loss, buffers)
+            per_sample = _linear_point_risks(model, x, y, loss)
         else:
-            vals = _mc_losses(model, x, y, loss, mc_samples, rng, buffers)
+            vals = _mc_losses(model, x, y, loss, mc_samples, rng)
             per_sample = vals.mean(axis=0)
             if mc_samples > 1:
                 var_w = float(vals.mean(axis=1).var(ddof=1)) / mc_samples

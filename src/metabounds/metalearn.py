@@ -36,6 +36,7 @@ from .model import (
     ModelArchitecture,
     StochasticModel,
     _check_clipped_loss,
+    _check_labels,
     glorot_init,
     mc_empirical_risk,
     taped_mc_risk,
@@ -195,35 +196,29 @@ def meta_kl(rho: MetaPosterior, kappa_pi: float) -> float:
 # so training follows the chain's path bit for bit; the tests build that
 # reference chain from the ops in tests/oracles.py. A node hands q the
 # divergence's adjoint, to which backward then adds the risk node's, the
-# order in which the chain accumulates them. Like that chain's sqrt,
-# the nodes reject a nonpositive square-root argument and let NaN through
-# to the training loops' finiteness checks.
+# order in which the chain accumulates them. A negative square-root
+# argument, which no valid TrainConfig makes, gives NaN, and NaN reaches the
+# training loops' finiteness checks.
 
 
-def _check_sqrt_args(*args) -> None:
-    for arg in args:
-        if (arg <= 0.0).any():
-            raise ValueError("sqrt requires strictly positive input")
-
-
-def _gaussian_kl(q: np.ndarray, p: np.ndarray):
+def _gaussian_kl(q: np.ndarray, p_mean: np.ndarray, p_lv: np.ndarray, inv_var: np.ndarray):
     """KL of diagonal Gaussians, one value per row of the (n, 2d) array q.
 
-    Each row of q, and of p, holds d means then d log-variances; p is one
-    (2d,) row that serves every row of q, or an (n, 2d) row per row. p is
-    taken as it is: its caller has checked it to be finite. Returns the (n,)
-    values and their vjp. ``vjp(g)`` gives q's adjoint and a function of no
-    arguments that gives p's, so that a certificate whose prior is constant
-    never computes it. Value and adjoints repeat, in the same order, the
-    float operations of the 12-op chain
+    Each row of q holds d means then d log-variances. The prior is given by
+    its means p_mean, log-variances p_lv and inverse variances inv_var =
+    exp(-p_lv), each one (d,) row that serves every row of q or an (n, d)
+    row per row. The prior is taken as it is: its caller has checked it to
+    be finite. Returns the (n,) values and their vjp. ``vjp(g)`` gives q's
+    adjoint and a function of no arguments that gives the prior's, as one
+    row of means then log-variances, so that a certificate whose prior is
+    constant never computes it. Value and adjoints repeat, in the same
+    order, the float operations of the 12-op chain
     ``sum(exp(dlv) + dm * dm * exp(-p_lv) - dlv + (-1), axis=-1) * 0.5``
     with ``dlv = q_lv - p_lv`` and ``dm = q_mean - p_mean``.
     """
     d = q.shape[1] // 2
-    p_mean, p_lv = p[..., :d], p[..., d:]
     dlv = q[:, d:] - p_lv
     dm = q[:, :d] - p_mean
-    inv_var = np.exp(-p_lv)
     e = np.exp(dlv)
     sq = dm * dm
     value = np.add.reduce(e + sq * inv_var - dlv + (-1.0), axis=-1) * 0.5
@@ -238,7 +233,7 @@ def _gaussian_kl(q: np.ndarray, p: np.ndarray):
 
         def prior_adjoint():
             g_mean, g_lv, g_inv = -g_dm, -g_dlv, g * sq
-            if p.ndim == 1:
+            if p_mean.ndim == 1:
                 # one row serves every task, so its adjoint sums theirs
                 g_mean, g_lv, g_inv = (np.add.reduce(a, axis=0) for a in (g_mean, g_lv, g_inv))
             return np.concatenate([g_mean, g_lv - g_inv * inv_var], axis=-1)
@@ -271,8 +266,9 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, q, risk):
     t1 = theta1.value
     d = t1.shape[0] // 2
     half = 0.5 * cfg.kappa_rho**2
-    kl, kl_vjp = _gaussian_kl(q.value, np.concatenate([t1[:d], t1[d:] - half]))
+    # exp(h - b) is exp(-(b - h)) bit for bit: the shifted prior's inverse variances
     inv_var = np.exp(half - t1[d:])
+    kl, kl_vjp = _gaussian_kl(q.value, t1[:d], t1[d:] - half, inv_var)
     spread = np.add.reduce(inv_var + 0.5, axis=None) * (half * n)
     sq1 = np.add.reduce(t1 * t1, axis=None)
     squares = (sq1 if tied else np.add.reduce(theta0 * theta0, axis=None)) + sq1
@@ -283,7 +279,6 @@ def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, q, risk):
     task_arg = (mkl + task_level_slack(n, cfg.delta)) * task_scale
     multi_arg = (mkl + np.add.reduce(kl, axis=None) + spread
                  + multitask_slack(n, m, cfg.delta)) * multi_scale
-    _check_sqrt_args(task_arg, multi_arg)
     task_term = np.sqrt(task_arg)
     multi_term = np.sqrt(multi_arg)
     value = np.add.reduce(risk.value, axis=None) * (1.0 / n) + task_term + multi_term
@@ -310,10 +305,10 @@ def _adaptation_certificate_node(cfg: TrainConfig, m: int, q, prior: np.ndarray,
     the chain ``sum(risk + sqrt((kl + multitask_slack) * (1/(2m))))`` with
     ``kl`` the KL of q from the priors. Returns the node and the (n,)
     certificates it sums."""
-    kl, kl_vjp = _gaussian_kl(q.value, prior)
+    d = prior.shape[1] // 2
+    kl, kl_vjp = _gaussian_kl(q.value, prior[:, :d], prior[:, d:], np.exp(-prior[:, d:]))
     scale = 1.0 / (2.0 * m)
     arg = (kl + multitask_slack(1, m, cfg.delta)) * scale
-    _check_sqrt_args(arg)
     root = np.sqrt(arg)
     values = risk.value + root
 
@@ -371,15 +366,13 @@ def _stacked_data(tasks, arch: ModelArchitecture) -> tuple[np.ndarray, np.ndarra
     """The tasks' training inputs and labels, stacked with a row per task.
 
     The risk node takes the data unchecked, so it is checked here, once per
-    run: a non-finite entry, or a label outside the architecture's classes,
-    raises ValueError.
+    run: a non-finite input, or a label that is not an integer in the
+    architecture's classes, raises ValueError.
     """
     x, y = np.stack([t.train_x for t in tasks]), np.stack([t.train_y for t in tasks])
     diff.constant(x)
     diff.constant(y)
-    if (np.minimum.reduce(y, axis=None) < 0
-            or np.maximum.reduce(y, axis=None) >= arch.num_classes):
-        raise ValueError("label out of range")
+    _check_labels(arch, y)
     return x, y
 
 

@@ -112,43 +112,73 @@ def _check_clipped_loss(arch: ModelArchitecture, loss: LossSpec) -> None:
                          f"loss, not {loss.kind}")
 
 
-def _buffer(buffers: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The float64 array ``buffers[name]`` of ``shape``, made on first use
-    and made again when the shape asked for changes."""
-    buf = buffers.get(name)
-    if buf is None or buf.shape != shape:
-        buf = buffers[name] = np.empty(shape)
-    return buf
+def _check_labels(arch: ModelArchitecture, y: np.ndarray) -> None:
+    """Reject labels that are not integers in the architecture's classes
+    [0, C): the clipped loss picks a label's logit by masks, which no index
+    bounds."""
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, not {y.dtype}")
+    if y.size and (np.minimum.reduce(y, axis=None) < 0
+                   or np.maximum.reduce(y, axis=None) >= arch.num_classes):
+        raise ValueError("label out of range")
 
 
-def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray,
-                 buffers: dict | None = None) -> np.ndarray:
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """Adjoint of an operand broadcast along the second-to-last axis: g summed
+    over that axis, kept, as ``diff`` unbroadcasts it; g itself when that axis
+    has length 1."""
+    return g if g.shape[-2] == 1 else np.add.reduce(g, axis=(g.ndim - 2,), keepdims=True)
+
+
+def _forward(arch: ModelArchitecture, w: np.ndarray, x: np.ndarray):
+    """Scores of the float64 inputs x under the flat weights w, and their vjp.
+
+    w is (..., K, d), a stack of K weight vectors per leading index, with x
+    (..., B, in) sharing those leading axes; or w is (d,) with x (B, in).
+    The scores are (..., K, B) raw scores for linear and (..., K, B, C)
+    logits for mlp1, without the K axis for a single w. ``vjp(g)`` maps the
+    scores' adjoint to w's.
+
+    Linear scores are ``w @ x^T`` with x^T made contiguous, so that BLAS sums
+    in the same order as for a copied leaf. mlp1 scores are ``tanh(x @ w1 +
+    b1) @ w2 + b2`` on the four blocks cut from w, each bias as a row that
+    broadcasts over the samples. The adjoints of the four blocks tile one
+    array, each entry plus 0.0, as the sum of their zero-filled adjoints.
+    """
+    if arch.kind == "linear":
+        xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+        return w @ xt, lambda g: g @ xt.swapaxes(-1, -2)
+    lead = w.shape[:-1]
+    w1, b1, w2, b2 = (w[..., span].reshape(lead + (1,) * (2 - len(shape)) + shape)
+                      for _, span, shape in block_layout(arch))
+    xs = x[..., None, :, :] if w.ndim > 1 else x
+    h = np.tanh(xs @ w1 + b1)
+
+    def vjp(g):
+        g_z = g @ w2.swapaxes(-1, -2) * (1.0 - h * h)
+        g_blocks = (xs.swapaxes(-1, -2) @ g_z, _row_sum(g_z),
+                    h.swapaxes(-1, -2) @ g, _row_sum(g))
+        g_w = np.concatenate([g_block.reshape(lead + (-1,)) for g_block in g_blocks], axis=-1)
+        g_w += 0.0
+        return g_w
+
+    return h @ w2 + b2, vjp
+
+
+def scores_batch(arch: ModelArchitecture, flat_w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Scores for a batch of inputs under one weight vector or a stack of them.
 
     flat_w is (d,) or (K, d). Returns (B,) raw scores for linear and (B, C)
-    logits for mlp1, with a leading K axis when K weight vectors are given.
-    The result is a new array, so the caller may overwrite it; with
-    ``buffers`` it is ``buffers["scores"]`` instead, and the mlp1 hidden
-    layer ``buffers["hidden"]``, reused by the next call of the same shapes.
+    logits for mlp1, with a leading K axis when K weight vectors are given:
+    the forward pass of the risk node, as a new array.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(f"inputs must be (B, {arch.input_dim}), got {x.shape}")
-    buffers = {} if buffers is None else buffers
     flat_w = np.asarray(flat_w)
     if flat_w.ndim < 1 or flat_w.shape[-1] != arch.param_count:
         raise ValueError(f"expected flat vector of length {arch.param_count}, got {flat_w.shape}")
-    lead = flat_w.shape[:-1] + (x.shape[0],)
-    if arch.kind == "linear":
-        return np.matmul(flat_w, x.T, out=_buffer(buffers, "scores", lead))
-    w1, b1, w2, b2 = (flat_w[..., span].reshape(flat_w.shape[:-1] + shape)
-                      for _, span, shape in block_layout(arch))
-    h = np.matmul(x, w1, out=_buffer(buffers, "hidden", lead + (arch.hidden_dim,)))
-    h += b1[..., None, :]
-    np.tanh(h, out=h)
-    out = np.matmul(h, w2, out=_buffer(buffers, "scores", lead + (arch.num_classes,)))
-    out += b2[..., None, :]
-    return out
+    return _forward(arch, flat_w, x)[0]
 
 
 def _class_max(z: np.ndarray) -> np.ndarray:
@@ -180,69 +210,75 @@ def loss_values(loss: LossSpec, arch: ModelArchitecture,
     """Per-sample losses in [0, 1] for raw scores against integer labels.
 
     scores may carry leading axes in front of the sample axis (for example
-    one row per weight draw); y broadcasts against the sample axis. scores
-    is left as it is: a clipped loss is computed in a copy of its own.
+    one row per weight draw); y broadcasts against the sample axis and must
+    hold class indices in [0, C). A clipped loss is the risk node's.
     """
     y = np.asarray(y)
+    _check_labels(arch, y)
     if loss.kind == "zero_one":
         return (predicted_labels(arch, scores) != y).astype(np.float64)
-    return _clipped_loss_in_place(loss, arch, np.array(scores, dtype=np.float64), y, {})
+    return _clipped_loss(loss, arch, np.asarray(scores, dtype=np.float64), y)[0]
 
 
-def _clipped_loss_in_place(loss: LossSpec, arch: ModelArchitecture,
-                           s: np.ndarray, y: np.ndarray, buffers: dict) -> np.ndarray:
-    """The clipped logistic or cross-entropy loss of the float64 scores s,
-    which this overwrites: the logistic losses are s itself, cross-entropy
-    leaves the exponentials of its shifted logits in s.
+def _clipped_loss(loss: LossSpec, arch: ModelArchitecture, scores: np.ndarray, y: np.ndarray):
+    """The clipped logistic or cross-entropy losses of the float64 scores
+    against the labels y, which broadcast against the sample axis, and their
+    vjp. The labels are taken unchecked.
 
-    The logistic branch repeats the float operations of the reference
-    ``softplus`` in ``tests/oracles.py``, relu(t) + log(exp(-|t|) + 1), so
-    before the clip its losses equal that op's values bit for bit; it holds
-    one scratch array of s's shape for the relu, ``buffers["relu"]``.
+    The value is ``np.minimum(raw, c) / c`` for the raw loss and c =
+    clip_max, so a NaN loss stays NaN. ``vjp(g)`` maps the losses' adjoint
+    to the scores'; it passes where raw < c and is 0 from the clip on, so it
+    never reads the clipped value.
+
+    The logistic loss is the reference ``softplus`` of ``tests/oracles.py``
+    on the scores times 2y - 1, relu(t) + log(exp(-|t|) + 1), bit for bit;
+    cross-entropy subtracts each row's largest logit before the log-sum-exp
+    and picks the label's entry one class column at a time (see
+    :func:`_class_max`).
     """
     _check_clipped_loss(arch, loss)
     if loss.kind == "logistic_clipped":
-        # class-0 logit is the score, class-1 logit is 0
-        s *= 2.0 * y - 1.0
-        relu = np.maximum(s, 0.0, out=_buffer(buffers, "relu", s.shape))
-        np.abs(s, out=s)
-        s *= -1.0
-        np.exp(s, out=s)
-        s += 1.0
-        raw = np.log(s, out=s)
-        raw += relu
+        signs = 2.0 * y - 1.0
+        # the class-0 logit is the score, the class-1 logit is 0
+        t = scores * signs
+        # abs(t) is the reference's relu(t) + relu(-t), bit for bit
+        shrink = np.exp(np.negative(np.abs(t)))
+        one_plus = shrink + 1.0
+        raw = np.maximum(t, 0.0) + np.log(one_plus)
     else:
-        if s.ndim < 2:
+        if scores.ndim < 2:
             raise ValueError("cross-entropy expects logit rows")
-        s -= _class_max(s)[..., None]
-        labels = np.broadcast_to(y, s.shape[:-1])[..., None]
-        picked = np.take_along_axis(s, labels, axis=-1)[..., 0]
-        raw = np.add.reduce(np.exp(s, out=s), axis=-1)
-        np.log(raw, out=raw)
-        raw -= picked
-    np.minimum(raw, loss.clip_max, out=raw)
-    raw /= loss.clip_max
-    return raw
+        shifted = scores - _class_max(scores)[..., None]
+        lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+        onehot = y[..., None] == np.arange(arch.num_classes)
+        picked = shifted[..., 0].copy()
+        for k in range(1, arch.num_classes):
+            np.copyto(picked, shifted[..., k], where=onehot[..., k])
+        raw = lse - picked
+    c = loss.clip_max
+
+    def vjp(g):
+        g_raw = g * (1.0 / c) * (raw < c)
+        if loss.kind == "logistic_clipped":
+            pos = t > 0.0
+            g_abs = g_raw / one_plus * shrink * -1.0
+            g_t = np.where(t == 0.0, g_raw * 0.5,
+                           g_raw * pos + g_abs * (t < 0.0) * -1.0 + g_abs * pos)
+            return g_t * signs
+        return (np.exp(shifted - lse[..., None]) - onehot) * g_raw[..., None]
+
+    return np.minimum(raw, c) / c, vjp
 
 
 def _mc_losses(model: StochasticModel, x: np.ndarray, y: np.ndarray,
-               loss: LossSpec, mc_samples: int, rng: np.random.Generator,
-               buffers: dict) -> np.ndarray:
+               loss: LossSpec, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
     """(K, B) losses of K = mc_samples fresh posterior draws on the B inputs.
 
     The draws are mean + std * N(0, 1) of shape (K, d), taken from rng here.
-    The scores go into ``buffers``, so a clipped loss overwrites them: one
-    K x B buffer, plus one K x B scratch buffer for the logistic relu (for
-    mlp1 one K x B x hidden buffer and one K x B x classes buffer). A
-    clipped loss is returned in the scores buffer, so it is valid until the
-    next call with the same ``buffers``.
     """
     post = model.posterior
     draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))
-    scores = scores_batch(model.arch, draws, x, buffers)
-    if loss.kind == "zero_one":
-        return loss_values(loss, model.arch, scores, y)
-    return _clipped_loss_in_place(loss, model.arch, scores, np.asarray(y), buffers)
+    return loss_values(loss, model.arch, scores_batch(model.arch, draws, x), y)
 
 
 def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
@@ -254,7 +290,7 @@ def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
         raise ValueError("dataset must be nonempty")
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
-    return float(_mc_losses(model, x, y, loss, mc_samples, rng, {}).mean())
+    return float(_mc_losses(model, x, y, loss, mc_samples, rng).mean())
 
 
 def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGaussian:
@@ -276,18 +312,11 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
     return DiagonalGaussian(mean, log_var)
 
 
-# The tape-side risk. It mirrors the numpy path above but takes the
-# posterior parameters as a node, so that bound objectives are differentiable
-# through them (pathwise, with the noise draws held fixed per step). Weight
+# The tape-side risk: the numpy path above, on weights drawn from a node of
+# posterior parameters, so that bound objectives are differentiable through
+# them (pathwise, with the noise draws held fixed per step). Weight
 # draws carry a draw axis in front of the flat weight vector, and optionally
 # a task axis in front of that, so one tape serves every task and every draw.
-
-
-def _row_sum(g: np.ndarray) -> np.ndarray:
-    """Adjoint of an operand broadcast along the second-to-last axis: g summed
-    over that axis, kept, as ``diff`` unbroadcasts it; g itself when that axis
-    has length 1."""
-    return g if g.shape[-2] == 1 else np.add.reduce(g, axis=(g.ndim - 2,), keepdims=True)
 
 
 def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
@@ -304,19 +333,17 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     zero_one has no usable gradient and is rejected, as is a clipped loss
     that is not ``CLIPPED_LOSS[arch.kind]``.
 
-    Value and adjoint repeat, in the same order, the float operations of the
-    chain of reference ops in ``tests/oracles.py``: ``reparam``, the forward
-    pass (``draws @ x^T`` with x^T contiguous, or ``tanh(x @ w1 + b1) @ w2 +
-    b2`` on the four blocks ``slice`` cuts from the draws), ``softplus`` of
-    the scores times ``2y - 1`` or ``softmax_cross_entropy``,
-    ``clip_rescale`` and ``mean`` over the draw and sample axes, so node and
-    chain agree bit for bit. The chain adds the four blocks' adjoints, each
-    zero-filled to the draws' shape; here they tile one array, each entry
-    plus 0.0 as in that sum.
+    The node draws the weights, takes the forward pass and the clipped loss
+    that the numpy path takes (``_forward``, ``_clipped_loss``) and averages
+    over the draw and sample axes; its vjp chains theirs. Value and adjoint
+    repeat, in the same order, the float operations of the chain of
+    reference ops in ``tests/oracles.py``: ``reparam``, the forward pass
+    (``matmul``, or ``slice``, ``tanh`` and ``add``), ``softplus`` of the
+    scores times ``2y - 1`` or ``softmax_cross_entropy``, ``clip_rescale``
+    and ``mean``, so node and chain agree bit for bit.
     """
     if loss.kind == "zero_one":
         raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
-    _check_clipped_loss(arch, loss)
     eps = diff.constant(eps)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -329,61 +356,13 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     rows = q.value[..., None, :]
     std = np.exp(rows[..., d:] * 0.5)
     draws = rows[..., :d] + std * eps
-    labels = y[..., None, :]
-    if arch.kind == "linear":
-        # x^T contiguous, so that BLAS sums in the same order as for a copied leaf
-        xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-        signs = 2.0 * labels - 1.0
-        # the class-0 logit is the score, the class-1 logit is 0
-        t = (draws @ xt) * signs
-        pos = t > 0.0
-        neg = t < 0.0
-        relu_t = np.maximum(t, 0.0)
-        # abs(t) is the reference's relu(t) + relu(-t), bit for bit
-        shrink = np.exp(np.negative(np.abs(t)))
-        one_plus = shrink + 1.0
-        raw = relu_t + np.log(one_plus)
-    else:
-        lead = draws.shape[:-1]
-        w1, b1, w2, b2 = (draws[..., span].reshape(lead + (1,) * (2 - len(shape)) + shape)
-                          for _, span, shape in block_layout(arch))
-        xs = x[..., None, :, :]
-        h = np.tanh(xs @ w1 + b1)
-        logits = h @ w2 + b2
-        shifted = logits - _class_max(logits)[..., None]
-        lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
-        onehot = labels[..., None] == np.arange(arch.num_classes)
-        # the label's entry, one class column at a time (see _class_max); the
-        # run checked every label before its first step
-        picked = shifted[..., 0].copy()
-        for k in range(1, arch.num_classes):
-            np.copyto(picked, shifted[..., k], where=onehot[..., k])
-        raw = lse - picked
-        residual = np.exp(shifted - lse[..., None]) - onehot
-    c = loss.clip_max
-    scale = 1.0 / c
-    # c - v is the reference's v * -1 + c, bit for bit
-    gap = c - raw
-    below = gap > 0.0
-    clipped = (c - np.where(below, gap, 0.0)) * scale
-    total = np.add.reduce(clipped, axis=(-2, -1))
-    count = clipped.size // total.size
+    scores, scores_vjp = _forward(arch, draws, x)
+    losses, loss_vjp = _clipped_loss(loss, arch, scores, y[..., None, :])
+    total = np.add.reduce(losses, axis=(-2, -1))
+    count = losses.size // total.size
 
     def vjp(g):
-        g_raw = (g / count * scale)[..., None, None] * below
-        if arch.kind == "linear":
-            g_abs = g_raw / one_plus * shrink * -1.0
-            g_t = np.where(t == 0.0, g_raw * 0.5,
-                           g_raw * pos + g_abs * neg * -1.0 + g_abs * pos)
-            g_draws = (g_t * signs) @ xt.swapaxes(-1, -2)
-        else:
-            g_logits = residual * g_raw[..., None]
-            g_z = g_logits @ w2.swapaxes(-1, -2) * (1.0 - h * h)
-            g_blocks = (xs.swapaxes(-1, -2) @ g_z, _row_sum(g_z),
-                        h.swapaxes(-1, -2) @ g_logits, _row_sum(g_logits))
-            g_draws = np.concatenate([g_block.reshape(lead + (-1,)) for g_block in g_blocks],
-                                     axis=-1)
-            g_draws += 0.0
+        g_draws = scores_vjp(loss_vjp((g / count)[..., None, None]))
         return (np.concatenate([_row_sum(g_draws), _row_sum(g_draws * eps) * std * 0.5],
                                axis=-1).reshape(q.shape),)
 

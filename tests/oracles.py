@@ -160,16 +160,15 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def clip_rescale(a: Tensor, c: float) -> Tensor:
-    """min(a, c) / c as one node, with adjoint 0 where a >= c.
-
-    Value and adjoint repeat, in the same order, the float operations of the
-    6-op chain ``(relu(-a + c) * -1 + c) * (1 / c)``.
+    """``np.minimum(a, c) / c`` as one node, the clip the program takes; NaN
+    stays NaN. The adjoint is 0 where a >= c and repeats, in the same order,
+    the float operations of the 6-op chain ``(relu(-a + c) * -1 + c) * (1 /
+    c)``.
     """
     scale = 1.0 / c
-    gap = a.value * -1.0 + c
-    below = gap > 0.0
-    value = (np.where(below, gap, 0.0) * -1.0 + c) * scale
-    return Tensor(a.tape, value, (a,), lambda g: (g * scale * -1.0 * below * -1.0,))
+    below = a.value * -1.0 + c > 0.0
+    return Tensor(a.tape, np.minimum(a.value, c) / c, (a,),
+                  lambda g: (g * scale * -1.0 * below * -1.0,))
 
 
 def matmul(a, b):

@@ -345,7 +345,7 @@ class TestLinearOracleOverWeights:
         model = StochasticModel(LINEAR2, DiagonalGaussian(np.array([1.0, 0.0]),
                                                           np.array([-800.0, 2.0 * math.log(sd)])))
         x = np.stack([mean, np.ones(400)], axis=1)
-        got = _linear_point_risks(model, x, np.ones(400, dtype=np.int64), loss, {})
+        got = _linear_point_risks(model, x, np.ones(400, dtype=np.int64), loss)
 
         z = np.linspace(-10.0, 10.0, 200_001)
         weights = np.exp(-0.5 * z * z) * (step / math.sqrt(2.0 * math.pi))
@@ -424,6 +424,48 @@ class TestManyTaskOracle:
                           mc_samples=5)
         with pytest.raises(ValueError, match="one model and one generator"):
             true_risks_mc(tasks, models, loss, 5, [np.random.default_rng(0)], mc_samples=5)
+
+
+class TestLabelsOutOfRange:
+    """Pricing rejects a label that is not an integer in the architecture's
+    classes: the clipped losses pick a label's logit by masks, which no
+    index bounds and which no class matches for 0.5."""
+
+    @pytest.mark.parametrize("bad", [-1, "classes"])
+    @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
+    def test_rejected_by_every_pricing_entry_point(self, arch, kind, bad):
+        bad = arch.num_classes if bad == "classes" else bad
+        task, model = _oracle_setup(arch)
+        loss = LossSpec(kind)
+        y = task.train_y.copy()
+        y[3] = bad
+        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        with pytest.raises(ValueError, match="label out of range"):
+            loss_values(loss, arch, scores, y)
+        with pytest.raises(ValueError, match="label out of range"):
+            mc_empirical_risk(model, task.train_x, y, loss, 5, np.random.default_rng(8))
+        # a task whose last class is drawn under the bad label
+        spec = PermutedEnvSpec(base=BlobsSpec(num_points=40, dim=arch.input_dim,
+                                              num_classes=arch.num_classes, seed=3))
+        latent = np.arange(arch.num_classes, dtype=np.float64)
+        latent[-1] = bad
+        bad_task = Task(spec, latent, task.train_x, task.train_y)
+        assert bad in bad_task.draw(50, np.random.default_rng(9))[1]
+        with pytest.raises(ValueError, match="label out of range"):
+            true_risks_mc([task, bad_task], [model, model], loss, 50,
+                          [np.random.default_rng(9)] * 2, mc_samples=5)
+
+    @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
+    def test_a_non_integer_label_is_rejected(self, arch, kind):
+        task, model = _oracle_setup(arch)
+        loss = LossSpec(kind)
+        y = task.train_y.astype(np.float64)
+        y[3] = 0.5
+        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            loss_values(loss, arch, scores, y)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            mc_empirical_risk(model, task.train_x, y, loss, 5, np.random.default_rng(8))
 
 
 class TestOraclesWriteIntoNoCallerArray:

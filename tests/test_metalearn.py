@@ -450,7 +450,8 @@ class TestGaussianKl:
         chain = ops.kl_chain(q, p)
         backward(ops.sum(ops.mul(chain, weights)))
 
-        value, vjp = metalearn._gaussian_kl(q_value, p_value)
+        value, vjp = metalearn._gaussian_kl(q_value, p_value[..., :d], p_value[..., d:],
+                                            np.exp(-p_value[..., d:]))
         g_q, g_p = vjp(weights)
         assert g_q.shape == q_value.shape and g_p().shape == p_value.shape
         for a, b in ((value, chain.value), (g_q, q.grad), (g_p(), p.grad)):
@@ -460,7 +461,7 @@ class TestGaussianKl:
     def test_is_the_closed_form(self, rng):
         q = rng.normal(size=(2, 6))
         p = rng.normal(size=6)
-        value, _ = metalearn._gaussian_kl(q, p)
+        value, _ = metalearn._gaussian_kl(q, p[:3], p[3:], np.exp(-p[3:]))
         for row, kl in zip(q, value):
             expected = kl_diag_gaussian(DiagonalGaussian(row[:3], row[3:]),
                                         DiagonalGaussian(p[:3], p[3:]))
@@ -556,16 +557,23 @@ class TestCertificateNodes:
 
     def test_nonpositive_square_root_argument_is_rejected(self):
         """A valid config keeps both arguments positive; a delta past 1,
-        which TrainConfig rejects, makes the slacks negative."""
-        cfg = _cfg(kappa_pi=1e-3, kappa_rho=1e-3)
+        which TrainConfig rejects, makes the slacks negative. The square
+        roots are then NaN, and the finiteness check stops the first step:
+        at kappa_pi = kappa_rho = 10 the meta-KL of the initial centers stays
+        below -task_level_slack(2, 1e3) = 5.2."""
+        cfg = _cfg(kappa_pi=10.0, kappa_rho=10.0)
         object.__setattr__(cfg, "delta", 1e3)
         tape = diff.Tape()
         risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
         q = tape.tensor(np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="sqrt"):
-            metalearn._meta_certificate_node(cfg, 7, theta, theta, q, risk)
-        with pytest.raises(ValueError, match="sqrt"):
-            metalearn._adaptation_certificate_node(cfg, 7, q, np.zeros((2, 4)), risk)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            meta = metalearn._meta_certificate_node(cfg, 7, theta, theta, q, risk)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            node, _ = metalearn._adaptation_certificate_node(cfg, 7, q, np.zeros((2, 4)), risk)
+        assert np.isnan(meta.value) and np.isnan(node.value)
+        with (pytest.warns(RuntimeWarning, match="invalid value"),
+              pytest.raises(TrainingDiverged, match="objective became non-finite")):
+            train_meta(_toy_tasks(2, 6, seed=3), cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_passes_through_to_the_finiteness_checks(self):
@@ -731,6 +739,12 @@ class TestRunData:
         with pytest.raises(ValueError, match="finite"):
             adaptation_objective(model, isotropic(np.zeros(2), 1.0), tasks[1], cfg)
 
+
+    def test_non_integer_labels_stop_a_run(self):
+        tasks = _toy_tasks(2, 8, seed=31)
+        tasks[1] = replace(tasks[1], train_y=tasks[1].train_y.astype(np.float64))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train_meta(tasks, _cfg(batch_size=2))
 
     @pytest.mark.parametrize("arch, label", [(LINEAR, 2), (LINEAR, -1), (MLP, 3), (MLP, -1)],
                              ids=["linear-2", "linear-neg", "mlp1-3", "mlp1-neg"])

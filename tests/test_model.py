@@ -439,3 +439,48 @@ class TestRiskNode:
             assert np.any(nodes["scores"].value == 0.0)
         raw = nodes["raw"].value
         assert np.any(raw > loss.clip_max) and np.any(raw < loss.clip_max)
+
+    @pytest.mark.parametrize("clip_max", [4.0, 1.5])
+    @pytest.mark.parametrize("arch", [LINEAR2, MLP], ids=["linear", "mlp1"])
+    def test_prices_its_draws_as_loss_values_does(self, arch, clip_max, monkeypatch):
+        """For fixed eps the node's per-draw losses are, bit for bit, those
+        loss_values gives scores_batch of the same draws, and its value is
+        their mean."""
+        loss = LossSpec(model.CLIPPED_LOSS[arch.kind], clip_max=clip_max)
+        rng = np.random.default_rng(131)
+        d = arch.param_count
+        q_value = np.concatenate([rng.normal(0.0, 1.5, d), rng.uniform(-3.0, -1.0, d)])
+        eps = rng.standard_normal((4, d))
+        # a large input under two labels, so that some losses pass clip_max
+        x = rng.uniform(-1.0, 1.0, (9, arch.input_dim))
+        x[2] *= 40.0
+        x[4] = x[2]
+        y = rng.integers(0, arch.num_classes, 9)
+        y[4] = (y[2] + 1) % arch.num_classes
+        seen = []
+        shared = model._clipped_loss
+
+        def spy(*args):
+            losses, vjp = shared(*args)
+            seen.append(losses)
+            return losses, vjp
+
+        monkeypatch.setattr(model, "_clipped_loss", spy)
+        risk = taped_mc_risk(arch, Tape().tensor(q_value), x, y, loss, eps)
+        monkeypatch.undo()
+        draws = q_value[:d] + np.exp(q_value[d:] * 0.5) * eps
+        expected = loss_values(loss, arch, scores_batch(arch, draws, x), y)
+        [losses] = seen
+        assert losses.shape == expected.shape and losses.tobytes() == expected.tobytes()
+        assert np.any(expected == 1.0) and np.any(expected < 1.0)
+        assert risk.value == np.add.reduce(expected, axis=(-2, -1)) / expected.size
+
+    def test_a_nan_score_makes_the_risk_nan(self):
+        """A NaN loss stays NaN, where a clip to 1 would price it at 1 (and
+        this risk at 0.6068), so it reaches the training loops' finiteness
+        checks."""
+        q = Tape().tensor(np.array([1.0, 1.0, -20.0, -20.0]))
+        x = np.array([[np.nan, 0.0], [0.1, 0.2]])
+        risk = taped_mc_risk(LINEAR2, q, x, np.array([0, 1]), LossSpec("logistic_clipped"),
+                             np.zeros((1, 2)))
+        assert np.isnan(risk.value)
