@@ -35,7 +35,8 @@ import numpy as np
 
 from .audit import MIN_EVAL_TASKS, MIN_TRIALS, AuditRecord, audit_bound_validity
 from .bounds import MetaBoundInput, theorem1_bound, theorem2_bound
-from .env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks, true_risks_mc
+from .env import (BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_linear_tasks, sample_tasks,
+                  true_risks_mc)
 from .metalearn import (
     TrainConfig,
     TrainingDiverged,
@@ -406,12 +407,14 @@ def _sweep_unit(args):
     values, train_cfg, ns, m, d, seed = args  # train_cfg is None for prior_mean
     start = time.perf_counter()
     spec = LinearEnvSpec(d=d)
-    pool = sample_tasks(spec, max(values["n_list"]), m, stream(seed, "tasks", d, m))
+    pool_args = (spec, max(values["n_list"]), m, stream(seed, "tasks", d, m))
     if values["pipeline"] == "prior_mean":
+        _, x, y = sample_linear_tasks(*pool_args)
         test_loss = rule_test_loss(spec, m, seed, eval_tasks=values["eval_tasks"],
                                    eval_points=values["eval_points"])
-        points = prior_mean_point(pool, ns, seed, values["delta"], meta_test_loss=test_loss)
+        points = prior_mean_point(x, y, ns, seed, values["delta"], meta_test_loss=test_loss)
     else:
+        pool = sample_tasks(*pool_args)
         points = [two_prior_point(spec, pool[:n], seed, replace(train_cfg, seed=seed),
                                   eval_tasks=values["eval_tasks"],
                                   eval_points=values["eval_points"])

@@ -8,6 +8,11 @@ drawn label permutation, or by a permutation of a fixed coordinate
 subset. The oracle estimates the unobservable true risk of a stochastic
 model on a task by fresh sampling.
 
+Linear tasks are drawn as stacked arrays, latents (n, d), inputs (n, m, d)
+and labels (n, m), by :func:`sample_linear_tasks`; the closed-form sweep
+prices those arrays as they are. :func:`sample_tasks` wraps their rows into
+:class:`Task` objects, which the learner and the oracle take.
+
 The oracle draws a task's B = n_eval inputs from its generator. For a
 linear model it then needs no weight draws: under a diagonal Gaussian
 posterior N(mu, diag sigma^2) the score of a point x is Gaussian,
@@ -173,23 +178,37 @@ def _base_cache(base: BlobsSpec):
     return _BASE_CACHE[base]
 
 
-def sample_tasks(spec, n: int, m: int, rng: np.random.Generator) -> list[Task]:
-    """Draw n independent tasks with m training samples each.
+def sample_linear_tasks(spec: LinearEnvSpec, n: int, m: int, rng: np.random.Generator
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw n independent linear tasks with m training samples each, as
+    stacked arrays: latents (n, d), inputs (n, m, d) and labels (n, m).
 
-    Task after task draws its latent, then its inputs. A linear environment
-    then maps all latents and labels all inputs at once, on stacked arrays.
+    Task after task draws its latent noise, then its uniforms in [0, 1);
+    one affine map then puts all inputs on [-1, 1], the floats that
+    ``rng.uniform(-1, 1)`` gives, since -1 + 2u is exact. All latents are
+    mapped and all inputs labeled at once.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    noise = np.empty((n, spec.d))
+    x = np.empty((n, m, spec.d))
+    for i in range(n):
+        rng.standard_normal(out=noise[i])
+        rng.random(out=x[i])
+    x *= 2.0
+    x -= 1.0
+    latents = spec.mu_tau + spec.sigma_tau * noise
+    return latents, x, _sign_labels(x, latents)
+
+
+def sample_tasks(spec, n: int, m: int, rng: np.random.Generator) -> list[Task]:
+    """Draw n independent tasks with m training samples each, task after
+    task; a linear environment's are the rows of :func:`sample_linear_tasks`."""
     if isinstance(spec, LinearEnvSpec):
-        noise = np.empty((n, spec.d))
-        x = np.empty((n, m, spec.d))
-        for i in range(n):
-            rng.standard_normal(out=noise[i])
-            x[i] = rng.uniform(-1.0, 1.0, size=(m, spec.d))
-        latents = spec.mu_tau + spec.sigma_tau * noise
-        y = _sign_labels(x, latents)
+        latents, x, y = sample_linear_tasks(spec, n, m, rng)
         return [Task(spec, latents[i], x[i], y[i]) for i in range(n)]
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
     if not isinstance(spec, PermutedEnvSpec):
         raise ValueError(f"invalid environment spec {type(spec).__name__}")
     size = spec.base.num_classes if spec.mode == "permute_labels" else spec.num_shuffled

@@ -109,18 +109,18 @@ def expected_kl_under_gaussian_mean(
     """
     if q.dim != hyper.dim:
         raise ValueError(f"dimension mismatch: {q.dim} vs {hyper.dim}")
-    return float(expected_kl_arrays(q.mean, q.log_var, hyper, prior_var))
+    return float(expected_kl_arrays(q.mean, q.log_var, hyper.mean, hyper.log_var, prior_var))
 
 
-def expected_kl_arrays(q_mean: np.ndarray, q_log_var: np.ndarray,
-                       hyper: DiagonalGaussian, prior_var: float) -> np.ndarray:
-    """:func:`expected_kl_under_gaussian_mean` for posteriors given as
-    parameter arrays (..., d), one expectation per row."""
+def expected_kl_arrays(q_mean: np.ndarray, q_log_var: np.ndarray, hyper_mean: np.ndarray,
+                       hyper_log_var: np.ndarray, prior_var: float) -> np.ndarray:
+    """:func:`expected_kl_under_gaussian_mean` on parameter arrays: posteriors
+    and hyper distributions (..., d) broadcast, one expectation per row."""
     if prior_var <= 0.0:
         raise ValueError("prior_var must be positive")
-    center = isotropic(hyper.mean, prior_var)
-    spread = float(np.sum(hyper.var)) / (2.0 * prior_var)
-    return kl_diag_arrays(q_mean, q_log_var, center.mean, center.log_var) + spread
+    center_log_var = np.full(hyper_mean.shape[-1], np.log(prior_var))
+    spread = np.sum(np.exp(hyper_log_var), axis=-1) / (2.0 * prior_var)
+    return kl_diag_arrays(q_mean, q_log_var, hyper_mean, center_log_var) + spread
 
 
 def expected_kl_fixed_spread_arrays(q_mean: np.ndarray, q_log_var: np.ndarray,

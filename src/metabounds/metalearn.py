@@ -371,7 +371,7 @@ def _stacked_data(tasks, arch: ModelArchitecture) -> tuple[np.ndarray, np.ndarra
     """
     x, y = np.stack([t.train_x for t in tasks]), np.stack([t.train_y for t in tasks])
     diff.constant(x)
-    diff.constant(y)
+    # integer labels, which _check_labels requires, hold no NaN or inf
     _check_labels(arch, y)
     return x, y
 
@@ -499,10 +499,14 @@ def _descend(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, flat: np.ndarray,
     m = y.shape[1]
     rows = np.arange(len(rngs))[:, None]
     opt = _Adam(cfg.learning_rate, flat.size)
+    perms = np.empty((len(rngs), m), dtype=np.int64)
     for _ in range(epochs):
         # step j takes chunk j of every task's order, so each task visits
-        # each sample once
-        perms = np.array([rng.permutation(m) for rng in rngs])
+        # each sample once; shuffling arange(m) in place draws what
+        # rng.permutation(m) draws
+        perms[:] = np.arange(m)
+        for rng, row in zip(rngs, perms):
+            rng.shuffle(row)
         per_step = []
         for j in range(0, m, cfg.batch_size):
             idx = perms[:, j:j + cfg.batch_size]

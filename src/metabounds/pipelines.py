@@ -3,11 +3,13 @@
 Two ways of producing a certified multi-task system are supported.  The
 closed-form pipeline fits each task with a fixed deterministic rule and
 places a conjugate Gaussian hyper-posterior over the prior mean, so every
-bound ingredient has an exact expression and sweeps are cheap.  The trained
-pipeline runs the two-prior learner and prices its output with a Monte-Carlo
-empirical risk and exact expected divergences.  One function turns the
-ingredients of either into both theorem bounds, so both produce the same
-row shape and the CLI can mix them.
+bound ingredient has an exact expression and sweeps are cheap: a group of
+task counts is priced on the stacked arrays of one task pool, with no
+per-task objects, and the divergences of all its counts in two calls.  The
+trained pipeline runs the two-prior learner and prices its output with a
+Monte-Carlo empirical risk and exact expected divergences.  One function
+turns the ingredients of either into both theorem bounds, so both produce
+the same row shape and the CLI can mix them.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from .bounds import (
     theorem1_bound,
     theorem2_bound,
 )
-from .env import LinearEnvSpec, Task, draw_linear, sample_tasks, true_risks_mc
+from .env import (LinearEnvSpec, Task, draw_linear, sample_linear_tasks, sample_tasks,
+                  true_risks_mc)
 from .env import true_risk_mc  # noqa: F401 - bench/tracer.py wraps it on this module
 from .gauss import (
-    DiagonalGaussian,
     expected_kl_arrays,
     expected_kl_fixed_spread_arrays,
     expected_kl_under_gaussian_mean,  # noqa: F401 - bench/tracer.py wraps it on this module
     isotropic,
-    kl_diag_gaussian,
+    kl_diag_arrays,
+    kl_diag_gaussian,  # noqa: F401 - bench/tracer.py wraps it on this module
     normal_cdf,
 )
 from .metalearn import (
@@ -211,60 +214,65 @@ def rule_test_loss(spec: LinearEnvSpec, m: int, seed: int, *, eval_tasks: int = 
     call, the floats that drawing them task after task gives.
     """
     test_rng = stream(seed, "rule-test")
-    fresh = sample_tasks(spec, eval_tasks, m, test_rng)
+    latents, x, y = sample_linear_tasks(spec, eval_tasks, m, test_rng)
     per_call = max(1, SCORE_POINT_BUDGET // eval_points)
     test_risks = []
     for start in range(0, eval_tasks, per_call):
-        batch = fresh[start:start + per_call]
-        x, y = draw_linear(np.stack([t.latent for t in batch]), eval_points, test_rng)
-        weights = rule_weight(np.stack([t.train_x for t in batch]),
-                              np.stack([t.train_y for t in batch]))
-        test_risks.append(gaussian_sign_risk(weights, x, y))
+        batch = slice(start, start + per_call)
+        held_x, held_y = draw_linear(latents[batch], eval_points, test_rng)
+        test_risks.append(gaussian_sign_risk(rule_weight(x[batch], y[batch]), held_x, held_y))
     return float(np.mean(np.concatenate(test_risks)))
 
 
-def prior_mean_point(pool: list[Task], ns: Sequence[int], seed: int, delta: float, *,
-                     meta_test_loss: float) -> list[PipelinePoint]:
-    """Evaluate the closed-form pipeline on the first n tasks of ``pool``,
-    which share one sample count, for each n in ``ns``; one point per n, in
-    ``ns`` order.
+def prior_mean_point(x: np.ndarray, y: np.ndarray, ns: Sequence[int], seed: int,
+                     delta: float, *, meta_test_loss: float) -> list[PipelinePoint]:
+    """Evaluate the closed-form pipeline on the first n tasks of a pool, for
+    each n in ``ns``; one point per n, in ``ns`` order.
 
-    The rule is a point mass, so the algorithm-level divergence vanishes and
-    both theorem bounds coincide.  The hyper-posterior over the prior mean is
-    the conjugate Gaussian posterior given the fitted weights, treating each
-    as a noisy observation of a common center at the prior spread.  A task's
+    The pool is stacked: inputs ``x`` (tasks, m, d) and labels ``y``
+    (tasks, m), as :func:`sample_linear_tasks` draws them.  The rule is a
+    point mass, so the algorithm-level divergence vanishes and both theorem
+    bounds coincide.  The hyper-posterior over the prior mean is the
+    conjugate Gaussian posterior given the fitted weights, treating each as
+    a noisy observation of a common center at the prior spread.  A task's
     fitted weight and sign risk do not depend on n, so the rule is fitted
-    and priced once, along a task axis, on ``pool[:max(ns)]``, and each n
-    reads the prefixes of those arrays.  ``meta_test_loss`` is the rule's
-    held-out loss, :func:`rule_test_loss` of the pool's environment, sample
-    count and seed.
+    and priced once, along a task axis, on the first max(``ns``) tasks, and
+    each n reads the prefixes of those arrays.  The divergences of all n
+    are taken in two calls: the hyper-level ones on a row per n, the task
+    ones on the n rows of every n, concatenated.  ``meta_test_loss`` is the
+    rule's held-out loss, :func:`rule_test_loss` of the pool's environment,
+    sample count and seed.
     """
-    if not pool:
+    if not len(x):
         raise ValueError("at least one training task is required")
     if not ns:
         raise ValueError("at least one task count is required")
-    if any(not 1 <= n <= len(pool) for n in ns):
-        raise ValueError(f"task counts must lie in [1, {len(pool)}], got {list(ns)}")
-    m = pool[0].m
-    tasks = pool[:max(ns)]
-    x = np.stack([t.train_x for t in tasks])
-    y = np.stack([t.train_y for t in tasks])
-    d = x.shape[-1]
-    weights = rule_weight(x, y)
-    risks = gaussian_sign_risk(weights, x, y)
+    if any(not 1 <= n <= len(x) for n in ns):
+        raise ValueError(f"task counts must lie in [1, {len(x)}], got {list(ns)}")
+    top = max(ns)
+    m, d = x.shape[1:]
+    weights = rule_weight(x[:top], y[:top])
+    risks = gaussian_sign_risk(weights, x[:top], y[:top])
 
     prior_var = PRIOR_STD**2
-    prior_log_var = np.full(d, math.log(prior_var))
+    # one hyper-posterior N(center, s2 I) per n, a row each
+    hyper_vars = [1.0 / (1.0 / HYPER_PRIOR_STD**2 + n / prior_var) for n in ns]
+    centers = np.stack([s2 * np.sum(weights[:n], axis=0) / prior_var
+                        for n, s2 in zip(ns, hyper_vars)])
+    hyper_log_vars = np.repeat([[math.log(s2)] for s2 in hyper_vars], d, axis=1)
     hyper_prior = isotropic(np.zeros(d), HYPER_PRIOR_STD**2)
+    kl_hypers = kl_diag_arrays(centers, hyper_log_vars, hyper_prior.mean, hyper_prior.log_var)
+    # the first n tasks of every n, each against the hyper-posterior of its n
+    owner = np.repeat(np.arange(len(ns)), ns)
+    task_kls = expected_kl_arrays(
+        weights[np.concatenate([np.arange(n) for n in ns])],
+        np.full(d, math.log(prior_var)), centers[owner], hyper_log_vars[owner], prior_var)
     points = []
-    for n in ns:
+    end = 0
+    for n, kl_hyper in zip(ns, kl_hypers.tolist()):
         er = float(np.mean(risks[:n]))
-        s2 = 1.0 / (1.0 / HYPER_PRIOR_STD**2 + n / prior_var)
-        center = s2 * np.sum(weights[:n], axis=0) / prior_var
-        hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
-        kl_hyper = kl_diag_gaussian(hyper, hyper_prior)
-        task_kls = expected_kl_arrays(weights[:n], prior_log_var, hyper, prior_var)
-        breakdown = _certificate(er, 0.0, kl_hyper, task_kls, n, m, delta)
+        breakdown = _certificate(er, 0.0, kl_hyper, task_kls[end:end + n], n, m, delta)
+        end += n
         points.append(PipelinePoint(n=n, m=m, d=d, seed=seed, meta_test_loss=meta_test_loss,
                                     meta_train_loss=er, **vars(breakdown)))
     return points

@@ -28,6 +28,7 @@ from metabounds.env import (
     BlobsSpec,
     LinearEnvSpec,
     PermutedEnvSpec,
+    sample_linear_tasks,
     sample_tasks,
     true_risk_mc,
 )
@@ -247,11 +248,11 @@ def test_criterion_6_bound_decreases_with_more_tasks(capsys):
     curves = []
     for s in range(5):
         seed = spawn_seed(0, "sweep", s, 2, 5)
-        pool = sample_tasks(spec, max(counts), 5, stream(seed, "tasks", 2, 5))
+        _, x, y = sample_linear_tasks(spec, max(counts), 5, stream(seed, "tasks", 2, 5))
         test_loss = rule_test_loss(spec, 5, seed)
         curves.append([
             point.bound_thm2
-            for point in prior_mean_point(pool, counts, seed, 0.1, meta_test_loss=test_loss)
+            for point in prior_mean_point(x, y, counts, seed, 0.1, meta_test_loss=test_loss)
         ])
     means = np.mean(curves, axis=0)
     elapsed = time.monotonic() - t0

@@ -270,3 +270,36 @@ def test_diff_holds_only_the_tape_a_training_step_runs():
         "add", "radd", "sub", "rsub", "mul", "rmul", "neg", "matmul", "rmatmul",
         "truediv", "rtruediv", "pow", "rpow"}]
     assert arithmetic == []
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    for node in ast.parse((BENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "TARGETS"
+                                                for target in node.targets):
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_is_bound_and_an_unused_import_says_why():
+    """Each attribute the benchmark's tracer wraps stays bound on its module,
+    or its span would read 0. A name a module imports only for the tracer
+    carries ``# noqa: F401``, so that a lint pass does not delete it."""
+    sources = _package_sources()
+    unexplained, missing = [], []
+    for module, attr in _tracer_targets():
+        text = sources[module]
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        defined = any(isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == attr
+                      for node in tree.body)
+        imported = [alias for node in tree.body if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if (alias.asname or alias.name) == attr]
+        if not defined and not imported:
+            missing.append(f"{module}.{attr}")
+            continue
+        used = any(isinstance(node, ast.Name) and node.id == attr
+                   and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+        if imported and not used and "noqa: F401" not in lines[imported[0].lineno - 1]:
+            unexplained.append(f"{module}.{attr}")
+    assert missing == []
+    assert unexplained == []

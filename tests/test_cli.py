@@ -263,6 +263,18 @@ UNSORTED_SWEEP = """\
     seeds = 2
     """
 
+# Nine input dimensions, past the eight at which numpy's pairwise sums over
+# the coordinates start to round differently from a running sum; task
+# counts out of order, one of them 1.
+NINE_DIM_SWEEP = """\
+    [sweep]
+    pipeline = prior_mean
+    d_list = 9
+    m_list = 6
+    n_list = 30, 4, 12, 1
+    seeds = 3
+    """
+
 # sha256 of the CSV bodies (the lines outside '#' comments, joined by
 # newlines) at seed 0, recorded when each sweep row was priced on its own;
 # "two_prior" re-recorded when its expected task divergence became exact,
@@ -272,13 +284,16 @@ UNSORTED_SWEEP = """\
 # moved); "readme" re-recorded when the closed-form pricing stopped calling
 # BLAS, whose matmul kernel, and so its rounding, OpenBLAS picks per CPU;
 # "unsorted" recorded while each row still re-fitted and re-priced its own
-# prefix.
+# prefix; "nine_dim" recorded while each count built its own hyper-posterior
+# and called the divergences on its own.
 # Bit-exact floats: recorded with numpy 2.4 and OpenBLAS on x86-64.
 GOLDEN_BODIES = {
     "readme": (README_SWEEP,
                "7e4bba0512d966c28245edac2d8e885031280ee17d7e3e48fe5e0950870b466a"),
     "two_prior": (TWO_PRIOR_SMALL,
                   "c781d2f08d645ed35a54b74eb3efdab92a41a414de52870f7b31cb4c62f696fe"),
+    "nine_dim": (NINE_DIM_SWEEP,
+                 "d6b46957070ab6e2ec7b6dd780db2642efab40cf385907730acd621e97eb75b7"),
     "unsorted": (UNSORTED_SWEEP,
                  "6e33dacb5ef783022c3bc5270f3a69460f6f53f71196efbc492595a9a44cf583"),
 }
@@ -393,7 +408,7 @@ def test_a_capped_process_hands_its_cap_on():
 
 
 def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):
-    calls = {"pool": 0, "held_out": 0, "sign_risk": 0}
+    calls = {"pool": 0, "held_out": 0, "tasks": 0, "sign_risk": 0, "divergences": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -401,17 +416,25 @@ def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(cli, "sample_tasks", counting("pool", cli.sample_tasks))
-    monkeypatch.setattr(pipelines, "sample_tasks", counting("held_out", pipelines.sample_tasks))
+    monkeypatch.setattr(cli, "sample_linear_tasks", counting("pool", cli.sample_linear_tasks))
+    monkeypatch.setattr(pipelines, "sample_linear_tasks",
+                        counting("held_out", pipelines.sample_linear_tasks))
+    for module in (cli, pipelines):
+        monkeypatch.setattr(module, "sample_tasks", counting("tasks", module.sample_tasks))
     monkeypatch.setattr(pipelines, "gaussian_sign_risk",
                         counting("sign_risk", pipelines.gaussian_sign_risk))
+    for name in ("kl_diag_arrays", "expected_kl_arrays"):
+        monkeypatch.setattr(pipelines, name, counting("divergences", getattr(pipelines, name)))
     path = _write(tmp_path, README_SWEEP)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv")]) == 0
     assert len(_data_lines(tmp_path / "sweep.csv")) == 26
-    # one pool and one held-out set per seed; per seed, one training batch
-    # priced for all five task counts and the 20 held-out tasks in one call
-    assert calls == {"pool": 5, "held_out": 5, "sign_risk": 5 + 5}
+    # one stacked pool and one stacked held-out set per seed, and no Task
+    # objects; per seed, one training batch priced for all five task counts,
+    # the 20 held-out tasks in one call, and the divergences of all five
+    # counts in two calls
+    assert calls == {"pool": 5, "held_out": 5, "tasks": 0, "sign_risk": 5 + 5,
+                     "divergences": 2 * 5}
 
 
 TRAIN_SMALL = """\

@@ -15,6 +15,7 @@ from metabounds.env import (
     _linear_point_risks,
     _normal_rule,
     draw_linear,
+    sample_linear_tasks,
     sample_tasks,
     true_risk_mc,
     true_risks_mc,
@@ -92,8 +93,29 @@ def _per_task_linear_tasks(spec, n, m, rng):
 
 
 class TestStackedLinearSampling:
-    """Stacking the latents' map and the labels changes no bit of what a
-    per-task loop draws, and leaves the generator where the loop leaves it."""
+    """Stacking the latents' map, the inputs' affine map and the labels
+    changes no bit of what a per-task loop draws, and leaves the generator
+    where the loop leaves it."""
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("m", [1, 5, 400])
+    @pytest.mark.parametrize("d", [1, 2, 5, 9, 16])
+    def test_arrays_equal_a_per_task_uniform_loop(self, d, m, n):
+        spec = LinearEnvSpec(d)
+        got_rng, ref_rng = np.random.default_rng([n, m, d]), np.random.default_rng([n, m, d])
+        latents, x, y = sample_linear_tasks(spec, n, m, got_rng)
+        reference = _per_task_linear_tasks(spec, n, m, ref_rng)
+        assert latents.shape == (n, d) and x.shape == (n, m, d) and y.shape == (n, m)
+        assert y.dtype == np.int64
+        assert np.array_equal(latents, np.stack([latent for latent, _, _ in reference]))
+        assert np.array_equal(x, np.stack([xi for _, xi, _ in reference]))
+        assert np.array_equal(y, np.stack([yi for _, _, yi in reference]))
+        assert got_rng.random() == ref_rng.random()
+
+    def test_rejects_an_empty_pool(self):
+        for n, m in ((0, 5), (5, 0)):
+            with pytest.raises(ValueError, match="n and m"):
+                sample_linear_tasks(LinearEnvSpec(2), n, m, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("m", [1, 5, 400])
@@ -469,7 +491,8 @@ class TestLabelsOutOfRange:
 
 
 class TestOraclesWriteIntoNoCallerArray:
-    """The losses are computed in place, but only in buffers the oracles make."""
+    """The oracles and the loss leave every array their caller hands them,
+    and the scores, unchanged."""
 
     @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
     def test_loss_values_twice_on_the_same_scores(self, arch, kind):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from metabounds import audit, env, metalearn, pipelines
-from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
+from metabounds.env import (BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_linear_tasks,
+                            sample_tasks)
 from metabounds.gauss import (
     DiagonalGaussian,
     expected_kl_arrays,
@@ -44,6 +45,12 @@ SPEC = LinearEnvSpec(d=2)
 
 def _tasks(n, m, seed):
     return sample_tasks(SPEC, n, m, stream(seed, "tasks"))
+
+
+def _pool(n, m, seed, spec=SPEC):
+    """The stacked inputs and labels of the tasks :func:`_tasks` draws."""
+    _, x, y = sample_linear_tasks(spec, n, m, stream(seed, "tasks"))
+    return x, y
 
 
 class TestRuleComponents:
@@ -248,12 +255,10 @@ class TestRuleTestLoss:
         assert max(counted) * 50 <= max(budget, 50)
 
 
-def _per_row_point(tasks, seed, delta, meta_test_loss):
-    """The closed-form point of one prefix, fitted and priced on its own."""
-    n = len(tasks)
-    x = np.stack([t.train_x for t in tasks])
-    y = np.stack([t.train_y for t in tasks])
-    d = x.shape[-1]
+def _per_row_point(x, y, seed, delta, meta_test_loss):
+    """The closed-form point of one prefix (x, y), fitted and priced on its
+    own, with a hyper-posterior and divergence calls of its own."""
+    n, m, d = x.shape
     weights = rule_weight(x, y)
     er = float(np.mean(gaussian_sign_risk(weights, x, y)))
     prior_var = PRIOR_STD**2
@@ -261,15 +266,16 @@ def _per_row_point(tasks, seed, delta, meta_test_loss):
     center = s2 * np.sum(weights, axis=0) / prior_var
     hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
     kl_hyper = kl_diag_gaussian(hyper, isotropic(np.zeros(d), pipelines.HYPER_PRIOR_STD**2))
-    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper, prior_var)
-    breakdown = pipelines._certificate(er, 0.0, kl_hyper, task_kls, n, tasks[0].m, delta)
-    return PipelinePoint(n=n, m=tasks[0].m, d=d, seed=seed, meta_test_loss=meta_test_loss,
+    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper.mean,
+                                  hyper.log_var, prior_var)
+    breakdown = pipelines._certificate(er, 0.0, kl_hyper, task_kls, n, m, delta)
+    return PipelinePoint(n=n, m=m, d=d, seed=seed, meta_test_loss=meta_test_loss,
                          meta_train_loss=er, **vars(breakdown))
 
 
 class TestPriorMeanPoint:
     def test_components_recombine_and_bounds_coincide(self):
-        [point] = prior_mean_point(_tasks(5, 5, seed=7), [5], seed=7, delta=0.1,
+        [point] = prior_mean_point(*_pool(5, 5, seed=7), [5], seed=7, delta=0.1,
                                    meta_test_loss=rule_test_loss(SPEC, 5, 7))
         recombined = (point.empirical_multitask_risk + point.task_level_term
                       + point.multitask_term)
@@ -278,47 +284,47 @@ class TestPriorMeanPoint:
 
     def test_deterministic(self):
         test_loss = rule_test_loss(SPEC, 5, 9)
-        a = prior_mean_point(_tasks(4, 5, seed=9), [4], seed=9, delta=0.1,
+        a = prior_mean_point(*_pool(4, 5, seed=9), [4], seed=9, delta=0.1,
                              meta_test_loss=test_loss)
-        b = prior_mean_point(_tasks(4, 5, seed=9), [4], seed=9, delta=0.1,
+        b = prior_mean_point(*_pool(4, 5, seed=9), [4], seed=9, delta=0.1,
                              meta_test_loss=test_loss)
         assert a == b
 
     def test_bound_shrinks_from_few_to_many_tasks(self):
-        pool = _tasks(50, 5, seed=11)
+        pool = _pool(50, 5, seed=11)
         test_loss = rule_test_loss(SPEC, 5, 11)
-        small, large = prior_mean_point(pool, [5, 50], seed=11, delta=0.1,
+        small, large = prior_mean_point(*pool, [5, 50], seed=11, delta=0.1,
                                         meta_test_loss=test_loss)
         assert large.bound_thm2 < small.bound_thm2
 
     def test_rule_generalizes_better_than_chance(self):
-        [point] = prior_mean_point(_tasks(10, 5, seed=13), [10], seed=13, delta=0.1,
+        [point] = prior_mean_point(*_pool(10, 5, seed=13), [10], seed=13, delta=0.1,
                                    meta_test_loss=rule_test_loss(SPEC, 5, 13))
         assert 0.0 < point.meta_test_loss < 0.5
 
     def test_rejects_empty_task_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            prior_mean_point([], [1], seed=0, delta=0.1, meta_test_loss=0.0)
+            prior_mean_point(np.empty((0, 5, 2)), np.empty((0, 5), np.int64), [1], seed=0,
+                             delta=0.1, meta_test_loss=0.0)
 
     def test_rejects_empty_task_counts(self):
         with pytest.raises(ValueError, match="at least one task count"):
-            prior_mean_point(_tasks(3, 5, seed=0), [], seed=0, delta=0.1, meta_test_loss=0.0)
+            prior_mean_point(*_pool(3, 5, seed=0), [], seed=0, delta=0.1, meta_test_loss=0.0)
 
     @pytest.mark.parametrize("n", [0, -1, 4])
     def test_rejects_a_count_outside_the_pool(self, n):
         with pytest.raises(ValueError, match=r"\[1, 3\]"):
-            prior_mean_point(_tasks(3, 5, seed=0), [2, n], seed=0, delta=0.1,
+            prior_mean_point(*_pool(3, 5, seed=0), [2, n], seed=0, delta=0.1,
                              meta_test_loss=0.0)
 
-    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
     def test_pool_pricing_equals_each_prefix_priced_alone(self, d):
-        spec = LinearEnvSpec(d=d)
-        pool = sample_tasks(spec, 12, 5, stream(17, "tasks"))
+        x, y = _pool(12, 5, seed=17, spec=LinearEnvSpec(d=d))
         ns = (12, 1, 5, 5, 3)
-        points = prior_mean_point(pool, ns, seed=17, delta=0.1, meta_test_loss=0.25)
+        points = prior_mean_point(x, y, ns, seed=17, delta=0.1, meta_test_loss=0.25)
         assert [p.n for p in points] == list(ns)
         for n, point in zip(ns, points):
-            alone = _per_row_point(pool[:n], 17, 0.1, 0.25)
+            alone = _per_row_point(x[:n], y[:n], 17, 0.1, 0.25)
             for f in fields(PipelinePoint):
                 assert getattr(point, f.name) == getattr(alone, f.name), (n, f.name)
 
