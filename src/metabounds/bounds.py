@@ -5,6 +5,8 @@ already produced: empirical risks, KL divergences, sample counts.  The
 functions turn those numbers into high-probability upper bounds on true risk.
 The two-level certificates take the complexity of each learning algorithm
 drawn from the meta-posterior as a plain ``(kl_hyper, sum_task_kl)`` pair.
+A :class:`MetaBoundInput` computes its terms once, when it is built, and
+rejects an input it cannot price; the theorem bounds add the stored terms.
 
 The discrete system at the bottom exists so the chain-rule decomposition the
 two-level certificates rely on can be verified by brute-force enumeration on
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import fmean
 
 import numpy as np
@@ -66,6 +68,12 @@ class MetaBoundInput:
     certificate consumes the pair).  ``sum_task_kl`` is the expected sum over
     training tasks of the divergence of each task posterior from a prior drawn
     from the algorithm's prior distribution.
+
+    Construction prices the input once: ``task_term`` is the task-level
+    term, ``multitask_roots`` the multitask root of each sampled algorithm
+    (Theorem 2's terms) and ``pooled_root`` the root of the meta-level
+    divergence plus the mean complexity (Theorem 1's).  It raises
+    ValueError when a term is not finite or a count overflows a float.
     """
 
     empirical_multitask_risk: float
@@ -74,6 +82,9 @@ class MetaBoundInput:
     n: int
     m: int
     delta: float
+    task_term: float = field(init=False)
+    multitask_roots: tuple[float, ...] = field(init=False)
+    pooled_root: float = field(init=False)
 
     def __post_init__(self) -> None:
         entries = tuple((float(kl_hyper), float(sum_task_kl))
@@ -85,10 +96,21 @@ class MetaBoundInput:
             _check_kl(sum_task_kl, "sum_task_kl")
         object.__setattr__(self, "per_algorithm_complexity", entries)
         _check_risk(self.empirical_multitask_risk, "empirical_multitask_risk")
-        _check_kl(self.kl_rho_pi, "kl_rho_pi")
-        _check_count(self.n, "n")
-        _check_count(self.m, "m")
-        _check_delta(self.delta)
+        complexities = [kl_hyper + sum_task_kl for kl_hyper, sum_task_kl in entries]
+        try:  # the term functions check kl_rho_pi, n, m and delta
+            task_term = task_level_term(self.kl_rho_pi, self.n, self.delta)
+            roots = tuple(multitask_sqrt_term(c, self.n, self.m, self.delta)
+                          for c in complexities)
+            pooled = multitask_sqrt_term(self.kl_rho_pi + fmean(complexities),
+                                         self.n, self.m, self.delta)
+        except OverflowError as exc:
+            raise ValueError(f"cannot price the certificate: {exc}") from None
+        if not all(map(math.isfinite, (task_term, pooled, *roots))):
+            raise ValueError(f"cannot price the certificate: task-level term {task_term}, "
+                             f"multitask roots {roots}, pooled root {pooled}")
+        object.__setattr__(self, "task_term", task_term)
+        object.__setattr__(self, "multitask_roots", roots)
+        object.__setattr__(self, "pooled_root", pooled)
 
 
 def task_level_slack(n: int, delta: float) -> float:
@@ -112,10 +134,7 @@ def adaptation_bound(empirical_risk: float, kl_q_p1: float, m: int, delta: float
     adaptation is the one the meta-level objective controls in expectation.
     """
     _check_risk(empirical_risk, "empirical_risk")
-    _check_kl(kl_q_p1, "kl_q_p1")
-    _check_count(m, "m")
-    _check_delta(delta)
-    return empirical_risk + math.sqrt((kl_q_p1 + multitask_slack(1, m, delta)) / (2.0 * m))
+    return empirical_risk + multitask_sqrt_term(kl_q_p1, 1, m, delta)
 
 
 def task_level_term(kl_rho_pi: float, n: int, delta: float) -> float:
@@ -143,13 +162,7 @@ def theorem1_bound(inp: MetaBoundInput) -> float:
     the meta-level divergence, so heavy-tailed complexity across algorithms is
     penalized at its mean.
     """
-    mean_total = fmean(kl_hyper + sum_task_kl
-                       for kl_hyper, sum_task_kl in inp.per_algorithm_complexity)
-    return (
-        inp.empirical_multitask_risk
-        + task_level_term(inp.kl_rho_pi, inp.n, inp.delta)
-        + multitask_sqrt_term(inp.kl_rho_pi + mean_total, inp.n, inp.m, inp.delta)
-    )
+    return inp.empirical_multitask_risk + inp.task_term + inp.pooled_root
 
 
 def theorem2_bound(inp: MetaBoundInput) -> float:
@@ -161,15 +174,7 @@ def theorem2_bound(inp: MetaBoundInput) -> float:
     Jensen's inequality the value never exceeds :func:`theorem1_bound` on the
     same inputs.
     """
-    mean_sqrt = fmean(
-        multitask_sqrt_term(kl_hyper + sum_task_kl, inp.n, inp.m, inp.delta)
-        for kl_hyper, sum_task_kl in inp.per_algorithm_complexity
-    )
-    return (
-        inp.empirical_multitask_risk
-        + task_level_term(inp.kl_rho_pi, inp.n, inp.delta)
-        + mean_sqrt
-    )
+    return inp.empirical_multitask_risk + inp.task_term + fmean(inp.multitask_roots)
 
 
 def _as_table(value: np.ndarray, name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    MetaBoundInput,
-    multitask_sqrt_term,
-    task_level_term,
-    theorem1_bound,
-    theorem2_bound,
-)
+from .bounds import MetaBoundInput, theorem1_bound, theorem2_bound
 from .env import (LinearEnvSpec, Task, draw_linear, sample_linear_tasks, sample_tasks,
                   true_risks_mc)
 from .env import true_risk_mc  # noqa: F401 - bench/tracer.py wraps it on this module
@@ -127,23 +121,20 @@ def _certificate(er: float, kl_rho_pi: float, kl_hyper: float, task_kls: np.ndar
                  n: int, m: int, delta: float) -> BoundBreakdown:
     """Both theorem bounds and their terms for one algorithm pair: the
     hyper-level divergence ``kl_hyper`` and the per-task expected
-    divergences ``task_kls`` (n,)."""
-    sum_task_kl = math.fsum(task_kls.tolist())
-    inp = MetaBoundInput(
-        empirical_multitask_risk=er,
-        kl_rho_pi=kl_rho_pi,
-        per_algorithm_complexity=((kl_hyper, sum_task_kl),),
-        n=n,
-        m=m,
-        delta=delta,
-    )
+    divergences ``task_kls`` (n,).  Raises TrainingDiverged when an
+    ingredient or a term is not finite."""
+    try:
+        inp = MetaBoundInput(er, kl_rho_pi, ((kl_hyper, math.fsum(task_kls.tolist())),),
+                             n, m, delta)
+    except (ValueError, OverflowError) as exc:
+        raise TrainingDiverged(f"non-finite certificate: {exc}", TrainingTrace()) from None
     return BoundBreakdown(
         empirical_multitask_risk=er,
         kl_rho_pi=kl_rho_pi,
         bound_thm1=theorem1_bound(inp),
         bound_thm2=theorem2_bound(inp),
-        task_level_term=task_level_term(kl_rho_pi, n, delta),
-        multitask_term=multitask_sqrt_term(kl_hyper + sum_task_kl, n, m, delta),
+        task_level_term=inp.task_term,
+        multitask_term=inp.multitask_roots[0],
         mean_task_kl=float(np.mean(task_kls)),
     )
 
@@ -336,8 +327,8 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
     that training's meta-objective also takes, so the theorem-2
     evaluator sees one algorithm pair and takes the square root of the
     expectation, which bounds the expected square root from above.
-    Raises TrainingDiverged when the trained system is finite but its risk
-    or a divergence is not.
+    Raises TrainingDiverged when the trained system is finite but its risk,
+    a divergence or a term of the certificate is not.
     """
     d = system.rho.weight_dim
     risk_rng = stream(cfg.seed, "bound-risk")

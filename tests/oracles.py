@@ -10,6 +10,9 @@ Nothing here runs in a CLI command or a training step:
 - ``gradcheck``, the finite-difference oracle of criterion 3;
 - the trade-off parameter machinery of criterion 8: ``lemma2_lambda_form``,
   ``lambda_star`` and ``lemma2_grid_minimum``;
+- the statements of Theorems 1 and 2 (``theorem1_statement``,
+  ``theorem2_statement`` and their two terms), transcribed with no code of
+  ``metabounds.bounds``, from which every sweep row is re-derived;
 - ``random_discrete_system``, the finite systems of criterion 1;
 - ``quadrature_kl_1d``, the numerical-integration oracle of criterion 2.
 
@@ -422,6 +425,36 @@ def lemma2_grid_minimum(kl_joint: float, n: int, m: int, delta: float) -> float:
         if 1 <= near <= cap:
             candidates.add(int(near))
     return min(value(float(c)) for c in candidates)
+
+
+def task_level_statement(kl_rho_pi: float, n: int, delta: float) -> float:
+    """sqrt((KL(rho || pi) + ln(4 sqrt(n) / delta)) / (2 n)): what both
+    theorems charge for generalizing from n training tasks."""
+    return math.sqrt((kl_rho_pi + math.log(4.0 * math.sqrt(n) / delta)) / (2.0 * n))
+
+
+def within_task_statement(complexity: float, n: int, m: int, delta: float) -> float:
+    """sqrt((C + ln(8 n m / delta) + 1) / (2 n m)): what both theorems
+    charge for generalizing from the n m training samples at complexity C."""
+    return math.sqrt((complexity + math.log(8.0 * n * m / delta) + 1.0) / (2.0 * n * m))
+
+
+def theorem1_statement(er: float, kl_rho_pi: float, pairs, n: int, m: int,
+                       delta: float) -> float:
+    """Theorem 1 with ``pairs`` the (kl_hyper, sum_task_kl) of each sampled
+    algorithm: C is KL(rho || pi) plus the mean over algorithms of
+    kl_hyper + sum_task_kl."""
+    mean_complexity = np.mean([kl_hyper + sum_kl for kl_hyper, sum_kl in pairs])
+    return (er + task_level_statement(kl_rho_pi, n, delta)
+            + within_task_statement(kl_rho_pi + mean_complexity, n, m, delta))
+
+
+def theorem2_statement(er: float, kl_rho_pi: float, pairs, n: int, m: int,
+                       delta: float) -> float:
+    """Theorem 2, shared reference prior: the within-task term is taken per
+    algorithm at C = kl_hyper + sum_task_kl and then averaged."""
+    return er + task_level_statement(kl_rho_pi, n, delta) + np.mean(
+        [within_task_statement(kl_hyper + sum_kl, n, m, delta) for kl_hyper, sum_kl in pairs])
 
 
 def random_discrete_system(

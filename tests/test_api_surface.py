@@ -14,6 +14,7 @@ is not a use.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -260,6 +261,18 @@ def test_benchmark_exemptions_name_what_the_benchmark_still_reaches():
     stale = sorted(name for name in cited
                    if name not in reached and name.split(".")[1] not in reached)
     assert stale == []
+
+
+def test_every_allowed_name_is_still_named_where_its_reason_points():
+    """Each reason in ``ALLOWED`` points at the benchmark or an acceptance
+    criterion, so the name appears as a word in ``bench/*.py`` or in
+    ``tests/test_acceptance.py``; an entry whose reason stopped holding
+    fails here."""
+    text = "\n".join(path.read_text() for path in [*sorted(BENCH.glob("*.py")),
+                                                    ROOT / "tests" / "test_acceptance.py"])
+    lapsed = sorted(name for name in ALLOWED
+                    if not re.search(rf"\b{name.split('.')[1]}\b", text))
+    assert lapsed == []
 
 
 def test_diff_holds_only_the_tape_a_training_step_runs():

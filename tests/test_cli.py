@@ -36,6 +36,8 @@ from metabounds.metalearn import (
 from metabounds.rng import stream
 
 from host_kernels import forced_kernel_settings, kernel_report
+from oracles import (task_level_statement, theorem1_statement, theorem2_statement,
+                     within_task_statement)
 
 
 def _write(tmp_path, text, name="conf.ini"):
@@ -309,6 +311,43 @@ def test_sweep_body_matches_its_golden_hash(tmp_path, name, jobs):
         assert main(["sweep", "--config", path, "--out", str(out), "--jobs", jobs]) == 0
     body = "\n".join(_data_lines(out))
     assert hashlib.sha256(body.encode()).hexdigest() == digest, f"ran on {kernel_report()}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BODIES))
+def test_every_sweep_row_rederives_from_its_own_columns(tmp_path, name):
+    """Each row's certificate columns follow from its other columns through
+    the theorem statements transcribed in tests/oracles.py, which share no
+    code with metabounds.bounds. In every row the task-level term follows
+    from (kl_rho_pi, n, delta). A two_prior row's one algorithm has
+    kl_hyper = 0, so its multitask term and both bounds follow from
+    (empirical_multitask_risk, kl_rho_pi, n * mean_task_kl, n, m, delta).
+    The closed form's multitask term needs kl_hyper, which no column
+    carries; its rho is a point mass on one algorithm, so there the two
+    bounds must be equal."""
+    text, _ = GOLDEN_BODIES[name]
+    out = tmp_path / "sweep.csv"
+    path = _write(tmp_path, text)
+    delta = load_config(path, "sweep").values["delta"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    header, *lines = _data_lines(out)
+    two_prior = "two_prior" in text
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        n, m = int(row["n"]), int(row["m"])
+        er, kl_rho_pi, mean_task_kl = (float(row[k]) for k in (
+            "empirical_multitask_risk", "kl_rho_pi", "mean_task_kl"))
+        assert float(row["task_level_term"]) == pytest.approx(
+            task_level_statement(kl_rho_pi, n, delta), rel=1e-12, abs=0)
+        if not two_prior:
+            assert row["bound_thm1"] == row["bound_thm2"]
+            continue
+        pairs = [(0.0, n * mean_task_kl)]
+        want = {"multitask_term": within_task_statement(n * mean_task_kl, n, m, delta),
+                "bound_thm1": theorem1_statement(er, kl_rho_pi, pairs, n, m, delta),
+                "bound_thm2": theorem2_statement(er, kl_rho_pi, pairs, n, m, delta)}
+        for column, value in want.items():
+            assert float(row[column]) == pytest.approx(value, rel=1e-12, abs=0), column
 
 
 def test_the_cached_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
@@ -674,13 +713,27 @@ BOUNDARY_CASES = [
     ("sweep", {"pipeline": "prior_mean", "epochs_stage1": "2"}, 2),
     ("bound", {"pairs": "0.5:1.0", "kl_hyper": "300"}, 2),
     ("bound", {"pairs": "0.5:1.0", "sum_task_kl": "900"}, 2),
+    # inputs whose certificate terms are not finite, or whose counts
+    # overflow a float, cannot be priced
+    ("bound", {"kl_hyper": "1e308", "sum_task_kl": "1e308"}, 2),
+    ("bound", {"kl_rho_pi": "1e308", "kl_hyper": "1e308"}, 2),
+    ("bound", {"n": "1" + "0" * 400}, 2),
+    ("bound", {"n": "1" + "0" * 200, "m": "1" + "0" * 200}, 2),
+    ("bound", {"delta": "5e-324"}, 2),
+    # a sweep prices its certificates only in the work
+    ("sweep", {"delta": "5e-324"}, 3),
 ]
+
+
+def _shown(value: str) -> str:
+    """A config value as a test id shows it: at most 40 characters."""
+    value = value.format(dir="dir")
+    return value if len(value) <= 40 else f"{value[:12]}...({len(value)} chars)"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, overrides, wanted", BOUNDARY_CASES,
-                         ids=[f"{c}-" + "-".join(f"{k}={v.format(dir='dir')}"
-                                                  for k, v in o.items())
+                         ids=[f"{c}-" + "-".join(f"{k}={_shown(v)}" for k, v in o.items())
                               for c, o, _ in BOUNDARY_CASES])
 def test_config_gives_its_documented_exit_code(tmp_path, command, overrides, wanted):
     code, err = _run(command, overrides, tmp_path)
@@ -783,6 +836,9 @@ _EPOCHS = (["0", "1", "2"], ["-1", "x"])
 _FLOAT = (["0.1", "0.5", "1e-3", "1", "2", "1e-300", "1e300", "5e-324"],
           ["0", "-1", "-1e300", "nan", "inf", "x"])
 _SEED = (["0", "1"], ["-1", "x"])
+# A divergence and a count whose certificate overflows a float.
+_KL = (_FLOAT[0] + ["1e308"], _FLOAT[1])
+_COUNT = (_SMALL_INT[0] + ["1" + "0" * 399], _SMALL_INT[1])
 _JOBS = (["1", "2"], ["-1", "0"])
 
 
@@ -841,9 +897,9 @@ _DRAWS = {
               "trials": (["50"], ["49"]), "eval_tasks": (["20"], ["19"]),
               "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED,
               "jobs": _JOBS},
-    "bound": {"empirical_risk": _FLOAT, "kl_rho_pi": _FLOAT, "kl_hyper": _FLOAT,
-              "sum_task_kl": _FLOAT, "pairs": (["0.5:1.0 ; 0:3", "0:1e300"], ["1:x", ":"]),
-              "n": _SMALL_INT, "m": _SMALL_INT, "delta": _FLOAT},
+    "bound": {"empirical_risk": _FLOAT, "kl_rho_pi": _KL, "kl_hyper": _KL,
+              "sum_task_kl": _KL, "pairs": (["0.5:1.0 ; 0:3", "0:1e300"], ["1:x", ":"]),
+              "n": _COUNT, "m": _COUNT, "delta": _FLOAT},
 }
 
 

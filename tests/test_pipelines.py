@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from metabounds import audit, env, metalearn, pipelines
+from metabounds import audit, bounds, cli, env, metalearn, pipelines
 from metabounds.env import (BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_linear_tasks,
                             sample_tasks)
 from metabounds.gauss import (
@@ -273,7 +273,32 @@ def _per_row_point(x, y, seed, delta, meta_test_loss):
                          meta_train_loss=er, **vars(breakdown))
 
 
+def _count_calls(monkeypatch, names):
+    """Count the calls of each function in ``names`` through every module
+    that holds it."""
+    calls = dict.fromkeys(names, 0)
+    for module in (bounds, cli, env, metalearn, pipelines, audit):
+        for name in names:
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def wrapped(*args, _real=real, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 class TestPriorMeanPoint:
+    def test_each_row_is_priced_once(self, monkeypatch):
+        """A row computes its task-level term once and its multitask root
+        twice, once per theorem: the certificate input prices itself when
+        it is built, and the theorems and the term columns read it."""
+        calls = _count_calls(monkeypatch, ("task_level_term", "multitask_sqrt_term"))
+        prior_mean_point(*_pool(10, 5, seed=7), (2, 5, 10), seed=7, delta=0.1,
+                         meta_test_loss=0.25)
+        assert calls == {"task_level_term": 3, "multitask_sqrt_term": 6}
+
     def test_components_recombine_and_bounds_coincide(self):
         [point] = prior_mean_point(*_pool(5, 5, seed=7), [5], seed=7, delta=0.1,
                                    meta_test_loss=rule_test_loss(SPEC, 5, 7))
@@ -420,31 +445,15 @@ class TestOnePassPerEvaluation:
             np.testing.assert_array_equal(got.posterior.mean, want.posterior.mean)
             np.testing.assert_array_equal(got.posterior.log_var, want.posterior.log_var)
 
-    @staticmethod
-    def _count(monkeypatch, names):
-        """Count the calls of each function in ``names`` through every
-        module that holds it."""
-        calls = dict.fromkeys(names, 0)
-        for module in (env, metalearn, pipelines, audit):
-            for name in names:
-                if hasattr(module, name):
-                    real = getattr(module, name)
-
-                    def wrapped(*args, _real=real, _name=name, **kwargs):
-                        calls[_name] += 1
-                        return _real(*args, **kwargs)
-                    monkeypatch.setattr(module, name, wrapped)
-        return calls
-
     NAMES = ("adapt_many", "true_risks_mc", "true_risk_mc")
 
     def test_audit_trial_adapts_once_and_calls_the_oracle_once(self, monkeypatch):
-        calls = self._count(monkeypatch, self.NAMES)
+        calls = _count_calls(monkeypatch, self.NAMES)
         audit._audit_trial(SPEC, 3, 5, _cfg(), 0, 7, 20, 50, 20)
         assert calls == {"adapt_many": 1, "true_risks_mc": 1, "true_risk_mc": 0}
 
     def test_two_prior_point_adapts_once_and_calls_the_oracle_once(self, monkeypatch):
-        calls = self._count(monkeypatch, self.NAMES)
+        calls = _count_calls(monkeypatch, self.NAMES)
         two_prior_point(SPEC, _tasks(2, 6, seed=23), seed=23, cfg=_cfg(seed=23),
                         eval_tasks=3, eval_points=50)
         assert calls == {"adapt_many": 1, "true_risks_mc": 1, "true_risk_mc": 0}
