@@ -99,10 +99,15 @@ class MetaBoundInput:
         complexities = [kl_hyper + sum_task_kl for kl_hyper, sum_task_kl in entries]
         try:  # the term functions check kl_rho_pi, n, m and delta
             task_term = task_level_term(self.kl_rho_pi, self.n, self.delta)
+            # the sums of finite terms may overflow; name them, not the term
+            # functions' arguments
+            for c in complexities:
+                _check_kl(c, "kl_hyper + sum_task_kl")
             roots = tuple(multitask_sqrt_term(c, self.n, self.m, self.delta)
                           for c in complexities)
-            pooled = multitask_sqrt_term(self.kl_rho_pi + fmean(complexities),
-                                         self.n, self.m, self.delta)
+            pooled_complexity = self.kl_rho_pi + fmean(complexities)
+            _check_kl(pooled_complexity, "kl_rho_pi + mean(kl_hyper + sum_task_kl)")
+            pooled = multitask_sqrt_term(pooled_complexity, self.n, self.m, self.delta)
         except OverflowError as exc:
             raise ValueError(f"cannot price the certificate: {exc}") from None
         if not all(map(math.isfinite, (task_term, pooled, *roots))):

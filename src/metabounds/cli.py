@@ -70,7 +70,18 @@ class ConfigError(Exception):
 # Config schema
 
 
-def _int(minimum: int):
+# Maxima of the integer keys that size work: a count (of tasks, samples,
+# points, draws, trials, epochs or a sweep's seeds), a dimension, or a
+# worker count. Far above any run the package is meant for, and far below
+# the sizes at which numpy refuses an array's shape, so an oversized key
+# exits 2 at load rather than with a traceback from the work. The seed keys
+# and the counts that ``bound`` prices size nothing and have no maximum.
+MAX_COUNT = 10**6
+MAX_DIM = 10**4
+MAX_JOBS = 256
+
+
+def _int(minimum: int, maximum: int | None = None):
     def convert(raw: str) -> int:
         try:
             value = int(raw)
@@ -78,8 +89,11 @@ def _int(minimum: int):
             raise ConfigError(f"expected an integer, got {raw!r}") from exc
         if value < minimum:
             raise ConfigError(f"expected an integer >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"expected an integer <= {maximum}, got {value}")
         return value
 
+    convert.maximum = maximum
     return convert
 
 
@@ -100,8 +114,8 @@ def _fraction(raw: str) -> float:
     return value
 
 
-def _int_list(minimum: int):
-    convert = _int(minimum)
+def _int_list(minimum: int, maximum: int):
+    convert = _int(minimum, maximum)
 
     def convert_list(raw: str) -> tuple[int, ...]:
         parts = [p for chunk in raw.split(",") for p in chunk.split()]
@@ -109,6 +123,7 @@ def _int_list(minimum: int):
             raise ConfigError("expected a nonempty list of integers")
         return tuple(convert(p) for p in parts)
 
+    convert_list.maximum = maximum
     return convert_list
 
 
@@ -159,51 +174,51 @@ _PERMUTED = _defaults(PermutedEnvSpec)
 # A key that sets a dataclass field takes its default from the field.
 _TRAIN_KEYS = {
     "arch": (_choice("linear", "mlp1"), "linear"),
-    "hidden_dim": (_int(1), 16),
+    "hidden_dim": (_int(1, MAX_DIM), 16),
     "clip_max": (_to_float, _defaults(LossSpec)["clip_max"]),
-    "epochs_stage1": (_int(0), _TRAIN["epochs_stage1"]),
-    "epochs_stage2": (_int(0), _TRAIN["epochs_stage2"]),
+    "epochs_stage1": (_int(0, MAX_COUNT), _TRAIN["epochs_stage1"]),
+    "epochs_stage2": (_int(0, MAX_COUNT), _TRAIN["epochs_stage2"]),
     "learning_rate": (_to_float, _TRAIN["learning_rate"]),
-    "batch_size": (_int(1), _TRAIN["batch_size"]),
+    "batch_size": (_int(1, MAX_COUNT), _TRAIN["batch_size"]),
     "delta": (_fraction, _TRAIN["delta"]),
     "kappa_pi": (_to_float, _TRAIN["kappa_pi"]),
     "kappa_rho": (_to_float, _TRAIN["kappa_rho"]),
-    "mc_train": (_int(1), _TRAIN["mc_train"]),
+    "mc_train": (_int(1, MAX_COUNT), _TRAIN["mc_train"]),
 }
 
 # Keys selecting and shaping the task environment.
 _ENV_KEYS = {
     "env": (_choice("linear", "permuted"), "linear"),
-    "d": (_int(1), 2),
-    "blob_points": (_int(1), _BLOBS["num_points"]),
-    "blob_dim": (_int(1), _BLOBS["dim"]),
-    "blob_classes": (_int(2), _BLOBS["num_classes"]),
+    "d": (_int(1, MAX_DIM), 2),
+    "blob_points": (_int(1, MAX_COUNT), _BLOBS["num_points"]),
+    "blob_dim": (_int(1, MAX_DIM), _BLOBS["dim"]),
+    "blob_classes": (_int(2, MAX_DIM), _BLOBS["num_classes"]),
     "blob_center_scale": (_to_float, _BLOBS["center_scale"]),
     "blob_noise": (_to_float, _BLOBS["noise"]),
     "blob_seed": (_int(0), _BLOBS["seed"]),
     "permute_mode": (_choice("permute_labels", "shuffle_features"), _PERMUTED["mode"]),
-    "num_shuffled": (_int(1), _PERMUTED["num_shuffled"]),
+    "num_shuffled": (_int(1, MAX_DIM), _PERMUTED["num_shuffled"]),
 }
 
 SCHEMAS: dict[str, dict] = {
     "sweep": {
         **_TRAIN_KEYS,
         "pipeline": (_choice("prior_mean", "two_prior"), "prior_mean"),
-        "n_list": (_int_list(1), (2, 5, 10, 20, 50)),
-        "m_list": (_int_list(1), (5,)),
-        "d_list": (_int_list(1), (2,)),
-        "seeds": (_int(1), 5),
-        "eval_tasks": (_int(1), 20),
-        "eval_points": (_int(1), 400),
+        "n_list": (_int_list(1, MAX_COUNT), (2, 5, 10, 20, 50)),
+        "m_list": (_int_list(1, MAX_COUNT), (5,)),
+        "d_list": (_int_list(1, MAX_DIM), (2,)),
+        "seeds": (_int(1, MAX_COUNT), 5),
+        "eval_tasks": (_int(1, MAX_COUNT), 20),
+        "eval_points": (_int(1, MAX_COUNT), 400),
         "seed": (_int(0), 0),
-        "jobs": (_int(1), 1),
+        "jobs": (_int(1, MAX_JOBS), 1),
         "out": (_to_str, "sweep.csv"),
     },
     "train": {
         **_TRAIN_KEYS,
         **_ENV_KEYS,
-        "n": (_int(1), REQUIRED),
-        "m": (_int(1), REQUIRED),
+        "n": (_int(1, MAX_COUNT), REQUIRED),
+        "m": (_int(1, MAX_COUNT), REQUIRED),
         "seed": (_int(0), 0),
         "out": (_to_str, "posterior.txt"),
     },
@@ -214,25 +229,25 @@ SCHEMAS: dict[str, dict] = {
            if key not in ("kappa_pi", "kappa_rho", "epochs_stage1", "epochs_stage2")},
         **_ENV_KEYS,
         "posterior": (_to_str, REQUIRED),
-        "num_tasks": (_int(1), 20),
-        "m": (_int(1), REQUIRED),
-        "adapt_epochs": (_int(0), 100),
-        "eval_points": (_int(1), 200),
-        "mc_eval": (_int(1), 200),
+        "num_tasks": (_int(1, MAX_COUNT), 20),
+        "m": (_int(1, MAX_COUNT), REQUIRED),
+        "adapt_epochs": (_int(0, MAX_COUNT), 100),
+        "eval_points": (_int(1, MAX_COUNT), 200),
+        "mc_eval": (_int(1, MAX_COUNT), 200),
         "seed": (_int(0), 0),
         "out": (_to_str, "adapt.csv"),
     },
     "audit": {
         **_TRAIN_KEYS,
         **_ENV_KEYS,
-        "n": (_int(1), 5),
-        "m": (_int(1), 5),
-        "trials": (_int(MIN_TRIALS), 200),
-        "eval_tasks": (_int(MIN_EVAL_TASKS), 20),
-        "eval_points": (_int(1), 200),
-        "mc_eval": (_int(1), 200),
+        "n": (_int(1, MAX_COUNT), 5),
+        "m": (_int(1, MAX_COUNT), 5),
+        "trials": (_int(MIN_TRIALS, MAX_COUNT), 200),
+        "eval_tasks": (_int(MIN_EVAL_TASKS, MAX_COUNT), 20),
+        "eval_points": (_int(1, MAX_COUNT), 200),
+        "mc_eval": (_int(1, MAX_COUNT), 200),
         "seed": (_int(0), 0),
-        "jobs": (_int(1), 1),
+        "jobs": (_int(1, MAX_JOBS), 1),
         "out": (_to_str, "audit.csv"),
     },
     "bound": {

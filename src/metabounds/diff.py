@@ -1,34 +1,25 @@
-"""The tape a training step runs: reverse-mode differentiation of fused nodes.
+"""A tape for reverse-mode differentiation: the public objectives' nodes
+and the tests' reference chains run on it. Everything is float64.
 
-A step records a handful of nodes on an explicit tape whose node order is a
-topological order by construction, and backward() is one reverse pass over
-that list. Everything is float64.
+A training step runs no tape: each certificate's step is one function that
+returns its value and flat gradient (``metalearn._meta_step``,
+``metalearn._adaptation_step``). The public objectives that criterion 3
+gradchecks put one such call on a tape as a single node over its leaves,
+and ``model.taped_mc_risk`` does the same for the training risk. The tests
+spell each step out as a chain of elementary ops (``tests/oracles.py``) on
+a tape and compare its values and adjoints with the step's, bit for bit.
 
-The cost of a step is Python overhead per node, not flops: the arrays are
-tiny. So the certificates' hot chains are fused into single nodes: the
-Monte-Carlo risk ``model.taped_mc_risk`` (reparametrized draws, forward
-pass, loss, clip and mean), and each certificate of ``metalearn``, whose
-node also takes the Gaussian divergence of the task posteriors from their
-prior. A diagonal Gaussian enters both of its nodes in one layout, a
-stacked row of d means then d log-variances, so no step slices off the
-halves as nodes of their own. Each fused node repeats, in the same order,
-the float operations of the chain of elementary ops it stands for, adjoint
-accumulation included, so a fused tape and the chain agree bit for bit.
-The tests build those reference chains from the elementary ops in
-``tests/oracles.py``. For the
-same reason the nodes reduce with ufunc methods (``np.add.reduce`` rather
-than ``ndarray.sum``) and read ``.shape`` rather than ``np.shape``: numpy's
-Python-level wrappers would add Python calls per node for the same floats.
-
-Only what is differentiated is a node: data, noise draws and fixed priors
-enter a node's value and adjoint as constant arrays, with no node of their
-own and no adjoint.
+A tape records nodes in construction order, which is a topological order,
+so backward() is one reverse pass over that list. Only what is
+differentiated is a node: data, noise draws and fixed priors enter a
+node's value and adjoint as constant arrays, with no node of their own and
+no adjoint.
 
 Every Tensor refers to its tape and an open tape lists its nodes, so a
-step's graph is a reference cycle. Run each step in ``with Tape() as
-tape:``: leaving the block drops the node list, so the graph is freed by
-reference counting, whether the block ends normally or by an exception. A
-closed tape records nothing more; its nodes keep their values and the last
+graph is a reference cycle. Run a tape in ``with Tape() as tape:``:
+leaving the block drops the node list, so the graph is freed by reference
+counting, whether the block ends normally or by an exception. A closed
+tape records nothing more; its nodes keep their values and the last
 pass's adjoints. A tape used without ``with`` keeps its nodes while it lives.
 """
 

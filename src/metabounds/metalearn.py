@@ -12,9 +12,10 @@ keep moving.
 Prior parameters live in a ``2d``-dimensional space for a ``d``-weight
 network: the first half are weight means, the second half weight
 log-variances.  Task posteriors use the same layout and are stacked into one
-``(n, 2d)`` array with a row per task, so a training step puts every task on
-one tape as a single leaf and the tape's size depends on the layers, not on
-``n``.
+``(n, 2d)`` array with a row per task.  A training step is one function call
+that takes every task at once and returns the certificate's flat gradient
+and its values, with no tape: its number of array operations depends on the
+layers, not on ``n``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from .model import (
     StochasticModel,
     _check_clipped_loss,
     _check_labels,
+    _mc_risk,
     glorot_init,
     mc_empirical_risk,
-    taped_mc_risk,
+    taped_mc_risk,  # noqa: F401 - bench/tracer.py wraps it on this module
 )
 from .rng import stream
 
@@ -181,24 +183,25 @@ def meta_kl(rho: MetaPosterior, kappa_pi: float) -> float:
     return squares * scale + shift
 
 
-# Tape-side certificates. Parameter nodes are stacked: the task posteriors
-# are one (n, 2d) node, the prior centers (2d,) nodes that broadcast against
-# it. What is not optimized (data, noise, fixed priors, the frozen stage-two
-# center) enters as a constant array. Each certificate has one builder, used
-# by training and, on the same tape, by the public objective functions that
-# gradcheck it.
+# Training steps. A step is one function call, ``step(xb, yb)``, that
+# returns the flat gradient of its certificate with respect to the
+# parameters it descends and one value per trace. Parameters are stacked:
+# the task posteriors are one (n, 2d) array, the prior centers (2d,) arrays
+# that broadcast against it. Each certificate has one step builder, used by
+# training and by the public objective functions that gradcheck it. A
+# builder takes the run's constants once (slack constants, meta-KL
+# coefficients, a fixed prior's slices and inverse variances, a noise
+# buffer) and the parameter arrays, which the step reads afresh each call.
 #
-# A certificate's arithmetic on the per-task risks, and the divergence of
-# the task posteriors from their prior, is one node. Its value and adjoints
-# repeat, in the same order, the float operations of the chain of
-# elementary ops that spells the certificate out (the divergence, sums,
-# sums of squares, scalings, square roots), adjoint accumulation included,
-# so training follows the chain's path bit for bit; the tests build that
-# reference chain from the ops in tests/oracles.py. A node hands q the
-# divergence's adjoint, to which backward then adds the risk node's, the
-# order in which the chain accumulates them. A negative square-root
-# argument, which no valid TrainConfig makes, gives NaN, and NaN reaches the
-# training loops' finiteness checks.
+# A step's value and gradient repeat, in the same order, the float
+# operations of the chain of elementary ops that spells the certificate out
+# (the risk of model._mc_risk, the divergence, sums, sums of squares,
+# scalings, square roots), adjoint accumulation included, so training
+# follows the chain's path bit for bit; the tests build that reference
+# chain from the ops in tests/oracles.py. q's gradient adds the risk's
+# adjoint to the divergence's, the order in which the chain accumulates
+# them. A negative square-root argument, which no valid TrainConfig makes,
+# gives NaN, and NaN reaches the training loops' finiteness checks.
 
 
 def _gaussian_kl(q: np.ndarray, p_mean: np.ndarray, p_lv: np.ndarray, inv_var: np.ndarray):
@@ -243,112 +246,118 @@ def _gaussian_kl(q: np.ndarray, p_mean: np.ndarray, p_lv: np.ndarray, inv_var: n
     return value, vjp
 
 
-def _meta_certificate_node(cfg: TrainConfig, m: int, theta0, theta1, q, risk):
-    """The two-level certificate of the (n, 2d) task posteriors q and their
-    (n,) risks as one node: the mean risk plus the task-level and multitask
-    square-root terms.
+def _meta_step(cfg: TrainConfig, m: int, theta0: np.ndarray | None, theta1: np.ndarray,
+               q: np.ndarray, rng: np.random.Generator):
+    """The two-level certificate's training step: ``step(xb, yb)`` returns
+    the gradient with respect to theta1 then q, flattened into one vector,
+    and the certificate as a (1,) array.
 
-    theta1 is a node; theta0 is the same node (tied) or a constant array
-    (frozen). Each task's divergence is its expectation over regularization
-    priors drawn from N(theta1, kappa_rho**2 I), in the closed form that
-    prices the trained certificate (gauss.expected_kl_fixed_spread_arrays):
-    the KL from N(a, exp(b - h)), where theta1 = (a, b) and
-    h = kappa_rho**2 / 2, plus n spread terms h * sum(exp(h - b) + 1/2).
-    The node stands for the chain
+    theta1 is the (2d,) regularization center and q the (n, 2d) task
+    posteriors, read at each call; xb and yb hold one minibatch per task.
+    theta0 None ties both centers to theta1; otherwise theta0 is the frozen
+    initialization center. ``m`` is each task's full sample count, which
+    sets the slack constants whatever the minibatch size. Each call draws
+    every task's weight noise, and nothing else, from rng.
+
+    The certificate is the mean risk plus the task-level and multitask
+    square-root terms. Each task's divergence is its expectation over
+    regularization priors drawn from N(theta1, kappa_rho**2 I), in the
+    closed form that prices the trained certificate
+    (gauss.expected_kl_fixed_spread_arrays): the KL from N(a, exp(b - h)),
+    where theta1 = (a, b) and h = kappa_rho**2 / 2, plus n spread terms
+    h * sum(exp(h - b) + 1/2). The step stands for the chain
     ``sum(risk) * (1/n) + sqrt((mkl + task_level_slack) * (1/(2n)))
     + sqrt((mkl + sum(kl) + spread + multitask_slack) * (1/(2nm)))`` with
     ``kl`` the KL of q from ``theta1 - (0, h)``, ``spread = sum(exp(h - b)
     + 0.5) * (h * n)``, b sliced from theta1 before the meta-KL
     ``mkl = (sum(theta0 * theta0) + sum(theta1 * theta1)) * scale + shift``.
     """
-    n = risk.shape[0]
-    tied = theta0 is theta1
-    t1 = theta1.value
-    d = t1.shape[0] // 2
+    n, width = q.shape
+    d = width // 2
+    tied = theta0 is None
     half = 0.5 * cfg.kappa_rho**2
-    # exp(h - b) is exp(-(b - h)) bit for bit: the shifted prior's inverse variances
-    inv_var = np.exp(half - t1[d:])
-    kl, kl_vjp = _gaussian_kl(q.value, t1[:d], t1[d:] - half, inv_var)
-    spread = np.add.reduce(inv_var + 0.5, axis=None) * (half * n)
-    sq1 = np.add.reduce(t1 * t1, axis=None)
-    squares = (sq1 if tied else np.add.reduce(theta0 * theta0, axis=None)) + sq1
     scale, shift = _meta_kl_coefficients(d, cfg.kappa_rho, cfg.kappa_pi)
-    mkl = squares * scale + shift
     task_scale = 1.0 / (2.0 * n)
     multi_scale = 1.0 / (2.0 * n * m)
-    task_arg = (mkl + task_level_slack(n, cfg.delta)) * task_scale
-    multi_arg = (mkl + np.add.reduce(kl, axis=None) + spread
-                 + multitask_slack(n, m, cfg.delta)) * multi_scale
-    task_term = np.sqrt(task_arg)
-    multi_term = np.sqrt(multi_arg)
-    value = np.add.reduce(risk.value, axis=None) * (1.0 / n) + task_term + multi_term
+    task_slack = task_level_slack(n, cfg.delta)
+    multi_slack = multitask_slack(n, m, cfg.delta)
+    sq0 = None if tied else np.add.reduce(theta0 * theta0, axis=None)
+    g_risk = np.full(n, 1.0 / n)
+    eps = np.empty((n, cfg.mc_train, d))
 
-    def vjp(g):
-        g_multi = g * 0.5 / multi_term * multi_scale
+    def step(xb, yb):
+        rng.standard_normal(out=eps)
+        risk, risk_vjp = _mc_risk(cfg.arch, q, xb, yb, cfg.loss, eps)
+        # exp(h - b) is exp(-(b - h)) bit for bit: the shifted prior's inverse variances
+        inv_var = np.exp(half - theta1[d:])
+        kl, kl_vjp = _gaussian_kl(q, theta1[:d], theta1[d:] - half, inv_var)
+        spread = np.add.reduce(inv_var + 0.5, axis=None) * (half * n)
+        sq1 = np.add.reduce(theta1 * theta1, axis=None)
+        mkl = ((sq1 if tied else sq0) + sq1) * scale + shift
+        task_term = np.sqrt((mkl + task_slack) * task_scale)
+        multi_term = np.sqrt((mkl + np.add.reduce(kl, axis=None) + spread + multi_slack)
+                             * multi_scale)
+        value = np.add.reduce(risk, axis=None) * (1.0 / n) + task_term + multi_term
+
+        g_multi = 0.5 / multi_term * multi_scale
         # the chain reaches mkl through the multitask term first
-        g_squares = (g_multi + g * 0.5 / task_term * task_scale) * scale
+        g_squares = (g_multi + 0.5 / task_term * task_scale) * scale
         g_q, g_prior = kl_vjp(np.full(n, g_multi))
         # each sum of squares hands its center two equal adjoints; the chain
         # accumulates theta1's pair, then the tied theta0's, then the
         # spread's, and last the divergence's, through the shifted prior
-        g1 = g_squares * t1
+        g1 = g_squares * theta1
         g_theta = (g1 + g1 + g1 + g1) if tied else (g1 + g1)
         g_theta[d:] -= g_multi * (half * n) * inv_var
-        return np.full(n, g * (1.0 / n)), g_q, g_theta + g_prior()
+        return (np.concatenate([g_theta + g_prior(), g_q + risk_vjp(g_risk)], axis=None),
+                value.reshape(1))
 
-    return diff.Tensor(risk.tape, value, (risk, q, theta1), vjp)
-
-
-def _adaptation_certificate_node(cfg: TrainConfig, m: int, q, prior: np.ndarray, risk):
-    """Single-task certificates of the (n, 2d) posteriors q against the
-    fixed (n, 2d) priors, given their (n,) risks, summed as one scalar node:
-    the chain ``sum(risk + sqrt((kl + multitask_slack) * (1/(2m))))`` with
-    ``kl`` the KL of q from the priors. Returns the node and the (n,)
-    certificates it sums."""
-    d = prior.shape[1] // 2
-    kl, kl_vjp = _gaussian_kl(q.value, prior[:, :d], prior[:, d:], np.exp(-prior[:, d:]))
-    scale = 1.0 / (2.0 * m)
-    arg = (kl + multitask_slack(1, m, cfg.delta)) * scale
-    root = np.sqrt(arg)
-    values = risk.value + root
-
-    def vjp(g):
-        g = np.full(values.shape, g)
-        g_q, _ = kl_vjp(g * 0.5 / root * scale)
-        return g, g_q
-
-    return (diff.Tensor(risk.tape, np.asarray(np.add.reduce(values, axis=None)), (risk, q), vjp),
-            values)
+    return step
 
 
-def _meta_certificate(cfg: TrainConfig, m: int, theta0, theta1, q, x, y,
-                      rng: np.random.Generator):
-    """The two-level certificate on one tape.
+def _adaptation_step(cfg: TrainConfig, m: int, q: np.ndarray, prior: np.ndarray, rngs):
+    """The single-task certificates' training step for the (n, 2d)
+    posteriors q, read at each call, against the fixed (n, 2d) priors:
+    ``step(xb, yb)`` returns the gradient of the certificates' sum with
+    respect to q, flattened, and the (n,) certificates. Each row's gradient
+    is its own task's certificate's.
 
-    theta1 is the (2d,) regularization-center node and theta0 the same node
-    (tied) or a constant array (frozen); q is the (n, 2d) task-posterior
-    node, x and y one minibatch per task.  ``m`` is each task's full sample
-    count, which sets the slack constants whatever the minibatch size.
-    Draws every task's weight noise, and nothing else, from rng.
+    The priors are taken as they are: the caller has checked them to be
+    finite. Each call draws task i's weight noise from ``rngs[i]``. The step
+    stands for the chain ``sum(risk + sqrt((kl + multitask_slack) *
+    (1/(2m))))`` with ``kl`` the KL of q from the priors.
     """
     n, width = q.shape
-    eps = rng.standard_normal((n, cfg.mc_train, width // 2))
-    risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
-    return _meta_certificate_node(cfg, m, theta0, theta1, q, risk)
+    d = width // 2
+    p_mean, p_lv = prior[:, :d], prior[:, d:]
+    inv_var = np.exp(-p_lv)
+    scale = 1.0 / (2.0 * m)
+    slack = multitask_slack(1, m, cfg.delta)
+    ones = np.ones(n)
+    eps = np.empty((n, cfg.mc_train, d))
+
+    def step(xb, yb):
+        for rng, row in zip(rngs, eps):
+            rng.standard_normal(out=row)
+        risk, risk_vjp = _mc_risk(cfg.arch, q, xb, yb, cfg.loss, eps)
+        kl, kl_vjp = _gaussian_kl(q, p_mean, p_lv, inv_var)
+        root = np.sqrt((kl + slack) * scale)
+        g_q, _ = kl_vjp(0.5 / root * scale)
+        return (g_q + risk_vjp(ones)).reshape(-1), risk + root
+
+    return step
 
 
-def _adaptation_certificates(cfg: TrainConfig, m: int, q, prior: np.ndarray,
-                             x, y, eps: np.ndarray):
-    """Single-task certificates of stacked posteriors against fixed priors.
-
-    q is the (n, 2d) posterior node and prior the (n, 2d) array of prior
-    parameters, which the caller has checked to be finite (the divergence
-    takes it unchecked). Returns the scalar node of their sum, which each
-    row's gradient sees as its own task's certificate, and the (n,)
-    certificates.
-    """
-    risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
-    return _adaptation_certificate_node(cfg, m, q, prior, risk)
+def _gradient_node(tape: diff.Tape, value, leaves: tuple, gradient: np.ndarray):
+    """A step's value as one node on ``tape`` over the leaves whose values
+    it read, in the order its flat gradient lists them; the node's vjp hands
+    each leaf its part of that gradient times the node's adjoint."""
+    parts, start = [], 0
+    for leaf in leaves:
+        parts.append(gradient[start:start + leaf.value.size].reshape(leaf.shape))
+        start += leaf.value.size
+    return diff.Tensor(tape, np.asarray(value), leaves,
+                       lambda g: tuple(g * part for part in parts))
 
 
 def _flat(dist: DiagonalGaussian) -> np.ndarray:
@@ -385,12 +394,13 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     draws and the exact expectation over regularization priors drawn from
     N(theta1, kappa_rho**2 I), so ``rng`` gives the weight noise alone.  The
     meta-KL and that expectation are priced at rho's own spread
-    ``rho.kappa_rho``, not at ``cfg.kappa_rho``.  The tape is a stage-two
-    training step's: ``theta0`` enters as a constant, and the leaves are
-    ``rho.theta1`` (2d,) and the task posteriors stacked into one (n, 2d)
-    leaf, row i for task i.  Returns the scalar tape node; when
-    ``leaves_out`` is a dict it receives those leaves under ``"theta1"`` and
-    ``"q"``, so callers can read gradients after a backward pass.
+    ``rho.kappa_rho``, not at ``cfg.kappa_rho``.  Runs one stage-two
+    training step (``theta0`` frozen) and returns its value as one node on a
+    fresh tape over two leaves, ``rho.theta1`` (2d,) and the task posteriors
+    stacked into one (n, 2d) leaf, row i for task i; the node's vjp hands
+    them the step's gradient.  When ``leaves_out`` is a dict it receives
+    those leaves under ``"theta1"`` and ``"q"``, so callers can read
+    gradients after a backward pass.
     """
     if len(task_posteriors) != len(tasks):
         raise ValueError("need exactly one task posterior per task")
@@ -412,16 +422,19 @@ def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
     q = tape.tensor(np.stack([_flat(mdl.posterior) for mdl in task_posteriors]))
     if leaves_out is not None:
         leaves_out.update(theta1=theta1, q=q)
-    return _meta_certificate(cfg, m, rho.theta0, theta1, q, *_stacked_data(tasks, arch), rng)
+    step = _meta_step(cfg, m, rho.theta0, theta1.value, q.value, rng)
+    gradient, values = step(*_stacked_data(tasks, arch))
+    return _gradient_node(tape, values[0], (theta1, q), gradient)
 
 
 def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: Task,
                          cfg: TrainConfig, rng: np.random.Generator | None = None,
                          leaves_out: dict | None = None):
     """Differentiable single-task certificate against a fixed prior: the
-    objective :func:`adapt` minimizes, here on the full training set.  The
-    tape is an adapt step's, with the posterior as its one (1, 2d) leaf;
-    ``leaves_out`` receives that leaf under ``"q"``."""
+    objective :func:`adapt` minimizes, here on the full training set.  Runs
+    one adapt step and returns its value as one node on a fresh tape over
+    the posterior's one (1, 2d) leaf, whose vjp hands it the step's
+    gradient; ``leaves_out`` receives that leaf under ``"q"``."""
     arch = cfg.arch
     if model.arch != arch:
         raise ValueError("model architecture differs from the config's")
@@ -433,10 +446,9 @@ def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: 
     q = tape.tensor(_flat(model.posterior)[None])
     if leaves_out is not None:
         leaves_out["q"] = q
-    eps = rng.standard_normal((1, cfg.mc_train, arch.param_count))
-    node, _ = _adaptation_certificates(cfg, task.m, q, _flat(prior)[None],
-                                       *_stacked_data([task], arch), eps)
-    return node
+    step = _adaptation_step(cfg, task.m, q.value, _flat(prior)[None], [rng])
+    gradient, values = step(*_stacked_data([task], arch))
+    return _gradient_node(tape, np.add.reduce(values, axis=None), (q,), gradient)
 
 
 class _Adam:
@@ -481,20 +493,17 @@ def _check_finite(values: np.ndarray, traces: list, message: str,
 
 
 def _descend(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, flat: np.ndarray,
-             params: dict, rngs, epochs: int, objective, traces: list, *,
-             name_task: bool = True) -> None:
-    """Minibatch Adam descent on ``flat``, of which ``params`` are the views
-    that :func:`_packed` made: the loop that both stages of meta-training
-    and adaptation run.
+             rngs, epochs: int, step, traces: list, *, name_task: bool = True) -> None:
+    """Minibatch Adam descent on ``flat``: the loop that both stages of
+    meta-training and adaptation run.
 
-    Each epoch task i draws its sample order from ``rngs[i]``.  Each step
-    puts one leaf per ``params`` entry on a fresh tape, holding the view
-    itself, neither copied nor checked: the parameters start finite, and
-    every step checks them after its update.  ``objective(leaves, xb, yb)``
-    returns the node to differentiate and one value per trace.  Those
-    values, and the parameters after the step, must stay finite (see
-    :func:`_check_finite`).  Each epoch appends the mean of its steps'
-    values to each trace, as np.mean computes it.
+    Each epoch task i draws its sample order from ``rngs[i]``.
+    ``step(xb, yb)`` reads the parameters from views of ``flat`` (see
+    :func:`_packed`) and returns their flat gradient and one value per
+    trace. Those values, and the parameters after the step, must stay
+    finite (see :func:`_check_finite`); the parameters start finite.  Each
+    epoch appends the mean of its steps' values to each trace, as np.mean
+    computes it.
     """
     m = y.shape[1]
     rows = np.arange(len(rngs))[:, None]
@@ -510,15 +519,9 @@ def _descend(cfg: TrainConfig, x: np.ndarray, y: np.ndarray, flat: np.ndarray,
         per_step = []
         for j in range(0, m, cfg.batch_size):
             idx = perms[:, j:j + cfg.batch_size]
-            xb, yb = x[rows, idx], y[rows, idx]
-            with diff.Tape() as tape:
-                leaves = {key: diff.Tensor(tape, value, (), None)
-                          for key, value in params.items()}
-                node, values = objective(leaves, xb, yb)
-                _check_finite(values, traces, "objective became non-finite", name_task)
-                diff.backward(node)
-                opt.step(flat, np.concatenate([leaf.grad for leaf in leaves.values()],
-                                              axis=None))
+            gradient, values = step(x[rows, idx], y[rows, idx])
+            _check_finite(values, traces, "objective became non-finite", name_task)
+            opt.step(flat, gradient)
             _check_finite(flat, traces, "parameters became non-finite", name_task)
             per_step.append(values)
         for trace, value in zip(traces, np.add.reduce(per_step, axis=0) / len(per_step)):
@@ -532,8 +535,8 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
     all task posteriors.  Stage two freezes that vector as the
     initialization component, resamples every task posterior from it, and
     optimizes the regularization component and the posteriors.  Optimizer
-    state does not survive the boundary.  Every step is one stacked tape
-    over all tasks.  Returns the final meta-posterior and the per-epoch
+    state does not survive the boundary.  Every step takes all tasks at
+    once.  Returns the final meta-posterior and the per-epoch
     objective trace.
     """
     if not env_tasks:
@@ -550,15 +553,8 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
         # with theta0 None the two components are tied to params["theta"];
         # otherwise theta0 is the frozen initialization center
         rng = stream(cfg.seed, name)
-
-        def objective(leaves, xb, yb):
-            theta1 = leaves["theta"]
-            value = _meta_certificate(cfg, m, theta1 if theta0 is None else theta0, theta1,
-                                      leaves["q"], xb, yb, rng)
-            return value, value.value.reshape(1)
-
-        _descend(cfg, x, y, flat, params, [rng] * n, epochs, objective, [trace],
-                 name_task=False)
+        step = _meta_step(cfg, m, theta0, params["theta"], params["q"], rng)
+        _descend(cfg, x, y, flat, [rng] * n, epochs, step, [trace], name_task=False)
 
     flat, params = _packed(
         theta=_flat(glorot_init(arch, stream(cfg.seed, "init", "prior"))),
@@ -589,7 +585,7 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     """Adapt to several fresh tasks at once.
 
     The tasks must share a sample count.  Their posteriors are the rows of
-    one stacked array, optimized together with one tape per step; since the
+    one stacked array, optimized together by one step function; since the
     summed objective separates by task, each row follows exactly the path a
     single-task run would.  Task i draws only from ``rngs[i]``, in the order
     of a single-task run: its initialization from N(theta0, kappa_rho**2 I),
@@ -620,12 +616,8 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     traces = [TrainingTrace() for _ in tasks]
     _check_finite(np.concatenate([params["q"], prior], axis=1), traces,
                   "sampled initialization or prior is non-finite")
-
-    def objective(leaves, xb, yb):
-        eps = np.array([rng.standard_normal((cfg.mc_train, d)) for rng in rngs])
-        return _adaptation_certificates(cfg, m, leaves["q"], prior, xb, yb, eps)
-
-    _descend(cfg, x, y, flat, params, rngs, adapt_epochs, objective, traces)
+    step = _adaptation_step(cfg, m, params["q"], prior, rngs)
+    _descend(cfg, x, y, flat, rngs, adapt_epochs, step, traces)
     return [(StochasticModel(arch, DiagonalGaussian(row[:d], row[d:])),
              DiagonalGaussian(prior_row[:d], prior_row[d:]))
             for row, prior_row in zip(params["q"], prior)]

@@ -270,15 +270,31 @@ def _clipped_loss(loss: LossSpec, arch: ModelArchitecture, scores: np.ndarray, y
     return np.minimum(raw, c) / c, vjp
 
 
+# Element budget of one block of mlp1 Monte-Carlo scoring: draws x inputs x
+# hidden units of the block's hidden layer, sized to stay in cache.
+MC_BLOCK_BUDGET = 2**14
+
+
 def _mc_losses(model: StochasticModel, x: np.ndarray, y: np.ndarray,
                loss: LossSpec, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
     """(K, B) losses of K = mc_samples fresh posterior draws on the B inputs.
 
-    The draws are mean + std * N(0, 1) of shape (K, d), taken from rng here.
+    The draws are mean + std * N(0, 1) of shape (K, d), taken from rng here
+    in one call. An mlp1 model scores them in blocks of draw rows whose
+    hidden layer holds at most ``MC_BLOCK_BUDGET`` entries (at least one row
+    per block); each draw's losses are those of scoring it alone. Linear
+    scores have no hidden layer and take all draws at once.
     """
-    post = model.posterior
+    post, arch = model.posterior, model.arch
     draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))
-    return loss_values(loss, model.arch, scores_batch(model.arch, draws, x), y)
+    if arch.kind == "linear":
+        return loss_values(loss, arch, scores_batch(arch, draws, x), y)
+    rows = max(1, MC_BLOCK_BUDGET // (len(x) * arch.hidden_dim))
+    out = np.empty((mc_samples, len(x)))
+    for start in range(0, mc_samples, rows):
+        block = draws[start:start + rows]
+        out[start:start + rows] = loss_values(loss, arch, scores_batch(arch, block, x), y)
+    return out
 
 
 def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
@@ -312,35 +328,35 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
     return DiagonalGaussian(mean, log_var)
 
 
-# The tape-side risk: the numpy path above, on weights drawn from a node of
-# posterior parameters, so that bound objectives are differentiable through
-# them (pathwise, with the noise draws held fixed per step). Weight
-# draws carry a draw axis in front of the flat weight vector, and optionally
-# a task axis in front of that, so one tape serves every task and every draw.
+# The training risk: the numpy path above, on weights drawn from a stack of
+# posterior parameters, differentiable through them (pathwise, with the
+# noise draws held fixed per step). Weight draws carry a draw axis in front
+# of the flat weight vector, and optionally a task axis in front of that, so
+# one call serves every task and every draw.
 
 
-def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
-                  loss: LossSpec, eps: np.ndarray):
-    """Empirical risk averaged over fixed reparametrization draws, as one
-    node whose only parent is q.
+def _mc_risk(arch: ModelArchitecture, q: np.ndarray, x: np.ndarray, y: np.ndarray,
+             loss: LossSpec, eps: np.ndarray):
+    """Empirical risk averaged over fixed reparametrization draws, and its
+    vjp: the body of a training step's risk.
 
-    q is the stacked posterior node, d weight means then d log-variances:
-    (2d,) for one task with eps (K, d) for K draws, x (B, in) and y (B,); or
+    q is the stacked posterior, d weight means then d log-variances: (2d,)
+    for one task with eps (K, d) for K draws, x (B, in) and y (B,); or
     (n, 2d) for n stacked tasks with eps (n, K, d), x (n, B, in), y (n, B)
-    and one risk per task as the result. eps must be finite and is checked;
-    x and y must be too, and y must hold class indices in [0, C), but a
-    training run checks its data once, not here.
-    zero_one has no usable gradient and is rejected, as is a clipped loss
-    that is not ``CLIPPED_LOSS[arch.kind]``.
+    and one risk per task as the result. ``vjp(g)`` maps the risks' adjoint
+    to q's. eps must be finite and is checked; x and y must be too, and y
+    must hold class indices in [0, C), but a training run checks its data
+    once, not here. zero_one has no usable gradient and is rejected, as is a
+    clipped loss that is not ``CLIPPED_LOSS[arch.kind]``.
 
-    The node draws the weights, takes the forward pass and the clipped loss
-    that the numpy path takes (``_forward``, ``_clipped_loss``) and averages
-    over the draw and sample axes; its vjp chains theirs. Value and adjoint
+    It draws the weights, takes the forward pass and the clipped loss that
+    the numpy path takes (``_forward``, ``_clipped_loss``) and averages over
+    the draw and sample axes; its vjp chains theirs. Value and adjoint
     repeat, in the same order, the float operations of the chain of
     reference ops in ``tests/oracles.py``: ``reparam``, the forward pass
     (``matmul``, or ``slice``, ``tanh`` and ``add``), ``softplus`` of the
     scores times ``2y - 1`` or ``softmax_cross_entropy``, ``clip_rescale``
-    and ``mean``, so node and chain agree bit for bit.
+    and ``mean``, so function and chain agree bit for bit.
     """
     if loss.kind == "zero_one":
         raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
@@ -348,12 +364,12 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     d = arch.param_count
-    if not (q.shape[-1] == 2 * d and eps.ndim == x.ndim == len(q.shape) + 1
+    if not (q.shape[-1] == 2 * d and eps.ndim == x.ndim == q.ndim + 1
             and eps.shape[:-2] == x.shape[:-2] == q.shape[:-1] and eps.shape[-1] == d
             and x.shape[-1] == arch.input_dim and y.shape == x.shape[:-1]):
         raise ValueError(f"shapes do not match: q {q.shape}, eps {eps.shape}, "
                          f"x {x.shape}, y {y.shape}")
-    rows = q.value[..., None, :]
+    rows = q[..., None, :]
     std = np.exp(rows[..., d:] * 0.5)
     draws = rows[..., :d] + std * eps
     scores, scores_vjp = _forward(arch, draws, x)
@@ -363,7 +379,16 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
 
     def vjp(g):
         g_draws = scores_vjp(loss_vjp((g / count)[..., None, None]))
-        return (np.concatenate([_row_sum(g_draws), _row_sum(g_draws * eps) * std * 0.5],
-                               axis=-1).reshape(q.shape),)
+        return np.concatenate([_row_sum(g_draws), _row_sum(g_draws * eps) * std * 0.5],
+                              axis=-1).reshape(q.shape)
 
-    return diff.Tensor(q.tape, np.asarray(total / count), (q,), vjp)
+    return total / count, vjp
+
+
+def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
+                  loss: LossSpec, eps: np.ndarray):
+    """:func:`_mc_risk` of the stacked posterior node q as one node on q's
+    tape, whose only parent is q: the reference chains and the certificate
+    that criterion 3 spells out from elementary ops take their risk here."""
+    value, vjp = _mc_risk(arch, q.value, x, y, loss, eps)
+    return diff.Tensor(q.tape, np.asarray(value), (q,), lambda g: (vjp(g),))

@@ -40,6 +40,10 @@ ALLOWED = {
     "metalearn.meta_objective": "criterion 3 gradchecks the meta-level certificate through it",
     "metalearn.independent_baseline": "criterion 7 compares the meta-learner with from-scratch "
                                       "adaptation",
+    "diff.backward": "the benchmark's tracer wraps it; criterion 3 gradchecks the public "
+                     "objectives' nodes by a backward pass through it",
+    "model.taped_mc_risk": "the benchmark's tracer wraps it on metalearn; criterion 3 builds "
+                           "its single-task certificate from it",
 }
 
 

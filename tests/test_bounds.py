@@ -7,6 +7,7 @@ precision) and are asserted as frozen constants.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,17 @@ class TestTheorem1Bound:
     def test_rejects_empty_complexity_list(self):
         with pytest.raises(ValueError):
             _meta_input(pairs=[])
+
+    @pytest.mark.parametrize("kl_rho_pi, pairs, named", [
+        (0.0, [(1e308, 1e308)], "kl_hyper + sum_task_kl"),
+        (0.0, [(1.0, 2.0), (1e308, 1e308)], "kl_hyper + sum_task_kl"),
+        (1e308, [(1e308, 0.0)], "kl_rho_pi + mean(kl_hyper + sum_task_kl)"),
+    ])
+    def test_an_overflowing_sum_is_named(self, kl_rho_pi, pairs, named):
+        """Each term is finite; their sum is not, and the error names the
+        sum rather than an argument of the term functions."""
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} must be a finite"):
+            _meta_input(kl_rho_pi=kl_rho_pi, pairs=pairs)
 
 
 class TestTheorem2Bound:

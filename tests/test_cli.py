@@ -715,13 +715,20 @@ BOUNDARY_CASES = [
     ("bound", {"pairs": "0.5:1.0", "sum_task_kl": "900"}, 2),
     # inputs whose certificate terms are not finite, or whose counts
     # overflow a float, cannot be priced
-    ("bound", {"kl_hyper": "1e308", "sum_task_kl": "1e308"}, 2),
-    ("bound", {"kl_rho_pi": "1e308", "kl_hyper": "1e308"}, 2),
+    # an overflowing sum is named as the sum of the keys that were set
+    ("bound", {"kl_hyper": "1e308", "sum_task_kl": "1e308"}, 2, "kl_hyper + sum_task_kl"),
+    ("bound", {"kl_rho_pi": "1e308", "kl_hyper": "1e308"}, 2,
+     "kl_rho_pi + mean(kl_hyper + sum_task_kl)"),
     ("bound", {"n": "1" + "0" * 400}, 2),
     ("bound", {"n": "1" + "0" * 200, "m": "1" + "0" * 200}, 2),
     ("bound", {"delta": "5e-324"}, 2),
     # a sweep prices its certificates only in the work
     ("sweep", {"delta": "5e-324"}, 3),
+    # a key over its maximum is rejected at load, before numpy would refuse
+    # the shape it sizes
+    ("sweep", {"n_list": "1" + "0" * 20}, 2, "n_list"),
+    ("sweep", {"eval_points": "1" + "0" * 20}, 2, "eval_points"),
+    ("train", {"n": "1" + "0" * 20}, 2, "n: expected an integer <="),
 ]
 
 
@@ -732,15 +739,48 @@ def _shown(value: str) -> str:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command, overrides, wanted", BOUNDARY_CASES,
+@pytest.mark.parametrize("command, overrides, wanted, named",
+                         [case + ("",) * (4 - len(case)) for case in BOUNDARY_CASES],
                          ids=[f"{c}-" + "-".join(f"{k}={_shown(v)}" for k, v in o.items())
-                              for c, o, _ in BOUNDARY_CASES])
-def test_config_gives_its_documented_exit_code(tmp_path, command, overrides, wanted):
+                              for c, o, *_ in BOUNDARY_CASES])
+def test_config_gives_its_documented_exit_code(tmp_path, command, overrides, wanted, named):
+    """A case may add the text its message must hold, such as the key it
+    names."""
     code, err = _run(command, overrides, tmp_path)
     assert code == wanted, err
     if wanted:
         assert err.startswith("config error:" if wanted == 2 else "numeric failure:"), err
+    assert named in err, err
     assert "Traceback" not in err
+
+
+# (command, key, maximum) of every integer key; seeds and the counts that
+# bound prices size no work and have no maximum
+INTEGER_KEYS = [(command, key, convert.maximum) for command, schema in SCHEMAS.items()
+                for key, (convert, _) in schema.items() if hasattr(convert, "maximum")]
+
+
+def test_every_work_sizing_integer_key_has_a_maximum():
+    uncapped = sorted((command, key) for command, key, maximum in INTEGER_KEYS
+                      if maximum is None)
+    assert uncapped == sorted([("bound", "n"), ("bound", "m"), ("sweep", "seed")] + [
+        (command, key) for command in ("train", "adapt", "audit") for key in ("seed", "blob_seed")])
+    assert len(INTEGER_KEYS) - len(uncapped) > 30
+
+
+@pytest.mark.parametrize("command, key, maximum",
+                         [case for case in INTEGER_KEYS if case[2] is not None],
+                         ids=lambda v: str(v))
+def test_a_key_at_its_maximum_loads_and_one_past_it_is_named(tmp_path, command, key, maximum):
+    """Through load_config alone: no config near a maximum is run."""
+    path = _write(tmp_path, f"[{command}]\n")
+    required = {k: 1 for k, (_, default) in SCHEMAS[command].items() if default is cli.REQUIRED}
+    if command == "sweep":
+        # the trained pipeline reads every sweep key
+        required["pipeline"] = "two_prior"
+    assert load_config(path, command, overrides={**required, key: maximum})
+    with pytest.raises(ConfigError, match=rf"^{key}: expected an integer <= {maximum}, "):
+        load_config(path, command, overrides={**required, key: maximum + 1})
 
 
 def test_numeric_failure_is_one_stderr_line(tmp_path):

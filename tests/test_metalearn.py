@@ -350,11 +350,11 @@ class TestMetaObjective:
 
 
 def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
-    """metalearn._meta_certificate spelled out as a chain of reference ops,
-    kept as the reference of its one-node arithmetic: the divergence from
-    theta1 with its log-variances lowered by kappa_rho**2 / 2, plus n times
-    the spread term of the expectation over regularization priors. Returns the
-    certificate and its risk node."""
+    """The certificate of metalearn._meta_step spelled out as a chain of
+    reference ops, kept as the reference of the step's arithmetic: the
+    divergence from theta1 with its log-variances lowered by kappa_rho**2 / 2,
+    plus n times the spread term of the expectation over regularization
+    priors."""
     n, width = q.shape
     d = width // 2
     half = 0.5 * cfg.kappa_rho**2
@@ -378,33 +378,45 @@ def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
     multi_term = ops.sqrt(ops.mul(
         ops.add(ops.add(ops.add(mkl, kl_sum), spread), multitask_slack(n, m, cfg.delta)),
         1.0 / (2.0 * n * m)))
-    return ops.add(ops.add(empirical, task_term), multi_term), risk
+    return ops.add(ops.add(empirical, task_term), multi_term)
 
 
 def _chain_adaptation_certificates(cfg, m, q, prior, x, y, eps):
-    """metalearn._adaptation_certificates as a chain of reference ops, kept as
-    the reference of its one-node arithmetic. Returns the summed certificates,
-    the (n,) certificates and their risk node."""
+    """The certificates of metalearn._adaptation_step as a chain of reference
+    ops, kept as the reference of the step's arithmetic. Returns their sum
+    and the (n,) certificates."""
     risk = taped_mc_risk(cfg.arch, q, x, y, cfg.loss, eps)
     kl = ops.kl_chain(q, prior)
     root = ops.sqrt(ops.mul(ops.add(kl, multitask_slack(1, m, cfg.delta)), 1.0 / (2.0 * m)))
     values = ops.add(risk, root)
-    return ops.sum(values), values.value, risk
+    return ops.sum(values), values.value
 
 
-def _fused_meta(*args):
-    """metalearn._meta_certificate, returning its node and the node's risk
-    input as the reference chain does."""
-    out = metalearn._meta_certificate(*args)
-    return out, out.parents[0]
+def _step_node(step, x, y, tape, leaves, total=False):
+    """One call of a step on the leaves' values as a node on their tape, as
+    the public objectives build it; ``total`` sums the step's values."""
+    gradient, values = step(x, y)
+    value = np.add.reduce(values, axis=None) if total else values[0]
+    return metalearn._gradient_node(tape, value, tuple(leaves), gradient)
 
 
-def _fused_adaptation(*args):
-    """metalearn._adaptation_certificates, returning its summed node, the
-    (n,) certificates and the node's risk input as the reference chain
-    does."""
-    out, values = metalearn._adaptation_certificates(*args)
-    return out, values, out.parents[0]
+def _recording_steps(monkeypatch):
+    """A list that receives the (gradient, values) of every training step
+    that a step builder of metalearn builds from here on."""
+    calls = []
+    for name in ("_meta_step", "_adaptation_step"):
+        def recording_builder(*args, build=getattr(metalearn, name)):
+            step = build(*args)
+
+            def recorded(xb, yb):
+                out = step(xb, yb)
+                calls.append(out)
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(metalearn, name, recording_builder)
+    return calls
 
 
 def _certificate_setup(arch, n, seed):
@@ -468,92 +480,87 @@ class TestGaussianKl:
             assert abs(kl - expected) <= 1e-12
 
 
-class TestCertificateNodes:
-    """Each certificate, with the divergence of the task posteriors from
-    their prior, is one node. Its value and the adjoints it hands on equal,
-    bit for bit, those of the chain of reference ops it stands for; a
-    reordered float operation changes the last bit at some of the points
-    compared."""
+class TestCertificateSteps:
+    """Each certificate's training step is one function. Its values and its
+    flat gradient equal, bit for bit, those of the chain of reference ops it
+    stands for, swept backward on a tape; a reordered float operation
+    changes the last bit at some of the points compared."""
 
     @pytest.mark.parametrize("form", ["tied", "frozen"])
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_meta_certificate_equals_its_chain(self, arch, form, seed):
+    def test_meta_step_equals_its_chain(self, arch, form, seed):
         cfg, x, y, rows = _certificate_setup(arch, 3, seed=61 + seed)
         theta0_value, theta1_value, q_value = rows(), rows(), rows(3)
 
-        def run(certificate):
-            tape = diff.Tape()
-            theta1 = tape.tensor(theta1_value)
-            theta0 = theta1 if form == "tied" else theta0_value
-            q = tape.tensor(q_value)
-            out, risk = certificate(cfg, 6, theta0, theta1, q, x, y,
-                                    np.random.default_rng(seed))
-            backward(out)
-            return out.value, risk.grad, theta1.grad, q.grad
+        tape = diff.Tape()
+        theta1 = tape.tensor(theta1_value)
+        q = tape.tensor(q_value)
+        out = _chain_meta_certificate(cfg, 6, theta1 if form == "tied" else theta0_value,
+                                      theta1, q, x, y, np.random.default_rng(seed))
+        backward(out)
+        chain = (out.value.reshape(1), np.concatenate([theta1.grad, q.grad], axis=None))
 
-        fused = run(_fused_meta)
-        chain = run(_chain_meta_certificate)
-        assert len(fused) == len(chain)
-        for a, b in zip(fused, chain):
+        step = metalearn._meta_step(cfg, 6, None if form == "tied" else theta0_value,
+                                    theta1_value.copy(), q_value.copy(),
+                                    np.random.default_rng(seed))
+        gradient, values = step(x, y)
+        for a, b in zip((values, gradient), chain):
             assert np.any(a != 0.0)
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_adaptation_certificates_equal_their_chain(self, arch, n, seed):
+    def test_adaptation_step_equals_its_chain(self, arch, n, seed):
         cfg, x, y, rows = _certificate_setup(arch, n, seed=73 + seed)
         q_value, prior = rows(n), rows(n)
-        eps = np.random.default_rng(seed).standard_normal((n, cfg.mc_train, arch.param_count))
+        eps = np.array([np.random.default_rng([seed, i]).standard_normal(
+            (cfg.mc_train, arch.param_count)) for i in range(n)])
 
-        def run(certificates):
-            tape = diff.Tape()
-            q = tape.tensor(q_value)
-            out, values, risk = certificates(cfg, 6, q, prior, x, y, eps)
-            backward(out)
-            return out.value, values, risk.grad, q.grad
+        tape = diff.Tape()
+        q = tape.tensor(q_value)
+        out, chain_values = _chain_adaptation_certificates(cfg, 6, q, prior, x, y, eps)
+        backward(out)
 
-        fused = run(_fused_adaptation)
-        chain = run(_chain_adaptation_certificates)
-        assert fused[0].shape == ()
-        for a, b in zip(fused, chain):
+        step = metalearn._adaptation_step(cfg, 6, q_value.copy(), prior,
+                                          [np.random.default_rng([seed, i]) for i in range(n)])
+        gradient, values = step(x, y)
+        assert values.shape == (n,) and gradient.shape == (n * q_value.shape[1],)
+        for a, b in ((values, chain_values), (gradient, q.grad.ravel())):
             assert np.any(a != 0.0)
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("form", ["tied", "frozen"])
-    def test_meta_certificate_node_gradcheck(self, form):
-        rng = np.random.default_rng(89)
-        frozen = rng.normal(0.0, 0.5, 4)
-        points = [rng.normal(0.0, 0.5, 4),
-                  np.concatenate([rng.normal(0.0, 0.5, (3, 2)), rng.uniform(-2.0, 0.0, (3, 2))],
-                                 axis=1),
-                  rng.uniform(0.1, 0.9, 3)]
+    def test_meta_step_gradcheck(self, form):
+        setup, x, y, rows = _certificate_setup(LINEAR, 3, seed=89)
+        frozen = rows()
+        points = [rows(), rows(3)]
         # at the wider spread the spread term's adjoint is material
         for kappa_rho in (1e-3, 0.5):
-            cfg = _cfg(kappa_pi=2.0, kappa_rho=kappa_rho)
+            cfg = replace(setup, kappa_pi=2.0, kappa_rho=kappa_rho)
 
             def build(ps):
                 tape = diff.Tape()
-                theta1, q, risk = (tape.tensor(v) for v in ps)
-                theta0 = theta1 if form == "tied" else frozen
-                return (metalearn._meta_certificate_node(cfg, 7, theta0, theta1, q, risk),
-                        [theta1, q, risk])
+                theta1, q = (tape.tensor(v) for v in ps)
+                step = metalearn._meta_step(cfg, 7, None if form == "tied" else frozen,
+                                            theta1.value, q.value, np.random.default_rng(5))
+                return _step_node(step, x, y, tape, [theta1, q]), [theta1, q]
 
             assert gradcheck(build, points) <= 1e-6
 
-    def test_adaptation_certificate_node_gradcheck(self):
-        cfg = _cfg()
-        rng = np.random.default_rng(97)
-        prior = rng.normal(-0.5, 0.5, (3, 4))
+    def test_adaptation_step_gradcheck(self):
+        cfg, x, y, rows = _certificate_setup(LINEAR, 3, seed=97)
+        prior = rows(3)
 
         def build(ps):
             tape = diff.Tape()
-            q, risk = tape.tensor(ps[0]), tape.tensor(ps[1])
-            node, _ = metalearn._adaptation_certificate_node(cfg, 9, q, prior, risk)
-            return node, [q, risk]
+            q = tape.tensor(ps[0])
+            step = metalearn._adaptation_step(cfg, 9, q.value, prior,
+                                              [np.random.default_rng([5, i]) for i in range(3)])
+            return _step_node(step, x, y, tape, [q], total=True), [q]
 
-        assert gradcheck(build, [rng.normal(-0.5, 0.5, (3, 4)), rng.uniform(0.1, 0.9, 3)]) <= 1e-6
+        assert gradcheck(build, [rows(3)]) <= 1e-6
 
     def test_nonpositive_square_root_argument_is_rejected(self):
         """A valid config keeps both arguments positive; a delta past 1,
@@ -563,14 +570,16 @@ class TestCertificateNodes:
         below -task_level_slack(2, 1e3) = 5.2."""
         cfg = _cfg(kappa_pi=10.0, kappa_rho=10.0)
         object.__setattr__(cfg, "delta", 1e3)
-        tape = diff.Tape()
-        risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
-        q = tape.tensor(np.zeros((2, 4)))
+        x, y = metalearn._stacked_data(_toy_tasks(2, 6, seed=3), LINEAR)
+        q = np.zeros((2, 4))
+        meta = metalearn._meta_step(cfg, 7, None, np.zeros(4), q, np.random.default_rng(0))
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            meta = metalearn._meta_certificate_node(cfg, 7, theta, theta, q, risk)
+            _, meta_values = meta(x, y)
+        adaptation = metalearn._adaptation_step(cfg, 7, q, np.zeros((2, 4)),
+                                                [np.random.default_rng(i) for i in range(2)])
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            node, _ = metalearn._adaptation_certificate_node(cfg, 7, q, np.zeros((2, 4)), risk)
-        assert np.isnan(meta.value) and np.isnan(node.value)
+            _, values = adaptation(x, y)
+        assert np.isnan(meta_values).all() and np.isnan(values).all()
         with (pytest.warns(RuntimeWarning, match="invalid value"),
               pytest.raises(TrainingDiverged, match="objective became non-finite")):
             train_meta(_toy_tasks(2, 6, seed=3), cfg)
@@ -578,14 +587,15 @@ class TestCertificateNodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_passes_through_to_the_finiteness_checks(self):
         cfg = _cfg()
-        tape = diff.Tape()
-        risk, theta = tape.tensor(np.full(2, 0.5)), tape.tensor(np.zeros(4))
-        # a leaf that skips the finiteness check: row 0 reads NaN, row 1 inf
-        q = diff.Tensor(tape, np.array([[np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]),
-                        (), None)
-        assert np.isnan(metalearn._meta_certificate_node(cfg, 7, theta, theta, q, risk).value)
-        node, values = metalearn._adaptation_certificate_node(cfg, 7, q, np.zeros((2, 4)), risk)
-        assert np.isnan(node.value) and np.isnan(values[0]) and values[1] == np.inf
+        x, y = metalearn._stacked_data(_toy_tasks(2, 6, seed=3), LINEAR)
+        # posteriors that no check has seen: row 0 reads NaN, row 1 inf
+        q = np.array([[np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
+        _, meta_values = metalearn._meta_step(cfg, 7, None, np.zeros(4), q,
+                                              np.random.default_rng(0))(x, y)
+        assert np.isnan(meta_values[0])
+        _, values = metalearn._adaptation_step(cfg, 7, q, np.zeros((2, 4)),
+                                               [np.random.default_rng(i) for i in range(2)])(x, y)
+        assert np.isnan(values[0]) and values[1] == np.inf
 
 
 class TestTrainMeta:
@@ -666,24 +676,6 @@ class TestTrainMeta:
         np.testing.assert_allclose(rho.theta0, GOLDEN_MLP1_THETA0, rtol=0, atol=1e-9)
         np.testing.assert_allclose(rho.theta1, GOLDEN_MLP1_THETA1, rtol=0, atol=1e-9)
 
-    def test_meta_step_tape_size_does_not_grow_with_tasks(self, monkeypatch):
-        sizes = []
-        real_backward = diff.backward
-
-        def counting_backward(out):
-            sizes.append(out.idx + 1)
-            real_backward(out)
-
-        monkeypatch.setattr(diff, "backward", counting_backward)
-        per_count = {}
-        for n in (2, 10):
-            sizes.clear()
-            cfg = _cfg(arch=MLP, loss=CROSS_ENTROPY, epochs_stage1=1, epochs_stage2=1)
-            train_meta(sample_tasks(BLOBS, n, 8, stream(n, "tasks")), cfg)
-            per_count[n] = list(sizes)
-        assert per_count[2] == per_count[10]
-        assert len(per_count[2]) == 2
-
 
 @contextlib.contextmanager
 def _cyclic_tape_garbage():
@@ -711,21 +703,14 @@ class TestRunData:
     public objectives check theirs on every call."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_nan_input_stops_a_run_before_its_first_backward_pass(self, monkeypatch):
+    def test_a_nan_input_stops_a_run_before_its_first_step(self, monkeypatch):
         tasks = _toy_tasks(2, 8, seed=31)
         bad_x = tasks[1].train_x.copy()
         # a row that no task's first minibatch of 2 holds, in either run
         bad_x[5, 0] = np.nan
         tasks[1] = replace(tasks[1], train_x=bad_x)
         cfg = _cfg(batch_size=2)
-        passes = []
-        real_backward = diff.backward
-
-        def counting_backward(out):
-            passes.append(out.idx)
-            real_backward(out)
-
-        monkeypatch.setattr(diff, "backward", counting_backward)
+        passes = _recording_steps(monkeypatch)
         with pytest.raises(ValueError, match="finite"):
             train_meta(tasks, cfg)
         rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
@@ -748,7 +733,7 @@ class TestRunData:
 
     @pytest.mark.parametrize("arch, label", [(LINEAR, 2), (LINEAR, -1), (MLP, 3), (MLP, -1)],
                              ids=["linear-2", "linear-neg", "mlp1-3", "mlp1-neg"])
-    def test_an_out_of_range_label_stops_a_run_before_its_first_backward_pass(
+    def test_an_out_of_range_label_stops_a_run_before_its_first_step(
             self, monkeypatch, arch, label):
         if arch.kind == "linear":
             tasks, cfg = _toy_tasks(2, 8, seed=31), _cfg(batch_size=2)
@@ -759,14 +744,7 @@ class TestRunData:
         # a row that no task's first minibatch of 2 holds, in either run
         bad_y[5] = label
         tasks[1] = replace(tasks[1], train_y=bad_y)
-        passes = []
-        real_backward = diff.backward
-
-        def counting_backward(out):
-            passes.append(out.idx)
-            real_backward(out)
-
-        monkeypatch.setattr(diff, "backward", counting_backward)
+        passes = _recording_steps(monkeypatch)
         with pytest.raises(ValueError, match="label out of range"):
             train_meta(tasks, cfg)
         d = arch.param_count
@@ -785,36 +763,39 @@ def _step_setup(arch):
 
 
 class TestStepTapes:
-    """One tape per optimizer step, holding only the parameters as leaves
-    and freed by reference counting when the step ends."""
+    """A training step is one function call and runs no tape; the public
+    objectives put that call on a tape as one node over their leaves, and
+    whatever tapes remain are freed by reference counting."""
 
-    @pytest.mark.parametrize("arch, meta_nodes, adapt_nodes",
-                             [(LINEAR, (4, 4), 3), (MLP, (4, 4), 3)],
-                             ids=["linear", "mlp1"])
-    def test_node_and_leaf_counts_per_step(self, monkeypatch, arch, meta_nodes, adapt_nodes):
-        steps = []
+    @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_training_runs_no_backward_pass(self, monkeypatch, arch):
+        passes = []
         real_backward = diff.backward
 
-        def recording_backward(out):
+        def counting_backward(out):
+            passes.append(out.idx)
             real_backward(out)
-            nodes = out.tape.nodes[:out.idx + 1]
-            steps.append((len(nodes), sum(1 for node in nodes if node.vjp is None)))
 
-        monkeypatch.setattr(diff, "backward", recording_backward)
+        monkeypatch.setattr(diff, "backward", counting_backward)
+        steps = _recording_steps(monkeypatch)
         tasks, cfg = _step_setup(arch)
+        # one step per epoch; a stage of one epoch each
         rho, _ = train_meta(tasks, cfg)
-        # theta and q; stage two's frozen theta0 is a constant
-        assert steps == [(meta_nodes[0], 2), (meta_nodes[1], 2)]
-        steps.clear()
         adapted = adapt_many(rho, tasks, cfg, adapt_epochs=1,
                              rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
-        assert steps == [(adapt_nodes, 1)]
-        # the public objectives build a stage-two step's and an adapt step's tape
-        steps.clear()
-        diff.backward(meta_objective(rho, [model for model, _ in adapted], tasks, cfg))
+        assert passes == []
+        assert [values.shape for _, values in steps] == [(1,), (1,), (len(tasks),)]
+        # the public objectives: a stage-two step's leaves, theta1 and q, and
+        # an adapt step's q, each under one node
+        leaves = {}
+        node = meta_objective(rho, [model for model, _ in adapted], tasks, cfg,
+                              leaves_out=leaves)
+        assert node.parents == (leaves["theta1"], leaves["q"])
+        assert node.tape.nodes == [leaves["theta1"], leaves["q"], node]
         model, prior = adapted[0]
-        diff.backward(adaptation_objective(model, prior, tasks[0], cfg))
-        assert steps == [(meta_nodes[1], 2), (adapt_nodes, 1)]
+        node = adaptation_objective(model, prior, tasks[0], cfg, leaves_out=leaves)
+        assert node.parents == (leaves["q"],)
+        assert node.tape.nodes == [leaves["q"], node]
 
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_steps_leave_no_cyclic_garbage(self, arch):
@@ -1068,14 +1049,7 @@ class TestAdaptMany:
         theta1 = np.concatenate([rng.normal(0.0, 0.5, 2), rng.uniform(-3.0, -1.0, 2)])
         rho = MetaPosterior(theta0, theta1, 0.05)
 
-        seen = []
-        real_backward = diff.backward
-
-        def recording_backward(out):
-            seen.append(float(out.value))
-            real_backward(out)
-
-        monkeypatch.setattr(diff, "backward", recording_backward)
+        seen = _recording_steps(monkeypatch)
         adapt(rho, task, cfg, adapt_epochs=1, rng=np.random.default_rng(97), mc_eval=5)
         monkeypatch.undo()
 
@@ -1085,9 +1059,12 @@ class TestAdaptMany:
         replay.permutation(task.m)
         model = StochasticModel(LINEAR, DiagonalGaussian(init[:2], init[2:]))
         prior = DiagonalGaussian(drawn[:2], drawn[2:])
-        value = adaptation_objective(model, prior, task, cfg, rng=replay)
-        assert len(seen) == 1
-        assert abs(seen[0] - float(value.value)) <= 1e-12
+        leaves = {}
+        value = adaptation_objective(model, prior, task, cfg, rng=replay, leaves_out=leaves)
+        backward(value)
+        [(gradient, values)] = seen
+        assert abs(values[0] - float(value.value)) <= 1e-12
+        np.testing.assert_allclose(gradient, leaves["q"].grad.ravel(), rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_task_and_keeps_its_epochs(self):
@@ -1153,16 +1130,9 @@ class TestAdaptMany:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_non_finite_prior_stops_the_run_before_its_first_step(self, monkeypatch):
-        """The divergence node takes the prior rows unchecked on every step,
-        so adapt_many checks them once, before the first backward pass."""
-        passes = []
-        real_backward = diff.backward
-
-        def counting_backward(out):
-            passes.append(out.idx)
-            real_backward(out)
-
-        monkeypatch.setattr(diff, "backward", counting_backward)
+        """The adaptation step takes the prior rows unchecked on every call,
+        so adapt_many checks them once, before the first step."""
+        passes = _recording_steps(monkeypatch)
         # the initializations stay finite; the priors near the largest float
         # overflow
         rho = MetaPosterior(np.zeros(4), np.full(4, 1.79e308), 1e307)

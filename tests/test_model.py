@@ -216,6 +216,31 @@ class TestMcEmpiricalRisk:
         expected = 1.0 - phi  # P(w > 0)
         assert abs(risk - expected) <= 3 * 0.5 / np.sqrt(mc)
 
+    @pytest.mark.parametrize("kind", ["zero_one", "cross_entropy_clipped"])
+    @pytest.mark.parametrize("points, draws", [(400, 53), (4000, 3)], ids=["rows8", "rows1"])
+    def test_blocked_mlp1_scoring_equals_scoring_all_draws_at_once(self, monkeypatch, kind,
+                                                                   points, draws):
+        """Over model.MC_BLOCK_BUDGET an mlp1 model scores its draws in
+        blocks of rows, here 8 rows (the last block 5) or 1 row per block.
+        Every loss equals, bit for bit, that of scoring all draws in one
+        block, and the generator ends in the same state."""
+        rng = np.random.default_rng(13)
+        d = MLP.param_count
+        m = StochasticModel(MLP, DiagonalGaussian(rng.normal(0.0, 0.5, d),
+                                                  rng.uniform(-3.0, -1.0, d)))
+        x, y = rng.normal(size=(points, 3)), rng.integers(0, 4, points)
+        loss = LossSpec(kind)
+        whole_block = draws * points * MLP.hidden_dim
+        assert whole_block > model.MC_BLOCK_BUDGET
+        blocked_rng, whole_rng = np.random.default_rng(5), np.random.default_rng(5)
+        blocked = model._mc_losses(m, x, y, loss, draws, blocked_rng)
+        monkeypatch.setattr(model, "MC_BLOCK_BUDGET", whole_block)
+        whole = model._mc_losses(m, x, y, loss, draws, whole_rng)
+        assert blocked.shape == (draws, points)
+        assert np.any(blocked != 0.0)
+        assert np.array_equal(blocked, whole)
+        assert blocked_rng.bit_generator.state == whole_rng.bit_generator.state
+
     def test_empty_dataset_rejected(self):
         m = StochasticModel(LINEAR2, isotropic(np.zeros(2), 1.0))
         with pytest.raises(ValueError):
