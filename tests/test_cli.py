@@ -871,15 +871,18 @@ def test_malformed_posterior_artifact_is_a_config_error(tmp_path, kappa_rho, fir
 
 # Draws per key: a list of small valid and boundary values, and a list of
 # invalid ones (0, negative, non-numeric, unknown choice, extreme floats).
-_SMALL_INT = (["0", "1", "2", "3"], ["-1", "x", "2.5"])
-_EPOCHS = (["0", "1", "2"], ["-1", "x"])
+# An integer over every maximum; load rejects it, so no config runs with it.
+_OVER_CAP = "1" + "0" * 20
+_BAD_INT = ["-1", "x", "2.5"]
+_SMALL_INT = (["0", "1", "2", "3"], _BAD_INT + [_OVER_CAP])
+_EPOCHS = (["0", "1", "2"], ["-1", "x", _OVER_CAP])
 _FLOAT = (["0.1", "0.5", "1e-3", "1", "2", "1e-300", "1e300", "5e-324"],
           ["0", "-1", "-1e300", "nan", "inf", "x"])
 _SEED = (["0", "1"], ["-1", "x"])
 # A divergence and a count whose certificate overflows a float.
 _KL = (_FLOAT[0] + ["1e308"], _FLOAT[1])
-_COUNT = (_SMALL_INT[0] + ["1" + "0" * 399], _SMALL_INT[1])
-_JOBS = (["1", "2"], ["-1", "0"])
+_COUNT = (_SMALL_INT[0] + ["1" + "0" * 399], _BAD_INT)
+_JOBS = (["1", "2"], ["-1", "0", _OVER_CAP])
 
 
 def _choices(*valid):
@@ -902,7 +905,7 @@ _TRAIN_DRAWS = {
 _ENV_DRAWS = {
     "env": (["linear", "permuted"], ["blobs"]),
     "d": _SMALL_INT,
-    "blob_points": (["1", "2", "8"], ["0", "x"]),
+    "blob_points": (["1", "2", "8"], ["0", "x", _OVER_CAP]),
     "blob_dim": _SMALL_INT,
     "blob_classes": _SMALL_INT,
     "blob_center_scale": _FLOAT,
@@ -916,10 +919,10 @@ _DRAWS = {
     "sweep": {
         **_TRAIN_DRAWS,
         "pipeline": _choices("prior_mean", "two_prior"),
-        "n_list": (["1", "2, 3"], ["0", "", "x"]),
-        "m_list": (["1", "3"], ["0", "x"]),
-        "d_list": (["1", "2, 3"], ["0", "x"]),
-        "seeds": (["1", "2"], ["0", "-1"]),
+        "n_list": (["1", "2, 3"], ["0", "", "x", f"2, {_OVER_CAP}"]),
+        "m_list": (["1", "3"], ["0", "x", _OVER_CAP]),
+        "d_list": (["1", "2, 3"], ["0", "x", _OVER_CAP]),
+        "seeds": (["1", "2"], ["0", "-1", _OVER_CAP]),
         "eval_tasks": _SMALL_INT,
         "eval_points": _SMALL_INT,
         "seed": _SEED,
@@ -934,7 +937,7 @@ _DRAWS = {
               "num_tasks": _SMALL_INT, "m": _SMALL_INT, "adapt_epochs": _EPOCHS,
               "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED},
     "audit": {**_TRAIN_DRAWS, **_ENV_DRAWS, "n": _SMALL_INT, "m": _SMALL_INT,
-              "trials": (["50"], ["49"]), "eval_tasks": (["20"], ["19"]),
+              "trials": (["50"], ["49", _OVER_CAP]), "eval_tasks": (["20"], ["19", _OVER_CAP]),
               "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED,
               "jobs": _JOBS},
     "bound": {"empirical_risk": _FLOAT, "kl_rho_pi": _KL, "kl_hyper": _KL,
