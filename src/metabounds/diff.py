@@ -1,13 +1,14 @@
-"""A tape for reverse-mode differentiation: the public objectives' nodes
-and the tests' reference chains run on it. Everything is float64.
+"""A tape for reverse-mode differentiation, on which the tests run their
+reference chains and criterion 3 its gradchecks. Everything is float64.
 
 A training step runs no tape: each certificate's step is one function that
 returns its value and flat gradient (``metalearn._meta_step``,
-``metalearn._adaptation_step``). The public objectives that criterion 3
-gradchecks put one such call on a tape as a single node over its leaves,
-and ``model.taped_mc_risk`` does the same for the training risk. The tests
-spell each step out as a chain of elementary ops (``tests/oracles.py``) on
-a tape and compare its values and adjoints with the step's, bit for bit.
+``metalearn._adaptation_step``). Criterion 3 puts one call of such a step
+on a tape as a single node over its parameters (``step_node`` in
+``tests/oracles.py``) and gradchecks it, and ``model.taped_mc_risk`` puts
+the training risk on a tape the same way. The tests spell each step out as
+a chain of elementary ops (``tests/oracles.py``) on a tape and compare its
+values and adjoints with the step's, bit for bit.
 
 A tape records nodes in construction order, which is a topological order,
 so backward() is one reverse pass over that list. Only what is

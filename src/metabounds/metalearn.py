@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,6 @@ __all__ = [
     "TrainingTrace",
     "TrainingDiverged",
     "meta_kl",
-    "meta_objective",
-    "adaptation_objective",
     "train_meta",
     "adapt",
     "adapt_many",
@@ -188,10 +186,11 @@ def meta_kl(rho: MetaPosterior, kappa_pi: float) -> float:
 # parameters it descends and one value per trace. Parameters are stacked:
 # the task posteriors are one (n, 2d) array, the prior centers (2d,) arrays
 # that broadcast against it. Each certificate has one step builder, used by
-# training and by the public objective functions that gradcheck it. A
-# builder takes the run's constants once (slack constants, meta-KL
-# coefficients, a fixed prior's slices and inverse variances, a noise
-# buffer) and the parameter arrays, which the step reads afresh each call.
+# training and by criterion 3, whose gradcheck puts one step call on a tape
+# as a single node (``step_node`` in tests/oracles.py). A builder takes the
+# run's constants once (slack constants, meta-KL coefficients, a fixed
+# prior's slices and inverse variances, a noise buffer) and the parameter
+# arrays, which the step reads afresh each call.
 #
 # A step's value and gradient repeat, in the same order, the float
 # operations of the chain of elementary ops that spells the certificate out
@@ -348,18 +347,6 @@ def _adaptation_step(cfg: TrainConfig, m: int, q: np.ndarray, prior: np.ndarray,
     return step
 
 
-def _gradient_node(tape: diff.Tape, value, leaves: tuple, gradient: np.ndarray):
-    """A step's value as one node on ``tape`` over the leaves whose values
-    it read, in the order its flat gradient lists them; the node's vjp hands
-    each leaf its part of that gradient times the node's adjoint."""
-    parts, start = [], 0
-    for leaf in leaves:
-        parts.append(gradient[start:start + leaf.value.size].reshape(leaf.shape))
-        start += leaf.value.size
-    return diff.Tensor(tape, np.asarray(value), leaves,
-                       lambda g: tuple(g * part for part in parts))
-
-
 def _flat(dist: DiagonalGaussian) -> np.ndarray:
     return np.concatenate([dist.mean, dist.log_var])
 
@@ -372,83 +359,18 @@ def _shared_sample_count(tasks) -> int:
 
 
 def _stacked_data(tasks, arch: ModelArchitecture) -> tuple[np.ndarray, np.ndarray]:
-    """The tasks' training inputs and labels, stacked with a row per task.
+    """The tasks' training inputs, as float64, and labels, stacked with a row
+    per task.
 
-    The risk node takes the data unchecked, so it is checked here, once per
-    run: a non-finite input, or a label that is not an integer in the
+    The training risk takes the data unchecked, so it is checked here, once
+    per run: a non-finite input, or a label that is not an integer in the
     architecture's classes, raises ValueError.
     """
-    x, y = np.stack([t.train_x for t in tasks]), np.stack([t.train_y for t in tasks])
-    diff.constant(x)
+    x = diff.constant(np.stack([t.train_x for t in tasks]))
+    y = np.stack([t.train_y for t in tasks])
     # integer labels, which _check_labels requires, hold no NaN or inf
     _check_labels(arch, y)
     return x, y
-
-
-def meta_objective(rho: MetaPosterior, task_posteriors, tasks, cfg: TrainConfig,
-                   rng: np.random.Generator | None = None,
-                   leaves_out: dict | None = None):
-    """Differentiable certificate at the given parameter point.
-
-    Evaluates on each task's full training set with ``cfg.mc_train`` weight
-    draws and the exact expectation over regularization priors drawn from
-    N(theta1, kappa_rho**2 I), so ``rng`` gives the weight noise alone.  The
-    meta-KL and that expectation are priced at rho's own spread
-    ``rho.kappa_rho``, not at ``cfg.kappa_rho``.  Runs one stage-two
-    training step (``theta0`` frozen) and returns its value as one node on a
-    fresh tape over two leaves, ``rho.theta1`` (2d,) and the task posteriors
-    stacked into one (n, 2d) leaf, row i for task i; the node's vjp hands
-    them the step's gradient.  When ``leaves_out`` is a dict it receives
-    those leaves under ``"theta1"`` and ``"q"``, so callers can read
-    gradients after a backward pass.
-    """
-    if len(task_posteriors) != len(tasks):
-        raise ValueError("need exactly one task posterior per task")
-    if not tasks:
-        raise ValueError("at least one task is required")
-    arch = cfg.arch
-    if rho.weight_dim != arch.param_count:
-        raise ValueError("meta-posterior dimension does not match the architecture")
-    for model in task_posteriors:
-        if model.arch != arch:
-            raise ValueError("task posterior architecture differs from the config's")
-    m = _shared_sample_count(tasks)
-    if rng is None:
-        rng = stream(cfg.seed, "objective")
-    cfg = replace(cfg, kappa_rho=rho.kappa_rho)
-
-    tape = diff.Tape()
-    theta1 = tape.tensor(rho.theta1)
-    q = tape.tensor(np.stack([_flat(mdl.posterior) for mdl in task_posteriors]))
-    if leaves_out is not None:
-        leaves_out.update(theta1=theta1, q=q)
-    step = _meta_step(cfg, m, rho.theta0, theta1.value, q.value, rng)
-    gradient, values = step(*_stacked_data(tasks, arch))
-    return _gradient_node(tape, values[0], (theta1, q), gradient)
-
-
-def adaptation_objective(model: StochasticModel, prior: DiagonalGaussian, task: Task,
-                         cfg: TrainConfig, rng: np.random.Generator | None = None,
-                         leaves_out: dict | None = None):
-    """Differentiable single-task certificate against a fixed prior: the
-    objective :func:`adapt` minimizes, here on the full training set.  Runs
-    one adapt step and returns its value as one node on a fresh tape over
-    the posterior's one (1, 2d) leaf, whose vjp hands it the step's
-    gradient; ``leaves_out`` receives that leaf under ``"q"``."""
-    arch = cfg.arch
-    if model.arch != arch:
-        raise ValueError("model architecture differs from the config's")
-    if prior.dim != arch.param_count:
-        raise ValueError("prior dimension does not match the architecture")
-    if rng is None:
-        rng = stream(cfg.seed, "adapt-objective")
-    tape = diff.Tape()
-    q = tape.tensor(_flat(model.posterior)[None])
-    if leaves_out is not None:
-        leaves_out["q"] = q
-    step = _adaptation_step(cfg, task.m, q.value, _flat(prior)[None], [rng])
-    gradient, values = step(*_stacked_data([task], arch))
-    return _gradient_node(tape, np.add.reduce(values, axis=None), (q,), gradient)
 
 
 class _Adam:

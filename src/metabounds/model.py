@@ -344,10 +344,10 @@ def _mc_risk(arch: ModelArchitecture, q: np.ndarray, x: np.ndarray, y: np.ndarra
     for one task with eps (K, d) for K draws, x (B, in) and y (B,); or
     (n, 2d) for n stacked tasks with eps (n, K, d), x (n, B, in), y (n, B)
     and one risk per task as the result. ``vjp(g)`` maps the risks' adjoint
-    to q's. eps must be finite and is checked; x and y must be too, and y
-    must hold class indices in [0, C), but a training run checks its data
-    once, not here. zero_one has no usable gradient and is rejected, as is a
-    clipped loss that is not ``CLIPPED_LOSS[arch.kind]``.
+    to q's. It checks no operand: x must be float64, the arrays finite and
+    of matching shapes, y class indices in [0, C). A training run checks its
+    data once and fills eps from ``standard_normal``; :func:`taped_mc_risk`
+    checks what its caller passes.
 
     It draws the weights, takes the forward pass and the clipped loss that
     the numpy path takes (``_forward``, ``_clipped_loss``) and averages over
@@ -358,17 +358,7 @@ def _mc_risk(arch: ModelArchitecture, q: np.ndarray, x: np.ndarray, y: np.ndarra
     scores times ``2y - 1`` or ``softmax_cross_entropy``, ``clip_rescale``
     and ``mean``, so function and chain agree bit for bit.
     """
-    if loss.kind == "zero_one":
-        raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
-    eps = diff.constant(eps)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
     d = arch.param_count
-    if not (q.shape[-1] == 2 * d and eps.ndim == x.ndim == q.ndim + 1
-            and eps.shape[:-2] == x.shape[:-2] == q.shape[:-1] and eps.shape[-1] == d
-            and x.shape[-1] == arch.input_dim and y.shape == x.shape[:-1]):
-        raise ValueError(f"shapes do not match: q {q.shape}, eps {eps.shape}, "
-                         f"x {x.shape}, y {y.shape}")
     rows = q[..., None, :]
     std = np.exp(rows[..., d:] * 0.5)
     draws = rows[..., :d] + std * eps
@@ -389,6 +379,19 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
                   loss: LossSpec, eps: np.ndarray):
     """:func:`_mc_risk` of the stacked posterior node q as one node on q's
     tape, whose only parent is q: the reference chains and the certificate
-    that criterion 3 spells out from elementary ops take their risk here."""
+    that criterion 3 spells out from elementary ops take their risk here.
+    zero_one has no usable gradient and is rejected; eps must be finite and
+    the shapes must match."""
+    if loss.kind == "zero_one":
+        raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
+    eps = diff.constant(eps)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    d = arch.param_count
+    if not (q.shape[-1] == 2 * d and eps.ndim == x.ndim == q.value.ndim + 1
+            and eps.shape[:-2] == x.shape[:-2] == q.shape[:-1] and eps.shape[-1] == d
+            and x.shape[-1] == arch.input_dim and y.shape == x.shape[:-1]):
+        raise ValueError(f"shapes do not match: q {q.shape}, eps {eps.shape}, "
+                         f"x {x.shape}, y {y.shape}")
     value, vjp = _mc_risk(arch, q.value, x, y, loss, eps)
     return diff.Tensor(q.tape, np.asarray(value), (q,), lambda g: (vjp(g),))

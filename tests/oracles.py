@@ -3,11 +3,12 @@
 Nothing here runs in a CLI command or a training step:
 
 - the elementary tape ops on ``metabounds.diff`` nodes, from which the tests
-  spell out the chains that each fused node (``model.taped_mc_risk`` and
-  the certificate nodes of ``metalearn``, Gaussian divergence included:
-  ``kl_chain``) stands for and must equal bit for bit, and criterion 3's
+  spell out the chains that the risk node ``model.taped_mc_risk`` and the
+  training steps of ``metalearn`` (Gaussian divergence included:
+  ``kl_chain``) stand for and must equal bit for bit, and criterion 3's
   hand-built single-task certificate;
-- ``gradcheck``, the finite-difference oracle of criterion 3;
+- ``step_node``, which puts one call of a training step on a tape, and
+  ``gradcheck``, the finite-difference oracle of criterion 3;
 - the trade-off parameter machinery of criterion 8: ``lemma2_lambda_form``,
   ``lambda_star`` and ``lemma2_grid_minimum``;
 - the statements of Theorems 1 and 2 (``theorem1_statement``,
@@ -323,6 +324,28 @@ def kl_chain(q: Tensor, p) -> Tensor:
     dm = sub(q_mean, p_mean)
     per_weight = add(sub(add(exp(dlv), mul(mul(dm, dm), inv_var)), dlv), -1.0)
     return mul(sum(per_weight, axis=-1), 0.5)
+
+
+def step_node(step, x: np.ndarray, y: np.ndarray, leaves: Sequence[Tensor],
+              total: bool = False) -> Tensor:
+    """One call ``step(x, y)`` of a training step of ``metalearn`` as one
+    node on the leaves' tape, so that ``gradcheck`` can sweep it.
+
+    The leaves hold the parameters the step reads, in the order its flat
+    gradient lists them, and must cover that gradient. The node's value is
+    the step's first value, or with ``total`` the sum of its values; its vjp
+    hands each leaf its part of the gradient times the node's adjoint.
+    """
+    gradient, values = step(x, y)
+    value = np.add.reduce(values, axis=None) if total else values[0]
+    parts, start = [], 0
+    for leaf in leaves:
+        parts.append(gradient[start:start + leaf.value.size].reshape(leaf.shape))
+        start += leaf.value.size
+    if start != gradient.size:
+        raise ValueError(f"leaves of {start} entries for a gradient of {gradient.size}")
+    return Tensor(leaves[0].tape, np.asarray(value), tuple(leaves),
+                  lambda g: tuple(g * part for part in parts))
 
 
 def gradcheck(build: Callable[[Sequence[np.ndarray]],

@@ -10,6 +10,7 @@ reported.
 import math
 import textwrap
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,13 +41,14 @@ from metabounds.gauss import (
 from metabounds.metalearn import (
     MetaPosterior,
     TrainConfig,
+    _adaptation_step,
+    _meta_step,
+    _stacked_data,
     adapt_many,
-    adaptation_objective,
     independent_baseline,
-    meta_objective,
     train_meta,
 )
-from metabounds.model import LossSpec, ModelArchitecture, StochasticModel, taped_mc_risk
+from metabounds.model import CLIPPED_LOSS, LossSpec, ModelArchitecture, taped_mc_risk
 from metabounds.pipelines import prior_mean_point, rule_test_loss
 from metabounds.rng import spawn_seed, stream
 
@@ -60,6 +62,7 @@ from oracles import (
 )
 
 LINEAR = ModelArchitecture("linear", input_dim=2, num_classes=2)
+MLP1 = ModelArchitecture("mlp1", input_dim=2, num_classes=2, hidden_dim=3)
 LOGISTIC = LossSpec("logistic_clipped")
 ZERO_ONE = LossSpec("zero_one")
 
@@ -123,9 +126,63 @@ def test_criterion_2_closed_forms_match_oracles(capsys):
     assert elapsed < 60.0
 
 
+def _criterion_3_tasks():
+    return sample_tasks(LinearEnvSpec(d=2), 2, 6, stream(3, "acceptance-grad"))
+
+
+def _criterion_3_steps(arch, wrap=lambda step: step):
+    """Criterion 3's builders of both training steps on criterion 3's tasks,
+    for ``gradcheck``, by name, each with its number of parameter rows.
+
+    Each builds the step that training builds, at kappa_rho 0.05 for the
+    meta step, with a fixed weight-noise stream, and puts one call of it,
+    passed through ``wrap``, on the full training data on a fresh tape
+    (``step_node``). An adaptation point is the posterior row against a
+    fixed prior; a meta point is theta1 and the stacked task rows, with
+    theta0 frozen.
+    """
+    tasks = _criterion_3_tasks()
+    d = arch.param_count
+    cfg = TrainConfig(arch=arch, loss=LossSpec(CLIPPED_LOSS[arch.kind]), mc_train=1, seed=0)
+    prior = np.concatenate([np.resize([0.2, -0.1], d), np.resize([-2.0, -1.5], d)])
+    theta0 = np.concatenate([np.zeros(d), np.full(d, -2.0)])
+    task_data = _stacked_data(tasks[:1], arch)
+    data = _stacked_data(tasks, arch)
+
+    def build_adaptation(ps):
+        tape = diff.Tape()
+        q = tape.tensor(ps[0][None])
+        step = _adaptation_step(cfg, tasks[0].m, q.value, prior[None],
+                                [np.random.default_rng(55)])
+        return ops.step_node(wrap(step), *task_data, [q], total=True), [q]
+
+    def build_meta(ps):
+        tape = diff.Tape()
+        theta1, q = tape.tensor(ps[0]), tape.tensor(ps[1])
+        step = _meta_step(replace(cfg, kappa_rho=0.05), tasks[0].m, theta0, theta1.value,
+                          q.value, np.random.default_rng(999))
+        return ops.step_node(wrap(step), *data, [theta1, q]), [theta1, q]
+
+    return {"adaptation": (build_adaptation, 1), "meta": (build_meta, 3)}
+
+
+def _criterion_3_worst(build, num_rows, d):
+    """The worst relative gradient error of ``build`` over criterion 3's ten
+    points, each num_rows Gaussians of d weights."""
+    worst = 0.0
+    for trial in range(10):
+        point_rng = np.random.default_rng(1000 + trial)
+        # one row per Gaussian: d means, then d log-variances
+        rows = [np.concatenate([point_rng.normal(0, 0.5, d), point_rng.uniform(-3, -1, d)])
+                for _ in range(num_rows)]
+        points = rows if num_rows == 1 else [rows[0], np.stack(rows[1:])]
+        worst = max(worst, gradcheck(build, points))
+    return worst
+
+
 def test_criterion_3_objective_gradients(capsys):
     t0 = time.monotonic()
-    tasks = sample_tasks(LinearEnvSpec(d=2), 2, 6, stream(3, "acceptance-grad"))
+    tasks = _criterion_3_tasks()
     cfg = TrainConfig(arch=LINEAR, loss=LOGISTIC, mc_train=1, seed=0)
     prior = DiagonalGaussian(np.array([0.2, -0.1]), np.array([-2.0, -1.5]))
     eps = np.random.default_rng(77).standard_normal(2)
@@ -151,42 +208,9 @@ def test_criterion_3_objective_gradients(capsys):
         slack = ops.add(kl, math.log(2.0 * math.sqrt(task.m) / cfg.delta))
         return ops.add(risk, ops.sqrt(ops.mul(slack, 1.0 / (2.0 * task.m)))), [q]
 
-    # The public objectives build a training step's tape: the posterior is
-    # one leaf, and a meta point is the theta1 leaf plus one stacked leaf of
-    # task rows.
-    def build_adaptation(ps):
-        model = StochasticModel(LINEAR, DiagonalGaussian(ps[0][:2], ps[0][2:]))
-        leaves = {}
-        value = adaptation_objective(model, prior, task, cfg,
-                                     rng=np.random.default_rng(55), leaves_out=leaves)
-        return value, [leaves["q"]]
-
-    theta0 = np.concatenate([np.zeros(2), np.full(2, -2.0)])
-
-    def build_meta(ps):
-        rho = MetaPosterior(theta0, ps[0], 0.05)
-        models = [StochasticModel(LINEAR, DiagonalGaussian(row[:2], row[2:])) for row in ps[1]]
-        leaves = {}
-        value = meta_objective(rho, models, tasks, cfg,
-                               rng=np.random.default_rng(999), leaves_out=leaves)
-        return value, [leaves["theta1"], leaves["q"]]
-
-    objectives = [
-        ("single-task", build_single, 1),
-        ("adaptation", build_adaptation, 1),
-        ("meta", build_meta, 3),
-    ]
-    worst = {}
-    for name, build, num_rows in objectives:
-        w = 0.0
-        for trial in range(10):
-            point_rng = np.random.default_rng(1000 + trial)
-            # one row per Gaussian: two means, then two log-variances
-            rows = [np.concatenate([point_rng.normal(0, 0.5, 2), point_rng.uniform(-3, -1, 2)])
-                    for _ in range(num_rows)]
-            points = rows if num_rows == 1 else [rows[0], np.stack(rows[1:])]
-            w = max(w, gradcheck(build, points))
-        worst[name] = w
+    objectives = {"single-task": (build_single, 1), **_criterion_3_steps(LINEAR)}
+    worst = {name: _criterion_3_worst(build, num_rows, 2)
+             for name, (build, num_rows) in objectives.items()}
 
     elapsed = time.monotonic() - t0
     ok = max(worst.values()) <= 1e-4 and elapsed < 60.0
@@ -194,6 +218,28 @@ def test_criterion_3_objective_gradients(capsys):
     _verdict(capsys, 3, ok, f"worst rel grad err {detail}, {elapsed:.1f}s")
     assert max(worst.values()) <= 1e-4
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("name", ["adaptation", "meta"])
+@pytest.mark.parametrize("arch", [LINEAR, MLP1], ids=["linear", "mlp1"])
+def test_criterion_3_fails_a_step_with_one_wrong_gradient_coordinate(arch, name):
+    """Criterion 3's negative control: at criterion 3's points each step
+    passes its gradcheck, and the same step with the first coordinate of
+    its gradient scaled by 1 + 1e-3 fails it."""
+
+    def skewed(step):
+        def wrong(xb, yb):
+            gradient, values = step(xb, yb)
+            gradient = gradient.copy()
+            gradient[0] *= 1.0 + 1e-3
+            return gradient, values
+
+        return wrong
+
+    build, num_rows = _criterion_3_steps(arch)[name]
+    assert _criterion_3_worst(build, num_rows, arch.param_count) <= 1e-4
+    build, num_rows = _criterion_3_steps(arch, wrap=skewed)[name]
+    assert _criterion_3_worst(build, num_rows, arch.param_count) > 1e-4
 
 
 def test_criterion_4_bound_ordering(capsys):

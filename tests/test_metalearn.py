@@ -34,11 +34,9 @@ from metabounds.metalearn import (
     adapt,
     adapt_many,
     adaptation_certificate,
-    adaptation_objective,
     independent_baseline,
     load_meta_posterior,
     meta_kl,
-    meta_objective,
     save_meta_posterior,
     train_meta,
 )
@@ -183,6 +181,41 @@ def _toy_tasks(n, m, seed=0):
     return sample_tasks(LinearEnvSpec(d=2), n, m, stream(seed, "tasks"))
 
 
+def _rows(models):
+    return np.stack([metalearn._flat(model.posterior) for model in models])
+
+
+def _meta_certificate(rho, q, tasks, cfg, rng):
+    """The certificate of one stage-two meta step at rho's theta1 and the
+    task rows q, on the tasks' full training data, priced at rho's own
+    spread, with the weight noise drawn from rng."""
+    step = metalearn._meta_step(replace(cfg, kappa_rho=rho.kappa_rho), tasks[0].m, rho.theta0,
+                                rho.theta1, q, rng)
+    _, values = step(*metalearn._stacked_data(tasks, cfg.arch))
+    return float(values[0])
+
+
+def _adaptation_certificate(model, prior, task, cfg, rng):
+    """The certificate of one adapt step at the model's posterior against
+    the prior, on the task's full training data, and the step's gradient,
+    with the weight noise drawn from rng."""
+    step = metalearn._adaptation_step(cfg, task.m, _rows([model]),
+                                      metalearn._flat(prior)[None], [rng])
+    gradient, values = step(*metalearn._stacked_data([task], cfg.arch))
+    return float(values[0]), gradient
+
+
+def _meta_step_node(cfg, tasks, theta0, ps, rng):
+    """A stage-two meta step at theta1 = ps[0] and the task rows ps[1], one
+    call of it on the tasks' full training data as one node on a fresh tape,
+    and its two leaves, for gradcheck."""
+    tape = diff.Tape()
+    theta1, q = tape.tensor(ps[0]), tape.tensor(ps[1])
+    step = metalearn._meta_step(cfg, tasks[0].m, theta0, theta1.value, q.value, rng)
+    x, y = metalearn._stacked_data(tasks, cfg.arch)
+    return ops.step_node(step, x, y, [theta1, q]), [theta1, q]
+
+
 class TestMetaObjective:
     def test_matches_certificate_evaluator_at_high_mc(self):
         """The training objective and the certificate built from the same
@@ -198,8 +231,7 @@ class TestMetaObjective:
         theta1 = rng.normal(0.0, 0.5, size=4)
         rho = MetaPosterior(theta0, theta1, 1e-3)
 
-        value = meta_objective(rho, models, tasks, cfg, rng=np.random.default_rng(4))
-        objective = float(value.value)
+        objective = _meta_certificate(rho, _rows(models), tasks, cfg, np.random.default_rng(4))
 
         prior = DiagonalGaussian(theta1[:2], theta1[2:])
         sum_kl = sum(kl_diag_gaussian(mdl.posterior, prior) for mdl in models)
@@ -224,12 +256,12 @@ class TestMetaObjective:
         assert abs(objective - reference) < 0.02
 
     def test_equals_theorem1_bound_at_the_drawn_prior(self):
-        """With the weight noise replayed, the taped certificate is the
-        closed-form one term for term, slack constants included, and its
+        """With the weight noise replayed, the meta step's certificate is
+        the closed-form one term for term, slack constants included, and its
         summed task divergence is the exact expectation over regularization
         priors that prices the trained certificate. The weight noise is the
-        only draw. The config keeps one spread while rho's varies: the
-        objective prices rho at rho's own kappa_rho."""
+        only draw. The config keeps one spread while rho's varies, and the
+        step is built at rho's own kappa_rho."""
         tasks = _toy_tasks(3, 6, seed=103)
         rng = np.random.default_rng(107)
         models = [
@@ -243,7 +275,7 @@ class TestMetaObjective:
         for kappa_rho in (1e-3, 0.05, 0.5):
             rho = MetaPosterior(theta0, theta1, kappa_rho)
             drawn = np.random.default_rng(109)
-            value = float(meta_objective(rho, models, tasks, cfg, rng=drawn).value)
+            value = _meta_certificate(rho, _rows(models), tasks, cfg, drawn)
 
             replay = np.random.default_rng(109)
             eps = replay.standard_normal((3, 2, 2))
@@ -274,14 +306,8 @@ class TestMetaObjective:
         theta0 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
 
         def build(ps):
-            rho = MetaPosterior(theta0, ps[0], 0.05)
-            models = [StochasticModel(LINEAR, DiagonalGaussian(row[:2], row[2:]))
-                      for row in ps[1]]
-            leaves = {}
-            value = meta_objective(
-                rho, models, tasks, cfg, rng=np.random.default_rng(999), leaves_out=leaves
-            )
-            return value, [leaves["theta1"], leaves["q"]]
+            return _meta_step_node(replace(cfg, kappa_rho=0.05), tasks, theta0, ps,
+                                   np.random.default_rng(999))
 
         for trial in range(3):
             trial_rng = np.random.default_rng(40 + trial)
@@ -301,13 +327,8 @@ class TestMetaObjective:
         theta0 = np.concatenate([np.zeros(d), np.full(d, -2.0)])
 
         def build(ps):
-            rho = MetaPosterior(theta0, ps[0], 0.05)
-            model = StochasticModel(arch, DiagonalGaussian(ps[1][0, :d], ps[1][0, d:]))
-            leaves = {}
-            value = meta_objective(
-                rho, [model], tasks, cfg, rng=np.random.default_rng(321), leaves_out=leaves
-            )
-            return value, [leaves["theta1"], leaves["q"]]
+            return _meta_step_node(replace(cfg, kappa_rho=0.05), tasks, theta0, ps,
+                                   np.random.default_rng(321))
 
         trial_rng = np.random.default_rng(77)
 
@@ -337,16 +358,9 @@ class TestMetaObjective:
             ),
             matched[1],
         ]
-        near = float(meta_objective(rho, matched, tasks, cfg, rng=np.random.default_rng(0)).value)
-        far = float(meta_objective(rho, shifted, tasks, cfg, rng=np.random.default_rng(0)).value)
+        near = _meta_certificate(rho, _rows(matched), tasks, cfg, np.random.default_rng(0))
+        far = _meta_certificate(rho, _rows(shifted), tasks, cfg, np.random.default_rng(0))
         assert far > near
-
-    def test_rejects_length_mismatch(self):
-        tasks = _toy_tasks(2, 6)
-        model = StochasticModel(LINEAR, glorot_init(LINEAR, stream(0, "q")))
-        with pytest.raises(ValueError, match="one task posterior per task"):
-            meta_objective(MetaPosterior(np.zeros(4), np.zeros(4), 1e-3),
-                           [model], tasks, _cfg())
 
 
 def _chain_meta_certificate(cfg, m, theta0, theta1, q, x, y, rng):
@@ -390,14 +404,6 @@ def _chain_adaptation_certificates(cfg, m, q, prior, x, y, eps):
     root = ops.sqrt(ops.mul(ops.add(kl, multitask_slack(1, m, cfg.delta)), 1.0 / (2.0 * m)))
     values = ops.add(risk, root)
     return ops.sum(values), values.value
-
-
-def _step_node(step, x, y, tape, leaves, total=False):
-    """One call of a step on the leaves' values as a node on their tape, as
-    the public objectives build it; ``total`` sums the step's values."""
-    gradient, values = step(x, y)
-    value = np.add.reduce(values, axis=None) if total else values[0]
-    return metalearn._gradient_node(tape, value, tuple(leaves), gradient)
 
 
 def _recording_steps(monkeypatch):
@@ -545,7 +551,7 @@ class TestCertificateSteps:
                 theta1, q = (tape.tensor(v) for v in ps)
                 step = metalearn._meta_step(cfg, 7, None if form == "tied" else frozen,
                                             theta1.value, q.value, np.random.default_rng(5))
-                return _step_node(step, x, y, tape, [theta1, q]), [theta1, q]
+                return ops.step_node(step, x, y, [theta1, q]), [theta1, q]
 
             assert gradcheck(build, points) <= 1e-6
 
@@ -558,7 +564,7 @@ class TestCertificateSteps:
             q = tape.tensor(ps[0])
             step = metalearn._adaptation_step(cfg, 9, q.value, prior,
                                               [np.random.default_rng([5, i]) for i in range(3)])
-            return _step_node(step, x, y, tape, [q], total=True), [q]
+            return ops.step_node(step, x, y, [q], total=True), [q]
 
         assert gradcheck(build, [rows(3)]) <= 1e-6
 
@@ -699,8 +705,7 @@ def _cyclic_tape_garbage():
 
 
 class TestRunData:
-    """A run checks its stacked data once, before its first step; the
-    public objectives check theirs on every call."""
+    """A run checks its stacked data once, before its first step."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_nan_input_stops_a_run_before_its_first_step(self, monkeypatch):
@@ -718,12 +723,6 @@ class TestRunData:
             adapt_many(rho, tasks, cfg, adapt_epochs=1,
                        rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
         assert passes == []
-        model = StochasticModel(LINEAR, glorot_init(LINEAR, stream(2, "q")))
-        with pytest.raises(ValueError, match="finite"):
-            meta_objective(rho, [model, model], tasks, cfg)
-        with pytest.raises(ValueError, match="finite"):
-            adaptation_objective(model, isotropic(np.zeros(2), 1.0), tasks[1], cfg)
-
 
     def test_non_integer_labels_stop_a_run(self):
         tasks = _toy_tasks(2, 8, seed=31)
@@ -763,9 +762,8 @@ def _step_setup(arch):
 
 
 class TestStepTapes:
-    """A training step is one function call and runs no tape; the public
-    objectives put that call on a tape as one node over their leaves, and
-    whatever tapes remain are freed by reference counting."""
+    """A training step is one function call and runs no tape, and whatever
+    tapes remain are freed by reference counting."""
 
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_training_runs_no_backward_pass(self, monkeypatch, arch):
@@ -781,21 +779,10 @@ class TestStepTapes:
         tasks, cfg = _step_setup(arch)
         # one step per epoch; a stage of one epoch each
         rho, _ = train_meta(tasks, cfg)
-        adapted = adapt_many(rho, tasks, cfg, adapt_epochs=1,
-                             rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+        adapt_many(rho, tasks, cfg, adapt_epochs=1,
+                   rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
         assert passes == []
         assert [values.shape for _, values in steps] == [(1,), (1,), (len(tasks),)]
-        # the public objectives: a stage-two step's leaves, theta1 and q, and
-        # an adapt step's q, each under one node
-        leaves = {}
-        node = meta_objective(rho, [model for model, _ in adapted], tasks, cfg,
-                              leaves_out=leaves)
-        assert node.parents == (leaves["theta1"], leaves["q"])
-        assert node.tape.nodes == [leaves["theta1"], leaves["q"], node]
-        model, prior = adapted[0]
-        node = adaptation_objective(model, prior, tasks[0], cfg, leaves_out=leaves)
-        assert node.parents == (leaves["q"],)
-        assert node.tape.nodes == [leaves["q"], node]
 
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_steps_leave_no_cyclic_garbage(self, arch):
@@ -808,10 +795,11 @@ class TestStepTapes:
 
     def test_finiteness_checks_per_step(self, monkeypatch):
         """A run checks its inputs once; its labels are integers, which hold
-        no NaN or inf. Then a step checks only its weight noise: its leaves
-        hold the parameters that the previous step's check found finite, and
-        the fixed priors an adapt step measures against were checked once,
-        before the first step."""
+        no NaN or inf. A step checks nothing: its parameters are those the
+        previous step's check found finite, the fixed priors an adapt step
+        measures against were checked once, before the first step, and its
+        weight noise comes from ``standard_normal``, which gives only finite
+        values."""
         checked = []
         real_finite = diff._finite
 
@@ -823,12 +811,12 @@ class TestStepTapes:
         tasks, cfg = _step_setup(LINEAR)
         # one step per epoch; a stage of one epoch each
         rho, _ = train_meta(tasks, cfg)
-        assert len(checked) == 1 + 2 * 1
+        assert len(checked) == 1
         for epochs in (1, 2):
             checked.clear()
             adapt_many(rho, tasks, cfg, adapt_epochs=epochs,
                        rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
-            assert len(checked) == 1 + epochs * 1
+            assert len(checked) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverging_step_leaves_no_cyclic_garbage(self):
@@ -971,14 +959,14 @@ class TestAdapt:
         assert bound_a == bound_b
 
     def test_objective_equals_adaptation_bound(self):
-        """With the weight noise replayed, the taped single-task certificate
-        is adaptation_bound, slack constant included."""
+        """With the weight noise replayed, an adapt step's single-task
+        certificate is adaptation_bound, slack constant included."""
         task = _toy_tasks(1, 7, seed=101)[0]
         cfg = _cfg(mc_train=3)
         post = DiagonalGaussian(np.array([0.3, -0.2]), np.array([-1.0, -2.0]))
         prior = DiagonalGaussian(np.array([0.1, 0.4]), np.array([-1.5, -0.5]))
-        value = adaptation_objective(StochasticModel(LINEAR, post), prior, task, cfg,
-                                     rng=np.random.default_rng(5))
+        value, _ = _adaptation_certificate(StochasticModel(LINEAR, post), prior, task, cfg,
+                                           np.random.default_rng(5))
         eps = np.random.default_rng(5).standard_normal((3, 2))
         risk = np.mean([
             loss_values(LOGISTIC, LINEAR, task.train_x @ (post.mean + post.std * e),
@@ -986,20 +974,20 @@ class TestAdapt:
             for e in eps
         ])
         expected = adaptation_bound(risk, kl_diag_gaussian(post, prior), task.m, cfg.delta)
-        assert abs(float(value.value) - expected) <= 1e-12
+        assert abs(value - expected) <= 1e-12
 
     def test_gradcheck_adaptation_objective(self):
         task = _toy_tasks(1, 6, seed=43)[0]
         cfg = _cfg(mc_train=1)
         prior = DiagonalGaussian(np.array([0.2, -0.1]), np.array([-2.0, -1.5]))
 
+        x, y = metalearn._stacked_data([task], LINEAR)
+
         def build(ps):
-            model = StochasticModel(LINEAR, DiagonalGaussian(ps[0][0, :2], ps[0][0, 2:]))
-            leaves = {}
-            value = adaptation_objective(
-                model, prior, task, cfg, rng=np.random.default_rng(55), leaves_out=leaves
-            )
-            return value, [leaves["q"]]
+            q = diff.Tape().tensor(ps[0])
+            step = metalearn._adaptation_step(cfg, task.m, q.value, metalearn._flat(prior)[None],
+                                              [np.random.default_rng(55)])
+            return ops.step_node(step, x, y, [q], total=True), [q]
 
         for trial in range(3):
             trial_rng = np.random.default_rng(60 + trial)
@@ -1040,8 +1028,9 @@ class TestAdaptMany:
             assert abs(bound - alone_bound) <= 1e-10
 
     def test_first_step_optimizes_the_adaptation_objective(self, monkeypatch):
-        """The value adapt differentiates first is adaptation_objective at the
-        initialization, with the same prior and the same weight noise."""
+        """The value adapt differentiates first is the single-task
+        certificate at the initialization, with the same prior and the same
+        weight noise."""
         task = _toy_tasks(1, 9, seed=83)[0]
         cfg = _cfg(mc_train=3)
         rng = np.random.default_rng(89)
@@ -1059,12 +1048,10 @@ class TestAdaptMany:
         replay.permutation(task.m)
         model = StochasticModel(LINEAR, DiagonalGaussian(init[:2], init[2:]))
         prior = DiagonalGaussian(drawn[:2], drawn[2:])
-        leaves = {}
-        value = adaptation_objective(model, prior, task, cfg, rng=replay, leaves_out=leaves)
-        backward(value)
+        value, expected = _adaptation_certificate(model, prior, task, cfg, replay)
         [(gradient, values)] = seen
-        assert abs(values[0] - float(value.value)) <= 1e-12
-        np.testing.assert_allclose(gradient, leaves["q"].grad.ravel(), rtol=1e-12, atol=0)
+        assert abs(values[0] - value) <= 1e-12
+        np.testing.assert_allclose(gradient, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_task_and_keeps_its_epochs(self):
