@@ -7,18 +7,4 @@ Monte Carlo on synthetic task environments. A batch CLI (metabounds)
 exposes sweeps, training, adaptation, auditing, and a bound calculator.
 """
 
-from .gauss import (
-    DiagonalGaussian,
-    expected_kl_under_gaussian_mean,
-    isotropic,
-    kl_diag_gaussian,
-)
-
-__all__ = [
-    "DiagonalGaussian",
-    "expected_kl_under_gaussian_mean",
-    "isotropic",
-    "kl_diag_gaussian",
-]
-
 __version__ = "0.1.0"

@@ -14,14 +14,8 @@ A tape records nodes in construction order, which is a topological order,
 so backward() is one reverse pass over that list. Only what is
 differentiated is a node: data, noise draws and fixed priors enter a
 node's value and adjoint as constant arrays, with no node of their own and
-no adjoint.
-
-Every Tensor refers to its tape and an open tape lists its nodes, so a
-graph is a reference cycle. Run a tape in ``with Tape() as tape:``:
-leaving the block drops the node list, so the graph is freed by reference
-counting, whether the block ends normally or by an exception. A closed
-tape records nothing more; its nodes keep their values and the last
-pass's adjoints. A tape used without ``with`` keeps its nodes while it lives.
+no adjoint. A tape and its nodes refer to each other, so the cyclic
+garbage collector frees them; no training step builds one.
 """
 
 from __future__ import annotations
@@ -38,21 +32,12 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 
 class Tape:
-    """Append-only record of operations, in construction order; a context
-    manager that releases the record when its block ends."""
+    """Append-only record of operations, in construction order."""
 
     def __init__(self):
-        # None once the tape is closed.
-        self.nodes: list[Tensor] | None = []
+        self.nodes: list[Tensor] = []
         # Adjoints of the last backward pass, by node index.
         self.grads: dict[int, np.ndarray] = {}
-
-    def __enter__(self) -> "Tape":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # the node list is the only reference from the tape to its nodes
-        self.nodes = None
 
     def tensor(self, value) -> "Tensor":
         """Create a leaf node holding a copy of value."""
@@ -71,15 +56,12 @@ class Tensor:
     def __init__(self, tape: Tape, value: np.ndarray,
                  parents: tuple["Tensor", ...],
                  vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None):
-        nodes = tape.nodes
-        if nodes is None:
-            raise ValueError("the tape is closed")
         self.tape = tape
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.idx = len(nodes)
-        nodes.append(self)
+        self.idx = len(tape.nodes)
+        tape.nodes.append(self)
 
     @property
     def shape(self):
@@ -112,8 +94,6 @@ def backward(out: Tensor) -> None:
     if out.value.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {out.shape}")
     nodes = out.tape.nodes
-    if nodes is None:
-        raise ValueError("the tape is closed")
     adjoint = {out.idx: np.ones_like(out.value)}
     for i in range(out.idx, -1, -1):
         g = adjoint.get(i)

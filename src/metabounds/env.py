@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .gauss import normal_cdf
-from .model import (LossSpec, StochasticModel, _check_labels, _clipped_loss, _mc_losses,
-                    predicted_labels, scores_batch)
+from .model import (LossSpec, StochasticModel, _check_clipped_loss, _check_labels,
+                    _clipped_loss, _mc_losses, predicted_labels, scores_batch)
 
 # Gauss-Hermite nodes per point behind the linear oracle's clipped logistic
 # risk. The clip's kink limits the rule: against a 200,001-point trapezoid
@@ -263,8 +263,8 @@ def _linear_point_risks(model: StochasticModel, x: np.ndarray, y: np.ndarray,
     weights: the score of x is N(m, sd^2) with m = mu.x and sd^2 =
     sum_j sigma_j^2 x_j^2. The 0-1 loss is the normal tail Phi((2y - 1) m / sd),
     or the 0-1 loss of m where sd is 0; a clipped loss is the weighted sum
-    of its values at the Gauss-Hermite scores m + sd * z_i. y must hold
-    labels in {0, 1}."""
+    of its values at the Gauss-Hermite scores m + sd * z_i, and must be the
+    clipped logistic loss. y must hold labels in {0, 1}."""
     _check_labels(model.arch, y)
     post = model.posterior
     mean = scores_batch(model.arch, post.mean, x)
@@ -273,6 +273,7 @@ def _linear_point_risks(model: StochasticModel, x: np.ndarray, y: np.ndarray,
         spread = sd > 0.0
         tail = normal_cdf(mean / np.where(spread, sd, 1.0) * (2.0 * y - 1.0))
         return np.where(spread, tail, predicted_labels(model.arch, mean) != y)
+    _check_clipped_loss(model.arch, loss)
     points, weights = _normal_rule(QUADRATURE_NODES)
     losses, _ = _clipped_loss(loss, model.arch, points[:, None] * sd + mean, y)
     losses *= weights[:, None]

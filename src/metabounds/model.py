@@ -125,8 +125,8 @@ def _check_labels(arch: ModelArchitecture, y: np.ndarray) -> None:
 
 def _row_sum(g: np.ndarray) -> np.ndarray:
     """Adjoint of an operand broadcast along the second-to-last axis: g summed
-    over that axis, kept, as ``diff`` unbroadcasts it; g itself when that axis
-    has length 1."""
+    over that axis, kept, as ``_unbroadcast`` in ``tests/oracles.py`` sums
+    it; g itself when that axis has length 1."""
     return g if g.shape[-2] == 1 else np.add.reduce(g, axis=(g.ndim - 2,), keepdims=True)
 
 
@@ -211,19 +211,22 @@ def loss_values(loss: LossSpec, arch: ModelArchitecture,
 
     scores may carry leading axes in front of the sample axis (for example
     one row per weight draw); y broadcasts against the sample axis and must
-    hold class indices in [0, C). A clipped loss is the risk node's.
+    hold class indices in [0, C). A clipped loss is the risk node's, and
+    must be the one the architecture takes (``CLIPPED_LOSS``).
     """
     y = np.asarray(y)
     _check_labels(arch, y)
     if loss.kind == "zero_one":
         return (predicted_labels(arch, scores) != y).astype(np.float64)
+    _check_clipped_loss(arch, loss)
     return _clipped_loss(loss, arch, np.asarray(scores, dtype=np.float64), y)[0]
 
 
 def _clipped_loss(loss: LossSpec, arch: ModelArchitecture, scores: np.ndarray, y: np.ndarray):
     """The clipped logistic or cross-entropy losses of the float64 scores
     against the labels y, which broadcast against the sample axis, and their
-    vjp. The labels are taken unchecked.
+    vjp. The labels, and the loss as the one the architecture takes, are
+    taken unchecked: each public entry checks them once.
 
     The value is ``np.minimum(raw, c) / c`` for the raw loss and c =
     clip_max, so a NaN loss stays NaN. ``vjp(g)`` maps the losses' adjoint
@@ -236,7 +239,6 @@ def _clipped_loss(loss: LossSpec, arch: ModelArchitecture, scores: np.ndarray, y
     and picks the label's entry one class column at a time (see
     :func:`_class_max`).
     """
-    _check_clipped_loss(arch, loss)
     if loss.kind == "logistic_clipped":
         signs = 2.0 * y - 1.0
         # the class-0 logit is the score, the class-1 logit is 0
@@ -246,8 +248,6 @@ def _clipped_loss(loss: LossSpec, arch: ModelArchitecture, scores: np.ndarray, y
         one_plus = shrink + 1.0
         raw = np.maximum(t, 0.0) + np.log(one_plus)
     else:
-        if scores.ndim < 2:
-            raise ValueError("cross-entropy expects logit rows")
         shifted = scores - _class_max(scores)[..., None]
         lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
         onehot = y[..., None] == np.arange(arch.num_classes)
@@ -380,10 +380,12 @@ def taped_mc_risk(arch: ModelArchitecture, q, x: np.ndarray, y: np.ndarray,
     """:func:`_mc_risk` of the stacked posterior node q as one node on q's
     tape, whose only parent is q: the reference chains and the certificate
     that criterion 3 spells out from elementary ops take their risk here.
-    zero_one has no usable gradient and is rejected; eps must be finite and
-    the shapes must match."""
+    zero_one has no usable gradient and is rejected, as is a clipped loss
+    the architecture does not take; eps must be finite and the shapes must
+    match."""
     if loss.kind == "zero_one":
         raise ValueError(f"loss kind {loss.kind!r} is not differentiable")
+    _check_clipped_loss(arch, loss)
     eps = diff.constant(eps)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)

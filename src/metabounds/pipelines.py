@@ -124,6 +124,7 @@ def _certificate(er: float, kl_rho_pi: float, kl_hyper: float, task_kls: np.ndar
     divergences ``task_kls`` (n,).  Raises TrainingDiverged when an
     ingredient or a term is not finite."""
     try:
+        # fsum raises OverflowError where finite divergences sum past the floats
         inp = MetaBoundInput(er, kl_rho_pi, ((kl_hyper, math.fsum(task_kls.tolist())),),
                              n, m, delta)
     except (ValueError, OverflowError) as exc:
@@ -292,25 +293,20 @@ def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig, *,
     ``cfg.seed``, held-out task j from ``held_out_rngs[j]``; all rows are
     adapted in one stacked pass, training rows first, each exactly as it
     would be alone.  The held-out tasks must share the training tasks'
-    sample count.  A divergence names the task a separate pass would: a
-    training task first, or else held-out task j as j.
+    sample count.  A divergence names the row that failed first in that
+    pass: training task i as task i, held-out task j as task j.
     """
     if len(held_out_rngs) != len(held_out):
         raise ValueError("need exactly one generator per held-out task")
     n = len(tasks)
     rho, trace = train_meta(tasks, cfg)
-
-    def training_rngs():
-        return [stream(cfg.seed, "task-posterior", i) for i in range(n)]
-
+    rngs = [stream(cfg.seed, "task-posterior", i) for i in range(n)] + list(held_out_rngs)
     try:
         adapted = adapt_many(rho, [*tasks, *held_out], cfg, adapt_epochs=cfg.epochs_stage2,
-                             rngs=training_rngs() + list(held_out_rngs))
+                             rngs=rngs)
     except TrainingDiverged as exc:
         if exc.task is None or exc.task < n:
             raise
-        # a held-out row failed first; the training rows alone may still fail later
-        adapt_many(rho, tasks, cfg, adapt_epochs=cfg.epochs_stage2, rngs=training_rngs())
         raise TrainingDiverged(exc.message, exc.trace, task=exc.task - n) from None
     models = [model for model, _ in adapted]
     return TrainedSystem(rho, models[:n], tuple(trace.objectives), models[n:])
@@ -343,8 +339,6 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
         np.stack([mdl.posterior.mean for mdl in system.task_models]),
         np.stack([mdl.posterior.log_var for mdl in system.task_models]),
         theta1[:d], theta1[d:], system.rho.kappa_rho**2)
-    if not (math.isfinite(er) and math.isfinite(kl_rho_pi) and np.isfinite(task_kls).all()):
-        raise TrainingDiverged("trained system has a non-finite certificate", TrainingTrace())
     return _certificate(er, kl_rho_pi, 0.0, task_kls, len(tasks), tasks[0].m, cfg.delta)
 
 

@@ -552,25 +552,3 @@ class TestFusedOps:
         assert np.array_equal(fused[0], np.minimum(raw_value, c) / c)
         assert np.array_equal(fused[1], chain[1])
 
-
-class TestTapeLifetime:
-    def test_leaving_the_block_closes_the_tape(self):
-        with Tape() as tape:
-            x = tape.tensor(np.array([1.0, 2.0]))
-            y = ops.sum(ops.mul(x, x))
-            backward(y)
-            assert len(tape.nodes) == 3 and tape.nodes[0] is x and tape.nodes[2] is y
-        assert tape.nodes is None
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
-        assert float(y.value) == 5.0
-        with pytest.raises(ValueError, match="closed"):
-            ops.mul(x, 2.0)
-        with pytest.raises(ValueError, match="closed"):
-            backward(y)
-
-    def test_an_exception_closes_the_tape_too(self):
-        with pytest.raises(RuntimeError):
-            with Tape() as tape:
-                tape.tensor(np.ones(2))
-                raise RuntimeError
-        assert tape.nodes is None

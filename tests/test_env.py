@@ -490,6 +490,27 @@ class TestLabelsOutOfRange:
             mc_empirical_risk(model, task.train_x, y, loss, 5, np.random.default_rng(8))
 
 
+class TestLossPairing:
+    """Pricing rejects a clipped loss the architecture does not take: the
+    clipped loss itself no longer checks it, so each entry that takes a loss
+    and a model from its caller does, linear oracle included."""
+
+    @pytest.mark.parametrize("arch,kind", [(LINEAR2, "cross_entropy_clipped"),
+                                           (MLP3, "logistic_clipped")])
+    def test_rejected_by_every_pricing_entry_point(self, arch, kind):
+        task, model = _oracle_setup(arch)
+        loss = LossSpec(kind)
+        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        match = f"the {arch.kind} architecture takes"
+        with pytest.raises(ValueError, match=match):
+            loss_values(loss, arch, scores, task.train_y)
+        with pytest.raises(ValueError, match=match):
+            mc_empirical_risk(model, task.train_x, task.train_y, loss, 5,
+                              np.random.default_rng(8))
+        with pytest.raises(ValueError, match=match):
+            true_risks_mc([task], [model], loss, 50, [np.random.default_rng(9)], mc_samples=5)
+
+
 class TestOraclesWriteIntoNoCallerArray:
     """The oracles and the loss leave every array their caller hands them,
     and the scores, unchanged."""

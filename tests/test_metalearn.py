@@ -19,6 +19,7 @@ from metabounds.bounds import (
     theorem1_bound,
 )
 from metabounds import diff, metalearn
+from metabounds import model as model_module
 from metabounds.diff import backward
 from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
 from metabounds.gauss import (
@@ -762,8 +763,8 @@ def _step_setup(arch):
 
 
 class TestStepTapes:
-    """A training step is one function call and runs no tape, and whatever
-    tapes remain are freed by reference counting."""
+    """A training step is one function call, runs no tape and leaves none
+    behind."""
 
     @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_training_runs_no_backward_pass(self, monkeypatch, arch):
@@ -817,6 +818,24 @@ class TestStepTapes:
             adapt_many(rho, tasks, cfg, adapt_epochs=epochs,
                        rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
             assert len(checked) == 1
+
+    @pytest.mark.parametrize("arch", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_no_step_checks_the_loss_pairing(self, monkeypatch, arch):
+        """TrainConfig checks the loss against the architecture once, so a
+        run's steps check it no more."""
+        checked = []
+        real_check = model_module._check_clipped_loss
+
+        def counting_check(arch, loss):
+            checked.append(loss.kind)
+            real_check(arch, loss)
+
+        monkeypatch.setattr(model_module, "_check_clipped_loss", counting_check)
+        tasks, cfg = _step_setup(arch)
+        rho, _ = train_meta(tasks, cfg)
+        adapt_many(rho, tasks, cfg, adapt_epochs=2,
+                   rngs=[stream(3, "adapt", i) for i in range(len(tasks))])
+        assert checked == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverging_step_leaves_no_cyclic_garbage(self):

@@ -147,8 +147,8 @@ class TestLogisticKernel:
     def test_unclipped_losses_are_the_softplus_node_values(self):
         t = _kernel_scores()
         finite = t[np.isfinite(t)]
-        with Tape() as tape:
-            softplus = ops.softplus(tape.tensor(finite)).value
+        tape = Tape()
+        softplus = ops.softplus(tape.tensor(finite)).value
         # dividing by a power of two is exact where the quotient stays
         # normal; softplus is 0 or at least 2.2e-16, so each clip recovers
         # the unclipped losses in its range bit for bit

@@ -23,7 +23,7 @@ from metabounds.metalearn import (
     TrainingTrace,
     adapt_many,
 )
-from metabounds.model import LossSpec, ModelArchitecture
+from metabounds.model import LossSpec, ModelArchitecture, StochasticModel
 from metabounds.pipelines import (
     PRIOR_STD,
     RULE_RADIUS,
@@ -388,6 +388,20 @@ class TestTrainedPipeline:
         with pytest.raises(TrainingDiverged, match="non-finite certificate"):
             trained_bound_breakdown(broken, tasks, cfg)
 
+    def test_finite_task_divergences_whose_sum_overflows_are_a_numeric_failure(self):
+        """Posterior means of 10**151.75 make each of four task divergences
+        about 6.5e307, finite, but their exact sum (math.fsum) overflows
+        with an OverflowError: a diverged run too."""
+        tasks = _tasks(4, 6, seed=17)
+        cfg = _cfg(seed=17)
+        system = fit_two_prior_system(tasks, cfg)
+        far = [StochasticModel(mdl.arch, DiagonalGaussian(np.full(mdl.posterior.dim, 10**151.75),
+                                                          mdl.posterior.log_var))
+               for mdl in system.task_models]
+        broken = TrainedSystem(system.rho, far, system.trace_objectives)
+        with pytest.raises(TrainingDiverged, match="non-finite certificate: .*overflow"):
+            trained_bound_breakdown(broken, tasks, cfg)
+
     def test_system_fit_is_deterministic(self):
         tasks = _tasks(2, 6, seed=19)
         sys_a = fit_two_prior_system(tasks, _cfg(seed=19))
@@ -458,18 +472,16 @@ class TestOnePassPerEvaluation:
                         eval_tasks=3, eval_points=50)
         assert calls == {"adapt_many": 1, "true_risks_mc": 1, "true_risk_mc": 0}
 
-    def _diverging(self, monkeypatch, merged_task, training_task):
-        """adapt_many failing at ``merged_task`` on the merged rows and at
-        ``training_task`` (None: not at all) on the training rows alone."""
-        real = pipelines.adapt_many
+    def _diverging(self, monkeypatch, merged_task):
+        """adapt_many failing at row ``merged_task`` of whatever rows it is
+        handed; the returned list receives the row count of each call."""
+        calls = []
 
         def fake(rho, tasks, cfg, *, adapt_epochs, rngs):
-            if len(tasks) > 2:
-                raise TrainingDiverged("merged", TrainingTrace(), task=merged_task)
-            if training_task is not None:
-                raise TrainingDiverged("training", TrainingTrace(), task=training_task)
-            return real(rho, tasks, cfg, adapt_epochs=adapt_epochs, rngs=rngs)
+            calls.append(len(tasks))
+            raise TrainingDiverged("merged", TrainingTrace(), task=merged_task)
         monkeypatch.setattr(pipelines, "adapt_many", fake)
+        return calls
 
     def _fit(self):
         tasks, fresh = _tasks(2, 6, seed=41), _tasks(3, 6, seed=43)
@@ -477,20 +489,23 @@ class TestOnePassPerEvaluation:
                                     held_out_rngs=[stream(47, "adapt", i) for i in range(3)])
 
     def test_held_out_divergence_names_the_held_out_index(self, monkeypatch):
-        self._diverging(monkeypatch, merged_task=3, training_task=None)
+        self._diverging(monkeypatch, merged_task=3)
         with pytest.raises(TrainingDiverged, match="^task 1: merged$") as caught:
             self._fit()
         assert caught.value.task == 1
 
-    def test_training_divergence_comes_before_a_held_out_one(self, monkeypatch):
-        """A training row that fails only after a held-out row did is still
-        the one named, as when the training rows were adapted first."""
-        self._diverging(monkeypatch, merged_task=4, training_task=1)
-        with pytest.raises(TrainingDiverged, match="^task 1: training$"):
+    def test_a_held_out_divergence_ends_the_one_pass(self, monkeypatch):
+        """The row that failed first in the merged pass is the one named: the
+        training rows are not adapted again to see whether one of them would
+        fail later."""
+        calls = self._diverging(monkeypatch, merged_task=4)
+        with pytest.raises(TrainingDiverged, match="^task 2: merged$") as caught:
             self._fit()
+        assert caught.value.task == 2
+        assert calls == [5]
 
     def test_training_divergence_in_the_merged_pass_is_named_as_it_is(self, monkeypatch):
-        self._diverging(monkeypatch, merged_task=0, training_task=None)
+        self._diverging(monkeypatch, merged_task=0)
         with pytest.raises(TrainingDiverged, match="^task 0: merged$"):
             self._fit()
 
