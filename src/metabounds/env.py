@@ -266,9 +266,9 @@ def _linear_point_risks(model: StochasticModel, x: np.ndarray, y: np.ndarray,
     of its values at the Gauss-Hermite scores m + sd * z_i, and must be the
     clipped logistic loss. y must hold labels in {0, 1}."""
     _check_labels(model.arch, y)
-    post = model.posterior
-    mean = scores_batch(model.arch, post.mean, x)
-    sd = np.sqrt(scores_batch(model.arch, post.var, x * x))
+    d = model.arch.param_count
+    mean = scores_batch(model.arch, model.q[:d], x)
+    sd = np.sqrt(scores_batch(model.arch, np.exp(model.q[d:]), x * x))
     if loss.kind == "zero_one":
         spread = sd > 0.0
         tail = normal_cdf(mean / np.where(spread, sd, 1.0) * (2.0 * y - 1.0))

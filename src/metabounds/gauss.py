@@ -1,54 +1,28 @@
-"""Diagonal Gaussian distributions over real weight vectors.
+"""Closed-form divergences of diagonal Gaussians over real weight vectors.
 
-This family carries every distribution in the package: priors and
+Every distribution in the package is a diagonal Gaussian: priors and
 posteriors over model weights and meta-level distributions over prior
-parameters. Variances are stored in log space so that gradient-based
-optimization of them is unconstrained.
+parameters. There is no distribution class: a Gaussian over d weights is
+its flat ``(2d,)`` row, d means then d log-variances, the layout training
+descends and pricing reads; the ``*_arrays`` forms take the two halves as
+separate arrays with leading axes that broadcast. Variances are stored in
+log space so that gradient-based optimization of them is unconstrained.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DiagonalGaussian:
-    """N(mean, diag(exp(log_var))) over vectors of dimension d >= 1."""
-
-    mean: np.ndarray
-    log_var: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        log_var = np.asarray(self.log_var, dtype=np.float64)
-        if mean.ndim != 1 or log_var.ndim != 1:
-            raise ValueError("mean and log_var must be 1-d vectors")
-        if mean.shape != log_var.shape:
-            raise ValueError(
-                f"dimension mismatch: mean has {mean.shape[0]}, "
-                f"log_var has {log_var.shape[0]}"
-            )
-        if mean.shape[0] < 1:
-            raise ValueError("dimension must be >= 1")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(log_var)):
-            raise ValueError("mean and log_var entries must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_var", log_var)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def var(self) -> np.ndarray:
-        return np.exp(self.log_var)
-
-    @property
-    def std(self) -> np.ndarray:
-        return np.exp(0.5 * self.log_var)
+def _halves(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The means and log-variances of the (2d,) rows q and p, in that
+    order; the rows must have one, even shape."""
+    if q.shape != p.shape or q.ndim != 1 or q.size % 2:
+        raise ValueError(f"rows must share one even length: {q.shape} vs {p.shape}")
+    d = q.size // 2
+    return q[:d], q[d:], p[:d], p[d:]
 
 
 def normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -60,25 +34,15 @@ def normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erfs.reshape(z.shape))
 
 
-def isotropic(mean: np.ndarray, variance: float) -> DiagonalGaussian:
-    """Convenience constructor for N(mean, variance * I)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if variance <= 0.0:
-        raise ValueError("variance must be positive")
-    return DiagonalGaussian(mean, np.full(mean.shape, np.log(variance)))
-
-
-def kl_diag_gaussian(q: DiagonalGaussian, p: DiagonalGaussian) -> float:
-    """Exact KL(q || p) between diagonal Gaussians.
+def kl_diag_gaussian(q: np.ndarray, p: np.ndarray) -> float:
+    """Exact KL(q || p) between diagonal Gaussians given as (2d,) rows.
 
     Per coordinate the closed form is
     (sq^2 + (mq - mp)^2) / (2 sp^2) - 1/2 + log(sp / sq),
     summed over coordinates. Nonnegative, and exactly zero when the
     parameter vectors coincide.
     """
-    if q.dim != p.dim:
-        raise ValueError(f"dimension mismatch: {q.dim} vs {p.dim}")
-    return float(kl_diag_arrays(q.mean, q.log_var, p.mean, p.log_var))
+    return float(kl_diag_arrays(*_halves(q, p)))
 
 
 def kl_diag_arrays(q_mean: np.ndarray, q_log_var: np.ndarray, p_mean: np.ndarray,
@@ -92,7 +56,7 @@ def kl_diag_arrays(q_mean: np.ndarray, q_log_var: np.ndarray, p_mean: np.ndarray
 
 
 def expected_kl_under_gaussian_mean(
-    q: DiagonalGaussian, hyper: DiagonalGaussian, prior_var: float
+    q: np.ndarray, hyper: np.ndarray, prior_var: float
 ) -> float:
     """E over mu_P ~ hyper of KL(q || N(mu_P, prior_var * I)), in closed form.
 
@@ -103,13 +67,11 @@ def expected_kl_under_gaussian_mean(
 
     Parameters
     ----------
-    q : posterior over weights
-    hyper : distribution over the prior mean mu_P
+    q : (2d,) row of the posterior over weights
+    hyper : (2d,) row of the distribution over the prior mean mu_P
     prior_var : shared per-coordinate variance of the prior family
     """
-    if q.dim != hyper.dim:
-        raise ValueError(f"dimension mismatch: {q.dim} vs {hyper.dim}")
-    return float(expected_kl_arrays(q.mean, q.log_var, hyper.mean, hyper.log_var, prior_var))
+    return float(expected_kl_arrays(*_halves(q, hyper), prior_var))
 
 
 def expected_kl_arrays(q_mean: np.ndarray, q_log_var: np.ndarray, hyper_mean: np.ndarray,

@@ -31,7 +31,7 @@ import numpy as np
 from . import diff
 from .bounds import adaptation_bound, multitask_slack, task_level_slack
 from .env import Task
-from .gauss import DiagonalGaussian, kl_diag_gaussian
+from .gauss import kl_diag_gaussian
 from .model import (
     LossSpec,
     ModelArchitecture,
@@ -347,10 +347,6 @@ def _adaptation_step(cfg: TrainConfig, m: int, q: np.ndarray, prior: np.ndarray,
     return step
 
 
-def _flat(dist: DiagonalGaussian) -> np.ndarray:
-    return np.concatenate([dist.mean, dist.log_var])
-
-
 def _shared_sample_count(tasks) -> int:
     counts = {task.m for task in tasks}
     if len(counts) != 1:
@@ -479,9 +475,8 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
         _descend(cfg, x, y, flat, [rng] * n, epochs, step, [trace], name_task=False)
 
     flat, params = _packed(
-        theta=_flat(glorot_init(arch, stream(cfg.seed, "init", "prior"))),
-        q=np.stack([_flat(glorot_init(arch, stream(cfg.seed, "init", f"task{i}")))
-                    for i in range(n)]),
+        theta=glorot_init(arch, stream(cfg.seed, "init", "prior")),
+        q=np.stack([glorot_init(arch, stream(cfg.seed, "init", f"task{i}")) for i in range(n)]),
     )
     stage(flat, params, None, cfg.epochs_stage1, "stage1")
     trace.stage_boundary = len(trace.objectives)
@@ -503,7 +498,7 @@ def train_meta(env_tasks, cfg: TrainConfig) -> tuple[MetaPosterior, TrainingTrac
 
 
 def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int = 100,
-               rngs) -> list[tuple[StochasticModel, DiagonalGaussian]]:
+               rngs) -> list[tuple[StochasticModel, np.ndarray]]:
     """Adapt to several fresh tasks at once.
 
     The tasks must share a sample count.  Their posteriors are the rows of
@@ -513,8 +508,10 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
     of a single-task run: its initialization from N(theta0, kappa_rho**2 I),
     its prior from N(theta1, kappa_rho**2 I), both at ``rho.kappa_rho``, then
     per epoch a permutation and per step its weight noise.
-    Returns one ``(model, prior)`` pair per task; pass it to
-    :func:`adaptation_certificate` with the same generator to certify it.
+    Returns one ``(model, prior)`` pair per task, the prior as the (2d,)
+    row of means then log-variances that the model's posterior row also
+    uses; pass the pair to :func:`adaptation_certificate` with the same
+    generator to certify it.
 
     Raises TrainingDiverged naming the first task whose draws, objective or
     parameters stop being finite, with that task's completed epochs.
@@ -540,23 +537,23 @@ def adapt_many(rho: MetaPosterior, tasks, cfg: TrainConfig, *, adapt_epochs: int
                   "sampled initialization or prior is non-finite")
     step = _adaptation_step(cfg, m, params["q"], prior, rngs)
     _descend(cfg, x, y, flat, rngs, adapt_epochs, step, traces)
-    return [(StochasticModel(arch, DiagonalGaussian(row[:d], row[d:])),
-             DiagonalGaussian(prior_row[:d], prior_row[d:]))
+    return [(StochasticModel(arch, row), prior_row)
             for row, prior_row in zip(params["q"], prior)]
 
 
-def adaptation_certificate(model: StochasticModel, prior: DiagonalGaussian, task: Task,
+def adaptation_certificate(model: StochasticModel, prior: np.ndarray, task: Task,
                            cfg: TrainConfig, *, mc_eval: int,
                            rng: np.random.Generator) -> tuple[float, float]:
     """Certificate of an adapted posterior against the prior it was trained
-    against, with the empirical risk estimated from ``mc_eval`` weight draws.
+    against, the (2d,) row :func:`adapt_many` returns with the model, with
+    the empirical risk estimated from ``mc_eval`` weight draws.
 
     Returns ``(empirical_risk, bound)``: the estimate the bound was priced
     from, and the bound.  Raises TrainingDiverged when the posterior is
     finite but its risk or divergence is not.
     """
     empirical = mc_empirical_risk(model, task.train_x, task.train_y, cfg.loss, mc_eval, rng)
-    kl = kl_diag_gaussian(model.posterior, prior)
+    kl = kl_diag_gaussian(model.q, prior)
     if not (math.isfinite(empirical) and math.isfinite(kl)):
         raise TrainingDiverged("adapted posterior has a non-finite certificate",
                                TrainingTrace())

@@ -3,7 +3,8 @@
 Two architectures: a linear score classifier (binary, label 1 when the
 score is nonpositive) and a one-hidden-layer tanh network with softmax
 outputs. Weights are drawn from a diagonal Gaussian posterior over the
-flattened parameter vector. Losses are clipped and rescaled into [0, 1],
+flattened parameter vector, held as its flat row of means then
+log-variances. Losses are clipped and rescaled into [0, 1],
 which is what the generalization bounds require of the loss they certify.
 """
 
@@ -16,7 +17,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import diff
-from .gauss import DiagonalGaussian
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,21 @@ def block_layout(arch: ModelArchitecture) -> tuple[tuple[str, slice, tuple[int, 
 
 @dataclass(frozen=True)
 class StochasticModel:
-    """An architecture together with a posterior over its flat weights."""
+    """An architecture together with a diagonal Gaussian posterior over its
+    d flat weights: q is the (2d,) float64 row of d means then d
+    log-variances, finite, the layout training descends."""
 
     arch: ModelArchitecture
-    posterior: DiagonalGaussian
+    q: np.ndarray
 
     def __post_init__(self):
-        if self.posterior.dim != self.arch.param_count:
-            raise ValueError(
-                f"posterior dimension {self.posterior.dim} does not match "
-                f"parameter count {self.arch.param_count}"
-            )
+        q = np.asarray(self.q, dtype=np.float64)
+        width = 2 * self.arch.param_count
+        if q.shape != (width,):
+            raise ValueError(f"posterior row has shape {q.shape}, not ({width},)")
+        if not np.isfinite(q).all():
+            raise ValueError("posterior entries must be finite")
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
@@ -279,14 +283,16 @@ def _mc_losses(model: StochasticModel, x: np.ndarray, y: np.ndarray,
                loss: LossSpec, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
     """(K, B) losses of K = mc_samples fresh posterior draws on the B inputs.
 
-    The draws are mean + std * N(0, 1) of shape (K, d), taken from rng here
+    The draws are mean + std * N(0, 1) of shape (K, d), with std the
+    exponential of half the log-variances, taken from rng here
     in one call. An mlp1 model scores them in blocks of draw rows whose
     hidden layer holds at most ``MC_BLOCK_BUDGET`` entries (at least one row
     per block); each draw's losses are those of scoring it alone. Linear
     scores have no hidden layer and take all draws at once.
     """
-    post, arch = model.posterior, model.arch
-    draws = post.mean + post.std * rng.standard_normal((mc_samples, post.dim))
+    arch, q = model.arch, model.q
+    d = arch.param_count
+    draws = q[:d] + np.exp(0.5 * q[d:]) * rng.standard_normal((mc_samples, d))
     if arch.kind == "linear":
         return loss_values(loss, arch, scores_batch(arch, draws, x), y)
     rows = max(1, MC_BLOCK_BUDGET // (len(x) * arch.hidden_dim))
@@ -309,8 +315,9 @@ def mc_empirical_risk(model: StochasticModel, x: np.ndarray, y: np.ndarray,
     return float(_mc_losses(model, x, y, loss, mc_samples, rng).mean())
 
 
-def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGaussian:
-    """Posterior initialization: Glorot-uniform means, noisy small log-variances.
+def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> np.ndarray:
+    """Posterior initialization as a (2d,) row: Glorot-uniform means, then
+    noisy small log-variances.
 
     Weight matrices use the uniform fan rule limit sqrt(6 / (fan_in +
     fan_out)); biases start at zero. Every log-variance is an independent
@@ -325,7 +332,7 @@ def glorot_init(arch: ModelArchitecture, rng: np.random.Generator) -> DiagonalGa
             limit = np.sqrt(6.0 / (shape[0] + 1))
             mean[span] = rng.uniform(-limit, limit, size=shape)
     log_var = rng.normal(-10.0, 0.1, size=arch.param_count)
-    return DiagonalGaussian(mean, log_var)
+    return np.concatenate([mean, log_var])
 
 
 # The training risk: the numpy path above, on weights drawn from a stack of

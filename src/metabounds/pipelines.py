@@ -28,7 +28,6 @@ from .gauss import (
     expected_kl_arrays,
     expected_kl_fixed_spread_arrays,
     expected_kl_under_gaussian_mean,  # noqa: F401 - bench/tracer.py wraps it on this module
-    isotropic,
     kl_diag_arrays,
     kl_diag_gaussian,  # noqa: F401 - bench/tracer.py wraps it on this module
     normal_cdf,
@@ -252,8 +251,8 @@ def prior_mean_point(x: np.ndarray, y: np.ndarray, ns: Sequence[int], seed: int,
     centers = np.stack([s2 * np.sum(weights[:n], axis=0) / prior_var
                         for n, s2 in zip(ns, hyper_vars)])
     hyper_log_vars = np.repeat([[math.log(s2)] for s2 in hyper_vars], d, axis=1)
-    hyper_prior = isotropic(np.zeros(d), HYPER_PRIOR_STD**2)
-    kl_hypers = kl_diag_arrays(centers, hyper_log_vars, hyper_prior.mean, hyper_prior.log_var)
+    kl_hypers = kl_diag_arrays(centers, hyper_log_vars, np.zeros(d),
+                               np.full(d, np.log(HYPER_PRIOR_STD**2)))
     # the first n tasks of every n, each against the hyper-posterior of its n
     owner = np.repeat(np.arange(len(ns)), ns)
     task_kls = expected_kl_arrays(
@@ -335,10 +334,9 @@ def trained_bound_breakdown(system: TrainedSystem, tasks: list[Task],
     er = float(np.mean(risks))
     kl_rho_pi = meta_kl(system.rho, cfg.kappa_pi)
     theta1 = system.rho.theta1
-    task_kls = expected_kl_fixed_spread_arrays(
-        np.stack([mdl.posterior.mean for mdl in system.task_models]),
-        np.stack([mdl.posterior.log_var for mdl in system.task_models]),
-        theta1[:d], theta1[d:], system.rho.kappa_rho**2)
+    q = np.stack([mdl.q for mdl in system.task_models])
+    task_kls = expected_kl_fixed_spread_arrays(q[:, :d], q[:, d:], theta1[:d], theta1[d:],
+                                               system.rho.kappa_rho**2)
     return _certificate(er, kl_rho_pi, 0.0, task_kls, len(tasks), tasks[0].m, cfg.delta)
 
 

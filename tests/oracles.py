@@ -15,7 +15,9 @@ Nothing here runs in a CLI command or a training step:
   ``theorem2_statement`` and their two terms), transcribed with no code of
   ``metabounds.bounds``, from which every sweep row is re-derived;
 - ``random_discrete_system``, the finite systems of criterion 1;
-- ``quadrature_kl_1d``, the numerical-integration oracle of criterion 2.
+- ``quadrature_kl_1d``, the numerical-integration oracle of criterion 2;
+- ``gaussian_row`` and ``isotropic_row``, which spell a diagonal Gaussian as
+  the (2d,) row of means then log-variances that the program takes.
 
 Only what is differentiated is a node. ``add``, ``sub``, ``mul`` and
 ``matmul`` take a constant on either side, a number or an ndarray (data,
@@ -36,7 +38,6 @@ import numpy as np
 
 from metabounds.bounds import DiscreteMetaSystem, _check_count, _check_delta, _check_kl
 from metabounds.diff import Tensor, backward, constant
-from metabounds.gauss import DiagonalGaussian
 
 
 def _same_tape(*tensors: Tensor):
@@ -509,19 +510,31 @@ def random_discrete_system(
     )
 
 
-def quadrature_kl_1d(
-    q: DiagonalGaussian, p: DiagonalGaussian, grid: int = 100_000
-) -> float:
-    """Trapezoidal estimate of KL(q || p) for 1-d Gaussians.
+def gaussian_row(mean, log_var) -> np.ndarray:
+    """N(mean, diag exp(log_var)) as its float64 (2d,) row: the d means,
+    then the d log-variances."""
+    return np.concatenate([np.asarray(mean, dtype=np.float64),
+                           np.asarray(log_var, dtype=np.float64)])
+
+
+def isotropic_row(mean, variance: float) -> np.ndarray:
+    """N(mean, variance * I) as its (2d,) row."""
+    mean = np.asarray(mean, dtype=np.float64)
+    return gaussian_row(mean, np.full(mean.shape, np.log(variance)))
+
+
+def quadrature_kl_1d(q: np.ndarray, p: np.ndarray, grid: int = 100_000) -> float:
+    """Trapezoidal estimate of KL(q || p) for 1-d Gaussians, each given as
+    its (2,) row of mean and log-variance.
 
     Integrates q(x) log(q(x)/p(x)) over a window of 12 combined standard
     deviations around both means, which keeps the truncated tail mass far
     below the 1e-6 agreement tolerance used in tests.
     """
-    if q.dim != 1 or p.dim != 1:
+    if q.shape != (2,) or p.shape != (2,):
         raise ValueError("quadrature oracle is 1-d only")
-    mq, sq = float(q.mean[0]), float(q.std[0])
-    mp_, sp = float(p.mean[0]), float(p.std[0])
+    mq, sq = float(q[0]), float(np.exp(0.5 * q[1]))
+    mp_, sp = float(p[0]), float(np.exp(0.5 * p[1]))
     span = 12.0 * (sq + sp)
     lo = min(mq, mp_) - span
     hi = max(mq, mp_) + span

@@ -33,11 +33,7 @@ from metabounds.env import (
     sample_tasks,
     true_risk_mc,
 )
-from metabounds.gauss import (
-    DiagonalGaussian,
-    expected_kl_under_gaussian_mean,
-    kl_diag_gaussian,
-)
+from metabounds.gauss import expected_kl_under_gaussian_mean, kl_diag_gaussian
 from metabounds.metalearn import (
     MetaPosterior,
     TrainConfig,
@@ -54,6 +50,7 @@ from metabounds.rng import spawn_seed, stream
 
 import oracles as ops
 from oracles import (
+    gaussian_row,
     gradcheck,
     lambda_star,
     lemma2_grid_minimum,
@@ -99,20 +96,21 @@ def test_criterion_2_closed_forms_match_oracles(capsys):
 
     worst_quad = 0.0
     for _ in range(200):
-        q = DiagonalGaussian(rng.uniform(-3, 3, 1), rng.uniform(-2, 1.5, 1))
-        p = DiagonalGaussian(rng.uniform(-3, 3, 1), rng.uniform(-2, 1.5, 1))
+        q = gaussian_row(rng.uniform(-3, 3, 1), rng.uniform(-2, 1.5, 1))
+        p = gaussian_row(rng.uniform(-3, 3, 1), rng.uniform(-2, 1.5, 1))
         worst_quad = max(worst_quad, abs(kl_diag_gaussian(q, p) - quadrature_kl_1d(q, p)))
 
     worst_rel = 0.0
     for _ in range(50):
         dim = int(rng.integers(1, 4))
-        q = DiagonalGaussian(rng.normal(0, 1, dim), rng.uniform(-1.5, 1.0, dim))
-        hyper = DiagonalGaussian(rng.normal(0, 1, dim), rng.uniform(-1.5, 1.0, dim))
+        q = gaussian_row(rng.normal(0, 1, dim), rng.uniform(-1.5, 1.0, dim))
+        hyper = gaussian_row(rng.normal(0, 1, dim), rng.uniform(-1.5, 1.0, dim))
         prior_var = float(rng.uniform(0.3, 3.0))
         closed = expected_kl_under_gaussian_mean(q, hyper, prior_var)
-        draws = hyper.mean[None, :] + hyper.std[None, :] * rng.standard_normal((100_000, dim))
-        log_term = float(np.sum(np.log(prior_var) - q.log_var))
-        quad = np.sum(q.var) + np.sum((q.mean[None, :] - draws) ** 2, axis=1)
+        draws = hyper[None, :dim] + np.exp(0.5 * hyper[None, dim:]) * rng.standard_normal(
+            (100_000, dim))
+        log_term = float(np.sum(np.log(prior_var) - q[dim:]))
+        quad = np.sum(np.exp(q[dim:])) + np.sum((q[None, :dim] - draws) ** 2, axis=1)
         mc = float(np.mean(0.5 * (log_term + quad / prior_var - dim)))
         worst_rel = max(worst_rel, abs(closed - mc) / mc)
 
@@ -184,7 +182,7 @@ def test_criterion_3_objective_gradients(capsys):
     t0 = time.monotonic()
     tasks = _criterion_3_tasks()
     cfg = TrainConfig(arch=LINEAR, loss=LOGISTIC, mc_train=1, seed=0)
-    prior = DiagonalGaussian(np.array([0.2, -0.1]), np.array([-2.0, -1.5]))
+    prior = gaussian_row([0.2, -0.1], [-2.0, -1.5])
     eps = np.random.default_rng(77).standard_normal(2)
 
     # Single-task certificate built from the reference ops of tests/oracles.py:
@@ -197,14 +195,14 @@ def test_criterion_3_objective_gradients(capsys):
         q = tape.tensor(ps[0])
         qm = ops.slice(q, slice(0, 2))
         qlv = ops.slice(q, slice(2, 4))
-        pm = tape.tensor(prior.mean)
-        plv = tape.tensor(prior.log_var)
+        pm = tape.tensor(prior[:2])
+        plv = tape.tensor(prior[2:])
         risk = taped_mc_risk(LINEAR, q, task.train_x, task.train_y, LOGISTIC, eps[None])
         dm = ops.sub(qm, pm)
         kl = ops.mul(ops.sub(ops.add(ops.sub(ops.add(
             ops.sum(ops.exp(ops.sub(qlv, plv))),
             ops.sum(ops.mul(ops.mul(dm, dm), ops.exp(ops.mul(plv, -1.0))))),
-            float(prior.dim)), ops.sum(plv)), ops.sum(qlv)), 0.5)
+            2.0), ops.sum(plv)), ops.sum(qlv)), 0.5)
         slack = ops.add(kl, math.log(2.0 * math.sqrt(task.m) / cfg.delta))
         return ops.add(risk, ops.sqrt(ops.mul(slack, 1.0 / (2.0 * task.m)))), [q]
 

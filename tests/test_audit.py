@@ -14,17 +14,17 @@ from metabounds.audit import (
     audit_bound_validity,
 )
 from metabounds.env import LinearEnvSpec, sample_tasks, true_risk_mc
-from metabounds.gauss import DiagonalGaussian, kl_diag_gaussian
+from metabounds.gauss import kl_diag_gaussian
 from metabounds.metalearn import TrainConfig, adapt_many
 from metabounds.model import LossSpec, ModelArchitecture
 from metabounds.pipelines import fit_two_prior_system, trained_bound_breakdown
 from metabounds.rng import stream
 
-from oracles import quadrature_kl_1d
+from oracles import gaussian_row, quadrature_kl_1d
 
 
 def _g(mean, var):
-    return DiagonalGaussian(np.array([mean]), np.array([math.log(var)]))
+    return gaussian_row([mean], [math.log(var)])
 
 
 class TestQuadratureOracle:
@@ -52,7 +52,7 @@ class TestQuadratureOracle:
             assert abs(quadrature_kl_1d(q, p) - kl_diag_gaussian(q, p)) < 1e-6
 
     def test_rejects_multivariate_input(self):
-        q = DiagonalGaussian(np.zeros(2), np.zeros(2))
+        q = gaussian_row(np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="1-d"):
             quadrature_kl_1d(q, q)
 

@@ -20,7 +20,6 @@ from metabounds.env import (
     true_risk_mc,
     true_risks_mc,
 )
-from metabounds.gauss import DiagonalGaussian
 from metabounds.model import (
     LossSpec,
     ModelArchitecture,
@@ -32,13 +31,14 @@ from metabounds.model import (
 )
 
 from host_kernels import kernel_report
+from oracles import gaussian_row
 
 LINEAR2 = ModelArchitecture("linear", 2)
 
 
 def near_dirac_model(w):
     return StochasticModel(
-        LINEAR2, DiagonalGaussian(np.asarray(w, dtype=float), np.full(2, -60.0))
+        LINEAR2, gaussian_row(w, np.full(2, -60.0))
     )
 
 
@@ -223,8 +223,7 @@ class TestTrueRiskOracle:
         task = self._task_with_w_star([10.0, 10.0])
         # a zero mean would put every point's exact risk at 0.5, and so the
         # standard error, the points' spread alone, at 0
-        model = StochasticModel(LINEAR2,
-                                DiagonalGaussian(np.array([1.0, -1.0]), np.zeros(2)))
+        model = StochasticModel(LINEAR2, gaussian_row([1.0, -1.0], np.zeros(2)))
         risk, se = true_risk_mc(task, model, LossSpec("zero_one"), 500,
                                 np.random.default_rng(4), mc_samples=64)
         assert 0.0 < se < 0.1
@@ -232,8 +231,7 @@ class TestTrueRiskOracle:
 
     def test_deterministic(self):
         task = self._task_with_w_star([10.0, 10.0])
-        model = StochasticModel(LINEAR2,
-                                DiagonalGaussian(np.zeros(2), np.zeros(2)))
+        model = StochasticModel(LINEAR2, np.zeros(4))
         r1 = true_risk_mc(task, model, LossSpec("zero_one"), 300,
                           np.random.default_rng(6), mc_samples=16)
         r2 = true_risk_mc(task, model, LossSpec("zero_one"), 300,
@@ -260,9 +258,9 @@ def _oracle_tasks(arch, count):
     tasks = sample_tasks(spec, count, 12, np.random.default_rng(5))
     models = []
     for i in range(count):
+        d = arch.param_count
         post = glorot_init(arch, np.random.default_rng(6 + i))
-        models.append(StochasticModel(arch, DiagonalGaussian(post.mean,
-                                                             np.full(arch.param_count, -1.0))))
+        models.append(StochasticModel(arch, gaussian_row(post[:d], np.full(d, -1.0))))
     return tasks, models
 
 
@@ -289,13 +287,14 @@ class TestVectorizedOracles:
 
         rng = np.random.default_rng(8)
         x, y = task.draw(n_eval, rng)
-        post = model.posterior
+        d = arch.param_count
+        post_mean, post_std = model.q[:d], np.exp(0.5 * model.q[d:])
         if arch.kind == "linear":
             nodes, weights = hermgauss(32)
             per_point = np.zeros(n_eval)
             for j in range(n_eval):
-                mean = float(np.dot(post.mean, x[j]))
-                sd = math.sqrt(float(np.dot(post.var, x[j] * x[j])))
+                mean = float(np.dot(post_mean, x[j]))
+                sd = math.sqrt(float(np.dot(np.exp(model.q[d:]), x[j] * x[j])))
                 if kind == "zero_one":
                     z = (2 * y[j] - 1) * mean / sd
                     per_point[j] = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -305,7 +304,7 @@ class TestVectorizedOracles:
             risk = per_point.mean()
             se = np.sqrt(per_point.var(ddof=1) / n_eval)
         else:
-            draws = post.mean + post.std * rng.standard_normal((mc, post.dim))
+            draws = post_mean + post_std * rng.standard_normal((mc, d))
             per_sample = np.zeros(n_eval)
             per_draw = np.zeros(mc)
             for k in range(mc):
@@ -325,8 +324,9 @@ class TestVectorizedOracles:
         loss = LossSpec(kind)
         got = mc_empirical_risk(model, task.train_x, task.train_y, loss, 40,
                                 np.random.default_rng(9))
-        post = model.posterior
-        draws = post.mean + post.std * np.random.default_rng(9).standard_normal((40, post.dim))
+        d = arch.param_count
+        draws = (model.q[:d] + np.exp(0.5 * model.q[d:])
+                 * np.random.default_rng(9).standard_normal((40, d)))
         per_draw = [
             loss_values(loss, arch, scores_batch(arch, w, task.train_x), task.train_y).mean()
             for w in draws
@@ -364,8 +364,7 @@ class TestLinearOracleOverWeights:
         offsets = np.arange(400) * 400 - 80_000  # each mean's distance from the kink, in steps
         mean = self.KINK + sd * step * offsets
         # x = (mean, 1) under weights N((1, 0), diag(0, sd^2)); exp(-800) is 0.0
-        model = StochasticModel(LINEAR2, DiagonalGaussian(np.array([1.0, 0.0]),
-                                                          np.array([-800.0, 2.0 * math.log(sd)])))
+        model = StochasticModel(LINEAR2, gaussian_row([1.0, 0.0], [-800.0, 2.0 * math.log(sd)]))
         x = np.stack([mean, np.ones(400)], axis=1)
         got = _linear_point_risks(model, x, np.ones(400, dtype=np.int64), loss)
 
@@ -386,7 +385,7 @@ class TestLinearOracleOverWeights:
         task = sample_tasks(LinearEnvSpec(2), 1, 1, np.random.default_rng(0))[0]
         w = np.array([1.0, -2.0])
         # exp(-800) is 0.0: every score has sd 0
-        model = StochasticModel(LINEAR2, DiagonalGaussian(w, np.full(2, -800.0)))
+        model = StochasticModel(LINEAR2, gaussian_row(w, np.full(2, -800.0)))
         risk, se = true_risk_mc(task, model, LossSpec("zero_one"), 300,
                                 np.random.default_rng(1), mc_samples=7)
         x, y = task.draw(300, np.random.default_rng(1))
@@ -461,7 +460,7 @@ class TestLabelsOutOfRange:
         loss = LossSpec(kind)
         y = task.train_y.copy()
         y[3] = bad
-        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        scores = scores_batch(arch, model.q[:arch.param_count], task.train_x)
         with pytest.raises(ValueError, match="label out of range"):
             loss_values(loss, arch, scores, y)
         with pytest.raises(ValueError, match="label out of range"):
@@ -483,7 +482,7 @@ class TestLabelsOutOfRange:
         loss = LossSpec(kind)
         y = task.train_y.astype(np.float64)
         y[3] = 0.5
-        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        scores = scores_batch(arch, model.q[:arch.param_count], task.train_x)
         with pytest.raises(ValueError, match="labels must be integers"):
             loss_values(loss, arch, scores, y)
         with pytest.raises(ValueError, match="labels must be integers"):
@@ -500,7 +499,7 @@ class TestLossPairing:
     def test_rejected_by_every_pricing_entry_point(self, arch, kind):
         task, model = _oracle_setup(arch)
         loss = LossSpec(kind)
-        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        scores = scores_batch(arch, model.q[:arch.param_count], task.train_x)
         match = f"the {arch.kind} architecture takes"
         with pytest.raises(ValueError, match=match):
             loss_values(loss, arch, scores, task.train_y)
@@ -518,7 +517,7 @@ class TestOraclesWriteIntoNoCallerArray:
     @pytest.mark.parametrize("arch,kind", ORACLE_CASES)
     def test_loss_values_twice_on_the_same_scores(self, arch, kind):
         task, model = _oracle_setup(arch)
-        scores = scores_batch(arch, model.posterior.mean, task.train_x)
+        scores = scores_batch(arch, model.q[:arch.param_count], task.train_x)
         loss = LossSpec(kind)
         # a copy, so that a result written over the scores cannot pass
         first = loss_values(loss, arch, scores, task.train_y).copy()
@@ -528,11 +527,11 @@ class TestOraclesWriteIntoNoCallerArray:
     def test_inputs_unchanged(self, arch, kind):
         task, model = _oracle_setup(arch)
         loss = LossSpec(kind)
-        post = model.posterior
-        flat_w = post.mean + post.std * np.random.default_rng(7).standard_normal((6, post.dim))
+        d = arch.param_count
+        flat_w = (model.q[:d] + np.exp(0.5 * model.q[d:])
+                  * np.random.default_rng(7).standard_normal((6, d)))
         scores = scores_batch(arch, flat_w, task.train_x)
-        inputs = (flat_w, scores, task.train_x, task.train_y, task.latent,
-                  post.mean, post.log_var)
+        inputs = (flat_w, scores, task.train_x, task.train_y, task.latent, model.q)
         before = [a.copy() for a in inputs]
         scores_batch(arch, flat_w, task.train_x)
         loss_values(loss, arch, scores, task.train_y)

@@ -22,12 +22,7 @@ from metabounds import diff, metalearn
 from metabounds import model as model_module
 from metabounds.diff import backward
 from metabounds.env import BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_tasks
-from metabounds.gauss import (
-    DiagonalGaussian,
-    expected_kl_fixed_spread_arrays,
-    isotropic,
-    kl_diag_gaussian,
-)
+from metabounds.gauss import expected_kl_fixed_spread_arrays, kl_diag_gaussian
 from metabounds.metalearn import (
     MetaPosterior,
     TrainConfig,
@@ -53,7 +48,7 @@ from metabounds.rng import stream
 
 from host_kernels import kernel_report
 import oracles as ops
-from oracles import gradcheck
+from oracles import gaussian_row, gradcheck, isotropic_row
 
 LINEAR = ModelArchitecture("linear", input_dim=2)
 LOGISTIC = LossSpec("logistic_clipped")
@@ -163,10 +158,10 @@ class TestMetaKl:
             rng.normal(size=dim), rng.normal(size=dim), 0.37
         )
         kappa_pi = 4.2
-        reference = isotropic(np.zeros(dim), kappa_pi**2)
+        reference = isotropic_row(np.zeros(dim), kappa_pi**2)
         expected = kl_diag_gaussian(
-            isotropic(rho.theta0, rho.kappa_rho**2), reference
-        ) + kl_diag_gaussian(isotropic(rho.theta1, rho.kappa_rho**2), reference)
+            isotropic_row(rho.theta0, rho.kappa_rho**2), reference
+        ) + kl_diag_gaussian(isotropic_row(rho.theta1, rho.kappa_rho**2), reference)
         np.testing.assert_allclose(meta_kl(rho, kappa_pi), expected, rtol=1e-10)
 
     def test_nonnegative_for_arbitrary_spreads(self):
@@ -183,7 +178,7 @@ def _toy_tasks(n, m, seed=0):
 
 
 def _rows(models):
-    return np.stack([metalearn._flat(model.posterior) for model in models])
+    return np.stack([model.q for model in models])
 
 
 def _meta_certificate(rho, q, tasks, cfg, rng):
@@ -200,8 +195,7 @@ def _adaptation_certificate(model, prior, task, cfg, rng):
     """The certificate of one adapt step at the model's posterior against
     the prior, on the task's full training data, and the step's gradient,
     with the weight noise drawn from rng."""
-    step = metalearn._adaptation_step(cfg, task.m, _rows([model]),
-                                      metalearn._flat(prior)[None], [rng])
+    step = metalearn._adaptation_step(cfg, task.m, _rows([model]), prior[None], [rng])
     gradient, values = step(*metalearn._stacked_data([task], cfg.arch))
     return float(values[0]), gradient
 
@@ -234,8 +228,7 @@ class TestMetaObjective:
 
         objective = _meta_certificate(rho, _rows(models), tasks, cfg, np.random.default_rng(4))
 
-        prior = DiagonalGaussian(theta1[:2], theta1[2:])
-        sum_kl = sum(kl_diag_gaussian(mdl.posterior, prior) for mdl in models)
+        sum_kl = sum(kl_diag_gaussian(mdl.q, theta1) for mdl in models)
         eval_rng = np.random.default_rng(5)
         risks = []
         for mdl, task in zip(models, tasks):
@@ -266,7 +259,7 @@ class TestMetaObjective:
         tasks = _toy_tasks(3, 6, seed=103)
         rng = np.random.default_rng(107)
         models = [
-            StochasticModel(LINEAR, DiagonalGaussian(rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)))
+            StochasticModel(LINEAR, gaussian_row(rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)))
             for _ in range(3)
         ]
         theta0 = np.concatenate([rng.normal(0, 0.5, 2), rng.uniform(-3, -1, 2)])
@@ -282,14 +275,12 @@ class TestMetaObjective:
             eps = replay.standard_normal((3, 2, 2))
             assert drawn.bit_generator.state == replay.bit_generator.state
             risks = [
-                np.mean([loss_values(LOGISTIC, LINEAR, task.train_x @ (post.mean + post.std * e),
+                np.mean([loss_values(LOGISTIC, LINEAR, task.train_x @ (q[:2] + np.exp(0.5 * q[2:]) * e),
                                      task.train_y).mean() for e in task_eps])
-                for post, task, task_eps in zip((m.posterior for m in models), tasks, eps)
+                for q, task, task_eps in zip(_rows(models), tasks, eps)
             ]
             task_kls = expected_kl_fixed_spread_arrays(
-                np.stack([m.posterior.mean for m in models]),
-                np.stack([m.posterior.log_var for m in models]),
-                theta1[:2], theta1[2:], kappa_rho**2)
+                _rows(models)[:, :2], _rows(models)[:, 2:], theta1[:2], theta1[2:], kappa_rho**2)
             expected = theorem1_bound(MetaBoundInput(
                 empirical_multitask_risk=float(np.mean(risks)),
                 kl_rho_pi=meta_kl(rho, cfg.kappa_pi),
@@ -350,13 +341,11 @@ class TestMetaObjective:
         theta = np.concatenate([np.zeros(2), np.full(2, -8.0)])
         rho = MetaPosterior(theta, theta, 1e-3)
         matched = [
-            StochasticModel(LINEAR, DiagonalGaussian(np.zeros(2), np.full(2, -8.0)))
+            StochasticModel(LINEAR, gaussian_row(np.zeros(2), np.full(2, -8.0)))
             for _ in range(2)
         ]
         shifted = [
-            StochasticModel(
-                LINEAR, DiagonalGaussian(np.full(2, 0.1), np.full(2, -8.0))
-            ),
+            StochasticModel(LINEAR, gaussian_row(np.full(2, 0.1), np.full(2, -8.0))),
             matched[1],
         ]
         near = _meta_certificate(rho, _rows(matched), tasks, cfg, np.random.default_rng(0))
@@ -482,8 +471,7 @@ class TestGaussianKl:
         p = rng.normal(size=6)
         value, _ = metalearn._gaussian_kl(q, p[:3], p[3:], np.exp(-p[3:]))
         for row, kl in zip(q, value):
-            expected = kl_diag_gaussian(DiagonalGaussian(row[:3], row[3:]),
-                                        DiagonalGaussian(p[:3], p[3:]))
+            expected = kl_diag_gaussian(row, p)
             assert abs(kl - expected) <= 1e-12
 
 
@@ -893,7 +881,7 @@ def _training_digest(arch_kind, mc_train, batch):
     parts = [rho.theta0, rho.theta1, np.array(trace.objectives),
              np.array([trace.stage_boundary], dtype=np.int64)]
     for model, _ in adapted:
-        parts += [model.posterior.mean, model.posterior.log_var]
+        parts.append(model.q)
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest()
 
 
@@ -936,7 +924,7 @@ def _adapt_digest(arch_kind, mc_train):
                          rngs=[stream(47, "adapt", i) for i in range(len(fresh))])
     parts = []
     for model, _ in adapted:
-        parts += [model.posterior.mean, model.posterior.log_var]
+        parts.append(model.q)
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest()
 
 
@@ -974,7 +962,7 @@ class TestAdapt:
         rho = MetaPosterior(np.zeros(4), np.zeros(4), 1e-3)
         model_a, bound_a = adapt(rho, task, _cfg(), adapt_epochs=3, mc_eval=50)
         model_b, bound_b = adapt(rho, task, _cfg(), adapt_epochs=3, mc_eval=50)
-        assert np.array_equal(model_a.posterior.mean, model_b.posterior.mean)
+        assert np.array_equal(model_a.q, model_b.q)
         assert bound_a == bound_b
 
     def test_objective_equals_adaptation_bound(self):
@@ -982,13 +970,13 @@ class TestAdapt:
         certificate is adaptation_bound, slack constant included."""
         task = _toy_tasks(1, 7, seed=101)[0]
         cfg = _cfg(mc_train=3)
-        post = DiagonalGaussian(np.array([0.3, -0.2]), np.array([-1.0, -2.0]))
-        prior = DiagonalGaussian(np.array([0.1, 0.4]), np.array([-1.5, -0.5]))
+        post = gaussian_row([0.3, -0.2], [-1.0, -2.0])
+        prior = gaussian_row([0.1, 0.4], [-1.5, -0.5])
         value, _ = _adaptation_certificate(StochasticModel(LINEAR, post), prior, task, cfg,
                                            np.random.default_rng(5))
         eps = np.random.default_rng(5).standard_normal((3, 2))
         risk = np.mean([
-            loss_values(LOGISTIC, LINEAR, task.train_x @ (post.mean + post.std * e),
+            loss_values(LOGISTIC, LINEAR, task.train_x @ (post[:2] + np.exp(0.5 * post[2:]) * e),
                         task.train_y).mean()
             for e in eps
         ])
@@ -998,13 +986,13 @@ class TestAdapt:
     def test_gradcheck_adaptation_objective(self):
         task = _toy_tasks(1, 6, seed=43)[0]
         cfg = _cfg(mc_train=1)
-        prior = DiagonalGaussian(np.array([0.2, -0.1]), np.array([-2.0, -1.5]))
+        prior = gaussian_row([0.2, -0.1], [-2.0, -1.5])
 
         x, y = metalearn._stacked_data([task], LINEAR)
 
         def build(ps):
             q = diff.Tape().tensor(ps[0])
-            step = metalearn._adaptation_step(cfg, task.m, q.value, metalearn._flat(prior)[None],
+            step = metalearn._adaptation_step(cfg, task.m, q.value, prior[None],
                                               [np.random.default_rng(55)])
             return ops.step_node(step, x, y, [q], total=True), [q]
 
@@ -1040,10 +1028,7 @@ class TestAdaptMany:
             _, bound = adaptation_certificate(model, prior, task, cfg, mc_eval=60, rng=rng)
             alone, alone_bound = adapt(rho, task, cfg, adapt_epochs=4, mc_eval=60,
                                        rng=stream(79, "adapt", i))
-            np.testing.assert_allclose(model.posterior.mean, alone.posterior.mean,
-                                       rtol=0, atol=1e-10)
-            np.testing.assert_allclose(model.posterior.log_var, alone.posterior.log_var,
-                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(model.q, alone.q, rtol=0, atol=1e-10)
             assert abs(bound - alone_bound) <= 1e-10
 
     def test_first_step_optimizes_the_adaptation_objective(self, monkeypatch):
@@ -1065,9 +1050,8 @@ class TestAdaptMany:
         init = theta0 + 0.05 * replay.standard_normal(4)
         drawn = theta1 + 0.05 * replay.standard_normal(4)
         replay.permutation(task.m)
-        model = StochasticModel(LINEAR, DiagonalGaussian(init[:2], init[2:]))
-        prior = DiagonalGaussian(drawn[:2], drawn[2:])
-        value, expected = _adaptation_certificate(model, prior, task, cfg, replay)
+        value, expected = _adaptation_certificate(StochasticModel(LINEAR, init), drawn, task,
+                                                  cfg, replay)
         [(gradient, values)] = seen
         assert abs(values[0] - value) <= 1e-12
         np.testing.assert_allclose(gradient, expected, rtol=1e-12, atol=0)
@@ -1123,9 +1107,8 @@ class TestAdaptMany:
             replay = stream(5, "adapt", i)
             init = rho.theta0 + rho.kappa_rho * replay.standard_normal(4)
             drawn = rho.theta1 + rho.kappa_rho * replay.standard_normal(4)
-            np.testing.assert_array_equal(model.posterior.mean, init[:2])
-            np.testing.assert_array_equal(prior.mean, drawn[:2])
-            np.testing.assert_array_equal(prior.log_var, drawn[2:])
+            np.testing.assert_array_equal(model.q, init)
+            np.testing.assert_array_equal(prior, drawn)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_draws_are_a_divergence(self):
@@ -1157,23 +1140,22 @@ class TestAdaptMany:
 class TestAdaptationCertificate:
     def test_prices_the_risk_and_divergence(self):
         task = _toy_tasks(1, 12, seed=3)[0]
-        model = StochasticModel(LINEAR, DiagonalGaussian(np.array([0.5, -1.0]),
-                                                         np.full(2, -4.0)))
-        prior = DiagonalGaussian(np.zeros(2), np.full(2, -2.0))
+        model = StochasticModel(LINEAR, gaussian_row([0.5, -1.0], np.full(2, -4.0)))
+        prior = gaussian_row(np.zeros(2), np.full(2, -2.0))
         empirical, bound = adaptation_certificate(model, prior, task, _cfg(), mc_eval=40,
                                                   rng=np.random.default_rng(11))
         from metabounds.model import mc_empirical_risk
 
         risk = mc_empirical_risk(model, task.train_x, task.train_y, LOGISTIC, 40,
                                  np.random.default_rng(11))
-        expected = adaptation_bound(risk, kl_diag_gaussian(model.posterior, prior), 12, 0.1)
+        expected = adaptation_bound(risk, kl_diag_gaussian(model.q, prior), 12, 0.1)
         assert (empirical, bound) == (risk, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_divergence_is_a_numeric_failure(self):
         task = _toy_tasks(1, 12, seed=3)[0]
-        model = StochasticModel(LINEAR, DiagonalGaussian(np.full(2, 1e300), np.zeros(2)))
-        prior = DiagonalGaussian(np.zeros(2), np.zeros(2))
+        model = StochasticModel(LINEAR, gaussian_row(np.full(2, 1e300), np.zeros(2)))
+        prior = np.zeros(4)
         with pytest.raises(TrainingDiverged, match="non-finite certificate"):
             adaptation_certificate(model, prior, task, _cfg(), mc_eval=5,
                                    rng=np.random.default_rng(0))
@@ -1188,8 +1170,7 @@ class TestIndependentBaseline:
         zero = MetaPosterior(np.zeros(4), np.zeros(4), cfg.kappa_rho)
         same, _ = adapt(zero, task, cfg, adapt_epochs=3,
                         rng=stream(cfg.seed, "independent"))
-        assert np.array_equal(baseline.posterior.mean, same.posterior.mean)
-        assert np.array_equal(baseline.posterior.log_var, same.posterior.log_var)
+        assert np.array_equal(baseline.q, same.q)
 
     def test_deterministic_given_seed(self):
         task = _toy_tasks(1, 16, seed=53)[0]
@@ -1197,7 +1178,7 @@ class TestIndependentBaseline:
                                    rngs=[np.random.default_rng(3)])
         [b] = independent_baseline([task], _cfg(), adapt_epochs=2,
                                    rngs=[np.random.default_rng(3)])
-        assert np.array_equal(a.posterior.mean, b.posterior.mean)
+        assert np.array_equal(a.q, b.q)
 
 
 class TestSerialization:

@@ -7,7 +7,6 @@ import pytest
 
 from metabounds import diff, model
 from metabounds.diff import Tape, backward
-from metabounds.gauss import DiagonalGaussian, isotropic
 from metabounds.model import (
     LossSpec,
     ModelArchitecture,
@@ -22,15 +21,14 @@ from metabounds.model import (
 )
 
 import oracles as ops
-from oracles import gradcheck
+from oracles import gaussian_row, gradcheck, isotropic_row
 
 LINEAR2 = ModelArchitecture("linear", 2)
 MLP = ModelArchitecture("mlp1", 3, num_classes=4, hidden_dim=5)
 
 
 def near_dirac(mean):
-    return DiagonalGaussian(np.asarray(mean, dtype=float),
-                            np.full(len(mean), -60.0))
+    return gaussian_row(mean, np.full(len(mean), -60.0))
 
 
 class TestArchitecture:
@@ -57,9 +55,32 @@ class TestArchitecture:
             pos = span.stop
         assert pos == MLP.param_count
 
+
+
+class TestStochasticModel:
+    """The model holds its posterior as one (2d,) float64 row of finite
+    entries, d the architecture's parameter count."""
+
     def test_posterior_dimension_checked(self):
         with pytest.raises(ValueError):
-            StochasticModel(LINEAR2, isotropic(np.zeros(3), 1.0))
+            StochasticModel(LINEAR2, isotropic_row(np.zeros(3), 1.0))
+
+    def test_rejects_a_row_of_means_and_log_variances_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            StochasticModel(LINEAR2, gaussian_row(np.zeros(2), np.zeros(1)))
+
+    def test_rejects_a_nonfinite_entry(self):
+        with pytest.raises(ValueError):
+            StochasticModel(LINEAR2, gaussian_row(np.zeros(2), [0.0, np.inf]))
+
+    def test_rejects_an_empty_row(self):
+        with pytest.raises(ValueError):
+            StochasticModel(LINEAR2, np.zeros(0))
+
+    def test_holds_the_row_as_float64(self):
+        m = StochasticModel(LINEAR2, np.array([1, 2, 3, 4]))
+        assert m.q.dtype == np.float64
+        assert m.q.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestScoresBatch:
@@ -181,7 +202,7 @@ class TestMcEmpiricalRisk:
         assert risk == 0.0
 
     def test_deterministic_given_seed(self):
-        m = StochasticModel(LINEAR2, isotropic(np.zeros(2), 1.0))
+        m = StochasticModel(LINEAR2, isotropic_row(np.zeros(2), 1.0))
         x = np.random.default_rng(1).uniform(-1, 1, (8, 2))
         y = np.zeros(8, dtype=int)
         r1 = mc_empirical_risk(m, x, y, LossSpec("logistic_clipped"), 1,
@@ -195,7 +216,7 @@ class TestMcEmpiricalRisk:
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (50, 2))
         y = (x @ np.array([10.0, 10.0]) <= 0).astype(int)
-        m = StochasticModel(LINEAR2, isotropic(np.zeros(2), 1.0))
+        m = StochasticModel(LINEAR2, isotropic_row(np.zeros(2), 1.0))
         risk = mc_empirical_risk(m, x, y, LossSpec("zero_one"), 10_000,
                                  np.random.default_rng(11))
         assert abs(risk - 0.5) < 0.02
@@ -204,8 +225,7 @@ class TestMcEmpiricalRisk:
         """P(predicted label 1) = Phi(-mu/sigma) for a positive input."""
         arch = ModelArchitecture("linear", 1)
         mu, var = 0.8, 1.7
-        m = StochasticModel(arch, DiagonalGaussian(np.array([mu]),
-                                                   np.array([np.log(var)])))
+        m = StochasticModel(arch, gaussian_row([mu], [np.log(var)]))
         x = np.array([[1.0]])
         y = np.array([1])  # wrong whenever sampled w > 0
         mc = 100_000
@@ -226,8 +246,8 @@ class TestMcEmpiricalRisk:
         block, and the generator ends in the same state."""
         rng = np.random.default_rng(13)
         d = MLP.param_count
-        m = StochasticModel(MLP, DiagonalGaussian(rng.normal(0.0, 0.5, d),
-                                                  rng.uniform(-3.0, -1.0, d)))
+        m = StochasticModel(MLP, gaussian_row(rng.normal(0.0, 0.5, d),
+                                              rng.uniform(-3.0, -1.0, d)))
         x, y = rng.normal(size=(points, 3)), rng.integers(0, 4, points)
         loss = LossSpec(kind)
         whole_block = draws * points * MLP.hidden_dim
@@ -242,7 +262,7 @@ class TestMcEmpiricalRisk:
         assert blocked_rng.bit_generator.state == whole_rng.bit_generator.state
 
     def test_empty_dataset_rejected(self):
-        m = StochasticModel(LINEAR2, isotropic(np.zeros(2), 1.0))
+        m = StochasticModel(LINEAR2, isotropic_row(np.zeros(2), 1.0))
         with pytest.raises(ValueError):
             mc_empirical_risk(m, np.zeros((0, 2)), np.zeros(0),
                               LossSpec("zero_one"), 1, np.random.default_rng(0))
@@ -250,17 +270,17 @@ class TestMcEmpiricalRisk:
 
 class TestGlorotInit:
     def test_initial_variance_scale(self):
-        post = glorot_init(MLP, np.random.default_rng(0))
-        assert np.all(np.abs(post.var - np.exp(-10.0)) < np.exp(-10.0))
+        q = glorot_init(MLP, np.random.default_rng(0))
+        var = np.exp(q[MLP.param_count:])
+        assert np.all(np.abs(var - np.exp(-10.0)) < np.exp(-10.0))
 
     def test_linear_dimension(self):
-        assert glorot_init(LINEAR2, np.random.default_rng(0)).dim == 2
+        assert glorot_init(LINEAR2, np.random.default_rng(0)).shape == (4,)
 
     def test_same_seed_same_distribution(self):
         a = glorot_init(MLP, np.random.default_rng(4))
         b = glorot_init(MLP, np.random.default_rng(4))
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.log_var, b.log_var)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestClassMax:
@@ -307,7 +327,7 @@ class TestTapedRisk:
             q = Tape().tensor(ps[0])
             return taped_mc_risk(arch, q, x, y, loss, eps), [q]
 
-        return build, [np.concatenate([post.mean, post.log_var])]
+        return build, [post]
 
     def test_taped_value_matches_numpy_path(self):
         rng = np.random.default_rng(2)
@@ -315,10 +335,10 @@ class TestTapedRisk:
         y = rng.integers(0, 2, 5)
         post = glorot_init(LINEAR2, np.random.default_rng(8))
         loss = LossSpec("logistic_clipped")
-        q = Tape().tensor(np.concatenate([post.mean, post.log_var]))
+        q = Tape().tensor(post)
         eps = np.random.default_rng(9).standard_normal(2)
         out = taped_mc_risk(LINEAR2, q, x, y, loss, eps[None])
-        w = post.mean + post.std * eps
+        w = post[:2] + np.exp(0.5 * post[2:]) * eps
         m = StochasticModel(LINEAR2, near_dirac(w))
         direct = loss_values(loss, LINEAR2, x @ w, y).mean()
         np.testing.assert_allclose(float(out.value), direct, rtol=1e-12)

@@ -9,13 +9,7 @@ import pytest
 from metabounds import audit, bounds, cli, env, metalearn, pipelines
 from metabounds.env import (BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_linear_tasks,
                             sample_tasks)
-from metabounds.gauss import (
-    DiagonalGaussian,
-    expected_kl_arrays,
-    isotropic,
-    kl_diag_gaussian,
-    normal_cdf,
-)
+from metabounds.gauss import expected_kl_arrays, kl_diag_gaussian, normal_cdf
 from metabounds.metalearn import (
     MetaPosterior,
     TrainConfig,
@@ -39,6 +33,8 @@ from metabounds.pipelines import (
     two_prior_point,
 )
 from metabounds.rng import stream
+
+from oracles import gaussian_row, isotropic_row
 
 SPEC = LinearEnvSpec(d=2)
 
@@ -264,10 +260,10 @@ def _per_row_point(x, y, seed, delta, meta_test_loss):
     prior_var = PRIOR_STD**2
     s2 = 1.0 / (1.0 / pipelines.HYPER_PRIOR_STD**2 + n / prior_var)
     center = s2 * np.sum(weights, axis=0) / prior_var
-    hyper = DiagonalGaussian(center, np.full(d, math.log(s2)))
-    kl_hyper = kl_diag_gaussian(hyper, isotropic(np.zeros(d), pipelines.HYPER_PRIOR_STD**2))
-    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper.mean,
-                                  hyper.log_var, prior_var)
+    hyper = gaussian_row(center, np.full(d, math.log(s2)))
+    kl_hyper = kl_diag_gaussian(hyper, isotropic_row(np.zeros(d), pipelines.HYPER_PRIOR_STD**2))
+    task_kls = expected_kl_arrays(weights, np.full(d, math.log(prior_var)), hyper[:d],
+                                  hyper[d:], prior_var)
     breakdown = pipelines._certificate(er, 0.0, kl_hyper, task_kls, n, m, delta)
     return PipelinePoint(n=n, m=m, d=d, seed=seed, meta_test_loss=meta_test_loss,
                          meta_train_loss=er, **vars(breakdown))
@@ -395,8 +391,8 @@ class TestTrainedPipeline:
         tasks = _tasks(4, 6, seed=17)
         cfg = _cfg(seed=17)
         system = fit_two_prior_system(tasks, cfg)
-        far = [StochasticModel(mdl.arch, DiagonalGaussian(np.full(mdl.posterior.dim, 10**151.75),
-                                                          mdl.posterior.log_var))
+        d = cfg.arch.param_count
+        far = [StochasticModel(mdl.arch, gaussian_row(np.full(d, 10**151.75), mdl.q[d:]))
                for mdl in system.task_models]
         broken = TrainedSystem(system.rho, far, system.trace_objectives)
         with pytest.raises(TrainingDiverged, match="non-finite certificate: .*overflow"):
@@ -408,7 +404,7 @@ class TestTrainedPipeline:
         sys_b = fit_two_prior_system(tasks, _cfg(seed=19))
         assert np.array_equal(sys_a.rho.theta1, sys_b.rho.theta1)
         for ma, mb in zip(sys_a.task_models, sys_b.task_models):
-            assert np.array_equal(ma.posterior.mean, mb.posterior.mean)
+            assert np.array_equal(ma.q, mb.q)
 
     def test_point_fields_are_finite_and_ordered(self):
         tasks = _tasks(2, 6, seed=23)
@@ -456,8 +452,7 @@ class TestOnePassPerEvaluation:
         assert alone.held_out_models == []
         for got, want in zip(merged.task_models + merged.held_out_models,
                              alone.task_models + apart, strict=True):
-            np.testing.assert_array_equal(got.posterior.mean, want.posterior.mean)
-            np.testing.assert_array_equal(got.posterior.log_var, want.posterior.log_var)
+            np.testing.assert_array_equal(got.q, want.q)
 
     NAMES = ("adapt_many", "true_risks_mc", "true_risk_mc")
 
