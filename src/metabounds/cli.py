@@ -35,8 +35,8 @@ import numpy as np
 
 from .audit import MIN_EVAL_TASKS, MIN_TRIALS, AuditRecord, audit_bound_validity
 from .bounds import MetaBoundInput, theorem1_bound, theorem2_bound
-from .env import (BlobsSpec, LinearEnvSpec, PermutedEnvSpec, sample_linear_tasks, sample_tasks,
-                  true_risks_mc)
+from .env import (BlobsSpec, LinearEnvSpec, PermutedEnvSpec, base_dataset, sample_linear_tasks,
+                  sample_tasks, true_risks_mc)
 from .metalearn import (
     TrainConfig,
     TrainingDiverged,
@@ -329,9 +329,21 @@ def load_config(path: str | Path, command: str,
         raise ConfigError(
             f"missing required key(s) in [{command}]: {', '.join(sorted(missing))}"
         )
-    if "out" in values and Path(values["out"]).is_dir():
-        raise ConfigError(f"out: {values['out']} is a directory")
+    if "out" in values:
+        _check_out(Path(values["out"]))
     return ExperimentConfig(command, values)
+
+
+def _check_out(out: Path) -> None:
+    """Reject an output path that the atomic write would fail on after the
+    work: a directory, or a path below a file (its nearest existing
+    ancestor is not a directory). A file written beside it, such as
+    ``train``'s trace, has the same ancestors."""
+    if out.is_dir():
+        raise ConfigError(f"out: {out} is a directory")
+    ancestor = next(parent for parent in out.absolute().parents if parent.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"out: {ancestor} is not a directory")
 
 
 def _train_config(values: dict, spec) -> TrainConfig:
@@ -358,8 +370,13 @@ def _env_spec(values: dict):
                      num_classes=values["blob_classes"],
                      center_scale=values["blob_center_scale"],
                      noise=values["blob_noise"], seed=values["blob_seed"])
-    return PermutedEnvSpec(base=base, mode=values["permute_mode"],
+    spec = PermutedEnvSpec(base=base, mode=values["permute_mode"],
                            num_shuffled=values["num_shuffled"])
+    # built into env's cache, where the work finds it
+    if not np.isfinite(base_dataset(base)[0]).all():
+        raise ConfigError("blob_center_scale, blob_noise: the blobs dataset overflows "
+                          "to non-finite inputs")
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def _draw(spec, latent, k, rng):
     if isinstance(spec, LinearEnvSpec):
         return draw_linear(latent, k, rng)
     if isinstance(spec, PermutedEnvSpec):
-        base_x, base_y = _base_cache(spec.base)
+        base_x, base_y = base_dataset(spec.base)
         idx = rng.integers(0, base_x.shape[0], size=k)
         if spec.mode == "permute_labels":
             perm = latent.astype(np.int64)
@@ -169,13 +169,11 @@ def _draw(spec, latent, k, rng):
     raise ValueError(f"invalid environment spec {type(spec).__name__}")
 
 
-_BASE_CACHE: dict[BlobsSpec, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _base_cache(base: BlobsSpec):
-    if base not in _BASE_CACHE:
-        _BASE_CACHE[base] = base.build()
-    return _BASE_CACHE[base]
+@lru_cache(maxsize=None)
+def base_dataset(base: BlobsSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``base.build()``, built once per process and shared by every task
+    drawn from it."""
+    return base.build()
 
 
 def sample_linear_tasks(spec: LinearEnvSpec, n: int, m: int, rng: np.random.Generator

@@ -11,11 +11,17 @@ bare name that an enclosing function, lambda or comprehension binds itself
 (a parameter, an assignment target, a loop variable) resolves to that local
 binding, not to a module definition. An import or an ``__all__`` entry alone
 is not a use.
+
+Every public method or property of a public class in ``src/metabounds`` must
+likewise be read, as an attribute of its name, somewhere in ``src/`` outside
+its own class body, or be named in ``ALLOWED`` as ``module.Class.name``.
+The check goes by name alone: a read of ``x.step`` counts for every member
+called ``step``.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from metabounds import diff
@@ -42,6 +48,11 @@ ALLOWED = {
                      "through it",
     "model.taped_mc_risk": "the benchmark's tracer wraps it on metalearn; criterion 3 builds "
                            "its single-task certificate from it",
+    "audit.AuditReport.violation_rate": "criterion 5 compares it with delta",
+    "diff.Tape.tensor": "criterion 3 builds the leaves of its single-task certificate and of "
+                        "each step's node with it",
+    "diff.Tensor.grad": "criterion 3's gradcheck (tests/oracles.py) reads each leaf's "
+                        "adjoint through it",
 }
 
 
@@ -166,16 +177,66 @@ def _package_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in SRC.glob("*.py")}
 
 
+def _unread_members(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of each public method or property of a public
+    class that no attribute read of that name reaches outside the class's
+    own body, in any module of ``sources``."""
+    members, readers = set(), defaultdict(set)
+    for module, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        owner = {}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                cls = f"{module}.{node.name}"
+                members.update(f"{cls}.{item.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+                owner.update((id(sub), cls) for sub in ast.walk(node))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                readers[sub.attr].add(owner.get(id(sub)))
+    return sorted(member for member in members
+                  if not readers[member.rsplit(".", 1)[1]] - {member.rsplit(".", 1)[0]})
+
+
 def test_every_public_definition_is_used_or_allowed():
     definitions, uses = _public_definitions_and_uses(_package_sources())
     unused = sorted(name for name in definitions if not uses[name] and name not in ALLOWED)
     assert unused == [], "public API that src/ does not use; delete it or allow it"
 
 
+def test_every_public_member_is_read_or_allowed():
+    unread = [name for name in _unread_members(_package_sources()) if name not in ALLOWED]
+    assert unread == [], "public members that src/ does not read; delete them or allow them"
+
+
 def test_allow_list_names_only_unused_definitions():
-    definitions, uses = _public_definitions_and_uses(_package_sources())
-    stale = sorted(name for name in ALLOWED if name not in definitions or uses[name])
+    sources = _package_sources()
+    definitions, uses = _public_definitions_and_uses(sources)
+    unread = _unread_members(sources)
+    stale = sorted(name for name in ALLOWED
+                   if (name not in definitions or uses[name]) and name not in unread)
     assert stale == []
+
+
+def test_a_member_read_only_in_its_own_class_is_unread():
+    sources = {
+        "audit": "from dataclasses import dataclass\n"
+                 "@dataclass\n"
+                 "class Report:\n"
+                 "    trials: int\n"
+                 "    def rate(self):\n        return self.share / self.trials\n"
+                 "    @property\n"
+                 "    def share(self):\n        return 0.5\n"
+                 "    def _hidden(self):\n        return 0\n"
+                 "    def summary(self):\n        return self.rate()\n"
+                 "    def kept(self):\n        return 1\n"
+                 "class _Private:\n"
+                 "    def unused(self):\n        return 0\n"
+                 "def count(report):\n    return report.trials + report.kept()\n",
+        "cli": "def show(report):\n    return report.summary\n",
+    }
+    assert _unread_members(sources) == ["audit.Report.rate", "audit.Report.share"]
 
 
 def test_all_lists_the_public_functions_and_classes_and_only_bound_names():
@@ -261,7 +322,7 @@ def test_benchmark_exemptions_name_what_the_benchmark_still_reaches():
     cited = [name for name, reason in ALLOWED.items() if "benchmark" in reason]
     assert cited
     stale = sorted(name for name in cited
-                   if name not in reached and name.split(".")[1] not in reached)
+                   if name not in reached and name.rsplit(".", 1)[1] not in reached)
     assert stale == []
 
 
@@ -273,7 +334,7 @@ def test_every_allowed_name_is_still_named_where_its_reason_points():
     text = "\n".join(path.read_text() for path in [*sorted(BENCH.glob("*.py")),
                                                     ROOT / "tests" / "test_acceptance.py"])
     lapsed = sorted(name for name in ALLOWED
-                    if not re.search(rf"\b{name.split('.')[1]}\b", text))
+                    if not re.search(rf"\b{name.rsplit('.', 1)[1]}\b", text))
     assert lapsed == []
 
 

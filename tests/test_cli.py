@@ -702,6 +702,24 @@ BOUNDARY_CASES = [
     ("sweep", {"pipeline": "two_prior", "kappa_pi": "-1"}, 2),
     ("sweep", {"out": "{dir}"}, 2),
     ("train", {"out": "{dir}/new/posterior.txt"}, 0),
+    # an out below a file would fail at the write, after the work
+    ("train", {"out": "{dir}/posterior.txt/sub/posterior.txt"}, 2, "out:"),
+    ("sweep", {"out": "{dir}/posterior.txt/x.csv"}, 2, "out:"),
+    ("adapt", {"out": "{dir}/garbage.txt/x.csv"}, 2, "out:"),
+    ("audit", {"out": "{dir}/posterior.txt/x.csv"}, 2, "out:"),
+    # a blobs dataset whose inputs overflow is rejected before the work
+    ("train", {"env": "permuted", "arch": "mlp1", "blob_center_scale": "1e308"}, 2,
+     "blob_center_scale"),
+    ("train", {"env": "permuted", "arch": "mlp1", "blob_noise": "1e308"}, 2, "blob_noise"),
+    # (two classes of two inputs, so that the linear d=2 posterior fits; at
+    # blob_seed 2 a center overflows)
+    ("adapt", {"env": "permuted", "blob_dim": "2", "blob_classes": "2", "blob_seed": "2",
+               "blob_center_scale": "1e308"}, 2, "blob_center_scale"),
+    ("adapt", {"env": "permuted", "blob_dim": "2", "blob_classes": "2", "blob_noise": "1e308"},
+     2, "blob_noise"),
+    ("audit", {"env": "permuted", "arch": "mlp1", "blob_center_scale": "1e308"}, 2,
+     "blob_center_scale"),
+    ("audit", {"env": "permuted", "arch": "mlp1", "blob_noise": "1e308"}, 2, "blob_noise"),
     ("adapt", {"kappa_pi": "5"}, 2),
     ("adapt", {"kappa_rho": "0.5"}, 2),
     ("adapt", {"epochs_stage1": "7"}, 2),
@@ -876,13 +894,16 @@ _OVER_CAP = "1" + "0" * 20
 _BAD_INT = ["-1", "x", "2.5"]
 _SMALL_INT = (["0", "1", "2", "3"], _BAD_INT + [_OVER_CAP])
 _EPOCHS = (["0", "1", "2"], ["-1", "x", _OVER_CAP])
-_FLOAT = (["0.1", "0.5", "1e-3", "1", "2", "1e-300", "1e300", "5e-324"],
+# 1e308 overflows what it scales: a blobs dataset, or a certificate
+_FLOAT = (["0.1", "0.5", "1e-3", "1", "2", "1e-300", "1e300", "1e308", "5e-324"],
           ["0", "-1", "-1e300", "nan", "inf", "x"])
 _SEED = (["0", "1"], ["-1", "x"])
-# A divergence and a count whose certificate overflows a float.
-_KL = (_FLOAT[0] + ["1e308"], _FLOAT[1])
+# A count whose certificate overflows a float.
 _COUNT = (_SMALL_INT[0] + ["1" + "0" * 399], _BAD_INT)
 _JOBS = (["1", "2"], ["-1", "0", _OVER_CAP])
+# An output path: new directories are made; a directory, or a path below a
+# file, is rejected.
+_OUT = (["{dir}/out.csv", "{dir}/new/out.csv"], ["{dir}", "{dir}/garbage.txt/out.csv"])
 
 
 def _choices(*valid):
@@ -927,21 +948,22 @@ _DRAWS = {
         "eval_points": _SMALL_INT,
         "seed": _SEED,
         "jobs": _JOBS,
+        "out": _OUT,
     },
     "train": {**_TRAIN_DRAWS, **_ENV_DRAWS, "n": _SMALL_INT, "m": _SMALL_INT,
-              "seed": _SEED},
+              "seed": _SEED, "out": _OUT},
     "adapt": {**{k: v for k, v in _TRAIN_DRAWS.items() if k in SCHEMAS["adapt"]},
               **_ENV_DRAWS,
               "posterior": (["{dir}/posterior.txt"],
                             ["{dir}/garbage.txt", "{dir}/absent.txt", "{dir}"]),
               "num_tasks": _SMALL_INT, "m": _SMALL_INT, "adapt_epochs": _EPOCHS,
-              "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED},
+              "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED, "out": _OUT},
     "audit": {**_TRAIN_DRAWS, **_ENV_DRAWS, "n": _SMALL_INT, "m": _SMALL_INT,
               "trials": (["50"], ["49", _OVER_CAP]), "eval_tasks": (["20"], ["19", _OVER_CAP]),
               "eval_points": _SMALL_INT, "mc_eval": _SMALL_INT, "seed": _SEED,
-              "jobs": _JOBS},
-    "bound": {"empirical_risk": _FLOAT, "kl_rho_pi": _KL, "kl_hyper": _KL,
-              "sum_task_kl": _KL, "pairs": (["0.5:1.0 ; 0:3", "0:1e300"], ["1:x", ":"]),
+              "jobs": _JOBS, "out": _OUT},
+    "bound": {"empirical_risk": _FLOAT, "kl_rho_pi": _FLOAT, "kl_hyper": _FLOAT,
+              "sum_task_kl": _FLOAT, "pairs": (["0.5:1.0 ; 0:3", "0:1e300"], ["1:x", ":"]),
               "n": _COUNT, "m": _COUNT, "delta": _FLOAT},
 }
 
