@@ -335,10 +335,9 @@ def load_config(path: str | Path, command: str,
 
 
 def _check_out(out: Path) -> None:
-    """Reject an output path that the atomic write would fail on after the
-    work: a directory, or a path below a file (its nearest existing
-    ancestor is not a directory). A file written beside it, such as
-    ``train``'s trace, has the same ancestors."""
+    """Reject an out that the write after the work would fail on: a
+    directory, or a path below a file. ``train``'s trace, written beside
+    it, has the same ancestors."""
     if out.is_dir():
         raise ConfigError(f"out: {out} is a directory")
     ancestor = next(parent for parent in out.absolute().parents if parent.exists())

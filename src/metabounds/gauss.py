@@ -1,12 +1,10 @@
 """Closed-form divergences of diagonal Gaussians over real weight vectors.
 
-Every distribution in the package is a diagonal Gaussian: priors and
-posteriors over model weights and meta-level distributions over prior
-parameters. There is no distribution class: a Gaussian over d weights is
-its flat ``(2d,)`` row, d means then d log-variances, the layout training
-descends and pricing reads; the ``*_arrays`` forms take the two halves as
-separate arrays with leading axes that broadcast. Variances are stored in
-log space so that gradient-based optimization of them is unconstrained.
+Every distribution in the package is a diagonal Gaussian, and there is no
+distribution class: a Gaussian over d weights is its flat ``(2d,)`` row, d
+means then d log-variances, which training descends and pricing reads; the
+``*_arrays`` forms take the two halves apart, with leading axes that
+broadcast. Log-variances keep the optimization of variances unconstrained.
 """
 
 from __future__ import annotations
@@ -55,9 +53,7 @@ def kl_diag_arrays(q_mean: np.ndarray, q_log_var: np.ndarray, p_mean: np.ndarray
     return 0.5 * np.sum(terms, axis=-1)
 
 
-def expected_kl_under_gaussian_mean(
-    q: np.ndarray, hyper: np.ndarray, prior_var: float
-) -> float:
+def expected_kl_under_gaussian_mean(q: np.ndarray, hyper: np.ndarray, prior_var: float) -> float:
     """E over mu_P ~ hyper of KL(q || N(mu_P, prior_var * I)), in closed form.
 
     Averaging the quadratic (mq - mu_P)^2 term over the Gaussian hyper

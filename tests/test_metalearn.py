@@ -272,13 +272,15 @@ class TestMetaObjective:
             replay = np.random.default_rng(109)
             eps = replay.standard_normal((3, 2, 2))
             assert drawn.bit_generator.state == replay.bit_generator.state
+            rows = _rows(models)
             risks = [
-                np.mean([loss_values(LOGISTIC, LINEAR, task.train_x @ (q[:2] + np.exp(0.5 * q[2:]) * e),
+                np.mean([loss_values(LOGISTIC, LINEAR,
+                                     task.train_x @ (q[:2] + np.exp(0.5 * q[2:]) * e),
                                      task.train_y).mean() for e in task_eps])
-                for q, task, task_eps in zip(_rows(models), tasks, eps)
+                for q, task, task_eps in zip(rows, tasks, eps)
             ]
-            task_kls = expected_kl_fixed_spread_arrays(
-                _rows(models)[:, :2], _rows(models)[:, 2:], theta1[:2], theta1[2:], kappa_rho**2)
+            task_kls = expected_kl_fixed_spread_arrays(rows[:, :2], rows[:, 2:], theta1[:2],
+                                                       theta1[2:], kappa_rho**2)
             expected = theorem1_bound(MetaBoundInput(
                 empirical_multitask_risk=float(np.mean(risks)),
                 kl_rho_pi=meta_kl(rho, cfg.kappa_pi),
