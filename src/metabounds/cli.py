@@ -335,9 +335,8 @@ def load_config(path: str | Path, command: str,
 
 
 def _check_out(out: Path) -> None:
-    """Reject an out that the write after the work would fail on: a
-    directory, or a path below a file. ``train``'s trace, written beside
-    it, has the same ancestors."""
+    """Reject an output path that the write after the work would fail on: a
+    directory, or a path below a file."""
     if out.is_dir():
         raise ConfigError(f"out: {out} is a directory")
     ancestor = next(parent for parent in out.absolute().parents if parent.exists())
@@ -494,18 +493,19 @@ def cmd_train(cfg: ExperimentConfig):
     seed = values["seed"]
     spec = _env_spec(values)
     train_cfg = _train_config(values, spec)
+    out = Path(values["out"])
+    trace_path = out.with_suffix(out.suffix + ".trace.csv")
+    _check_out(trace_path)
 
     def run() -> int:
         tasks = sample_tasks(spec, values["n"], values["m"], stream(seed, "tasks"))
         rho, trace = train_meta(tasks, train_cfg)
-        out = Path(values["out"])
         save_meta_posterior(rho, out)
         trace_rows = [
             (i, 1 if i < trace.stage_boundary else 2, obj)
             for i, obj in enumerate(trace.objectives)
         ]
-        write_csv(out.with_suffix(out.suffix + ".trace.csv"), TRACE_COLUMNS,
-                  trace_rows, cfg.config_hash, seed)
+        write_csv(trace_path, TRACE_COLUMNS, trace_rows, cfg.config_hash, seed)
         print(f"wrote posterior to {out} ({len(trace.objectives)} epochs)")
         return 0
 

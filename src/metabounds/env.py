@@ -171,9 +171,11 @@ def _draw(spec, latent, k, rng):
 
 @lru_cache(maxsize=None)
 def base_dataset(base: BlobsSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``base.build()``, built once per process and shared by every task
-    drawn from it."""
-    return base.build()
+    """``base.build()``, built once per process and shared, read-only, by
+    every task drawn from it."""
+    x, y = base.build()
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
 def sample_linear_tasks(spec: LinearEnvSpec, n: int, m: int, rng: np.random.Generator

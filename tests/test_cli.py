@@ -553,6 +553,17 @@ class TestTrainAdaptRoundTrip:
         assert main(["adapt", "--config", path, "--out", str(out_b)]) == 0
         assert _data_lines(out_a) == _data_lines(out_b)
 
+    def test_a_directory_where_the_trace_goes_exits_2(self, tmp_path, capsys):
+        """The trace is written beside out, after the work; a directory in
+        its place is a config error at load."""
+        (tmp_path / "posterior.txt.trace.csv").mkdir()
+        path = _write(tmp_path, TRAIN_SMALL.format(out=tmp_path / "posterior.txt",
+                                                   adapt_out=tmp_path / "x.csv"))
+        assert main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and "is a directory" in err, err
+        assert not (tmp_path / "posterior.txt").exists()
+
     def test_adapt_without_artifact_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, TRAIN_SMALL.format(out=tmp_path / "missing.txt",
                                                    adapt_out=tmp_path / "x.csv"))

@@ -56,7 +56,6 @@ class TestArchitecture:
         assert pos == MLP.param_count
 
 
-
 class TestStochasticModel:
     """The model holds its posterior as one (2d,) float64 row of finite
     entries, d the architecture's parameter count."""
