@@ -57,10 +57,6 @@ class AuditReport:
             raise ValueError("one record per trial is required")
 
     @property
-    def violation_rate(self) -> float:
-        return self.violations / self.trials
-
-    @property
     def vacuous_trials(self) -> int:
         """Trials whose bound is at least 1, which any [0, 1] risk meets."""
         return sum(1 for r in self.records if r.bound >= 1.0)

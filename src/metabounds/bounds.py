@@ -22,19 +22,6 @@ from statistics import fmean
 
 import numpy as np
 
-__all__ = [
-    "MetaBoundInput",
-    "DiscreteMetaSystem",
-    "adaptation_bound",
-    "task_level_slack",
-    "multitask_slack",
-    "task_level_term",
-    "multitask_sqrt_term",
-    "theorem1_bound",
-    "theorem2_bound",
-    "kl_decomposition_check",
-]
-
 
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:

@@ -437,7 +437,7 @@ def _sweep_unit(args):
     values, train_cfg, ns, m, d, seed = args  # train_cfg is None for prior_mean
     start = time.perf_counter()
     spec = LinearEnvSpec(d=d)
-    pool_args = (spec, max(values["n_list"]), m, stream(seed, "tasks", d, m))
+    pool_args = (spec, max(ns), m, stream(seed, "tasks", d, m))
     if values["pipeline"] == "prior_mean":
         _, x, y = sample_linear_tasks(*pool_args)
         test_loss = rule_test_loss(spec, m, seed, eval_tasks=values["eval_tasks"],

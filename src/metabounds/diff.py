@@ -11,11 +11,12 @@ a chain of elementary ops (``tests/oracles.py``) on a tape and compare its
 values and adjoints with the step's, bit for bit.
 
 A tape records nodes in construction order, which is a topological order,
-so backward() is one reverse pass over that list. Only what is
-differentiated is a node: data, noise draws and fixed priors enter a
-node's value and adjoint as constant arrays, with no node of their own and
-no adjoint. A tape and its nodes refer to each other, so the cyclic
-garbage collector frees them; no training step builds one.
+so backward() is one reverse pass over that list, which returns the
+adjoints it computes. Only what is differentiated is a node: data, noise
+draws and fixed priors enter a node's value and adjoint as constant arrays,
+with no node of their own and no adjoint. A tape and its nodes refer to
+each other, so the cyclic garbage collector frees them; no training step
+builds one.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        # Adjoints of the last backward pass, by node index.
-        self.grads: dict[int, np.ndarray] = {}
 
     def tensor(self, value) -> "Tensor":
         """Create a leaf node holding a copy of value."""
@@ -67,13 +66,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def grad(self) -> np.ndarray:
-        """Adjoint from the tape's last backward pass; zeros where that pass
-        did not reach this node."""
-        g = self.tape.grads.get(self.idx)
-        return np.zeros_like(self.value) if g is None else g
-
 
 def constant(value) -> np.ndarray:
     """A constant operand as a finite float64 array (not copied). Raises
@@ -82,14 +74,14 @@ def constant(value) -> np.ndarray:
     return _finite(np.asarray(value, dtype=np.float64))
 
 
-def backward(out: Tensor) -> None:
+def backward(out: Tensor) -> dict[int, np.ndarray]:
     """Reverse-mode pass from a scalar output.
 
-    Afterwards .grad of every node the output depends on holds its adjoint;
-    every other node reads zeros, including adjoints left by an earlier pass
-    over the same tape. One linear sweep suffices because the tape is
-    topologically ordered by construction. Adjoints are accumulated out of
-    place, since a vjp may hand the same array to several parents.
+    Returns the adjoint of every node the pass reached, keyed by node index
+    (``Tensor.idx``); a node the output does not depend on has no entry.
+    One linear sweep suffices because the tape is topologically ordered by
+    construction. Adjoints are accumulated out of place, since a vjp may
+    hand the same array to several parents.
     """
     if out.value.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {out.shape}")
@@ -106,4 +98,4 @@ def backward(out: Tensor) -> None:
             j = parent.idx
             prev = adjoint.get(j)
             adjoint[j] = pg if prev is None else prev + pg
-    out.tape.grads = adjoint
+    return adjoint

@@ -45,21 +45,6 @@ from .model import (
 )
 from .rng import stream
 
-__all__ = [
-    "MetaPosterior",
-    "TrainConfig",
-    "TrainingTrace",
-    "TrainingDiverged",
-    "meta_kl",
-    "train_meta",
-    "adapt",
-    "adapt_many",
-    "adaptation_certificate",
-    "independent_baseline",
-    "save_meta_posterior",
-    "load_meta_posterior",
-]
-
 
 @dataclass(frozen=True)
 class MetaPosterior:
@@ -144,20 +129,24 @@ class TrainingDiverged(RuntimeError):
 
     Carries the trace of the epochs completed before the failing step and,
     when several tasks were adapted together, the index of the task that
-    failed.  Also raised when trained parameters are finite but a
-    certificate priced from them is not.
+    failed; ``held_out`` marks that index as one of the held-out tasks, which
+    the message then names as such.  Also raised when trained parameters are
+    finite but a certificate priced from them is not.
     """
 
-    def __init__(self, message: str, trace: TrainingTrace, task: int | None = None):
-        super().__init__(message if task is None else f"task {task}: {message}")
+    def __init__(self, message: str, trace: TrainingTrace, task: int | None = None,
+                 held_out: bool = False):
+        label = "held-out task" if held_out else "task"
+        super().__init__(message if task is None else f"{label} {task}: {message}")
         self.message = message
         self.trace = trace
         self.task = task
+        self.held_out = held_out
 
     def __reduce__(self):
         # worker processes send exceptions back by pickle, which by default
         # rebuilds them from ``args`` alone
-        return (TrainingDiverged, (self.message, self.trace, self.task))
+        return (TrainingDiverged, (self.message, self.trace, self.task, self.held_out))
 
 
 def _meta_kl_coefficients(d: int, kappa_rho: float, kappa_pi: float) -> tuple[float, float]:

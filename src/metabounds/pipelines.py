@@ -45,25 +45,6 @@ from .metalearn import (
 from .model import StochasticModel, mc_empirical_risk
 from .rng import stream
 
-__all__ = [
-    "RULE_RADIUS",
-    "PRIOR_STD",
-    "HYPER_PRIOR_STD",
-    "RISK_DRAWS",
-    "SCORE_POINT_BUDGET",
-    "PipelinePoint",
-    "signed_mean_direction",
-    "rule_weight",
-    "gaussian_sign_risk",
-    "rule_test_loss",
-    "prior_mean_point",
-    "TrainedSystem",
-    "BoundBreakdown",
-    "fit_two_prior_system",
-    "trained_bound_breakdown",
-    "two_prior_point",
-]
-
 # Fixed settings of the closed-form pipeline: radius the fitted direction is
 # rescaled to, per-weight standard deviation shared by priors and posteriors,
 # and the spread of the zero-centered hyper-prior over prior means.
@@ -293,7 +274,7 @@ def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig, *,
     adapted in one stacked pass, training rows first, each exactly as it
     would be alone.  The held-out tasks must share the training tasks'
     sample count.  A divergence names the row that failed first in that
-    pass: training task i as task i, held-out task j as task j.
+    pass: training task i as task i, held-out task j as held-out task j.
     """
     if len(held_out_rngs) != len(held_out):
         raise ValueError("need exactly one generator per held-out task")
@@ -306,7 +287,8 @@ def fit_two_prior_system(tasks: list[Task], cfg: TrainConfig, *,
     except TrainingDiverged as exc:
         if exc.task is None or exc.task < n:
             raise
-        raise TrainingDiverged(exc.message, exc.trace, task=exc.task - n) from None
+        raise TrainingDiverged(exc.message, exc.trace, task=exc.task - n,
+                               held_out=True) from None
     models = [model for model, _ in adapted]
     return TrainedSystem(rho, models[:n], tuple(trace.objectives), models[n:])
 

@@ -7,8 +7,9 @@ Nothing here runs in a CLI command or a training step:
   training steps of ``metalearn`` (Gaussian divergence included:
   ``kl_chain``) stand for and must equal bit for bit, and criterion 3's
   hand-built single-task certificate;
-- ``step_node``, which puts one call of a training step on a tape, and
-  ``gradcheck``, the finite-difference oracle of criterion 3;
+- ``step_node``, which puts one call of a training step on a tape,
+  ``adjoint``, which reads a node's adjoint from what ``backward`` returns,
+  and ``gradcheck``, the finite-difference oracle of criterion 3;
 - the trade-off parameter machinery of criterion 8: ``lemma2_lambda_form``,
   ``lambda_star`` and ``lemma2_grid_minimum``;
 - the statements of Theorems 1 and 2 (``theorem1_statement``,
@@ -349,6 +350,13 @@ def step_node(step, x: np.ndarray, y: np.ndarray, leaves: Sequence[Tensor],
                   lambda g: tuple(g * part for part in parts))
 
 
+def adjoint(adjoints: dict[int, np.ndarray], node: Tensor) -> np.ndarray:
+    """``node``'s adjoint in the dict a ``backward`` pass returned; zeros
+    where that pass did not reach ``node``."""
+    g = adjoints.get(node.idx)
+    return np.zeros_like(node.value) if g is None else g
+
+
 def gradcheck(build: Callable[[Sequence[np.ndarray]],
                               tuple[Tensor, Sequence[Tensor]]],
               points: Sequence[np.ndarray],
@@ -372,8 +380,8 @@ def gradcheck(build: Callable[[Sequence[np.ndarray]],
     out, leaves = build(points)
     if not np.all(np.isfinite(out.value)):
         raise ValueError("objective must evaluate to a finite scalar")
-    backward(out)
-    analytic = [leaf.grad.copy() for leaf in leaves]
+    adjoints = backward(out)
+    analytic = [adjoint(adjoints, leaf).copy() for leaf in leaves]
 
     worst = 0.0
     for k, p in enumerate(points):

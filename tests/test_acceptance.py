@@ -277,11 +277,11 @@ def test_criterion_5_certificate_validity_audit(capsys):
         LinearEnvSpec(d=2), 5, 5, cfg, 200, stream(2024, "acceptance-audit")
     )
     elapsed = time.monotonic() - t0
-    rate = report.violation_rate
-    ok = rate <= 0.1 and elapsed < 900.0
+    held = report.violations <= cfg.delta * report.trials
+    ok = held and elapsed < 900.0
     _verdict(capsys, 5, ok,
              f"{report.violations}/200 violations at delta {cfg.delta}, {elapsed:.0f}s")
-    assert rate <= 0.1
+    assert held
     assert elapsed < 900.0
 
 

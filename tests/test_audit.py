@@ -69,10 +69,6 @@ class TestAuditReport:
         with pytest.raises(ValueError, match="per trial"):
             AuditReport(2, 0, 0.1, (self._record(0),))
 
-    def test_violation_rate(self):
-        report = AuditReport(2, 1, 0.1, (self._record(0), self._record(1)))
-        assert report.violation_rate == 0.5
-
     def test_vacuity_counts_bounds_of_at_least_one(self):
         records = tuple(AuditRecord(i, i, bound, 0.2, 0.01, bound - 0.2, False)
                         for i, bound in enumerate((0.5, 0.999, 1.0, 3.6)))

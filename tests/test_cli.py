@@ -476,6 +476,23 @@ def test_closed_form_sweep_prices_each_group_once(tmp_path, monkeypatch):
                      "divergences": 2 * 5}
 
 
+def test_a_trained_sweep_unit_draws_only_its_own_tasks(tmp_path, monkeypatch):
+    """A two_prior unit prices one task count n from the first n tasks of its
+    stream, so it draws n tasks, not the largest count of n_list."""
+    asked, real = [], cli.sample_tasks
+
+    def recording(spec, n, m, rng):
+        asked.append(n)
+        return real(spec, n, m, rng)
+
+    monkeypatch.setattr(cli, "sample_tasks", recording)
+    path = _write(tmp_path, TWO_PRIOR_SMALL)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv"),
+                     "--jobs", "1"]) == 0
+    assert asked == [2, 3] * 2  # n_list = 2, 3 at each of two seeds
+
+
 TRAIN_SMALL = """\
     [train]
     env = linear

@@ -21,7 +21,7 @@ from metabounds.model import (
 )
 
 import oracles as ops
-from oracles import gaussian_row, gradcheck, isotropic_row
+from oracles import adjoint, gaussian_row, gradcheck, isotropic_row
 
 LINEAR2 = ModelArchitecture("linear", 2)
 MLP = ModelArchitecture("mlp1", 3, num_classes=4, hidden_dim=5)
@@ -459,8 +459,8 @@ class TestRiskNode:
             tape = Tape()
             q = tape.tensor(q_value)
             risk = risk_of(q)
-            backward(ops.sum(ops.mul(risk, weights)))
-            return risk.value, q.grad
+            adjoints = backward(ops.sum(ops.mul(risk, weights)))
+            return risk.value, adjoint(adjoints, q)
 
         def fused(q):
             risk = taped_mc_risk(arch, q, x, y, loss, eps)

@@ -1,6 +1,7 @@
 """Tests for the closed-form and trained evaluation pipelines."""
 
 import math
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -485,24 +486,35 @@ class TestOnePassPerEvaluation:
 
     def test_held_out_divergence_names_the_held_out_index(self, monkeypatch):
         self._diverging(monkeypatch, merged_task=3)
-        with pytest.raises(TrainingDiverged, match="^task 1: merged$") as caught:
+        with pytest.raises(TrainingDiverged, match="^held-out task 1: merged$") as caught:
             self._fit()
-        assert caught.value.task == 1
+        assert caught.value.task == 1 and caught.value.held_out
+
+    def test_a_held_out_divergence_survives_pickling(self, monkeypatch):
+        # --jobs sends it back from a worker by pickle
+        self._diverging(monkeypatch, merged_task=3)
+        with pytest.raises(TrainingDiverged) as caught:
+            self._fit()
+        back = pickle.loads(pickle.dumps(caught.value))
+        assert type(back) is TrainingDiverged
+        assert str(back) == str(caught.value) == "held-out task 1: merged"
+        assert (back.task, back.held_out) == (1, True)
 
     def test_a_held_out_divergence_ends_the_one_pass(self, monkeypatch):
         """The row that failed first in the merged pass is the one named: the
         training rows are not adapted again to see whether one of them would
         fail later."""
         calls = self._diverging(monkeypatch, merged_task=4)
-        with pytest.raises(TrainingDiverged, match="^task 2: merged$") as caught:
+        with pytest.raises(TrainingDiverged, match="^held-out task 2: merged$") as caught:
             self._fit()
         assert caught.value.task == 2
         assert calls == [5]
 
     def test_training_divergence_in_the_merged_pass_is_named_as_it_is(self, monkeypatch):
         self._diverging(monkeypatch, merged_task=0)
-        with pytest.raises(TrainingDiverged, match="^task 0: merged$"):
+        with pytest.raises(TrainingDiverged, match="^task 0: merged$") as caught:
             self._fit()
+        assert not caught.value.held_out
 
     def test_rejects_a_generator_count_mismatch(self):
         with pytest.raises(ValueError, match="one generator per held-out task"):
